@@ -75,7 +75,9 @@ from .resolvent import (
     bp_split,
     factor_chain,
     resolvent_direct,
+    resolvent_direct_many,
     resolvent_factorized,
+    resolvent_factorized_many,
     resolvent_from_aux,
 )
 from .extremal import (
@@ -83,8 +85,10 @@ from .extremal import (
     ExtremalSet,
     evaluate_chain,
     extremal_cf,
+    extremal_cf_many,
     extremal_chain,
     extremal_quotient,
+    extremal_quotient_many,
     mobius_apply,
     mobius_chain_apply,
     solution_transform,

@@ -11,13 +11,37 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularPivot
+from .errors import SingularDenominator, SingularPivot
 
 PIVOT_RTOL = 1e-12
+COND_LIMIT = 1e12
 
 
 def frob(a):
     return float(np.linalg.norm(a))
+
+
+def frobs(x):
+    """frob of each matrix of a (K, m, n) stack, summed as np.linalg.norm sums one.
+
+    That sum runs over the entries in memory order, so a stack of
+    column-major matrices is summed column by column.
+    """
+    x = np.asarray(x, dtype=complex)
+    if x.strides[-1] > x.strides[-2]:
+        x = np.swapaxes(x, -1, -2)
+    flat = x.reshape(len(x), -1)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
+def scalars(f, z):
+    """f at each point of the array z, in Python complex arithmetic.
+
+    NumPy's complex multiply and divide round differently from Python's
+    (fused multiply-add, scaling by a reciprocal).  Scalar factors made
+    this way equal those of the one-point formulas to the last bit.
+    """
+    return np.array([f(x) for x in z.tolist()], dtype=complex)
 
 
 def rel_residual(x, y):
@@ -74,6 +98,98 @@ def min_eigenvalue(a):
     return float(np.linalg.eigvalsh(hermitize(np.asarray(a, dtype=complex)))[0])
 
 
-def right_divide(num, den):
-    """num @ inv(den) without forming the inverse."""
-    return np.linalg.solve(den.T, num.T).T
+class PointPrefix:
+    """The points a loop over z finishes before it raises, for stacked evaluation.
+
+    A loop ``for z in zs: stage_1(z); ..; stage_s(z)`` raises at the first z
+    that fails a stage, with the first stage that z fails.  Stacked code
+    keeps that error by running each stage on ``zs``, the points before the
+    first failure recorded so far: ``fail`` records a stage's first failure
+    among them and drops that point and every later one.  A z-independent
+    stage runs only if the first point reaches it, so ``shared_stage``
+    precedes it.  ``finish`` raises the recorded error, if any.
+    """
+
+    def __init__(self, zs):
+        self.zs = np.asarray(zs, dtype=complex).reshape(-1)
+        self.error = None
+
+    @classmethod
+    def of(cls, zs):
+        """zs itself if it is a PointPrefix, else a new one over the points zs."""
+        return zs if isinstance(zs, cls) else cls(zs)
+
+    def __len__(self):
+        return len(self.zs)
+
+    def fail(self, bad, error):
+        """Record error(i) for the first i with bad[i] and keep only zs[:i]."""
+        hits = np.flatnonzero(np.asarray(bad)[:len(self.zs)])
+        if hits.size:
+            i = int(hits[0])
+            self.error = error(i)
+            self.zs = self.zs[:i]
+
+    def shared_stage(self):
+        """Raise the recorded error if the first point has failed already."""
+        if self.error is not None and not len(self.zs):
+            raise self.error
+
+    def finish(self):
+        if self.error is not None:
+            raise self.error
+
+
+def guard_cond(mats, cond_limit, error, points=None):
+    """Check every matrix of a (..., q, q) stack as np.linalg.cond would one by one.
+
+    A matrix fails when its 2-norm condition number is not finite or exceeds
+    cond_limit; it then gives error(cond), or the LinAlgError that
+    np.linalg.cond raises on some non-finite matrices.  Without ``points``
+    the first failure in C order is raised.  With ``points`` the leading
+    axis runs over points.zs and the first failing point is recorded there.
+    """
+    flat = mats.reshape(-1, *mats.shape[-2:])
+    # A stacked SVD fails as a whole on one non-finite matrix, so the
+    # matrices from the first such one on are taken one at a time; that one
+    # always fails, which makes the later ones irrelevant.
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    stop = len(flat) if finite.all() else int(np.argmin(finite))
+    cond = np.full(len(flat), np.nan)
+    raised = None
+    if stop:
+        cond[:stop] = np.linalg.cond(flat[:stop])
+    if stop < len(flat):
+        try:
+            cond[stop] = np.linalg.cond(flat[stop])
+        except np.linalg.LinAlgError as exc:
+            raised = exc
+    bad = ~np.isfinite(cond) | (cond > cond_limit)
+
+    def failure(j):
+        return raised if j == stop and raised is not None else error(cond[j])
+
+    if points is None:
+        if bad.any():
+            raise failure(int(np.argmax(bad)))
+        return
+    rows = bad.reshape(len(points), -1)
+    points.fail(rows.any(axis=1),
+                lambda i: failure(i * rows.shape[1] + int(np.argmax(rows[i]))))
+
+
+def right_quotient(num, den, cond_limit=COND_LIMIT, points=None):
+    """num @ inv(den) for stacks of q x q matrices, without forming the inverse.
+
+    Each denominator is checked by guard_cond first and a failure is
+    SingularDenominator.  With ``points`` the leading axis runs over
+    points.zs, and the quotients of the points that remain are returned.
+    """
+    num = np.asarray(num, dtype=complex)
+    den = np.asarray(den, dtype=complex)
+    guard_cond(den, cond_limit, SingularDenominator, points)
+    if points is not None:
+        num, den = num[:len(points)], den[:len(points)]
+    return np.swapaxes(
+        np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2)), -1, -2
+    )

@@ -40,10 +40,11 @@ from .errors import (
     ThmmError,
     WrongMatrixSize,
 )
-from .extremal import extremal_cf, extremal_quotient
+from ._linalg import PointPrefix, frobs
+from .extremal import extremal_cf_many, extremal_quotient_many
 from .moments import classify, moments_from_discrete_measure
 from .polynomials import build_family, verify_family_identities
-from .resolvent import resolvent_direct, resolvent_factorized
+from .resolvent import resolvent_direct_many, resolvent_factorized_many
 
 _INPUT_ERRORS = (
     InvalidMomentSequence,
@@ -149,61 +150,58 @@ def cmd_analyze(args):
     return 0
 
 
+def _residuals(values, reference):
+    """Frobenius distance of each value from its reference, over the reference norm (floor 1)."""
+    return frobs(values - reference) / np.maximum(1.0, frobs(reference))
+
+
 def cmd_factorize(args):
     seq = tio.read_moment_file(args.input)
     parity = _parity_for(seq, args.parity)
     fam = build_family(seq)
-    results = []
-    worst = 0.0
-    for z in _z_values(args):
-        direct = resolvent_direct(fam, z, parity)
-        if args.route == "direct":
-            value, residual = direct, 0.0
-        else:
-            value = resolvent_factorized(fam, z, parity, args.route)
-            residual = float(
-                np.linalg.norm(value.full - direct.full)
-                / max(1.0, np.linalg.norm(direct.full))
-            )
-        worst = max(worst, residual)
-        results.append({
-            "z": tio.encode_complex(z),
-            "parity": parity,
-            "route": args.route,
-            "U": tio.encode_matrix(value.full),
-            "residual_vs_direct": residual,
-        })
+    zs = _z_values(args)
+    points = PointPrefix(zs)
+    direct = resolvent_direct_many(fam, points, parity)
+    if args.route == "direct":
+        values = direct
+    else:
+        values = resolvent_factorized_many(fam, points, parity, args.route)
+    points.finish()
+    residuals = _residuals(values, direct).tolist()
+    results = [{
+        "z": tio.encode_complex(z),
+        "parity": parity,
+        "route": args.route,
+        "U": tio.encode_matrix(value),
+        "residual_vs_direct": residual,
+    } for z, value, residual in zip(zs, values, residuals)]
     _emit({"command": "factorize", "parity": parity, "route": args.route,
            "rtol": args.rtol, "results": results}, args.output)
-    return 0 if worst <= args.rtol else 4
+    return 0 if max(residuals) <= args.rtol else 4
 
 
 def cmd_extremal(args):
     seq = tio.read_moment_file(args.input)
     parity = _parity_for(seq, args.parity)
     fam = build_family(seq)
-    results = []
-    worst = 0.0
-    for z in _z_values(args):
-        ext = extremal_quotient(fam, z, parity)
-        quotient_value = ext.sK if args.which == "krein" else ext.sF
-        cf_value = extremal_cf(fam, z, parity, args.which)
-        cross = float(
-            np.linalg.norm(cf_value - quotient_value)
-            / max(1.0, np.linalg.norm(quotient_value))
-        )
-        worst = max(worst, cross, ext.cross_residual)
-        results.append({
-            "z": tio.encode_complex(z),
-            "which": args.which,
-            "parity": parity,
-            "value": tio.encode_matrix(quotient_value),
-            "route": "quotient",
-            "cross_residual": cross,
-        })
+    zs = _z_values(args)
+    points = PointPrefix(zs)
+    ext = extremal_quotient_many(fam, points, parity)
+    cf_values = extremal_cf_many(fam, points, parity, args.which)
+    points.finish()
+    quotient_values = ext.sK if args.which == "krein" else ext.sF
+    cross = _residuals(cf_values, quotient_values).tolist()
+    results = [{
+        "z": tio.encode_complex(z),
+        "which": args.which,
+        "parity": parity,
+        "value": tio.encode_matrix(value),
+        "route": "quotient",
+        "cross_residual": residual,
+    } for z, value, residual in zip(zs, quotient_values, cross)]
     _emit({"command": "extremal", "which": args.which, "parity": parity,
            "rtol": args.rtol, "results": results}, args.output)
-    return 0 if worst <= args.rtol else 4
+    return 0 if max(cross + ext.cross_residual.tolist()) <= args.rtol else 4
 
 
 def cmd_recover(args):
@@ -266,17 +264,21 @@ def build_parser():
     p.add_argument("--params-out", help="also write a parameter file for 'recover'")
     p.set_defaults(func=cmd_analyze)
 
+    # argparse reads "-0.2+0.1i" after a space as an option, so such a
+    # literal has to be attached with "="
+    z_help = ("evaluation point (A, A+Bi, or A-Bi); repeatable; write a negative"
+              " real part with an imaginary part as --z=-0.2+0.1i")
+
     p = sub.add_parser("factorize", help="resolvent by direct and factorized routes")
     common(p)
-    p.add_argument("--z", action="append", default=[],
-                   help="evaluation point (A, A+Bi, or A-Bi); repeatable")
+    p.add_argument("--z", action="append", default=[], help=z_help)
     p.add_argument("--parity", choices=("even", "odd", "auto"), default="auto")
     p.add_argument("--route", choices=("direct", "second", "first"), default="second")
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("extremal", help="extremal solutions by quotient and continued fraction")
     common(p)
-    p.add_argument("--z", action="append", default=[])
+    p.add_argument("--z", action="append", default=[], help=z_help)
     p.add_argument("--parity", choices=("even", "odd", "auto"), default="auto")
     p.add_argument("--which", choices=("krein", "friedrichs"), default="friedrichs")
     p.set_defaults(func=cmd_extremal)

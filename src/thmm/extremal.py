@@ -22,16 +22,14 @@ import dataclasses
 
 import numpy as np
 
-from ._linalg import rel_residual
+from ._linalg import COND_LIMIT, PointPrefix, frobs, guard_cond, right_quotient, scalars
 from .errors import (
     PointOnInterval,
     SingularDenominator,
     SingularLevel,
 )
 from .polynomials import adjoint_eval, ensure_family
-from .resolvent import ResolventValue, _order, resolvent_direct
-
-COND_LIMIT = 1e12
+from .resolvent import ResolventValue, _order, resolvent_direct_many
 
 
 def _as_square(x, q=None):
@@ -39,6 +37,14 @@ def _as_square(x, q=None):
     if q is not None and m.shape != (q, q):
         raise ValueError(f"expected a {q}x{q} matrix, got shape {m.shape}")
     return m
+
+
+def _mobius_terms(full, x, y):
+    """A X + B Y and C X + D Y for a (stack of) 2q x 2q block transform(s)."""
+    q = full.shape[-1] // 2
+    a, b = full[..., :q, :q], full[..., :q, q:]
+    c, d = full[..., q:, :q], full[..., q:, q:]
+    return a @ x + b @ y, c @ x + d @ y
 
 
 def mobius_apply(transform, x, y, cond_limit=COND_LIMIT):
@@ -49,14 +55,7 @@ def mobius_apply(transform, x, y, cond_limit=COND_LIMIT):
     q = full.shape[0] // 2
     x = _as_square(x, q)
     y = _as_square(y, q)
-    a, b = full[:q, :q], full[:q, q:]
-    c, d = full[q:, :q], full[q:, q:]
-    num = a @ x + b @ y
-    den = c @ x + d @ y
-    cond = np.linalg.cond(den)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularDenominator(cond)
-    return np.linalg.solve(den.T, num.T).T
+    return right_quotient(*_mobius_terms(full, x, y), cond_limit)
 
 
 def mobius_chain_apply(factors, x, y, cond_limit=COND_LIMIT):
@@ -77,10 +76,7 @@ def mobius_chain_apply(factors, x, y, cond_limit=COND_LIMIT):
         if scale == 0.0:
             raise SingularDenominator(np.inf)
         col_x, col_y = new_x / scale, new_y / scale
-    cond = np.linalg.cond(col_y)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularDenominator(cond)
-    return np.linalg.solve(col_y.T, col_x.T).T
+    return right_quotient(col_x, col_y, cond_limit)
 
 
 def solution_transform(resolvent, p0, q0):
@@ -106,32 +102,42 @@ class ContinuedFractionChain:
         return len(self.levels)
 
 
-def evaluate_chain(chain, cond_limit=COND_LIMIT):
-    """Bottom-up evaluation of a finite matrix continued fraction."""
+def _evaluate(chain, cond_limit, pts):
+    """Bottom-up evaluation of a continued fraction stacked over the points of pts.
+
+    Head and levels are (K, q, q) stacks; a level sum that is not
+    invertible at a point records SingularLevel for that point in pts.
+    """
     if chain.depth == 0:
+        pts.shared_stage()
         if chain.head is None:
             raise SingularLevel(0)
         return np.array(chain.head)
-    q = chain.levels[0].shape[0]
-    w = np.zeros((q, q), dtype=complex)
+    w = 0.0
     for depth in range(chain.depth, 0, -1):
-        term = chain.levels[depth - 1] + w
-        cond = np.linalg.cond(term)
-        if not np.isfinite(cond) or cond > cond_limit:
-            raise SingularLevel(depth)
-        w = np.linalg.inv(term)
-    return w if chain.head is None else chain.head + w
+        term = chain.levels[depth - 1][:len(pts)] + w
+        guard_cond(term, cond_limit, lambda cond, depth=depth: SingularLevel(depth), pts)
+        w = np.linalg.inv(term[:len(pts)])
+    return w if chain.head is None else chain.head[:len(pts)] + w
 
 
-def extremal_chain(source, z, parity, which, params=None):
-    """Build the continued-fraction chain for one extremal solution.
+def evaluate_chain(chain, cond_limit=COND_LIMIT):
+    """Bottom-up evaluation of a finite matrix continued fraction."""
+    pts = PointPrefix([0.0])
+    stacked = ContinuedFractionChain(
+        head=None if chain.head is None else np.asarray(chain.head)[None],
+        levels=tuple(np.asarray(level)[None] for level in chain.levels),
+        tags=chain.tags,
+    )
+    value = _evaluate(stacked, cond_limit, pts)
+    pts.finish()
+    return value[0]
 
-    friedrichs/even and krein/odd consume the second-type parameters,
-    krein/even and friedrichs/odd the first-type ones.
-    """
+
+def _chain_params(source, parity, which, params):
+    """(params, n, second_kind) for the chain of one extremal solution."""
     from .dsm import DsmFirst, DsmSecond, compute_first, compute_second
 
-    z = complex(z)
     if which not in ("krein", "friedrichs"):
         raise ValueError(f"which must be 'krein' or 'friedrichs', got {which!r}")
     second_kind = (which == "friedrichs") == (parity == "even")
@@ -143,56 +149,94 @@ def extremal_chain(source, z, parity, which, params=None):
         fam = ensure_family(source)
         params = compute_second(fam.seq, fam) if second_kind else compute_first(fam)
         n = _order(fam.seq, parity)
-    else:
-        fam = None
-        if second_kind:
-            n_l = len(params.lhat_from_zero)
-            if parity == "even":
-                n = min(len(params.mhat), n_l)
-            else:
-                n = min(len(params.mhat) - 1, n_l)
+    elif second_kind:
+        n_l = len(params.lhat_from_zero)
+        if parity == "even":
+            n = min(len(params.mhat), n_l)
         else:
-            if parity == "even":
-                n = min(len(params.M) - 1, len(params.L))
-            else:
-                n = min(len(params.M), len(params.L)) - 1
+            n = min(len(params.mhat) - 1, n_l)
+    elif parity == "even":
+        n = min(len(params.M) - 1, len(params.L))
+    else:
+        n = min(len(params.M), len(params.L)) - 1
+    return params, n, second_kind
+
+
+def _chain(z, parity, params, n, second_kind):
+    """The chain at z: one point, or an array of K points giving (K, q, q) levels."""
+
+    def at(f):
+        return f(z) if np.isscalar(z) else scalars(f, z)[:, None, None]
 
     levels = []
     tags = []
     if second_kind:
         a, b = params.a, params.b
-        head = params.s0 / (b - z)
+        head = params.s0 / at(lambda x: b - x)
         count = n if parity == "even" else n + 1
         for k in range(count):
-            levels.append(-(z - a) * (b - z) * params.m(k))
+            levels.append(at(lambda x: -(x - a) * (b - x)) * params.m(k))
             tags.append(f"mhat[{k}]")
             if parity == "odd" and k == count - 1:
                 break
-            levels.append(params.l(k) / (b - z))
+            levels.append(params.l(k) / at(lambda x: b - x))
             tags.append(f"lhat[{k}]")
         return ContinuedFractionChain(head=head, levels=tuple(levels), tags=tuple(tags))
 
     a = params.a
     head = None
     for k in range(n + 1):
-        levels.append(-(z - a) * params.M[k])
+        levels.append(at(lambda x: -(x - a)) * params.M[k])
         tags.append(f"M[{k}]")
         if parity == "even" and k == n:
             break
-        levels.append(np.array(params.L[k], dtype=complex))
+        level = params.L[k]
+        levels.append(np.broadcast_to(level, np.shape(z) + level.shape).astype(complex))
         tags.append(f"L[{k}]")
     return ContinuedFractionChain(head=head, levels=tuple(levels), tags=tuple(tags))
 
 
+def extremal_chain(source, z, parity, which, params=None):
+    """Build the continued-fraction chain for one extremal solution.
+
+    friedrichs/even and krein/odd consume the second-type parameters,
+    krein/even and friedrichs/odd the first-type ones.
+    """
+    z = complex(z)
+    return _chain(z, parity, *_chain_params(source, parity, which, params))
+
+
+def extremal_cf_many(source, zs, parity, which, params=None, cond_limit=COND_LIMIT):
+    """Extremal solution values via the continued fraction, at K points at once.
+
+    Returns the (K, q, q) stack of values at the points zs.  The parameter
+    chain (unless given as params) is built once and the fraction is
+    evaluated level by level over the whole stack.  A failure raises what
+    extremal_cf raises at the first failing point.  zs may also be a
+    PointPrefix shared with other stacked calls, which then records the
+    failure for its finish() to raise.
+    """
+    pts = PointPrefix.of(zs)
+    pts.shared_stage()
+    chain = _chain(pts.zs, parity, *_chain_params(source, parity, which, params))
+    value = _evaluate(chain, cond_limit, pts)
+    if pts is not zs:
+        pts.finish()
+    return value
+
+
 def extremal_cf(source, z, parity, which, params=None, cond_limit=COND_LIMIT):
     """Extremal solution value via its finite matrix continued fraction."""
-    chain = extremal_chain(source, z, parity, which, params=params)
-    return evaluate_chain(chain, cond_limit=cond_limit)
+    return extremal_cf_many(source, [complex(z)], parity, which, params, cond_limit)[0]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ExtremalSet:
-    """Krein and Friedrichs extremal values at one point."""
+    """Krein and Friedrichs extremal values at one point.
+
+    From extremal_quotient_many every field but parity is stacked over the
+    K points: sK and sF are (K, q, q), z and cross_residual have length K.
+    """
 
     sK: np.ndarray
     sF: np.ndarray
@@ -201,15 +245,13 @@ class ExtremalSet:
     cross_residual: float
 
 
-def _right_quotient(num, den):
-    cond = np.linalg.cond(den)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularDenominator(cond)
-    return np.linalg.solve(den.T, num.T).T
+def _rel_residuals(x, y):
+    """rel_residual of each pair of matrices of two (K, q, q) stacks."""
+    return frobs(x - y) / np.maximum(1.0, np.maximum(frobs(x), frobs(y)))
 
 
-def extremal_quotient(source, z, parity):
-    """Extremal solutions as block quotients of polynomial values.
+def extremal_quotient_many(source, zs, parity):
+    """Extremal solutions as block quotients of polynomial values, at K points at once.
 
     Even parity: sK = T2[n]^*(zbar) / ((z-a) G2[n]^*(zbar)),
                  sF = T1[n]^*(zbar) / ((b-z) G1[n]^*(zbar)).
@@ -217,33 +259,50 @@ def extremal_quotient(source, z, parity):
                  sF = -Q1[n+1]^*(zbar) / P1[n+1]^*(zbar).
     Cross-checked against the Moebius route through the resolvent at the
     constant pairs (I, 0) and (0, I); the largest deviation is reported.
+
+    Returns an ExtremalSet stacked over the points zs.  A failure raises
+    what extremal_quotient raises at the first failing point.  zs may also
+    be a PointPrefix shared with other stacked calls, which then records
+    the failure for its finish() to raise.
     """
     fam = ensure_family(source)
+    pts = PointPrefix.of(zs)
+    pts.shared_stage()
     seq = fam.seq
     a, b = seq.a, seq.b
-    z = complex(z)
-    if z.imag == 0.0 and a <= z.real <= b:
-        raise PointOnInterval(f"z = {z} lies on [{a}, {b}]")
+    z = pts.zs
+    pts.fail((z.imag == 0.0) & (a <= z.real) & (z.real <= b),
+             lambda i: PointOnInterval(f"z = {complex(z[i])} lies on [{a}, {b}]"))
+    pts.shared_stage()
     n = _order(seq, parity)
+    z = pts.zs
+    zc = z[:, None, None]
+    # sK and sF side by side, so that at each point sK's denominator is checked first
     if parity == "even":
-        sk = _right_quotient(
-            adjoint_eval(fam.T2(n), z), (z - a) * adjoint_eval(fam.G2(n), z)
-        )
-        sf = _right_quotient(
-            adjoint_eval(fam.T1(n), z), (b - z) * adjoint_eval(fam.G1(n), z)
-        )
+        num = [adjoint_eval(fam.T2(n), z), adjoint_eval(fam.T1(n), z)]
+        den = [(zc - a) * adjoint_eval(fam.G2(n), z), (b - zc) * adjoint_eval(fam.G1(n), z)]
+        pair = right_quotient(np.stack(num, axis=1), np.stack(den, axis=1), points=pts)
     else:
-        sk = -_right_quotient(
-            adjoint_eval(fam.Q2(n), z), (z - a) * (b - z) * adjoint_eval(fam.P2(n), z)
-        )
-        sf = -_right_quotient(
-            adjoint_eval(fam.Q1(n + 1), z), adjoint_eval(fam.P1(n + 1), z)
-        )
-    u = resolvent_direct(fam, z, parity)
+        num = [adjoint_eval(fam.Q2(n), z), adjoint_eval(fam.Q1(n + 1), z)]
+        scale = scalars(lambda x: (x - a) * (b - x), z)[:, None, None]
+        den = [scale * adjoint_eval(fam.P2(n), z), adjoint_eval(fam.P1(n + 1), z)]
+        pair = -right_quotient(np.stack(num, axis=1), np.stack(den, axis=1), points=pts)
+    u = resolvent_direct_many(fam, pts, parity)
     eye = np.eye(seq.q, dtype=complex)
     zero = np.zeros((seq.q, seq.q), dtype=complex)
-    cross = max(
-        rel_residual(sk, mobius_apply(u, eye, zero)),
-        rel_residual(sf, mobius_apply(u, zero, eye)),
+    moebius = right_quotient(
+        *_mobius_terms(u[:, None], np.stack([eye, zero]), np.stack([zero, eye])), points=pts
     )
-    return ExtremalSet(sK=sk, sF=sf, parity=parity, z=z, cross_residual=cross)
+    if pts is not zs:
+        pts.finish()
+    sk, sf = pair[:len(pts), 0], pair[:len(pts), 1]
+    cross = np.maximum(_rel_residuals(sk, moebius[:, 0]), _rel_residuals(sf, moebius[:, 1]))
+    return ExtremalSet(sK=sk, sF=sf, parity=parity, z=pts.zs, cross_residual=cross)
+
+
+def extremal_quotient(source, z, parity):
+    """extremal_quotient_many at the single point z."""
+    z = complex(z)
+    ext = extremal_quotient_many(source, [z], parity)
+    return ExtremalSet(sK=ext.sK[0], sF=ext.sF[0], parity=parity, z=z,
+                       cross_residual=float(ext.cross_residual[0]))

@@ -67,9 +67,17 @@ def eval_poly(p, z):
 
 
 def adjoint_eval(p, z):
-    """sum_k A_k^* z^k, which equals eval_poly(p, conj(z)) conjugate-transposed."""
-    z = complex(z)
+    """sum_k A_k^* z^k, which equals eval_poly(p, conj(z)) conjugate-transposed.
+
+    z is one point, giving a q x q value, or an array of K points, giving
+    the (K, q, q) stack of values.
+    """
     acc = np.array(p.coeffs[-1].conj().T, dtype=complex)
+    if np.ndim(z):
+        z = np.asarray(z, dtype=complex)[:, None, None]
+        acc = np.repeat(acc[None], len(z), axis=0)
+    else:
+        z = complex(z)
     for c in reversed(p.coeffs[:-1]):
         acc = acc * z + c.conj().T
     return acc

@@ -21,7 +21,7 @@ import dataclasses
 
 import numpy as np
 
-from ._linalg import rel_residual, solve_pd
+from ._linalg import PointPrefix, rel_residual, scalars, solve_pd
 from .errors import (
     InsufficientMoments,
     PoleAtZ,
@@ -36,27 +36,33 @@ def _eye(q):
 
 
 def _up(x):
-    q = x.shape[0]
-    out = np.zeros((2 * q, 2 * q), dtype=complex)
-    out[:q, :q] = _eye(q)
-    out[q:, q:] = _eye(q)
-    out[:q, q:] = x
+    """[[I, x], [0, I]], stacked like x."""
+    q = x.shape[-1]
+    out = np.zeros(x.shape[:-2] + (2 * q, 2 * q), dtype=complex)
+    out[..., :q, :q] = _eye(q)
+    out[..., q:, q:] = _eye(q)
+    out[..., :q, q:] = x
     return out
 
 
 def _low(y):
-    q = y.shape[0]
-    out = np.zeros((2 * q, 2 * q), dtype=complex)
-    out[:q, :q] = _eye(q)
-    out[q:, q:] = _eye(q)
-    out[q:, :q] = y
+    """[[I, 0], [y, I]], stacked like y."""
+    q = y.shape[-1]
+    out = np.zeros(y.shape[:-2] + (2 * q, 2 * q), dtype=complex)
+    out[..., :q, :q] = _eye(q)
+    out[..., q:, q:] = _eye(q)
+    out[..., q:, :q] = y
     return out
 
 
 def _diag(c_top, c_bottom, q):
-    out = np.zeros((2 * q, 2 * q), dtype=complex)
-    out[:q, :q] = complex(c_top) * _eye(q)
-    out[q:, q:] = complex(c_bottom) * _eye(q)
+    """diag(c_top I, c_bottom I) for scalars, stacked over arrays of K scalars."""
+    c_top = np.asarray(c_top, dtype=complex)[..., None, None]
+    c_bottom = np.asarray(c_bottom, dtype=complex)[..., None, None]
+    shape = np.broadcast_shapes(c_top.shape, c_bottom.shape)[:-2]
+    out = np.zeros(shape + (2 * q, 2 * q), dtype=complex)
+    out[..., :q, :q] = c_top * _eye(q)
+    out[..., q:, q:] = c_bottom * _eye(q)
     return out
 
 
@@ -89,9 +95,7 @@ class ResolventValue:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.full)):
-            raise SingularNormalization(
-                f"resolvent value at z={self.z} is not finite"
-            )
+            raise _not_finite(self.z)
 
     @property
     def alpha(self):
@@ -127,8 +131,19 @@ def _inv_normalizer(value, what):
         raise SingularNormalization(f"{what} is numerically singular") from exc
 
 
-def resolvent_direct(source, z, parity):
-    """Resolvent by block quotients of polynomial values.
+def _not_finite(z):
+    return SingularNormalization(f"resolvent value at z={z} is not finite")
+
+
+def _finite(pts, full):
+    """The values of the points of pts, recording the first one that is not finite."""
+    z = pts.zs
+    pts.fail(~np.isfinite(full).all(axis=(1, 2)), lambda i: _not_finite(complex(z[i])))
+    return full[:len(pts)]
+
+
+def resolvent_direct_many(source, zs, parity):
+    """Resolvent by block quotients of polynomial values, at K points at once.
 
     Even parity (m = 2n) uses the interval families:
         alpha = T2[n]^*(zbar) T2[n]^{*-1}(a)
@@ -140,29 +155,49 @@ def resolvent_direct(source, z, parity):
         beta  = -Q1[n+1]^*(zbar) P1[n+1]^{*-1}(a)
         gamma = -(z - a)(b - z) P2[n]^*(zbar) Q2[n]^{*-1}(a)
         delta = P1[n+1]^*(zbar) P1[n+1]^{*-1}(a)
+
+    Returns the (K, 2q, 2q) stack of values at the points zs; the
+    normalizer inverses at a are formed once.  A failure raises what
+    resolvent_direct raises at the first failing point.  zs may also be a
+    PointPrefix shared with other stacked calls, which then records the
+    failure for its finish() to raise.
     """
     fam = ensure_family(source)
+    pts = PointPrefix.of(zs)
+    pts.shared_stage()
     seq = fam.seq
     a, b = seq.a, seq.b
-    z = complex(z)
     n = _order(seq, parity)
+    z = pts.zs
+    zc = z[:, None, None]
     if parity == "even":
         inv_t2a = _inv_normalizer(adjoint_eval(fam.T2(n), a), f"T2[{n}]^*(a)")
         inv_g1a = _inv_normalizer(adjoint_eval(fam.G1(n), a), f"G1[{n}]^*(a)")
         alpha = adjoint_eval(fam.T2(n), z) @ inv_t2a
         beta = adjoint_eval(fam.T1(n), z) @ inv_g1a / (b - a)
-        gamma = (z - a) * adjoint_eval(fam.G2(n), z) @ inv_t2a
-        delta = (b - z) / (b - a) * adjoint_eval(fam.G1(n), z) @ inv_g1a
+        gamma = (zc - a) * adjoint_eval(fam.G2(n), z) @ inv_t2a
+        scale = scalars(lambda x: (b - x) / (b - a), z)[:, None, None]
+        delta = scale * adjoint_eval(fam.G1(n), z) @ inv_g1a
     else:
         inv_q2a = _inv_normalizer(adjoint_eval(fam.Q2(n), a), f"Q2[{n}]^*(a)")
         inv_p1a = _inv_normalizer(adjoint_eval(fam.P1(n + 1), a), f"P1[{n + 1}]^*(a)")
         alpha = adjoint_eval(fam.Q2(n), z) @ inv_q2a
         beta = -adjoint_eval(fam.Q1(n + 1), z) @ inv_p1a
-        gamma = -(z - a) * (b - z) * adjoint_eval(fam.P2(n), z) @ inv_q2a
+        scale = scalars(lambda x: -(x - a) * (b - x), z)[:, None, None]
+        gamma = scale * adjoint_eval(fam.P2(n), z) @ inv_q2a
         delta = adjoint_eval(fam.P1(n + 1), z) @ inv_p1a
-    return ResolventValue(
-        full=_assemble(alpha, beta, gamma, delta), q=seq.q, parity=parity, z=z
-    )
+    full = _finite(pts, _assemble(alpha, beta, gamma, delta))
+    if pts is not zs:
+        pts.finish()
+    return full
+
+
+def resolvent_direct(source, z, parity):
+    """resolvent_direct_many at the single point z, as a ResolventValue."""
+    fam = ensure_family(source)
+    z = complex(z)
+    full = resolvent_direct_many(fam, [z], parity)[0]
+    return ResolventValue(full=full, q=fam.seq.q, parity=parity, z=z)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -474,66 +509,90 @@ def _tail_first_odd(fam, n):
     return t
 
 
-def resolvent_factorized(source, z, parity, route, params=None):
-    """Resolvent as the printed left-to-right product of affine factors.
+def _poles(pts, hit, route):
+    """Record the first point of pts where a factorized route has a pole."""
+    z = pts.zs
+    pts.fail(hit, lambda i: PoleAtZ(f"{route} route has a pole at z = {complex(z[i])}"))
+    pts.shared_stage()
+
+
+def resolvent_factorized_many(source, zs, parity, route, params=None):
+    """Resolvent as the printed left-to-right product of affine factors, at K points.
 
     route = "second" uses the second-type parameter chains (poles of the
     scalar prefactors at z = a, b for even parity and z = b for odd);
     route = "first" uses the first-type chains (no pole for even parity,
     z = a excluded for odd).  The even second-type product needs n >= 1;
-    n = 0 requests fall back to the direct route with a flag set.
+    n = 0 requests fall back to the direct route.
     Products are evaluated strictly in the printed order.
+
+    Returns the (K, 2q, 2q) stack of values at the points zs.  The
+    parameter chain (unless given as params) and the boundary factor are
+    built once, and each product runs over the whole stack.  Failures and
+    a shared PointPrefix for zs are as in resolvent_direct_many.
     """
     from .dsm import compute_first, compute_second
 
     fam = ensure_family(source)
+    pts = PointPrefix.of(zs)
+    pts.shared_stage()
     seq = fam.seq
     a, b = seq.a, seq.b
-    z = complex(z)
     n = _order(seq, parity)
     q = seq.q
 
     if route in ("second", "second-dsm"):
         if parity == "even" and n == 0:
-            direct = resolvent_direct(fam, z, "even")
-            return dataclasses.replace(direct, fallback_direct=True)
+            full = resolvent_direct_many(fam, pts, "even")
+            if pts is not zs:
+                pts.finish()
+            return full
         dsm = params if params is not None else compute_second(seq, fam)
         if parity == "even":
-            if z == a or z == b:
-                raise PoleAtZ(f"second-type even route has a pole at z = {z}")
-            factors = [_diag(1.0 / ((b - z) * (z - a)), 1.0, q)]
+            _poles(pts, (pts.zs == a) | (pts.zs == b), "second-type even")
+            tail = _tail_second_even(fam, n)
+            z = pts.zs
+            zc = z[:, None, None]
+            factors = [_diag(scalars(lambda x: 1.0 / ((b - x) * (x - a)), z), 1.0, q)]
             for k in range(n):
-                factors.append(_up((z - a) * dsm.l(k - 1)))
+                factors.append(_up((zc - a) * dsm.l(k - 1)))
                 factors.append(_low(-dsm.m(k)))
-            factors.append(_up((z - a) * dsm.l(n - 1)))
-            factors.append(_low(_tail_second_even(fam, n)))
-            factors.append(_diag((b - a) * (z - a), (b - z) / (b - a), q))
+            factors.append(_up((zc - a) * dsm.l(n - 1)))
+            factors.append(_low(tail))
+            factors.append(_diag(scalars(lambda x: (b - a) * (x - a), z),
+                                 scalars(lambda x: (b - x) / (b - a), z), q))
         else:
-            if z == b:
-                raise PoleAtZ(f"second-type odd route has a pole at z = {z}")
-            factors = [_diag(1.0 / (b - z), 1.0, q)]
+            _poles(pts, pts.zs == b, "second-type odd")
+            tail = _tail_second_odd(fam, n)
+            z = pts.zs
+            zc = z[:, None, None]
+            factors = [_diag(scalars(lambda x: 1.0 / (b - x), z), 1.0, q)]
             for k in range(n + 1):
                 factors.append(_up(dsm.l(k - 1)))
-                factors.append(_low(-(z - a) * dsm.m(k)))
-            factors.append(_up(_tail_second_odd(fam, n)))
+                factors.append(_low(-(zc - a) * dsm.m(k)))
+            factors.append(_up(tail))
             factors.append(_diag(b - z, 1.0, q))
     elif route in ("first", "first-dsm"):
         first = params if params is not None else compute_first(fam)
         if parity == "even":
+            tail = _tail_first_even(fam, n)
+            zc = pts.zs[:, None, None]
             factors = []
             for k in range(n):
-                factors.append(_low(-(z - a) * first.M[k]))
+                factors.append(_low(-(zc - a) * first.M[k]))
                 factors.append(_up(first.L[k]))
-            factors.append(_low(-(z - a) * first.M[n]))
-            factors.append(_up(_tail_first_even(fam, n)))
+            factors.append(_low(-(zc - a) * first.M[n]))
+            factors.append(_up(tail))
         else:
-            if z == a:
-                raise PoleAtZ(f"first-type odd route has a pole at z = {z}")
-            factors = [_diag(1.0 / (z - a), 1.0, q)]
+            _poles(pts, pts.zs == a, "first-type odd")
+            tail = _tail_first_odd(fam, n)
+            z = pts.zs
+            zc = z[:, None, None]
+            factors = [_diag(scalars(lambda x: 1.0 / (x - a), z), 1.0, q)]
             for k in range(n + 1):
                 factors.append(_low(-first.M[k]))
-                factors.append(_up((z - a) * first.L[k]))
-            factors.append(_low(_tail_first_odd(fam, n)))
+                factors.append(_up((zc - a) * first.L[k]))
+            factors.append(_low(tail))
             factors.append(_diag(z - a, 1.0, q))
     else:
         raise ValueError(f"route must be 'second' or 'first', got {route!r}")
@@ -541,7 +600,22 @@ def resolvent_factorized(source, z, parity, route, params=None):
     full = factors[0]
     for f in factors[1:]:
         full = full @ f
-    return ResolventValue(full=full, q=q, parity=parity, z=z)
+    full = _finite(pts, full)
+    if pts is not zs:
+        pts.finish()
+    return full
+
+
+def resolvent_factorized(source, z, parity, route, params=None):
+    """resolvent_factorized_many at the single point z, as a ResolventValue.
+
+    The even second-type route with n = 0 sets fallback_direct.
+    """
+    fam = ensure_family(source)
+    z = complex(z)
+    full = resolvent_factorized_many(fam, [z], parity, route, params)[0]
+    fallback = route in ("second", "second-dsm") and parity == "even" and fam.seq.m // 2 == 0
+    return ResolventValue(full=full, q=fam.seq.q, parity=parity, z=z, fallback_direct=fallback)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -3,10 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from thmm import (
+    build_family,
+    compute_first,
+    compute_second,
+    extremal_cf,
+    extremal_quotient,
+    resolvent_factorized,
+)
 from thmm.cli import main
-from thmm.io import encode_matrix, moment_file_dict, render_json
+from thmm.io import decode_matrix, encode_matrix, moment_file_dict, read_moment_file, render_json
 
-from conftest import lebesgue
+from conftest import lebesgue, random_sequence, random_z_points, rel
 
 
 def write_json(path, obj):
@@ -149,3 +157,58 @@ def test_deterministic_bytes(tmp_path, capsys):
     _, out1 = run(capsys, ["analyze", "--input", inp])
     _, out2 = run(capsys, ["analyze", "--input", inp])
     assert out1 == out2
+
+
+def z_arg(z):
+    # "--z=<lit>": after a space argparse would take -0.2+0.1i for an option
+    return f"--z={z.real!r}{'+' if z.imag >= 0 else ''}{z.imag!r}i"
+
+
+def test_multi_z_matches_per_point_calls(tmp_path, capsys, rng):
+    seq, _ = random_sequence(rng, 2, 2)
+    inp = write_json(tmp_path / "moments.json", moment_file_dict(seq))
+    seq = read_moment_file(inp)
+    fam = build_family(seq)
+    params = {"second": compute_second(seq, fam), "first": compute_first(fam)}
+    # four points on Stieltjes-inversion lines x + 0.01i, five off the interval
+    zs = [complex(x, 0.01) for x in (-0.1, 0.3, 0.6, 1.05)] + random_z_points(rng, 5)
+    for route in ("second", "first"):
+        for parity in ("even", "odd"):
+            code, out = run(capsys, ["factorize", "--input", inp, "--route", route,
+                                     "--parity", parity] + [z_arg(z) for z in zs])
+            assert code == 0
+            results = json.loads(out)["results"]
+            assert [complex(*res["z"]) for res in results] == zs
+            for z, res in zip(zs, results):
+                want = resolvent_factorized(fam, z, parity, route, params=params[route]).full
+                assert rel(decode_matrix(res["U"]), want) <= 1e-12
+    for which in ("krein", "friedrichs"):
+        for parity in ("even", "odd"):
+            code, out = run(capsys, ["extremal", "--input", inp, "--which", which,
+                                     "--parity", parity] + [z_arg(z) for z in zs])
+            assert code == 0
+            results = json.loads(out)["results"]
+            assert [complex(*res["z"]) for res in results] == zs
+            for z, res in zip(zs, results):
+                ext = extremal_quotient(fam, z, parity)
+                want = ext.sK if which == "krein" else ext.sF
+                assert rel(decode_matrix(res["value"]), want) <= 1e-12
+                assert rel(extremal_cf(fam, z, parity, which), want) <= 1e-8
+
+
+def test_first_failing_z_decides_the_error(tmp_path, capsys):
+    inp = lebesgue_file(tmp_path, 5)
+    # two real points inside [0, 1]: the first one is named
+    code = main(["extremal", "--input", inp, "--z=2", "--z=-1+0.5i", "--z=0.25",
+                 "--z=0.75", "--z=3"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "(0.25+0j)" in err and "0.75" not in err
+    # z = b is a pole of the odd second-type product; 1e200 overflows the
+    # direct route, which runs first, but only at a later point
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["factorize", "--input", inp, "--route", "second", "--parity", "odd",
+                     "--z=2", "--z=1", "--z=1e200", "--z=-1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "pole at z = (1+0j)" in err and "1e+200" not in err

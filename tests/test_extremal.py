@@ -13,8 +13,10 @@ from thmm import (
     compute_second,
     evaluate_chain,
     extremal_cf,
+    extremal_cf_many,
     extremal_chain,
     extremal_quotient,
+    extremal_quotient_many,
     factor_chain,
     mobius_apply,
     mobius_chain_apply,
@@ -217,3 +219,22 @@ def test_mobius_chain_equals_once_on_factor_chain(rng):
             stepped = mobius_chain_apply(chain.factors(z), zero, eye)
             once = mobius_apply(chain.value(z), zero, eye)
             assert rel(stepped, once) < 1e-9
+
+
+def test_many_is_the_stack_of_single_points(rng):
+    seq, _ = random_sequence(rng, 2, 2)
+    fam = build_family(seq)
+    zs = random_z_points(rng, 5) + [complex(x, 0.01) for x in (-0.1, 0.5, 1.1)]
+    for parity in ("even", "odd"):
+        ext = extremal_quotient_many(fam, zs, parity)
+        assert ext.sK.shape == ext.sF.shape == (len(zs), 2, 2)
+        for which in ("krein", "friedrichs"):
+            cf = extremal_cf_many(fam, zs, parity, which)
+            for k, z in enumerate(zs):
+                assert np.array_equal(cf[k], extremal_cf(fam, z, parity, which))
+        for k, z in enumerate(zs):
+            one = extremal_quotient(fam, z, parity)
+            assert np.array_equal(ext.sK[k], one.sK) and np.array_equal(ext.sF[k], one.sF)
+            assert ext.cross_residual[k] == one.cross_residual < 1e-10
+    with pytest.raises(PointOnInterval, match=r"\(0.5\+0j\)"):
+        extremal_quotient_many(fam, [2.0, 0.5, 0.75], "odd")

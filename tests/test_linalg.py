@@ -3,8 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thmm import SingularPivot
-from thmm._linalg import cholesky_pd, inv_pd, is_pd, rel_residual, right_divide, solve_pd
+from thmm import SingularDenominator, SingularPivot
+from thmm._linalg import (
+    COND_LIMIT,
+    PointPrefix,
+    cholesky_pd,
+    inv_pd,
+    is_pd,
+    rel_residual,
+    right_quotient,
+    solve_pd,
+)
 
 
 @settings(max_examples=40, deadline=None)
@@ -44,4 +53,53 @@ def test_right_divide():
     rng = np.random.default_rng(5)
     num = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     den = rng.normal(size=(2, 2)) + np.eye(2) * 3
-    assert rel_residual(right_divide(num, den), num @ np.linalg.inv(den)) < 1e-13
+    assert rel_residual(right_quotient(num, den), num @ np.linalg.inv(den)) < 1e-13
+    # a stack of K = 5 pairs divides pair by pair
+    nums = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    dens = rng.normal(size=(5, 3, 3)) + np.eye(3) * 4
+    got = right_quotient(nums, dens)
+    assert got.shape == (5, 3, 3)
+    for k in range(5):
+        assert rel_residual(got[k], nums[k] @ np.linalg.inv(dens[k])) < 1e-13
+    # the guard sits exactly at COND_LIMIT: just below passes, just past raises
+    eye = np.eye(2)
+    right_quotient(eye, np.diag([1.0, 1.0 / (0.99 * COND_LIMIT)]))
+    with pytest.raises(SingularDenominator) as err:
+        right_quotient(eye, np.diag([1.0, 1.0 / (1.01 * COND_LIMIT)]))
+    assert err.value.cond == pytest.approx(1.01 * COND_LIMIT)
+    with pytest.raises(SingularDenominator):
+        right_quotient(np.stack([eye, eye]), np.stack([eye, np.diag([1.0, 1.0 / (1.01 * COND_LIMIT)])]))
+
+
+def test_point_prefix_keeps_loop_error_order():
+    # a per-point stage failing at index 2 is recorded, and a later stage
+    # failing at index 1 (within the remaining prefix) takes precedence
+    pts = PointPrefix([0.0, 1.0, 2.0, 3.0])
+    pts.fail(np.array([False, False, True, True]), lambda i: ValueError(f"stage 1 at {i}"))
+    assert len(pts) == 2
+    pts.shared_stage()  # the first point is still alive
+    pts.fail(np.array([False, True]), lambda i: KeyError(f"stage 2 at {i}"))
+    with pytest.raises(KeyError, match="stage 2 at 1"):
+        pts.finish()
+    # once the first point has failed, a z-independent stage is never reached
+    pts = PointPrefix([0.0, 1.0])
+    pts.fail(np.array([True, False]), lambda i: ValueError(f"at {i}"))
+    with pytest.raises(ValueError, match="at 0"):
+        pts.shared_stage()
+
+
+def test_right_quotient_records_first_failing_point():
+    eye = np.eye(2)
+    bad = np.diag([1.0, 0.0])
+    # per point: sK's denominator, then sF's; the first bad point is 1
+    den = np.stack([np.stack([eye, eye]), np.stack([eye, bad]), np.stack([bad, eye])])
+    pts = PointPrefix([0.0, 1.0, 2.0])
+    out = right_quotient(np.ones_like(den), den, points=pts)
+    assert out.shape == (1, 2, 2, 2) and len(pts) == 1
+    with pytest.raises(SingularDenominator):
+        pts.finish()
+    # a non-finite denominator fails like np.linalg.cond on it alone would
+    inf_den = np.stack([eye, np.full((2, 2), np.inf)])
+    pts = PointPrefix([0.0, 1.0])
+    right_quotient(np.stack([eye, eye]), inf_den, points=pts)
+    assert len(pts) == 1 and pts.error is not None

@@ -15,7 +15,9 @@ from thmm import (
     compute_second,
     factor_chain,
     resolvent_direct,
+    resolvent_direct_many,
     resolvent_factorized,
+    resolvent_factorized_many,
     resolvent_from_aux,
 )
 
@@ -210,3 +212,28 @@ def test_factor_chain_matches_direct(leb5, rng):
     chain = factor_chain(fam2, "odd", "first")
     for z in random_z_points(rng, 3):
         assert rel(chain.value(z), resolvent_direct(fam2, z, "odd").full) < 1e-9
+
+
+def test_many_is_the_stack_of_single_points(rng):
+    seq, _ = random_sequence(rng, 2, 2)
+    fam = build_family(seq)
+    dsm = compute_second(seq, fam)
+    zs = random_z_points(rng, 6) + [complex(x, 0.01) for x in (0.2, 0.9)]
+    for parity in ("even", "odd"):
+        direct = resolvent_direct_many(fam, zs, parity)
+        second = resolvent_factorized_many(fam, zs, parity, "second", params=dsm)
+        first = resolvent_factorized_many(fam, zs, parity, "first")
+        assert direct.shape == second.shape == first.shape == (len(zs), 4, 4)
+        for k, z in enumerate(zs):
+            assert np.array_equal(direct[k], resolvent_direct(fam, z, parity).full)
+            assert np.array_equal(
+                second[k], resolvent_factorized(fam, z, parity, "second", params=dsm).full)
+            assert np.array_equal(first[k], resolvent_factorized(fam, z, parity, "first").full)
+
+
+def test_many_raises_at_the_first_failing_point(leb5):
+    _, fam, _, _ = leb5
+    with pytest.raises(PoleAtZ, match=r"z = \(1\+0j\)"):
+        resolvent_factorized_many(fam, [2.0, 1.0, 0.0], "even", "second")
+    with pytest.raises(PoleAtZ, match=r"z = 0j"):
+        resolvent_factorized_many(fam, [2.0, 0.0, 1.0], "even", "second")
