@@ -9,7 +9,7 @@ only to report witnesses for failed classifications.
 import math
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import ztrtrs
 
 from .errors import SingularDenominator, SingularPivot
 
@@ -58,8 +58,9 @@ def hermitize(a):
 def cholesky_pd(a, pivot_rtol=PIVOT_RTOL):
     """Lower Cholesky factor of a Hermitian matrix, or None.
 
-    Returns None as soon as a pivot falls at or below
-    pivot_rtol * ||a||_F, the package-wide positive definiteness test.
+    Returns None as soon as a pivot is not above pivot_rtol * ||a||_F, the
+    package-wide positive definiteness test.  A NaN pivot or threshold
+    fails it too.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
@@ -67,7 +68,7 @@ def cholesky_pd(a, pivot_rtol=PIVOT_RTOL):
     L = np.zeros_like(a)
     for k in range(n):
         d = a[k, k].real - np.vdot(L[k, :k], L[k, :k]).real
-        if d <= threshold:
+        if not d > threshold:
             return None
         L[k, k] = math.sqrt(d)
         if k + 1 < n:
@@ -81,8 +82,17 @@ def solve_pd(a, rhs, family="matrix", index=0, pivot_rtol=PIVOT_RTOL):
     L = cholesky_pd(a, pivot_rtol)
     if L is None:
         raise SingularPivot(family, index)
-    y = scipy.linalg.solve_triangular(L, rhs, lower=True)
-    return scipy.linalg.solve_triangular(L.conj().T, y, lower=False)
+    # the calls scipy.linalg.solve_triangular makes for L and L^H, without
+    # its checks: L is finite with a positive diagonal by construction
+    y = _trtrs(L.T, rhs, lower=0, trans=1)
+    return _trtrs(L.conj().T, y, lower=0, trans=0)
+
+
+def _trtrs(tri, rhs, lower, trans):
+    x, info = ztrtrs(tri, rhs, lower=lower, trans=trans)
+    if info:
+        raise np.linalg.LinAlgError(f"ztrtrs failed with info {info}")
+    return x
 
 
 def inv_pd(a, family="matrix", index=0):

@@ -111,23 +111,23 @@ def cmd_analyze(args):
     fam = build_family(seq)
     sch = fam.schur
     report["schur"] = {
-        "hhat1": [tio.encode_matrix(x) for x in sch.hhat1],
-        "hhat2": [tio.encode_matrix(x) for x in sch.hhat2],
-        "khat1": [tio.encode_matrix(x) for x in sch.khat1],
-        "khat2": [tio.encode_matrix(x) for x in sch.khat2],
+        "hhat1": sch.hhat1,
+        "hhat2": sch.hhat2,
+        "khat1": sch.khat1,
+        "khat2": sch.khat2,
     }
     dsm = compute_second(seq, fam)
     first = compute_first(fam)
     report["dsm_second"] = {
-        "mhat": [tio.encode_matrix(x) for x in dsm.mhat],
+        "mhat": dsm.mhat,
         "lhat_first_index": -1,
-        "lhat": [tio.encode_matrix(x) for x in dsm.lhat],
-        "rhat": [tio.encode_matrix(x) for x in dsm.rhat],
-        "that": [tio.encode_matrix(x) for x in dsm.that],
+        "lhat": dsm.lhat,
+        "rhat": dsm.rhat,
+        "that": dsm.that,
     }
     report["dsm_first"] = {
-        "M": [tio.encode_matrix(x) for x in first.M],
-        "L": [tio.encode_matrix(x) for x in first.L],
+        "M": first.M,
+        "L": first.L,
     }
     fam_report = verify_family_identities(fam)
     prod_report = product_identities(fam, dsm, first)
@@ -172,7 +172,7 @@ def cmd_factorize(args):
         "z": tio.encode_complex(z),
         "parity": parity,
         "route": args.route,
-        "U": tio.encode_matrix(value),
+        "U": value,
         "residual_vs_direct": residual,
     } for z, value, residual in zip(zs, values, residuals)]
     _emit({"command": "factorize", "parity": parity, "route": args.route,
@@ -195,7 +195,7 @@ def cmd_extremal(args):
         "z": tio.encode_complex(z),
         "which": args.which,
         "parity": parity,
-        "value": tio.encode_matrix(value),
+        "value": value,
         "route": "quotient",
         "cross_residual": residual,
     } for z, value, residual in zip(zs, quotient_values, cross)]

@@ -9,11 +9,14 @@ Parameter file   { "q": int, "a": real, "b": real, "s0": M,
 
 Every matrix M is a q x q row-major array of [re, im] pairs.  Reports are
 rendered with stable key order and floats fixed at 17 significant digits,
-so identical inputs produce identical bytes.
+so identical inputs produce identical bytes.  ``render_json`` takes a 2-D
+complex ``np.ndarray`` wherever a matrix goes and writes it in that
+[re, im] layout, so reports and file dicts hold the arrays themselves.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 
@@ -40,12 +43,6 @@ def parse_complex(text):
     return z
 
 
-def encode_matrix(mat):
-    """q x q complex matrix as nested [re, im] pairs."""
-    mat = np.asarray(mat, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
-
-
 def decode_matrix(obj, q=None, what="matrix"):
     arr = np.asarray(obj, dtype=float)
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
@@ -54,6 +51,12 @@ def decode_matrix(obj, q=None, what="matrix"):
         )
     if q is not None and arr.shape[0] != q:
         raise InvalidMomentSequence(f"{what} must be {q} x {q}, got {arr.shape[0]}")
+    finite = np.isfinite(arr).all(axis=2)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise InvalidMomentSequence(
+            f"{what}[{i}][{j}] is not finite: {arr[i, j].tolist()}"
+        )
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
@@ -80,7 +83,7 @@ def moment_file_dict(seq):
         "q": seq.q,
         "a": seq.a,
         "b": seq.b,
-        "moments": [encode_matrix(sj) for sj in seq.s],
+        "moments": seq.s,
     }
 
 
@@ -111,9 +114,9 @@ def parameter_file_dict(seq, dsm):
         "q": seq.q,
         "a": seq.a,
         "b": seq.b,
-        "s0": encode_matrix(seq.s[0]),
-        "mhat": [encode_matrix(x) for x in dsm.mhat],
-        "lhat": [encode_matrix(x) for x in dsm.lhat_from_zero],
+        "s0": seq.s[0],
+        "mhat": dsm.mhat,
+        "lhat": dsm.lhat_from_zero,
     }
 
 
@@ -144,6 +147,8 @@ def _render(obj, indent, out):
             _render(val, indent + 1, out)
             out.append(",\n" if i + 1 < len(seq) else "\n")
         out.append(pad + "]")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "c":
+        out.append(_render_matrix(obj, indent))
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, float)):
@@ -154,6 +159,29 @@ def _render(obj, indent, out):
         out.append(json.dumps(obj))
     else:
         raise TypeError(f"cannot render {type(obj)!r} deterministically")
+
+
+def _render_matrix(mat, indent):
+    """A complex matrix in the layout _render gives its nested [re, im] lists."""
+    floats = np.ascontiguousarray(mat, dtype=complex).view(float).ravel()
+    finite = np.isfinite(floats)
+    if not finite.all():
+        _format_number(floats[np.argmin(finite)].item())  # raises its ValueError
+    return _matrix_template(*mat.shape, indent).format(*floats.tolist())
+
+
+@functools.lru_cache(maxsize=256)
+def _matrix_template(rows, cols, indent):
+    """str.format template for a rows x cols complex matrix rendered at indent."""
+    if not rows:
+        return "[]"
+    pad = "  " * indent
+    if cols:
+        pair = pad + "    [{:.17g}, {:.17g}]"
+        row = "[\n" + ",\n".join([pair] * cols) + "\n" + pad + "  ]"
+    else:
+        row = "[]"
+    return "[\n" + ",\n".join([pad + "  " + row] * rows) + "\n" + pad + "]"
 
 
 def _format_number(v):

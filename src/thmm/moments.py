@@ -49,6 +49,10 @@ def _square_matrix(x, q=None, what="matrix"):
         raise InvalidMomentSequence(f"{what} must be square, got shape {m.shape}")
     if q is not None and m.shape[0] != q:
         raise InvalidMomentSequence(f"{what} must be {q}x{q}, got shape {m.shape}")
+    finite = np.isfinite(m)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise InvalidMomentSequence(f"{what}[{i}][{j}] is not finite: {m[i, j]}")
     return m
 
 
@@ -72,6 +76,8 @@ class MomentSequence:
         b = float(self.b)
         if not a < b:
             raise InvalidMomentSequence(f"need a < b, got a={a}, b={b}")
+        if not (np.isfinite(a) and np.isfinite(b)):
+            raise InvalidMomentSequence(f"need a finite interval, got a={a}, b={b}")
         mats = list(self.s)
         if not mats:
             raise InvalidMomentSequence("need at least one moment (m >= 0)")
@@ -404,6 +410,8 @@ class DiscreteMeasure:
         a = float(self.a)
         b = float(self.b)
         for x in pts:
+            if not np.isfinite(x):
+                raise InvalidMomentSequence(f"atom at {x} is not finite")
             if x < a or x > b:
                 raise PointOutsideInterval(f"atom at {x} lies outside [{a}, {b}]")
         object.__setattr__(self, "a", a)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from thmm import (
     resolvent_factorized,
 )
 from thmm.cli import main
-from thmm.io import decode_matrix, encode_matrix, moment_file_dict, read_moment_file, render_json
+from thmm.io import decode_matrix, moment_file_dict, read_moment_file, render_json
 
 from conftest import lebesgue, random_sequence, random_z_points, rel
 
@@ -36,7 +37,7 @@ def test_gen_single_atom(tmp_path, capsys):
     measure = {
         "a": 0.0, "b": 1.0,
         "points": [0.5],
-        "weights": [encode_matrix(np.eye(1))],
+        "weights": [np.eye(1, dtype=complex)],
     }
     inp = write_json(tmp_path / "measure.json", measure)
     code, out = run(capsys, ["gen", "--input", inp, "--count", "2"])
@@ -68,7 +69,7 @@ def test_analyze_empty_moments_is_input_error(tmp_path, capsys):
 
 
 def test_analyze_degenerate_exit_3(tmp_path, capsys):
-    moments = [encode_matrix(np.array([[0.5 ** j]])) for j in range(3)]
+    moments = [np.array([[0.5 ** j]], dtype=complex) for j in range(3)]
     inp = write_json(tmp_path / "pm.json",
                      render_json({"q": 1, "a": 0.0, "b": 1.0, "moments": moments}))
     code, out = run(capsys, ["analyze", "--input", inp])
@@ -139,6 +140,38 @@ def test_scalar_report(tmp_path, capsys):
     assert data["mtilde"] == pytest.approx([2.0, 4.0], abs=1e-9)
     assert data["ltilde"] == pytest.approx([1.5], abs=1e-9)
     assert data["max_residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_nonfinite_entry_is_named_input_error(tmp_path, capsys, bad):
+    # the JSON reader takes NaN and Infinity; each file format names the entry
+    moments = json.loads(render_json(moment_file_dict(lebesgue(3))))
+    moments["moments"][2][0][0][1] = float(bad)
+    params = tmp_path / "params.json"
+    assert main(["analyze", "--input", lebesgue_file(tmp_path, 3),
+                 "--output", str(tmp_path / "report.json"), "--params-out", str(params)]) == 0
+    param_data = json.loads(params.read_text())
+    param_data["mhat"][1][0][0][0] = float(bad)
+    measure = {"points": [0.5], "weights": [[[[float(bad), 0.0]]]]}
+    inputs = {name: tmp_path / f"{name}.json" for name in ("moments", "params", "measure")}
+    for name, data in zip(inputs, (moments, param_data, measure)):
+        inputs[name].write_text(json.dumps(data))
+    cases = [
+        (["analyze"], "moments", "moments[2][0][0]"),
+        (["factorize", "--z", "2+1i"], "moments", "moments[2][0][0]"),
+        (["extremal", "--z", "2+1i"], "moments", "moments[2][0][0]"),
+        (["recover"], "params", "mhat[1][0][0]"),
+        (["gen", "--count", "2"], "measure", "weights[0][0][0]"),
+    ]
+    for argv, name, entry in cases:
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--input", str(inputs[name])])
+        out, err = capsys.readouterr()
+        assert (code, out, caught) == (2, "", [])
+        assert err.startswith(f"input error: {entry} is not finite: [")
+        assert err.count("\n") == 1 and bad.lower()[:3] in err
 
 
 def test_bad_complex_literal_is_input_error(tmp_path, capsys):

@@ -33,6 +33,10 @@ def test_cholesky_rejects_indefinite_and_singular():
     assert cholesky_pd(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
     assert cholesky_pd(np.array([[1.0, 1.0], [1.0, 1.0]])) is None
     assert not is_pd(np.zeros((2, 2)))
+    # a NaN pivot or threshold compares False, so it must fail the test too
+    assert not is_pd([[np.nan]])
+    assert cholesky_pd(np.array([[np.inf]])) is None
+    assert cholesky_pd(np.array([[1.0, np.nan], [np.nan, 1.0]])) is None
 
 
 def test_solve_pd_and_inverse():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thmm import (
+    DiscreteMeasure,
     InsufficientMoments,
     InvalidMomentSequence,
     EmptyMeasure,
@@ -79,6 +80,20 @@ def test_hermitian_validation_and_interval():
         MomentSequence(1.0, 0.0, (np.array([[1.0]]),))
     with pytest.raises(InvalidMomentSequence):
         MomentSequence(0.0, 1.0, ())
+    with pytest.raises(InvalidMomentSequence, match="interval"):
+        MomentSequence(-np.inf, 1.0, (np.array([[1.0]]),))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_entries_rejected(bad):
+    s1 = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+    s1[1, 0] = bad
+    with pytest.raises(InvalidMomentSequence, match=r"s_1\[1\]\[0\] is not finite"):
+        MomentSequence(0.0, 1.0, (np.eye(2), s1))
+    with pytest.raises(InvalidMomentSequence, match=r"weight_1\[1\]\[0\] is not finite"):
+        DiscreteMeasure(0.0, 1.0, (0.25, 0.75), (np.eye(2), s1))
+    with pytest.raises(InvalidMomentSequence, match="atom at .* is not finite"):
+        DiscreteMeasure(0.0, 1.0, (0.25, bad), (np.eye(2), np.eye(2)))
 
 
 def test_schur_base_cases_and_k11():
