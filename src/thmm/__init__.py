@@ -63,7 +63,6 @@ from .dsm import (
 from .resolvent import (
     AuxMatrixValue,
     AuxTriple,
-    FactorChain,
     ResolventValue,
     aux_hat_even,
     aux_matrices,
@@ -73,11 +72,11 @@ from .resolvent import (
     bp_factor,
     bp_pair_check,
     bp_split,
-    factor_chain,
     resolvent_direct,
     resolvent_direct_many,
     resolvent_factorized,
     resolvent_factorized_many,
+    resolvent_factors,
     resolvent_from_aux,
 )
 from .extremal import (

@@ -153,11 +153,11 @@ class PointPrefix:
 def guard_cond(mats, cond_limit, error, points=None):
     """Check every matrix of a (..., q, q) stack as np.linalg.cond would one by one.
 
-    A matrix fails when its 2-norm condition number is not finite or exceeds
-    cond_limit; it then gives error(cond), or the LinAlgError that
-    np.linalg.cond raises on some non-finite matrices.  Without ``points``
-    the first failure in C order is raised.  With ``points`` the leading
-    axis runs over points.zs and the first failing point is recorded there.
+    A matrix fails with error(cond) when its 2-norm condition number is not
+    finite or exceeds cond_limit; one whose SVD does not converge (an
+    overflowed matrix) fails with error(nan).  Without ``points`` the first
+    failure in C order is raised.  With ``points`` the leading axis runs
+    over points.zs and the first failing point is recorded there.
     """
     flat = mats.reshape(-1, *mats.shape[-2:])
     # A stacked SVD fails as a whole on one non-finite matrix, so the
@@ -166,26 +166,21 @@ def guard_cond(mats, cond_limit, error, points=None):
     finite = np.isfinite(flat).all(axis=(1, 2))
     stop = len(flat) if finite.all() else int(np.argmin(finite))
     cond = np.full(len(flat), np.nan)
-    raised = None
     if stop:
         cond[:stop] = np.linalg.cond(flat[:stop])
     if stop < len(flat):
         try:
             cond[stop] = np.linalg.cond(flat[stop])
-        except np.linalg.LinAlgError as exc:
-            raised = exc
+        except np.linalg.LinAlgError:
+            pass
     bad = ~np.isfinite(cond) | (cond > cond_limit)
-
-    def failure(j):
-        return raised if j == stop and raised is not None else error(cond[j])
-
     if points is None:
         if bad.any():
-            raise failure(int(np.argmax(bad)))
+            raise error(cond[int(np.argmax(bad))])
         return
     rows = bad.reshape(len(points), -1)
     points.fail(rows.any(axis=1),
-                lambda i: failure(i * rows.shape[1] + int(np.argmax(rows[i]))))
+                lambda i: error(cond[i * rows.shape[1] + int(np.argmax(rows[i]))]))
 
 
 def right_quotient(num, den, cond_limit=COND_LIMIT, points=None):

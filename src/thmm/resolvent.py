@@ -4,10 +4,14 @@ The 2q x 2q resolvent U of order m = 2n or m = 2n + 1 parameterizes the
 solution set of the truncated Hausdorff matrix moment problem through a
 linear fractional transformation.  It is computed here by three routes:
 
-  direct      block quotients of polynomial values (normalized at z = a),
-  second-dsm  a left-to-right product of affine triangular factors built
-              from the second-type Dyukarev-Stieltjes parameters,
-  first-dsm   the analogous product over the first-type parameters.
+  direct  block quotients of polynomial values (normalized at z = a),
+  second  a left-to-right product of affine triangular factors built
+          from the second-type Dyukarev-Stieltjes parameters,
+  first   the analogous product over the first-type parameters.
+
+resolvent_factors gives the factor list of either product; the
+factorized resolvent multiplies it out, and the telescoped form of the
+auxiliary products reuses its second-type pairs.
 
 The auxiliary matrices tie the routes together: the odd-kind auxiliary
 matrix is the product of the odd Blaschke-Potapov factors, the even-kind
@@ -18,6 +22,7 @@ diagonal scalings and one boundary factor recovers U itself.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -64,19 +69,6 @@ def _diag(c_top, c_bottom, q):
     out[..., :q, :q] = c_top * _eye(q)
     out[..., q:, q:] = c_bottom * _eye(q)
     return out
-
-
-def _anti(upper, lower_right, q):
-    """[[0, upper I], [I, lower_right]] with scalar or matrix entries."""
-    out = np.zeros((2 * q, 2 * q), dtype=complex)
-    out[:q, q:] = complex(upper) * _eye(q) if np.isscalar(upper) else upper
-    out[q:, :q] = _eye(q)
-    out[q:, q:] = lower_right
-    return out
-
-
-def _blocks(mat, q):
-    return mat[:q, :q], mat[:q, q:], mat[q:, :q], mat[q:, q:]
 
 
 def _assemble(alpha, beta, gamma, delta):
@@ -369,8 +361,9 @@ def aux_product(source, order, z, kind, dsm=None, rtol=1e-10):
 
     kind = "tilde-odd" with order 2j + 1 multiplies d^(1) d^(3) .. d^(2j+1);
     kind = "hat-even" with order 2j multiplies d^(0) d^(2) .. d^(2j+2).
-    The telescoped parameter form (pairs of shears and lower factors with
-    the trailing boundary factors) is evaluated as well, and both products
+    The telescoped parameter form (the _second_core factors of
+    resolvent_factors with count j + 1 and boundary factor -rhat_j for
+    tilde-odd, that_j for hat-even) is evaluated as well, and both products
     must match the directly assembled auxiliary matrix.
     """
     from .dsm import compute_second
@@ -379,7 +372,6 @@ def aux_product(source, order, z, kind, dsm=None, rtol=1e-10):
     seq = fam.seq
     a = seq.a
     z = complex(z)
-    q = seq.q
     if dsm is None:
         dsm = compute_second(seq, fam)
 
@@ -389,30 +381,22 @@ def aux_product(source, order, z, kind, dsm=None, rtol=1e-10):
         j = (order - 1) // 2
         factors = [bp_factor(fam, fam.schur, 2 * k + 1, z) for k in range(j + 1)]
         direct = aux_tilde_odd(fam, j, z).value
-        telescoped = _eye(2 * q)
-        for k in range(j + 1):
-            telescoped = telescoped @ _up(dsm.l(k - 1)) @ _low(-(z - a) * dsm.m(k))
-        telescoped = telescoped @ _up(-dsm.r(j))
+        telescoped = _second_core(dsm, z - a, "odd", j + 1, -dsm.r(j))
     elif kind == "hat-even":
         if order % 2 != 0:
             raise ValueError("hat-even product takes an even order 2j")
         j = order // 2
         factors = [bp_factor(fam, fam.schur, 2 * k, z) for k in range(j + 2)]
         direct = aux_hat_even(fam, j, z).value
-        telescoped = _eye(2 * q)
-        for k in range(j + 1):
-            telescoped = telescoped @ _up((z - a) * dsm.l(k - 1)) @ _low(-dsm.m(k))
-        telescoped = telescoped @ _up((z - a) * dsm.l(j)) @ _low(dsm.t(j))
+        telescoped = _second_core(dsm, z - a, "even", j + 1, dsm.t(j))
     else:
         raise ValueError(f"kind must be 'tilde-odd' or 'hat-even', got {kind!r}")
 
-    product = _eye(2 * q)
-    for f in factors:
-        product = product @ f
+    product = functools.reduce(np.matmul, factors)
     res_bp = rel_residual(product, direct)
     if res_bp > rtol:
         raise RouteMismatch(f"{kind} factor product", f"order={order}, z={z}", res_bp)
-    res_tel = rel_residual(telescoped, direct)
+    res_tel = rel_residual(functools.reduce(np.matmul, telescoped), direct)
     if res_tel > rtol:
         raise RouteMismatch(f"{kind} parameter product", f"order={order}, z={z}", res_tel)
     return product
@@ -516,19 +500,53 @@ def _poles(pts, hit, route):
     pts.shared_stage()
 
 
-def resolvent_factorized_many(source, zs, parity, route, params=None):
-    """Resolvent as the printed left-to-right product of affine factors, at K points.
+def _second_core(dsm, zc, parity, count, tail):
+    """The second-type up/low pairs and their boundary factor, left to right.
+
+    zc is z - a, a scalar or a (K, 1, 1) column.  Even parity gives
+        [up(zc lhat_{k-1}) low(-mhat_k)]_{k<count} up(zc lhat_{count-1}) low(tail),
+    odd parity gives
+        [up(lhat_{k-1}) low(-zc mhat_k)]_{k<count} up(tail).
+    """
+    factors = []
+    if parity == "even":
+        for k in range(count):
+            factors.append(_up(zc * dsm.l(k - 1)))
+            factors.append(_low(-dsm.m(k)))
+        factors.append(_up(zc * dsm.l(count - 1)))
+        factors.append(_low(tail))
+    else:
+        for k in range(count):
+            factors.append(_up(dsm.l(k - 1)))
+            factors.append(_low(-zc * dsm.m(k)))
+        factors.append(_up(tail))
+    return factors
+
+
+def _falls_back(seq, parity, route):
+    """The even second-type product needs n >= 1; at n = 0 the direct route stands in."""
+    return route == "second" and parity == "even" and _order(seq, parity) == 0
+
+
+def resolvent_factors(source, zs, parity, route, params=None):
+    """The affine factors whose left-to-right product is the resolvent at K points.
 
     route = "second" uses the second-type parameter chains (poles of the
-    scalar prefactors at z = a, b for even parity and z = b for odd);
+    scalar prefactors at z = a, b for even parity and z = b for odd):
+      even:  diag(1/((b-z)(z-a)), 1) [up((z-a) lhat_{k-1}) low(-mhat_k)]_{k<n}
+             up((z-a) lhat_{n-1}) low(tail) diag((b-a)(z-a), (b-z)/(b-a)),
+      odd:   diag(1/(b-z), 1) [up(lhat_{k-1}) low(-(z-a) mhat_k)]_{k<=n}
+             up(tail) diag(b-z, 1);
     route = "first" uses the first-type chains (no pole for even parity,
-    z = a excluded for odd).  The even second-type product needs n >= 1;
-    n = 0 requests fall back to the direct route.
-    Products are evaluated strictly in the printed order.
+    z = a excluded for odd):
+      even:  [low(-(z-a) M_k) up(L_k)]_{k<n} low(-(z-a) M_n) up(tail),
+      odd:   diag(1/(z-a), 1) [low(-M_k) up((z-a) L_k)]_{k<=n} low(tail) diag(z-a, 1).
+    The even second-type product needs n >= 1 and raises
+    InsufficientMoments at n = 0.
 
-    Returns the (K, 2q, 2q) stack of values at the points zs.  The
-    parameter chain (unless given as params) and the boundary factor are
-    built once, and each product runs over the whole stack.  Failures and
+    Each factor is a (K, 2q, 2q) stack over the points zs, or one 2q x 2q
+    matrix where it does not depend on z.  The parameter chain (unless
+    given as params) and the boundary factor are built once.  Failures and
     a shared PointPrefix for zs are as in resolvent_direct_many.
     """
     from .dsm import compute_first, compute_second
@@ -540,39 +558,31 @@ def resolvent_factorized_many(source, zs, parity, route, params=None):
     a, b = seq.a, seq.b
     n = _order(seq, parity)
     q = seq.q
+    if _falls_back(seq, parity, route):
+        raise InsufficientMoments("second-type even chain needs n >= 1")
 
-    if route in ("second", "second-dsm"):
-        if parity == "even" and n == 0:
-            full = resolvent_direct_many(fam, pts, "even")
-            if pts is not zs:
-                pts.finish()
-            return full
+    if route == "second":
         dsm = params if params is not None else compute_second(seq, fam)
         if parity == "even":
             _poles(pts, (pts.zs == a) | (pts.zs == b), "second-type even")
             tail = _tail_second_even(fam, n)
             z = pts.zs
-            zc = z[:, None, None]
-            factors = [_diag(scalars(lambda x: 1.0 / ((b - x) * (x - a)), z), 1.0, q)]
-            for k in range(n):
-                factors.append(_up((zc - a) * dsm.l(k - 1)))
-                factors.append(_low(-dsm.m(k)))
-            factors.append(_up((zc - a) * dsm.l(n - 1)))
-            factors.append(_low(tail))
-            factors.append(_diag(scalars(lambda x: (b - a) * (x - a), z),
-                                 scalars(lambda x: (b - x) / (b - a), z), q))
+            factors = [
+                _diag(scalars(lambda x: 1.0 / ((b - x) * (x - a)), z), 1.0, q),
+                *_second_core(dsm, z[:, None, None] - a, "even", n, tail),
+                _diag(scalars(lambda x: (b - a) * (x - a), z),
+                      scalars(lambda x: (b - x) / (b - a), z), q),
+            ]
         else:
             _poles(pts, pts.zs == b, "second-type odd")
             tail = _tail_second_odd(fam, n)
             z = pts.zs
-            zc = z[:, None, None]
-            factors = [_diag(scalars(lambda x: 1.0 / (b - x), z), 1.0, q)]
-            for k in range(n + 1):
-                factors.append(_up(dsm.l(k - 1)))
-                factors.append(_low(-(zc - a) * dsm.m(k)))
-            factors.append(_up(tail))
-            factors.append(_diag(b - z, 1.0, q))
-    elif route in ("first", "first-dsm"):
+            factors = [
+                _diag(scalars(lambda x: 1.0 / (b - x), z), 1.0, q),
+                *_second_core(dsm, z[:, None, None] - a, "odd", n + 1, tail),
+                _diag(b - z, 1.0, q),
+            ]
+    elif route == "first":
         first = params if params is not None else compute_first(fam)
         if parity == "even":
             tail = _tail_first_even(fam, n)
@@ -596,11 +606,26 @@ def resolvent_factorized_many(source, zs, parity, route, params=None):
             factors.append(_diag(z - a, 1.0, q))
     else:
         raise ValueError(f"route must be 'second' or 'first', got {route!r}")
+    if pts is not zs:
+        pts.finish()
+    return factors
 
-    full = factors[0]
-    for f in factors[1:]:
-        full = full @ f
-    full = _finite(pts, full)
+
+def resolvent_factorized_many(source, zs, parity, route, params=None):
+    """Resolvent as the printed left-to-right product of resolvent_factors, at K points.
+
+    Returns the (K, 2q, 2q) stack of values at the points zs.  The even
+    second-type route with n = 0 falls back to resolvent_direct_many.
+    Failures and a shared PointPrefix for zs are as in resolvent_direct_many.
+    """
+    fam = ensure_family(source)
+    pts = PointPrefix.of(zs)
+    pts.shared_stage()
+    if _falls_back(fam.seq, parity, route):
+        full = resolvent_direct_many(fam, pts, "even")
+    else:
+        factors = resolvent_factors(fam, pts, parity, route, params)
+        full = _finite(pts, functools.reduce(np.matmul, factors))
     if pts is not zs:
         pts.finish()
     return full
@@ -614,103 +639,5 @@ def resolvent_factorized(source, z, parity, route, params=None):
     fam = ensure_family(source)
     z = complex(z)
     full = resolvent_factorized_many(fam, [z], parity, route, params)[0]
-    fallback = route in ("second", "second-dsm") and parity == "even" and fam.seq.m // 2 == 0
+    fallback = _falls_back(fam.seq, parity, route)
     return ResolventValue(full=full, q=fam.seq.q, parity=parity, z=z, fallback_direct=fallback)
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class FactorChain:
-    """Ordered anti-triangular factor chain whose product is the resolvent.
-
-    Each builder maps z to one 2q x 2q factor; `value` multiplies them in
-    order.  Used to exercise the factor-by-factor composition of the
-    linear fractional transformation.
-    """
-
-    parity: str
-    route: str
-    q: int
-    builders: tuple
-
-    def factors(self, z):
-        return [build(complex(z)) for build in self.builders]
-
-    def value(self, z):
-        mats = self.factors(z)
-        out = mats[0]
-        for f in mats[1:]:
-            out = out @ f
-        return out
-
-
-def factor_chain(source, parity, route, params=None):
-    """Anti-triangular chain for the resolvent (boundary matrices included).
-
-    route = "second":
-      even:  D1 L(-1) M(0) L(0) .. M(n-1) L(n-1) B2 D2
-      odd:   D3 L(-1) M(0) L(0) .. L(n-1) M(n) B2 D4
-    route = "first":
-      even:  M(0) L(0) .. L(n-1) M(n) B1
-      odd:   D5 M(0) L(0) .. M(n) L(n) B1 D6
-    """
-    from .dsm import compute_first, compute_second
-
-    fam = ensure_family(source)
-    seq = fam.seq
-    a, b = seq.a, seq.b
-    q = seq.q
-    n = _order(seq, parity)
-    builders = []
-
-    if route in ("second", "second-dsm"):
-        dsm = params if params is not None else compute_second(seq, fam)
-        if parity == "even":
-            if n == 0:
-                raise InsufficientMoments("second-type even chain needs n >= 1")
-            tail = _tail_second_even(fam, n)
-            builders.append(lambda z: _anti(1.0 / ((b - z) * (z - a)), np.zeros((q, q)), q))
-            builders.append(lambda z: _anti(1.0, (z - a) * dsm.l(-1), q))
-            for k in range(n):
-                builders.append(lambda z, k=k: _anti(1.0, -dsm.m(k), q))
-                if k < n - 1:
-                    builders.append(lambda z, k=k: _anti(1.0, (z - a) * dsm.l(k), q))
-            builders.append(lambda z: _anti(1.0, (z - a) * dsm.l(n - 1), q))
-            builders.append(lambda z: _anti(1.0, tail, q))
-            builders.append(lambda z: np.block([
-                [np.zeros((q, q)), (b - z) / (b - a) * _eye(q)],
-                [(b - a) * (z - a) * _eye(q), np.zeros((q, q))],
-            ]))
-        else:
-            tail = _tail_second_odd(fam, n)
-            builders.append(lambda z: _anti(1.0 / (b - z), np.zeros((q, q)), q))
-            builders.append(lambda z: _anti(1.0, dsm.l(-1), q))
-            for k in range(n + 1):
-                builders.append(lambda z, k=k: _anti(1.0, -(z - a) * dsm.m(k), q))
-                if k < n:
-                    builders.append(lambda z, k=k: _anti(1.0, dsm.l(k), q))
-            builders.append(lambda z: _anti(1.0, tail, q))
-            builders.append(lambda z: _diag(b - z, 1.0, q))
-    elif route in ("first", "first-dsm"):
-        first = params if params is not None else compute_first(fam)
-        if parity == "even":
-            tail = _tail_first_even(fam, n)
-            for k in range(n):
-                builders.append(lambda z, k=k: _anti(1.0, -(z - a) * first.M[k], q))
-                builders.append(lambda z, k=k: _anti(1.0, first.L[k], q))
-            builders.append(lambda z: _anti(1.0, -(z - a) * first.M[n], q))
-            builders.append(lambda z: _anti(1.0, tail, q))
-        else:
-            tail = _tail_first_odd(fam, n)
-            builders.append(lambda z: _diag(1.0 / (z - a), 1.0, q))
-            for k in range(n + 1):
-                builders.append(lambda z, k=k: _anti(1.0, -first.M[k], q))
-                builders.append(lambda z, k=k: _anti(1.0, (z - a) * first.L[k], q))
-            builders.append(lambda z: _anti(1.0, tail, q))
-            builders.append(lambda z: np.block([
-                [np.zeros((q, q)), _eye(q)],
-                [(z - a) * _eye(q), np.zeros((q, q))],
-            ]))
-    else:
-        raise ValueError(f"route must be 'second' or 'first', got {route!r}")
-
-    return FactorChain(parity=parity, route=route, q=q, builders=tuple(builders))

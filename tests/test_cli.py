@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,3 +246,18 @@ def test_first_failing_z_decides_the_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert "pole at z = (1+0j)" in err and "1e+200" not in err
+
+
+@pytest.mark.parametrize("z", ["1e200", "1e300+1e300i"])
+def test_extremal_at_overflowing_z_exits_3(tmp_path, capsys, z):
+    # the overflowed denominator makes np.linalg.cond raise; that is a
+    # singular denominator (exit 3), not an input error (exit 2)
+    golden_q2 = str(Path(__file__).parent / "golden" / "moments_q2.json")
+    inp = lebesgue_file(tmp_path, 6)
+    for path in (golden_q2, inp):
+        for which in ("krein", "friedrichs"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                code = main(["extremal", "--input", path, "--which", which, f"--z={z}"])
+            out, err = capsys.readouterr()
+            assert code == 3 and out == ""
+            assert "input error" not in err and "numerically singular" in err

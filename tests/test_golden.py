@@ -29,6 +29,12 @@ CASES = {
                    {"--output": "recover_q2.json"}),
     "factorize_q2": (["factorize", "--input", "moments_q2.json", "--route", "second", *Z],
                      {"--output": "factorize_q2.json"}),
+    "factorize_q1_second": (["factorize", "--input", "moments_q1.json", "--route", "second", *Z],
+                            {"--output": "factorize_q1_second.json"}),
+    "factorize_q1_first": (["factorize", "--input", "moments_q1.json", "--route", "first", *Z],
+                           {"--output": "factorize_q1_first.json"}),
+    "factorize_q2_first": (["factorize", "--input", "moments_q2.json", "--route", "first", *Z],
+                           {"--output": "factorize_q2_first.json"}),
     "extremal_q2": (["extremal", "--input", "moments_q2.json", "--which", "krein", *Z],
                     {"--output": "extremal_q2.json"}),
 }

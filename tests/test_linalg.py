@@ -107,3 +107,20 @@ def test_right_quotient_records_first_failing_point():
     pts = PointPrefix([0.0, 1.0])
     right_quotient(np.stack([eye, eye]), inf_den, points=pts)
     assert len(pts) == 1 and pts.error is not None
+
+
+def test_right_quotient_svd_failure_is_singular_denominator():
+    eye = np.eye(2)
+    # np.linalg.cond raises LinAlgError on a NaN matrix; the guard fails it as cond ~ nan
+    den = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cond(den)
+    with pytest.raises(SingularDenominator) as err:
+        right_quotient(eye, den)
+    assert np.isnan(err.value.cond)
+    pts = PointPrefix([0.0, 1.0, 2.0])
+    out = right_quotient(np.stack([eye] * 3), np.stack([eye, den, eye]), points=pts)
+    assert out.shape == (1, 2, 2) and len(pts) == 1
+    with pytest.raises(SingularDenominator) as err:
+        pts.finish()
+    assert np.isnan(err.value.cond)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,11 @@ from thmm import (
     build_family,
     compute_first,
     compute_second,
-    factor_chain,
     resolvent_direct,
     resolvent_direct_many,
     resolvent_factorized,
     resolvent_factorized_many,
+    resolvent_factors,
     resolvent_from_aux,
 )
 
@@ -191,6 +193,9 @@ def test_even_second_n0_falls_back_to_direct():
     f = resolvent_factorized(fam, 2.0, "even", "second")
     assert f.fallback_direct and not d.fallback_direct
     assert rel(d.full, f.full) == 0.0
+    # the even second-type factor list itself needs n >= 1
+    with pytest.raises(InsufficientMoments):
+        resolvent_factors(fam, [2.0], "even", "second")
 
 
 def test_odd_parity_needs_m_at_least_one():
@@ -199,19 +204,25 @@ def test_odd_parity_needs_m_at_least_one():
         resolvent_direct(fam, 2.0, "odd")
 
 
+def product(factors):
+    return functools.reduce(np.matmul, factors)
+
+
 def test_factor_chain_matches_direct(leb5, rng):
     _, fam, dsm, first = leb5
     for parity in ("even", "odd"):
         for route, params in (("second", dsm), ("first", first)):
-            chain = factor_chain(fam, parity, route, params=params)
-            for z in (2.5, -1.3 + 0.4j):
+            zs = [2.5, -1.3 + 0.4j]
+            values = product(resolvent_factors(fam, zs, parity, route, params=params))
+            for k, z in enumerate(zs):
                 d = resolvent_direct(fam, z, parity)
-                assert rel(chain.value(z), d.full) < 1e-10
+                assert rel(values[k], d.full) < 1e-10
     seq, _ = random_sequence(rng, 2, 1)
     fam2 = build_family(seq)
-    chain = factor_chain(fam2, "odd", "first")
-    for z in random_z_points(rng, 3):
-        assert rel(chain.value(z), resolvent_direct(fam2, z, "odd").full) < 1e-9
+    zs = random_z_points(rng, 3)
+    values = product(resolvent_factors(fam2, zs, "odd", "first"))
+    for k, z in enumerate(zs):
+        assert rel(values[k], resolvent_direct(fam2, z, "odd").full) < 1e-9
 
 
 def test_many_is_the_stack_of_single_points(rng):
@@ -229,6 +240,10 @@ def test_many_is_the_stack_of_single_points(rng):
             assert np.array_equal(
                 second[k], resolvent_factorized(fam, z, parity, "second", params=dsm).full)
             assert np.array_equal(first[k], resolvent_factorized(fam, z, parity, "first").full)
+        # the printed product is the left-to-right product of the factor list
+        assert np.array_equal(
+            second, product(resolvent_factors(fam, zs, parity, "second", params=dsm)))
+        assert np.array_equal(first, product(resolvent_factors(fam, zs, parity, "first")))
 
 
 def test_many_raises_at_the_first_failing_point(leb5):
