@@ -4,6 +4,12 @@ Positive definiteness is always decided by an attempted Cholesky
 factorization with a relative pivot threshold, never by eigenvalue
 iterations, so the decision is deterministic.  Eigenvalues are computed
 only to report witnesses for failed classifications.
+
+The helpers here own no factor.  solve_pd factors its matrix and drops
+the factor; a matrix solved against more than once is factored by its
+owner (HankelSet for the Hankel members, SchurChain for the Schur
+complements) with cholesky_pd, and each solve reuses that factor through
+solve_factored.
 """
 
 import math
@@ -18,7 +24,13 @@ COND_LIMIT = 1e12
 
 
 def frob(a):
-    return float(np.linalg.norm(a))
+    """np.linalg.norm(a), summed as it sums a complex array, without its dispatch.
+
+    The entries are taken in memory order and the sum is re.re + im.im.
+    """
+    flat = np.asarray(a, dtype=complex).ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def frobs(x):
@@ -30,7 +42,7 @@ def frobs(x):
     x = np.asarray(x, dtype=complex)
     if x.strides[-1] > x.strides[-2]:
         x = np.swapaxes(x, -1, -2)
-    flat = x.reshape(len(x), -1)
+    flat = x.reshape(len(x), x.shape[-2] * x.shape[-1])
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
@@ -48,7 +60,12 @@ def rel_residual(x, y):
     """Frobenius distance between x and y scaled by the larger norm (floor 1)."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    return float(np.linalg.norm(x - y) / max(1.0, np.linalg.norm(x), np.linalg.norm(y)))
+    return frob(x - y) / max(1.0, frob(x), frob(y))
+
+
+def rel_residuals(x, y):
+    """rel_residual of each pair of matrices of two (K, m, n) stacks."""
+    return frobs(x - y) / np.maximum(1.0, np.maximum(frobs(x), frobs(y)))
 
 
 def hermitize(a):
@@ -82,6 +99,11 @@ def solve_pd(a, rhs, family="matrix", index=0, pivot_rtol=PIVOT_RTOL):
     L = cholesky_pd(a, pivot_rtol)
     if L is None:
         raise SingularPivot(family, index)
+    return solve_factored(L, rhs)
+
+
+def solve_factored(L, rhs):
+    """Solve L L^H x = rhs for a lower Cholesky factor L from cholesky_pd."""
     # the calls scipy.linalg.solve_triangular makes for L and L^H, without
     # its checks: L is finite with a positive diagonal by construction
     y = _trtrs(L.T, rhs, lower=0, trans=1)
@@ -154,25 +176,22 @@ def guard_cond(mats, cond_limit, error, points=None):
     """Check every matrix of a (..., q, q) stack as np.linalg.cond would one by one.
 
     A matrix fails with error(cond) when its 2-norm condition number is not
-    finite or exceeds cond_limit; one whose SVD does not converge (an
-    overflowed matrix) fails with error(nan).  Without ``points`` the first
-    failure in C order is raised.  With ``points`` the leading axis runs
-    over points.zs and the first failing point is recorded there.
+    finite or exceeds cond_limit; a matrix with a NaN or infinite entry (an
+    overflowed one) fails with error(nan), without an SVD.  Without
+    ``points`` the first failure in C order is raised.  With ``points`` the
+    leading axis runs over points.zs and the first failing point is
+    recorded there.
     """
     flat = mats.reshape(-1, *mats.shape[-2:])
-    # A stacked SVD fails as a whole on one non-finite matrix, so the
-    # matrices from the first such one on are taken one at a time; that one
-    # always fails, which makes the later ones irrelevant.
+    # A stacked SVD fails as a whole on one non-finite matrix, and LAPACK
+    # prints to stdout about one, so only the matrices before the first
+    # such one get a condition number; that one always fails, which makes
+    # the later ones irrelevant.
     finite = np.isfinite(flat).all(axis=(1, 2))
     stop = len(flat) if finite.all() else int(np.argmin(finite))
     cond = np.full(len(flat), np.nan)
     if stop:
         cond[:stop] = np.linalg.cond(flat[:stop])
-    if stop < len(flat):
-        try:
-            cond[stop] = np.linalg.cond(flat[stop])
-        except np.linalg.LinAlgError:
-            pass
     bad = ~np.isfinite(cond) | (cond > cond_limit)
     if points is None:
         if bad.any():

@@ -42,7 +42,7 @@ from .errors import (
 )
 from ._linalg import PointPrefix, frobs
 from .extremal import extremal_cf_many, extremal_quotient_many
-from .moments import classify, moments_from_discrete_measure
+from .moments import build_hankels, classify, moments_from_discrete_measure
 from .polynomials import build_family, verify_family_identities
 from .resolvent import resolvent_direct_many, resolvent_factorized_many
 
@@ -102,13 +102,14 @@ def _classification_dict(cls):
 
 def cmd_analyze(args):
     seq = tio.read_moment_file(args.input)
-    cls = classify(seq)
+    hank = build_hankels(seq)
+    cls = classify(hank)
     report = {"command": "analyze", "q": seq.q, "a": seq.a, "b": seq.b, "m": seq.m}
     report.update(_classification_dict(cls))
     if not cls.is_positive_definite:
         _emit(report, args.output)
         return 3
-    fam = build_family(seq)
+    fam = build_family(hank)
     sch = fam.schur
     report["schur"] = {
         "hhat1": sch.hhat1,

@@ -32,6 +32,7 @@ from ._linalg import (
     hermitize,
     inv_pd,
     rel_residual,
+    solve_factored,
     solve_pd,
 )
 from .errors import (
@@ -47,7 +48,7 @@ from .moments import (
     build_hankels,
     hankel_from_entries,
 )
-from .polynomials import build_family, ensure_family, eval_poly
+from .polynomials import build_family, ensure_family
 from .reporting import IdentityCheck, IdentityReport
 
 ROUTE_RTOL = 1e-10
@@ -97,11 +98,10 @@ class DsmFirst:
     L: tuple
 
 
-def _pairing(vecs, j, z_left, x_left, mat, family, x_right, z_right):
-    """(R_j(conj(z_left)) x_left)^* mat^{-1} (R_j(z_right) x_right)."""
-    left = vecs.R(j, np.conj(z_left)) @ x_left
-    right = solve_pd(mat, vecs.R(j, z_right) @ x_right, family, j)
-    return left.conj().T @ right
+def _form(vecs, hank, family, j, col):
+    """col^* R_j^*(a) family[j]^{-1} R_j(a) col."""
+    rc = vecs.R(j, vecs.seq.a) @ col
+    return rc.conj().T @ hank.solve(family, j, rc)
 
 
 def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
@@ -118,8 +118,7 @@ def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
 
     that_qf = []
     for j in range(n_t + 1):
-        v = vecs.v(j)
-        that_qf.append(hermitize(_pairing(vecs, j, a, v, hank.K1[j], "K1", v, a)))
+        that_qf.append(hermitize(_form(vecs, hank, "K1", j, vecs.v(j))))
     mhat_qf = (
         [that_qf[0]] + [that_qf[j] - that_qf[j - 1] for j in range(1, n_t + 1)]
         if that_qf else []
@@ -128,25 +127,26 @@ def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
     qf = []
     for j in range(n_l + 1):
         col = vecs.u2(j) + a * (vecs.v(j) @ s0)
-        qf.append(hermitize(_pairing(vecs, j, a, col, hank.H2[j], "H2", col, a)))
+        qf.append(hermitize(_form(vecs, hank, "H2", j, col)))
     lhat_qf = [qf[0]] + [qf[j] - qf[j - 1] for j in range(1, n_l + 1)] if qf else []
     rhat_qf = [np.array(s0)] + [s0 + qf[j] for j in range(n_l + 1)]
 
     # polynomial route
+    at_a = fam.at_a
     mhat_poly = []
     for j in range(n_t + 1):
-        val = eval_poly(fam.g1[j], a)
-        mhat_poly.append(val.conj().T @ solve_pd(sch.khat1[j], val, "khat1", j))
+        val = at_a(fam.g1[j])
+        mhat_poly.append(val.conj().T @ sch.solve("khat1", j, val))
     lhat_poly = []
     for j in range(n_l + 1):
-        val = eval_poly(fam.q2[j], a)
-        lhat_poly.append(val.conj().T @ solve_pd(sch.hhat2[j], val, "hhat2", j))
+        val = at_a(fam.q2[j])
+        lhat_poly.append(val.conj().T @ sch.solve("hhat2", j, val))
     rhat_poly = [
-        np.linalg.solve(eval_poly(fam.g1[j], a), eval_poly(fam.t1[j], a))
+        np.linalg.solve(at_a(fam.g1[j]), at_a(fam.t1[j]))
         for j in range(min(n_l + 2, len(fam.g1), len(fam.t1)))
     ]
     that_poly = [
-        np.linalg.solve(eval_poly(fam.q2[j], a), eval_poly(fam.p2[j], a))
+        np.linalg.solve(at_a(fam.q2[j]), at_a(fam.p2[j]))
         for j in range(min(n_t + 1, len(fam.q2), len(fam.p2)))
     ]
 
@@ -184,16 +184,11 @@ def compute_first(source):
     a = seq.a
     m = seq.m
 
-    qh = []
-    for j in range(m // 2 + 1):
-        v = vecs.v(j)
-        qh.append(hermitize(_pairing(vecs, j, a, v, hank.H1[j], "H1", v, a)))
+    qh = [hermitize(_form(vecs, hank, "H1", j, vecs.v(j))) for j in range(m // 2 + 1)]
     M = [qh[0]] + [qh[j] - qh[j - 1] for j in range(1, len(qh))]
 
-    qk = []
-    for j in range((m - 1) // 2 + 1 if m >= 1 else 0):
-        u = vecs.ut2(j)
-        qk.append(hermitize(_pairing(vecs, j, a, u, hank.K2[j], "K2", u, a)))
+    qk = [hermitize(_form(vecs, hank, "K2", j, vecs.ut2(j)))
+          for j in range((m - 1) // 2 + 1 if m >= 1 else 0)]
     L = [qk[0]] + [qk[j] - qk[j - 1] for j in range(1, len(qk))] if qk else []
 
     return DsmFirst(q=seq.q, a=a, M=tuple(M), L=tuple(L))
@@ -206,10 +201,9 @@ def product_identities(fam, dsm, first=None):
     checked and the notes record which one the numerics support.
     """
     fam = ensure_family(fam)
-    seq = fam.seq
-    a = seq.a
-    q = seq.q
+    q = fam.seq.q
     sch = fam.schur
+    at_a = fam.at_a
     eye = np.eye(q, dtype=complex)
     mh = dsm.mhat
     lh = dsm.lhat_from_zero
@@ -234,19 +228,19 @@ def product_identities(fam, dsm, first=None):
 
     for j in range(min(len(fam.q2), len(X))):
         add("q2_alternating_product", f"j={j}",
-            eval_poly(fam.q2[j], a), (-1.0) ** j * X[j])
+            at_a(fam.q2[j]), (-1.0) ** j * X[j])
     for j in range(1, min(len(fam.g1), len(W))):
         add("g1_alternating_product", f"j={j}",
-            eval_poly(fam.g1[j], a), (-1.0) ** j * W[j])
+            at_a(fam.g1[j]), (-1.0) ** j * W[j])
     for j in range(1, min(len(fam.t1), len(W))):
         acc = s0 + sum(lh[:j]) if j >= 1 else s0
         add("t1_alternating_product", f"j={j}",
-            eval_poly(fam.t1[j], a), (-1.0) ** j * W[j] @ acc)
+            at_a(fam.t1[j]), (-1.0) ** j * W[j] @ acc)
 
     res_cur, res_prev = [], []
     for j in range(1, min(len(fam.p2), len(fam.q2), len(mh))):
-        p2a = eval_poly(fam.p2[j], a)
-        q2a = eval_poly(fam.q2[j], a)
+        p2a = at_a(fam.p2[j])
+        q2a = at_a(fam.q2[j])
         sum_cur = sum(mh[:j + 1])
         sum_prev = sum(mh[:j])
         r1 = rel_residual(p2a, q2a @ sum_cur)
@@ -267,14 +261,14 @@ def product_identities(fam, dsm, first=None):
 
     for j in range(min(len(fam.q2), len(fam.g1), len(inv_m))):
         add("q2_from_g1", f"j={j}",
-            eval_poly(fam.q2[j], a), eval_poly(fam.g1[j], a) @ inv_m[j])
+            at_a(fam.q2[j]), at_a(fam.g1[j]) @ inv_m[j])
     for j in range(1, min(len(fam.g1), len(fam.q2) + 1, len(inv_l) + 1)):
         add("g1_from_q2", f"j={j}",
-            eval_poly(fam.g1[j], a), -eval_poly(fam.q2[j - 1], a) @ inv_l[j - 1])
+            at_a(fam.g1[j]), -at_a(fam.q2[j - 1]) @ inv_l[j - 1])
     for j in range(1, min(len(fam.t1), len(fam.g1))):
         acc = s0 + sum(lh[:j])
         add("t1_from_g1", f"j={j}",
-            eval_poly(fam.t1[j], a), eval_poly(fam.g1[j], a) @ acc)
+            at_a(fam.t1[j]), at_a(fam.g1[j]) @ acc)
 
     # Schur complements rebuilt from the parameters
     for j in range(min(len(sch.khat1), len(X))):
@@ -287,10 +281,10 @@ def product_identities(fam, dsm, first=None):
     for k in range(min(len(sch.hhat2), len(sch.khat1))):
         ws.append(sch.hhat2[k] @ np.linalg.inv(sch.khat1[k]) @ ws[k])
     for j in range(min(len(mh), len(sch.khat1), len(ws))):
-        rebuilt = ws[j].conj().T @ solve_pd(sch.khat1[j], ws[j], "khat1", j)
+        rebuilt = ws[j].conj().T @ sch.solve("khat1", j, ws[j])
         add("mhat_from_schur", f"j={j}", mh[j], rebuilt)
     for j in range(min(len(lh), len(sch.hhat2), len(sch.khat1), len(ws))):
-        core = sch.khat1[j] @ solve_pd(sch.hhat2[j], sch.khat1[j], "hhat2", j)
+        core = sch.khat1[j] @ sch.solve("hhat2", j, sch.khat1[j])
         wj_inv = np.linalg.inv(ws[j])
         add("lhat_from_schur", f"j={j}", lh[j], wj_inv @ core @ wj_inv.conj().T)
 
@@ -303,43 +297,46 @@ def product_identities(fam, dsm, first=None):
 
     for j in range(1, min(len(fam.p1), len(sch.khat2) + 1, len(sch.hhat1) + 1)):
         prod = desc_product([(sch.khat2[k], sch.hhat1[k]) for k in range(j - 1, -1, -1)])
-        add("p1_from_schur", f"j={j}", eval_poly(fam.p1[j], a), (-1.0) ** j * prod)
+        add("p1_from_schur", f"j={j}", at_a(fam.p1[j]), (-1.0) ** j * prod)
     for j in range(1, min(len(fam.g1), len(sch.hhat2) + 1, len(sch.khat1) + 1)):
         prod = desc_product([(sch.hhat2[k], sch.khat1[k]) for k in range(j - 1, -1, -1)])
-        add("g1_from_schur", f"j={j}", eval_poly(fam.g1[j], a), (-1.0) ** j * prod)
+        add("g1_from_schur", f"j={j}", at_a(fam.g1[j]), (-1.0) ** j * prod)
     for j in range(min(len(fam.q2), len(sch.khat1), len(sch.hhat2) + 1)):
         # Q2[j](a) = (-1)^j khat1_j hhat2_{j-1}^{-1} khat1_{j-1} ... hhat2_0^{-1} khat1_0
         prod = sch.khat1[j].copy()
         for k in range(j - 1, -1, -1):
             prod = prod @ np.linalg.inv(sch.hhat2[k]) @ sch.khat1[k]
-        add("q2_from_schur", f"j={j}", eval_poly(fam.q2[j], a), (-1.0) ** j * prod)
+        add("q2_from_schur", f"j={j}", at_a(fam.q2[j]), (-1.0) ** j * prod)
     for j in range(min(len(fam.t2), len(sch.hhat1), len(sch.khat2) + 1)):
         prod = sch.hhat1[j].copy()
         for k in range(j - 1, -1, -1):
             prod = prod @ np.linalg.inv(sch.khat2[k]) @ sch.hhat1[k]
-        add("t2_from_schur", f"j={j}", eval_poly(fam.t2[j], a), (-1.0) ** (j + 1) * prod)
+        add("t2_from_schur", f"j={j}", at_a(fam.t2[j]), (-1.0) ** (j + 1) * prod)
 
     # first-type parameters from polynomial endpoint values
     for j in range(min(len(first.M), len(fam.t2), len(fam.p1))):
-        t2a = eval_poly(fam.t2[j], a)
+        t2a = at_a(fam.t2[j])
         target = -np.linalg.inv(t2a) if j == 0 else -np.linalg.solve(
-            t2a, eval_poly(fam.p1[j], a)
+            t2a, at_a(fam.p1[j])
         )
         add("m_first_from_polys", f"j={j}", first.M[j], target)
     for j in range(min(len(first.L), len(fam.p1) - 1, len(fam.t2))):
         add("l_first_from_polys", f"j={j}", first.L[j],
-            np.linalg.solve(eval_poly(fam.p1[j + 1], a), eval_poly(fam.t2[j], a)))
+            np.linalg.solve(at_a(fam.p1[j + 1]), at_a(fam.t2[j])))
 
     return IdentityReport(tuple(entries), tuple(notes))
 
 
 def _require_pd_param(x, name, index):
+    """The Hermitian part of a positive definite parameter, and its Cholesky factor."""
     mat = np.asarray(x, dtype=complex)
     if np.linalg.norm(mat - mat.conj().T) > 1e-10 * (1.0 + np.linalg.norm(mat)):
         raise NonPositiveParameter(name, index)
-    if cholesky_pd(hermitize(mat)) is None:
+    herm = hermitize(mat)
+    L = cholesky_pd(herm)
+    if L is None:
         raise NonPositiveParameter(name, index)
-    return hermitize(mat)
+    return herm, L
 
 
 def recover_moments(s0, mhat, lhat, a, b):
@@ -353,12 +350,13 @@ def recover_moments(s0, mhat, lhat, a, b):
     """
     if not float(a) < float(b):
         raise InvalidMomentSequence(f"need a < b, got a={a}, b={b}")
-    s0 = _require_pd_param(s0, "s0", 0)
-    mhat = [_require_pd_param(x, "mhat", j) for j, x in enumerate(mhat)]
-    lhat = [_require_pd_param(x, "lhat", j) for j, x in enumerate(lhat)]
-    if len(lhat) > len(mhat):
+    s0 = _require_pd_param(s0, "s0", 0)[0]
+    # the Cholesky factors of mhat_j and lhat_j, which also give their inverses
+    m_factors = [_require_pd_param(x, "mhat", j)[1] for j, x in enumerate(mhat)]
+    l_factors = [_require_pd_param(x, "lhat", j)[1] for j, x in enumerate(lhat)]
+    if len(l_factors) > len(m_factors):
         raise InconsistentLengths(
-            f"got {len(lhat)} lhat parameters but only {len(mhat)} mhat parameters"
+            f"got {len(l_factors)} lhat parameters but only {len(m_factors)} mhat parameters"
         )
     a = float(a)
     b = float(b)
@@ -367,8 +365,8 @@ def recover_moments(s0, mhat, lhat, a, b):
 
     s = [s0]
     W = eye
-    for j in range(len(mhat)):
-        inv_mj = inv_pd(mhat[j], "mhat", j)
+    for j in range(len(m_factors)):
+        inv_mj = solve_factored(m_factors[j], eye)
         khat = W @ inv_mj @ W.conj().T
         if j == 0:
             corner = khat
@@ -382,9 +380,9 @@ def recover_moments(s0, mhat, lhat, a, b):
             corner = khat + yt.conj().T @ solve_pd(k_prev, yt, "K1", j - 1)
         s.append(hermitize(b * s[2 * j] - corner))
 
-        if j >= len(lhat):
+        if j >= len(l_factors):
             break
-        inv_lj = inv_pd(lhat[j], "lhat", j)
+        inv_lj = solve_factored(l_factors[j], eye)
         x = W @ inv_mj
         hhat = x @ inv_lj @ x.conj().T
         shat_entries = [

@@ -22,7 +22,7 @@ import dataclasses
 
 import numpy as np
 
-from ._linalg import COND_LIMIT, PointPrefix, frobs, guard_cond, right_quotient, scalars
+from ._linalg import COND_LIMIT, PointPrefix, guard_cond, rel_residuals, right_quotient, scalars
 from .errors import (
     PointOnInterval,
     SingularDenominator,
@@ -245,11 +245,6 @@ class ExtremalSet:
     cross_residual: float
 
 
-def _rel_residuals(x, y):
-    """rel_residual of each pair of matrices of two (K, q, q) stacks."""
-    return frobs(x - y) / np.maximum(1.0, np.maximum(frobs(x), frobs(y)))
-
-
 def extremal_quotient_many(source, zs, parity):
     """Extremal solutions as block quotients of polynomial values, at K points at once.
 
@@ -296,7 +291,7 @@ def extremal_quotient_many(source, zs, parity):
     if pts is not zs:
         pts.finish()
     sk, sf = pair[:len(pts), 0], pair[:len(pts), 1]
-    cross = np.maximum(_rel_residuals(sk, moebius[:, 0]), _rel_residuals(sf, moebius[:, 1]))
+    cross = np.maximum(rel_residuals(sk, moebius[:, 0]), rel_residuals(sf, moebius[:, 1]))
     return ExtremalSet(sK=sk, sF=sf, parity=parity, z=pts.zs, cross_residual=cross)
 
 

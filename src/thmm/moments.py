@@ -15,6 +15,12 @@ downstream of :func:`classify` requires that property.
 
 Corner Schur complements of the four families drive the recursive
 constructions in the rest of the package.
+
+A HankelSet owns the Cholesky factors of its members and a SchurChain
+those of its complements.  Each factor is computed by cholesky_pd on
+first use and kept for the lifetime of its owner, and every solve against
+a member goes through its owner's solve, so one command factors each
+matrix once.
 """
 
 from __future__ import annotations
@@ -29,13 +35,14 @@ from ._linalg import (
     frob,
     hermitize,
     min_eigenvalue,
-    solve_pd,
+    solve_factored,
 )
 from .errors import (
     EmptyMeasure,
     InsufficientMoments,
     InvalidMomentSequence,
     PointOutsideInterval,
+    SingularPivot,
 )
 
 DEFAULT_HERMITIAN_RTOL = 1e-12
@@ -123,9 +130,38 @@ def hankel_from_entries(entries, j):
     return out
 
 
+class _Factors:
+    """Cholesky factors of the members of a frozen dataclass, each computed once.
+
+    A family name is the name of a field holding a tuple of members; the
+    subclass provides the dict field _factors.
+    """
+
+    def member(self, family, j):
+        return getattr(self, family)[j]
+
+    def factor(self, family, j):
+        """cholesky_pd of member j of family, or None if it is not positive definite."""
+        key = (family, j)
+        if key not in self._factors:
+            self._factors[key] = cholesky_pd(self.member(family, j))
+        return self._factors[key]
+
+    def solve(self, family, j, rhs):
+        """member^{-1} rhs through the kept factor; SingularPivot(family, j) if there is none."""
+        L = self.factor(family, j)
+        if L is None:
+            raise SingularPivot(family, j)
+        return solve_factored(L, rhs)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
-class HankelSet:
-    """The four block Hankel families of a moment sequence."""
+class HankelSet(_Factors):
+    """The four block Hankel families of a moment sequence, and their factors.
+
+    factor("K1", j) and solve("K1", j, rhs) work on member K1[j]; a family
+    is named "H1", "H2", "K1" or "K2".
+    """
 
     seq: MomentSequence
     H1: tuple
@@ -133,25 +169,26 @@ class HankelSet:
     K1: tuple
     K2: tuple
     shat: tuple
+    _factors: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
-    def _member(self, family, j):
-        if j < 0 or j >= len(family[1]):
+    def member(self, family, j):
+        if j < 0 or j >= len(getattr(self, family)):
             raise InsufficientMoments(
-                f"{family[0]}[{j}] needs moments beyond the supplied m={self.seq.m}"
+                f"{family}[{j}] needs moments beyond the supplied m={self.seq.m}"
             )
-        return family[1][j]
+        return getattr(self, family)[j]
 
     def h1(self, j):
-        return self._member(("H1", self.H1), j)
+        return self.member("H1", j)
 
     def h2(self, j):
-        return self._member(("H2", self.H2), j)
+        return self.member("H2", j)
 
     def k1(self, j):
-        return self._member(("K1", self.K1), j)
+        return self.member("K1", j)
 
     def k2(self, j):
-        return self._member(("K2", self.K2), j)
+        return self.member("K2", j)
 
 
 def build_hankels(seq):
@@ -206,19 +243,33 @@ class StructuralVectors:
 
     def R(self, j, z):
         """(I - z T_j)^{-1}: lower block Toeplitz with z^{l-k} I at block (l, k)."""
+        return self.R_many(j, [z])[0]
+
+    def R_many(self, j, zs):
+        """The (K, (j+1)q, (j+1)q) stack of R(j, z) over the points zs.
+
+        The powers of each z are Python complex products, so every block
+        equals the one-point value to the last bit.
+        """
         q = self.seq.q
+        rows = []
+        for z in np.asarray(zs, dtype=complex).reshape(-1).tolist():
+            row = []
+            power = 1.0 + 0.0j
+            for _ in range(j + 1):
+                row.append(power)
+                power *= z
+            row.append(0j)   # above the diagonal
+            rows.append(row)
+        # the scalar Toeplitz matrices, z^(l-k) at (l, k) for l >= k, times I_q
+        # entry by entry, in C order: a later matmul's rounding can depend on
+        # the layout
+        lag = np.subtract.outer(np.arange(j + 1), np.arange(j + 1))
+        lag[lag < 0] = j + 1
+        toeplitz = np.array(rows, dtype=complex).reshape(len(rows), j + 2)[:, lag]
+        blocks = np.multiply(toeplitz[:, :, None, :, None], np.eye(q)[:, None, :], order="C")
         n = (j + 1) * q
-        out = np.zeros((n, n), dtype=complex)
-        z = complex(z)
-        power = 1.0 + 0.0j
-        eye = np.eye(q)
-        for d in range(j + 1):
-            block = power * eye
-            for l in range(d, j + 1):
-                k = l - d
-                out[l * q:(l + 1) * q, k * q:(k + 1) * q] = block
-            power *= z
-        return out
+        return blocks.reshape(len(rows), n, n)
 
     def y(self, j, k):
         """Stacked moments (s_j; ...; s_k)."""
@@ -282,12 +333,13 @@ class StructuralVectors:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class SchurChain:
-    """Corner Schur complements of the four Hankel families.
+class SchurChain(_Factors):
+    """Corner Schur complements of the four Hankel families, and their factors.
 
     For positive definite parents every member is a positive definite
     q x q matrix and the determinants telescope:
     det K1[j] = prod_{i <= j} det khat1[i], and likewise per family.
+    solve("khat1", j, rhs) solves against khat1[j] through its kept factor.
     """
 
     seq: MomentSequence
@@ -295,6 +347,7 @@ class SchurChain:
     hhat2: tuple
     khat1: tuple
     khat2: tuple
+    _factors: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
 
 def schur_chain(hankels):
@@ -305,31 +358,26 @@ def schur_chain(hankels):
     a, b = seq.a, seq.b
     shat = hankels.shat
 
-    def corner_chain(count, base, corner, cross, parents, name):
+    def corner_chain(base, corner, cross, name):
         out = []
-        for j in range(count):
+        for j in range(len(getattr(hankels, name))):
             if j == 0:
                 out.append(base)
                 continue
             y = cross(j)
-            x = solve_pd(parents[j - 1], y, name, j - 1)
+            x = hankels.solve(name, j - 1, y)
             out.append(hermitize(corner(j) - y.conj().T @ x))
         return tuple(out)
 
-    hhat1 = corner_chain(
-        len(hankels.H1), s[0], lambda j: s[2 * j], vecs.Y1, hankels.H1, "H1"
-    )
+    hhat1 = corner_chain(s[0], lambda j: s[2 * j], vecs.Y1, "H1")
     hhat2 = corner_chain(
-        len(hankels.H2), shat[0] if hankels.H2 else None,
-        lambda j: shat[2 * j], vecs.Y2, hankels.H2, "H2",
+        shat[0], lambda j: shat[2 * j], vecs.Y2, "H2",
     ) if hankels.H2 else ()
     khat1 = corner_chain(
-        len(hankels.K1), b * s[0] - s[1] if hankels.K1 else None,
-        lambda j: b * s[2 * j] - s[2 * j + 1], vecs.Yt1, hankels.K1, "K1",
+        b * s[0] - s[1], lambda j: b * s[2 * j] - s[2 * j + 1], vecs.Yt1, "K1",
     ) if hankels.K1 else ()
     khat2 = corner_chain(
-        len(hankels.K2), -a * s[0] + s[1] if hankels.K2 else None,
-        lambda j: -a * s[2 * j] + s[2 * j + 1], vecs.Yt2, hankels.K2, "K2",
+        -a * s[0] + s[1], lambda j: -a * s[2 * j] + s[2 * j + 1], vecs.Yt2, "K2",
     ) if hankels.K2 else ()
     return SchurChain(seq=seq, hhat1=hhat1, hhat2=hhat2, khat1=khat1, khat2=khat2)
 
@@ -351,26 +399,27 @@ class Classification:
         return self.kind == "PositiveDefinite"
 
 
-def classify(seq):
-    """Hausdorff positive definiteness of the sequence.
+def classify(source):
+    """Hausdorff positive definiteness of a MomentSequence or of a prebuilt HankelSet.
 
     Decided by attempted Cholesky factorization of the defining Hankel
-    pair.  On failure the offending matrix and its smallest eigenvalue
-    are reported; an eigenvalue below the negative pivot threshold means
-    Indefinite, otherwise Degenerate.
+    pair; a HankelSet keeps those factors.  On failure the offending
+    matrix and its smallest eigenvalue are reported; an eigenvalue below
+    the negative pivot threshold means Indefinite, otherwise Degenerate.
     """
-    hank = build_hankels(seq)
-    m = seq.m
+    hank = source if isinstance(source, HankelSet) else build_hankels(source)
+    m = hank.seq.m
     if m % 2 == 0:
         n = m // 2
-        checks = [("H1", n, hank.h1(n))]
+        checks = [("H1", n)]
         if n >= 1:
-            checks.append(("H2", n - 1, hank.h2(n - 1)))
+            checks.append(("H2", n - 1))
     else:
         n = (m - 1) // 2
-        checks = [("K1", n, hank.k1(n)), ("K2", n, hank.k2(n))]
-    for family, j, mat in checks:
-        if cholesky_pd(mat) is None:
+        checks = [("K1", n), ("K2", n)]
+    for family, j in checks:
+        if hank.factor(family, j) is None:
+            mat = hank.member(family, j)
             lam = min_eigenvalue(mat)
             scale = PIVOT_RTOL * (1.0 + frob(mat))
             kind = "Indefinite" if lam < -scale else "Degenerate"

@@ -24,9 +24,10 @@ import dataclasses
 
 import numpy as np
 
-from ._linalg import rel_residual, solve_pd
+from ._linalg import rel_residual, rel_residuals
 from .errors import OrderUnavailable, SingularNormalization
 from .moments import (
+    HankelSet,
     MomentSequence,
     StructuralVectors,
     build_hankels,
@@ -83,12 +84,12 @@ def adjoint_eval(p, z):
     return acc
 
 
-def _schur_row(Y, parent, family, j, q):
-    """Blocks of (-Y^* parent^{-1}, I_q); the bare (I_q,) when j = 0."""
+def _schur_row(Y, hank, family, j, q):
+    """Blocks of (-Y^* family[j-1]^{-1}, I_q); the bare (I_q,) when j = 0."""
     eye = np.eye(q, dtype=complex)
     if j == 0:
         return [eye]
-    x = solve_pd(parent, Y, family, j - 1)
+    x = hank.solve(family, j - 1, Y)
     blocks = [-x[k * q:(k + 1) * q, :].conj().T for k in range(j)]
     blocks.append(eye)
     return blocks
@@ -128,7 +129,8 @@ class PolynomialFamily:
     """All eight families built from one moment sequence.
 
     Retains the source Hankel set, Schur chain, and structural vectors so
-    downstream constructions reuse them without rebuilding.
+    downstream constructions reuse them without rebuilding, and keeps each
+    polynomial's value at a once it has been asked for (at_a, adjoint_at_a).
     """
 
     seq: MomentSequence
@@ -143,6 +145,24 @@ class PolynomialFamily:
     g2: tuple
     t1: tuple
     t2: tuple
+    _at_a: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+
+    def at_a(self, p):
+        """eval_poly(p, a) for a polynomial p of this family, as a read-only array."""
+        return self._value_at_a(p, eval_poly)
+
+    def adjoint_at_a(self, p):
+        """adjoint_eval(p, a) for a polynomial p of this family, as a read-only array."""
+        return self._value_at_a(p, adjoint_eval)
+
+    def _value_at_a(self, p, evaluate):
+        key = (evaluate.__name__, p.family, p.index)
+        value = self._at_a.get(key)
+        if value is None:
+            value = evaluate(p, self.seq.a)
+            value.flags.writeable = False
+            self._at_a[key] = value
+        return value
 
     def _get(self, store, family, j):
         if j < 0 or j >= len(store):
@@ -183,14 +203,16 @@ def ensure_family(source):
     raise TypeError(f"expected MomentSequence or PolynomialFamily, got {type(source)!r}")
 
 
-def build_family(seq):
+def build_family(source):
     """Construct all eight polynomial families the moments support.
 
-    Family ranges: P1/Q1 up to j = (m+1)//2, P2/Q2 up to j = (m-1)//2,
-    G1/T1/G2/T2 up to j = m//2.  Positive definiteness of the pivot
-    Hankel blocks is required and enforced by the factorizations.
+    source is a MomentSequence or a prebuilt HankelSet, whose factors are
+    then reused.  Family ranges: P1/Q1 up to j = (m+1)//2, P2/Q2 up to
+    j = (m-1)//2, G1/T1/G2/T2 up to j = m//2.  Positive definiteness of
+    the pivot Hankel blocks is required and enforced by the factorizations.
     """
-    hank = build_hankels(seq)
+    hank = source if isinstance(source, HankelSet) else build_hankels(source)
+    seq = hank.seq
     sch = schur_chain(hank)
     vecs = StructuralVectors(seq)
     q = seq.q
@@ -201,7 +223,7 @@ def build_family(seq):
 
     p1, q1 = [], []
     for j in range((m + 1) // 2 + 1):
-        row = _schur_row(vecs.Y1(j) if j else None, hank.H1[j - 1] if j else None, "H1", j, q)
+        row = _schur_row(vecs.Y1(j) if j else None, hank, "H1", j, q)
         p1.append(MatrixPoly(_convolve(row, vcol(j)), "P1", j))
         u1 = _split_blocks(vecs.u1(j), j, q)
         q1.append(MatrixPoly(_convolve(row, u1, sign=-1.0), "Q1", j))
@@ -209,17 +231,17 @@ def build_family(seq):
     p2, q2 = [], []
     if m >= 1:
         for j in range((m - 1) // 2 + 1):
-            row = _schur_row(vecs.Y2(j) if j else None, hank.H2[j - 1] if j else None, "H2", j, q)
+            row = _schur_row(vecs.Y2(j) if j else None, hank, "H2", j, q)
             p2.append(MatrixPoly(_convolve(row, vcol(j)), "P2", j))
             u2 = _split_blocks(vecs.u2(j), j, q)
             q2.append(MatrixPoly(_convolve(row, u2, shift=seq.s[0], sign=-1.0), "Q2", j))
 
     g1, t1, g2, t2 = [], [], [], []
     for j in range(m // 2 + 1):
-        row1 = _schur_row(vecs.Yt1(j) if j else None, hank.K1[j - 1] if j else None, "K1", j, q)
+        row1 = _schur_row(vecs.Yt1(j) if j else None, hank, "K1", j, q)
         g1.append(MatrixPoly(_convolve(row1, vcol(j)), "G1", j))
         t1.append(MatrixPoly(_convolve(row1, _split_blocks(vecs.ut1(j), j, q)), "T1", j))
-        row2 = _schur_row(vecs.Yt2(j) if j else None, hank.K2[j - 1] if j else None, "K2", j, q)
+        row2 = _schur_row(vecs.Yt2(j) if j else None, hank, "K2", j, q)
         g2.append(MatrixPoly(_convolve(row2, vcol(j)), "G2", j))
         t2.append(MatrixPoly(_convolve(row2, _split_blocks(vecs.ut2(j), j, q)), "T2", j))
 
@@ -230,10 +252,15 @@ def build_family(seq):
     )
 
 
-def _default_sample_points(count=10, seed=314159):
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-3.0, 3.0, size=(count, 2))
-    return [complex(re, im) for re, im in pts]
+# the default points of the resolvent-quotient identities
+SAMPLE_POINTS = tuple(
+    complex(re, im) for re, im in np.random.default_rng(314159).uniform(-3.0, 3.0, size=(10, 2))
+)
+
+
+def _adjoint(x):
+    """Conjugate transpose of each matrix of a stack."""
+    return np.swapaxes(x.conj(), -1, -2)
 
 
 def verify_family_identities(fam, measure=None, zs=None):
@@ -252,21 +279,23 @@ def verify_family_identities(fam, measure=None, zs=None):
     hank = fam.hankels
     entries = []
 
+    at_a, adjoint_at_a = fam.at_a, fam.adjoint_at_a
+
     def add(name, where, lhs, rhs):
         entries.append(IdentityCheck(name, where, rel_residual(lhs, rhs)))
 
     for j in range(min(len(fam.p1), len(fam.t2), len(sch.hhat1))):
         add("hhat1_product", f"j={j}",
-            sch.hhat1[j], -eval_poly(fam.p1[j], a) @ adjoint_eval(fam.t2[j], a))
+            sch.hhat1[j], -at_a(fam.p1[j]) @ adjoint_at_a(fam.t2[j]))
     for j in range(min(len(sch.hhat2), len(fam.q2), max(len(fam.g1) - 1, 0))):
         add("hhat2_product", f"j={j}",
-            sch.hhat2[j], -eval_poly(fam.q2[j], a) @ adjoint_eval(fam.g1[j + 1], a))
+            sch.hhat2[j], -at_a(fam.q2[j]) @ adjoint_at_a(fam.g1[j + 1]))
     for j in range(min(len(sch.khat1), len(fam.g1), len(fam.q2))):
         add("khat1_product", f"j={j}",
-            sch.khat1[j], eval_poly(fam.g1[j], a) @ adjoint_eval(fam.q2[j], a))
+            sch.khat1[j], at_a(fam.g1[j]) @ adjoint_at_a(fam.q2[j]))
     for j in range(min(len(sch.khat2), len(fam.t2), max(len(fam.p1) - 1, 0))):
         add("khat2_product", f"j={j}",
-            sch.khat2[j], eval_poly(fam.t2[j], a) @ adjoint_eval(fam.p1[j + 1], a))
+            sch.khat2[j], at_a(fam.t2[j]) @ adjoint_at_a(fam.p1[j + 1]))
 
     if measure is not None:
         n = seq.m // 2
@@ -281,43 +310,47 @@ def verify_family_identities(fam, measure=None, zs=None):
                 add("orthogonality", f"j={j},k={k}", gram, target)
 
     if zs is None:
-        zs = _default_sample_points()
+        zs = SAMPLE_POINTS
+    # the ratio identities run over all the points at once, one entry per point
+    points = np.array(zs, dtype=complex).reshape(-1)
+    labels = [f"z={z:.3g}" for z in zs]
+
+    def add_points(name, j, lhs, rhs):
+        for label, res in zip(labels, rel_residuals(lhs, rhs).tolist()):
+            entries.append(IdentityCheck(name, f"j={j},{label}", res))
+
     for j in range(min(len(fam.g2), len(fam.t2), len(hank.H1))):
         try:
-            t2a_inv = np.linalg.inv(adjoint_eval(fam.t2[j], a))
+            t2a_inv = np.linalg.inv(adjoint_at_a(fam.t2[j]))
         except np.linalg.LinAlgError as exc:
             raise SingularNormalization(f"T2[{j}] value at a is singular") from exc
         rv_a = vecs.R(j, a) @ vecs.v(j)
-        solved = solve_pd(hank.H1[j], rv_a, "H1", j)
-        for z in zs:
-            lhs = adjoint_eval(fam.g2[j], z) @ t2a_inv
-            rhs = -(vecs.R(j, np.conj(z)) @ vecs.v(j)).conj().T @ solved
-            add("ratio_g2_t2", f"j={j},z={z:.3g}", lhs, rhs)
+        solved = hank.solve("H1", j, rv_a)
+        lhs = adjoint_eval(fam.g2[j], points) @ t2a_inv
+        rhs = -_adjoint(vecs.R_many(j, points.conj()) @ vecs.v(j)) @ solved
+        add_points("ratio_g2_t2", j, lhs, rhs)
     for j in range(min(max(len(fam.q1) - 1, 0), max(len(fam.p1) - 1, 0), len(hank.K2))):
         try:
-            p1a_inv = np.linalg.inv(adjoint_eval(fam.p1[j + 1], a))
+            p1a_inv = np.linalg.inv(adjoint_at_a(fam.p1[j + 1]))
         except np.linalg.LinAlgError as exc:
             raise SingularNormalization(f"P1[{j + 1}] value at a is singular") from exc
         ut = vecs.ut2(j)
-        solved = solve_pd(hank.K2[j], vecs.R(j, a) @ ut, "K2", j)
-        for z in zs:
-            lhs = adjoint_eval(fam.q1[j + 1], z) @ p1a_inv
-            rhs = -(vecs.R(j, np.conj(z)) @ ut).conj().T @ solved
-            add("ratio_q1_p1", f"j={j},z={z:.3g}", lhs, rhs)
+        solved = hank.solve("K2", j, vecs.R(j, a) @ ut)
+        lhs = adjoint_eval(fam.q1[j + 1], points) @ p1a_inv
+        rhs = -_adjoint(vecs.R_many(j, points.conj()) @ ut) @ solved
+        add_points("ratio_q1_p1", j, lhs, rhs)
 
     for j in range(min(max(len(fam.q1) - 1, 0), len(fam.q2), len(fam.g1), len(fam.t1),
                        max(len(fam.p1) - 1, 0))):
-        lhs = (b - a) * eval_poly(fam.q1[j + 1], a) - eval_poly(fam.q2[j], a)
-        corr = eval_poly(fam.p1[j + 1], a) @ np.linalg.solve(
-            eval_poly(fam.g1[j], a), eval_poly(fam.t1[j], a)
-        )
+        lhs = (b - a) * at_a(fam.q1[j + 1]) - at_a(fam.q2[j])
+        corr = at_a(fam.p1[j + 1]) @ np.linalg.solve(at_a(fam.g1[j]), at_a(fam.t1[j]))
         add("endpoint_q1_q2", f"j={j}", lhs + corr, np.zeros_like(lhs))
     jmax_g = min(len(fam.g1) - 1, len(fam.g2) - 1, len(fam.t2) - 1,
                  len(fam.q2), len(fam.p2))
     for j in range(1, jmax_g + 1):
-        lhs = eval_poly(fam.g1[j], a) - eval_poly(fam.g2[j], a)
-        corr = (b - a) * eval_poly(fam.t2[j], a) @ np.linalg.solve(
-            eval_poly(fam.q2[j - 1], a), eval_poly(fam.p2[j - 1], a)
+        lhs = at_a(fam.g1[j]) - at_a(fam.g2[j])
+        corr = (b - a) * at_a(fam.t2[j]) @ np.linalg.solve(
+            at_a(fam.q2[j - 1]), at_a(fam.p2[j - 1])
         )
         add("endpoint_g1_g2", f"j={j}", lhs - corr, np.zeros_like(lhs))
 

@@ -26,14 +26,14 @@ import functools
 
 import numpy as np
 
-from ._linalg import PointPrefix, rel_residual, scalars, solve_pd
+from ._linalg import PointPrefix, rel_residual, scalars
 from .errors import (
     InsufficientMoments,
     PoleAtZ,
     RouteMismatch,
     SingularNormalization,
 )
-from .polynomials import adjoint_eval, ensure_family, eval_poly
+from .polynomials import adjoint_eval, ensure_family
 
 
 def _eye(q):
@@ -163,16 +163,16 @@ def resolvent_direct_many(source, zs, parity):
     z = pts.zs
     zc = z[:, None, None]
     if parity == "even":
-        inv_t2a = _inv_normalizer(adjoint_eval(fam.T2(n), a), f"T2[{n}]^*(a)")
-        inv_g1a = _inv_normalizer(adjoint_eval(fam.G1(n), a), f"G1[{n}]^*(a)")
+        inv_t2a = _inv_normalizer(fam.adjoint_at_a(fam.T2(n)), f"T2[{n}]^*(a)")
+        inv_g1a = _inv_normalizer(fam.adjoint_at_a(fam.G1(n)), f"G1[{n}]^*(a)")
         alpha = adjoint_eval(fam.T2(n), z) @ inv_t2a
         beta = adjoint_eval(fam.T1(n), z) @ inv_g1a / (b - a)
         gamma = (zc - a) * adjoint_eval(fam.G2(n), z) @ inv_t2a
         scale = scalars(lambda x: (b - x) / (b - a), z)[:, None, None]
         delta = scale * adjoint_eval(fam.G1(n), z) @ inv_g1a
     else:
-        inv_q2a = _inv_normalizer(adjoint_eval(fam.Q2(n), a), f"Q2[{n}]^*(a)")
-        inv_p1a = _inv_normalizer(adjoint_eval(fam.P1(n + 1), a), f"P1[{n + 1}]^*(a)")
+        inv_q2a = _inv_normalizer(fam.adjoint_at_a(fam.Q2(n)), f"Q2[{n}]^*(a)")
+        inv_p1a = _inv_normalizer(fam.adjoint_at_a(fam.P1(n + 1)), f"P1[{n + 1}]^*(a)")
         alpha = adjoint_eval(fam.Q2(n), z) @ inv_q2a
         beta = -adjoint_eval(fam.Q1(n + 1), z) @ inv_p1a
         scale = scalars(lambda x: -(x - a) * (b - x), z)[:, None, None]
@@ -210,26 +210,24 @@ def _aux_blocks(fam, j, z, kind):
     q = seq.q
     v = vecs.v(j)
     eye = _eye(q)
+    fam_name = {"tilde-odd": "K1", "tilde-even": "H2", "hat-even": "H2"}.get(kind)
+    if fam_name is None:
+        raise ValueError(f"unknown auxiliary kind {kind!r}")
+    hank.member(fam_name, j)   # a missing member fails before any column is built
+    extra = None
     if kind == "tilde-odd":
-        mat, fam_name = hank.k1(j), "K1"
         left_col = right_col = vecs.ut1(j)
-        extra = None
     elif kind == "tilde-even":
-        mat, fam_name = hank.h2(j), "H2"
         left_col = right_col = vecs.u2(j)
-        extra = None
-    elif kind == "hat-even":
-        mat, fam_name = hank.h2(j), "H2"
+    else:
         left_col = vecs.u2(j) + np.conj(z) * (v @ seq.s[0])
         right_col = vecs.u2(j) + a * (v @ seq.s[0])
         extra = seq.s[0]
-    else:
-        raise ValueError(f"unknown auxiliary kind {kind!r}")
 
     rz = vecs.R(j, np.conj(z))
     ra = vecs.R(j, a)
     left = np.hstack([rz @ left_col, rz @ v]).conj().T
-    right = solve_pd(mat, np.hstack([ra @ v, ra @ right_col]), fam_name, j)
+    right = hank.solve(fam_name, j, np.hstack([ra @ v, ra @ right_col]))
     pair = left @ right
     p_uv, p_uu = pair[:q, :q], pair[:q, q:]
     p_vv, p_vu = pair[q:, :q], pair[q:, q:]
@@ -304,9 +302,9 @@ def bp_factor(fam, schur, k, z):
         return _up((z - a) * seq.s[0])
     if k % 2 == 1:
         j = (k - 1) // 2
-        g = eval_poly(fam.G1(j), a)
-        t = eval_poly(fam.T1(j), a)
-        solved = solve_pd(schur.khat1[j], np.hstack([g, t]), "khat1", j)
+        g = fam.at_a(fam.G1(j))
+        t = fam.at_a(fam.T1(j))
+        solved = schur.solve("khat1", j, np.hstack([g, t]))
         sg, st = solved[:, :q], solved[:, q:]
         g_adj, t_adj = g.conj().T, t.conj().T
         alpha = eye - (z - a) * t_adj @ sg
@@ -315,9 +313,9 @@ def bp_factor(fam, schur, k, z):
         delta = eye + (z - a) * g_adj @ st
     else:
         j = (k - 2) // 2
-        p = eval_poly(fam.P2(j), a)
-        qq = eval_poly(fam.Q2(j), a)
-        solved = solve_pd(schur.hhat2[j], np.hstack([p, qq]), "hhat2", j)
+        p = fam.at_a(fam.P2(j))
+        qq = fam.at_a(fam.Q2(j))
+        solved = schur.solve("hhat2", j, np.hstack([p, qq]))
         sp, sq = solved[:, :q], solved[:, q:]
         p_adj, q_adj = p.conj().T, qq.conj().T
         alpha = eye + (z - a) * q_adj @ sp
@@ -407,7 +405,7 @@ def boundary_n2(fam, j):
     seq = fam.seq
     vecs = fam.vectors
     ra_v = vecs.R(j, seq.a) @ vecs.v(j)
-    return -(ra_v.conj().T @ solve_pd(fam.hankels.h1(j), ra_v, "H1", j)) / (seq.b - seq.a)
+    return -(ra_v.conj().T @ fam.hankels.solve("H1", j, ra_v)) / (seq.b - seq.a)
 
 
 def boundary_b2(fam, j):
@@ -415,7 +413,7 @@ def boundary_b2(fam, j):
     seq = fam.seq
     vecs = fam.vectors
     col = vecs.R(j, seq.a) @ vecs.ut2(j)
-    return (seq.b - seq.a) * (col.conj().T @ solve_pd(fam.hankels.k2(j), col, "K2", j))
+    return (seq.b - seq.a) * (col.conj().T @ fam.hankels.solve("K2", j, col))
 
 
 def resolvent_from_aux(source, z, parity):
@@ -456,39 +454,33 @@ def resolvent_from_aux(source, z, parity):
 
 
 def _tail_second_even(fam, n):
-    g = np.linalg.solve(eval_poly(fam.Q2(n - 1), fam.seq.a), eval_poly(fam.P2(n - 1), fam.seq.a))
-    g = g + np.linalg.solve(eval_poly(fam.T2(n), fam.seq.a), eval_poly(fam.G2(n), fam.seq.a)) / (
-        fam.seq.b - fam.seq.a
-    )
+    at_a = fam.at_a
+    g = np.linalg.solve(at_a(fam.Q2(n - 1)), at_a(fam.P2(n - 1)))
+    g = g + np.linalg.solve(at_a(fam.T2(n)), at_a(fam.G2(n))) / (fam.seq.b - fam.seq.a)
     return g
 
 
 def _tail_second_odd(fam, n):
-    t = -np.linalg.solve(eval_poly(fam.G1(n), fam.seq.a), eval_poly(fam.T1(n), fam.seq.a))
-    t = t - (fam.seq.b - fam.seq.a) * np.linalg.solve(
-        eval_poly(fam.P1(n + 1), fam.seq.a), eval_poly(fam.Q1(n + 1), fam.seq.a)
-    )
+    at_a = fam.at_a
+    t = -np.linalg.solve(at_a(fam.G1(n)), at_a(fam.T1(n)))
+    t = t - (fam.seq.b - fam.seq.a) * np.linalg.solve(at_a(fam.P1(n + 1)), at_a(fam.Q1(n + 1)))
     return t
 
 
 def _tail_first_even(fam, n):
-    a = fam.seq.a
-    g = adjoint_eval(fam.Q1(n), a) @ _inv_normalizer(
-        adjoint_eval(fam.P1(n), a), f"P1[{n}]^*(a)"
-    )
-    g = g + adjoint_eval(fam.T1(n), a) @ _inv_normalizer(
-        adjoint_eval(fam.G1(n), a), f"G1[{n}]^*(a)"
+    adj = fam.adjoint_at_a
+    g = adj(fam.Q1(n)) @ _inv_normalizer(adj(fam.P1(n)), f"P1[{n}]^*(a)")
+    g = g + adj(fam.T1(n)) @ _inv_normalizer(
+        adj(fam.G1(n)), f"G1[{n}]^*(a)"
     ) / (fam.seq.b - fam.seq.a)
     return g
 
 
 def _tail_first_odd(fam, n):
-    a = fam.seq.a
-    t = -adjoint_eval(fam.G2(n), a) @ _inv_normalizer(
-        adjoint_eval(fam.T2(n), a), f"T2[{n}]^*(a)"
-    )
-    t = t - (fam.seq.b - fam.seq.a) * adjoint_eval(fam.P2(n), a) @ _inv_normalizer(
-        adjoint_eval(fam.Q2(n), a), f"Q2[{n}]^*(a)"
+    adj = fam.adjoint_at_a
+    t = -adj(fam.G2(n)) @ _inv_normalizer(adj(fam.T2(n)), f"T2[{n}]^*(a)")
+    t = t - (fam.seq.b - fam.seq.a) * adj(fam.P2(n)) @ _inv_normalizer(
+        adj(fam.Q2(n)), f"Q2[{n}]^*(a)"
     )
     return t
 

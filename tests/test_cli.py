@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from thmm import (
     extremal_quotient,
     resolvent_factorized,
 )
+from thmm import _linalg, cli, dsm, moments
 from thmm.cli import main
 from thmm.io import decode_matrix, moment_file_dict, read_moment_file, render_json
 
@@ -250,8 +254,8 @@ def test_first_failing_z_decides_the_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("z", ["1e200", "1e300+1e300i"])
 def test_extremal_at_overflowing_z_exits_3(tmp_path, capsys, z):
-    # the overflowed denominator makes np.linalg.cond raise; that is a
-    # singular denominator (exit 3), not an input error (exit 2)
+    # an overflowed denominator is a singular denominator (exit 3), not an
+    # input error (exit 2)
     golden_q2 = str(Path(__file__).parent / "golden" / "moments_q2.json")
     inp = lebesgue_file(tmp_path, 6)
     for path in (golden_q2, inp):
@@ -261,3 +265,44 @@ def test_extremal_at_overflowing_z_exits_3(tmp_path, capsys, z):
             out, err = capsys.readouterr()
             assert code == 3 and out == ""
             assert "input error" not in err and "numerically singular" in err
+
+
+@pytest.mark.parametrize("z", ["1e200", "-1e200"])
+def test_overflowing_z_keeps_lapack_text_off_stdout(z):
+    # q = 3 moments on which an SVD of the overflowed denominator made LAPACK
+    # print "** On entry to DLASCL ..." to the process's stdout; only a child
+    # process's file descriptor 1 shows that
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    inp = str(Path(__file__).parent / "data" / "overflow_q3.json")
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-m", "thmm.cli", "extremal", "--input", inp, f"--z={z}"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.strip().endswith("numerically singular (cond ~ nan)")
+
+
+def test_analyze_factors_each_member_once(tmp_path, monkeypatch):
+    factored = []
+    real_cholesky = _linalg.cholesky_pd
+    for module in (_linalg, moments, dsm):
+        monkeypatch.setattr(module, "cholesky_pd",
+                            lambda a, *rest: factored.append(a) or real_cholesky(a, *rest))
+    families = []
+    real_build = cli.build_family
+    monkeypatch.setattr(cli, "build_family", lambda src: families.append(real_build(src))
+                        or families[-1])
+    inp = str(Path(__file__).parent / "golden" / "moments_q2.json")
+    assert main(["analyze", "--input", inp, "--output", str(tmp_path / "out.json")]) == 0
+    (fam,) = families
+    owned = [m for name in ("H1", "H2", "K1", "K2") for m in getattr(fam.hankels, name)]
+    owned += [m for name in ("hhat1", "hhat2", "khat1", "khat2") for m in getattr(fam.schur, name)]
+    counts = [sum(a is m for a in factored) for m in owned]
+    assert max(counts) == 1
+    # the classification's pair K1[n], K2[n] (m = 6: H1[3], H2[2]) is among them
+    assert factored[0] is fam.hankels.H1[3] and factored[1] is fam.hankels.H2[2]
+    # the rest are the parameters mhat_0..2 and lhat_0..2, inverted once each
+    assert len(factored) == sum(counts) + 3 + 3

@@ -37,6 +37,13 @@ CASES = {
                            {"--output": "factorize_q2_first.json"}),
     "extremal_q2": (["extremal", "--input", "moments_q2.json", "--which", "krein", *Z],
                     {"--output": "extremal_q2.json"}),
+    "scalar_report_q1": (["scalar-report", "--input", "moments_q1.json"],
+                         {"--output": "scalar_report_q1.json"}),
+    "factorize_q1_direct": (["factorize", "--input", "moments_q1.json", "--route", "direct", *Z],
+                            {"--output": "factorize_q1_direct.json"}),
+    "extremal_q1_friedrichs": (["extremal", "--input", "moments_q1.json", "--which", "friedrichs",
+                                *Z],
+                               {"--output": "extremal_q1_friedrichs.json"}),
 }
 
 

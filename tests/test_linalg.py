@@ -4,14 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thmm import SingularDenominator, SingularPivot
+from thmm import _linalg
 from thmm._linalg import (
     COND_LIMIT,
     PointPrefix,
     cholesky_pd,
+    frobs,
     inv_pd,
     is_pd,
     rel_residual,
+    rel_residuals,
     right_quotient,
+    solve_factored,
     solve_pd,
 )
 
@@ -102,7 +106,7 @@ def test_right_quotient_records_first_failing_point():
     assert out.shape == (1, 2, 2, 2) and len(pts) == 1
     with pytest.raises(SingularDenominator):
         pts.finish()
-    # a non-finite denominator fails like np.linalg.cond on it alone would
+    # a non-finite denominator fails, as a singular one does
     inf_den = np.stack([eye, np.full((2, 2), np.inf)])
     pts = PointPrefix([0.0, 1.0])
     right_quotient(np.stack([eye, eye]), inf_den, points=pts)
@@ -112,6 +116,7 @@ def test_right_quotient_records_first_failing_point():
 def test_right_quotient_svd_failure_is_singular_denominator():
     eye = np.eye(2)
     # np.linalg.cond raises LinAlgError on a NaN matrix; the guard fails it as cond ~ nan
+    # without taking its SVD
     den = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cond(den)
@@ -124,3 +129,47 @@ def test_right_quotient_svd_failure_is_singular_denominator():
     with pytest.raises(SingularDenominator) as err:
         pts.finish()
     assert np.isnan(err.value.cond)
+
+
+def test_non_finite_matrices_get_no_svd(monkeypatch):
+    seen = []
+    real_cond = np.linalg.cond
+    monkeypatch.setattr(_linalg.np.linalg, "cond",
+                        lambda x: seen.append(np.isfinite(x).all()) or real_cond(x))
+    eye = np.eye(2)
+    for bad in (np.full((2, 2), np.inf), np.array([[1.0, 0.0], [0.0, -np.inf]]),
+                np.array([[np.nan, 0.0], [0.0, 1.0]])):
+        with pytest.raises(SingularDenominator) as err:
+            right_quotient(eye, bad)
+        assert np.isnan(err.value.cond)
+        pts = PointPrefix([0.0, 1.0, 2.0])
+        right_quotient(np.stack([eye] * 3), np.stack([eye, bad, eye]), points=pts)
+        assert len(pts) == 1 and np.isnan(pts.error.cond)
+    assert seen and all(seen)
+
+
+def test_rel_residual_sums_as_np_linalg_norm(rng):
+    def reference(x, y):
+        x = np.asarray(x, dtype=complex)
+        y = np.asarray(y, dtype=complex)
+        return float(np.linalg.norm(x - y) / max(1.0, np.linalg.norm(x), np.linalg.norm(y)))
+
+    for shape in ((1, 1), (3, 3), (8, 2), (40, 40)):
+        for scale in (1e-3, 1.0, 1e8):
+            x = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            y = x + 1e-9 * rng.normal(size=shape)
+            for a, b in ((x, y), (x.T, y.T), (x.real, y), (x[::2], y[::2])):
+                assert rel_residual(a, b) == reference(a, b)
+            stack = np.stack([x, y, 2 * x])
+            assert rel_residuals(stack, stack[::-1]).tolist() == [
+                reference(u, v) for u, v in zip(stack, stack[::-1])]
+    assert frobs(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
+    assert rel_residuals(np.zeros((0, 2, 2)), np.zeros((0, 2, 2))).shape == (0,)
+
+
+def test_solve_factored_is_solve_pd(rng):
+    for q in (1, 2, 5):
+        g = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+        a = g @ g.conj().T + np.eye(q)
+        rhs = rng.normal(size=(q, 3)) + 1j * rng.normal(size=(q, 3))
+        assert np.array_equal(solve_factored(cholesky_pd(a), rhs), solve_pd(a, rhs))

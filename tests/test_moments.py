@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from thmm import (
     DiscreteMeasure,
+    SingularPivot,
     InsufficientMoments,
     InvalidMomentSequence,
     EmptyMeasure,
@@ -17,7 +18,8 @@ from thmm import (
     moments_from_discrete_measure,
     schur_chain,
 )
-from thmm._linalg import cholesky_pd, is_pd
+from thmm import build_family, compute_first, compute_second, moments as moments_module
+from thmm._linalg import cholesky_pd, is_pd, solve_pd
 from thmm.moments import StructuralVectors, shifted_moments
 
 from conftest import lebesgue, random_measure, rel
@@ -245,3 +247,60 @@ def test_structural_vector_shapes(rng):
     assert np.array_equal(vecs.ut2(0), -seq.s[0])
     u21 = vecs.u2(1)
     assert np.allclose(u21[q:], -shifted_moments(seq)[0])
+
+
+def test_hankel_solve_is_solve_pd_through_one_factor(rng, monkeypatch):
+    from conftest import random_sequence
+
+    seq, _ = random_sequence(rng, 2, 2)
+    hank = build_hankels(seq)
+    calls = []
+    monkeypatch.setattr(moments_module, "cholesky_pd",
+                        lambda a: calls.append(a) or cholesky_pd(a))
+    for family in ("H1", "H2", "K1", "K2"):
+        for j, member in enumerate(getattr(hank, family)):
+            size = (member.shape[0], 2)
+            rhs = rng.normal(size=size) + 1j * rng.normal(size=size)
+            for _ in range(2):
+                assert np.array_equal(hank.solve(family, j, rhs), solve_pd(member, rhs, family, j))
+            assert sum(a is member for a in calls) == 1
+    with pytest.raises(InsufficientMoments):
+        hank.solve("H1", len(hank.H1), np.eye(2))
+
+
+# (input, SingularPivot of build_family, of compute_first), as the per-call
+# factorizations raised them
+DEGENERATE = {
+    "atom_at_b": (([0.5, 1.0], [np.eye(1), np.eye(1)], 5), ("K1", 1), ("H1", 2)),
+    "atom_at_a": (([0.0, 0.5], [np.eye(1), np.eye(1)], 6), ("H1", 2), ("H1", 2)),
+    "rank_one_atom": (([0.3, 0.7], [np.diag([1.0, 0.0]), np.eye(2)], 5), ("H1", 1), ("H1", 1)),
+    "single_atom": (([0.5], [np.eye(1)], 4), ("H1", 1), ("H1", 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_member_raises_at_the_same_point(name):
+    (points, weights, m), family_pivot, first_pivot = DEGENERATE[name]
+    seq = moments_from_discrete_measure(points, weights, m, 0.0, 1.0)
+    hank = build_hankels(seq)
+    assert classify(hank).kind == "Degenerate"
+    # the classification's kept factors (a None among them) do not move the failure
+    for source in (seq, hank):
+        with pytest.raises(SingularPivot) as err:
+            build_family(source)
+        assert (err.value.family, err.value.index) == family_pivot
+    with pytest.raises(SingularPivot) as err:
+        compute_first(seq)
+    assert (err.value.family, err.value.index) == first_pivot
+
+
+def test_classify_keeps_the_factors_of_a_prebuilt_set(monkeypatch):
+    hank = build_hankels(lebesgue(5))
+    calls = []
+    monkeypatch.setattr(moments_module, "cholesky_pd",
+                        lambda a: calls.append(a) or cholesky_pd(a))
+    assert classify(hank).kind == "PositiveDefinite"
+    assert [a is b for a, b in zip(calls, (hank.K1[2], hank.K2[2]))] == [True, True]
+    assert hank.factor("K1", 2) is hank.factor("K1", 2)
+    compute_second(hank.seq, build_family(hank))   # reads K1[2]
+    assert sum(a is hank.K1[2] for a in calls) == 1

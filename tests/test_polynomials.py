@@ -10,7 +10,8 @@ from thmm import (
     eval_poly,
     verify_family_identities,
 )
-from thmm.polynomials import MatrixPoly
+from thmm._linalg import solve_pd
+from thmm.polynomials import SAMPLE_POINTS, MatrixPoly
 
 from conftest import lebesgue, random_sequence, rel
 
@@ -162,3 +163,89 @@ def test_orthogonality_off_diagonal_zero(rng):
         vals[0][i] @ w @ vals[1][i].conj().T for i, w in enumerate(measure.weights)
     )
     assert np.linalg.norm(gram) < 1e-10
+
+
+def dense_R(q, j, z):
+    """R_j(z) block by block, as StructuralVectors.R built it before R_many."""
+    out = np.zeros(((j + 1) * q, (j + 1) * q), dtype=complex)
+    z = complex(z)
+    power = 1.0 + 0.0j
+    for d in range(j + 1):
+        block = power * np.eye(q)
+        for l in range(d, j + 1):
+            k = l - d
+            out[l * q:(l + 1) * q, k * q:(k + 1) * q] = block
+        power *= z
+    return out
+
+
+def norm_rel(x, y):
+    return float(np.linalg.norm(x - y) / max(1.0, np.linalg.norm(x), np.linalg.norm(y)))
+
+
+def ratio_entries_per_point(fam, zs):
+    """The two ratio identities one point at a time, with the per-point formulas."""
+    seq, vecs, hank, a, q = fam.seq, fam.vectors, fam.hankels, fam.seq.a, fam.seq.q
+    out = []
+    for j in range(min(len(fam.g2), len(fam.t2), len(hank.H1))):
+        t2a_inv = np.linalg.inv(adjoint_eval(fam.t2[j], a))
+        solved = solve_pd(hank.H1[j], dense_R(q, j, a) @ vecs.v(j), "H1", j)
+        for z in zs:
+            lhs = adjoint_eval(fam.g2[j], z) @ t2a_inv
+            rhs = -(dense_R(q, j, np.conj(z)) @ vecs.v(j)).conj().T @ solved
+            out.append(("ratio_g2_t2", f"j={j},z={z:.3g}", norm_rel(lhs, rhs)))
+    for j in range(min(max(len(fam.q1) - 1, 0), max(len(fam.p1) - 1, 0), len(hank.K2))):
+        p1a_inv = np.linalg.inv(adjoint_eval(fam.p1[j + 1], a))
+        ut = vecs.ut2(j)
+        solved = solve_pd(hank.K2[j], dense_R(q, j, a) @ ut, "K2", j)
+        for z in zs:
+            lhs = adjoint_eval(fam.q1[j + 1], z) @ p1a_inv
+            rhs = -(dense_R(q, j, np.conj(z)) @ ut).conj().T @ solved
+            out.append(("ratio_q1_p1", f"j={j},z={z:.3g}", norm_rel(lhs, rhs)))
+    return out
+
+
+@pytest.mark.parametrize("zs", [None, [0.3 - 1.1j], []], ids=["default", "one", "none"])
+def test_stacked_ratio_checks_equal_per_point_reference(rng, zs):
+    seqs = [lebesgue(5), lebesgue(6)] + [random_sequence(rng, q, n)[0]
+                                         for q, n in ((1, 3), (2, 2), (3, 3), (4, 1))]
+    for seq in seqs:
+        fam = build_family(seq)
+        report = verify_family_identities(fam, zs=zs)
+        stacked = [(e.name, e.where, e.residual) for e in report.entries
+                   if e.name.startswith("ratio_")]
+        reference = ratio_entries_per_point(fam, SAMPLE_POINTS if zs is None else zs)
+        assert stacked == reference
+        assert len(reference) == (len(fam.g2) + len(fam.q1) - 1) * len(
+            SAMPLE_POINTS if zs is None else zs)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_R_many_is_the_dense_R_bit_for_bit(q):
+    seq, _ = random_sequence(np.random.default_rng(5), q, 3)
+    vecs = build_family(seq).vectors
+    points = [0.0, -0.0, 0.5, -1.0, complex(-0.0, 1.0), complex(0.0, -0.0), -1.2 + 0.7j,
+              1e200 + 1e200j, *SAMPLE_POINTS]
+    for j in range(4):
+        with np.errstate(invalid="ignore", over="ignore"):   # inf * 0 at 1e200
+            many = vecs.R_many(j, points)
+            wants = [dense_R(seq.q, j, z) for z in points]
+            ones = [vecs.R(j, z) for z in points]
+        assert many.flags.c_contiguous
+        for got, want, one in zip(many, wants, ones):
+            for x in (got, one):
+                assert np.array_equal(x, want, equal_nan=True)
+                assert np.array_equal(np.signbit(x.real), np.signbit(want.real))
+                assert np.array_equal(np.signbit(x.imag), np.signbit(want.imag))
+        assert vecs.R_many(j, []).shape == (0, (j + 1) * seq.q, (j + 1) * seq.q)
+
+
+def test_values_at_a_are_cached_read_only(leb_family):
+    fam = leb_family
+    for p in (*fam.p1, *fam.q2, *fam.t2):
+        value = fam.at_a(p)
+        assert fam.at_a(p) is value and not value.flags.writeable
+        assert np.array_equal(value, eval_poly(p, fam.seq.a))
+        adjoint = fam.adjoint_at_a(p)
+        assert fam.adjoint_at_a(p) is adjoint and not adjoint.flags.writeable
+        assert np.array_equal(adjoint, adjoint_eval(p, fam.seq.a))
