@@ -9,7 +9,9 @@ precondition failure, 4 cross-route residual above tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -247,17 +249,36 @@ def cmd_scalar_report(args):
     return 0 if worst <= args.rtol else 4
 
 
+def _tolerance(text):
+    """A finite, nonnegative --rtol value; argparse names the option on rejection."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite nonnegative number, got {text!r}")
+    return value
+
+
+@functools.cache
 def build_parser():
+    """The one argument parser of the process, built on the first call.
+
+    main reuses it for every call: parsing leaves the parser unchanged, and
+    the append action of --z copies its default list before appending.
+    """
     parser = argparse.ArgumentParser(
         prog="thmm",
         description="Truncated Hausdorff matrix moment toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rtol_default=1e-8):
+    def common(p):
         p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--output", help="write the JSON report here instead of stdout")
-        p.add_argument("--rtol", type=float, default=rtol_default,
+
+    def rtol(p):
+        p.add_argument("--rtol", type=_tolerance, default=1e-8,
                        help="residual tolerance for exit-code purposes")
 
     p = sub.add_parser("analyze", help="classification, Schur chains, parameter chains")
@@ -272,6 +293,7 @@ def build_parser():
 
     p = sub.add_parser("factorize", help="resolvent by direct and factorized routes")
     common(p)
+    rtol(p)
     p.add_argument("--z", action="append", default=[], help=z_help)
     p.add_argument("--parity", choices=("even", "odd", "auto"), default="auto")
     p.add_argument("--route", choices=("direct", "second", "first"), default="second")
@@ -279,6 +301,7 @@ def build_parser():
 
     p = sub.add_parser("extremal", help="extremal solutions by quotient and continued fraction")
     common(p)
+    rtol(p)
     p.add_argument("--z", action="append", default=[], help=z_help)
     p.add_argument("--parity", choices=("even", "odd", "auto"), default="auto")
     p.add_argument("--which", choices=("krein", "friedrichs"), default="friedrichs")
@@ -295,6 +318,7 @@ def build_parser():
 
     p = sub.add_parser("scalar-report", help="determinant-formula parameters for q = 1")
     common(p)
+    rtol(p)
     p.set_defaults(func=cmd_scalar_report)
 
     return parser

@@ -44,7 +44,6 @@ from .errors import (
 )
 from .moments import (
     MomentSequence,
-    StructuralVectors,
     build_hankels,
     hankel_from_entries,
 )
@@ -100,7 +99,7 @@ class DsmFirst:
 
 def _form(vecs, hank, family, j, col):
     """col^* R_j^*(a) family[j]^{-1} R_j(a) col."""
-    rc = vecs.R(j, vecs.seq.a) @ col
+    rc = vecs.R_at_a(j) @ col
     return rc.conj().T @ hank.solve(family, j, rc)
 
 
@@ -175,12 +174,11 @@ def compute_first(source):
     if isinstance(source, MomentSequence):
         seq = source
         hank = build_hankels(seq)
-        vecs = StructuralVectors(seq)
     else:
         fam = ensure_family(source)
         seq = fam.seq
         hank = fam.hankels
-        vecs = fam.vectors
+    vecs = hank.vectors
     a = seq.a
     m = seq.m
 
@@ -467,7 +465,7 @@ def scalar_determinant_params(seq, rtol=1e-8):
     ltilde = []
     for j in range(n_l + 1):
         u = vecs.u2(j) + a * (vecs.v(j) @ seq.s[0])
-        e_row = -(u.conj().T @ vecs.R(j, a).conj().T)
+        e_row = -(u.conj().T @ vecs.R_at_a(j).conj().T)
         rows = [[sh[i + k] for k in range(j + 1)] for i in range(j)]
         rows.append([e_row[0, k] for k in range(j + 1)])
         e2 = det(np.array(rows, dtype=complex))

@@ -65,9 +65,20 @@ def encode_complex(z):
     return [float(z.real), float(z.imag)]
 
 
-def read_moment_file(path):
+def _read_object(path, kind, keys):
+    """The JSON object of a kind of input file; an error names the kind and a missing key."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InvalidMomentSequence(f"{kind} file must hold a JSON object")
+    for key in keys:
+        if key not in data:
+            raise InvalidMomentSequence(f"{kind} file has no {key!r}")
+    return data
+
+
+def read_moment_file(path):
+    data = _read_object(path, "moment", ("q", "a", "b", "moments"))
     q = int(data["q"])
     a = float(data["a"])
     b = float(data["b"])
@@ -88,8 +99,7 @@ def moment_file_dict(seq):
 
 
 def read_measure_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_object(path, "measure", ("points", "weights"))
     a = float(data.get("a", 0.0))
     b = float(data.get("b", 1.0))
     points = [float(x) for x in data["points"]]
@@ -98,8 +108,7 @@ def read_measure_file(path):
 
 
 def read_parameter_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_object(path, "parameter", ("q", "a", "b", "s0", "mhat", "lhat"))
     q = int(data["q"])
     a = float(data["a"])
     b = float(data["b"])

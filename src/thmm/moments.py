@@ -20,7 +20,8 @@ A HankelSet owns the Cholesky factors of its members and a SchurChain
 those of its complements.  Each factor is computed by cholesky_pd on
 first use and kept for the lifetime of its owner, and every solve against
 a member goes through its owner's solve, so one command factors each
-matrix once.
+matrix once.  A HankelSet also owns the StructuralVectors of its sequence,
+which keep each shift resolvent R_j(a) at the left endpoint once built.
 """
 
 from __future__ import annotations
@@ -160,7 +161,8 @@ class HankelSet(_Factors):
     """The four block Hankel families of a moment sequence, and their factors.
 
     factor("K1", j) and solve("K1", j, rhs) work on member K1[j]; a family
-    is named "H1", "H2", "K1" or "K2".
+    is named "H1", "H2", "K1" or "K2".  vectors is the one StructuralVectors
+    of the sequence, shared by everything built from this set.
     """
 
     seq: MomentSequence
@@ -169,6 +171,7 @@ class HankelSet(_Factors):
     K1: tuple
     K2: tuple
     shat: tuple
+    vectors: StructuralVectors
     _factors: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def member(self, family, j):
@@ -196,14 +199,15 @@ def build_hankels(seq):
     s = seq.s
     m = seq.m
     a, b = seq.a, seq.b
-    shat = shifted_moments(seq)
+    vecs = StructuralVectors(seq)
+    shat = vecs._shat
     k1_entries = tuple(b * s[j] - s[j + 1] for j in range(m))
     k2_entries = tuple(-a * s[j] + s[j + 1] for j in range(m))
     H1 = tuple(hankel_from_entries(s, j) for j in range(m // 2 + 1))
     H2 = tuple(hankel_from_entries(shat, j) for j in range((m - 2) // 2 + 1)) if m >= 2 else ()
     K1 = tuple(hankel_from_entries(k1_entries, j) for j in range((m - 1) // 2 + 1)) if m >= 1 else ()
     K2 = tuple(hankel_from_entries(k2_entries, j) for j in range((m - 1) // 2 + 1)) if m >= 1 else ()
-    return HankelSet(seq=seq, H1=H1, H2=H2, K1=K1, K2=K2, shat=shat)
+    return HankelSet(seq=seq, H1=H1, H2=H2, K1=K1, K2=K2, shat=shat, vectors=vecs)
 
 
 class StructuralVectors:
@@ -213,12 +217,14 @@ class StructuralVectors:
     polynomials and the transfer quadratic forms are assembled: the block
     shift T_j, its resolvent R_j(z) = (I - z T_j)^{-1} in closed Toeplitz
     form, the first block-column unit v_j, and the various stacked moment
-    columns.
+    columns.  R_j(a) at the left endpoint, where every transfer quadratic
+    form is taken, is kept once built (R_at_a).
     """
 
     def __init__(self, seq):
         self.seq = seq
         self._shat = shifted_moments(seq)
+        self._R_at_a = {}
 
     def _need(self, idx, what):
         if idx > self.seq.m or idx < 0:
@@ -244,6 +250,19 @@ class StructuralVectors:
     def R(self, j, z):
         """(I - z T_j)^{-1}: lower block Toeplitz with z^{l-k} I at block (l, k)."""
         return self.R_many(j, [z])[0]
+
+    def R_at_a(self, j):
+        """R(j, a) at the left endpoint a, built once per j and kept read-only.
+
+        Kept by j, not looked up by point: a = 0.0 compares equal to -0.0,
+        whose R carries other sign bits.
+        """
+        value = self._R_at_a.get(j)
+        if value is None:
+            value = self.R(j, self.seq.a)
+            value.flags.writeable = False
+            self._R_at_a[j] = value
+        return value
 
     def R_many(self, j, zs):
         """The (K, (j+1)q, (j+1)q) stack of R(j, z) over the points zs.
@@ -353,7 +372,7 @@ class SchurChain(_Factors):
 def schur_chain(hankels):
     """Recursive corner Schur complements of all four Hankel families."""
     seq = hankels.seq
-    vecs = StructuralVectors(seq)
+    vecs = hankels.vectors
     s = seq.s
     a, b = seq.a, seq.b
     shat = hankels.shat

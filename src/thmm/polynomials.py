@@ -21,6 +21,7 @@ extracted symbolically in z by block convolution against R_j.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .errors import OrderUnavailable, SingularNormalization
 from .moments import (
     HankelSet,
     MomentSequence,
-    StructuralVectors,
     build_hankels,
     schur_chain,
 )
@@ -128,15 +128,15 @@ def _convolve(row, col, shift=None, sign=1.0):
 class PolynomialFamily:
     """All eight families built from one moment sequence.
 
-    Retains the source Hankel set, Schur chain, and structural vectors so
-    downstream constructions reuse them without rebuilding, and keeps each
-    polynomial's value at a once it has been asked for (at_a, adjoint_at_a).
+    Retains the source Hankel set, with its structural vectors, and the
+    Schur chain so downstream constructions reuse them without rebuilding,
+    and keeps each polynomial's value at a once it has been asked for
+    (at_a, adjoint_at_a).
     """
 
     seq: MomentSequence
-    hankels: object
+    hankels: HankelSet
     schur: object
-    vectors: StructuralVectors
     p1: tuple
     p2: tuple
     q1: tuple
@@ -146,6 +146,11 @@ class PolynomialFamily:
     t1: tuple
     t2: tuple
     _at_a: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def vectors(self):
+        """The StructuralVectors of the Hankel set."""
+        return self.hankels.vectors
 
     def at_a(self, p):
         """eval_poly(p, a) for a polynomial p of this family, as a read-only array."""
@@ -214,7 +219,7 @@ def build_family(source):
     hank = source if isinstance(source, HankelSet) else build_hankels(source)
     seq = hank.seq
     sch = schur_chain(hank)
-    vecs = StructuralVectors(seq)
+    vecs = hank.vectors
     q = seq.q
     m = seq.m
 
@@ -246,7 +251,7 @@ def build_family(source):
         t2.append(MatrixPoly(_convolve(row2, _split_blocks(vecs.ut2(j), j, q)), "T2", j))
 
     return PolynomialFamily(
-        seq=seq, hankels=hank, schur=sch, vectors=vecs,
+        seq=seq, hankels=hank, schur=sch,
         p1=tuple(p1), p2=tuple(p2), q1=tuple(q1), q2=tuple(q2),
         g1=tuple(g1), g2=tuple(g2), t1=tuple(t1), t2=tuple(t2),
     )
@@ -314,6 +319,8 @@ def verify_family_identities(fam, measure=None, zs=None):
     # the ratio identities run over all the points at once, one entry per point
     points = np.array(zs, dtype=complex).reshape(-1)
     labels = [f"z={z:.3g}" for z in zs]
+    # R_j(conj z) over the points, built once per j for both ratio identities
+    r_points = functools.cache(lambda j: vecs.R_many(j, points.conj()))
 
     def add_points(name, j, lhs, rhs):
         for label, res in zip(labels, rel_residuals(lhs, rhs).tolist()):
@@ -324,10 +331,10 @@ def verify_family_identities(fam, measure=None, zs=None):
             t2a_inv = np.linalg.inv(adjoint_at_a(fam.t2[j]))
         except np.linalg.LinAlgError as exc:
             raise SingularNormalization(f"T2[{j}] value at a is singular") from exc
-        rv_a = vecs.R(j, a) @ vecs.v(j)
+        rv_a = vecs.R_at_a(j) @ vecs.v(j)
         solved = hank.solve("H1", j, rv_a)
         lhs = adjoint_eval(fam.g2[j], points) @ t2a_inv
-        rhs = -_adjoint(vecs.R_many(j, points.conj()) @ vecs.v(j)) @ solved
+        rhs = -_adjoint(r_points(j) @ vecs.v(j)) @ solved
         add_points("ratio_g2_t2", j, lhs, rhs)
     for j in range(min(max(len(fam.q1) - 1, 0), max(len(fam.p1) - 1, 0), len(hank.K2))):
         try:
@@ -335,9 +342,9 @@ def verify_family_identities(fam, measure=None, zs=None):
         except np.linalg.LinAlgError as exc:
             raise SingularNormalization(f"P1[{j + 1}] value at a is singular") from exc
         ut = vecs.ut2(j)
-        solved = hank.solve("K2", j, vecs.R(j, a) @ ut)
+        solved = hank.solve("K2", j, vecs.R_at_a(j) @ ut)
         lhs = adjoint_eval(fam.q1[j + 1], points) @ p1a_inv
-        rhs = -_adjoint(vecs.R_many(j, points.conj()) @ ut) @ solved
+        rhs = -_adjoint(r_points(j) @ ut) @ solved
         add_points("ratio_q1_p1", j, lhs, rhs)
 
     for j in range(min(max(len(fam.q1) - 1, 0), len(fam.q2), len(fam.g1), len(fam.t1),

@@ -225,7 +225,7 @@ def _aux_blocks(fam, j, z, kind):
         extra = seq.s[0]
 
     rz = vecs.R(j, np.conj(z))
-    ra = vecs.R(j, a)
+    ra = vecs.R_at_a(j)
     left = np.hstack([rz @ left_col, rz @ v]).conj().T
     right = hank.solve(fam_name, j, np.hstack([ra @ v, ra @ right_col]))
     pair = left @ right
@@ -404,7 +404,7 @@ def boundary_n2(fam, j):
     """-(b - a)^{-1} v^* R^*(a) H1[j]^{-1} R(a) v, the even boundary correction."""
     seq = fam.seq
     vecs = fam.vectors
-    ra_v = vecs.R(j, seq.a) @ vecs.v(j)
+    ra_v = vecs.R_at_a(j) @ vecs.v(j)
     return -(ra_v.conj().T @ fam.hankels.solve("H1", j, ra_v)) / (seq.b - seq.a)
 
 
@@ -412,7 +412,7 @@ def boundary_b2(fam, j):
     """(b - a) ut2^* R^*(a) K2[j]^{-1} R(a) ut2, the odd boundary correction."""
     seq = fam.seq
     vecs = fam.vectors
-    col = vecs.R(j, seq.a) @ vecs.ut2(j)
+    col = vecs.R_at_a(j) @ vecs.ut2(j)
     return (seq.b - seq.a) * (col.conj().T @ fam.hankels.solve("K2", j, col))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -306,3 +307,115 @@ def test_analyze_factors_each_member_once(tmp_path, monkeypatch):
     assert factored[0] is fam.hankels.H1[3] and factored[1] is fam.hankels.H2[2]
     # the rest are the parameters mhat_0..2 and lhat_0..2, inverted once each
     assert len(factored) == sum(counts) + 3 + 3
+
+
+def test_analyze_shares_one_structural_vectors(monkeypatch):
+    made, seen = [], set()
+    real_init = moments.StructuralVectors.__init__
+    monkeypatch.setattr(moments.StructuralVectors, "__init__",
+                        lambda self, seq: made.append(self) or real_init(self, seq))
+    # Y1 is read by schur_chain and build_family, R_at_a by every DSM route
+    for name in ("Y1", "R_at_a"):
+        real = getattr(moments.StructuralVectors, name)
+        monkeypatch.setattr(moments.StructuralVectors, name,
+                            lambda self, j, real=real: seen.add(id(self)) or real(self, j))
+    builds = []
+    real_many = moments.StructuralVectors.R_many
+    monkeypatch.setattr(moments.StructuralVectors, "R_many",
+                        lambda self, j, zs: builds.append(j) or real_many(self, j, zs))
+    families = []
+    real_build = cli.build_family
+    monkeypatch.setattr(cli, "build_family", lambda src: families.append(real_build(src))
+                        or families[-1])
+    inp = str(Path(__file__).parent / "golden" / "moments_q2.json")
+    assert main(["analyze", "--input", inp, "--output", os.devnull]) == 0
+    (vecs,) = made
+    (fam,) = families
+    assert seen == {id(vecs)}
+    assert fam.vectors is vecs and fam.hankels.vectors is vecs
+    # m = 6: R_j(a) for j = 0..3 once each, and R_j(conj z) over the sample
+    # points once per j for both ratio identities
+    assert sorted(builds) == [0, 0, 1, 1, 2, 2, 3, 3]
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    progs = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+    cli.build_parser.cache_clear()
+    inp = lebesgue_file(tmp_path, 3)
+    assert main(["analyze", "--input", inp]) == 0
+    built = len(progs)
+    assert main(["factorize", "--input", inp, "--z=-1"]) == 0
+    assert main(["factorize", "--input", inp, "--z", "oops", "--bogus"]) == 2
+    assert main(["extremal", "--input", inp, "--z=2"]) == 0
+    capsys.readouterr()
+    assert progs.count("thmm") == 1 and len(progs) == built
+
+
+def test_reused_parser_keeps_calls_apart(tmp_path, capsys):
+    inp = lebesgue_file(tmp_path, 3)
+
+    def points(argv):
+        code, out = run(capsys, argv)
+        assert code == 0
+        return [r["z"] for r in json.loads(out)["results"]]
+
+    assert points(["factorize", "--input", inp, "--z=-1", "--z=2+1i"]) == [[-1.0, 0.0], [2.0, 1.0]]
+    assert points(["factorize", "--input", inp, "--z=3"]) == [[3.0, 0.0]]
+    assert points(["extremal", "--input", inp, "--z=-2"]) == [[-2.0, 0.0]]
+    _, fresh = run(capsys, ["analyze", "--input", inp])
+    assert run(capsys, ["analyze", "--input", inp, "--no-such-option"]) == (2, "")
+    assert run(capsys, ["analyze", "--input", inp]) == (0, fresh)
+    code, out = run(capsys, ["--help"])
+    assert code == 0 and "factorize" in out
+    code, out = run(capsys, ["factorize", "--help"])
+    assert code == 0 and "--rtol" in out
+
+
+@pytest.mark.parametrize("command", [["factorize", "--z=-1"], ["extremal", "--z=-1"],
+                                     ["scalar-report"]])
+@pytest.mark.parametrize("rtol", ["nan", "inf", "-1e-8", "tight"])
+def test_bad_rtol_is_a_parse_error(tmp_path, capsys, monkeypatch, command, rtol):
+    monkeypatch.setattr(cli.tio, "read_moment_file", lambda path: pytest.fail("input was read"))
+    inp = lebesgue_file(tmp_path, 3)
+    assert main([command[0], "--input", inp, *command[1:], f"--rtol={rtol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --rtol: expected a finite nonnegative number, got '{rtol}'" in captured.err
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["recover"], ["gen", "--count", "2"]])
+def test_rtol_only_where_it_is_read(tmp_path, capsys, command):
+    inp = lebesgue_file(tmp_path, 3)
+    assert main([command[0], "--input", inp, *command[1:], "--rtol", "1e-8"]) == 2
+    assert "unrecognized arguments: --rtol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,kind,text,key", [
+    ("analyze", "moment", '{"q": 1, "a": 0.0, "moments": [[[[1.0, 0.0]]]]}', "b"),
+    ("gen", "measure", '{"points": [0.5]}', "weights"),
+    ("recover", "parameter", '{"q": 1, "a": 0.0, "b": 1.0, "mhat": [], "lhat": []}', "s0"),
+])
+def test_missing_key_names_file_kind_and_key(tmp_path, capsys, command, kind, text, key):
+    inp = write_json(tmp_path / "input.json", text)
+    extra = ["--count", "2"] if command == "gen" else []
+    assert main([command, "--input", inp, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {kind} file has no '{key}'\n"
+
+
+@pytest.mark.parametrize("command,kind", [(["analyze"], "moment"), (["recover"], "parameter"),
+                                          (["gen", "--count", "2"], "measure")])
+def test_input_file_must_hold_an_object(tmp_path, capsys, command, kind):
+    inp = write_json(tmp_path / "input.json", "[1, 2]")
+    assert main([command[0], "--input", inp, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {kind} file must hold a JSON object\n"

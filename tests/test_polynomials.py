@@ -240,6 +240,23 @@ def test_R_many_is_the_dense_R_bit_for_bit(q):
         assert vecs.R_many(j, []).shape == (0, (j + 1) * seq.q, (j + 1) * seq.q)
 
 
+@pytest.mark.parametrize("q,a", [(1, 0.0), (2, 0.0), (2, -0.5)])
+def test_R_at_a_is_kept_read_only_and_leaves_R_alone(q, a):
+    seq, _ = random_sequence(np.random.default_rng(7), q, 3, a=a)
+    vecs = build_family(seq).vectors
+    for j in range(4):
+        kept = vecs.R_at_a(j)
+        assert vecs.R_at_a(j) is kept and not kept.flags.writeable
+        assert np.array_equal(kept, vecs.R(j, a)) and np.array_equal(kept, dense_R(q, j, a))
+        # -0.0 == 0.0, but R(j, -0.0) is not R_j(a) at a = 0.0: its sign bits differ
+        for z in (-0.0, complex(0.0, -0.0), complex(-0.0, -0.0)):
+            got, want = vecs.R(j, z), dense_R(q, j, z)
+            assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        if a == 0.0 and j:
+            assert not np.array_equal(np.signbit(kept.real), np.signbit(vecs.R(j, -0.0).real))
+
+
 def test_values_at_a_are_cached_read_only(leb_family):
     fam = leb_family
     for p in (*fam.p1, *fam.q2, *fam.t2):
