@@ -90,7 +90,6 @@ from .extremal import (
     extremal_quotient_many,
     mobius_apply,
     mobius_chain_apply,
-    solution_transform,
 )
 from .reporting import IdentityCheck, IdentityReport
 

@@ -226,8 +226,7 @@ def cmd_gen(args):
 
 def cmd_scalar_report(args):
     seq = tio.read_moment_file(args.input)
-    mtilde, ltilde = scalar_determinant_params(seq, rtol=args.rtol)
-    dsm = compute_second(seq)
+    mtilde, ltilde, dsm = scalar_determinant_params(seq, rtol=args.rtol)
     m_res = [
         abs(mt - float(dsm.mhat[j][0, 0].real)) / max(1.0, abs(mt))
         for j, mt in enumerate(mtilde)
@@ -284,7 +283,6 @@ def build_parser():
     p = sub.add_parser("analyze", help="classification, Schur chains, parameter chains")
     common(p)
     p.add_argument("--params-out", help="also write a parameter file for 'recover'")
-    p.set_defaults(func=cmd_analyze)
 
     # argparse reads "-0.2+0.1i" after a space as an option, so such a
     # literal has to be attached with "="
@@ -297,7 +295,6 @@ def build_parser():
     p.add_argument("--z", action="append", default=[], help=z_help)
     p.add_argument("--parity", choices=("even", "odd", "auto"), default="auto")
     p.add_argument("--route", choices=("direct", "second", "first"), default="second")
-    p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("extremal", help="extremal solutions by quotient and continued fraction")
     common(p)
@@ -305,21 +302,17 @@ def build_parser():
     p.add_argument("--z", action="append", default=[], help=z_help)
     p.add_argument("--parity", choices=("even", "odd", "auto"), default="auto")
     p.add_argument("--which", choices=("krein", "friedrichs"), default="friedrichs")
-    p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("recover", help="rebuild moments from a parameter file")
     common(p)
-    p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("gen", help="moments of a discrete measure file")
     common(p)
     p.add_argument("--count", type=int, required=True, help="highest moment index m")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("scalar-report", help="determinant-formula parameters for q = 1")
     common(p)
     rtol(p)
-    p.set_defaults(func=cmd_scalar_report)
 
     return parser
 
@@ -330,8 +323,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
+    # looked up per call, not bound into the cached parser, so a cmd_* function
+    # rebound in this module (a tracer, a test) is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -45,6 +45,7 @@ from .errors import (
 from .moments import (
     MomentSequence,
     build_hankels,
+    hankel_entries,
     hankel_from_entries,
 )
 from .polynomials import build_family, ensure_family
@@ -97,36 +98,23 @@ class DsmFirst:
     L: tuple
 
 
-def _form(vecs, hank, family, j, col):
-    """col^* R_j^*(a) family[j]^{-1} R_j(a) col."""
-    rc = vecs.R_at_a(j) @ col
-    return rc.conj().T @ hank.solve(family, j, rc)
-
-
 def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
     """Second-type parameters by both routes; fails on route disagreement."""
     fam = build_family(seq) if fam is None else fam
-    vecs = fam.vectors
     hank = fam.hankels
     sch = fam.schur
-    a = seq.a
     m = seq.m
     s0 = seq.s[0]
     n_t = (m - 1) // 2 if m >= 1 else -1
     n_l = (m - 2) // 2 if m >= 2 else -1
 
-    that_qf = []
-    for j in range(n_t + 1):
-        that_qf.append(hermitize(_form(vecs, hank, "K1", j, vecs.v(j))))
+    that_qf = [hermitize(hank.form("K1", j)) for j in range(n_t + 1)]
     mhat_qf = (
         [that_qf[0]] + [that_qf[j] - that_qf[j - 1] for j in range(1, n_t + 1)]
         if that_qf else []
     )
 
-    qf = []
-    for j in range(n_l + 1):
-        col = vecs.u2(j) + a * (vecs.v(j) @ s0)
-        qf.append(hermitize(_form(vecs, hank, "H2", j, col)))
+    qf = [hermitize(hank.form("H2", j)) for j in range(n_l + 1)]
     lhat_qf = [qf[0]] + [qf[j] - qf[j - 1] for j in range(1, n_l + 1)] if qf else []
     rhat_qf = [np.array(s0)] + [s0 + qf[j] for j in range(n_l + 1)]
 
@@ -178,18 +166,15 @@ def compute_first(source):
         fam = ensure_family(source)
         seq = fam.seq
         hank = fam.hankels
-    vecs = hank.vectors
-    a = seq.a
     m = seq.m
 
-    qh = [hermitize(_form(vecs, hank, "H1", j, vecs.v(j))) for j in range(m // 2 + 1)]
+    qh = [hermitize(hank.form("H1", j)) for j in range(m // 2 + 1)]
     M = [qh[0]] + [qh[j] - qh[j - 1] for j in range(1, len(qh))]
 
-    qk = [hermitize(_form(vecs, hank, "K2", j, vecs.ut2(j)))
-          for j in range((m - 1) // 2 + 1 if m >= 1 else 0)]
+    qk = [hermitize(hank.form("K2", j)) for j in range((m - 1) // 2 + 1 if m >= 1 else 0)]
     L = [qk[0]] + [qk[j] - qk[j - 1] for j in range(1, len(qk))] if qk else []
 
-    return DsmFirst(q=seq.q, a=a, M=tuple(M), L=tuple(L))
+    return DsmFirst(q=seq.q, a=seq.a, M=tuple(M), L=tuple(L))
 
 
 def product_identities(fam, dsm, first=None):
@@ -361,38 +346,30 @@ def recover_moments(s0, mhat, lhat, a, b):
     q = s0.shape[0]
     eye = np.eye(q, dtype=complex)
 
+    def corner(family, complement, j):
+        """e_{2j} of family from its complement: complement + Y_j^* F[j-1]^{-1} Y_j."""
+        if j == 0:
+            return complement
+        entries = hankel_entries(family, s, a, b)
+        y = np.concatenate(entries[j:2 * j], axis=0)
+        prev = hankel_from_entries(entries, j - 1)
+        return complement + y.conj().T @ solve_pd(prev, y, family, j - 1)
+
     s = [s0]
     W = eye
     for j in range(len(m_factors)):
         inv_mj = solve_factored(m_factors[j], eye)
         khat = W @ inv_mj @ W.conj().T
-        if j == 0:
-            corner = khat
-        else:
-            yt = np.concatenate(
-                [b * s[j + i] - s[j + 1 + i] for i in range(j)], axis=0
-            )
-            k_prev = hankel_from_entries(
-                [b * s[i] - s[i + 1] for i in range(2 * j - 1)], j - 1
-            )
-            corner = khat + yt.conj().T @ solve_pd(k_prev, yt, "K1", j - 1)
-        s.append(hermitize(b * s[2 * j] - corner))
+        # s_{2j+1} from the corner e_{2j} = b s_{2j} - s_{2j+1} of K1[j]
+        s.append(hermitize(b * s[2 * j] - corner("K1", khat, j)))
 
         if j >= len(l_factors):
             break
         inv_lj = solve_factored(l_factors[j], eye)
         x = W @ inv_mj
         hhat = x @ inv_lj @ x.conj().T
-        shat_entries = [
-            -a * b * s[i] + (a + b) * s[i + 1] - s[i + 2] for i in range(2 * j)
-        ]
-        if j == 0:
-            shat_corner = hhat
-        else:
-            y2 = np.concatenate(shat_entries[j:2 * j], axis=0)
-            h_prev = hankel_from_entries(shat_entries, j - 1)
-            shat_corner = hhat + y2.conj().T @ solve_pd(h_prev, y2, "H2", j - 1)
-        s.append(hermitize(-a * b * s[2 * j] + (a + b) * s[2 * j + 1] - shat_corner))
+        # s_{2j+2} from the corner e_{2j} = -ab s_{2j} + (a+b) s_{2j+1} - s_{2j+2} of H2[j]
+        s.append(hermitize(-a * b * s[2 * j] + (a + b) * s[2 * j + 1] - corner("H2", hhat, j)))
         W = W @ inv_mj @ inv_lj
 
     return MomentSequence(a=a, b=b, s=tuple(s))
@@ -436,18 +413,18 @@ def scalar_determinant_params(seq, rtol=1e-8):
     ltilde_j = det(E2_j)^2 / (det H2[j] det H2[j-1]) with Hankel rows of
     shat over the row -(u2^* + a v^* s_0) R^*(a).  Index -1 determinants
     are 1, which reproduces the closed base cases.  Values are validated
-    against the matrix-route parameters before being returned.
+    against the matrix-route parameters, which are returned with them:
+    (mtilde, ltilde, dsm), dsm the DsmSecond of the sequence.
     """
     if seq.q != 1:
         raise WrongMatrixSize(f"scalar determinant route needs q = 1, got q = {seq.q}")
     fam = build_family(seq)
     hank = fam.hankels
     vecs = fam.vectors
-    a, b = seq.a, seq.b
+    a = seq.a
     m = seq.m
-    s = [complex(x[0, 0]) for x in seq.s]
-    s3 = [b * s[k] - s[k + 1] for k in range(m)]
-    sh = [complex(x[0, 0]) for x in hank.shat]
+    s3 = [complex(x[0, 0]) for x in hank.entries["K1"]]
+    sh = [complex(x[0, 0]) for x in hank.entries["H2"]]
     n_t = (m - 1) // 2 if m >= 1 else -1
     n_l = (m - 2) // 2 if m >= 2 else -1
 
@@ -464,7 +441,7 @@ def scalar_determinant_params(seq, rtol=1e-8):
 
     ltilde = []
     for j in range(n_l + 1):
-        u = vecs.u2(j) + a * (vecs.v(j) @ seq.s[0])
+        u = hank.column("H2", j)
         e_row = -(u.conj().T @ vecs.R_at_a(j).conj().T)
         rows = [[sh[i + k] for k in range(j + 1)] for i in range(j)]
         rows.append([e_row[0, k] for k in range(j + 1)])
@@ -481,4 +458,4 @@ def scalar_determinant_params(seq, rtol=1e-8):
         res = rel_residual(np.array([[val]]), dsm.lhat_from_zero[j])
         if res > rtol:
             raise RouteMismatch("ltilde", f"j={j}", res)
-    return tuple(mtilde), tuple(ltilde)
+    return tuple(mtilde), tuple(ltilde), dsm

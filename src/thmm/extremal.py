@@ -79,11 +79,6 @@ def mobius_chain_apply(factors, x, y, cond_limit=COND_LIMIT):
     return right_quotient(col_x, col_y, cond_limit)
 
 
-def solution_transform(resolvent, p0, q0):
-    """Solution value at a constant column pair: (alpha p0 + beta q0)(gamma p0 + delta q0)^{-1}."""
-    return mobius_apply(resolvent, p0, q0)
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class ContinuedFractionChain:
     """head + inv(levels[0] + inv(levels[1] + .. + inv(levels[-1]) ..)).

@@ -20,8 +20,11 @@ A HankelSet owns the Cholesky factors of its members and a SchurChain
 those of its complements.  Each factor is computed by cholesky_pd on
 first use and kept for the lifetime of its owner, and every solve against
 a member goes through its owner's solve, so one command factors each
-matrix once.  A HankelSet also owns the StructuralVectors of its sequence,
-which keep each shift resolvent R_j(a) at the left endpoint once built.
+matrix once.  A HankelSet also keeps the two kinds of solve everything
+downstream reads, each made once: the Schur step of each member and the
+transfer solve of each family.  It owns the StructuralVectors of its
+sequence, which keep each shift resolvent R_j(a) at the left endpoint
+once built.
 """
 
 from __future__ import annotations
@@ -113,12 +116,25 @@ class MomentSequence:
         return len(self.s) - 1
 
 
+# Entry k of each Hankel family from the moments s on [a, b], and how many
+# moments past s_k it reads: the one definition of each family.
+_ENTRIES = {
+    "H1": (0, lambda s, a, b, k: s[k]),
+    "H2": (2, lambda s, a, b, k: -a * b * s[k] + (a + b) * s[k + 1] - s[k + 2]),
+    "K1": (1, lambda s, a, b, k: b * s[k] - s[k + 1]),
+    "K2": (1, lambda s, a, b, k: -a * s[k] + s[k + 1]),
+}
+
+
+def hankel_entries(family, s, a, b):
+    """The entries e_0, e_1, ... of a Hankel family that the moments s on [a, b] give."""
+    reach, entry = _ENTRIES[family]
+    return tuple(entry(s, a, b, k) for k in range(len(s) - reach))
+
+
 def shifted_moments(seq):
-    """shat_j = -ab s_j + (a+b) s_{j+1} - s_{j+2}, for j = 0..m-2."""
-    a, b, s = seq.a, seq.b, seq.s
-    return tuple(
-        -a * b * s[j] + (a + b) * s[j + 1] - s[j + 2] for j in range(len(s) - 2)
-    )
+    """shat_j = -ab s_j + (a+b) s_{j+1} - s_{j+2}, for j = 0..m-2: the entries of H2."""
+    return hankel_entries("H2", seq.s, seq.a, seq.b)
 
 
 def hankel_from_entries(entries, j):
@@ -158,21 +174,35 @@ class _Factors:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class HankelSet(_Factors):
-    """The four block Hankel families of a moment sequence, and their factors.
+    """The four block Hankel families of a moment sequence, their factors and solves.
 
-    factor("K1", j) and solve("K1", j, rhs) work on member K1[j]; a family
-    is named "H1", "H2", "K1" or "K2".  vectors is the one StructuralVectors
-    of the sequence, shared by everything built from this set.
+    A family F is "H1", "H2", "K1" or "K2"; entries[F] is its entry sequence
+    e_0, e_1, ... and member F[j] is {e_{l+k}}_{l,k=0..j}.  factor(F, j)
+    and solve(F, j, rhs) work on F[j] through its kept factor.  The two
+    kinds of solve the rest of the package reads are made once, on first
+    use, and kept read-only:
+
+      schur_row(F, j)  the Schur step x_j = F[j-1]^{-1} Y_j on the cross
+                       column Y_j = (e_j; ...; e_{2j-1}).  It gives the Schur
+                       complement e_{2j} - Y_j^* x_j and the Schur row
+                       (-x_j^*, I_q) of the monic polynomial.
+      transfer(F, j)   F[j]^{-1} R_j(a) c_j on the transfer column c_j of
+                       the family (column), and form(F, j) the quadratic
+                       form c_j^* R_j(a)^* F[j]^{-1} R_j(a) c_j.
+
+    vectors is the one StructuralVectors of the sequence, shared by
+    everything built from this set.
     """
 
     seq: MomentSequence
+    entries: dict
     H1: tuple
     H2: tuple
     K1: tuple
     K2: tuple
-    shat: tuple
     vectors: StructuralVectors
     _factors: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+    _kept: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def member(self, family, j):
         if j < 0 or j >= len(getattr(self, family)):
@@ -181,33 +211,63 @@ class HankelSet(_Factors):
             )
         return getattr(self, family)[j]
 
-    def h1(self, j):
-        return self.member("H1", j)
+    def cross(self, family, j):
+        """Y_j = (e_j; ...; e_{2j-1}), the column bordering F[j-1] in F[j], for j >= 1."""
+        entries = self.entries[family]
+        if j < 1 or 2 * j > len(entries):
+            raise InsufficientMoments(
+                f"cross column {j} of {family} needs moments beyond the supplied m={self.seq.m}"
+            )
+        return np.concatenate(entries[j:2 * j], axis=0)
 
-    def h2(self, j):
-        return self.member("H2", j)
+    def column(self, family, j):
+        """The transfer column c_j: v_j for H1 and K1, u2_j + a v_j s_0 for H2, ut2_j for K2."""
+        vecs = self.vectors
+        if family == "H2":
+            return vecs.u2(j) + self.seq.a * (vecs.v(j) @ self.seq.s[0])
+        if family == "K2":
+            return vecs.ut2(j)
+        return vecs.v(j)
 
-    def k1(self, j):
-        return self.member("K1", j)
+    def schur_row(self, family, j):
+        """x_j = F[j-1]^{-1} Y_j for j >= 1, solved once and kept read-only."""
+        key = ("schur_row", family, j)
+        if key not in self._kept:
+            x = self.solve(family, j - 1, self.cross(family, j))
+            x.flags.writeable = False
+            self._kept[key] = x
+        return self._kept[key]
 
-    def k2(self, j):
-        return self.member("K2", j)
+    def transfer(self, family, j):
+        """F[j]^{-1} R_j(a) c_j, solved once and kept read-only."""
+        return self._transfer(family, j)[0]
+
+    def form(self, family, j):
+        """c_j^* R_j(a)^* F[j]^{-1} R_j(a) c_j, kept read-only."""
+        return self._transfer(family, j)[1]
+
+    def _transfer(self, family, j):
+        key = ("transfer", family, j)
+        if key not in self._kept:
+            col = self.column(family, j)
+            rc = self.vectors.R_at_a(j) @ col
+            x = self.solve(family, j, rc)
+            form = rc.conj().T @ x
+            x.flags.writeable = form.flags.writeable = False
+            self._kept[key] = (x, form)
+        return self._kept[key]
 
 
 def build_hankels(seq):
     """All block Hankel family members buildable from the available moments."""
-    s = seq.s
-    m = seq.m
-    a, b = seq.a, seq.b
     vecs = StructuralVectors(seq)
-    shat = vecs._shat
-    k1_entries = tuple(b * s[j] - s[j + 1] for j in range(m))
-    k2_entries = tuple(-a * s[j] + s[j + 1] for j in range(m))
-    H1 = tuple(hankel_from_entries(s, j) for j in range(m // 2 + 1))
-    H2 = tuple(hankel_from_entries(shat, j) for j in range((m - 2) // 2 + 1)) if m >= 2 else ()
-    K1 = tuple(hankel_from_entries(k1_entries, j) for j in range((m - 1) // 2 + 1)) if m >= 1 else ()
-    K2 = tuple(hankel_from_entries(k2_entries, j) for j in range((m - 1) // 2 + 1)) if m >= 1 else ()
-    return HankelSet(seq=seq, H1=H1, H2=H2, K1=K1, K2=K2, shat=shat, vectors=vecs)
+    entries = {family: hankel_entries(family, seq.s, seq.a, seq.b) for family in ("H1", "K1", "K2")}
+    entries["H2"] = vecs._shat   # the shifted moments, which the vectors already hold
+    members = {
+        family: tuple(hankel_from_entries(e, j) for j in range((len(e) - 1) // 2 + 1))
+        for family, e in entries.items()
+    }
+    return HankelSet(seq=seq, entries=entries, vectors=vecs, **members)
 
 
 class StructuralVectors:
@@ -295,11 +355,6 @@ class StructuralVectors:
         self._need(k, f"y[{j},{k}]")
         return np.concatenate(self.seq.s[j:k + 1], axis=0)
 
-    def shat(self, j):
-        if j >= len(self._shat) or j < 0:
-            raise InsufficientMoments(f"shat_{j} needs s_{j + 2} but m={self.seq.m}")
-        return self._shat[j]
-
     def yhat(self, j, k):
         """Stacked shifted moments (shat_j; ...; shat_k)."""
         if k >= len(self._shat):
@@ -338,18 +393,6 @@ class StructuralVectors:
         pad = np.concatenate([np.zeros((q, q), dtype=complex), self.y(0, j - 1)], axis=0)
         return -self.y(0, j) + self.seq.a * pad
 
-    def Y1(self, j):
-        return self.y(j, 2 * j - 1)
-
-    def Y2(self, j):
-        return self.yhat(j, 2 * j - 1)
-
-    def Yt1(self, j):
-        return self.seq.b * self.y(j, 2 * j - 1) - self.y(j + 1, 2 * j)
-
-    def Yt2(self, j):
-        return -self.seq.a * self.y(j, 2 * j - 1) + self.y(j + 1, 2 * j)
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SchurChain(_Factors):
@@ -370,35 +413,29 @@ class SchurChain(_Factors):
 
 
 def schur_chain(hankels):
-    """Recursive corner Schur complements of all four Hankel families."""
-    seq = hankels.seq
-    vecs = hankels.vectors
-    s = seq.s
-    a, b = seq.a, seq.b
-    shat = hankels.shat
+    """Recursive corner Schur complements of all four Hankel families.
 
-    def corner_chain(base, corner, cross, name):
+    The complement of F[j] is e_{2j} - Y_j^* x_j on the kept Schur step
+    x_j = hankels.schur_row(F, j), and e_0 itself at j = 0.
+    """
+    def complements(family):
+        corners = hankels.entries[family]
         out = []
-        for j in range(len(getattr(hankels, name))):
+        for j in range(len(getattr(hankels, family))):
             if j == 0:
-                out.append(base)
-                continue
-            y = cross(j)
-            x = hankels.solve(name, j - 1, y)
-            out.append(hermitize(corner(j) - y.conj().T @ x))
+                out.append(corners[0])
+            else:
+                y = hankels.cross(family, j)
+                out.append(hermitize(corners[2 * j] - y.conj().T @ hankels.schur_row(family, j)))
         return tuple(out)
 
-    hhat1 = corner_chain(s[0], lambda j: s[2 * j], vecs.Y1, "H1")
-    hhat2 = corner_chain(
-        shat[0], lambda j: shat[2 * j], vecs.Y2, "H2",
-    ) if hankels.H2 else ()
-    khat1 = corner_chain(
-        b * s[0] - s[1], lambda j: b * s[2 * j] - s[2 * j + 1], vecs.Yt1, "K1",
-    ) if hankels.K1 else ()
-    khat2 = corner_chain(
-        -a * s[0] + s[1], lambda j: -a * s[2 * j] + s[2 * j + 1], vecs.Yt2, "K2",
-    ) if hankels.K2 else ()
-    return SchurChain(seq=seq, hhat1=hhat1, hhat2=hhat2, khat1=khat1, khat2=khat2)
+    return SchurChain(
+        seq=hankels.seq,
+        hhat1=complements("H1"),
+        hhat2=complements("H2"),
+        khat1=complements("K1"),
+        khat2=complements("K2"),
+    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,17 +1,18 @@
 """Orthogonal matrix polynomial families and their second-kind companions.
 
 Eight families are attached to one moment sequence.  Writing
-row_j = (-Y^* Parent^{-1}, I_q) for the Schur row of the indicated
-parent Hankel matrix, and R_j(z) for the shift resolvent:
+row_j(F) = (-Y_j^* F[j-1]^{-1}, I_q) for the Schur row of the Hankel
+family F (Y_j its cross column, HankelSet.schur_row), and R_j(z) for the
+shift resolvent:
 
-    P1[j](z) = row_j(Y1, H1[j-1])   R_j(z) v_j          monic, degree j
-    Q1[j](z) = -row_j(Y1, H1[j-1])  R_j(z) u1_j         degree j - 1
-    P2[j](z) = row_j(Y2, H2[j-1])   R_j(z) v_j          monic, degree j
-    Q2[j](z) = -row_j(Y2, H2[j-1])  R_j(z) (u2_j + z v_j s_0)
-    G1[j](z) = row_j(Yt1, K1[j-1])  R_j(z) v_j          monic, degree j
-    T1[j](z) = row_j(Yt1, K1[j-1])  R_j(z) ut1_j
-    G2[j](z) = row_j(Yt2, K2[j-1])  R_j(z) v_j          monic, degree j
-    T2[j](z) = row_j(Yt2, K2[j-1])  R_j(z) ut2_j
+    P1[j](z) = row_j(H1)   R_j(z) v_j          monic, degree j
+    Q1[j](z) = -row_j(H1)  R_j(z) u1_j         degree j - 1
+    P2[j](z) = row_j(H2)   R_j(z) v_j          monic, degree j
+    Q2[j](z) = -row_j(H2)  R_j(z) (u2_j + z v_j s_0)
+    G1[j](z) = row_j(K1)   R_j(z) v_j          monic, degree j
+    T1[j](z) = row_j(K1)   R_j(z) ut1_j
+    G2[j](z) = row_j(K2)   R_j(z) v_j          monic, degree j
+    T2[j](z) = row_j(K2)   R_j(z) ut2_j
 
 The j = 0 members degenerate to P1 = P2 = G1 = G2 = I, Q1 = 0,
 Q2(z) = -(u2_0 + z s_0), T1 = s_0, T2 = -s_0.  Coefficients are
@@ -84,12 +85,12 @@ def adjoint_eval(p, z):
     return acc
 
 
-def _schur_row(Y, hank, family, j, q):
-    """Blocks of (-Y^* family[j-1]^{-1}, I_q); the bare (I_q,) when j = 0."""
+def _schur_row(hank, family, j, q):
+    """Blocks of the Schur row (-x_j^*, I_q) of family; the bare (I_q,) when j = 0."""
     eye = np.eye(q, dtype=complex)
     if j == 0:
         return [eye]
-    x = hank.solve(family, j - 1, Y)
+    x = hank.schur_row(family, j)
     blocks = [-x[k * q:(k + 1) * q, :].conj().T for k in range(j)]
     blocks.append(eye)
     return blocks
@@ -228,7 +229,7 @@ def build_family(source):
 
     p1, q1 = [], []
     for j in range((m + 1) // 2 + 1):
-        row = _schur_row(vecs.Y1(j) if j else None, hank, "H1", j, q)
+        row = _schur_row(hank, "H1", j, q)
         p1.append(MatrixPoly(_convolve(row, vcol(j)), "P1", j))
         u1 = _split_blocks(vecs.u1(j), j, q)
         q1.append(MatrixPoly(_convolve(row, u1, sign=-1.0), "Q1", j))
@@ -236,17 +237,17 @@ def build_family(source):
     p2, q2 = [], []
     if m >= 1:
         for j in range((m - 1) // 2 + 1):
-            row = _schur_row(vecs.Y2(j) if j else None, hank, "H2", j, q)
+            row = _schur_row(hank, "H2", j, q)
             p2.append(MatrixPoly(_convolve(row, vcol(j)), "P2", j))
             u2 = _split_blocks(vecs.u2(j), j, q)
             q2.append(MatrixPoly(_convolve(row, u2, shift=seq.s[0], sign=-1.0), "Q2", j))
 
     g1, t1, g2, t2 = [], [], [], []
     for j in range(m // 2 + 1):
-        row1 = _schur_row(vecs.Yt1(j) if j else None, hank, "K1", j, q)
+        row1 = _schur_row(hank, "K1", j, q)
         g1.append(MatrixPoly(_convolve(row1, vcol(j)), "G1", j))
         t1.append(MatrixPoly(_convolve(row1, _split_blocks(vecs.ut1(j), j, q)), "T1", j))
-        row2 = _schur_row(vecs.Yt2(j) if j else None, hank, "K2", j, q)
+        row2 = _schur_row(hank, "K2", j, q)
         g2.append(MatrixPoly(_convolve(row2, vcol(j)), "G2", j))
         t2.append(MatrixPoly(_convolve(row2, _split_blocks(vecs.ut2(j), j, q)), "T2", j))
 
@@ -331,20 +332,16 @@ def verify_family_identities(fam, measure=None, zs=None):
             t2a_inv = np.linalg.inv(adjoint_at_a(fam.t2[j]))
         except np.linalg.LinAlgError as exc:
             raise SingularNormalization(f"T2[{j}] value at a is singular") from exc
-        rv_a = vecs.R_at_a(j) @ vecs.v(j)
-        solved = hank.solve("H1", j, rv_a)
         lhs = adjoint_eval(fam.g2[j], points) @ t2a_inv
-        rhs = -_adjoint(r_points(j) @ vecs.v(j)) @ solved
+        rhs = -_adjoint(r_points(j) @ hank.column("H1", j)) @ hank.transfer("H1", j)
         add_points("ratio_g2_t2", j, lhs, rhs)
     for j in range(min(max(len(fam.q1) - 1, 0), max(len(fam.p1) - 1, 0), len(hank.K2))):
         try:
             p1a_inv = np.linalg.inv(adjoint_at_a(fam.p1[j + 1]))
         except np.linalg.LinAlgError as exc:
             raise SingularNormalization(f"P1[{j + 1}] value at a is singular") from exc
-        ut = vecs.ut2(j)
-        solved = hank.solve("K2", j, vecs.R_at_a(j) @ ut)
         lhs = adjoint_eval(fam.q1[j + 1], points) @ p1a_inv
-        rhs = -_adjoint(r_points(j) @ ut) @ solved
+        rhs = -_adjoint(r_points(j) @ hank.column("K2", j)) @ hank.transfer("K2", j)
         add_points("ratio_q1_p1", j, lhs, rhs)
 
     for j in range(min(max(len(fam.q1) - 1, 0), len(fam.q2), len(fam.g1), len(fam.t1),

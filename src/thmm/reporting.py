@@ -41,6 +41,3 @@ class IdentityReport:
 
     def by_name(self):
         return {name: self.residual_for(name) for name in self.names()}
-
-    def ok(self, tol):
-        return self.max_residual <= tol

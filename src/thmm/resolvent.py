@@ -221,7 +221,7 @@ def _aux_blocks(fam, j, z, kind):
         left_col = right_col = vecs.u2(j)
     else:
         left_col = vecs.u2(j) + np.conj(z) * (v @ seq.s[0])
-        right_col = vecs.u2(j) + a * (v @ seq.s[0])
+        right_col = hank.column("H2", j)
         extra = seq.s[0]
 
     rz = vecs.R(j, np.conj(z))
@@ -402,18 +402,12 @@ def aux_product(source, order, z, kind, dsm=None, rtol=1e-10):
 
 def boundary_n2(fam, j):
     """-(b - a)^{-1} v^* R^*(a) H1[j]^{-1} R(a) v, the even boundary correction."""
-    seq = fam.seq
-    vecs = fam.vectors
-    ra_v = vecs.R_at_a(j) @ vecs.v(j)
-    return -(ra_v.conj().T @ fam.hankels.solve("H1", j, ra_v)) / (seq.b - seq.a)
+    return -fam.hankels.form("H1", j) / (fam.seq.b - fam.seq.a)
 
 
 def boundary_b2(fam, j):
     """(b - a) ut2^* R^*(a) K2[j]^{-1} R(a) ut2, the odd boundary correction."""
-    seq = fam.seq
-    vecs = fam.vectors
-    col = vecs.R_at_a(j) @ vecs.ut2(j)
-    return (seq.b - seq.a) * (col.conj().T @ fam.hankels.solve("K2", j, col))
+    return (fam.seq.b - fam.seq.a) * fam.hankels.form("K2", j)
 
 
 def resolvent_from_aux(source, z, parity):

@@ -211,12 +211,12 @@ def test_criterion_9_scalar_determinant_route(ensemble):
     for q, n, seq, _, _, dsm, _, _ in ensemble:
         if q != 1:
             continue
-        mt, lt = scalar_determinant_params(seq, rtol=1e-8)
+        mt, lt, _ = scalar_determinant_params(seq, rtol=1e-8)
         for j, v in enumerate(mt):
             worst = max(worst, abs(v - dsm.m(j)[0, 0].real) / max(1.0, abs(v)))
         for j, v in enumerate(lt):
             worst = max(worst, abs(v - dsm.l(j)[0, 0].real) / max(1.0, abs(v)))
-    mt, _ = scalar_determinant_params(lebesgue(3))
+    mt, _, _ = scalar_determinant_params(lebesgue(3))
     desk = abs(mt[1] - 4.0)
     ok = worst <= 1e-8 and desk <= 1e-10
     _verdict(9, ok,

@@ -314,8 +314,8 @@ def test_analyze_shares_one_structural_vectors(monkeypatch):
     real_init = moments.StructuralVectors.__init__
     monkeypatch.setattr(moments.StructuralVectors, "__init__",
                         lambda self, seq: made.append(self) or real_init(self, seq))
-    # Y1 is read by schur_chain and build_family, R_at_a by every DSM route
-    for name in ("Y1", "R_at_a"):
+    # v is read by build_family and the transfer columns, R_at_a by every DSM route
+    for name in ("v", "R_at_a"):
         real = getattr(moments.StructuralVectors, name)
         monkeypatch.setattr(moments.StructuralVectors, name,
                             lambda self, j, real=real: seen.add(id(self)) or real(self, j))
@@ -336,6 +336,55 @@ def test_analyze_shares_one_structural_vectors(monkeypatch):
     # m = 6: R_j(a) for j = 0..3 once each, and R_j(conj z) over the sample
     # points once per j for both ratio identities
     assert sorted(builds) == [0, 0, 1, 1, 2, 2, 3, 3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["factorize", "--route", "second", "--z=-1", "--z=0.3+0.2i"],
+    ["factorize", "--route", "first", "--parity", "even", "--z=-1", "--z=0.3+0.2i"],
+    ["extremal", "--which", "krein", "--z=-1", "--z=0.3+0.2i"],
+])
+def test_no_hankel_member_is_solved_twice(monkeypatch, argv):
+    solved, sets = [], []
+    real_solve = moments.HankelSet.solve
+
+    def solve(self, family, j, rhs):
+        sets.append(self)   # keeps ids apart
+        solved.append((id(self), family, j, np.ascontiguousarray(rhs).tobytes()))
+        return real_solve(self, family, j, rhs)
+
+    monkeypatch.setattr(moments.HankelSet, "solve", solve)
+    inp = str(Path(__file__).parent / "golden" / "moments_q2.json")
+    assert main([argv[0], "--input", inp, *argv[1:], "--output", os.devnull]) == 0
+    assert solved and len(set(solved)) == len(solved)
+
+
+def test_main_runs_the_cmd_function_bound_at_call_time(tmp_path, monkeypatch):
+    inp = lebesgue_file(tmp_path, 3)
+    assert main(["analyze", "--input", inp, "--output", os.devnull]) == 0   # parser built
+    calls = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: calls.append(args.input) or 7)
+    monkeypatch.setattr(cli, "cmd_scalar_report", lambda args: calls.append(args.rtol) or 8)
+    assert main(["analyze", "--input", inp]) == 7
+    assert main(["scalar-report", "--input", inp, "--rtol", "0.5"]) == 8
+    assert calls == [inp, 0.5]
+
+
+def test_scalar_report_builds_one_family_and_chain(monkeypatch):
+    from thmm import polynomials
+
+    built, chains = [], []
+    real_build = polynomials.build_family
+    for module in (polynomials, dsm, cli):
+        monkeypatch.setattr(module, "build_family",
+                            lambda src: built.append(src) or real_build(src))
+    real_second = dsm.compute_second
+    for module in (dsm, cli):
+        monkeypatch.setattr(module, "compute_second",
+                            lambda *args, **kw: chains.append(args) or real_second(*args, **kw))
+    inp = str(Path(__file__).parent / "golden" / "moments_q1.json")
+    assert main(["scalar-report", "--input", inp, "--output", os.devnull]) == 0
+    assert len(built) == 1 and len(chains) == 1
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):

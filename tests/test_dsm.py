@@ -219,7 +219,7 @@ def test_limit_check_requires_a_zero():
 
 
 def test_scalar_determinant_desk():
-    mt, lt = scalar_determinant_params(lebesgue(3))
+    mt, lt, _ = scalar_determinant_params(lebesgue(3))
     assert abs(mt[0] - 2.0) < 1e-12
     assert abs(mt[1] - 4.0) < 1e-10
     assert abs(lt[0] - 1.5) < 1e-12
@@ -237,7 +237,7 @@ def test_scalar_determinant_d3_value():
 
 def test_scalar_determinant_matches_matrix_route(rng):
     seq, _ = random_sequence(rng, 1, 3)
-    mt, lt = scalar_determinant_params(seq)
+    mt, lt, _ = scalar_determinant_params(seq)
     dsm = compute_second(seq)
     for j, v in enumerate(mt):
         assert abs(v - dsm.m(j)[0, 0].real) <= 1e-8 * max(1.0, abs(v))

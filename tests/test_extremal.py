@@ -23,7 +23,6 @@ from thmm import (
     mobius_chain_apply,
     resolvent_direct,
     resolvent_factors,
-    solution_transform,
 )
 
 from conftest import lebesgue, random_sequence, random_z_points, rel
@@ -190,9 +189,9 @@ def test_solution_transform_constant_pairs(rng):
     u = resolvent_direct(fam, z, "odd")
     ext = extremal_quotient(fam, z, "odd")
     eye, zero = np.eye(2), np.zeros((2, 2))
-    assert rel(solution_transform(u, eye, zero), ext.sK) < 1e-10
-    assert rel(solution_transform(u, zero, eye), ext.sF) < 1e-10
-    mixed = solution_transform(u, eye, eye)
+    assert rel(mobius_apply(u, eye, zero), ext.sK) < 1e-10
+    assert rel(mobius_apply(u, zero, eye), ext.sF) < 1e-10
+    mixed = mobius_apply(u, eye, eye)
     assert np.linalg.norm(mixed - mixed.conj().T) < 1e-9 * (1 + np.linalg.norm(mixed))
 
 

@@ -56,23 +56,23 @@ def test_lebesgue_k11_exact():
     hank = build_hankels(lebesgue(3))
     expected = np.array([[Fraction(1, 2), Fraction(1, 6)], [Fraction(1, 6), Fraction(1, 12)]],
                         dtype=float)
-    assert rel(hank.k1(1), expected) < 1e-15
+    assert rel(hank.member("K1", 1), expected) < 1e-15
 
 
 def test_lebesgue_h20_is_shat0():
     hank = build_hankels(lebesgue(2))
-    assert abs(hank.h2(0)[0, 0] - 1.0 / 6.0) < 1e-15
+    assert abs(hank.member("H2", 0)[0, 0] - 1.0 / 6.0) < 1e-15
 
 
 def test_m0_has_only_h1():
     seq = MomentSequence(0.0, 1.0, (np.array([[1.0]]),))
     hank = build_hankels(seq)
-    assert len(hank.H1) == 1 and hank.h1(0)[0, 0] == 1.0
+    assert len(hank.H1) == 1 and hank.member("H1", 0)[0, 0] == 1.0
     assert len(hank.K1) == 0 and len(hank.H2) == 0
     with pytest.raises(InsufficientMoments):
-        hank.k1(0)
+        hank.member("K1", 0)
     with pytest.raises(InsufficientMoments):
-        hank.h2(0)
+        hank.member("H2", 0)
 
 
 def test_hermitian_validation_and_interval():
@@ -238,15 +238,67 @@ def test_structural_vector_shapes(rng):
 
     seq, _ = random_sequence(rng, 2, 2)
     vecs = StructuralVectors(seq)
+    hank = build_hankels(seq)
     q = seq.q
     for j in range(1, 3):
         assert vecs.u2(j).shape == ((j + 1) * q, q)
         assert vecs.ut1(j).shape == ((j + 1) * q, q)
-        assert vecs.Y1(j).shape == (j * q, q)
-        assert vecs.Yt1(j).shape == (j * q, q)
+        assert hank.cross("H1", j).shape == (j * q, q)
+        assert hank.cross("K1", j).shape == (j * q, q)
     assert np.array_equal(vecs.ut2(0), -seq.s[0])
     u21 = vecs.u2(1)
     assert np.allclose(u21[q:], -shifted_moments(seq)[0])
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+@pytest.mark.parametrize("q,m", [(1, 6), (1, 7), (2, 5), (2, 6), (3, 5)])
+def test_entries_and_solves_match_the_written_out_formulas(rng, q, m):
+    from conftest import random_measure
+
+    seq = random_measure(rng, q, m // 2 + 2, a=-0.3, b=1.7).moments(m)
+    hank = build_hankels(seq)
+    vecs = hank.vectors
+    a, b, s = seq.a, seq.b, seq.s
+    # the cross columns, corners and transfer columns as each consumer wrote them out
+    cross = {
+        "H1": lambda j: vecs.y(j, 2 * j - 1),
+        "H2": lambda j: vecs.yhat(j, 2 * j - 1),
+        "K1": lambda j: b * vecs.y(j, 2 * j - 1) - vecs.y(j + 1, 2 * j),
+        "K2": lambda j: -a * vecs.y(j, 2 * j - 1) + vecs.y(j + 1, 2 * j),
+    }
+    corner = {
+        "H1": lambda j: s[2 * j],
+        "H2": lambda j: shifted_moments(seq)[2 * j],
+        "K1": lambda j: b * s[2 * j] - s[2 * j + 1],
+        "K2": lambda j: -a * s[2 * j] + s[2 * j + 1],
+    }
+    column = {
+        "H1": vecs.v,
+        "H2": lambda j: vecs.u2(j) + a * (vecs.v(j) @ s[0]),
+        "K1": vecs.v,
+        "K2": vecs.ut2,
+    }
+    for family in ("H1", "H2", "K1", "K2"):
+        members = getattr(hank, family)
+        for j in range(len(members)):
+            assert _bits(hank.entries[family][2 * j]) == _bits(corner[family](j))
+            rc = vecs.R_at_a(j) @ column[family](j)
+            solved = solve_pd(members[j], rc, family, j)
+            assert _bits(hank.column(family, j)) == _bits(column[family](j))
+            assert _bits(hank.transfer(family, j)) == _bits(solved)
+            assert _bits(hank.form(family, j)) == _bits(rc.conj().T @ solved)
+        # the polynomial rows reach one cross column past the last complement
+        for j in range(1, len(hank.entries[family]) // 2 + 1):
+            y = cross[family](j)
+            assert _bits(hank.cross(family, j)) == _bits(y)
+            x = hank.schur_row(family, j)
+            assert _bits(x) == _bits(solve_pd(members[j - 1], y, family, j - 1))
+            assert hank.schur_row(family, j) is x and not x.flags.writeable
+        with pytest.raises(InsufficientMoments):
+            hank.cross(family, len(hank.entries[family]) // 2 + 1)
 
 
 def test_hankel_solve_is_solve_pd_through_one_factor(rng, monkeypatch):
