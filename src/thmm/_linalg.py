@@ -68,6 +68,33 @@ def rel_residuals(x, y):
     return frobs(x - y) / np.maximum(1.0, np.maximum(frobs(x), frobs(y)))
 
 
+def pair_residuals(pairs):
+    """[rel_residual(x, y) for x, y in pairs], from one rel_residuals stack per shape.
+
+    Each matrix is still summed in its own memory order: a pair of
+    Fortran-ordered matrices is stacked transposed, and a pair of other
+    layouts is computed alone.
+    """
+    out = [None] * len(pairs)
+    stacks = {}
+    for i, (x, y) in enumerate(pairs):
+        x = np.asarray(x, dtype=complex)
+        y = np.asarray(y, dtype=complex)
+        if x.ndim == 2 and x.shape == y.shape:
+            if x.flags.c_contiguous and y.flags.c_contiguous:
+                stacks.setdefault((x.shape, "C"), []).append((i, x, y))
+                continue
+            if x.flags.f_contiguous and y.flags.f_contiguous:
+                stacks.setdefault((x.shape, "F"), []).append((i, x.T, y.T))
+                continue
+        out[i] = rel_residual(x, y)
+    for items in stacks.values():
+        index, xs, ys = zip(*items)
+        for i, res in zip(index, rel_residuals(np.stack(xs), np.stack(ys)).tolist()):
+            out[i] = res
+    return out
+
+
 def hermitize(a):
     return 0.5 * (a + a.conj().T)
 

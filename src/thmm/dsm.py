@@ -49,7 +49,7 @@ from .moments import (
     hankel_from_entries,
 )
 from .polynomials import build_family, ensure_family
-from .reporting import IdentityCheck, IdentityReport
+from .reporting import CheckBatch, IdentityReport
 
 ROUTE_RTOL = 1e-10
 
@@ -137,16 +137,14 @@ def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
         for j in range(min(n_t + 1, len(fam.q2), len(fam.p2)))
     ]
 
-    def check(name, qf_vals, poly_vals):
+    checks = CheckBatch()
+    for name, qf_vals, poly_vals in (("mhat", mhat_qf, mhat_poly), ("lhat", lhat_qf, lhat_poly),
+                                     ("rhat", rhat_qf, rhat_poly), ("that", that_qf, that_poly)):
         for j, (x, y) in enumerate(zip(qf_vals, poly_vals)):
-            res = rel_residual(x, y)
-            if res > rtol:
-                raise RouteMismatch(name, f"j={j}", res)
-
-    check("mhat", mhat_qf, mhat_poly)
-    check("lhat", lhat_qf, lhat_poly)
-    check("rhat", rhat_qf, rhat_poly)
-    check("that", that_qf, that_poly)
+            checks.add(name, f"j={j}", x, y)
+    for entry in checks.entries():
+        if entry.residual > rtol:
+            raise RouteMismatch(entry.name, entry.where, entry.residual)
 
     return DsmSecond(
         q=seq.q, a=seq.a, b=seq.b,
@@ -203,11 +201,8 @@ def product_identities(fam, dsm, first=None):
         W.append(W[-1] @ inv_m[k] @ inv_l[k])
     X = [W[j] @ inv_m[j] for j in range(min(len(W), len(inv_m)))]
 
-    entries = []
-    notes = []
-
-    def add(name, where, lhs, rhs):
-        entries.append(IdentityCheck(name, where, rel_residual(lhs, rhs)))
+    checks = CheckBatch()
+    add = checks.add
 
     for j in range(min(len(fam.q2), len(X))):
         add("q2_alternating_product", f"j={j}",
@@ -220,27 +215,11 @@ def product_identities(fam, dsm, first=None):
         add("t1_alternating_product", f"j={j}",
             at_a(fam.t1[j]), (-1.0) ** j * W[j] @ acc)
 
-    res_cur, res_prev = [], []
     for j in range(1, min(len(fam.p2), len(fam.q2), len(mh))):
         p2a = at_a(fam.p2[j])
         q2a = at_a(fam.q2[j])
-        sum_cur = sum(mh[:j + 1])
-        sum_prev = sum(mh[:j])
-        r1 = rel_residual(p2a, q2a @ sum_cur)
-        r2 = rel_residual(p2a, q2a @ sum_prev)
-        entries.append(IdentityCheck("p2_sum_through_current", f"j={j}", r1))
-        entries.append(IdentityCheck("p2_sum_through_previous", f"j={j}", r2))
-        res_cur.append(r1)
-        res_prev.append(r2)
-    if res_cur:
-        supported = (
-            "p2_sum_through_current" if max(res_cur) <= max(res_prev)
-            else "p2_sum_through_previous"
-        )
-        notes.append(
-            f"P2 partial-sum identity: numerics support {supported} "
-            f"(max residuals {max(res_cur):.3e} vs {max(res_prev):.3e})"
-        )
+        add("p2_sum_through_current", f"j={j}", p2a, q2a @ sum(mh[:j + 1]))
+        add("p2_sum_through_previous", f"j={j}", p2a, q2a @ sum(mh[:j]))
 
     for j in range(min(len(fam.q2), len(fam.g1), len(inv_m))):
         add("q2_from_g1", f"j={j}",
@@ -307,7 +286,20 @@ def product_identities(fam, dsm, first=None):
         add("l_first_from_polys", f"j={j}", first.L[j],
             np.linalg.solve(at_a(fam.p1[j + 1]), at_a(fam.t2[j])))
 
-    return IdentityReport(tuple(entries), tuple(notes))
+    entries = checks.entries()
+    notes = []
+    res_cur = [e.residual for e in entries if e.name == "p2_sum_through_current"]
+    res_prev = [e.residual for e in entries if e.name == "p2_sum_through_previous"]
+    if res_cur:
+        supported = (
+            "p2_sum_through_current" if max(res_cur) <= max(res_prev)
+            else "p2_sum_through_previous"
+        )
+        notes.append(
+            f"P2 partial-sum identity: numerics support {supported} "
+            f"(max residuals {max(res_cur):.3e} vs {max(res_prev):.3e})"
+        )
+    return IdentityReport(entries, tuple(notes))
 
 
 def _require_pd_param(x, name, index):

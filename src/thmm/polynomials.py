@@ -26,7 +26,7 @@ import functools
 
 import numpy as np
 
-from ._linalg import rel_residual, rel_residuals
+from ._linalg import rel_residuals
 from .errors import OrderUnavailable, SingularNormalization
 from .moments import (
     HankelSet,
@@ -34,7 +34,7 @@ from .moments import (
     build_hankels,
     schur_chain,
 )
-from .reporting import IdentityCheck, IdentityReport
+from .reporting import CheckBatch, IdentityReport
 
 FAMILY_TAGS = ("P1", "P2", "Q1", "Q2", "G1", "G2", "T1", "T2")
 
@@ -283,12 +283,9 @@ def verify_family_identities(fam, measure=None, zs=None):
     sch = fam.schur
     vecs = fam.vectors
     hank = fam.hankels
-    entries = []
-
+    checks = CheckBatch()
+    add = checks.add
     at_a, adjoint_at_a = fam.at_a, fam.adjoint_at_a
-
-    def add(name, where, lhs, rhs):
-        entries.append(IdentityCheck(name, where, rel_residual(lhs, rhs)))
 
     for j in range(min(len(fam.p1), len(fam.t2), len(sch.hhat1))):
         add("hhat1_product", f"j={j}",
@@ -325,7 +322,7 @@ def verify_family_identities(fam, measure=None, zs=None):
 
     def add_points(name, j, lhs, rhs):
         for label, res in zip(labels, rel_residuals(lhs, rhs).tolist()):
-            entries.append(IdentityCheck(name, f"j={j},{label}", res))
+            checks.add_residual(name, f"j={j},{label}", res)
 
     for j in range(min(len(fam.g2), len(fam.t2), len(hank.H1))):
         try:
@@ -358,4 +355,4 @@ def verify_family_identities(fam, measure=None, zs=None):
         )
         add("endpoint_g1_g2", f"j={j}", lhs - corr, np.zeros_like(lhs))
 
-    return IdentityReport(tuple(entries))
+    return IdentityReport(checks.entries())

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from ._linalg import pair_residuals
+
 
 @dataclasses.dataclass(frozen=True)
 class IdentityCheck:
@@ -41,3 +43,31 @@ class IdentityReport:
 
     def by_name(self):
         return {name: self.residual_for(name) for name in self.names()}
+
+
+class CheckBatch:
+    """IdentityCheck entries in the order they are added.
+
+    The residuals of the added pairs are computed together, by
+    pair_residuals, when entries() is called.
+    """
+
+    def __init__(self):
+        self._rows = []    # (name, where, residual), None until the batch runs
+        self._pairs = []
+
+    def add(self, name, where, lhs, rhs):
+        """An entry whose residual is rel_residual(lhs, rhs)."""
+        self._rows.append((name, where, None))
+        self._pairs.append((lhs, rhs))
+
+    def add_residual(self, name, where, residual):
+        """An entry whose residual is already known."""
+        self._rows.append((name, where, residual))
+
+    def entries(self):
+        residuals = iter(pair_residuals(self._pairs))
+        return tuple(
+            IdentityCheck(name, where, next(residuals) if res is None else res)
+            for name, where, res in self._rows
+        )

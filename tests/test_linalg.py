@@ -12,6 +12,7 @@ from thmm._linalg import (
     frobs,
     inv_pd,
     is_pd,
+    pair_residuals,
     rel_residual,
     rel_residuals,
     right_quotient,
@@ -154,15 +155,20 @@ def test_rel_residual_sums_as_np_linalg_norm(rng):
         y = np.asarray(y, dtype=complex)
         return float(np.linalg.norm(x - y) / max(1.0, np.linalg.norm(x), np.linalg.norm(y)))
 
+    pairs = []
     for shape in ((1, 1), (3, 3), (8, 2), (40, 40)):
         for scale in (1e-3, 1.0, 1e8):
             x = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
             y = x + 1e-9 * rng.normal(size=shape)
-            for a, b in ((x, y), (x.T, y.T), (x.real, y), (x[::2], y[::2])):
+            for a, b in ((x, y), (x.T, y.T), (x.real, y), (x[::2], y[::2]), (x.T, y.T.copy())):
                 assert rel_residual(a, b) == reference(a, b)
+                pairs.append((a, b))
             stack = np.stack([x, y, 2 * x])
             assert rel_residuals(stack, stack[::-1]).tolist() == [
                 reference(u, v) for u, v in zip(stack, stack[::-1])]
+    # batched by shape and layout, each pair still summed in its own memory order
+    assert pair_residuals(pairs) == [reference(a, b) for a, b in pairs]
+    assert pair_residuals([]) == []
     assert frobs(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
     assert rel_residuals(np.zeros((0, 2, 2)), np.zeros((0, 2, 2))).shape == (0,)
 
