@@ -402,6 +402,8 @@ class SchurChain(_Factors):
     q x q matrix and the determinants telescope:
     det K1[j] = prod_{i <= j} det khat1[i], and likewise per family.
     solve("khat1", j, rhs) solves against khat1[j] through its kept factor.
+    Member 0 is e_0, member 0 of the parent family too, so its factor is
+    the one the HankelSet keeps.
     """
 
     seq: MomentSequence
@@ -409,7 +411,16 @@ class SchurChain(_Factors):
     hhat2: tuple
     khat1: tuple
     khat2: tuple
+    hankels: HankelSet = dataclasses.field(repr=False)
     _factors: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+
+    def factor(self, family, j):
+        if j == 0:
+            return self.hankels.factor(_PARENT[family], 0)
+        return super().factor(family, j)
+
+
+_PARENT = {"hhat1": "H1", "hhat2": "H2", "khat1": "K1", "khat2": "K2"}
 
 
 def schur_chain(hankels):
@@ -435,6 +446,7 @@ def schur_chain(hankels):
         hhat2=complements("H2"),
         khat1=complements("K1"),
         khat2=complements("K2"),
+        hankels=hankels,
     )
 
 
