@@ -9,13 +9,13 @@ The helpers here own no factor.  solve_pd factors its matrix and drops
 the factor; a matrix solved against more than once is factored by its
 owner (HankelSet for the Hankel members, SchurChain for the Schur
 complements) with cholesky_pd, and each solve reuses that factor through
-solve_factored.
+solve_factored.  No LAPACK routine is bound directly: a solve is a NumPy
+forward and back substitution through the kept factor.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg.lapack import ztrtrs
 
 from .errors import SingularDenominator, SingularPivot
 
@@ -130,17 +130,26 @@ def solve_pd(a, rhs, family="matrix", index=0, pivot_rtol=PIVOT_RTOL):
 
 
 def solve_factored(L, rhs):
-    """Solve L L^H x = rhs for a lower Cholesky factor L from cholesky_pd."""
-    # the calls scipy.linalg.solve_triangular makes for L and L^H, without
-    # its checks: L is finite with a positive diagonal by construction
-    y = _trtrs(L.T, rhs, lower=0, trans=1)
-    return _trtrs(L.conj().T, y, lower=0, trans=0)
+    """Solve L L^H x = rhs for a lower Cholesky factor L from cholesky_pd.
 
-
-def _trtrs(tri, rhs, lower, trans):
-    x, info = ztrtrs(tri, rhs, lower=lower, trans=trans)
-    if info:
-        raise np.linalg.LinAlgError(f"ztrtrs failed with info {info}")
+    Row by row: forward substitution on L, then back substitution on L^H,
+    each row divided by its diagonal entry.  rhs is a vector or a matrix.
+    """
+    x = np.array(rhs, dtype=complex)
+    rows = x[:, None] if x.ndim == 1 else x   # a vector is one column
+    upper = L.conj().T.copy()                 # L^H, with contiguous rows
+    diag = L.diagonal().real.tolist()         # real and positive, from cholesky_pd
+    n = len(diag)
+    for i in range(n):
+        row = rows[i]
+        if i:
+            row -= L[i, :i] @ rows[:i]
+        row /= diag[i]
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        if i + 1 < n:
+            row -= upper[i, i + 1:] @ rows[i + 1:]
+        row /= diag[i]
     return x
 
 

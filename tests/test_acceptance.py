@@ -38,9 +38,12 @@ def _verdict(number, ok, detail):
     assert ok, detail
 
 
-@pytest.fixture(scope="module")
-def ensemble():
-    rng = np.random.default_rng(20260810)
+ENSEMBLE_SEED = 20260810
+
+
+def build_ensemble(seed):
+    """The 50 cases of the shared ensemble drawn from seed."""
+    rng = np.random.default_rng(seed)
     cases = []
     for _ in range(50):
         q = int(rng.integers(1, 4))
@@ -52,6 +55,11 @@ def ensemble():
         zs = random_z_points(rng, 20)
         cases.append((q, n, seq, measure, fam, dsm, first, zs))
     return cases
+
+
+@pytest.fixture(scope="module")
+def ensemble():
+    return build_ensemble(ENSEMBLE_SEED)
 
 
 def test_criterion_1_factorization_equivalence(ensemble):
@@ -145,7 +153,8 @@ def test_criterion_6_orthogonality(ensemble):
              f"worst residual {worst:.3e} <= 1e-9")
 
 
-def test_criterion_7_auxiliary_and_bp(ensemble):
+def criterion_7_residuals(ensemble):
+    """Worst aux reassembly, factor vs split pair and scaled |det - 1| over an ensemble."""
     worst_aux = 0.0
     worst_pair = 0.0
     worst_det = 0.0
@@ -173,6 +182,11 @@ def test_criterion_7_auxiliary_and_bp(ensemble):
                 worst_det = max(
                     worst_det, abs(np.linalg.det(factor) - 1.0) / max(1.0, kappa)
                 )
+    return worst_aux, worst_pair, worst_det
+
+
+def test_criterion_7_auxiliary_and_bp(ensemble):
+    worst_aux, worst_pair, worst_det = criterion_7_residuals(ensemble)
     # at desk scale the absolute determinant statement is testable directly
     fam_desk = build_family(lebesgue(5))
     dsm_desk = compute_second(fam_desk.seq, fam_desk)

@@ -286,6 +286,22 @@ def test_overflowing_z_keeps_lapack_text_off_stdout(z):
     assert proc.stderr.strip().endswith("numerically singular (cond ~ nan)")
 
 
+def test_analyze_loads_no_scipy(tmp_path):
+    # a fresh interpreter, since the test process may have imported scipy already
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    inp = str(Path(__file__).parent / "golden" / "moments_q2.json")
+    script = (
+        "import sys, thmm.cli\n"
+        f"code = thmm.cli.main(['analyze', '--input', {inp!r}, '--output', {str(tmp_path / 'out.json')!r}])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
 def test_analyze_factors_each_member_once(tmp_path, monkeypatch):
     factored = []
     real_cholesky = _linalg.cholesky_pd

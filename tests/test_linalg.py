@@ -56,6 +56,38 @@ def test_solve_pd_raises_named_pivot():
     with pytest.raises(SingularPivot) as err:
         solve_pd(np.array([[0.0]]), np.eye(1), "K1", 3)
     assert err.value.family == "K1" and err.value.index == 3
+    # a zero pivot past the first row fails the same way
+    with pytest.raises(SingularPivot) as err:
+        solve_pd(np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                 np.ones(3), "hhat2", 1)
+    assert err.value.family == "hhat2" and err.value.index == 1
+
+
+def test_solve_factored_residual_within_backward_error_bound(rng):
+    # a backward stable solve leaves ||a x - b|| / ||b|| <= c N eps cond(a)
+    eps = np.finfo(float).eps
+    for n in range(1, 41):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        unitary = np.linalg.qr(g)[0]
+        for decades in (0, 4, 8):
+            a = (unitary * np.logspace(0, -decades, n)) @ unitary.conj().T
+            a = 0.5 * (a + a.conj().T)
+            L = cholesky_pd(a)
+            for shape in ((n,), (n, 1), (n, 2), (n, 4)):
+                b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                x = solve_factored(L, b)
+                assert x.shape == shape
+                res = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
+                assert res <= 8 * n * eps * np.linalg.cond(a), (n, decades, shape)
+
+
+def test_solve_factored_is_exact_for_a_diagonal_factor(rng):
+    # powers of two divide exactly, so x is b / d^2 to the last bit
+    d = 2.0 ** rng.integers(-4, 5, size=7)
+    b = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+    L = np.diag(d).astype(complex)
+    assert np.array_equal(solve_factored(L, b), b / (d ** 2)[:, None])
+    assert np.array_equal(solve_factored(L, b[:, 0]), b[:, 0] / d ** 2)
 
 
 def test_right_divide():
