@@ -68,33 +68,6 @@ def rel_residuals(x, y):
     return frobs(x - y) / np.maximum(1.0, np.maximum(frobs(x), frobs(y)))
 
 
-def pair_residuals(pairs):
-    """[rel_residual(x, y) for x, y in pairs], from one rel_residuals stack per shape.
-
-    Each matrix is still summed in its own memory order: a pair of
-    Fortran-ordered matrices is stacked transposed, and a pair of other
-    layouts is computed alone.
-    """
-    out = [None] * len(pairs)
-    stacks = {}
-    for i, (x, y) in enumerate(pairs):
-        x = np.asarray(x, dtype=complex)
-        y = np.asarray(y, dtype=complex)
-        if x.ndim == 2 and x.shape == y.shape:
-            if x.flags.c_contiguous and y.flags.c_contiguous:
-                stacks.setdefault((x.shape, "C"), []).append((i, x, y))
-                continue
-            if x.flags.f_contiguous and y.flags.f_contiguous:
-                stacks.setdefault((x.shape, "F"), []).append((i, x.T, y.T))
-                continue
-        out[i] = rel_residual(x, y)
-    for items in stacks.values():
-        index, xs, ys = zip(*items)
-        for i, res in zip(index, rel_residuals(np.stack(xs), np.stack(ys)).tolist()):
-            out[i] = res
-    return out
-
-
 def hermitize(a):
     return 0.5 * (a + a.conj().T)
 
@@ -132,29 +105,21 @@ def solve_pd(a, rhs, family="matrix", index=0, pivot_rtol=PIVOT_RTOL):
 def solve_factored(L, rhs):
     """Solve L L^H x = rhs for a lower Cholesky factor L from cholesky_pd.
 
-    Row by row: forward substitution on L, then back substitution on L^H,
-    each row divided by its diagonal entry.  rhs is a vector or a matrix.
+    Forward substitution on L, then back substitution on L^H, row by row,
+    each row divided by its (real, positive) diagonal entry.
     """
     x = np.array(rhs, dtype=complex)
     rows = x[:, None] if x.ndim == 1 else x   # a vector is one column
-    upper = L.conj().T.copy()                 # L^H, with contiguous rows
-    diag = L.diagonal().real.tolist()         # real and positive, from cholesky_pd
-    n = len(diag)
-    for i in range(n):
-        row = rows[i]
+    diag = L.diagonal().real.tolist()
+    for i, row in enumerate(rows):
         if i:
             row -= L[i, :i] @ rows[:i]
         row /= diag[i]
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        if i + 1 < n:
-            row -= upper[i, i + 1:] @ rows[i + 1:]
+    for i, row in reversed(list(enumerate(rows))):
+        if i + 1 < len(rows):
+            row -= L[i + 1:, i].conj() @ rows[i + 1:]
         row /= diag[i]
     return x
-
-
-def inv_pd(a, family="matrix", index=0):
-    return solve_pd(a, np.eye(a.shape[0], dtype=complex), family, index)
 
 
 def is_pd(a):

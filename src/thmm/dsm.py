@@ -30,8 +30,6 @@ from ._linalg import (
     cholesky_pd,
     frob,
     hermitize,
-    inv_pd,
-    rel_residual,
     solve_factored,
     solve_pd,
 )
@@ -49,7 +47,7 @@ from .moments import (
     hankel_from_entries,
 )
 from .polynomials import build_family, ensure_family
-from .reporting import CheckBatch, IdentityReport
+from .reporting import IdentityReport, identity_checks
 
 ROUTE_RTOL = 1e-10
 
@@ -109,25 +107,20 @@ def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
     n_l = (m - 2) // 2 if m >= 2 else -1
 
     that_qf = [hermitize(hank.form("K1", j)) for j in range(n_t + 1)]
-    mhat_qf = (
-        [that_qf[0]] + [that_qf[j] - that_qf[j - 1] for j in range(1, n_t + 1)]
-        if that_qf else []
-    )
+    mhat_qf = that_qf[:1] + [that_qf[j] - that_qf[j - 1] for j in range(1, n_t + 1)]
 
     qf = [hermitize(hank.form("H2", j)) for j in range(n_l + 1)]
-    lhat_qf = [qf[0]] + [qf[j] - qf[j - 1] for j in range(1, n_l + 1)] if qf else []
+    lhat_qf = qf[:1] + [qf[j] - qf[j - 1] for j in range(1, n_l + 1)]
     rhat_qf = [np.array(s0)] + [s0 + qf[j] for j in range(n_l + 1)]
 
     # polynomial route
     at_a = fam.at_a
-    mhat_poly = []
-    for j in range(n_t + 1):
-        val = at_a(fam.g1[j])
-        mhat_poly.append(val.conj().T @ sch.solve("khat1", j, val))
-    lhat_poly = []
-    for j in range(n_l + 1):
-        val = at_a(fam.q2[j])
-        lhat_poly.append(val.conj().T @ sch.solve("hhat2", j, val))
+    def form(p, complement, j):
+        val = at_a(p)
+        return val.conj().T @ sch.solve(complement, j, val)
+
+    mhat_poly = [form(fam.g1[j], "khat1", j) for j in range(n_t + 1)]
+    lhat_poly = [form(fam.q2[j], "hhat2", j) for j in range(n_l + 1)]
     rhat_poly = [
         np.linalg.solve(at_a(fam.g1[j]), at_a(fam.t1[j]))
         for j in range(min(n_l + 2, len(fam.g1), len(fam.t1)))
@@ -137,14 +130,12 @@ def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
         for j in range(min(n_t + 1, len(fam.q2), len(fam.p2)))
     ]
 
-    checks = CheckBatch()
-    for name, qf_vals, poly_vals in (("mhat", mhat_qf, mhat_poly), ("lhat", lhat_qf, lhat_poly),
-                                     ("rhat", rhat_qf, rhat_poly), ("that", that_qf, that_poly)):
-        for j, (x, y) in enumerate(zip(qf_vals, poly_vals)):
-            checks.add(name, f"j={j}", x, y)
-    for entry in checks.entries():
-        if entry.residual > rtol:
-            raise RouteMismatch(entry.name, entry.where, entry.residual)
+    _check_routes([
+        (name, f"j={j}", x, y)
+        for name, qf_vals, poly_vals in (("mhat", mhat_qf, mhat_poly), ("lhat", lhat_qf, lhat_poly),
+                                         ("rhat", rhat_qf, rhat_poly), ("that", that_qf, that_poly))
+        for j, (x, y) in enumerate(zip(qf_vals, poly_vals))
+    ], rtol)
 
     return DsmSecond(
         q=seq.q, a=seq.a, b=seq.b,
@@ -153,6 +144,13 @@ def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
         mhat=tuple(mhat_qf),
         lhat=(np.array(s0),) + tuple(lhat_qf),
     )
+
+
+def _check_routes(rows, rtol):
+    """RouteMismatch at the first row (name, where, x, y) whose x and y differ by over rtol."""
+    for entry in identity_checks(rows):
+        if entry.residual > rtol:
+            raise RouteMismatch(entry.name, entry.where, entry.residual)
 
 
 def compute_first(source):
@@ -192,8 +190,8 @@ def product_identities(fam, dsm, first=None):
     if first is None:
         first = compute_first(fam)
 
-    inv_m = [inv_pd(x, "mhat", j) for j, x in enumerate(mh)]
-    inv_l = [inv_pd(x, "lhat", j) for j, x in enumerate(lh)]
+    inv_m = [solve_pd(x, eye, "mhat", j) for j, x in enumerate(mh)]
+    inv_l = [solve_pd(x, eye, "lhat", j) for j, x in enumerate(lh)]
 
     # W[j] = prod_{k<j} mhat_k^{-1} lhat_k^{-1}; X[j] = W[j] mhat_j^{-1}
     W = [eye]
@@ -201,8 +199,10 @@ def product_identities(fam, dsm, first=None):
         W.append(W[-1] @ inv_m[k] @ inv_l[k])
     X = [W[j] @ inv_m[j] for j in range(min(len(W), len(inv_m)))]
 
-    checks = CheckBatch()
-    add = checks.add
+    rows = []
+
+    def add(name, where, lhs, rhs):
+        rows.append((name, where, lhs, rhs))
 
     for j in range(min(len(fam.q2), len(X))):
         add("q2_alternating_product", f"j={j}",
@@ -286,20 +286,15 @@ def product_identities(fam, dsm, first=None):
         add("l_first_from_polys", f"j={j}", first.L[j],
             np.linalg.solve(at_a(fam.p1[j + 1]), at_a(fam.t2[j])))
 
-    entries = checks.entries()
-    notes = []
-    res_cur = [e.residual for e in entries if e.name == "p2_sum_through_current"]
-    res_prev = [e.residual for e in entries if e.name == "p2_sum_through_previous"]
-    if res_cur:
-        supported = (
-            "p2_sum_through_current" if max(res_cur) <= max(res_prev)
-            else "p2_sum_through_previous"
-        )
-        notes.append(
-            f"P2 partial-sum identity: numerics support {supported} "
-            f"(max residuals {max(res_cur):.3e} vs {max(res_prev):.3e})"
-        )
-    return IdentityReport(entries, tuple(notes))
+    report = IdentityReport(identity_checks(rows))
+    if "p2_sum_through_current" not in report.names():
+        return report
+    cur = report.residual_for("p2_sum_through_current")
+    prev = report.residual_for("p2_sum_through_previous")
+    supported = "p2_sum_through_current" if cur <= prev else "p2_sum_through_previous"
+    note = (f"P2 partial-sum identity: numerics support {supported} "
+            f"(max residuals {cur:.3e} vs {prev:.3e})")
+    return IdentityReport(report.entries, (note,))
 
 
 def _require_pd_param(x, name, index):
@@ -442,12 +437,8 @@ def scalar_determinant_params(seq, rtol=1e-8):
         ltilde.append(float((e2 ** 2 / denom).real))
 
     dsm = compute_second(seq, fam)
-    for j, val in enumerate(mtilde):
-        res = rel_residual(np.array([[val]]), dsm.mhat[j])
-        if res > rtol:
-            raise RouteMismatch("mtilde", f"j={j}", res)
-    for j, val in enumerate(ltilde):
-        res = rel_residual(np.array([[val]]), dsm.lhat_from_zero[j])
-        if res > rtol:
-            raise RouteMismatch("ltilde", f"j={j}", res)
+    _check_routes([("mtilde", f"j={j}", np.array([[val]]), dsm.mhat[j])
+                   for j, val in enumerate(mtilde)]
+                  + [("ltilde", f"j={j}", np.array([[val]]), dsm.lhat_from_zero[j])
+                     for j, val in enumerate(ltilde)], rtol)
     return tuple(mtilde), tuple(ltilde), dsm

@@ -17,7 +17,7 @@ Corner Schur complements of the four families drive the recursive
 constructions in the rest of the package.
 
 A HankelSet owns the Cholesky factors of its members and a SchurChain
-those of its complements.  Each factor is computed by cholesky_pd on
+those of its complements past e_0.  Each factor is computed by cholesky_pd on
 first use and kept for the lifetime of its owner, and every solve against
 a member goes through its owner's solve, so one command factors each
 matrix once.  A HankelSet also keeps the two kinds of solve everything
@@ -402,8 +402,6 @@ class SchurChain(_Factors):
     q x q matrix and the determinants telescope:
     det K1[j] = prod_{i <= j} det khat1[i], and likewise per family.
     solve("khat1", j, rhs) solves against khat1[j] through its kept factor.
-    Member 0 is e_0, member 0 of the parent family too, so its factor is
-    the one the HankelSet keeps.
     """
 
     seq: MomentSequence
@@ -415,12 +413,10 @@ class SchurChain(_Factors):
     _factors: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def factor(self, family, j):
+        """Member 0 is e_0, member 0 of the parent family (K1 for khat1), which keeps its factor."""
         if j == 0:
-            return self.hankels.factor(_PARENT[family], 0)
+            return self.hankels.factor(family[0].upper() + family[-1], 0)
         return super().factor(family, j)
-
-
-_PARENT = {"hhat1": "H1", "hhat2": "H2", "khat1": "K1", "khat2": "K2"}
 
 
 def schur_chain(hankels):

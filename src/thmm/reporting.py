@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 
-from ._linalg import pair_residuals
+import numpy as np
+
+from ._linalg import rel_residual, rel_residuals
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,29 +47,23 @@ class IdentityReport:
         return {name: self.residual_for(name) for name in self.names()}
 
 
-class CheckBatch:
-    """IdentityCheck entries in the order they are added.
 
-    The residuals of the added pairs are computed together, by
-    pair_residuals, when entries() is called.
+def identity_checks(rows):
+    """IdentityCheck(name, where, rel_residual(lhs, rhs)) of each row (name, where, lhs, rhs).
+
+    The residuals of C-ordered pairs come from one rel_residuals stack per
+    shape, which sums each matrix in the same memory order as rel_residual;
+    any other pair is computed alone.
     """
-
-    def __init__(self):
-        self._rows = []    # (name, where, residual), None until the batch runs
-        self._pairs = []
-
-    def add(self, name, where, lhs, rhs):
-        """An entry whose residual is rel_residual(lhs, rhs)."""
-        self._rows.append((name, where, None))
-        self._pairs.append((lhs, rhs))
-
-    def add_residual(self, name, where, residual):
-        """An entry whose residual is already known."""
-        self._rows.append((name, where, residual))
-
-    def entries(self):
-        residuals = iter(pair_residuals(self._pairs))
-        return tuple(
-            IdentityCheck(name, where, next(residuals) if res is None else res)
-            for name, where, res in self._rows
-        )
+    residuals, stacks = {}, {}
+    for i, (_, _, lhs, rhs) in enumerate(rows):
+        x, y = np.asarray(lhs, dtype=complex), np.asarray(rhs, dtype=complex)
+        if x.ndim == 2 and x.shape == y.shape and x.flags.c_contiguous and y.flags.c_contiguous:
+            stacks.setdefault(x.shape, []).append((i, x, y))
+        else:
+            residuals[i] = rel_residual(x, y)
+    for items in stacks.values():
+        index, xs, ys = zip(*items)
+        residuals.update(zip(index, rel_residuals(np.stack(xs), np.stack(ys)).tolist()))
+    return tuple(IdentityCheck(name, where, residuals[i])
+                 for i, (name, where, _, _) in enumerate(rows))

@@ -10,15 +10,14 @@ from thmm._linalg import (
     PointPrefix,
     cholesky_pd,
     frobs,
-    inv_pd,
     is_pd,
-    pair_residuals,
     rel_residual,
     rel_residuals,
     right_quotient,
     solve_factored,
     solve_pd,
 )
+from thmm.reporting import identity_checks
 
 
 @settings(max_examples=40, deadline=None)
@@ -49,7 +48,7 @@ def test_solve_pd_and_inverse():
     rhs = np.array([[1.0], [2.0]], dtype=complex)
     x = solve_pd(a, rhs)
     assert rel_residual(a @ x, rhs) < 1e-13
-    assert rel_residual(a @ inv_pd(a), np.eye(2)) < 1e-13
+    assert rel_residual(a @ solve_pd(a, np.eye(2)), np.eye(2)) < 1e-13
 
 
 def test_solve_pd_raises_named_pivot():
@@ -198,9 +197,11 @@ def test_rel_residual_sums_as_np_linalg_norm(rng):
             stack = np.stack([x, y, 2 * x])
             assert rel_residuals(stack, stack[::-1]).tolist() == [
                 reference(u, v) for u, v in zip(stack, stack[::-1])]
-    # batched by shape and layout, each pair still summed in its own memory order
-    assert pair_residuals(pairs) == [reference(a, b) for a, b in pairs]
-    assert pair_residuals([]) == []
+    # batched by shape, each pair still summed in its own memory order
+    checks = identity_checks([("pair", str(i), a, b) for i, (a, b) in enumerate(pairs)])
+    assert [c.residual for c in checks] == [reference(a, b) for a, b in pairs]
+    assert [c.where for c in checks] == [str(i) for i in range(len(pairs))]
+    assert identity_checks([]) == ()
     assert frobs(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
     assert rel_residuals(np.zeros((0, 2, 2)), np.zeros((0, 2, 2))).shape == (0,)
 
