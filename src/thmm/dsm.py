@@ -115,20 +115,18 @@ def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
 
     # polynomial route
     at_a = fam.at_a
+
     def form(p, complement, j):
         val = at_a(p)
         return val.conj().T @ sch.solve(complement, j, val)
 
+    def quotients(den, num, count):
+        return [np.linalg.solve(at_a(d), at_a(n)) for d, n in zip(den[:count], num[:count])]
+
     mhat_poly = [form(fam.g1[j], "khat1", j) for j in range(n_t + 1)]
     lhat_poly = [form(fam.q2[j], "hhat2", j) for j in range(n_l + 1)]
-    rhat_poly = [
-        np.linalg.solve(at_a(fam.g1[j]), at_a(fam.t1[j]))
-        for j in range(min(n_l + 2, len(fam.g1), len(fam.t1)))
-    ]
-    that_poly = [
-        np.linalg.solve(at_a(fam.q2[j]), at_a(fam.p2[j]))
-        for j in range(min(n_t + 1, len(fam.q2), len(fam.p2)))
-    ]
+    rhat_poly = quotients(fam.g1, fam.t1, n_l + 2)
+    that_poly = quotients(fam.q2, fam.p2, n_t + 1)
 
     _check_routes([
         (name, f"j={j}", x, y)
@@ -155,13 +153,9 @@ def _check_routes(rows, rtol):
 
 def compute_first(source):
     """First-type parameters M_j (H1 forms) and L_j (K2 forms)."""
-    if isinstance(source, MomentSequence):
-        seq = source
-        hank = build_hankels(seq)
-    else:
-        fam = ensure_family(source)
-        seq = fam.seq
-        hank = fam.hankels
+    hank = (build_hankels(source) if isinstance(source, MomentSequence)
+            else ensure_family(source).hankels)
+    seq = hank.seq
     m = seq.m
 
     qh = [hermitize(hank.form("H1", j)) for j in range(m // 2 + 1)]
