@@ -17,10 +17,10 @@ Corner Schur complements of the four families drive the recursive
 constructions in the rest of the package.
 
 A HankelSet owns the Cholesky factors of its members and a SchurChain
-those of its complements past e_0.  Each factor is computed by cholesky_pd on
-first use and kept for the lifetime of its owner, and every solve against
-a member goes through its owner's solve, so one command factors each
-matrix once.  A HankelSet also keeps the two kinds of solve everything
+those of its complements past e_0.  Each factor is computed by
+cholesky_pd on first use and kept for the lifetime of its owner, and
+every solve against a member goes through its owner's solve, so one
+command factors each matrix once.  A HankelSet also keeps the two kinds of solve everything
 downstream reads, each made once: the Schur step of each member and the
 transfer solve of each family.  It owns the StructuralVectors of its
 sequence, which keep each shift resolvent R_j(a) at the left endpoint

@@ -325,18 +325,19 @@ def verify_family_identities(fam, measure=None, zs=None):
         for label, x, y in zip(labels, lhs, rhs):
             add(name, f"j={j},{label}", x, y)
 
-    def inv_adjoint_at_a(p):
+    def normalized(p, den):
         try:
-            return np.linalg.inv(adjoint_at_a(p))
-        except np.linalg.LinAlgError as exc:
-            raise SingularNormalization(f"{p.family}[{p.index}] value at a is singular") from exc
+            inv = np.linalg.inv(adjoint_at_a(den))
+        except np.linalg.LinAlgError as e:
+            raise SingularNormalization(f"{den.family}[{den.index}] value at a is singular") from e
+        return adjoint_eval(p, points) @ inv
 
     for j in range(min(len(fam.g2), len(fam.t2), len(hank.H1))):
-        lhs = adjoint_eval(fam.g2[j], points) @ inv_adjoint_at_a(fam.t2[j])
+        lhs = normalized(fam.g2[j], fam.t2[j])
         rhs = -_adjoint(r_points(j) @ hank.column("H1", j)) @ hank.transfer("H1", j)
         add_points("ratio_g2_t2", j, lhs, rhs)
     for j in range(min(max(len(fam.q1) - 1, 0), max(len(fam.p1) - 1, 0), len(hank.K2))):
-        lhs = adjoint_eval(fam.q1[j + 1], points) @ inv_adjoint_at_a(fam.p1[j + 1])
+        lhs = normalized(fam.q1[j + 1], fam.p1[j + 1])
         rhs = -_adjoint(r_points(j) @ hank.column("K2", j)) @ hank.transfer("K2", j)
         add_points("ratio_q1_p1", j, lhs, rhs)
 

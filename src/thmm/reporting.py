@@ -47,7 +47,6 @@ class IdentityReport:
         return {name: self.residual_for(name) for name in self.names()}
 
 
-
 def identity_checks(rows):
     """IdentityCheck(name, where, rel_residual(lhs, rhs)) of each row (name, where, lhs, rhs).
 

@@ -300,7 +300,7 @@ def bp_factor(fam, schur, k, z):
     eye = _eye(q)
     if k == 0:
         return _up((z - a) * seq.s[0])
-    j = (k - 1) // 2
+    j = (k - 1) // 2   # k = 2j + 1 or k = 2j + 2
     if k % 2 == 1:
         g, t, complement, w = fam.G1(j), fam.T1(j), "khat1", -(z - a)
     else:

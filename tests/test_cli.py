@@ -291,12 +291,9 @@ def test_analyze_loads_no_scipy(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    inp = str(Path(__file__).parent / "golden" / "moments_q2.json")
-    script = (
-        "import sys, thmm.cli\n"
-        f"code = thmm.cli.main(['analyze', '--input', {inp!r}, '--output', {str(tmp_path / 'out.json')!r}])\n"
-        "print(code, 'scipy' in sys.modules)\n"
-    )
+    argv = ["analyze", "--input", str(Path(__file__).parent / "golden" / "moments_q2.json"),
+            "--output", str(tmp_path / "out.json")]
+    script = f"import sys, thmm.cli\nprint(thmm.cli.main({argv!r}), 'scipy' in sys.modules)\n"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.stdout.split() == ["0", "False"], proc.stderr
@@ -322,7 +319,7 @@ def test_analyze_factors_each_member_once(tmp_path, monkeypatch):
     # every Hankel member, and the Schur complements khat1, hhat2 past j = 0:
     # member 0 of a Schur chain is e_0 and takes its factor from the Hankel set
     assert sum(counts) == 13 + 2 + 2
-    assert not any(a is getattr(fam.schur, name)[0] for name in ("khat1", "hhat2") for a in factored)
+    assert not any(a is fam.schur.khat1[0] or a is fam.schur.hhat2[0] for a in factored)
     assert fam.schur.factor("khat1", 0) is fam.hankels.factor("K1", 0)
     # the classification's pair K1[n], K2[n] (m = 6: H1[3], H2[2]) is among them
     assert factored[0] is fam.hankels.H1[3] and factored[1] is fam.hankels.H2[2]
