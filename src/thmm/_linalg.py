@@ -122,6 +122,10 @@ def solve_factored(L, rhs):
     return x
 
 
+def inv_pd(a, family="matrix", index=0):
+    return solve_pd(a, np.eye(a.shape[0], dtype=complex), family, index)
+
+
 def is_pd(a):
     return cholesky_pd(hermitize(np.asarray(a, dtype=complex))) is not None
 

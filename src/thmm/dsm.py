@@ -30,6 +30,8 @@ from ._linalg import (
     cholesky_pd,
     frob,
     hermitize,
+    inv_pd,
+    rel_residual,
     solve_factored,
     solve_pd,
 )
@@ -47,7 +49,7 @@ from .moments import (
     hankel_from_entries,
 )
 from .polynomials import build_family, ensure_family
-from .reporting import IdentityReport, identity_checks
+from .reporting import IdentityCheck, IdentityReport
 
 ROUTE_RTOL = 1e-10
 
@@ -107,33 +109,44 @@ def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
     n_l = (m - 2) // 2 if m >= 2 else -1
 
     that_qf = [hermitize(hank.form("K1", j)) for j in range(n_t + 1)]
-    mhat_qf = that_qf[:1] + [that_qf[j] - that_qf[j - 1] for j in range(1, n_t + 1)]
+    mhat_qf = (
+        [that_qf[0]] + [that_qf[j] - that_qf[j - 1] for j in range(1, n_t + 1)]
+        if that_qf else []
+    )
 
     qf = [hermitize(hank.form("H2", j)) for j in range(n_l + 1)]
-    lhat_qf = qf[:1] + [qf[j] - qf[j - 1] for j in range(1, n_l + 1)]
+    lhat_qf = [qf[0]] + [qf[j] - qf[j - 1] for j in range(1, n_l + 1)] if qf else []
     rhat_qf = [np.array(s0)] + [s0 + qf[j] for j in range(n_l + 1)]
 
     # polynomial route
     at_a = fam.at_a
+    mhat_poly = []
+    for j in range(n_t + 1):
+        val = at_a(fam.g1[j])
+        mhat_poly.append(val.conj().T @ sch.solve("khat1", j, val))
+    lhat_poly = []
+    for j in range(n_l + 1):
+        val = at_a(fam.q2[j])
+        lhat_poly.append(val.conj().T @ sch.solve("hhat2", j, val))
+    rhat_poly = [
+        np.linalg.solve(at_a(fam.g1[j]), at_a(fam.t1[j]))
+        for j in range(min(n_l + 2, len(fam.g1), len(fam.t1)))
+    ]
+    that_poly = [
+        np.linalg.solve(at_a(fam.q2[j]), at_a(fam.p2[j]))
+        for j in range(min(n_t + 1, len(fam.q2), len(fam.p2)))
+    ]
 
-    def form(p, complement, j):
-        val = at_a(p)
-        return val.conj().T @ sch.solve(complement, j, val)
+    def check(name, qf_vals, poly_vals):
+        for j, (x, y) in enumerate(zip(qf_vals, poly_vals)):
+            res = rel_residual(x, y)
+            if res > rtol:
+                raise RouteMismatch(name, f"j={j}", res)
 
-    def quotients(den, num, count):
-        return [np.linalg.solve(at_a(d), at_a(n)) for d, n in zip(den[:count], num[:count])]
-
-    mhat_poly = [form(fam.g1[j], "khat1", j) for j in range(n_t + 1)]
-    lhat_poly = [form(fam.q2[j], "hhat2", j) for j in range(n_l + 1)]
-    rhat_poly = quotients(fam.g1, fam.t1, n_l + 2)
-    that_poly = quotients(fam.q2, fam.p2, n_t + 1)
-
-    _check_routes([
-        (name, f"j={j}", x, y)
-        for name, qf_vals, poly_vals in (("mhat", mhat_qf, mhat_poly), ("lhat", lhat_qf, lhat_poly),
-                                         ("rhat", rhat_qf, rhat_poly), ("that", that_qf, that_poly))
-        for j, (x, y) in enumerate(zip(qf_vals, poly_vals))
-    ], rtol)
+    check("mhat", mhat_qf, mhat_poly)
+    check("lhat", lhat_qf, lhat_poly)
+    check("rhat", rhat_qf, rhat_poly)
+    check("that", that_qf, that_poly)
 
     return DsmSecond(
         q=seq.q, a=seq.a, b=seq.b,
@@ -144,18 +157,15 @@ def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
     )
 
 
-def _check_routes(rows, rtol):
-    """RouteMismatch at the first row (name, where, x, y) whose x and y differ by over rtol."""
-    for entry in identity_checks(rows):
-        if entry.residual > rtol:
-            raise RouteMismatch(entry.name, entry.where, entry.residual)
-
-
 def compute_first(source):
     """First-type parameters M_j (H1 forms) and L_j (K2 forms)."""
-    hank = (build_hankels(source) if isinstance(source, MomentSequence)
-            else ensure_family(source).hankels)
-    seq = hank.seq
+    if isinstance(source, MomentSequence):
+        seq = source
+        hank = build_hankels(seq)
+    else:
+        fam = ensure_family(source)
+        seq = fam.seq
+        hank = fam.hankels
     m = seq.m
 
     qh = [hermitize(hank.form("H1", j)) for j in range(m // 2 + 1)]
@@ -184,8 +194,8 @@ def product_identities(fam, dsm, first=None):
     if first is None:
         first = compute_first(fam)
 
-    inv_m = [solve_pd(x, eye, "mhat", j) for j, x in enumerate(mh)]
-    inv_l = [solve_pd(x, eye, "lhat", j) for j, x in enumerate(lh)]
+    inv_m = [inv_pd(x, "mhat", j) for j, x in enumerate(mh)]
+    inv_l = [inv_pd(x, "lhat", j) for j, x in enumerate(lh)]
 
     # W[j] = prod_{k<j} mhat_k^{-1} lhat_k^{-1}; X[j] = W[j] mhat_j^{-1}
     W = [eye]
@@ -193,10 +203,11 @@ def product_identities(fam, dsm, first=None):
         W.append(W[-1] @ inv_m[k] @ inv_l[k])
     X = [W[j] @ inv_m[j] for j in range(min(len(W), len(inv_m)))]
 
-    rows = []
+    entries = []
+    notes = []
 
     def add(name, where, lhs, rhs):
-        rows.append((name, where, lhs, rhs))
+        entries.append(IdentityCheck(name, where, rel_residual(lhs, rhs)))
 
     for j in range(min(len(fam.q2), len(X))):
         add("q2_alternating_product", f"j={j}",
@@ -209,11 +220,27 @@ def product_identities(fam, dsm, first=None):
         add("t1_alternating_product", f"j={j}",
             at_a(fam.t1[j]), (-1.0) ** j * W[j] @ acc)
 
+    res_cur, res_prev = [], []
     for j in range(1, min(len(fam.p2), len(fam.q2), len(mh))):
         p2a = at_a(fam.p2[j])
         q2a = at_a(fam.q2[j])
-        add("p2_sum_through_current", f"j={j}", p2a, q2a @ sum(mh[:j + 1]))
-        add("p2_sum_through_previous", f"j={j}", p2a, q2a @ sum(mh[:j]))
+        sum_cur = sum(mh[:j + 1])
+        sum_prev = sum(mh[:j])
+        r1 = rel_residual(p2a, q2a @ sum_cur)
+        r2 = rel_residual(p2a, q2a @ sum_prev)
+        entries.append(IdentityCheck("p2_sum_through_current", f"j={j}", r1))
+        entries.append(IdentityCheck("p2_sum_through_previous", f"j={j}", r2))
+        res_cur.append(r1)
+        res_prev.append(r2)
+    if res_cur:
+        supported = (
+            "p2_sum_through_current" if max(res_cur) <= max(res_prev)
+            else "p2_sum_through_previous"
+        )
+        notes.append(
+            f"P2 partial-sum identity: numerics support {supported} "
+            f"(max residuals {max(res_cur):.3e} vs {max(res_prev):.3e})"
+        )
 
     for j in range(min(len(fam.q2), len(fam.g1), len(inv_m))):
         add("q2_from_g1", f"j={j}",
@@ -280,15 +307,7 @@ def product_identities(fam, dsm, first=None):
         add("l_first_from_polys", f"j={j}", first.L[j],
             np.linalg.solve(at_a(fam.p1[j + 1]), at_a(fam.t2[j])))
 
-    report = IdentityReport(identity_checks(rows))
-    if "p2_sum_through_current" not in report.names():
-        return report
-    cur = report.residual_for("p2_sum_through_current")
-    prev = report.residual_for("p2_sum_through_previous")
-    supported = "p2_sum_through_current" if cur <= prev else "p2_sum_through_previous"
-    note = (f"P2 partial-sum identity: numerics support {supported} "
-            f"(max residuals {cur:.3e} vs {prev:.3e})")
-    return IdentityReport(report.entries, (note,))
+    return IdentityReport(tuple(entries), tuple(notes))
 
 
 def _require_pd_param(x, name, index):
@@ -431,8 +450,12 @@ def scalar_determinant_params(seq, rtol=1e-8):
         ltilde.append(float((e2 ** 2 / denom).real))
 
     dsm = compute_second(seq, fam)
-    _check_routes([("mtilde", f"j={j}", np.array([[val]]), dsm.mhat[j])
-                   for j, val in enumerate(mtilde)]
-                  + [("ltilde", f"j={j}", np.array([[val]]), dsm.lhat_from_zero[j])
-                     for j, val in enumerate(ltilde)], rtol)
+    for j, val in enumerate(mtilde):
+        res = rel_residual(np.array([[val]]), dsm.mhat[j])
+        if res > rtol:
+            raise RouteMismatch("mtilde", f"j={j}", res)
+    for j, val in enumerate(ltilde):
+        res = rel_residual(np.array([[val]]), dsm.lhat_from_zero[j])
+        if res > rtol:
+            raise RouteMismatch("ltilde", f"j={j}", res)
     return tuple(mtilde), tuple(ltilde), dsm

@@ -17,10 +17,10 @@ Corner Schur complements of the four families drive the recursive
 constructions in the rest of the package.
 
 A HankelSet owns the Cholesky factors of its members and a SchurChain
-those of its complements past e_0.  Each factor is computed by
-cholesky_pd on first use and kept for the lifetime of its owner, and
-every solve against a member goes through its owner's solve, so one
-command factors each matrix once.  A HankelSet also keeps the two kinds of solve everything
+those of its complements.  Each factor is computed by cholesky_pd on
+first use and kept for the lifetime of its owner, and every solve against
+a member goes through its owner's solve, so one command factors each
+matrix once.  A HankelSet also keeps the two kinds of solve everything
 downstream reads, each made once: the Schur step of each member and the
 transfer solve of each family.  It owns the StructuralVectors of its
 sequence, which keep each shift resolvent R_j(a) at the left endpoint
@@ -409,14 +409,7 @@ class SchurChain(_Factors):
     hhat2: tuple
     khat1: tuple
     khat2: tuple
-    hankels: HankelSet = dataclasses.field(repr=False)
     _factors: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
-
-    def factor(self, family, j):
-        """Member 0 is e_0, member 0 of the parent family (K1 for khat1), which keeps its factor."""
-        if j == 0:
-            return self.hankels.factor(family[0].upper() + family[-1], 0)
-        return super().factor(family, j)
 
 
 def schur_chain(hankels):
@@ -442,7 +435,6 @@ def schur_chain(hankels):
         hhat2=complements("H2"),
         khat1=complements("K1"),
         khat2=complements("K2"),
-        hankels=hankels,
     )
 
 

@@ -26,6 +26,7 @@ import functools
 
 import numpy as np
 
+from ._linalg import rel_residual, rel_residuals
 from .errors import OrderUnavailable, SingularNormalization
 from .moments import (
     HankelSet,
@@ -33,7 +34,7 @@ from .moments import (
     build_hankels,
     schur_chain,
 )
-from .reporting import IdentityReport, identity_checks
+from .reporting import IdentityCheck, IdentityReport
 
 FAMILY_TAGS = ("P1", "P2", "Q1", "Q2", "G1", "G2", "T1", "T2")
 
@@ -282,11 +283,12 @@ def verify_family_identities(fam, measure=None, zs=None):
     sch = fam.schur
     vecs = fam.vectors
     hank = fam.hankels
-    rows = []
+    entries = []
+
     at_a, adjoint_at_a = fam.at_a, fam.adjoint_at_a
 
     def add(name, where, lhs, rhs):
-        rows.append((name, where, lhs, rhs))
+        entries.append(IdentityCheck(name, where, rel_residual(lhs, rhs)))
 
     for j in range(min(len(fam.p1), len(fam.t2), len(sch.hhat1))):
         add("hhat1_product", f"j={j}",
@@ -322,22 +324,23 @@ def verify_family_identities(fam, measure=None, zs=None):
     r_points = functools.cache(lambda j: vecs.R_many(j, points.conj()))
 
     def add_points(name, j, lhs, rhs):
-        for label, x, y in zip(labels, lhs, rhs):
-            add(name, f"j={j},{label}", x, y)
-
-    def normalized(p, den):
-        try:
-            inv = np.linalg.inv(adjoint_at_a(den))
-        except np.linalg.LinAlgError as e:
-            raise SingularNormalization(f"{den.family}[{den.index}] value at a is singular") from e
-        return adjoint_eval(p, points) @ inv
+        for label, res in zip(labels, rel_residuals(lhs, rhs).tolist()):
+            entries.append(IdentityCheck(name, f"j={j},{label}", res))
 
     for j in range(min(len(fam.g2), len(fam.t2), len(hank.H1))):
-        lhs = normalized(fam.g2[j], fam.t2[j])
+        try:
+            t2a_inv = np.linalg.inv(adjoint_at_a(fam.t2[j]))
+        except np.linalg.LinAlgError as exc:
+            raise SingularNormalization(f"T2[{j}] value at a is singular") from exc
+        lhs = adjoint_eval(fam.g2[j], points) @ t2a_inv
         rhs = -_adjoint(r_points(j) @ hank.column("H1", j)) @ hank.transfer("H1", j)
         add_points("ratio_g2_t2", j, lhs, rhs)
     for j in range(min(max(len(fam.q1) - 1, 0), max(len(fam.p1) - 1, 0), len(hank.K2))):
-        lhs = normalized(fam.q1[j + 1], fam.p1[j + 1])
+        try:
+            p1a_inv = np.linalg.inv(adjoint_at_a(fam.p1[j + 1]))
+        except np.linalg.LinAlgError as exc:
+            raise SingularNormalization(f"P1[{j + 1}] value at a is singular") from exc
+        lhs = adjoint_eval(fam.q1[j + 1], points) @ p1a_inv
         rhs = -_adjoint(r_points(j) @ hank.column("K2", j)) @ hank.transfer("K2", j)
         add_points("ratio_q1_p1", j, lhs, rhs)
 
@@ -355,4 +358,4 @@ def verify_family_identities(fam, measure=None, zs=None):
         )
         add("endpoint_g1_g2", f"j={j}", lhs - corr, np.zeros_like(lhs))
 
-    return IdentityReport(identity_checks(rows))
+    return IdentityReport(tuple(entries))

@@ -4,10 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
-from ._linalg import rel_residual, rel_residuals
-
 
 @dataclasses.dataclass(frozen=True)
 class IdentityCheck:
@@ -45,24 +41,3 @@ class IdentityReport:
 
     def by_name(self):
         return {name: self.residual_for(name) for name in self.names()}
-
-
-def identity_checks(rows):
-    """IdentityCheck(name, where, rel_residual(lhs, rhs)) of each row (name, where, lhs, rhs).
-
-    The residuals of C-ordered pairs come from one rel_residuals stack per
-    shape, which sums each matrix in the same memory order as rel_residual;
-    any other pair is computed alone.
-    """
-    residuals, stacks = {}, {}
-    for i, (_, _, lhs, rhs) in enumerate(rows):
-        x, y = np.asarray(lhs, dtype=complex), np.asarray(rhs, dtype=complex)
-        if x.ndim == 2 and x.shape == y.shape and x.flags.c_contiguous and y.flags.c_contiguous:
-            stacks.setdefault(x.shape, []).append((i, x, y))
-        else:
-            residuals[i] = rel_residual(x, y)
-    for items in stacks.values():
-        index, xs, ys = zip(*items)
-        residuals.update(zip(index, rel_residuals(np.stack(xs), np.stack(ys)).tolist()))
-    return tuple(IdentityCheck(name, where, residuals[i])
-                 for i, (name, where, _, _) in enumerate(rows))

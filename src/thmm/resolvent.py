@@ -300,19 +300,28 @@ def bp_factor(fam, schur, k, z):
     eye = _eye(q)
     if k == 0:
         return _up((z - a) * seq.s[0])
-    j = (k - 1) // 2   # k = 2j + 1 or k = 2j + 2
     if k % 2 == 1:
-        g, t, complement, w = fam.G1(j), fam.T1(j), "khat1", -(z - a)
+        j = (k - 1) // 2
+        g = fam.at_a(fam.G1(j))
+        t = fam.at_a(fam.T1(j))
+        solved = schur.solve("khat1", j, np.hstack([g, t]))
+        sg, st = solved[:, :q], solved[:, q:]
+        g_adj, t_adj = g.conj().T, t.conj().T
+        alpha = eye - (z - a) * t_adj @ sg
+        beta = (z - a) * t_adj @ st
+        gamma = -(z - a) * g_adj @ sg
+        delta = eye + (z - a) * g_adj @ st
     else:
-        g, t, complement, w = fam.P2(j), fam.Q2(j), "hhat2", z - a
-    g, t = fam.at_a(g), fam.at_a(t)
-    solved = schur.solve(complement, j, np.hstack([g, t]))
-    sg, st = solved[:, :q], solved[:, q:]
-    g_adj, t_adj = g.conj().T, t.conj().T
-    alpha = eye + w * t_adj @ sg
-    beta = (z - a) * t_adj @ st
-    gamma = -(z - a) * g_adj @ sg
-    delta = eye - w * g_adj @ st
+        j = (k - 2) // 2
+        p = fam.at_a(fam.P2(j))
+        qq = fam.at_a(fam.Q2(j))
+        solved = schur.solve("hhat2", j, np.hstack([p, qq]))
+        sp, sq = solved[:, :q], solved[:, q:]
+        p_adj, q_adj = p.conj().T, qq.conj().T
+        alpha = eye + (z - a) * q_adj @ sp
+        beta = (z - a) * q_adj @ sq
+        gamma = -(z - a) * p_adj @ sp
+        delta = eye - (z - a) * p_adj @ sq
     return _assemble(alpha, beta, gamma, delta)
 
 

@@ -5,6 +5,7 @@ import sympy
 from thmm import (
     InconsistentLengths,
     NonPositiveParameter,
+    RouteMismatch,
     WrongMatrixSize,
     build_family,
     classify,
@@ -15,7 +16,8 @@ from thmm import (
     scalar_determinant_params,
     stieltjes_limit_check,
 )
-from thmm._linalg import min_eigenvalue
+from thmm import dsm as dsm_module
+from thmm._linalg import min_eigenvalue, rel_residual
 
 from conftest import lebesgue, random_sequence, rel
 
@@ -100,6 +102,42 @@ def test_route_agreement_ensemble(rng):
     for q, n in ((1, 3), (2, 3), (3, 2)):
         seq, _ = random_sequence(rng, q, n)
         compute_second(seq)  # raises RouteMismatch above 1e-10
+
+
+def _route_error(monkeypatch, run, failing):
+    """The RouteMismatch of run() when dsm's route residual calls numbered in failing read 1.0.
+
+    A negative number counts from the last call of a passing run.
+    """
+    calls = []
+
+    def residual(x, y):
+        calls.append(None)
+        return 1.0 if len(calls) - 1 in bad else rel_residual(x, y)
+
+    bad = set()
+    monkeypatch.setattr(dsm_module, "rel_residual", residual)
+    run()
+    bad = {k % len(calls) for k in failing}
+    calls.clear()
+    with pytest.raises(RouteMismatch) as err:
+        run()
+    return err.value
+
+
+def test_route_mismatch_names_the_first_failing_row(monkeypatch):
+    # an early and a late row fail; the error names the early one
+    seq = lebesgue(5)
+    fam = build_family(seq)
+    second = compute_second(seq, fam)
+    err = _route_error(monkeypatch, lambda: compute_second(seq, fam), (1, -1))
+    assert (err.what, err.where, err.residual) == ("mhat", "j=1", 1.0)
+    # scalar_determinant_params checks mtilde j = 0, 1, 2 and then ltilde j = 0, 1
+    monkeypatch.setattr(dsm_module, "compute_second", lambda seq, fam: second)
+    err = _route_error(monkeypatch, lambda: scalar_determinant_params(seq), (1, -1))
+    assert (err.what, err.where) == ("mtilde", "j=1")
+    err = _route_error(monkeypatch, lambda: scalar_determinant_params(seq), (3, -1))
+    assert (err.what, err.where) == ("ltilde", "j=0")
 
 
 def test_first_desk_values():

