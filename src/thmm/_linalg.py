@@ -5,12 +5,13 @@ factorization with a relative pivot threshold, never by eigenvalue
 iterations, so the decision is deterministic.  Eigenvalues are computed
 only to report witnesses for failed classifications.
 
-The helpers here own no factor.  solve_pd factors its matrix and drops
-the factor; a matrix solved against more than once is factored by its
-owner (HankelSet for the Hankel members, SchurChain for the Schur
-complements) with cholesky_pd, and each solve reuses that factor through
-solve_factored.  No LAPACK routine is bound directly: a solve is a NumPy
-forward and back substitution through the kept factor.
+cholesky_pd is the one Cholesky loop.  Run in blocks of q on the largest
+member of a block Hankel family, it decides every member at once: the
+factor of each member is a leading block of the one factor, and its
+diagonal blocks factor the Schur complements.  HankelSet keeps one such
+factor per family; solve_pd factors its matrix and drops the factor.  No
+LAPACK routine is bound directly: a solve is a NumPy forward and back
+substitution through the factor.
 """
 
 import math
@@ -72,21 +73,28 @@ def hermitize(a):
     return 0.5 * (a + a.conj().T)
 
 
-def cholesky_pd(a, pivot_rtol=PIVOT_RTOL):
+def cholesky_pd(a, pivot_rtol=PIVOT_RTOL, block=None):
     """Lower Cholesky factor of a Hermitian matrix, or None.
 
-    Returns None as soon as a pivot is not above pivot_rtol * ||a||_F, the
-    package-wide positive definiteness test.  A NaN pivot or threshold
-    fails it too.
+    a[:p, :p] counts as positive definite when each of its p pivots is above
+    pivot_rtol * ||a[:p, :p]||_F, the package-wide test; a NaN pivot or
+    threshold fails it.  Without block this is the factor of a, or None.
+    With block it is the factor of the largest passing a[:p, :p], p a
+    multiple of block, or None if none passes.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
-    threshold = pivot_rtol * frob(a)
+    block = block or max(n, 1)
+    thresholds = [pivot_rtol * frob(a[:p, :p]) for p in range(block, n + 1, block)]
     L = np.zeros_like(a)
+    smallest = math.inf   # pivot so far: a block's threshold tests all pivots before it too
     for k in range(n):
         d = a[k, k].real - np.vdot(L[k, :k], L[k, :k]).real
-        if not d > threshold:
-            return None
+        threshold = thresholds[k // block]
+        if not (d > threshold and smallest > threshold):
+            p = k - k % block
+            return L[:p, :p] if p else None
+        smallest = min(smallest, d)
         L[k, k] = math.sqrt(d)
         if k + 1 < n:
             col = a[k + 1:, k] - L[k + 1:, :k] @ L[k, :k].conj()

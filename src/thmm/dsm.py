@@ -441,8 +441,7 @@ def scalar_determinant_params(seq, rtol=1e-8):
 
     ltilde = []
     for j in range(n_l + 1):
-        u = hank.column("H2", j)
-        e_row = -(u.conj().T @ vecs.R_at_a(j).conj().T)
+        e_row = -vecs.R_at_a_times(hank.column("H2", j)).conj().T
         rows = [[sh[i + k] for k in range(j + 1)] for i in range(j)]
         rows.append([e_row[0, k] for k in range(j + 1)])
         e2 = det(np.array(rows, dtype=complex))

@@ -16,15 +16,14 @@ downstream of :func:`classify` requires that property.
 Corner Schur complements of the four families drive the recursive
 constructions in the rest of the package.
 
-A HankelSet owns the Cholesky factors of its members and a SchurChain
-those of its complements.  Each factor is computed by cholesky_pd on
-first use and kept for the lifetime of its owner, and every solve against
-a member goes through its owner's solve, so one command factors each
-matrix once.  A HankelSet also keeps the two kinds of solve everything
-downstream reads, each made once: the Schur step of each member and the
-transfer solve of each family.  It owns the StructuralVectors of its
-sequence, which keep each shift resolvent R_j(a) at the left endpoint
-once built.
+Each family is factored once: a HankelSet runs cholesky_pd on the largest
+member of a family on first use and keeps that one factor L.  Its leading
+(j+1)q block is the factor of F[j], and its diagonal block j is the factor
+of the Schur complement F[j] / F[j-1], so every solve against a member or
+a complement reads L.  A HankelSet also keeps the two kinds of solve
+everything downstream reads, each made once: the Schur step of each
+member and the transfer solve of each family.  It owns the
+StructuralVectors of its sequence.
 """
 
 from __future__ import annotations
@@ -147,40 +146,15 @@ def hankel_from_entries(entries, j):
     return out
 
 
-class _Factors:
-    """Cholesky factors of the members of a frozen dataclass, each computed once.
-
-    A family name is the name of a field holding a tuple of members; the
-    subclass provides the dict field _factors.
-    """
-
-    def member(self, family, j):
-        return getattr(self, family)[j]
-
-    def factor(self, family, j):
-        """cholesky_pd of member j of family, or None if it is not positive definite."""
-        key = (family, j)
-        if key not in self._factors:
-            self._factors[key] = cholesky_pd(self.member(family, j))
-        return self._factors[key]
-
-    def solve(self, family, j, rhs):
-        """member^{-1} rhs through the kept factor; SingularPivot(family, j) if there is none."""
-        L = self.factor(family, j)
-        if L is None:
-            raise SingularPivot(family, j)
-        return solve_factored(L, rhs)
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
-class HankelSet(_Factors):
+class HankelSet:
     """The four block Hankel families of a moment sequence, their factors and solves.
 
     A family F is "H1", "H2", "K1" or "K2"; entries[F] is its entry sequence
     e_0, e_1, ... and member F[j] is {e_{l+k}}_{l,k=0..j}.  factor(F, j)
-    and solve(F, j, rhs) work on F[j] through its kept factor.  The two
-    kinds of solve the rest of the package reads are made once, on first
-    use, and kept read-only:
+    and solve(F, j, rhs) work on F[j] through the leading block of the one
+    factor of the family.  The two kinds of solve the rest of the package
+    reads are made once, on first use, and kept read-only:
 
       schur_row(F, j)  the Schur step x_j = F[j-1]^{-1} Y_j on the cross
                        column Y_j = (e_j; ...; e_{2j-1}).  It gives the Schur
@@ -201,7 +175,6 @@ class HankelSet(_Factors):
     K1: tuple
     K2: tuple
     vectors: StructuralVectors
-    _factors: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
     _kept: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def member(self, family, j):
@@ -210,6 +183,30 @@ class HankelSet(_Factors):
                 f"{family}[{j}] needs moments beyond the supplied m={self.seq.m}"
             )
         return getattr(self, family)[j]
+
+    def factor(self, family, j):
+        """Lower Cholesky factor of F[j], or None if F[j] is not positive definite.
+
+        It is the leading (j+1)q block of the family's one factor:
+        cholesky_pd of the largest member in blocks of q, run on first use.
+        """
+        self.member(family, j)
+        key = ("factor", family)
+        if key not in self._kept:
+            L = cholesky_pd(getattr(self, family)[-1], block=self.seq.q)
+            if L is not None:
+                L.flags.writeable = False
+            self._kept[key] = L
+        L = self._kept[key]
+        size = (j + 1) * self.seq.q
+        return L[:size, :size] if L is not None and len(L) >= size else None
+
+    def solve(self, family, j, rhs):
+        """F[j]^{-1} rhs through its factor; SingularPivot(family, j) if there is none."""
+        L = self.factor(family, j)
+        if L is None:
+            raise SingularPivot(family, j)
+        return solve_factored(L, rhs)
 
     def cross(self, family, j):
         """Y_j = (e_j; ...; e_{2j-1}), the column bordering F[j-1] in F[j], for j >= 1."""
@@ -249,8 +246,7 @@ class HankelSet(_Factors):
     def _transfer(self, family, j):
         key = ("transfer", family, j)
         if key not in self._kept:
-            col = self.column(family, j)
-            rc = self.vectors.R_at_a(j) @ col
+            rc = self.vectors.R_at_a_times(self.column(family, j))
             x = self.solve(family, j, rc)
             form = rc.conj().T @ x
             x.flags.writeable = form.flags.writeable = False
@@ -277,14 +273,12 @@ class StructuralVectors:
     polynomials and the transfer quadratic forms are assembled: the block
     shift T_j, its resolvent R_j(z) = (I - z T_j)^{-1} in closed Toeplitz
     form, the first block-column unit v_j, and the various stacked moment
-    columns.  R_j(a) at the left endpoint, where every transfer quadratic
-    form is taken, is kept once built (R_at_a).
+    columns.
     """
 
     def __init__(self, seq):
         self.seq = seq
         self._shat = shifted_moments(seq)
-        self._R_at_a = {}
 
     def _need(self, idx, what):
         if idx > self.seq.m or idx < 0:
@@ -311,18 +305,13 @@ class StructuralVectors:
         """(I - z T_j)^{-1}: lower block Toeplitz with z^{l-k} I at block (l, k)."""
         return self.R_many(j, [z])[0]
 
-    def R_at_a(self, j):
-        """R(j, a) at the left endpoint a, built once per j and kept read-only.
-
-        Kept by j, not looked up by point: a = 0.0 compares equal to -0.0,
-        whose R carries other sign bits.
-        """
-        value = self._R_at_a.get(j)
-        if value is None:
-            value = self.R(j, self.seq.a)
-            value.flags.writeable = False
-            self._R_at_a[j] = value
-        return value
+    def R_at_a_times(self, col):
+        """R_j(a) col for a column of j + 1 blocks, by y_0 = c_0, y_l = a y_{l-1} + c_l."""
+        q = self.seq.q
+        out = np.array(col, dtype=complex)
+        for l in range(q, len(out), q):
+            out[l:l + q] += self.seq.a * out[l - q:l]
+        return out
 
     def R_many(self, j, zs):
         """The (K, (j+1)q, (j+1)q) stack of R(j, z) over the points zs.
@@ -394,14 +383,20 @@ class StructuralVectors:
         return -self.y(0, j) + self.seq.a * pad
 
 
+# the Hankel family of each chain of complements, whose factor solves against them
+_FAMILY_OF = {"hhat1": "H1", "hhat2": "H2", "khat1": "K1", "khat2": "K2"}
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
-class SchurChain(_Factors):
-    """Corner Schur complements of the four Hankel families, and their factors.
+class SchurChain:
+    """Corner Schur complements of the four Hankel families.
 
     For positive definite parents every member is a positive definite
     q x q matrix and the determinants telescope:
     det K1[j] = prod_{i <= j} det khat1[i], and likewise per family.
-    solve("khat1", j, rhs) solves against khat1[j] through its kept factor.
+    khat1[j] = K1[j] / K1[j-1] is L_jj L_jj^H for diagonal block j of the
+    family's factor, so solve("khat1", j, rhs) solves through L_jj.  The
+    reported complements stay e_{2j} - Y_j^* x_j, the more accurate value.
     """
 
     seq: MomentSequence
@@ -409,7 +404,15 @@ class SchurChain(_Factors):
     hhat2: tuple
     khat1: tuple
     khat2: tuple
-    _factors: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+    hankels: HankelSet = dataclasses.field(repr=False)
+
+    def solve(self, name, j, rhs):
+        """complement[j]^{-1} rhs; SingularPivot(name, j) if F[j] is not positive definite."""
+        L = self.hankels.factor(_FAMILY_OF[name], j)
+        if L is None:
+            raise SingularPivot(name, j)
+        corner = j * self.seq.q
+        return solve_factored(L[corner:, corner:], rhs)
 
 
 def schur_chain(hankels):
@@ -435,6 +438,7 @@ def schur_chain(hankels):
         hhat2=complements("H2"),
         khat1=complements("K1"),
         khat2=complements("K2"),
+        hankels=hankels,
     )
 
 
@@ -459,9 +463,10 @@ def classify(source):
     """Hausdorff positive definiteness of a MomentSequence or of a prebuilt HankelSet.
 
     Decided by attempted Cholesky factorization of the defining Hankel
-    pair; a HankelSet keeps those factors.  On failure the offending
-    matrix and its smallest eigenvalue are reported; an eigenvalue below
-    the negative pivot threshold means Indefinite, otherwise Degenerate.
+    pair, the largest members of their families; a HankelSet keeps those
+    factors.  On failure the offending matrix and its smallest eigenvalue
+    are reported; an eigenvalue below the negative pivot threshold means
+    Indefinite, otherwise Degenerate.
     """
     hank = source if isinstance(source, HankelSet) else build_hankels(source)
     m = hank.seq.m

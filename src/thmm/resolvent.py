@@ -225,9 +225,8 @@ def _aux_blocks(fam, j, z, kind):
         extra = seq.s[0]
 
     rz = vecs.R(j, np.conj(z))
-    ra = vecs.R_at_a(j)
     left = np.hstack([rz @ left_col, rz @ v]).conj().T
-    right = hank.solve(fam_name, j, np.hstack([ra @ v, ra @ right_col]))
+    right = hank.solve(fam_name, j, vecs.R_at_a_times(np.hstack([v, right_col])))
     pair = left @ right
     p_uv, p_uu = pair[:q, :q], pair[:q, q:]
     p_vv, p_vu = pair[q:, :q], pair[q:, q:]

@@ -6,8 +6,13 @@ conditioning floor, so a change of rounding can move it either way on one
 ensemble.  This tool reruns the loop of test_criterion_7_auxiliary_and_bp on
 the ensembles of seeds 1..20 (or --seeds A-B) and prints the worst pair
 residual per seed, then the median, the maximum and how many seeds exceed
-the bound, so that two versions can be compared in distribution.  thmm is
-imported from PYTHONPATH, so one checkout of this file measures any version:
+the bound, so that two versions can be compared in distribution.
+
+Route agreement does not certify accuracy, so the tool then prints the
+forward error of the closed-form table of test_dsm (s_j = W/(j+1), q = 1..4,
+CLOSED_FORM_DRAWS weights W per q) for n = 1..5: the median and maximum over
+the chains computed, and how many were refused.  thmm is imported from
+PYTHONPATH, so one checkout of this file measures any version:
 
     PYTHONPATH=src python tests/criterion7_seeds.py
     PYTHONPATH=/path/to/other/src python tests/criterion7_seeds.py --seeds 1-20
@@ -19,6 +24,7 @@ import argparse
 import statistics
 
 from test_acceptance import build_ensemble, criterion_7_residuals
+from test_dsm import closed_form_error, closed_form_weights
 
 PAIR_BOUND = 1e-12   # the tier-1 bound on the pair residual
 
@@ -41,6 +47,13 @@ def main(argv=None):
     above = sum(w > PAIR_BOUND for w in worst)
     print(f"median {statistics.median(worst):.3e}  max {max(worst):.3e}  "
           f"above {PAIR_BOUND:g}: {above} of {len(worst)}")
+    weights = [w for q in (1, 2, 3, 4) for w in closed_form_weights(q)]
+    for n in range(1, 6):
+        errors = [closed_form_error(w, n) for w in weights]
+        done = [e for e in errors if e is not None]
+        spread = (f"median {statistics.median(done):.3e}  max {max(done):.3e}"
+                  if done else "no chain computed")
+        print(f"closed form n={n}  {spread}  refused {len(errors) - len(done)} of {len(errors)}")
 
 
 if __name__ == "__main__":

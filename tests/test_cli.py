@@ -299,12 +299,13 @@ def test_analyze_loads_no_scipy(tmp_path):
     assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
-def test_analyze_factors_each_member_once(tmp_path, monkeypatch):
+def test_analyze_factors_each_family_once(tmp_path, monkeypatch):
     factored = []
     real_cholesky = _linalg.cholesky_pd
     for module in (_linalg, moments, dsm):
         monkeypatch.setattr(module, "cholesky_pd",
-                            lambda a, *rest: factored.append(a) or real_cholesky(a, *rest))
+                            lambda a, *rest, **kw: factored.append(a)
+                            or real_cholesky(a, *rest, **kw))
     families = []
     real_build = cli.build_family
     monkeypatch.setattr(cli, "build_family", lambda src: families.append(real_build(src))
@@ -312,14 +313,18 @@ def test_analyze_factors_each_member_once(tmp_path, monkeypatch):
     inp = str(Path(__file__).parent / "golden" / "moments_q2.json")
     assert main(["analyze", "--input", inp, "--output", str(tmp_path / "out.json")]) == 0
     (fam,) = families
-    owned = [m for name in ("H1", "H2", "K1", "K2") for m in getattr(fam.hankels, name)]
-    owned += [m for name in ("hhat1", "hhat2", "khat1", "khat2") for m in getattr(fam.schur, name)]
-    counts = [sum(a is m for a in factored) for m in owned]
-    assert max(counts) == 1
-    # the classification's pair K1[n], K2[n] (m = 6: H1[3], H2[2]) is among them
-    assert factored[0] is fam.hankels.H1[3] and factored[1] is fam.hankels.H2[2]
+    hank = fam.hankels
+    names = ("H1", "H2", "K1", "K2")
+    largest = [getattr(hank, name)[-1] for name in names]
+    assert [sum(a is m for a in factored) for m in largest] == [1, 1, 1, 1]
+    # the classification's pair (m = 6: H1[3], H2[2]) comes first
+    assert factored[0] is hank.H1[3] and factored[1] is hank.H2[2]
+    # no smaller member and no Schur complement reaches cholesky_pd
+    others = [m for name in names for m in getattr(hank, name)[:-1]]
+    others += [m for name in ("hhat1", "hhat2", "khat1", "khat2") for m in getattr(fam.schur, name)]
+    assert not any(a is m for a in factored for m in others)
     # the rest are the parameters mhat_0..2 and lhat_0..2, inverted once each
-    assert len(factored) == sum(counts) + 3 + 3
+    assert len(factored) == 4 + 3 + 3
 
 
 def test_analyze_shares_one_structural_vectors(monkeypatch):
@@ -327,11 +332,11 @@ def test_analyze_shares_one_structural_vectors(monkeypatch):
     real_init = moments.StructuralVectors.__init__
     monkeypatch.setattr(moments.StructuralVectors, "__init__",
                         lambda self, seq: made.append(self) or real_init(self, seq))
-    # v is read by build_family and the transfer columns, R_at_a by every DSM route
-    for name in ("v", "R_at_a"):
+    # v is read by build_family and the transfer columns, R_at_a_times by every DSM route
+    for name in ("v", "R_at_a_times"):
         real = getattr(moments.StructuralVectors, name)
         monkeypatch.setattr(moments.StructuralVectors, name,
-                            lambda self, j, real=real: seen.add(id(self)) or real(self, j))
+                            lambda self, arg, real=real: seen.add(id(self)) or real(self, arg))
     builds = []
     real_many = moments.StructuralVectors.R_many
     monkeypatch.setattr(moments.StructuralVectors, "R_many",
@@ -346,9 +351,9 @@ def test_analyze_shares_one_structural_vectors(monkeypatch):
     (fam,) = families
     assert seen == {id(vecs)}
     assert fam.vectors is vecs and fam.hankels.vectors is vecs
-    # m = 6: R_j(a) for j = 0..3 once each, and R_j(conj z) over the sample
-    # points once per j for both ratio identities
-    assert sorted(builds) == [0, 0, 1, 1, 2, 2, 3, 3]
+    # m = 6: R_j(conj z) over the sample points once per j for both ratio
+    # identities; R_j(a) is applied by its recurrence and never built
+    assert sorted(builds) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("argv", [

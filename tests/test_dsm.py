@@ -4,6 +4,7 @@ import sympy
 
 from thmm import (
     InconsistentLengths,
+    MomentSequence,
     NonPositiveParameter,
     RouteMismatch,
     WrongMatrixSize,
@@ -18,8 +19,9 @@ from thmm import (
 )
 from thmm import dsm as dsm_module
 from thmm._linalg import min_eigenvalue, rel_residual
+from thmm.errors import ThmmError
 
-from conftest import lebesgue, random_sequence, rel
+from conftest import lebesgue, random_pd_weight, random_sequence, rel
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +98,48 @@ def test_exact_rational_oracle_q1():
         assert abs(dsm.m(j)[0, 0] - float(exact)) < 1e-10
     for j, exact in enumerate(lhat):
         assert abs(dsm.l(j)[0, 0] - float(exact)) < 1e-10
+
+
+CLOSED_FORM_DRAWS = 6   # weights W per q
+
+
+def closed_form_weights(q):
+    """The positive definite weights W of the closed-form table for one q."""
+    rng = np.random.default_rng(1000 + q)
+    return [random_pd_weight(rng, q) for _ in range(CLOSED_FORM_DRAWS)]
+
+
+def closed_form_error(w, n):
+    """Forward error of the second-type chain of s_j = W/(j+1) on [0, 1], m = 2n + 1.
+
+    These are the moments of the Lebesgue measure times W, whose parameters
+    are mhat_j = (2j+2) W^{-1} and lhat_j = (1/(j+1) + 1/(j+2)) W exactly.
+    Returns the largest ||x - exact||_F / ||exact||_F over both chains, or
+    None where the chain is refused as analyze refuses it: a classification
+    other than PositiveDefinite, or a raised ThmmError.
+    """
+    seq = MomentSequence(0.0, 1.0, tuple(w / (j + 1) for j in range(2 * n + 2)))
+    try:
+        if not classify(seq).is_positive_definite:
+            return None
+        dsm = compute_second(seq)
+    except ThmmError:
+        return None
+    w_inv = np.linalg.inv(w)
+    exact = [(x, (2 * j + 2) * w_inv) for j, x in enumerate(dsm.mhat)]
+    exact += [(x, (1.0 / (j + 1) + 1.0 / (j + 2)) * w) for j, x in enumerate(dsm.lhat_from_zero)]
+    assert len(exact) == 2 * n + 1
+    return max(np.linalg.norm(x - y) / np.linalg.norm(y) for x, y in exact)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_closed_form_parameters_within_route_rtol(q):
+    # both routes read the same Hankel factors, so their agreement does not
+    # certify accuracy; the exact parameters do
+    for w in closed_form_weights(q):
+        for n in (1, 2, 3):
+            err = closed_form_error(w, n)
+            assert err is not None and err <= dsm_module.ROUTE_RTOL, (n, err)
 
 
 def test_route_agreement_ensemble(rng):

@@ -43,6 +43,33 @@ def test_cholesky_rejects_indefinite_and_singular():
     assert cholesky_pd(np.array([[1.0, np.nan], [np.nan, 1.0]])) is None
 
 
+def test_cholesky_in_blocks_tests_each_leading_block_against_its_own_norm():
+    # pivots 1, 5e-12 and 100: a[:2, :2] passes, but 5e-12 is not above
+    # 1e-12 * ||a||_F, so a itself fails although each pivot clears the
+    # threshold of the first leading block that holds it
+    a = np.diag([1.0, 5e-12, 100.0]).astype(complex)
+    assert cholesky_pd(a) is None and cholesky_pd(a[:2, :2]) is not None
+    L = cholesky_pd(a, block=1)
+    assert np.array_equal(L, cholesky_pd(a[:2, :2]))
+    assert cholesky_pd(np.diag([0.0, 1.0]), block=1) is None
+
+
+def test_cholesky_in_blocks_is_the_leading_factor(rng):
+    for q, k in ((1, 4), (2, 3), (3, 2)):
+        g = rng.normal(size=(q * k, q * k)) + 1j * rng.normal(size=(q * k, q * k))
+        a = g @ g.conj().T + 1e-3 * np.eye(q * k)
+        L = cholesky_pd(a, block=q)
+        assert np.array_equal(L, cholesky_pd(a))
+        for p in range(q, q * k, q):
+            lead = cholesky_pd(a[:p, :p])
+            assert rel_residual(L[:p, :p], lead) < 1e-14
+        # a trailing block that repeats the one before it stops the factor there
+        b = a.copy()
+        b[-q:, :] = b[-2 * q:-q, :]
+        b[:, -q:] = b[:, -2 * q:-q]
+        assert len(cholesky_pd(b, block=q)) == q * (k - 1)
+
+
 def test_solve_pd_and_inverse():
     a = np.array([[4.0, 1.0j], [-1.0j, 3.0]])
     rhs = np.array([[1.0], [2.0]], dtype=complex)

@@ -19,7 +19,7 @@ from thmm import (
     schur_chain,
 )
 from thmm import build_family, compute_first, compute_second, moments as moments_module
-from thmm._linalg import cholesky_pd, is_pd, solve_pd
+from thmm._linalg import cholesky_pd, is_pd, solve_factored, solve_pd
 from thmm.moments import StructuralVectors, shifted_moments
 
 from conftest import lebesgue, random_measure, rel
@@ -254,6 +254,15 @@ def _bits(x):
     return np.ascontiguousarray(x).tobytes()
 
 
+def _R_at_a_times(seq, col):
+    """R_j(a) col written out: block l is a times block l - 1, plus c_l."""
+    q = seq.q
+    blocks = [col[:q]]
+    for l in range(1, len(col) // q):
+        blocks.append(col[l * q:(l + 1) * q] + seq.a * blocks[-1])
+    return np.concatenate(blocks, axis=0)
+
+
 @pytest.mark.parametrize("q,m", [(1, 6), (1, 7), (2, 5), (2, 6), (3, 5)])
 def test_entries_and_solves_match_the_written_out_formulas(rng, q, m):
     from conftest import random_measure
@@ -283,10 +292,15 @@ def test_entries_and_solves_match_the_written_out_formulas(rng, q, m):
     }
     for family in ("H1", "H2", "K1", "K2"):
         members = getattr(hank, family)
+        # every solve goes through the leading block of the largest member's factor
+        L = cholesky_pd(members[-1], block=q)
+        assert len(L) == len(members[-1])
+        lead = lambda j: L[:(j + 1) * q, :(j + 1) * q]
         for j in range(len(members)):
             assert _bits(hank.entries[family][2 * j]) == _bits(corner[family](j))
-            rc = vecs.R_at_a(j) @ column[family](j)
-            solved = solve_pd(members[j], rc, family, j)
+            assert _bits(hank.factor(family, j)) == _bits(lead(j))
+            rc = _R_at_a_times(seq, column[family](j))
+            solved = solve_factored(lead(j), rc)
             assert _bits(hank.column(family, j)) == _bits(column[family](j))
             assert _bits(hank.transfer(family, j)) == _bits(solved)
             assert _bits(hank.form(family, j)) == _bits(rc.conj().T @ solved)
@@ -295,10 +309,17 @@ def test_entries_and_solves_match_the_written_out_formulas(rng, q, m):
             y = cross[family](j)
             assert _bits(hank.cross(family, j)) == _bits(y)
             x = hank.schur_row(family, j)
-            assert _bits(x) == _bits(solve_pd(members[j - 1], y, family, j - 1))
+            assert _bits(x) == _bits(solve_factored(lead(j - 1), y))
             assert hank.schur_row(family, j) is x and not x.flags.writeable
         with pytest.raises(InsufficientMoments):
             hank.cross(family, len(hank.entries[family]) // 2 + 1)
+
+
+def _count_factorizations(monkeypatch):
+    calls = []
+    monkeypatch.setattr(moments_module, "cholesky_pd",
+                        lambda a, **kw: calls.append(a) or cholesky_pd(a, **kw))
+    return calls
 
 
 def test_hankel_solve_is_solve_pd_through_one_factor(rng, monkeypatch):
@@ -306,18 +327,43 @@ def test_hankel_solve_is_solve_pd_through_one_factor(rng, monkeypatch):
 
     seq, _ = random_sequence(rng, 2, 2)
     hank = build_hankels(seq)
-    calls = []
-    monkeypatch.setattr(moments_module, "cholesky_pd",
-                        lambda a: calls.append(a) or cholesky_pd(a))
+    calls = _count_factorizations(monkeypatch)
     for family in ("H1", "H2", "K1", "K2"):
-        for j, member in enumerate(getattr(hank, family)):
+        members = getattr(hank, family)
+        L = cholesky_pd(members[-1], block=seq.q)
+        for j, member in enumerate(members):
             size = (member.shape[0], 2)
             rhs = rng.normal(size=size) + 1j * rng.normal(size=size)
             for _ in range(2):
-                assert np.array_equal(hank.solve(family, j, rhs), solve_pd(member, rhs, family, j))
-            assert sum(a is member for a in calls) == 1
+                got = hank.solve(family, j, rhs)
+                assert np.array_equal(got, solve_factored(L[:size[0], :size[0]], rhs))
+            # the largest member is factored as solve_pd factors it
+            if j == len(members) - 1:
+                assert np.array_equal(got, solve_pd(member, rhs, family, j))
+        # once per family, on its largest member only
+        assert [a is members[-1] for a in calls] == [True]
+        calls.clear()
     with pytest.raises(InsufficientMoments):
         hank.solve("H1", len(hank.H1), np.eye(2))
+
+
+def test_schur_solve_goes_through_the_diagonal_block(rng, monkeypatch):
+    from conftest import random_sequence
+
+    seq, _ = random_sequence(rng, 2, 2)
+    hank = build_hankels(seq)
+    sch = schur_chain(hank)
+    calls = _count_factorizations(monkeypatch)
+    q = seq.q
+    for name, family in (("hhat1", "H1"), ("hhat2", "H2"), ("khat1", "K1"), ("khat2", "K2")):
+        L = hank.factor(family, len(getattr(hank, family)) - 1)
+        for j, complement in enumerate(getattr(sch, name)):
+            block = L[j * q:(j + 1) * q, j * q:(j + 1) * q]
+            # the complement F[j] / F[j-1] is L_jj L_jj^H
+            assert rel(block @ block.conj().T, complement) < 1e-12
+            rhs = rng.normal(size=(q, 3)) + 1j * rng.normal(size=(q, 3))
+            assert np.array_equal(sch.solve(name, j, rhs), solve_factored(block, rhs))
+    assert calls == []   # the complements are never factored
 
 
 # (input, SingularPivot of build_family, of compute_first), as the per-call
@@ -346,13 +392,40 @@ def test_degenerate_member_raises_at_the_same_point(name):
     assert (err.value.family, err.value.index) == first_pivot
 
 
+# (b, m): (classification witness, SingularPivot of build_family) for the
+# Lebesgue measure on [0, b].  Each member's pivots are tested against that
+# member's norm; tested only against the norm of their own block's member,
+# all three would pass as PositiveDefinite.
+SCALED_LEBESGUE = {
+    (100.0, 9): (("K1", 4), ("H1", 4)),
+    (300.0, 7): (("K1", 3), ("H1", 3)),
+    (300.0, 9): (("K1", 4), ("H1", 3)),
+}
+
+
+@pytest.mark.parametrize("b,m", sorted(SCALED_LEBESGUE))
+def test_scaled_lebesgue_fails_at_the_same_member(b, m):
+    witness, pivot = SCALED_LEBESGUE[(b, m)]
+    seq = MomentSequence(0.0, b, tuple(np.array([[b ** (j + 1) / (j + 1)]]) for j in range(m + 1)))
+    cls = classify(seq)
+    assert cls.kind == "Degenerate"
+    assert (cls.witness.family, cls.witness.index) == witness
+    with pytest.raises(SingularPivot) as err:
+        build_family(seq)
+    assert (err.value.family, err.value.index) == pivot
+
+
 def test_classify_keeps_the_factors_of_a_prebuilt_set(monkeypatch):
     hank = build_hankels(lebesgue(5))
-    calls = []
-    monkeypatch.setattr(moments_module, "cholesky_pd",
-                        lambda a: calls.append(a) or cholesky_pd(a))
+    calls = _count_factorizations(monkeypatch)
     assert classify(hank).kind == "PositiveDefinite"
     assert [a is b for a, b in zip(calls, (hank.K1[2], hank.K2[2]))] == [True, True]
-    assert hank.factor("K1", 2) is hank.factor("K1", 2)
-    compute_second(hank.seq, build_family(hank))   # reads K1[2]
+    L = hank.factor("K1", 2)
+    assert np.array_equal(L, cholesky_pd(hank.K1[2])) and not L.flags.writeable
+    # the smaller members' factors are views of the kept one
+    assert np.shares_memory(hank.factor("K1", 1), L)
+    assert np.array_equal(hank.factor("K1", 1), L[:2, :2])
+    compute_second(hank.seq, build_family(hank))   # reads every member of all four families
     assert sum(a is hank.K1[2] for a in calls) == 1
+    assert len(calls) == 4 and {id(a) for a in calls} == {
+        id(getattr(hank, family)[-1]) for family in ("H1", "H2", "K1", "K2")}
