@@ -12,6 +12,7 @@ least two computation routes, and the routes are cross-checked.
 
 from .errors import (
     EmptyMeasure,
+    IllConditioned,
     InconsistentLengths,
     InsufficientMoments,
     InvalidMomentSequence,

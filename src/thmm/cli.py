@@ -26,6 +26,7 @@ from .dsm import (
 )
 from .errors import (
     EmptyMeasure,
+    IllConditioned,
     InconsistentLengths,
     InsufficientMoments,
     InvalidMomentSequence,
@@ -336,6 +337,9 @@ def main(argv=None):
         return 2
     except RouteMismatch as exc:
         print(f"route mismatch: {exc}", file=sys.stderr)
+        return 4
+    except IllConditioned as exc:
+        print(f"ill-conditioned: {exc}", file=sys.stderr)
         return 4
     except _MATH_ERRORS as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)

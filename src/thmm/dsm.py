@@ -15,6 +15,10 @@ independent routes that must agree:
                        rhat_j = G1[j](a)^{-1} T1[j](a),
                        that_j = Q2[j](a)^{-1} P2[j](a).
 
+Agreement does not bound the forward error, so compute_second also
+refuses a chain whose Hankel members are too ill-conditioned for
+ACCURACY_RTOL.
+
 The chains telescope (rhat_{j+1} - rhat_j = lhat_j and
 that_j - that_{j-1} = mhat_j) and all members with index >= 0 are
 positive definite for Hausdorff positive definite input.
@@ -32,10 +36,12 @@ from ._linalg import (
     hermitize,
     inv_pd,
     rel_residual,
+    scaled_cond,
     solve_factored,
     solve_pd,
 )
 from .errors import (
+    IllConditioned,
     InconsistentLengths,
     InvalidMomentSequence,
     NonPositiveParameter,
@@ -52,6 +58,13 @@ from .polynomials import build_family, ensure_family
 from .reporting import IdentityCheck, IdentityReport
 
 ROUTE_RTOL = 1e-10
+
+# compute_second refuses a chain whose largest K1 or H2 member a has
+# eps * scaled_cond(a) above ACCURACY_RTOL.  Both routes read one Cholesky
+# factor per family, so their agreement does not bound the forward error;
+# that product estimates it (on s_j = W / (j + 1) the error was 0.01 to 6
+# times it).
+ACCURACY_RTOL = 1e-8
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -99,7 +112,12 @@ class DsmFirst:
 
 
 def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
-    """Second-type parameters by both routes; fails on route disagreement."""
+    """Second-type parameters by both routes.
+
+    Raises IllConditioned when the largest K1 or H2 member read is too
+    ill-conditioned for ACCURACY_RTOL, and RouteMismatch when the routes
+    disagree by more than rtol.
+    """
     fam = build_family(seq) if fam is None else fam
     hank = fam.hankels
     sch = fam.schur
@@ -118,16 +136,24 @@ def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
     lhat_qf = [qf[0]] + [qf[j] - qf[j - 1] for j in range(1, n_l + 1)] if qf else []
     rhat_qf = [np.array(s0)] + [s0 + qf[j] for j in range(n_l + 1)]
 
-    # polynomial route
+    for family, j in (("K1", n_t), ("H2", n_l)):
+        if j >= 0:
+            cond = scaled_cond(hank.member(family, j))
+            if np.finfo(float).eps * cond > ACCURACY_RTOL:
+                raise IllConditioned(family, j, cond, ACCURACY_RTOL)
+
+    # polynomial route, solved against the complements e_2j - Y_j^* x_j
+    # themselves: through the family factor, whose diagonal blocks also give
+    # the quadratic forms, the routes would agree far closer than either is right
     at_a = fam.at_a
     mhat_poly = []
     for j in range(n_t + 1):
         val = at_a(fam.g1[j])
-        mhat_poly.append(val.conj().T @ sch.solve("khat1", j, val))
+        mhat_poly.append(val.conj().T @ np.linalg.solve(sch.khat1[j], val))
     lhat_poly = []
     for j in range(n_l + 1):
         val = at_a(fam.q2[j])
-        lhat_poly.append(val.conj().T @ sch.solve("hhat2", j, val))
+        lhat_poly.append(val.conj().T @ np.linalg.solve(sch.hhat2[j], val))
     rhat_poly = [
         np.linalg.solve(at_a(fam.g1[j]), at_a(fam.t1[j]))
         for j in range(min(n_l + 2, len(fam.g1), len(fam.t1)))
@@ -185,6 +211,7 @@ def product_identities(fam, dsm, first=None):
     """
     fam = ensure_family(fam)
     q = fam.seq.q
+    hank = fam.hankels
     sch = fam.schur
     at_a = fam.at_a
     eye = np.eye(q, dtype=complex)
@@ -264,10 +291,10 @@ def product_identities(fam, dsm, first=None):
     for k in range(min(len(sch.hhat2), len(sch.khat1))):
         ws.append(sch.hhat2[k] @ np.linalg.inv(sch.khat1[k]) @ ws[k])
     for j in range(min(len(mh), len(sch.khat1), len(ws))):
-        rebuilt = ws[j].conj().T @ sch.solve("khat1", j, ws[j])
+        rebuilt = ws[j].conj().T @ hank.schur_solve("K1", j, ws[j])
         add("mhat_from_schur", f"j={j}", mh[j], rebuilt)
     for j in range(min(len(lh), len(sch.hhat2), len(sch.khat1), len(ws))):
-        core = sch.khat1[j] @ sch.solve("hhat2", j, sch.khat1[j])
+        core = sch.khat1[j] @ hank.schur_solve("H2", j, sch.khat1[j])
         wj_inv = np.linalg.inv(ws[j])
         add("lhat_from_schur", f"j={j}", lh[j], wj_inv @ core @ wj_inv.conj().T)
 

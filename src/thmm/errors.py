@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class ThmmError(Exception):
     """Base class for all errors raised by this package."""
@@ -47,6 +49,22 @@ class RouteMismatch(ThmmError):
         self.what = what
         self.where = where
         self.residual = residual
+
+
+class IllConditioned(ThmmError):
+    """A Hankel member is too ill-conditioned for a result to reach its accuracy target.
+
+    cond is the 2-norm condition number of the member scaled to unit diagonal.
+    """
+
+    def __init__(self, family, index, cond, target):
+        super().__init__(
+            f"{family}[{index}] scaled to unit diagonal has cond ~ {cond:.1e}: about "
+            f"{math.log10(cond):.0f} digits lost, accuracy {target:g} unattainable"
+        )
+        self.family = family
+        self.index = index
+        self.cond = cond
 
 
 class PoleAtZ(ThmmError):

@@ -153,8 +153,10 @@ class HankelSet:
     A family F is "H1", "H2", "K1" or "K2"; entries[F] is its entry sequence
     e_0, e_1, ... and member F[j] is {e_{l+k}}_{l,k=0..j}.  factor(F, j)
     and solve(F, j, rhs) work on F[j] through the leading block of the one
-    factor of the family.  The two kinds of solve the rest of the package
-    reads are made once, on first use, and kept read-only:
+    factor of the family, and schur_solve(F, j, rhs) on the Schur complement
+    F[j] / F[j-1] through its diagonal block j.  The two kinds of solve the
+    rest of the package reads are made once, on first use, and kept
+    read-only:
 
       schur_row(F, j)  the Schur step x_j = F[j-1]^{-1} Y_j on the cross
                        column Y_j = (e_j; ...; e_{2j-1}).  It gives the Schur
@@ -207,6 +209,18 @@ class HankelSet:
         if L is None:
             raise SingularPivot(family, j)
         return solve_factored(L, rhs)
+
+    def schur_solve(self, family, j, rhs):
+        """(F[j] / F[j-1])^{-1} rhs through diagonal block j of the factor of F[j].
+
+        The Schur complement F[j] / F[j-1] is L_jj L_jj^H.  SingularPivot(family, j)
+        if F[j] is not positive definite.
+        """
+        L = self.factor(family, j)
+        if L is None:
+            raise SingularPivot(family, j)
+        corner = j * self.seq.q
+        return solve_factored(L[corner:, corner:], rhs)
 
     def cross(self, family, j):
         """Y_j = (e_j; ...; e_{2j-1}), the column bordering F[j-1] in F[j], for j >= 1."""
@@ -383,10 +397,6 @@ class StructuralVectors:
         return -self.y(0, j) + self.seq.a * pad
 
 
-# the Hankel family of each chain of complements, whose factor solves against them
-_FAMILY_OF = {"hhat1": "H1", "hhat2": "H2", "khat1": "K1", "khat2": "K2"}
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class SchurChain:
     """Corner Schur complements of the four Hankel families.
@@ -394,9 +404,9 @@ class SchurChain:
     For positive definite parents every member is a positive definite
     q x q matrix and the determinants telescope:
     det K1[j] = prod_{i <= j} det khat1[i], and likewise per family.
-    khat1[j] = K1[j] / K1[j-1] is L_jj L_jj^H for diagonal block j of the
-    family's factor, so solve("khat1", j, rhs) solves through L_jj.  The
-    reported complements stay e_{2j} - Y_j^* x_j, the more accurate value.
+    The members are e_{2j} - Y_j^* x_j, more accurate than the product
+    L_jj L_jj^H of diagonal block j of the family's factor, through which
+    HankelSet.schur_solve solves against them.
     """
 
     seq: MomentSequence
@@ -404,15 +414,6 @@ class SchurChain:
     hhat2: tuple
     khat1: tuple
     khat2: tuple
-    hankels: HankelSet = dataclasses.field(repr=False)
-
-    def solve(self, name, j, rhs):
-        """complement[j]^{-1} rhs; SingularPivot(name, j) if F[j] is not positive definite."""
-        L = self.hankels.factor(_FAMILY_OF[name], j)
-        if L is None:
-            raise SingularPivot(name, j)
-        corner = j * self.seq.q
-        return solve_factored(L[corner:, corner:], rhs)
 
 
 def schur_chain(hankels):
@@ -438,7 +439,6 @@ def schur_chain(hankels):
         hhat2=complements("H2"),
         khat1=complements("K1"),
         khat2=complements("K2"),
-        hankels=hankels,
     )
 
 

@@ -283,7 +283,7 @@ def aux_matrices(source, j, z, check_rtol=1e-12):
     return AuxTriple(tilde_even=te, tilde_odd=to, hat_even=he)
 
 
-def bp_factor(fam, schur, k, z):
+def bp_factor(fam, k, z):
     """Blaschke-Potapov factor d^(k), affine in z, from polynomial values at a.
 
     d^(0) is the plain moment shear; even k = 2j + 2 is driven by
@@ -291,7 +291,6 @@ def bp_factor(fam, schur, k, z):
     Every factor equals the identity at z = a and has determinant one.
     """
     fam = ensure_family(fam)
-    schur = fam.schur if schur is None else schur
     seq = fam.seq
     a = seq.a
     z = complex(z)
@@ -303,7 +302,7 @@ def bp_factor(fam, schur, k, z):
         j = (k - 1) // 2
         g = fam.at_a(fam.G1(j))
         t = fam.at_a(fam.T1(j))
-        solved = schur.solve("khat1", j, np.hstack([g, t]))
+        solved = fam.hankels.schur_solve("K1", j, np.hstack([g, t]))
         sg, st = solved[:, :q], solved[:, q:]
         g_adj, t_adj = g.conj().T, t.conj().T
         alpha = eye - (z - a) * t_adj @ sg
@@ -314,7 +313,7 @@ def bp_factor(fam, schur, k, z):
         j = (k - 2) // 2
         p = fam.at_a(fam.P2(j))
         qq = fam.at_a(fam.Q2(j))
-        solved = schur.solve("hhat2", j, np.hstack([p, qq]))
+        solved = fam.hankels.schur_solve("H2", j, np.hstack([p, qq]))
         sp, sq = solved[:, :q], solved[:, q:]
         p_adj, q_adj = p.conj().T, qq.conj().T
         alpha = eye + (z - a) * q_adj @ sp
@@ -345,7 +344,7 @@ def bp_split(dsm, k, z):
 def bp_pair_check(fam, dsm, k, z, rtol=1e-12):
     """Factor route vs parameter-sandwich route for d^(k)."""
     fam = ensure_family(fam)
-    lhs = bp_factor(fam, fam.schur, k, z)
+    lhs = bp_factor(fam, k, z)
     rhs = bp_split(dsm, k, z)
     res = rel_residual(lhs, rhs)
     if res > rtol:
@@ -376,14 +375,14 @@ def aux_product(source, order, z, kind, dsm=None, rtol=1e-10):
         if order % 2 != 1:
             raise ValueError("tilde-odd product takes an odd order 2j + 1")
         j = (order - 1) // 2
-        factors = [bp_factor(fam, fam.schur, 2 * k + 1, z) for k in range(j + 1)]
+        factors = [bp_factor(fam, 2 * k + 1, z) for k in range(j + 1)]
         direct = aux_tilde_odd(fam, j, z).value
         telescoped = _second_core(dsm, z - a, "odd", j + 1, -dsm.r(j))
     elif kind == "hat-even":
         if order % 2 != 0:
             raise ValueError("hat-even product takes an even order 2j")
         j = order // 2
-        factors = [bp_factor(fam, fam.schur, 2 * k, z) for k in range(j + 2)]
+        factors = [bp_factor(fam, 2 * k, z) for k in range(j + 2)]
         direct = aux_hat_even(fam, j, z).value
         telescoped = _second_core(dsm, z - a, "even", j + 1, dsm.t(j))
     else:

@@ -171,7 +171,7 @@ def criterion_7_residuals(ensemble):
             aux_product(fam, 2 * n + 1, z, "tilde-odd", dsm=dsm, rtol=1e-10)
             aux_product(fam, 2 * (n - 1), z, "hat-even", dsm=dsm, rtol=1e-10)
             for k in range(2 * n + 2):
-                factor = bp_factor(fam, fam.schur, k, z)
+                factor = bp_factor(fam, k, z)
                 split = bp_split(dsm, k, z)
                 worst_pair = max(worst_pair, rel(factor, split))
                 # a float determinant of an exactly unimodular matrix drifts
@@ -191,7 +191,7 @@ def test_criterion_7_auxiliary_and_bp(ensemble):
     fam_desk = build_family(lebesgue(5))
     dsm_desk = compute_second(fam_desk.seq, fam_desk)
     worst_desk_det = max(
-        abs(np.linalg.det(bp_factor(fam_desk, fam_desk.schur, k, z)) - 1.0)
+        abs(np.linalg.det(bp_factor(fam_desk, k, z)) - 1.0)
         for k in range(6)
         for z in (0.5 + 1.0j, -1.0 + 0.0j, 2.0 - 0.5j)
     )

@@ -85,6 +85,17 @@ def test_analyze_degenerate_exit_3(tmp_path, capsys):
     assert abs(data["witness"]["min_eigenvalue"]) < 1e-12
 
 
+def test_ill_conditioned_input_exits_4_with_its_digits_lost(tmp_path, capsys):
+    # q = 1, m = 13: the chain would be up to 6e-8 off, so no command prints it
+    inp = lebesgue_file(tmp_path, 13)
+    for argv in (["analyze"], ["factorize", "--route", "second", "--z=2"],
+                 ["extremal", "--which", "krein", "--z=2"]):
+        assert main(argv + ["--input", inp]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ill-conditioned: K1[6] scaled to unit diagonal has cond ~ ")
+
+
 def test_factorize_residual_and_exit_codes(tmp_path, capsys):
     inp = lebesgue_file(tmp_path, 3)
     code, out = run(capsys, [

@@ -3,6 +3,7 @@ import pytest
 import sympy
 
 from thmm import (
+    IllConditioned,
     InconsistentLengths,
     MomentSequence,
     NonPositiveParameter,
@@ -140,6 +141,39 @@ def test_closed_form_parameters_within_route_rtol(q):
         for n in (1, 2, 3):
             err = closed_form_error(w, n)
             assert err is not None and err <= dsm_module.ROUTE_RTOL, (n, err)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_closed_form_past_the_ceiling_is_refused_or_right(q):
+    # past n = 3 the digits run out; a chain that is returned is still right
+    for w in closed_form_weights(q):
+        for n in (4, 5, 6, 7):
+            err = closed_form_error(w, n)
+            assert err is None or err <= dsm_module.ACCURACY_RTOL, (n, err)
+
+
+def test_ill_conditioned_member_is_refused_before_the_routes_run(monkeypatch):
+    # q = 1, n = 6: eps * scaled cond(K1[6]) is 1.07e-8, and the chain is up to
+    # 6e-8 off whether or not the routes agree
+    seq = MomentSequence(0.0, 1.0, tuple(np.array([[1.0 / (j + 1)]]) for j in range(14)))
+    monkeypatch.setattr(dsm_module, "rel_residual", lambda x, y: 0.0)
+    with pytest.raises(IllConditioned) as err:
+        compute_second(seq)
+    assert (err.value.family, err.value.index) == ("K1", 6)
+    assert str(err.value).startswith("K1[6] scaled to unit diagonal has cond ~ 4.8e+07: "
+                                     "about 8 digits lost, accuracy 1e-08 unattainable")
+
+
+@pytest.mark.parametrize("b", [300.0, 1000.0])
+def test_badly_scaled_interval_keeps_its_digits(b):
+    # Lebesgue on [0, b], m = 5: cond(K1[2]) is 3.2e9 at b = 300 and 4e11 at
+    # b = 1000, but scaled to unit diagonal it is 151, and mhat_j = (2j+2)/b^2
+    seq = MomentSequence(0.0, b, tuple(np.array([[b ** (j + 1) / (j + 1)]]) for j in range(6)))
+    hank = build_family(seq).hankels
+    assert np.finfo(float).eps * np.linalg.cond(hank.K1[2]) > dsm_module.ACCURACY_RTOL
+    second = compute_second(seq)
+    for j, x in enumerate(second.mhat):
+        assert abs(x[0, 0] / ((2 * j + 2) / b ** 2) - 1.0) < 1e-12
 
 
 def test_route_agreement_ensemble(rng):

@@ -15,6 +15,7 @@ from thmm._linalg import (
     rel_residual,
     rel_residuals,
     right_quotient,
+    scaled_cond,
     solve_factored,
     solve_pd,
 )
@@ -52,6 +53,17 @@ def test_cholesky_in_blocks_tests_each_leading_block_against_its_own_norm():
     L = cholesky_pd(a, block=1)
     assert np.array_equal(L, cholesky_pd(a[:2, :2]))
     assert cholesky_pd(np.diag([0.0, 1.0]), block=1) is None
+
+
+def test_scaled_cond_ignores_a_diagonal_scaling(rng):
+    g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    a = g @ g.conj().T + np.eye(5)
+    d = np.array([1.0, 1e3, 1e-2, 1e5, 7.0])
+    scaled = a * d[:, None] * d[None, :]
+    assert np.linalg.cond(scaled) > 1e9 * np.linalg.cond(a)
+    assert scaled_cond(scaled) == pytest.approx(scaled_cond(a), rel=1e-10)
+    unit = np.diag(np.diag(a).real ** -0.5)
+    assert scaled_cond(a) == pytest.approx(np.linalg.cond(unit @ a @ unit), rel=1e-12)
 
 
 def test_cholesky_in_blocks_is_the_leading_factor(rng):

@@ -362,7 +362,7 @@ def test_schur_solve_goes_through_the_diagonal_block(rng, monkeypatch):
             # the complement F[j] / F[j-1] is L_jj L_jj^H
             assert rel(block @ block.conj().T, complement) < 1e-12
             rhs = rng.normal(size=(q, 3)) + 1j * rng.normal(size=(q, 3))
-            assert np.array_equal(sch.solve(name, j, rhs), solve_factored(block, rhs))
+            assert np.array_equal(hank.schur_solve(family, j, rhs), solve_factored(block, rhs))
     assert calls == []   # the complements are never factored
 
 

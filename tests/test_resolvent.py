@@ -96,7 +96,7 @@ def test_first_odd_aux_is_first_bp_factor(leb5):
     _, fam, _, _ = leb5
     for z in (0.4, 2.0 - 1.0j):
         lhs = aux_tilde_odd(fam, 0, z).value
-        rhs = bp_factor(fam, fam.schur, 1, z)
+        rhs = bp_factor(fam, 1, z)
         assert rel(lhs, rhs) < 1e-13
 
 
@@ -104,7 +104,7 @@ def test_hat_even_zero_is_two_factor_product(leb5):
     _, fam, _, _ = leb5
     z = 2.0
     lhs = aux_hat_even(fam, 0, z).value
-    rhs = bp_factor(fam, fam.schur, 0, z) @ bp_factor(fam, fam.schur, 2, z)
+    rhs = bp_factor(fam, 0, z) @ bp_factor(fam, 2, z)
     assert rel(lhs, rhs) < 1e-12
 
 
@@ -142,12 +142,12 @@ def test_resolvent_from_aux_matches_direct(leb5, rng):
 def test_bp_factor_forms(leb5):
     _, fam, dsm, _ = leb5
     z = 1.7 - 0.4j
-    d0 = bp_factor(fam, fam.schur, 0, z)
+    d0 = bp_factor(fam, 0, z)
     expected = np.array([[1.0, z * 1.0], [0.0, 1.0]])
     assert rel(d0, expected) < 1e-15
-    assert rel(bp_factor(fam, fam.schur, 0, 0.0), np.eye(2)) == 0.0
+    assert rel(bp_factor(fam, 0, 0.0), np.eye(2)) == 0.0
     for k in (1, 3, 5):
-        assert rel(bp_factor(fam, fam.schur, k, 0.0), np.eye(2)) < 1e-15
+        assert rel(bp_factor(fam, k, 0.0), np.eye(2)) < 1e-15
 
 
 def test_bp_factor_equals_split(leb5, rng):
@@ -166,7 +166,7 @@ def test_bp_factor_unit_determinant(leb5):
     _, fam, _, _ = leb5
     for k in range(6):
         for z in (0.9, -2.0 + 3.0j):
-            det = np.linalg.det(bp_factor(fam, fam.schur, k, z))
+            det = np.linalg.det(bp_factor(fam, k, z))
             assert abs(det - 1.0) < 1e-10
 
 
