@@ -5,13 +5,14 @@ factorization with a relative pivot threshold, never by eigenvalue
 iterations, so the decision is deterministic.  Eigenvalues are computed
 only to report witnesses for failed classifications.
 
-cholesky_pd is the one Cholesky loop.  Run in blocks of q on the largest
-member of a block Hankel family, it decides every member at once: the
-factor of each member is a leading block of the one factor, and its
-diagonal blocks factor the Schur complements.  HankelSet keeps one such
-factor per family; solve_pd factors its matrix and drops the factor.  No
-LAPACK routine is bound directly: a solve is a NumPy forward and back
-substitution through the factor.
+cholesky_pd is the one Cholesky factorization.  Run in blocks of q on
+the largest member of a block Hankel family, it decides every member at
+once: the factor of each member is a leading block of the one factor, and
+its diagonal blocks factor the Schur complements.  HankelSet keeps one
+such factor per family; solve_pd factors its matrix and drops the factor.
+Both the factorization and the solves are NumPy's LAPACK calls
+(np.linalg.cholesky, np.linalg.solve on the factor and its adjoint); no
+LAPACK routine is bound directly.
 """
 
 import math
@@ -88,30 +89,30 @@ def scaled_cond(a):
 def cholesky_pd(a, pivot_rtol=PIVOT_RTOL, block=None):
     """Lower Cholesky factor of a Hermitian matrix, or None.
 
-    a[:p, :p] counts as positive definite when each of its p pivots is above
-    pivot_rtol * ||a[:p, :p]||_F, the package-wide test; a NaN pivot or
-    threshold fails it.  Without block this is the factor of a, or None.
-    With block it is the factor of the largest passing a[:p, :p], p a
-    multiple of block, or None if none passes.
+    a[:p, :p] counts as positive definite when each of its p pivots
+    diag(L)**2 is above pivot_rtol * ||a[:p, :p]||_F, the package-wide
+    test; a NaN pivot or threshold fails it.  Without block this is the
+    factor of a, or None.  With block it is the factor of the largest
+    passing a[:p, :p], p a multiple of block, or None if none passes.
+    The factor is one LAPACK Cholesky (np.linalg.cholesky); where LAPACK
+    refuses a, which only happens when a is not positive definite, the
+    next smaller leading block is tried.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     block = block or max(n, 1)
     thresholds = [pivot_rtol * frob(a[:p, :p]) for p in range(block, n + 1, block)]
-    L = np.zeros_like(a)
-    smallest = math.inf   # pivot so far: a block's threshold tests all pivots before it too
-    for k in range(n):
-        d = a[k, k].real - np.vdot(L[k, :k], L[k, :k]).real
-        threshold = thresholds[k // block]
-        if not (d > threshold and smallest > threshold):
-            p = k - k % block
-            return L[:p, :p] if p else None
-        smallest = min(smallest, d)
-        L[k, k] = math.sqrt(d)
-        if k + 1 < n:
-            col = a[k + 1:, k] - L[k + 1:, :k] @ L[k, :k].conj()
-            L[k + 1:, k] = col / L[k, k]
-    return L
+    for p in range(n, 0, -block):
+        try:
+            L = np.linalg.cholesky(a[:p, :p])
+        except np.linalg.LinAlgError:
+            continue
+        # a block's threshold tests all pivots before it too; NaN propagates
+        smallest = np.minimum.accumulate(L.diagonal().real ** 2)[block - 1::block]
+        passed = smallest > thresholds[:len(smallest)]
+        p = block * (len(passed) if passed.all() else int(np.argmin(passed)))
+        return L[:p, :p] if p else None
+    return None
 
 
 def solve_pd(a, rhs, family="matrix", index=0, pivot_rtol=PIVOT_RTOL):
@@ -125,29 +126,14 @@ def solve_pd(a, rhs, family="matrix", index=0, pivot_rtol=PIVOT_RTOL):
 def solve_factored(L, rhs):
     """Solve L L^H x = rhs for a lower Cholesky factor L from cholesky_pd.
 
-    Forward substitution on L, then back substitution on L^H, row by row,
-    each row divided by its (real, positive) diagonal entry.
+    Two backward stable LAPACK solves (np.linalg.solve), on L and then on
+    L^H; no inverse of the factor is formed.
     """
-    x = np.array(rhs, dtype=complex)
-    rows = x[:, None] if x.ndim == 1 else x   # a vector is one column
-    diag = L.diagonal().real.tolist()
-    for i, row in enumerate(rows):
-        if i:
-            row -= L[i, :i] @ rows[:i]
-        row /= diag[i]
-    for i, row in reversed(list(enumerate(rows))):
-        if i + 1 < len(rows):
-            row -= L[i + 1:, i].conj() @ rows[i + 1:]
-        row /= diag[i]
-    return x
+    return np.linalg.solve(L.conj().T, np.linalg.solve(L, rhs))
 
 
 def inv_pd(a, family="matrix", index=0):
     return solve_pd(a, np.eye(a.shape[0], dtype=complex), family, index)
-
-
-def is_pd(a):
-    return cholesky_pd(hermitize(np.asarray(a, dtype=complex))) is not None
 
 
 def min_eigenvalue(a):

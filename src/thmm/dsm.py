@@ -46,6 +46,7 @@ from .errors import (
     InvalidMomentSequence,
     NonPositiveParameter,
     RouteMismatch,
+    SingularPivot,
     WrongMatrixSize,
 )
 from .moments import (
@@ -460,6 +461,8 @@ def scalar_determinant_params(seq, rtol=1e-8):
 
     mtilde = []
     for j in range(n_t + 1):
+        if hank.factor("K1", j) is None:   # det K1[j] may be 0: raise before dividing
+            raise SingularPivot("K1", j)
         rows = [[s3[i + k] for k in range(j + 1)] for i in range(j)]
         rows.append([a ** k for k in range(j + 1)])
         d3 = det(np.array(rows, dtype=complex))
@@ -468,6 +471,8 @@ def scalar_determinant_params(seq, rtol=1e-8):
 
     ltilde = []
     for j in range(n_l + 1):
+        if hank.factor("H2", j) is None:
+            raise SingularPivot("H2", j)
         e_row = -vecs.R_at_a_times(hank.column("H2", j)).conj().T
         rows = [[sh[i + k] for k in range(j + 1)] for i in range(j)]
         rows.append([e_row[0, k] for k in range(j + 1)])

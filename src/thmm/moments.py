@@ -22,8 +22,9 @@ member of a family on first use and keeps that one factor L.  Its leading
 of the Schur complement F[j] / F[j-1], so every solve against a member or
 a complement reads L.  A HankelSet also keeps the two kinds of solve
 everything downstream reads, each made once: the Schur step of each
-member and the transfer solve of each family.  It owns the
-StructuralVectors of its sequence.
+member, and the transfer forms and solves of each family, which all come
+from one forward solve on L.  It owns the StructuralVectors of its
+sequence.
 """
 
 from __future__ import annotations
@@ -162,9 +163,12 @@ class HankelSet:
                        column Y_j = (e_j; ...; e_{2j-1}).  It gives the Schur
                        complement e_{2j} - Y_j^* x_j and the Schur row
                        (-x_j^*, I_q) of the monic polynomial.
-      transfer(F, j)   F[j]^{-1} R_j(a) c_j on the transfer column c_j of
-                       the family (column), and form(F, j) the quadratic
-                       form c_j^* R_j(a)^* F[j]^{-1} R_j(a) c_j.
+      form(F, j)       the quadratic form c_j^* R_j(a)^* F[j]^{-1} R_j(a) c_j
+                       on the transfer column c_j of the family (column).
+                       It is w_j^* w_j, for w_j = L_j^{-1} R_j(a) c_j the
+                       leading (j+1)q rows of one forward solve per
+                       family, L^{-1} R_N(a) c_N on the family's factor.
+      transfer(F, j)   F[j]^{-1} R_j(a) c_j, the back solve L_j^{-H} w_j.
 
     vectors is the one StructuralVectors of the sequence, shared by
     everything built from this set.
@@ -189,19 +193,26 @@ class HankelSet:
     def factor(self, family, j):
         """Lower Cholesky factor of F[j], or None if F[j] is not positive definite.
 
-        It is the leading (j+1)q block of the family's one factor:
-        cholesky_pd of the largest member in blocks of q, run on first use.
+        It is the leading (j+1)q block of the family's one factor.
         """
         self.member(family, j)
-        key = ("factor", family)
-        if key not in self._kept:
-            L = cholesky_pd(getattr(self, family)[-1], block=self.seq.q)
-            if L is not None:
-                L.flags.writeable = False
-            self._kept[key] = L
-        L = self._kept[key]
+        L = self._factor(family)
         size = (j + 1) * self.seq.q
         return L[:size, :size] if L is not None and len(L) >= size else None
+
+    def _keep(self, key, make):
+        """make(), called on the first use of key only; an array is kept read-only."""
+        if key not in self._kept:
+            value = make()
+            if value is not None:
+                value.flags.writeable = False
+            self._kept[key] = value
+        return self._kept[key]
+
+    def _factor(self, family):
+        """cholesky_pd of the largest member in blocks of q, run on first use."""
+        return self._keep(("factor", family),
+                          lambda: cholesky_pd(getattr(self, family)[-1], block=self.seq.q))
 
     def solve(self, family, j, rhs):
         """F[j]^{-1} rhs through its factor; SingularPivot(family, j) if there is none."""
@@ -242,30 +253,37 @@ class HankelSet:
 
     def schur_row(self, family, j):
         """x_j = F[j-1]^{-1} Y_j for j >= 1, solved once and kept read-only."""
-        key = ("schur_row", family, j)
-        if key not in self._kept:
-            x = self.solve(family, j - 1, self.cross(family, j))
-            x.flags.writeable = False
-            self._kept[key] = x
-        return self._kept[key]
+        return self._keep(("schur_row", family, j),
+                          lambda: self.solve(family, j - 1, self.cross(family, j)))
 
     def transfer(self, family, j):
-        """F[j]^{-1} R_j(a) c_j, solved once and kept read-only."""
-        return self._transfer(family, j)[0]
+        """F[j]^{-1} R_j(a) c_j = L_j^{-H} w_j, solved once and kept read-only."""
+        def back_solve():
+            w = self._forward(family, j)
+            return np.linalg.solve(self.factor(family, j).conj().T, w)
+        return self._keep(("transfer", family, j), back_solve)
 
     def form(self, family, j):
-        """c_j^* R_j(a)^* F[j]^{-1} R_j(a) c_j, kept read-only."""
-        return self._transfer(family, j)[1]
+        """c_j^* R_j(a)^* F[j]^{-1} R_j(a) c_j = w_j^* w_j, kept read-only."""
+        def gram():
+            w = self._forward(family, j)
+            return w.conj().T @ w
+        return self._keep(("form", family, j), gram)
 
-    def _transfer(self, family, j):
-        key = ("transfer", family, j)
-        if key not in self._kept:
-            rc = self.vectors.R_at_a_times(self.column(family, j))
-            x = self.solve(family, j, rc)
-            form = rc.conj().T @ x
-            x.flags.writeable = form.flags.writeable = False
-            self._kept[key] = (x, form)
-        return self._kept[key]
+    def _forward(self, family, j):
+        """w_j = L_j^{-1} R_j(a) c_j: the leading (j+1)q rows of one forward solve.
+
+        The columns c_j are nested and R_j(a) is block lower Toeplitz, so
+        R_j(a) c_j is the leading (j+1)q rows of R_N(a) c_N for any N >= j,
+        and L_j^{-1} of it the leading rows of L^{-1} R_N(a) c_N.  That one
+        solve, on the family's factor L, is made on first use.
+        """
+        if self.factor(family, j) is None:
+            raise SingularPivot(family, j)
+        L = self._factor(family)
+        w = self._keep(("forward", family), lambda: np.linalg.solve(
+            L, self.vectors.R_at_a_times(self.column(family, len(L) // self.seq.q - 1))))
+        return w[:(j + 1) * self.seq.q]
 
 
 def build_hankels(seq):
@@ -284,10 +302,10 @@ class StructuralVectors:
     """Stacked moment vectors and shift machinery of one moment sequence.
 
     Provides the block column/row data from which the orthogonal matrix
-    polynomials and the transfer quadratic forms are assembled: the block
-    shift T_j, its resolvent R_j(z) = (I - z T_j)^{-1} in closed Toeplitz
-    form, the first block-column unit v_j, and the various stacked moment
-    columns.
+    polynomials and the transfer quadratic forms are assembled: the
+    resolvent R_j(z) = (I - z T_j)^{-1} of the block lower shift T_j in
+    closed Toeplitz form, the first block-column unit v_j, and the various
+    stacked moment columns.
     """
 
     def __init__(self, seq):
@@ -304,15 +322,6 @@ class StructuralVectors:
         q = self.seq.q
         out = np.zeros(((j + 1) * q, q), dtype=complex)
         out[:q, :] = np.eye(q)
-        return out
-
-    def shift(self, j):
-        """Block lower shift T_j of size (j+1)q."""
-        q = self.seq.q
-        n = (j + 1) * q
-        out = np.zeros((n, n), dtype=complex)
-        if j >= 1:
-            out[q:, :-q] = np.eye(j * q)
         return out
 
     def R(self, j, z):

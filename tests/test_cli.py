@@ -159,6 +159,23 @@ def test_scalar_report(tmp_path, capsys):
     assert data["max_residual"] <= 1e-8
 
 
+def test_scalar_report_on_degenerate_input_is_a_precondition_failure(tmp_path, capsys):
+    # unit atoms at 0.5 and 1.0: K1[1] = {s_{l+k} - s_{l+k+1}} is singular,
+    # so det K1[1] = 0 must not be divided by
+    measure = write_json(tmp_path / "measure.json", json.dumps(
+        {"a": 0.0, "b": 1.0, "points": [0.5, 1.0],
+         "weights": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}))
+    moments = str(tmp_path / "moments.json")
+    assert main(["gen", "--input", measure, "--count", "3", "--output", moments]) == 0
+    capsys.readouterr()
+    code = main(["scalar-report", "--input", moments])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("precondition failure: ")
+    assert "K1[1]" in captured.err
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
 def test_nonfinite_entry_is_named_input_error(tmp_path, capsys, bad):
     # the JSON reader takes NaN and Infinity; each file format names the entry

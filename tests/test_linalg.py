@@ -7,11 +7,12 @@ from thmm import SingularDenominator, SingularPivot
 from thmm import _linalg
 from thmm._linalg import (
     COND_LIMIT,
+    PIVOT_RTOL,
     PointPrefix,
     cholesky_pd,
     frobs,
+    hermitize,
     inv_pd,
-    is_pd,
     rel_residual,
     rel_residuals,
     right_quotient,
@@ -37,9 +38,9 @@ def test_cholesky_matches_numpy_on_pd(seed):
 def test_cholesky_rejects_indefinite_and_singular():
     assert cholesky_pd(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
     assert cholesky_pd(np.array([[1.0, 1.0], [1.0, 1.0]])) is None
-    assert not is_pd(np.zeros((2, 2)))
+    assert cholesky_pd(hermitize(np.zeros((2, 2)))) is None
     # a NaN pivot or threshold compares False, so it must fail the test too
-    assert not is_pd([[np.nan]])
+    assert cholesky_pd(hermitize(np.array([[np.nan]]))) is None
     assert cholesky_pd(np.array([[np.inf]])) is None
     assert cholesky_pd(np.array([[1.0, np.nan], [np.nan, 1.0]])) is None
 
@@ -53,6 +54,75 @@ def test_cholesky_in_blocks_tests_each_leading_block_against_its_own_norm():
     L = cholesky_pd(a, block=1)
     assert np.array_equal(L, cholesky_pd(a[:2, :2]))
     assert cholesky_pd(np.diag([0.0, 1.0]), block=1) is None
+
+
+@np.errstate(invalid="ignore")   # inf - inf past an infinite entry
+def _column_loop_size(a, block=None, pivot_rtol=1e-12):
+    """Size of the factor of the column-by-column Cholesky loop cholesky_pd once ran.
+
+    Each pivot d_k = a_kk - |L[k, :k]|^2 must exceed the threshold of its
+    block, and so must every pivot before it; the loop stops at the first
+    that does not and keeps the passing blocks before it.
+    """
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    block = block or max(n, 1)
+    thresholds = [pivot_rtol * np.linalg.norm(a[:p, :p]) for p in range(block, n + 1, block)]
+    L = np.zeros_like(a)
+    smallest = np.inf
+    for k in range(n):
+        d = a[k, k].real - np.vdot(L[k, :k], L[k, :k]).real
+        threshold = thresholds[k // block]
+        if not (d > threshold and smallest > threshold):
+            return k - k % block
+        smallest = min(smallest, d)
+        L[k, k] = np.sqrt(d)
+        if k + 1 < n:
+            L[k + 1:, k] = (a[k + 1:, k] - L[k + 1:, :k] @ L[k, :k].conj()) / L[k, k]
+    return n
+
+
+def _with_pivot(rng, n, k, pivot):
+    """A Hermitian matrix whose pivot k is `pivot` and whose pivots before it are 1.
+
+    It is L0 L0^H for a random lower L0 with unit diagonal but L0_kk = 0,
+    plus pivot at (k, k).
+    """
+    L0 = np.tril(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), -1) + np.eye(n)
+    L0[k, k] = 0.0
+    a = L0 @ L0.conj().T
+    a[k, k] += pivot
+    return a
+
+
+@pytest.mark.parametrize("q,blocks", [(1, 4), (2, 3), (3, 2)])
+def test_cholesky_decision_is_the_column_loops(rng, q, blocks):
+    n = q * blocks
+    cases = []
+    for k in range(n):
+        # a pivot just below and just above the threshold of its own block
+        p = (k // q + 1) * q
+        lead = _with_pivot(np.random.default_rng(k), n, k, 0.0)[:p, :p]
+        for factor in (0.99, 1.01):
+            pivot = factor * PIVOT_RTOL * np.linalg.norm(lead)
+            cases.append(_with_pivot(np.random.default_rng(k), n, k, pivot))
+    # a zero or negative pivot in the last block only, which LAPACK refuses
+    for pivot in (0.0, -1.0, -1e-3):
+        cases.append(_with_pivot(rng, n, n - 1, pivot))
+    # a NaN or infinite entry, on and off the diagonal, in the first and the last block
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((n - 1, n - 1), (n - 1, 0), (0, 0)):
+            a = _with_pivot(rng, n, 0, 1.0)
+            a[i, j] = a[j, i] = bad
+            cases.append(a)
+    sizes = set()
+    for a in cases:
+        for block in (None, q):
+            L = cholesky_pd(a, block=block)
+            size = 0 if L is None else len(L)
+            assert size == _column_loop_size(a, block), (block, np.diag(a))
+            sizes.add(size)
+    assert sizes == set(range(0, n + 1, q))   # every outcome is reached
 
 
 def test_scaled_cond_ignores_a_diagonal_scaling(rng):

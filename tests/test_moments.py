@@ -19,7 +19,7 @@ from thmm import (
     schur_chain,
 )
 from thmm import build_family, compute_first, compute_second, moments as moments_module
-from thmm._linalg import cholesky_pd, is_pd, solve_factored, solve_pd
+from thmm._linalg import cholesky_pd, hermitize, solve_factored, solve_pd
 from thmm.moments import StructuralVectors, shifted_moments
 
 from conftest import lebesgue, random_measure, rel
@@ -141,12 +141,12 @@ def test_block_pd_splitting_both_directions(seed):
     shift = rng.uniform(-0.5, 1.0)
     a = g @ g.conj().T + shift * np.eye(2 * k)
     a11, a12, a22 = a[:k, :k], a[:k, k:], a[k:, k:]
-    whole_pd = is_pd(a)
-    if not is_pd(a11):
+    whole_pd = cholesky_pd(hermitize(a)) is not None
+    if cholesky_pd(hermitize(a11)) is None:
         assert not whole_pd
         return
     complement = a22 - a12.conj().T @ np.linalg.solve(a11, a12)
-    assert whole_pd == is_pd(complement)
+    assert whole_pd == (cholesky_pd(hermitize(complement)) is not None)
 
 
 def test_classify_lebesgue_positive_definite():
@@ -224,8 +224,8 @@ def test_structural_vectors_shift_resolvent_identity(rng):
     for j in range(3):
         for z in (0.3, -1.2 + 0.7j):
             r = vecs.R(j, z)
-            t = vecs.shift(j)
             eye = np.eye((j + 1) * seq.q)
+            t = np.eye((j + 1) * seq.q, k=-seq.q)   # the block lower shift T_j
             assert rel(r @ (eye - z * t), eye) < 1e-14
             rv = r @ vecs.v(j)
             for k in range(j + 1):
@@ -296,14 +296,21 @@ def test_entries_and_solves_match_the_written_out_formulas(rng, q, m):
         L = cholesky_pd(members[-1], block=q)
         assert len(L) == len(members[-1])
         lead = lambda j: L[:(j + 1) * q, :(j + 1) * q]
+        # one forward solve per family, on the largest column; member j reads
+        # its leading (j+1)q rows w_j
+        rc_last = _R_at_a_times(seq, column[family](len(members) - 1))
+        w = np.linalg.solve(L, rc_last)
         for j in range(len(members)):
+            size = (j + 1) * q
             assert _bits(hank.entries[family][2 * j]) == _bits(corner[family](j))
             assert _bits(hank.factor(family, j)) == _bits(lead(j))
-            rc = _R_at_a_times(seq, column[family](j))
-            solved = solve_factored(lead(j), rc)
+            # the columns are nested and R(a) is block lower Toeplitz (the sign
+            # of a zero may differ: ut2_0 = -s_0 but block 0 of ut2_1 = -s_0 + a 0)
+            assert np.array_equal(_R_at_a_times(seq, column[family](j)), rc_last[:size])
             assert _bits(hank.column(family, j)) == _bits(column[family](j))
-            assert _bits(hank.transfer(family, j)) == _bits(solved)
-            assert _bits(hank.form(family, j)) == _bits(rc.conj().T @ solved)
+            assert _bits(hank.transfer(family, j)) == _bits(
+                np.linalg.solve(lead(j).conj().T, w[:size]))
+            assert _bits(hank.form(family, j)) == _bits(w[:size].conj().T @ w[:size])
         # the polynomial rows reach one cross column past the last complement
         for j in range(1, len(hank.entries[family]) // 2 + 1):
             y = cross[family](j)

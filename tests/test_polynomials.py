@@ -10,7 +10,6 @@ from thmm import (
     eval_poly,
     verify_family_identities,
 )
-from thmm._linalg import solve_factored
 from thmm.polynomials import SAMPLE_POINTS, MatrixPoly
 
 from conftest import lebesgue, random_sequence, rel
@@ -186,10 +185,17 @@ def norm_rel(x, y):
 def ratio_entries_per_point(fam, zs):
     """The two ratio identities one point at a time, with the per-point formulas."""
     seq, vecs, hank, a, q = fam.seq, fam.vectors, fam.hankels, fam.seq.a, fam.seq.q
+
+    def transfer_solve(family, column, j):
+        """F[j]^{-1} R_j(a) c_j: a back solve of the leading rows of one forward solve."""
+        last = len(getattr(hank, family)) - 1
+        w = np.linalg.solve(hank.factor(family, last), dense_R(q, last, a) @ column(last))
+        return np.linalg.solve(hank.factor(family, j).conj().T, w[:(j + 1) * q])
+
     out = []
     for j in range(min(len(fam.g2), len(fam.t2), len(hank.H1))):
         t2a_inv = np.linalg.inv(adjoint_eval(fam.t2[j], a))
-        solved = solve_factored(hank.factor("H1", j), dense_R(q, j, a) @ vecs.v(j))
+        solved = transfer_solve("H1", vecs.v, j)
         for z in zs:
             lhs = adjoint_eval(fam.g2[j], z) @ t2a_inv
             rhs = -(dense_R(q, j, np.conj(z)) @ vecs.v(j)).conj().T @ solved
@@ -197,7 +203,7 @@ def ratio_entries_per_point(fam, zs):
     for j in range(min(max(len(fam.q1) - 1, 0), max(len(fam.p1) - 1, 0), len(hank.K2))):
         p1a_inv = np.linalg.inv(adjoint_eval(fam.p1[j + 1], a))
         ut = vecs.ut2(j)
-        solved = solve_factored(hank.factor("K2", j), dense_R(q, j, a) @ ut)
+        solved = transfer_solve("K2", vecs.ut2, j)
         for z in zs:
             lhs = adjoint_eval(fam.q1[j + 1], z) @ p1a_inv
             rhs = -(dense_R(q, j, np.conj(z)) @ ut).conj().T @ solved
