@@ -113,13 +113,8 @@ def cmd_analyze(args):
         _emit(report, args.output)
         return 3
     fam = build_family(hank)
-    sch = fam.schur
-    report["schur"] = {
-        "hhat1": sch.hhat1,
-        "hhat2": sch.hhat2,
-        "khat1": sch.khat1,
-        "khat2": sch.khat2,
-    }
+    report["schur"] = {name: tuple(getattr(fam.schur, name))
+                       for name in ("hhat1", "hhat2", "khat1", "khat2")}
     dsm = compute_second(seq, fam)
     first = compute_first(fam)
     report["dsm_second"] = {

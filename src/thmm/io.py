@@ -12,12 +12,20 @@ rendered with stable key order and floats fixed at 17 significant digits,
 so identical inputs produce identical bytes.  ``render_json`` takes a 2-D
 complex ``np.ndarray`` wherever a matrix goes and writes it in that
 [re, im] layout, so reports and file dicts hold the arrays themselves.
+
+Rendering is one pass.  A walk of the report writes a str.format template
+of the whole text, with a {:.17g} field for each float, and gathers the
+floats in document order; the records of a list that have one shape (the
+results of a factorize call, say) share one template.  One format call
+then writes every float, and one finiteness check over the gathered
+floats names the first non-finite one.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 
 import numpy as np
@@ -37,10 +45,9 @@ def parse_complex(text):
         raise ValueError(f"cannot parse complex literal {text!r} (expected A, A+Bi, or A-Bi)")
     re_part = float(match.group("re"))
     im_part = float(match.group("im")) if match.group("im") else 0.0
-    z = complex(re_part, im_part)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):
         raise ValueError(f"complex literal {text!r} is not finite")
-    return z
+    return complex(re_part, im_part)
 
 
 def decode_matrix(obj, q=None, what="matrix"):
@@ -129,59 +136,106 @@ def parameter_file_dict(seq, dsm):
     }
 
 
-def _render(obj, indent, out):
-    pad = "  " * indent
+def _template(obj, indent, floats):
+    """The str.format template of obj rendered at indent, with a field per float.
+
+    The floats go to floats in document order; every other value is
+    written into the template, its braces doubled.  The records of a list
+    that have one shape (_record) share one template.
+    """
     if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            out.append(f'{pad}  "{key}": ')
-            _render(val, indent + 1, out)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        flat = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq)
-        if flat:
-            out.append("[" + ", ".join(_format_number(v) for v in seq) + "]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(seq):
-            out.append(pad + "  ")
-            _render(val, indent + 1, out)
-            out.append(",\n" if i + 1 < len(seq) else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "c":
-        out.append(_render_matrix(obj, indent))
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, float)):
-        out.append(_format_number(obj))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot render {type(obj)!r} deterministically")
+            return "{{}}"
+        pad = "  " * indent
+        items = [f'{pad}  "{_escape(f"{key}")}": {_template(val, indent + 1, floats)}'
+                 for key, val in obj.items()]
+        return "{{\n" + ",\n".join(items) + "\n" + pad + "}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
+            return "[" + ", ".join([_number(v, floats) for v in obj]) + "]"
+        pad = "  " * indent
+        rows = {}
+        items = []
+        for val in obj:
+            record = _record(val)
+            if record is None:
+                items.append(_template(val, indent + 1, floats))
+                continue
+            shape, values = record
+            if shape not in rows:
+                rows[shape] = _template(val, indent + 1, [])
+            items.append(rows[shape])
+            floats.extend(values)
+        return "[\n" + ",\n".join([pad + "  " + item for item in items]) + "\n" + pad + "]"
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "c":
+        floats.extend(_matrix_floats(obj))
+        return _matrix_template(*obj.shape, indent)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, float)):
+        return _number(obj, floats)
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return _escape(json.dumps(obj))
+    raise TypeError(f"cannot render {type(obj)!r} deterministically")
 
 
-def _render_matrix(mat, indent):
-    """A complex matrix in the layout _render gives its nested [re, im] lists."""
-    floats = np.ascontiguousarray(mat, dtype=complex).view(float).ravel()
-    finite = np.isfinite(floats)
-    if not finite.all():
-        _format_number(floats[np.argmin(finite)].item())  # raises its ValueError
-    return _matrix_template(*mat.shape, indent).format(*floats.tolist())
+def _record(obj):
+    """(shape, floats) of a dict of floats, strings, float lists and complex matrices.
+
+    Two such dicts of one shape render with one template at a given
+    indent; floats are theirs in document order.  None for any other
+    object, and for a dict with a key that is not a str.
+    """
+    if type(obj) is not dict:
+        return None
+    shape, floats = [], []
+    for key, val in obj.items():
+        if type(key) is not str:   # 1 and True are one dict key but render apart
+            return None
+        kind = type(val)
+        if kind is float:
+            floats.append(val)
+            shape.append((key, kind))
+        elif kind is str:
+            shape.append((key, kind, val))
+        elif kind is list and all(type(v) is float for v in val):
+            floats.extend(val)
+            shape.append((key, kind, len(val)))
+        elif kind is np.ndarray and val.ndim == 2 and val.dtype.kind == "c":
+            floats.extend(_matrix_floats(val))
+            shape.append((key, kind, val.shape))
+        else:
+            return None
+    return tuple(shape), floats
+
+
+def _matrix_floats(mat):
+    """re, im of each entry of a complex matrix, row by row."""
+    return np.ascontiguousarray(mat, dtype=complex).view(float).ravel().tolist()
+
+
+def _escape(text):
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+def _number(v, floats):
+    """An int as its digits; a float as a field, the float going to floats."""
+    if isinstance(v, int):
+        return str(v)
+    floats.append(float(v))
+    return "{:.17g}"
 
 
 @functools.lru_cache(maxsize=256)
 def _matrix_template(rows, cols, indent):
-    """str.format template for a rows x cols complex matrix rendered at indent."""
+    """str.format template for a rows x cols complex matrix rendered at indent.
+
+    It is the layout of the nested [re, im] lists of the matrix.
+    """
     if not rows:
         return "[]"
     pad = "  " * indent
@@ -193,20 +247,18 @@ def _matrix_template(rows, cols, indent):
     return "[\n" + ",\n".join([pad + "  " + row] * rows) + "\n" + pad + "]"
 
 
-def _format_number(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    f = float(v)
-    if not np.isfinite(f):
-        raise ValueError(f"cannot render non-finite float {f!r}")
-    return format(f, ".17g")
-
-
 def render_json(obj):
-    """Deterministic JSON text: insertion-ordered keys, 17 significant digits."""
-    out = []
-    _render(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    """Deterministic JSON text: insertion-ordered keys, 17 significant digits.
+
+    One walk of obj makes a str.format template of the whole text and
+    gathers its floats; one format call then writes every float.  A
+    non-finite float raises ValueError, naming the first in the text.
+    """
+    floats = []
+    template = _template(obj, 0, floats)
+    # a nan or an infinity among the floats makes their sum one too
+    if not math.isfinite(sum(floats)):
+        bad = next((f for f in floats if not math.isfinite(f)), None)
+        if bad is not None:
+            raise ValueError(f"cannot render non-finite float {bad!r}")
+    return (template + "\n").format(*floats)

@@ -29,6 +29,7 @@ sequence.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 
 import numpy as np
@@ -145,6 +146,30 @@ def hankel_from_entries(entries, j):
         for k in range(j + 1):
             out[l * q:(l + 1) * q, k * q:(k + 1) * q] = entries[l + k]
     return out
+
+
+class Kept(collections.abc.Sequence):
+    """The items make(0), ..., make(count - 1), each made on its first read and kept.
+
+    Indexing, slicing, len and iteration work as on the tuple of all the
+    items, which is never built.
+    """
+
+    def __init__(self, count, make):
+        self._items = [None] * count
+        self._make = make
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self[i] for i in range(len(self))[j])
+        item = self._items[j]   # IndexError past the end
+        if item is None:
+            j = range(len(self._items))[j]   # a negative j counts from the end
+            item = self._items[j] = self._make(j)
+        return item
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -410,6 +435,8 @@ class StructuralVectors:
 class SchurChain:
     """Corner Schur complements of the four Hankel families.
 
+    Each complement is made on its first read and kept; making one solves
+    its Schur step through HankelSet.schur_row and factors nothing.
     For positive definite parents every member is a positive definite
     q x q matrix and the determinants telescope:
     det K1[j] = prod_{i <= j} det khat1[i], and likewise per family.
@@ -419,28 +446,29 @@ class SchurChain:
     """
 
     seq: MomentSequence
-    hhat1: tuple
-    hhat2: tuple
-    khat1: tuple
-    khat2: tuple
+    hhat1: Kept
+    hhat2: Kept
+    khat1: Kept
+    khat2: Kept
 
 
 def schur_chain(hankels):
     """Recursive corner Schur complements of all four Hankel families.
 
     The complement of F[j] is e_{2j} - Y_j^* x_j on the kept Schur step
-    x_j = hankels.schur_row(F, j), and e_0 itself at j = 0.
+    x_j = hankels.schur_row(F, j), and e_0 itself at j = 0.  None is
+    made here: each is made on its first read.
     """
     def complements(family):
         corners = hankels.entries[family]
-        out = []
-        for j in range(len(getattr(hankels, family))):
+
+        def complement(j):
             if j == 0:
-                out.append(corners[0])
-            else:
-                y = hankels.cross(family, j)
-                out.append(hermitize(corners[2 * j] - y.conj().T @ hankels.schur_row(family, j)))
-        return tuple(out)
+                return corners[0]
+            y = hankels.cross(family, j)
+            return hermitize(corners[2 * j] - y.conj().T @ hankels.schur_row(family, j))
+
+        return Kept(len(getattr(hankels, family)), complement)
 
     return SchurChain(
         seq=hankels.seq,

@@ -16,7 +16,9 @@ shift resolvent:
 
 The j = 0 members degenerate to P1 = P2 = G1 = G2 = I, Q1 = 0,
 Q2(z) = -(u2_0 + z s_0), T1 = s_0, T2 = -s_0.  Coefficients are
-extracted symbolically in z by block convolution against R_j.
+extracted symbolically in z by block convolution against R_j.  Each
+member is made on its first read and kept, so a command makes only the
+members it reads.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ import functools
 import numpy as np
 
 from ._linalg import rel_residual, rel_residuals
-from .errors import OrderUnavailable, SingularNormalization
+from .errors import OrderUnavailable, SingularNormalization, SingularPivot
 from .moments import (
     HankelSet,
+    Kept,
     MomentSequence,
     build_hankels,
     schur_chain,
@@ -127,25 +130,26 @@ def _convolve(row, col, shift=None, sign=1.0):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PolynomialFamily:
-    """All eight families built from one moment sequence.
+    """All eight families of one moment sequence.
 
-    Retains the source Hankel set, with its structural vectors, and the
-    Schur chain so downstream constructions reuse them without rebuilding,
-    and keeps each polynomial's value at a once it has been asked for
-    (at_a, adjoint_at_a).
+    Each member of p1 .. t2 is made on its first read and kept.  Retains
+    the source Hankel set, with its structural vectors, and the Schur
+    chain so downstream constructions reuse them without rebuilding, and
+    keeps each polynomial's value at a once it has been asked for (at_a,
+    adjoint_at_a).
     """
 
     seq: MomentSequence
     hankels: HankelSet
     schur: object
-    p1: tuple
-    p2: tuple
-    q1: tuple
-    q2: tuple
-    g1: tuple
-    g2: tuple
-    t1: tuple
-    t2: tuple
+    p1: Kept
+    p2: Kept
+    q1: Kept
+    q2: Kept
+    g1: Kept
+    g2: Kept
+    t1: Kept
+    t2: Kept
     _at_a: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -210,51 +214,44 @@ def ensure_family(source):
 
 
 def build_family(source):
-    """Construct all eight polynomial families the moments support.
+    """The eight polynomial families the moments support, each member made on first read.
 
     source is a MomentSequence or a prebuilt HankelSet, whose factors are
     then reused.  Family ranges: P1/Q1 up to j = (m+1)//2, P2/Q2 up to
-    j = (m-1)//2, G1/T1/G2/T2 up to j = m//2.  Positive definiteness of
-    the pivot Hankel blocks is required and enforced by the factorizations.
+    j = (m-1)//2, G1/T1/G2/T2 up to j = m//2.  Member j reads the Schur
+    step x_j = F[j-1]^{-1} Y_j of its Hankel family, so every F[j-1] it
+    can read has to be positive definite; that is decided here, before
+    any member is made, from the family factors alone.
     """
     hank = source if isinstance(source, HankelSet) else build_hankels(source)
     seq = hank.seq
-    sch = schur_chain(hank)
     vecs = hank.vectors
     q = seq.q
     m = seq.m
+    top = {"H1": (m + 1) // 2, "H2": (m - 1) // 2, "K1": m // 2, "K2": m // 2}
+    # Raise the SingularPivot of the first singular F[j - 1] in one fixed
+    # order, whatever is read later: the Schur chain's steps family by
+    # family, then the polynomials' up to the top index of each family.
+    for last in ({family: len(getattr(hank, family)) - 1 for family in top}, top):
+        for family, j_max in last.items():
+            for j in range(1, j_max + 1):
+                if hank.factor(family, j - 1) is None:
+                    raise SingularPivot(family, j - 1)
 
-    def vcol(j):
-        return _split_blocks(vecs.v(j), j, q)
+    row = functools.cache(lambda family, j: _schur_row(hank, family, j, q))
 
-    p1, q1 = [], []
-    for j in range((m + 1) // 2 + 1):
-        row = _schur_row(hank, "H1", j, q)
-        p1.append(MatrixPoly(_convolve(row, vcol(j)), "P1", j))
-        u1 = _split_blocks(vecs.u1(j), j, q)
-        q1.append(MatrixPoly(_convolve(row, u1, sign=-1.0), "Q1", j))
-
-    p2, q2 = [], []
-    if m >= 1:
-        for j in range((m - 1) // 2 + 1):
-            row = _schur_row(hank, "H2", j, q)
-            p2.append(MatrixPoly(_convolve(row, vcol(j)), "P2", j))
-            u2 = _split_blocks(vecs.u2(j), j, q)
-            q2.append(MatrixPoly(_convolve(row, u2, shift=seq.s[0], sign=-1.0), "Q2", j))
-
-    g1, t1, g2, t2 = [], [], [], []
-    for j in range(m // 2 + 1):
-        row1 = _schur_row(hank, "K1", j, q)
-        g1.append(MatrixPoly(_convolve(row1, vcol(j)), "G1", j))
-        t1.append(MatrixPoly(_convolve(row1, _split_blocks(vecs.ut1(j), j, q)), "T1", j))
-        row2 = _schur_row(hank, "K2", j, q)
-        g2.append(MatrixPoly(_convolve(row2, vcol(j)), "G2", j))
-        t2.append(MatrixPoly(_convolve(row2, _split_blocks(vecs.ut2(j), j, q)), "T2", j))
+    def members(tag, family, column, shift=None, sign=1.0):
+        def make(j):
+            col = _split_blocks(column(j), j, q)
+            return MatrixPoly(_convolve(row(family, j), col, shift, sign), tag, j)
+        return Kept(top[family] + 1, make)
 
     return PolynomialFamily(
-        seq=seq, hankels=hank, schur=sch,
-        p1=tuple(p1), p2=tuple(p2), q1=tuple(q1), q2=tuple(q2),
-        g1=tuple(g1), g2=tuple(g2), t1=tuple(t1), t2=tuple(t2),
+        seq=seq, hankels=hank, schur=schur_chain(hank),
+        p1=members("P1", "H1", vecs.v), q1=members("Q1", "H1", vecs.u1, sign=-1.0),
+        p2=members("P2", "H2", vecs.v), q2=members("Q2", "H2", vecs.u2, seq.s[0], -1.0),
+        g1=members("G1", "K1", vecs.v), t1=members("T1", "K1", vecs.ut1),
+        g2=members("G2", "K2", vecs.v), t2=members("T2", "K2", vecs.ut2),
     )
 
 

@@ -1,0 +1,275 @@
+"""Exit code, output digests and stderr of a fixed corpus of thmm command lines.
+
+Two versions of thmm that agree on every line of this tool behave the same
+on its corpus.  Each line names one command and gives its exit code, the
+sha256 of its stdout and of each file it was asked to write (--output,
+--params-out; "-" when none was written) and its stderr.  The corpus:
+
+- the golden reports of tests/test_golden.py;
+- every op of the benchmark pools of seeds 13 and 29 (analyze, evaluate,
+  ceiling), built with perfbench/workloads.py;
+- degenerate, indefinite and rank-one moment sequences under analyze,
+  factorize (every route and parity), extremal (both solutions, every
+  parity) and scalar-report;
+- tests/data/overflow_q3.json;
+- z at a, at b, inside [a, b], at 1e200 and at 1e-300;
+- gen, recover and scalar-report on good and bad input, and parse failures.
+
+Inputs are written with the json module, never by thmm, so every version
+reads the same bytes.  thmm is imported from PYTHONPATH, so one checkout of
+this file measures any version; warnings are ignored, since their text
+names source lines:
+
+    PYTHONPATH=src python tests/cli_parity.py --out new.txt
+    PYTHONPATH=/path/to/other/src python tests/cli_parity.py --out old.txt
+    python tests/cli_parity.py --compare old.txt new.txt
+
+--compare prints each line that differs, or that only one file has, and
+exits 1 if there is any.  pytest does not collect this file (no test_
+prefix).
+"""
+
+import os
+
+# one BLAS thread, as in the benchmark: thread counts can move the rounding
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+import traceback
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "perfbench"))
+sys.path.insert(0, str(HERE))
+
+import workloads  # noqa: E402
+
+GOLDEN = HERE / "golden"
+POOLS = {"analyze": 8, "evaluate": 8, "ceiling": 16}   # the rounds of perfbench/run.py
+SEEDS = (13, 29)
+OUTPUT_FLAGS = ("--output", "--params-out")
+
+
+def _digest(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _write(path, obj):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    return str(path)
+
+
+def _encode(mat):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.atleast_2d(mat)]
+
+
+def _moment_file(path, moments, a=0.0, b=1.0):
+    q = np.atleast_2d(moments[0]).shape[0]
+    return _write(path, {"q": q, "a": a, "b": b, "moments": [_encode(s) for s in moments]})
+
+
+def _measure_moments(points, weights, m):
+    return [sum(x ** j * np.asarray(w, dtype=complex) for x, w in zip(points, weights))
+            for j in range(m + 1)]
+
+
+def _singular_sequences():
+    """(name, moments) of degenerate, rank-one and indefinite sequences on [0, 1]."""
+    out = []
+    for m in (2, 3, 4, 5, 6):
+        out.append((f"atom_at_b_m{m}", _measure_moments([0.5, 1.0], [[[1.0]], [[1.0]]], m)))
+        out.append((f"atom_at_a_m{m}", _measure_moments([0.0, 0.5], [[[1.0]], [[1.0]]], m)))
+        out.append((f"single_atom_m{m}", _measure_moments([0.5], [[[1.0]]], m)))
+        out.append((f"rank_one_m{m}", _measure_moments(
+            [0.3, 0.7], [np.diag([1.0, 0.0]), np.eye(2)], m)))
+        out.append((f"rank_one_everywhere_m{m}", _measure_moments(
+            [0.2, 0.5, 0.8], [np.diag([1.0, 0.0])] * 3, m)))
+    rng = np.random.default_rng(90)
+    for q in (1, 2):
+        for m in (3, 4, 5, 6):
+            points = (np.arange(5) + 0.5) / 5
+            weights = [g @ g.conj().T + 0.1 * np.eye(q) for g in
+                       rng.normal(size=(5, q, q)) + 1j * rng.normal(size=(5, q, q))]
+            base = _measure_moments(points, weights, m)
+            for k in (0, m // 2, m):
+                for shift in (-0.3, -3.0):
+                    s = list(base)
+                    s[k] = s[k] + shift * np.eye(q) / (k + 1) ** 2
+                    out.append((f"indefinite_q{q}_m{m}_s{k}_{shift}", s))
+    return out
+
+
+def _evaluations(path, label, zs):
+    """(label, argv) of every factorize route and parity and extremal solution and parity."""
+    z_args = [f"--z={z}" for z in zs]
+    for parity in ("auto", "even", "odd"):
+        for route in ("direct", "second", "first"):
+            yield (f"{label}/factorize/{route}/{parity}",
+                   ["factorize", "--input", path, "--route", route, "--parity", parity, *z_args])
+        for which in ("krein", "friedrichs"):
+            yield (f"{label}/extremal/{which}/{parity}",
+                   ["extremal", "--input", path, "--which", which, "--parity", parity, *z_args])
+
+
+def corpus(workdir):
+    """(label, argv) of every command line, writing its inputs into workdir."""
+    work = Path(workdir)
+    from test_golden import CASES
+
+    for name in sorted(CASES):
+        argv, outputs = CASES[name]
+        argv = [str(GOLDEN / arg) if arg.endswith(".json") else arg for arg in argv]
+        for flag, expected in outputs.items():
+            argv += [flag, str(work / expected)]
+        yield f"golden/{name}", argv
+
+    for seed in SEEDS:
+        for workload, rounds in POOLS.items():
+            pool = work / f"{workload}-{seed}"
+            pool.mkdir()
+            for r, ops in enumerate(workloads.build_rounds(workload, seed, str(pool), rounds)):
+                for op in ops:
+                    for c, argv in enumerate(op.argvs):
+                        yield f"{workload}/{seed}/r{r}/op{op.point}/{c}", argv
+
+    for name, moments in _singular_sequences():
+        path = _moment_file(work / f"{name}.json", moments)
+        yield f"singular/{name}/analyze", ["analyze", "--input", path,
+                                           "--params-out", str(work / "params.json")]
+        yield from _evaluations(path, f"singular/{name}", ["2+1i", "-0.3+0.05i"])
+        if np.atleast_2d(moments[0]).shape[0] == 1:
+            yield f"singular/{name}/scalar-report", ["scalar-report", "--input", path]
+
+    overflow = str(HERE / "data" / "overflow_q3.json")
+    yield "overflow/analyze", ["analyze", "--input", overflow]
+    yield from _evaluations(overflow, "overflow", ["1e200"])
+    yield from _evaluations(overflow, "overflow-neg", ["-1e200", "2+1i"])
+
+    for moments, (a, b) in (("moments_q1.json", (0.0, 1.0)), ("moments_q2.json", (-0.5, 1.5))):
+        path = str(GOLDEN / moments)
+        for z in (a, b, 0.5 * (a + b), 1e200, -1e200, 1e-300, "1e-300+1e-300i", "1e200+1e200i"):
+            yield from _evaluations(path, f"z/{moments}/{z}", [z])
+        # a failing point after a good one, and two failing points
+        yield from _evaluations(path, f"z/{moments}/good-then-a", ["2+1i", a])
+        yield from _evaluations(path, f"z/{moments}/mid-then-b", [0.5 * (a + b), b])
+
+    for measure in ("measure_q1.json", "measure_q2.json"):
+        for count in (0, 1, 2, 5, 9):
+            yield f"gen/{measure}/{count}", ["gen", "--input", str(GOLDEN / measure),
+                                             "--count", str(count)]
+    for params in ("params_q1.json", "params_q2.json"):
+        yield f"recover/{params}", ["recover", "--input", str(GOLDEN / params)]
+    bad_params = json.loads((GOLDEN / "params_q1.json").read_text())
+    bad_params["mhat"][0] = [[[-1.0, 0.0]]]
+    yield "recover/negative_mhat", ["recover", "--input", _write(work / "bad_params.json", bad_params)]
+    for moments in ("moments_q1.json", "moments_q2.json"):
+        for rtol in ("1e-8", "0", "1e-20"):
+            yield f"scalar-report/{moments}/{rtol}", ["scalar-report", "--input",
+                                                      str(GOLDEN / moments), "--rtol", rtol]
+
+    good = str(GOLDEN / "moments_q1.json")
+    broken = {
+        "not_json": "{",
+        "array": "[1, 2]",
+        "no_moments": json.dumps({"q": 1, "a": 0.0, "b": 1.0}),
+        "empty_moments": json.dumps({"q": 1, "a": 0.0, "b": 1.0, "moments": []}),
+        "nan_entry": '{"q": 1, "a": 0.0, "b": 1.0, "moments": [[[[NaN, 0.0]]]]}',
+        "wrong_q": json.dumps({"q": 2, "a": 0.0, "b": 1.0, "moments": [[[[1.0, 0.0]]]]}),
+        "not_hermitian": json.dumps({"q": 2, "a": 0.0, "b": 1.0, "moments": [
+            [[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}),
+        "b_below_a": json.dumps({"q": 1, "a": 1.0, "b": 0.0, "moments": [[[[1.0, 0.0]]]]}),
+    }
+    for name, text in broken.items():
+        path = work / f"broken_{name}.json"
+        path.write_text(text)
+        for command in ("analyze", "scalar-report"):
+            yield f"parse/{name}/{command}", [command, "--input", str(path)]
+        yield f"parse/{name}/factorize", ["factorize", "--input", str(path), "--z", "2"]
+    for z in ("1+i", "abc", "inf", "1e400", "nan+1i", "2+1j"):
+        yield f"parse/z/{z}", ["factorize", "--input", good, f"--z={z}"]
+    yield "parse/z/none", ["extremal", "--input", good]
+    yield "parse/z/negative-after-space", ["factorize", "--input", good, "--z", "-0.2+0.1i"]
+    for rtol in ("-1", "nan", "inf", "x"):
+        yield f"parse/rtol/{rtol}", ["factorize", "--input", good, "--z", "2", "--rtol", rtol]
+    yield "parse/missing_file", ["analyze", "--input", str(work / "absent.json")]
+    yield "parse/unknown_command", ["plot", "--input", good]
+    yield "parse/no_command", []
+    yield "parse/bad_choice", ["factorize", "--input", good, "--z", "2", "--route", "third"]
+    yield "parse/gen_no_count", ["gen", "--input", str(GOLDEN / "measure_q1.json")]
+    bad_measure = {"points": [0.5, 2.0], "weights": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}
+    yield "parse/gen_outside", ["gen", "--input", _write(work / "outside.json", bad_measure),
+                                "--count", "3"]
+
+
+def run(cli, argv, workdir):
+    """One line: exit code, digests of stdout and of each output file, stderr."""
+    outputs = [argv[i + 1] for i, arg in enumerate(argv[:-1]) if arg in OUTPUT_FLAGS]
+    for path in outputs:
+        if os.path.exists(path):
+            os.remove(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception:
+            traceback.print_exc()
+            code = "uncaught"
+    files = []
+    for path in outputs:
+        files.append(_digest(Path(path).read_bytes()) if os.path.exists(path) else "-")
+    stderr = err.getvalue().replace(workdir, "<work>").replace(str(HERE), "<tests>")
+    return "\t".join([str(code), _digest(out.getvalue().encode()), ",".join(files) or "-",
+                      json.dumps(stderr)])
+
+
+def record(out_path):
+    from thmm import cli
+
+    warnings.simplefilter("ignore")
+    lines = 0
+    with tempfile.TemporaryDirectory() as workdir, open(out_path, "w", encoding="utf-8") as fh:
+        for label, argv in corpus(workdir):
+            fh.write(f"{label}\t{run(cli, argv, workdir)}\n")
+            lines += 1
+    print(f"{lines} lines written to {out_path}")
+
+
+def compare(path_a, path_b):
+    def lines(path):
+        with open(path, encoding="utf-8") as fh:
+            return dict(line.rstrip("\n").split("\t", 1) for line in fh)
+
+    a, b = lines(path_a), lines(path_b)
+    differ = [label for label in sorted(a.keys() | b.keys()) if a.get(label) != b.get(label)]
+    for label in differ:
+        print(f"{label}\n  {path_a}: {a.get(label)}\n  {path_b}: {b.get(label)}")
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} lines differ")
+    return 1 if differ else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--out", help="run the corpus and write its lines here")
+    group.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                       help="list the lines two such files disagree on")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    record(args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

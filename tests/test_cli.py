@@ -514,3 +514,32 @@ def test_input_file_must_hold_an_object(tmp_path, capsys, command, kind):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: {kind} file must hold a JSON object\n"
+
+
+def test_first_route_makes_only_the_members_it_reads(monkeypatch):
+    from thmm import polynomials
+
+    made, read = [], set()
+    real_convolve = polynomials._convolve
+    monkeypatch.setattr(polynomials, "_convolve",
+                        lambda *args: made.append(args) or real_convolve(*args))
+    real_getitem = moments.Kept.__getitem__
+    monkeypatch.setattr(moments.Kept, "__getitem__",
+                        lambda self, j: read.add((id(self), j)) or real_getitem(self, j))
+    families = []
+    real_build = cli.build_family
+    monkeypatch.setattr(cli, "build_family", lambda src: families.append(real_build(src))
+                        or families[-1])
+    inp = str(Path(__file__).parent / "golden" / "moments_q2.json")
+    argv = ["factorize", "--input", inp, "--route", "first", "--z", "2+1i", "--z=-0.2+0.1i",
+            "--output", os.devnull]
+    assert main(argv) == 0
+    (fam,) = families
+    tags = {id(getattr(fam, tag.lower())): tag for tag in polynomials.FAMILY_TAGS}
+    complements = {id(getattr(fam.schur, name)) for name in ("hhat1", "hhat2", "khat1", "khat2")}
+    # m = 6, even: the direct route reads T2, T1, G2, G1 at n = 3 and the
+    # first-type tail Q1, P1, T1, G1 there; no Schur complement is formed
+    assert {(tags[i], j) for i, j in read if i in tags} == {
+        ("T2", 3), ("T1", 3), ("G2", 3), ("G1", 3), ("Q1", 3), ("P1", 3)}
+    assert not any(i in complements for i, _ in read)
+    assert len(made) == 6

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thmm import InvalidMomentSequence
 from thmm.io import (
@@ -135,3 +137,149 @@ def test_render_array_rejects_nonfinite_like_nested_lists(part, bad):
         with pytest.raises(ValueError) as by_lists:
             render_json(_placements(mat, nested)[0])
         assert str(by_array.value) == str(by_lists.value) == f"cannot render non-finite float {bad!r}"
+
+
+def _reference(obj):
+    """The recursive renderer that render_json replaced, matrices as nested lists."""
+    out = []
+    _reference_walk(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _reference_walk(obj, indent, out):
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, val) in enumerate(obj.items()):
+            out.append(f'{pad}  "{key}": ')
+            _reference_walk(val, indent + 1, out)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            out.append("[]")
+            return
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq):
+            out.append("[" + ", ".join(_reference_number(v) for v in seq) + "]")
+            return
+        out.append("[\n")
+        for i, val in enumerate(seq):
+            out.append(pad + "  ")
+            _reference_walk(val, indent + 1, out)
+            out.append(",\n" if i + 1 < len(seq) else "\n")
+        out.append(pad + "]")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "c":
+        _reference_walk(nested(obj), indent, out)
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, float)):
+        out.append(_reference_number(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot render {type(obj)!r} deterministically")
+
+
+def _reference_number(v):
+    if isinstance(v, int):
+        return str(v)
+    f = float(v)
+    if not np.isfinite(f):
+        raise ValueError(f"cannot render non-finite float {f!r}")
+    return format(f, ".17g")
+
+
+def _outcome(render, obj):
+    """The text render gives obj, or the message of the ValueError it raises."""
+    try:
+        return render(obj)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -1e308, 0.1, 1.0 / 3.0]),
+)
+_TEXT = st.text(st.one_of(st.sampled_from('{}"\\\'\n é中{{}}'), st.characters()), max_size=8)
+
+
+@st.composite
+def _matrices(draw, floats=_FLOATS, shapes=st.tuples(st.integers(0, 3), st.integers(0, 3))):
+    rows, cols = draw(shapes)
+    parts = draw(st.lists(floats, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    mat = np.array(parts, dtype=float).view(complex).reshape(rows, cols)
+    # a transposed matrix, as right_quotient returns them, is not contiguous
+    return mat.T.copy().T if draw(st.booleans()) else mat
+
+
+def _records(floats=_FLOATS):
+    """Dicts shaped like report results, whose shape may change from one to the next."""
+    return st.fixed_dictionaries({
+        "z": st.lists(floats, min_size=2, max_size=3),
+        "parity": st.sampled_from(["even", "odd", "{odd}"]),
+        "U": _matrices(floats, st.sampled_from([(1, 1), (2, 2), (0, 2), (2, 0)])),
+        "residual": st.one_of(floats, st.integers(), st.booleans(), st.none()),
+    }, optional={"extra": st.lists(floats, max_size=2)})
+
+
+def _documents(floats=_FLOATS):
+    leaves = st.one_of(st.none(), st.booleans(), st.integers(), floats, _TEXT,
+                       _matrices(floats), st.lists(st.one_of(floats, st.integers()), max_size=4))
+    return st.recursive(
+        st.one_of(leaves, st.lists(_records(floats), max_size=4)),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(_TEXT, children, max_size=4),
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_documents())
+def test_render_json_equals_the_recursive_renderer(obj):
+    assert render_json(obj) == _reference(obj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_records(), min_size=2, max_size=8))
+@example([{1: 0.5}, {True: 0.5}, {"1": 0.5}])
+def test_render_json_equals_the_recursive_renderer_on_record_lists(records):
+    assert render_json({"results": records}) == _reference({"results": records})
+
+
+_NONFINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_documents(st.one_of(_FLOATS, _NONFINITE)))
+def test_render_json_names_the_nonfinite_float_the_recursive_renderer_names(obj):
+    assert _outcome(render_json, obj) == _outcome(_reference, obj)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", ["matrix", "list", "record"])
+def test_render_json_names_the_first_nonfinite_float(bad, where):
+    mat = np.array([[1.0 + 2.0j, 3.0 - 4.0j]])
+    records = [{"z": [1.0, 2.0], "U": mat.copy(), "r": 0.5} for _ in range(3)]
+    if where == "matrix":
+        records[1]["U"][0, 1] = complex(1.0, bad)
+    elif where == "list":
+        records[1]["z"][0] = bad
+    else:
+        records[1]["r"] = bad
+    records[2]["r"] = float("nan")   # a later one
+    obj = {"results": records}
+    with pytest.raises(ValueError) as err:
+        render_json(obj)
+    assert str(err.value) == f"cannot render non-finite float {bad!r}"
+    assert _outcome(_reference, obj) == f"ValueError: {err.value}"

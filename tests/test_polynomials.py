@@ -4,13 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thmm import (
+    MomentSequence,
     OrderUnavailable,
+    SingularPivot,
     adjoint_eval,
     build_family,
+    build_hankels,
     eval_poly,
+    moments_from_discrete_measure,
     verify_family_identities,
 )
-from thmm.polynomials import SAMPLE_POINTS, MatrixPoly
+from thmm._linalg import hermitize
+from thmm.polynomials import SAMPLE_POINTS, MatrixPoly, _convolve, _schur_row, _split_blocks
 
 from conftest import lebesgue, random_sequence, rel
 
@@ -271,3 +276,118 @@ def test_values_at_a_are_cached_read_only(leb_family):
         adjoint = fam.adjoint_at_a(p)
         assert fam.adjoint_at_a(p) is adjoint and not adjoint.flags.writeable
         assert np.array_equal(adjoint, adjoint_eval(p, fam.seq.a))
+
+
+COMPLEMENTS = (("hhat1", "H1"), ("hhat2", "H2"), ("khat1", "K1"), ("khat2", "K2"))
+
+
+def _eager_members(seq):
+    """Every complement, then every polynomial, made in order as build_family once made them.
+
+    A singular Hankel member raises the SingularPivot of the first Schur
+    step it stops.  Returns {(store name, j): member}.
+    """
+    hank = build_hankels(seq)
+    vecs, q, m = hank.vectors, seq.q, seq.m
+    out = {}
+    for name, family in COMPLEMENTS:
+        corners = hank.entries[family]
+        for j in range(len(getattr(hank, family))):
+            if j == 0:
+                out[name, j] = corners[0]
+            else:
+                y = hank.cross(family, j)
+                out[name, j] = hermitize(corners[2 * j] - y.conj().T @ hank.schur_row(family, j))
+
+    def make(name, family, column, j, shift=None, sign=1.0):
+        row = _schur_row(hank, family, j, q)
+        coeffs = _convolve(row, _split_blocks(column(j), j, q), shift, sign)
+        out[name, j] = MatrixPoly(coeffs, name.upper(), j)
+
+    for j in range((m + 1) // 2 + 1):
+        make("p1", "H1", vecs.v, j)
+        make("q1", "H1", vecs.u1, j, sign=-1.0)
+    for j in range((m - 1) // 2 + 1):
+        make("p2", "H2", vecs.v, j)
+        make("q2", "H2", vecs.u2, j, seq.s[0], -1.0)
+    for j in range(m // 2 + 1):
+        make("g1", "K1", vecs.v, j)
+        make("t1", "K1", vecs.ut1, j)
+        make("g2", "K2", vecs.v, j)
+        make("t2", "K2", vecs.ut2, j)
+    return out
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+@pytest.mark.parametrize("q,m", [(1, 0), (1, 1), (1, 6), (2, 4), (2, 5), (3, 3), (3, 7)])
+def test_members_made_on_read_equal_the_eager_build_in_any_order(q, m):
+    rng = np.random.default_rng(1000 * q + m)
+    seq, _ = random_sequence(rng, q, m // 2 + 1)
+    seq = MomentSequence(seq.a, seq.b, seq.s[:m + 1])
+    eager = _eager_members(seq)
+    for _ in range(3):
+        fam = build_family(seq)
+        stores = {name: getattr(fam, name) for name in ("p1", "p2", "q1", "q2",
+                                                         "g1", "g2", "t1", "t2")}
+        stores.update((name, getattr(fam.schur, name)) for name, _ in COMPLEMENTS)
+        assert {name: len(store) for name, store in stores.items()} == {
+            name: sum(key[0] == name for key in eager) for name in stores}
+        keys = list(eager)
+        for i in rng.permutation(len(keys)):
+            name, j = keys[i]
+            got, want = stores[name][j], eager[name, j]
+            if name.endswith(("hat1", "hat2")):
+                assert _bits(got) == _bits(want)
+            else:
+                assert (got.family, got.index) == (want.family, want.index)
+                assert [_bits(c) for c in got.coeffs] == [_bits(c) for c in want.coeffs]
+            assert stores[name][j] is got   # kept
+            assert stores[name][j - len(stores[name])] is got
+
+
+def _pivot(build, seq):
+    try:
+        build(seq)
+    except SingularPivot as exc:
+        return exc.family, exc.index
+    return None
+
+
+def _singular_inputs():
+    """Degenerate and indefinite sequences, by name."""
+    rng = np.random.default_rng(4243)
+    cases = {}
+    for m in range(8):
+        for name, points, weights in (
+            ("atom_at_b", [0.5, 1.0], [np.eye(1), np.eye(1)]),
+            ("atom_at_a", [0.0, 0.5], [np.eye(1), np.eye(1)]),
+            ("single_atom", [0.5], [np.eye(1)]),
+            ("rank_one", [0.3, 0.7], [np.diag([1.0, 0.0]), np.eye(2)]),
+            ("two_at_ends", [0.0, 1.0], [np.eye(2), np.eye(2)]),
+        ):
+            cases[f"{name}_m{m}"] = moments_from_discrete_measure(points, weights, m, 0.0, 1.0)
+        for q in (1, 2):
+            seq, _ = random_sequence(rng, q, 4)
+            for k in range(m + 1):
+                for shift in (-0.3, 0.3, -3.0):
+                    s = list(seq.s[:m + 1])
+                    s[k] = s[k] + shift * np.eye(q) / (k + 1) ** 2
+                    cases[f"perturbed_q{q}_m{m}_s{k}_{shift}"] = MomentSequence(0.0, 1.0, tuple(s))
+    for b, m in ((100.0, 9), (300.0, 7), (300.0, 9)):
+        cases[f"scaled_lebesgue_{b}_{m}"] = MomentSequence(
+            0.0, b, tuple(np.array([[b ** (j + 1) / (j + 1)]]) for j in range(m + 1)))
+    return cases
+
+
+def test_build_family_raises_the_pivot_of_the_eager_order():
+    outcomes = {}
+    for name, seq in _singular_inputs().items():
+        want = _pivot(_eager_members, seq)
+        assert _pivot(build_family, seq) == want, name
+        outcomes.setdefault(want, name)
+    # every family fails somewhere, and some inputs build
+    assert {pivot[0] for pivot in outcomes if pivot} == {"H1", "H2", "K1", "K2"}
+    assert None in outcomes
