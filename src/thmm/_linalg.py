@@ -29,23 +29,48 @@ def frob(a):
     """np.linalg.norm(a), summed as it sums a complex array, without its dispatch.
 
     The entries are taken in memory order and the sum is re.re + im.im.
+    When that sum overflows while every entry is finite, the norm is
+    _scaled_frob's instead (numpy's overflow warning of the sum still
+    shows: suppressing it would cost each call more than the sum).
     """
     flat = np.asarray(a, dtype=complex).ravel(order="K")
     re, im = flat.real, flat.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    norm = math.sqrt(re.dot(re) + im.dot(im))
+    if norm == math.inf and np.isfinite(flat).all():
+        return _scaled_frob(flat)
+    return norm
 
 
 def frobs(x):
     """frob of each matrix of a (K, m, n) stack, summed as np.linalg.norm sums one.
 
     That sum runs over the entries in memory order, so a stack of
-    column-major matrices is summed column by column.
+    column-major matrices is summed column by column.  A matrix whose sum
+    overflows while its entries are finite gets _scaled_frob's norm.
     """
     x = np.asarray(x, dtype=complex)
     if x.strides[-1] > x.strides[-2]:
         x = np.swapaxes(x, -1, -2)
     flat = x.reshape(len(x), x.shape[-2] * x.shape[-1])
-    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    redo = ~np.isfinite(norms)
+    if redo.any():
+        redo &= np.isfinite(flat).all(axis=1)
+        norms[redo] = [_scaled_frob(row) for row in flat[redo]]
+    return norms
+
+
+def _scaled_frob(flat):
+    """Frobenius norm of finite entries whose squares overflow.
+
+    The entries are divided by s, the largest |re| or |im| among them,
+    before they are squared, and the norm of the quotients is multiplied
+    by s.  It is inf only when the norm itself exceeds the largest float.
+    """
+    s = float(max(np.abs(flat.real).max(), np.abs(flat.imag).max()))
+    re, im = flat.real / s, flat.imag / s
+    return s * math.sqrt(re.dot(re) + im.dot(im))
 
 
 def scalars(f, z):
@@ -189,36 +214,71 @@ def guard_cond(mats, cond_limit, error, points=None):
     A matrix fails with error(cond) when its 2-norm condition number is not
     finite or exceeds cond_limit; a matrix with a NaN or infinite entry (an
     overflowed one) fails with error(nan), without an SVD.  Without
-    ``points`` the first failure in C order is raised.  With ``points`` the
-    leading axis runs over points.zs and the first failing point is
-    recorded there.
+    ``points`` the first failure in C order is raised, and the inverses of
+    all the matrices are returned, shaped as mats.  With ``points`` the
+    leading axis runs over points.zs, the first failing point is recorded
+    there, and the inverses of the points that remain are returned.
+
+    The inverses (np.linalg.inv) come first, and they decide most matrices
+    without an SVD: kappa_2(A) <= ||A||_F ||A^-1||_F <= q max|a_ij| q max|x_ij|
+    for X = A^-1, and A passes at once when that bound, taken with the
+    computed X, is at most cond_limit / 2.  For kappa_2(A) <= 1e12 the
+    computed X is off by at most about q eps kappa relative (4e-4 at q = 4),
+    so half the limit leaves room.  A matrix above the limit cannot pass
+    either: the LU inverse has AX = I + R with ||R|| <= c q eps rho ||A|| ||X||
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 14.3),
+    rho the growth factor of partial pivoting (at most 2^(q-1), in practice
+    below 10).  ||A|| ||X|| <= cond_limit / 2 = 5e11 keeps ||R|| below 1/2,
+    so ||A^-1|| = ||X (I + R)^-1|| <= 2 ||X|| and kappa_2(A) <= cond_limit.
+    A matrix whose bound is larger or not finite, and every matrix of a
+    stack that np.linalg.inv refuses, gets np.linalg.cond; so every failure
+    and every cond it carries come from that SVD.
     """
     flat = mats.reshape(-1, *mats.shape[-2:])
+    q = flat.shape[-1]
     # A stacked SVD fails as a whole on one non-finite matrix, and LAPACK
     # prints to stdout about one, so only the matrices before the first
-    # such one get a condition number; that one always fails, which makes
-    # the later ones irrelevant.
+    # such one are inverted or get a condition number; that one always
+    # fails, which makes the later ones irrelevant.
     finite = np.isfinite(flat).all(axis=(1, 2))
     stop = len(flat) if finite.all() else int(np.argmin(finite))
     cond = np.full(len(flat), np.nan)
-    if stop:
-        cond[:stop] = np.linalg.cond(flat[:stop])
+    try:
+        inv = np.linalg.inv(flat[:stop])
+    except np.linalg.LinAlgError:   # an exactly singular matrix
+        inv = None
+        svd = np.arange(stop)
+    else:
+        with np.errstate(over="ignore"):
+            cond[:stop] = (q * np.abs(flat[:stop]).max(axis=(1, 2))) * (
+                q * np.abs(inv).max(axis=(1, 2)))
+        svd = np.flatnonzero(~(cond[:stop] <= cond_limit / 2))
+    if svd.size:
+        cond[svd] = np.linalg.cond(flat[svd])
     bad = ~np.isfinite(cond) | (cond > cond_limit)
     if points is None:
         if bad.any():
             raise error(cond[int(np.argmax(bad))])
-        return
-    rows = bad.reshape(len(points), -1)
-    points.fail(rows.any(axis=1),
-                lambda i: error(cond[i * rows.shape[1] + int(np.argmax(rows[i]))]))
+        shape = mats.shape
+    else:
+        rows = bad.reshape(len(points), -1)
+        points.fail(rows.any(axis=1),
+                    lambda i: error(cond[i * rows.shape[1] + int(np.argmax(rows[i]))]))
+        shape = (len(points),) + mats.shape[1:]
+    keep = math.prod(shape[:-2])
+    if inv is None:
+        inv = np.linalg.inv(flat[:keep])
+    return inv[:keep].reshape(shape)
 
 
 def right_quotient(num, den, cond_limit=COND_LIMIT, points=None):
-    """num @ inv(den) for stacks of q x q matrices, without forming the inverse.
+    """num @ inv(den) for stacks of q x q matrices, by a solve with den.
 
     Each denominator is checked by guard_cond first and a failure is
-    SingularDenominator.  With ``points`` the leading axis runs over
-    points.zs, and the quotients of the points that remain are returned.
+    SingularDenominator; the inverses guard_cond forms go unused, since a
+    product with them would round differently.  With ``points`` the
+    leading axis runs over points.zs, and the quotients of the points that
+    remain are returned.
     """
     num = np.asarray(num, dtype=complex)
     den = np.asarray(den, dtype=complex)

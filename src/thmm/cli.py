@@ -158,49 +158,36 @@ def cmd_factorize(args):
     seq = tio.read_moment_file(args.input)
     parity = _parity_for(seq, args.parity)
     fam = build_family(seq)
-    zs = _z_values(args)
-    points = PointPrefix(zs)
+    points = PointPrefix(_z_values(args))
     direct = resolvent_direct_many(fam, points, parity)
     if args.route == "direct":
         values = direct
     else:
         values = resolvent_factorized_many(fam, points, parity, args.route)
     points.finish()
-    residuals = _residuals(values, direct).tolist()
-    results = [{
-        "z": tio.encode_complex(z),
-        "parity": parity,
-        "route": args.route,
-        "U": value,
-        "residual_vs_direct": residual,
-    } for z, value, residual in zip(zs, values, residuals)]
+    residuals = _residuals(values, direct)
+    results = tio.Records(z=points.zs, parity=parity, route=args.route, U=values,
+                          residual_vs_direct=residuals)
     _emit({"command": "factorize", "parity": parity, "route": args.route,
            "rtol": args.rtol, "results": results}, args.output)
-    return 0 if max(residuals) <= args.rtol else 4
+    return 0 if residuals.max() <= args.rtol else 4
 
 
 def cmd_extremal(args):
     seq = tio.read_moment_file(args.input)
     parity = _parity_for(seq, args.parity)
     fam = build_family(seq)
-    zs = _z_values(args)
-    points = PointPrefix(zs)
+    points = PointPrefix(_z_values(args))
     ext = extremal_quotient_many(fam, points, parity)
     cf_values = extremal_cf_many(fam, points, parity, args.which)
     points.finish()
     quotient_values = ext.sK if args.which == "krein" else ext.sF
-    cross = _residuals(cf_values, quotient_values).tolist()
-    results = [{
-        "z": tio.encode_complex(z),
-        "which": args.which,
-        "parity": parity,
-        "value": value,
-        "route": "quotient",
-        "cross_residual": residual,
-    } for z, value, residual in zip(zs, quotient_values, cross)]
+    cross = _residuals(cf_values, quotient_values)
+    results = tio.Records(z=points.zs, which=args.which, parity=parity, value=quotient_values,
+                          route="quotient", cross_residual=cross)
     _emit({"command": "extremal", "which": args.which, "parity": parity,
            "rtol": args.rtol, "results": results}, args.output)
-    return 0 if max(cross + ext.cross_residual.tolist()) <= args.rtol else 4
+    return 0 if max(cross.tolist() + ext.cross_residual.tolist()) <= args.rtol else 4
 
 
 def cmd_recover(args):

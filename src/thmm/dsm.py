@@ -56,7 +56,7 @@ from .moments import (
     hankel_from_entries,
 )
 from .polynomials import build_family, ensure_family
-from .reporting import IdentityCheck, IdentityReport
+from .reporting import IdentityChecks, IdentityReport
 
 ROUTE_RTOL = 1e-10
 
@@ -231,11 +231,8 @@ def product_identities(fam, dsm, first=None):
         W.append(W[-1] @ inv_m[k] @ inv_l[k])
     X = [W[j] @ inv_m[j] for j in range(min(len(W), len(inv_m)))]
 
-    entries = []
-    notes = []
-
-    def add(name, where, lhs, rhs):
-        entries.append(IdentityCheck(name, where, rel_residual(lhs, rhs)))
+    checks = IdentityChecks()
+    add = checks.add
 
     for j in range(min(len(fam.q2), len(X))):
         add("q2_alternating_product", f"j={j}",
@@ -248,27 +245,11 @@ def product_identities(fam, dsm, first=None):
         add("t1_alternating_product", f"j={j}",
             at_a(fam.t1[j]), (-1.0) ** j * W[j] @ acc)
 
-    res_cur, res_prev = [], []
     for j in range(1, min(len(fam.p2), len(fam.q2), len(mh))):
         p2a = at_a(fam.p2[j])
         q2a = at_a(fam.q2[j])
-        sum_cur = sum(mh[:j + 1])
-        sum_prev = sum(mh[:j])
-        r1 = rel_residual(p2a, q2a @ sum_cur)
-        r2 = rel_residual(p2a, q2a @ sum_prev)
-        entries.append(IdentityCheck("p2_sum_through_current", f"j={j}", r1))
-        entries.append(IdentityCheck("p2_sum_through_previous", f"j={j}", r2))
-        res_cur.append(r1)
-        res_prev.append(r2)
-    if res_cur:
-        supported = (
-            "p2_sum_through_current" if max(res_cur) <= max(res_prev)
-            else "p2_sum_through_previous"
-        )
-        notes.append(
-            f"P2 partial-sum identity: numerics support {supported} "
-            f"(max residuals {max(res_cur):.3e} vs {max(res_prev):.3e})"
-        )
+        add("p2_sum_through_current", f"j={j}", p2a, q2a @ sum(mh[:j + 1]))
+        add("p2_sum_through_previous", f"j={j}", p2a, q2a @ sum(mh[:j]))
 
     for j in range(min(len(fam.q2), len(fam.g1), len(inv_m))):
         add("q2_from_g1", f"j={j}",
@@ -335,7 +316,15 @@ def product_identities(fam, dsm, first=None):
         add("l_first_from_polys", f"j={j}", first.L[j],
             np.linalg.solve(at_a(fam.p1[j + 1]), at_a(fam.t2[j])))
 
-    return IdentityReport(tuple(entries), tuple(notes))
+    report = checks.report()
+    if "p2_sum_through_current" not in report.names():
+        return report
+    cur, prev = (report.residual_for(f"p2_sum_through_{which}")
+                 for which in ("current", "previous"))
+    supported = "p2_sum_through_current" if cur <= prev else "p2_sum_through_previous"
+    return IdentityReport(report.entries, (
+        f"P2 partial-sum identity: numerics support {supported} "
+        f"(max residuals {cur:.3e} vs {prev:.3e})",))
 
 
 def _require_pd_param(x, name, index):

@@ -102,6 +102,7 @@ def _evaluate(chain, cond_limit, pts):
 
     Head and levels are (K, q, q) stacks; a level sum that is not
     invertible at a point records SingularLevel for that point in pts.
+    Each level's inverse is the one guard_cond formed to check it.
     """
     if chain.depth == 0:
         pts.shared_stage()
@@ -111,8 +112,7 @@ def _evaluate(chain, cond_limit, pts):
     w = 0.0
     for depth in range(chain.depth, 0, -1):
         term = chain.levels[depth - 1][:len(pts)] + w
-        guard_cond(term, cond_limit, lambda cond, depth=depth: SingularLevel(depth), pts)
-        w = np.linalg.inv(term[:len(pts)])
+        w = guard_cond(term, cond_limit, lambda cond, depth=depth: SingularLevel(depth), pts)
     return w if chain.head is None else chain.head[:len(pts)] + w
 
 

@@ -13,12 +13,14 @@ so identical inputs produce identical bytes.  ``render_json`` takes a 2-D
 complex ``np.ndarray`` wherever a matrix goes and writes it in that
 [re, im] layout, so reports and file dicts hold the arrays themselves.
 
-Rendering is one pass.  A walk of the report writes a str.format template
-of the whole text, with a {:.17g} field for each float, and gathers the
-floats in document order; the records of a list that have one shape (the
-results of a factorize call, say) share one template.  One format call
-then writes every float, and one finiteness check over the gathered
-floats names the first non-finite one.
+Rendering is one pass.  A walk of the report writes a printf-style
+template of the whole text, with a %.17g field for each float and every
+literal % doubled, and gathers the floats in document order.  One %
+operation then writes every float (the bytes str.format's .17g would
+write: both are PyOS_double_to_string(x, 'g', 17)), and one finiteness
+check over the gathered floats names the first non-finite one.  A Records
+object holds the K records of a factorize or extremal call as columns:
+they share one row template, and one np.concatenate gathers their floats.
 """
 
 from __future__ import annotations
@@ -65,11 +67,6 @@ def decode_matrix(obj, q=None, what="matrix"):
             f"{what}[{i}][{j}] is not finite: {arr[i, j].tolist()}"
         )
     return arr[:, :, 0] + 1j * arr[:, :, 1]
-
-
-def encode_complex(z):
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
 
 
 def _read_object(path, kind, keys):
@@ -136,41 +133,66 @@ def parameter_file_dict(seq, dsm):
     }
 
 
+class Records:
+    """K report records of one shape, held as columns: a list of K dicts to render_json.
+
+    Each keyword is a key of every record, in order.  Its value is a str
+    that every record shares, or an array whose leading axis runs over the
+    K records: (K,) float as a number, (K,) complex as [re, im], (K, r, c)
+    complex as a matrix.
+    """
+
+    def __init__(self, **fields):
+        self.fields = {key: val if isinstance(val, str) else np.asarray(val)
+                       for key, val in fields.items()}
+        self.count = next(len(val) for val in self.fields.values() if not isinstance(val, str))
+
+    def _row(self):
+        """One record with zeros for its floats, whose template each record shares."""
+        return {key: val if isinstance(val, str)
+                else [0.0, 0.0] if val.ndim == 1 and val.dtype.kind == "c"
+                else np.zeros_like(val[0]) if val.ndim == 3 else 0.0
+                for key, val in self.fields.items()}
+
+    def _floats(self):
+        """Every float of the K records, record by record in document order."""
+        cols = [np.ascontiguousarray(val, dtype=complex if val.dtype.kind == "c" else float)
+                .view(float).reshape(self.count, -1)
+                for val in self.fields.values() if not isinstance(val, str)]
+        return np.concatenate(cols, axis=1).ravel().tolist()
+
+
 def _template(obj, indent, floats):
-    """The str.format template of obj rendered at indent, with a field per float.
+    """The printf-style template of obj rendered at indent, with a field per float.
 
     The floats go to floats in document order; every other value is
-    written into the template, its braces doubled.  The records of a list
-    that have one shape (_record) share one template.
+    written into the template, its % signs doubled.  The K records of a
+    Records share one template.
     """
     if isinstance(obj, dict):
         if not obj:
-            return "{{}}"
+            return "{}"
         pad = "  " * indent
         items = [f'{pad}  "{_escape(f"{key}")}": {_template(val, indent + 1, floats)}'
                  for key, val in obj.items()]
-        return "{{\n" + ",\n".join(items) + "\n" + pad + "}}"
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, Records):
+        if not obj.count:
+            return "[]"
+        pad = "  " * indent
+        row = pad + "  " + _template(obj._row(), indent + 1, [])
+        floats.extend(obj._floats())
+        return "[\n" + ",\n".join([row] * obj.count) + "\n" + pad + "]"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
             return "[" + ", ".join([_number(v, floats) for v in obj]) + "]"
         pad = "  " * indent
-        rows = {}
-        items = []
-        for val in obj:
-            record = _record(val)
-            if record is None:
-                items.append(_template(val, indent + 1, floats))
-                continue
-            shape, values = record
-            if shape not in rows:
-                rows[shape] = _template(val, indent + 1, [])
-            items.append(rows[shape])
-            floats.extend(values)
-        return "[\n" + ",\n".join([pad + "  " + item for item in items]) + "\n" + pad + "]"
+        items = [pad + "  " + _template(val, indent + 1, floats) for val in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "c":
-        floats.extend(_matrix_floats(obj))
+        floats.extend(np.ascontiguousarray(obj, dtype=complex).view(float).ravel().tolist())
         return _matrix_template(*obj.shape, indent)
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -183,43 +205,8 @@ def _template(obj, indent, floats):
     raise TypeError(f"cannot render {type(obj)!r} deterministically")
 
 
-def _record(obj):
-    """(shape, floats) of a dict of floats, strings, float lists and complex matrices.
-
-    Two such dicts of one shape render with one template at a given
-    indent; floats are theirs in document order.  None for any other
-    object, and for a dict with a key that is not a str.
-    """
-    if type(obj) is not dict:
-        return None
-    shape, floats = [], []
-    for key, val in obj.items():
-        if type(key) is not str:   # 1 and True are one dict key but render apart
-            return None
-        kind = type(val)
-        if kind is float:
-            floats.append(val)
-            shape.append((key, kind))
-        elif kind is str:
-            shape.append((key, kind, val))
-        elif kind is list and all(type(v) is float for v in val):
-            floats.extend(val)
-            shape.append((key, kind, len(val)))
-        elif kind is np.ndarray and val.ndim == 2 and val.dtype.kind == "c":
-            floats.extend(_matrix_floats(val))
-            shape.append((key, kind, val.shape))
-        else:
-            return None
-    return tuple(shape), floats
-
-
-def _matrix_floats(mat):
-    """re, im of each entry of a complex matrix, row by row."""
-    return np.ascontiguousarray(mat, dtype=complex).view(float).ravel().tolist()
-
-
 def _escape(text):
-    return text.replace("{", "{{").replace("}", "}}")
+    return text.replace("%", "%%")
 
 
 def _number(v, floats):
@@ -227,12 +214,12 @@ def _number(v, floats):
     if isinstance(v, int):
         return str(v)
     floats.append(float(v))
-    return "{:.17g}"
+    return "%.17g"
 
 
 @functools.lru_cache(maxsize=256)
 def _matrix_template(rows, cols, indent):
-    """str.format template for a rows x cols complex matrix rendered at indent.
+    """printf-style template for a rows x cols complex matrix rendered at indent.
 
     It is the layout of the nested [re, im] lists of the matrix.
     """
@@ -240,7 +227,7 @@ def _matrix_template(rows, cols, indent):
         return "[]"
     pad = "  " * indent
     if cols:
-        pair = pad + "    [{:.17g}, {:.17g}]"
+        pair = pad + "    [%.17g, %.17g]"
         row = "[\n" + ",\n".join([pair] * cols) + "\n" + pad + "  ]"
     else:
         row = "[]"
@@ -250,8 +237,8 @@ def _matrix_template(rows, cols, indent):
 def render_json(obj):
     """Deterministic JSON text: insertion-ordered keys, 17 significant digits.
 
-    One walk of obj makes a str.format template of the whole text and
-    gathers its floats; one format call then writes every float.  A
+    One walk of obj makes a printf-style template of the whole text and
+    gathers its floats; one % operation then writes every float.  A
     non-finite float raises ValueError, naming the first in the text.
     """
     floats = []
@@ -261,4 +248,4 @@ def render_json(obj):
         bad = next((f for f in floats if not math.isfinite(f)), None)
         if bad is not None:
             raise ValueError(f"cannot render non-finite float {bad!r}")
-    return (template + "\n").format(*floats)
+    return (template + "\n") % tuple(floats)

@@ -28,7 +28,6 @@ import functools
 
 import numpy as np
 
-from ._linalg import rel_residual, rel_residuals
 from .errors import OrderUnavailable, SingularNormalization, SingularPivot
 from .moments import (
     HankelSet,
@@ -37,7 +36,7 @@ from .moments import (
     build_hankels,
     schur_chain,
 )
-from .reporting import IdentityCheck, IdentityReport
+from .reporting import IdentityChecks
 
 FAMILY_TAGS = ("P1", "P2", "Q1", "Q2", "G1", "G2", "T1", "T2")
 
@@ -280,12 +279,10 @@ def verify_family_identities(fam, measure=None, zs=None):
     sch = fam.schur
     vecs = fam.vectors
     hank = fam.hankels
-    entries = []
+    checks = IdentityChecks()
+    add = checks.add
 
     at_a, adjoint_at_a = fam.at_a, fam.adjoint_at_a
-
-    def add(name, where, lhs, rhs):
-        entries.append(IdentityCheck(name, where, rel_residual(lhs, rhs)))
 
     for j in range(min(len(fam.p1), len(fam.t2), len(sch.hhat1))):
         add("hhat1_product", f"j={j}",
@@ -321,8 +318,7 @@ def verify_family_identities(fam, measure=None, zs=None):
     r_points = functools.cache(lambda j: vecs.R_many(j, points.conj()))
 
     def add_points(name, j, lhs, rhs):
-        for label, res in zip(labels, rel_residuals(lhs, rhs).tolist()):
-            entries.append(IdentityCheck(name, f"j={j},{label}", res))
+        checks.add_stack(name, [f"j={j},{label}" for label in labels], lhs, rhs)
 
     for j in range(min(len(fam.g2), len(fam.t2), len(hank.H1))):
         try:
@@ -355,4 +351,4 @@ def verify_family_identities(fam, measure=None, zs=None):
         )
         add("endpoint_g1_g2", f"j={j}", lhs - corr, np.zeros_like(lhs))
 
-    return IdentityReport(tuple(entries))
+    return checks.report()

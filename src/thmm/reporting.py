@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
+from ._linalg import rel_residuals
+
 
 @dataclasses.dataclass(frozen=True)
 class IdentityCheck:
@@ -41,3 +45,34 @@ class IdentityReport:
 
     def by_name(self):
         return {name: self.residual_for(name) for name in self.names()}
+
+
+class IdentityChecks:
+    """Identity checks gathered as (lhs, rhs) pairs, all residuals taken in one call.
+
+    report() computes every relative residual with one stacked
+    rel_residuals.  That equals rel_residual pair by pair on C-ordered
+    matrices, the order np.linalg.norm sums them in.
+    """
+
+    def __init__(self):
+        self.labels = []
+        self.lhs = []
+        self.rhs = []
+
+    def add(self, name, where, lhs, rhs):
+        """One check of the matrix lhs against rhs."""
+        self.add_stack(name, [where], np.asarray(lhs)[None], np.asarray(rhs)[None])
+
+    def add_stack(self, name, wheres, lhs, rhs):
+        """One check per matrix of two (K, m, n) stacks, labelled by the K wheres."""
+        self.labels.extend((name, where) for where in wheres)
+        self.lhs.append(lhs)
+        self.rhs.append(rhs)
+
+    def report(self):
+        if not self.labels:
+            return IdentityReport(())
+        residuals = rel_residuals(np.concatenate(self.lhs), np.concatenate(self.rhs)).tolist()
+        return IdentityReport(tuple(IdentityCheck(name, where, res) for (name, where), res
+                                    in zip(self.labels, residuals)))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from thmm import InvalidMomentSequence
 from thmm.io import (
+    Records,
     decode_matrix,
     moment_file_dict,
     parse_complex,
@@ -283,3 +284,40 @@ def test_render_json_names_the_first_nonfinite_float(bad, where):
         render_json(obj)
     assert str(err.value) == f"cannot render non-finite float {bad!r}"
     assert _outcome(_reference, obj) == f"ValueError: {err.value}"
+
+
+_SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 0.1,
+                     1.0 / 3.0, 1e-300, 2.5])
+
+
+def _floats_from(rng, n):
+    """n floats over the whole exponent range, a fifth of them from _SPECIAL."""
+    vals = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    special = rng.random(n) < 0.2
+    vals[special] = rng.choice(_SPECIAL, int(special.sum()))
+    return vals
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 70), q=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       text=_TEXT, transposed=st.booleans(),
+       bad=st.lists(st.tuples(st.sampled_from(["z", "U", "r"]), st.integers(0, 10 ** 6),
+                              _NONFINITE), max_size=2))
+@example(k=1, q=1, seed=0, text="%s{}", transposed=False, bad=[])
+@example(k=70, q=4, seed=1, text="{0}%%", transposed=True, bad=[("r", 69, float("nan"))])
+def test_records_render_as_their_list_of_dicts(k, q, seed, text, transposed, bad):
+    rng = np.random.default_rng(seed)
+    columns = {"z": _floats_from(rng, 2 * k).view(complex),
+               "U": _floats_from(rng, 2 * k * q * q).view(complex).reshape(k, q, q),
+               "r": _floats_from(rng, k)}
+    for name, at, value in bad:
+        flat = columns[name].view(float).reshape(-1)
+        flat[at % flat.size] = value
+    z, u, r = columns["z"], columns["U"], columns["r"]
+    if transposed:   # right_quotient returns a stack of transposes
+        u = np.swapaxes(u, 1, 2)
+    records = Records(z=z, parity=text, U=u, **{"route %d {x}": "100%"}, residual=r)
+    dicts = [{"z": [float(z[i].real), float(z[i].imag)], "parity": text, "U": u[i],
+              "route %d {x}": "100%", "residual": float(r[i])} for i in range(k)]
+    assert _outcome(render_json, {"results": records, "k": k}) == _outcome(
+        _reference, {"results": dicts, "k": k})

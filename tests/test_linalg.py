@@ -1,3 +1,8 @@
+import math
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +15,9 @@ from thmm._linalg import (
     PIVOT_RTOL,
     PointPrefix,
     cholesky_pd,
+    frob,
     frobs,
+    guard_cond,
     hermitize,
     inv_pd,
     rel_residual,
@@ -20,6 +27,11 @@ from thmm._linalg import (
     solve_factored,
     solve_pd,
 )
+from thmm.cli import main
+
+from conftest import random_z_points
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @settings(max_examples=40, deadline=None)
@@ -278,6 +290,8 @@ def test_non_finite_matrices_get_no_svd(monkeypatch):
     monkeypatch.setattr(_linalg.np.linalg, "cond",
                         lambda x: seen.append(np.isfinite(x).all()) or real_cond(x))
     eye = np.eye(2)
+    # a finite matrix with cond 2e12 ahead of the bad one still gets its SVD
+    ill = np.diag([1.0, 1.0 / (2 * COND_LIMIT)])
     for bad in (np.full((2, 2), np.inf), np.array([[1.0, 0.0], [0.0, -np.inf]]),
                 np.array([[np.nan, 0.0], [0.0, 1.0]])):
         with pytest.raises(SingularDenominator) as err:
@@ -286,7 +300,149 @@ def test_non_finite_matrices_get_no_svd(monkeypatch):
         pts = PointPrefix([0.0, 1.0, 2.0])
         right_quotient(np.stack([eye] * 3), np.stack([eye, bad, eye]), points=pts)
         assert len(pts) == 1 and np.isnan(pts.error.cond)
+        pts = PointPrefix([0.0, 1.0, 2.0])
+        right_quotient(np.stack([eye] * 3), np.stack([ill, bad, eye]), points=pts)
+        assert len(pts) == 0 and pts.error.cond == pytest.approx(2 * COND_LIMIT)
     assert seen and all(seen)
+
+
+_CONDS = (1.0, 1e6, 0.4e12, 0.5e12, 0.99e12, 1.01e12, 2e12, 1e16)
+_SCALES = (1e-300, 1e-150, 1e-50, 1.0, 1e50, 1e150, 1e300)
+
+
+def _conditioned(rng, q, cond, scale):
+    """U diag(sigma) V^H, sigma spaced geometrically from scale down to scale / cond."""
+    u, v = (np.linalg.qr(rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q)))[0]
+            for _ in range(2))
+    return (u * (scale * np.geomspace(1.0, 1.0 / cond, q))) @ v.conj().T
+
+
+def _guard_cases(rng, q):
+    """Matrices at every cond and scale, exactly singular ones, and NaN or infinite entries."""
+    cases = [_conditioned(rng, q, cond, scale) for cond in _CONDS for scale in _SCALES]
+    singular = np.eye(q, dtype=complex)
+    singular[q - 1] = 2.0 * singular[0] if q > 1 else 0.0   # LU meets an exact zero pivot
+    cases += [scale * singular for scale in _SCALES] + [np.zeros((q, q), dtype=complex)]
+    for bad in (np.nan, np.inf, -np.inf):
+        for part in (1.0, 1j):
+            mat = _conditioned(rng, q, 10.0, 1.0)
+            mat[q - 1, 0] += bad * part
+            cases.append(mat)
+    return cases
+
+
+def _first_failure(flat, cond_limit):
+    """(index, cond) of the first matrix failing np.linalg.cond one by one, else None.
+
+    A matrix with a NaN or infinite entry fails with cond nan and no SVD.
+    """
+    for i, mat in enumerate(flat):
+        cond = float(np.linalg.cond(mat)) if np.isfinite(mat).all() else np.nan
+        if not math.isfinite(cond) or cond > cond_limit:
+            return i, cond
+    return None
+
+
+def _check_guard(mats):
+    """guard_cond on mats, without and with points, against _first_failure."""
+    flat = mats.reshape(-1, *mats.shape[-2:])
+    expected = _first_failure(flat, COND_LIMIT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected is None:
+            assert np.array_equal(guard_cond(mats, COND_LIMIT, SingularDenominator),
+                                  np.linalg.inv(mats), equal_nan=True)
+        else:
+            with pytest.raises(SingularDenominator) as err:
+                guard_cond(mats, COND_LIMIT, SingularDenominator)
+            assert err.value.cond.hex() == expected[1].hex()
+        pts = PointPrefix(np.arange(len(mats)))
+        inv = guard_cond(mats, COND_LIMIT, SingularDenominator, pts)
+    cut = len(mats) if expected is None else expected[0] // (len(flat) // len(mats))
+    assert len(pts) == cut and np.array_equal(inv, np.linalg.inv(mats[:cut]), equal_nan=True)
+    if expected is None:
+        assert pts.error is None
+    else:
+        assert type(pts.error) is SingularDenominator
+        assert pts.error.cond.hex() == expected[1].hex()
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_guard_cond_decides_as_np_linalg_cond(rng, q):
+    cases = _guard_cases(rng, q)
+    eye = np.eye(q, dtype=complex)
+    for mat in cases:
+        _check_guard(mat[None])
+        _check_guard(np.stack([np.stack([eye, eye]), np.stack([eye, mat]), np.stack([mat, eye])]))
+    # stacks of 5 points with 2 matrices each, mostly well-conditioned ones
+    good = [i for i, mat in enumerate(cases) if _first_failure(mat[None], COND_LIMIT) is None]
+    for _ in range(60):
+        picks = np.where(rng.random((5, 2)) < 0.9, rng.choice(good, (5, 2)),
+                         rng.integers(len(cases), size=(5, 2)))
+        _check_guard(np.array([[cases[i] for i in row] for row in picks]))
+
+
+def test_guard_cond_takes_no_svd_on_golden_extremal_at_64_points(monkeypatch, tmp_path):
+    svd = []
+    real_cond = np.linalg.cond
+
+    def spy(x, p=None):
+        if sys._getframe(1).f_code.co_name == "guard_cond":
+            svd.append(len(x))
+        return real_cond(x, p)
+
+    monkeypatch.setattr(_linalg.np.linalg, "cond", spy)
+    rng = np.random.default_rng(64)
+    # half on Stieltjes-inversion lines near [a, b] = [-0.5, 1.5], half away from it
+    zs = [complex(x, eps) for x, eps in zip(rng.uniform(-0.7, 1.7, 32),
+                                             rng.choice([0.1, 0.01], 32))]
+    zs += random_z_points(rng, 32, -0.5, 1.5)
+    for which in ("krein", "friedrichs"):
+        for parity in ("even", "odd"):
+            argv = ["extremal", "--input", str(GOLDEN / "moments_q2.json"), "--which", which,
+                    "--parity", parity, "--output", str(tmp_path / "out.json")]
+            assert main(argv + [f"--z={z.real!r}{z.imag:+}i" for z in zs]) == 0
+    assert svd == []
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e-300])
+def test_norms_of_huge_and_tiny_matrices_match_a_scaled_reference(rng, scale):
+    def reference_norm(x):
+        s = np.abs(x).max()
+        return float(s * np.linalg.norm(x / s)) if s else 0.0
+
+    def reference_residual(x, y):
+        return reference_norm(x - y) / max(1.0, reference_norm(x), reference_norm(y))
+
+    eps = np.finfo(float).eps
+    for shape in ((1, 1), (3, 3), (4, 2)):
+        x = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        y = x * (1.0 + 1e-6 * rng.normal(size=shape))
+        stack = np.stack([x, y, 2 * x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            norms = frobs(stack).tolist()
+            residuals = rel_residuals(stack, stack[::-1]).tolist()
+        # frob's dot still warns when its sum overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            norms += [frob(m) for m in stack]
+            residuals += [rel_residual(u, v) for u, v in zip(stack, stack[::-1])]
+        references = [reference_norm(m) for m in stack] * 2
+        if scale > 1.0:
+            for got, want in zip(norms, references):
+                assert abs(got - want) <= 8 * eps * want
+        else:
+            # the squares underflow, so the norms keep np.linalg.norm's bits
+            assert norms == [float(np.linalg.norm(m)) for m in stack] * 2
+        for got, want in zip(residuals, [reference_residual(u, v)
+                                         for u, v in zip(stack, stack[::-1])] * 2):
+            assert abs(got - want) <= 8 * eps * max(1.0, want)
+    # a norm with a non-finite entry stays inf or nan
+    for bad in (np.inf, np.nan):
+        mat = np.array([[bad, 1.0]], dtype=complex)
+        assert [frob(mat).hex()] == [x.hex() for x in frobs(mat[None]).tolist()]
+        assert frob(mat).hex() == ("nan" if np.isnan(bad) else "inf")
 
 
 def test_rel_residual_sums_as_np_linalg_norm(rng):
