@@ -34,13 +34,10 @@ from .moments import (
     DiscreteMeasure,
     HankelSet,
     MomentSequence,
-    SchurChain,
-    StructuralVectors,
     Witness,
     build_hankels,
     classify,
     moments_from_discrete_measure,
-    schur_chain,
 )
 from .polynomials import (
     MatrixPoly,

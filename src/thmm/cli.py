@@ -113,8 +113,8 @@ def cmd_analyze(args):
         _emit(report, args.output)
         return 3
     fam = build_family(hank)
-    report["schur"] = {name: tuple(getattr(fam.schur, name))
-                       for name in ("hhat1", "hhat2", "khat1", "khat2")}
+    report["schur"] = {name: tuple(hank.complements(family)) for name, family in
+                       (("hhat1", "H1"), ("hhat2", "H2"), ("khat1", "K1"), ("khat2", "K2"))}
     dsm = compute_second(seq, fam)
     first = compute_first(fam)
     report["dsm_second"] = {
@@ -159,11 +159,15 @@ def cmd_factorize(args):
     parity = _parity_for(seq, args.parity)
     fam = build_family(seq)
     points = PointPrefix(_z_values(args))
-    direct = resolvent_direct_many(fam, points, parity)
-    if args.route == "direct":
-        values = direct
-    else:
-        values = resolvent_factorized_many(fam, points, parity, args.route)
+    # the stacked evaluation overflows at a large z; _finite, guard_cond and
+    # PointPrefix check every value it keeps, so numpy's warnings only repeat
+    # the failure of that point
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        direct = resolvent_direct_many(fam, points, parity)
+        if args.route == "direct":
+            values = direct
+        else:
+            values = resolvent_factorized_many(fam, points, parity, args.route)
     points.finish()
     residuals = _residuals(values, direct)
     results = tio.Records(z=points.zs, parity=parity, route=args.route, U=values,
@@ -178,8 +182,9 @@ def cmd_extremal(args):
     parity = _parity_for(seq, args.parity)
     fam = build_family(seq)
     points = PointPrefix(_z_values(args))
-    ext = extremal_quotient_many(fam, points, parity)
-    cf_values = extremal_cf_many(fam, points, parity, args.which)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # as in cmd_factorize
+        ext = extremal_quotient_many(fam, points, parity)
+        cf_values = extremal_cf_many(fam, points, parity, args.which)
     points.finish()
     quotient_values = ext.sK if args.which == "krein" else ext.sF
     cross = _residuals(cf_values, quotient_values)

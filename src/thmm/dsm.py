@@ -121,7 +121,6 @@ def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
     """
     fam = build_family(seq) if fam is None else fam
     hank = fam.hankels
-    sch = fam.schur
     m = seq.m
     s0 = seq.s[0]
     n_t = (m - 1) // 2 if m >= 1 else -1
@@ -150,11 +149,11 @@ def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
     mhat_poly = []
     for j in range(n_t + 1):
         val = at_a(fam.g1[j])
-        mhat_poly.append(val.conj().T @ np.linalg.solve(sch.khat1[j], val))
+        mhat_poly.append(val.conj().T @ np.linalg.solve(hank.complements("K1")[j], val))
     lhat_poly = []
     for j in range(n_l + 1):
         val = at_a(fam.q2[j])
-        lhat_poly.append(val.conj().T @ np.linalg.solve(sch.hhat2[j], val))
+        lhat_poly.append(val.conj().T @ np.linalg.solve(hank.complements("H2")[j], val))
     rhat_poly = [
         np.linalg.solve(at_a(fam.g1[j]), at_a(fam.t1[j]))
         for j in range(min(n_l + 2, len(fam.g1), len(fam.t1)))
@@ -213,7 +212,7 @@ def product_identities(fam, dsm, first=None):
     fam = ensure_family(fam)
     q = fam.seq.q
     hank = fam.hankels
-    sch = fam.schur
+    hhat1, hhat2, khat1, khat2 = map(hank.complements, ("H1", "H2", "K1", "K2"))
     at_a = fam.at_a
     eye = np.eye(q, dtype=complex)
     mh = dsm.mhat
@@ -263,20 +262,20 @@ def product_identities(fam, dsm, first=None):
             at_a(fam.t1[j]), at_a(fam.g1[j]) @ acc)
 
     # Schur complements rebuilt from the parameters
-    for j in range(min(len(sch.khat1), len(X))):
-        add("khat1_from_params", f"j={j}", sch.khat1[j], W[j] @ inv_m[j] @ W[j].conj().T)
-    for j in range(min(len(sch.hhat2), len(X), len(inv_l))):
-        add("hhat2_from_params", f"j={j}", sch.hhat2[j], X[j] @ inv_l[j] @ X[j].conj().T)
+    for j in range(min(len(khat1), len(X))):
+        add("khat1_from_params", f"j={j}", khat1[j], W[j] @ inv_m[j] @ W[j].conj().T)
+    for j in range(min(len(hhat2), len(X), len(inv_l))):
+        add("hhat2_from_params", f"j={j}", hhat2[j], X[j] @ inv_l[j] @ X[j].conj().T)
 
     # and the inverse direction: parameters rebuilt from Schur complements
     ws = [eye]
-    for k in range(min(len(sch.hhat2), len(sch.khat1))):
-        ws.append(sch.hhat2[k] @ np.linalg.inv(sch.khat1[k]) @ ws[k])
-    for j in range(min(len(mh), len(sch.khat1), len(ws))):
+    for k in range(min(len(hhat2), len(khat1))):
+        ws.append(hhat2[k] @ np.linalg.inv(khat1[k]) @ ws[k])
+    for j in range(min(len(mh), len(khat1), len(ws))):
         rebuilt = ws[j].conj().T @ hank.schur_solve("K1", j, ws[j])
         add("mhat_from_schur", f"j={j}", mh[j], rebuilt)
-    for j in range(min(len(lh), len(sch.hhat2), len(sch.khat1), len(ws))):
-        core = sch.khat1[j] @ hank.schur_solve("H2", j, sch.khat1[j])
+    for j in range(min(len(lh), len(hhat2), len(khat1), len(ws))):
+        core = khat1[j] @ hank.schur_solve("H2", j, khat1[j])
         wj_inv = np.linalg.inv(ws[j])
         add("lhat_from_schur", f"j={j}", lh[j], wj_inv @ core @ wj_inv.conj().T)
 
@@ -287,22 +286,22 @@ def product_identities(fam, dsm, first=None):
             acc = acc @ left @ np.linalg.inv(right)
         return acc
 
-    for j in range(1, min(len(fam.p1), len(sch.khat2) + 1, len(sch.hhat1) + 1)):
-        prod = desc_product([(sch.khat2[k], sch.hhat1[k]) for k in range(j - 1, -1, -1)])
+    for j in range(1, min(len(fam.p1), len(khat2) + 1, len(hhat1) + 1)):
+        prod = desc_product([(khat2[k], hhat1[k]) for k in range(j - 1, -1, -1)])
         add("p1_from_schur", f"j={j}", at_a(fam.p1[j]), (-1.0) ** j * prod)
-    for j in range(1, min(len(fam.g1), len(sch.hhat2) + 1, len(sch.khat1) + 1)):
-        prod = desc_product([(sch.hhat2[k], sch.khat1[k]) for k in range(j - 1, -1, -1)])
+    for j in range(1, min(len(fam.g1), len(hhat2) + 1, len(khat1) + 1)):
+        prod = desc_product([(hhat2[k], khat1[k]) for k in range(j - 1, -1, -1)])
         add("g1_from_schur", f"j={j}", at_a(fam.g1[j]), (-1.0) ** j * prod)
-    for j in range(min(len(fam.q2), len(sch.khat1), len(sch.hhat2) + 1)):
+    for j in range(min(len(fam.q2), len(khat1), len(hhat2) + 1)):
         # Q2[j](a) = (-1)^j khat1_j hhat2_{j-1}^{-1} khat1_{j-1} ... hhat2_0^{-1} khat1_0
-        prod = sch.khat1[j].copy()
+        prod = khat1[j].copy()
         for k in range(j - 1, -1, -1):
-            prod = prod @ np.linalg.inv(sch.hhat2[k]) @ sch.khat1[k]
+            prod = prod @ np.linalg.inv(hhat2[k]) @ khat1[k]
         add("q2_from_schur", f"j={j}", at_a(fam.q2[j]), (-1.0) ** j * prod)
-    for j in range(min(len(fam.t2), len(sch.hhat1), len(sch.khat2) + 1)):
-        prod = sch.hhat1[j].copy()
+    for j in range(min(len(fam.t2), len(hhat1), len(khat2) + 1)):
+        prod = hhat1[j].copy()
         for k in range(j - 1, -1, -1):
-            prod = prod @ np.linalg.inv(sch.khat2[k]) @ sch.hhat1[k]
+            prod = prod @ np.linalg.inv(khat2[k]) @ hhat1[k]
         add("t2_from_schur", f"j={j}", at_a(fam.t2[j]), (-1.0) ** (j + 1) * prod)
 
     # first-type parameters from polynomial endpoint values
@@ -437,7 +436,6 @@ def scalar_determinant_params(seq, rtol=1e-8):
         raise WrongMatrixSize(f"scalar determinant route needs q = 1, got q = {seq.q}")
     fam = build_family(seq)
     hank = fam.hankels
-    vecs = fam.vectors
     a = seq.a
     m = seq.m
     s3 = [complex(x[0, 0]) for x in hank.entries["K1"]]
@@ -462,7 +460,7 @@ def scalar_determinant_params(seq, rtol=1e-8):
     for j in range(n_l + 1):
         if hank.factor("H2", j) is None:
             raise SingularPivot("H2", j)
-        e_row = -vecs.R_at_a_times(hank.column("H2", j)).conj().T
+        e_row = -hank.R_at_a_times(hank.column("H2", j)).conj().T
         rows = [[sh[i + k] for k in range(j + 1)] for i in range(j)]
         rows.append([e_row[0, k] for k in range(j + 1)])
         e2 = det(np.array(rows, dtype=complex))

@@ -1,30 +1,30 @@
-"""Moment sequences, block Hankel families, and Schur complement chains.
+"""Moment sequences and their block Hankel families.
 
 A finite sequence of Hermitian q x q matrices s_0..s_m on an interval
 [a, b] generates four block Hankel families
+{e_{l+k}}_{l,k=0..j} from four entry sequences e:
 
-    H1[j] = {s_{l+k}},                    available for 2j     <= m,
-    H2[j] = {shat_{l+k}},                 available for 2j + 2 <= m,
-    K1[j] = {b s_{l+k} - s_{l+k+1}},      available for 2j + 1 <= m,
-    K2[j] = {-a s_{l+k} + s_{l+k+1}},     same range as K1,
+    H1[j]:  e_k = s_k,                    available for 2j     <= m,
+    H2[j]:  e_k = shat_k,                 available for 2j + 2 <= m,
+    K1[j]:  e_k = b s_k - s_{k+1},        available for 2j + 1 <= m,
+    K2[j]:  e_k = -a s_k + s_{k+1},       same range as K1,
 
-where shat_j = -ab s_j + (a+b) s_{j+1} - s_{j+2}.  The sequence is
+where shat_k = -ab s_k + (a+b) s_{k+1} - s_{k+2}.  The sequence is
 Hausdorff positive definite when (H1[n], H2[n-1]) for m = 2n, or
 (K1[n], K2[n]) for m = 2n + 1, are positive definite; everything
 downstream of :func:`classify` requires that property.
 
-Corner Schur complements of the four families drive the recursive
-constructions in the rest of the package.
-
-Each family is factored once: a HankelSet runs cholesky_pd on the largest
-member of a family on first use and keeps that one factor L.  Its leading
-(j+1)q block is the factor of F[j], and its diagonal block j is the factor
-of the Schur complement F[j] / F[j-1], so every solve against a member or
-a complement reads L.  A HankelSet also keeps the two kinds of solve
-everything downstream reads, each made once: the Schur step of each
-member, and the transfer forms and solves of each family, which all come
-from one forward solve on L.  It owns the StructuralVectors of its
-sequence.
+A HankelSet is the one object of a sequence's block structure.  Each
+family is one matrix, its largest member; the smaller members are its
+leading blocks.  The corner Schur complements e_{2j} - Y_j^* F[j-1]^{-1} Y_j
+and the second-kind columns (head; -e_0; ...; -e_{j-1}) are read from the
+family entries.  Each family is also factored once: cholesky_pd runs on
+its largest member on first use, the leading (j+1)q block of that factor
+L is the factor of F[j], and its diagonal block j is the factor of the
+Schur complement F[j] / F[j-1], so every solve against a member or a
+complement reads L.  The Schur step of each member, and the transfer forms
+and solves of each family, which all come from one forward solve on L,
+are made once and kept.
 """
 
 from __future__ import annotations
@@ -117,25 +117,22 @@ class MomentSequence:
         return len(self.s) - 1
 
 
-# Entry k of each Hankel family from the moments s on [a, b], and how many
-# moments past s_k it reads: the one definition of each family.
+# Entry k of each Hankel family from the moments s on [a, b], how many
+# moments past s_k it reads, and the head block of the family's second-kind
+# column: the one definition of each family.
 _ENTRIES = {
-    "H1": (0, lambda s, a, b, k: s[k]),
-    "H2": (2, lambda s, a, b, k: -a * b * s[k] + (a + b) * s[k + 1] - s[k + 2]),
-    "K1": (1, lambda s, a, b, k: b * s[k] - s[k + 1]),
-    "K2": (1, lambda s, a, b, k: -a * s[k] + s[k + 1]),
+    "H1": (0, lambda s, a, b, k: s[k], lambda s, a, b: np.zeros_like(s[0])),
+    "H2": (2, lambda s, a, b, k: -a * b * s[k] + (a + b) * s[k + 1] - s[k + 2],
+           lambda s, a, b: -(a + b) * s[0] + s[1]),
+    "K1": (1, lambda s, a, b, k: b * s[k] - s[k + 1], lambda s, a, b: s[0]),
+    "K2": (1, lambda s, a, b, k: -a * s[k] + s[k + 1], lambda s, a, b: -s[0]),
 }
 
 
 def hankel_entries(family, s, a, b):
     """The entries e_0, e_1, ... of a Hankel family that the moments s on [a, b] give."""
-    reach, entry = _ENTRIES[family]
+    reach, entry, _ = _ENTRIES[family]
     return tuple(entry(s, a, b, k) for k in range(len(s) - reach))
-
-
-def shifted_moments(seq):
-    """shat_j = -ab s_j + (a+b) s_{j+1} - s_{j+2}, for j = 0..m-2: the entries of H2."""
-    return hankel_entries("H2", seq.s, seq.a, seq.b)
 
 
 def hankel_from_entries(entries, j):
@@ -177,17 +174,19 @@ class HankelSet:
     """The four block Hankel families of a moment sequence, their factors and solves.
 
     A family F is "H1", "H2", "K1" or "K2"; entries[F] is its entry sequence
-    e_0, e_1, ... and member F[j] is {e_{l+k}}_{l,k=0..j}.  factor(F, j)
-    and solve(F, j, rhs) work on F[j] through the leading block of the one
-    factor of the family, and schur_solve(F, j, rhs) on the Schur complement
-    F[j] / F[j-1] through its diagonal block j.  The two kinds of solve the
-    rest of the package reads are made once, on first use, and kept
+    e_0, e_1, ... and member F[j] is {e_{l+k}}_{l,k=0..j}.  The largest
+    member is one read-only matrix and F[j] is its leading (j+1)q block, a
+    view.  factor(F, j) and solve(F, j, rhs) work on F[j] through the leading
+    block of the one factor of the family, and schur_solve(F, j, rhs) on the
+    Schur complement F[j] / F[j-1] through its diagonal block j.  What the
+    rest of the package reads is made once, on first use, and kept
     read-only:
 
       schur_row(F, j)  the Schur step x_j = F[j-1]^{-1} Y_j on the cross
                        column Y_j = (e_j; ...; e_{2j-1}).  It gives the Schur
                        complement e_{2j} - Y_j^* x_j and the Schur row
                        (-x_j^*, I_q) of the monic polynomial.
+      complements(F)   the Schur complements e_{2j} - Y_j^* x_j, e_0 at j = 0.
       form(F, j)       the quadratic form c_j^* R_j(a)^* F[j]^{-1} R_j(a) c_j
                        on the transfer column c_j of the family (column).
                        It is w_j^* w_j, for w_j = L_j^{-1} R_j(a) c_j the
@@ -195,8 +194,10 @@ class HankelSet:
                        family, L^{-1} R_N(a) c_N on the family's factor.
       transfer(F, j)   F[j]^{-1} R_j(a) c_j, the back solve L_j^{-H} w_j.
 
-    vectors is the one StructuralVectors of the sequence, shared by
-    everything built from this set.
+    The polynomials pair the unit column v_j with the second-kind column
+    second_kind(F, j) = (head; -e_0; ...; -e_{j-1}) of each family through
+    the shift resolvent R_j(z) = (I - z T_j)^{-1} of the block lower shift
+    T_j (R_many, R_at_a_times).
     """
 
     seq: MomentSequence
@@ -205,7 +206,6 @@ class HankelSet:
     H2: tuple
     K1: tuple
     K2: tuple
-    vectors: StructuralVectors
     _kept: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def member(self, family, j):
@@ -229,7 +229,7 @@ class HankelSet:
         """make(), called on the first use of key only; an array is kept read-only."""
         if key not in self._kept:
             value = make()
-            if value is not None:
+            if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             self._kept[key] = value
         return self._kept[key]
@@ -267,14 +267,94 @@ class HankelSet:
             )
         return np.concatenate(entries[j:2 * j], axis=0)
 
+    def complements(self, family):
+        """The Schur complements F[j] / F[j-1] of the family, each made on its first read.
+
+        Member j is e_{2j} - Y_j^* x_j on the kept Schur step x_j, and e_0 at
+        j = 0; making one factors nothing.  For a positive definite family
+        each is a positive definite q x q matrix and the determinants
+        telescope: det F[j] = prod_{i <= j} det of complement i.  They are
+        more accurate than the product L_jj L_jj^H of diagonal block j of
+        the family's factor, through which schur_solve solves against them.
+        """
+        corners = self.entries[family]
+
+        def complement(j):
+            if j == 0:
+                return corners[0]
+            y = self.cross(family, j)
+            return hermitize(corners[2 * j] - y.conj().T @ self.schur_row(family, j))
+
+        return self._keep(("complements", family),
+                          lambda: Kept(len(getattr(self, family)), complement))
+
+    def v(self, j):
+        """The unit column (I_q; 0; ...; 0) of j + 1 blocks."""
+        q = self.seq.q
+        out = np.zeros(((j + 1) * q, q), dtype=complex)
+        out[:q, :] = np.eye(q)
+        return out
+
+    def second_kind(self, family, j):
+        """(head; -e_0; ...; -e_{j-1}), the second-kind column of the family.
+
+        The head is 0 for H1, -(a+b) s_0 + s_1 for H2, s_0 for K1 and -s_0
+        for K2.  The columns of one family are nested.
+        """
+        seq = self.seq
+        entries = self.entries[family]
+        if j > len(entries) or (family == "H2" and seq.m < 1):   # the H2 head reads s_1
+            raise InsufficientMoments(
+                f"second-kind column {j} of {family} needs moments beyond the supplied m={seq.m}"
+            )
+        head = _ENTRIES[family][2](seq.s, seq.a, seq.b)
+        return np.concatenate([head] + [-e for e in entries[:j]], axis=0)
+
     def column(self, family, j):
-        """The transfer column c_j: v_j for H1 and K1, u2_j + a v_j s_0 for H2, ut2_j for K2."""
-        vecs = self.vectors
+        """The transfer column c_j: v_j for H1 and K1, u2_j + a v_j s_0 for H2, ut2_j for K2.
+
+        u2_j and ut2_j are the second-kind columns of H2 and K2.
+        """
         if family == "H2":
-            return vecs.u2(j) + self.seq.a * (vecs.v(j) @ self.seq.s[0])
+            return self.second_kind("H2", j) + self.seq.a * (self.v(j) @ self.seq.s[0])
         if family == "K2":
-            return vecs.ut2(j)
-        return vecs.v(j)
+            return self.second_kind("K2", j)
+        return self.v(j)
+
+    def R_at_a_times(self, col):
+        """R_j(a) col for a column of j + 1 blocks, by y_0 = c_0, y_l = a y_{l-1} + c_l."""
+        q = self.seq.q
+        out = np.array(col, dtype=complex)
+        for l in range(q, len(out), q):
+            out[l:l + q] += self.seq.a * out[l - q:l]
+        return out
+
+    def R_many(self, j, zs):
+        """The (K, (j+1)q, (j+1)q) stack of R_j(z) over the points zs.
+
+        R_j(z) = (I - z T_j)^{-1} is block lower Toeplitz with z^{l-k} I at
+        block (l, k).  The powers of each z are Python complex products, so
+        every block equals the one-point value to the last bit.
+        """
+        q = self.seq.q
+        rows = []
+        for z in np.asarray(zs, dtype=complex).reshape(-1).tolist():
+            row = []
+            power = 1.0 + 0.0j
+            for _ in range(j + 1):
+                row.append(power)
+                power *= z
+            row.append(0j)   # above the diagonal
+            rows.append(row)
+        # the scalar Toeplitz matrices, z^(l-k) at (l, k) for l >= k, times I_q
+        # entry by entry, in C order: a later matmul's rounding can depend on
+        # the layout
+        lag = np.subtract.outer(np.arange(j + 1), np.arange(j + 1))
+        lag[lag < 0] = j + 1
+        toeplitz = np.array(rows, dtype=complex).reshape(len(rows), j + 2)[:, lag]
+        blocks = np.multiply(toeplitz[:, :, None, :, None], np.eye(q)[:, None, :], order="C")
+        n = (j + 1) * q
+        return blocks.reshape(len(rows), n, n)
 
     def schur_row(self, family, j):
         """x_j = F[j-1]^{-1} Y_j for j >= 1, solved once and kept read-only."""
@@ -307,176 +387,23 @@ class HankelSet:
             raise SingularPivot(family, j)
         L = self._factor(family)
         w = self._keep(("forward", family), lambda: np.linalg.solve(
-            L, self.vectors.R_at_a_times(self.column(family, len(L) // self.seq.q - 1))))
+            L, self.R_at_a_times(self.column(family, len(L) // self.seq.q - 1))))
         return w[:(j + 1) * self.seq.q]
 
 
 def build_hankels(seq):
-    """All block Hankel family members buildable from the available moments."""
-    vecs = StructuralVectors(seq)
-    entries = {family: hankel_entries(family, seq.s, seq.a, seq.b) for family in ("H1", "K1", "K2")}
-    entries["H2"] = vecs._shat   # the shifted moments, which the vectors already hold
-    members = {
-        family: tuple(hankel_from_entries(e, j) for j in range((len(e) - 1) // 2 + 1))
-        for family, e in entries.items()
-    }
-    return HankelSet(seq=seq, entries=entries, vectors=vecs, **members)
-
-
-class StructuralVectors:
-    """Stacked moment vectors and shift machinery of one moment sequence.
-
-    Provides the block column/row data from which the orthogonal matrix
-    polynomials and the transfer quadratic forms are assembled: the
-    resolvent R_j(z) = (I - z T_j)^{-1} of the block lower shift T_j in
-    closed Toeplitz form, the first block-column unit v_j, and the various
-    stacked moment columns.
-    """
-
-    def __init__(self, seq):
-        self.seq = seq
-        self._shat = shifted_moments(seq)
-
-    def _need(self, idx, what):
-        if idx > self.seq.m or idx < 0:
-            raise InsufficientMoments(
-                f"{what} needs s_{idx} but m={self.seq.m}"
-            )
-
-    def v(self, j):
-        q = self.seq.q
-        out = np.zeros(((j + 1) * q, q), dtype=complex)
-        out[:q, :] = np.eye(q)
-        return out
-
-    def R(self, j, z):
-        """(I - z T_j)^{-1}: lower block Toeplitz with z^{l-k} I at block (l, k)."""
-        return self.R_many(j, [z])[0]
-
-    def R_at_a_times(self, col):
-        """R_j(a) col for a column of j + 1 blocks, by y_0 = c_0, y_l = a y_{l-1} + c_l."""
-        q = self.seq.q
-        out = np.array(col, dtype=complex)
-        for l in range(q, len(out), q):
-            out[l:l + q] += self.seq.a * out[l - q:l]
-        return out
-
-    def R_many(self, j, zs):
-        """The (K, (j+1)q, (j+1)q) stack of R(j, z) over the points zs.
-
-        The powers of each z are Python complex products, so every block
-        equals the one-point value to the last bit.
-        """
-        q = self.seq.q
-        rows = []
-        for z in np.asarray(zs, dtype=complex).reshape(-1).tolist():
-            row = []
-            power = 1.0 + 0.0j
-            for _ in range(j + 1):
-                row.append(power)
-                power *= z
-            row.append(0j)   # above the diagonal
-            rows.append(row)
-        # the scalar Toeplitz matrices, z^(l-k) at (l, k) for l >= k, times I_q
-        # entry by entry, in C order: a later matmul's rounding can depend on
-        # the layout
-        lag = np.subtract.outer(np.arange(j + 1), np.arange(j + 1))
-        lag[lag < 0] = j + 1
-        toeplitz = np.array(rows, dtype=complex).reshape(len(rows), j + 2)[:, lag]
-        blocks = np.multiply(toeplitz[:, :, None, :, None], np.eye(q)[:, None, :], order="C")
-        n = (j + 1) * q
-        return blocks.reshape(len(rows), n, n)
-
-    def y(self, j, k):
-        """Stacked moments (s_j; ...; s_k)."""
-        self._need(k, f"y[{j},{k}]")
-        return np.concatenate(self.seq.s[j:k + 1], axis=0)
-
-    def yhat(self, j, k):
-        """Stacked shifted moments (shat_j; ...; shat_k)."""
-        if k >= len(self._shat):
-            raise InsufficientMoments(f"yhat[{j},{k}] needs s_{k + 2} but m={self.seq.m}")
-        return np.concatenate(self._shat[j:k + 1], axis=0)
-
-    def u1(self, j):
-        """(0; -y_{[0,j-1]}), the second-kind column of the H1 family."""
-        q = self.seq.q
-        if j == 0:
-            return np.zeros((q, q), dtype=complex)
-        return np.concatenate([np.zeros((q, q), dtype=complex), -self.y(0, j - 1)], axis=0)
-
-    def u2(self, j):
-        """(-(a+b)s_0 + s_1; -shat_0; ...; -shat_{j-1})."""
-        a, b = self.seq.a, self.seq.b
-        self._need(1, "u2")
-        head = -(a + b) * self.seq.s[0] + self.seq.s[1]
-        if j == 0:
-            return head
-        return np.concatenate([head, -self.yhat(0, j - 1)], axis=0)
-
-    def ut1(self, j):
-        """y_{[0,j]} - b (0; y_{[0,j-1]})."""
-        if j == 0:
-            return self.seq.s[0].copy()
-        q = self.seq.q
-        pad = np.concatenate([np.zeros((q, q), dtype=complex), self.y(0, j - 1)], axis=0)
-        return self.y(0, j) - self.seq.b * pad
-
-    def ut2(self, j):
-        """-y_{[0,j]} + a (0; y_{[0,j-1]})."""
-        if j == 0:
-            return -self.seq.s[0]
-        q = self.seq.q
-        pad = np.concatenate([np.zeros((q, q), dtype=complex), self.y(0, j - 1)], axis=0)
-        return -self.y(0, j) + self.seq.a * pad
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class SchurChain:
-    """Corner Schur complements of the four Hankel families.
-
-    Each complement is made on its first read and kept; making one solves
-    its Schur step through HankelSet.schur_row and factors nothing.
-    For positive definite parents every member is a positive definite
-    q x q matrix and the determinants telescope:
-    det K1[j] = prod_{i <= j} det khat1[i], and likewise per family.
-    The members are e_{2j} - Y_j^* x_j, more accurate than the product
-    L_jj L_jj^H of diagonal block j of the family's factor, through which
-    HankelSet.schur_solve solves against them.
-    """
-
-    seq: MomentSequence
-    hhat1: Kept
-    hhat2: Kept
-    khat1: Kept
-    khat2: Kept
-
-
-def schur_chain(hankels):
-    """Recursive corner Schur complements of all four Hankel families.
-
-    The complement of F[j] is e_{2j} - Y_j^* x_j on the kept Schur step
-    x_j = hankels.schur_row(F, j), and e_0 itself at j = 0.  None is
-    made here: each is made on its first read.
-    """
-    def complements(family):
-        corners = hankels.entries[family]
-
-        def complement(j):
-            if j == 0:
-                return corners[0]
-            y = hankels.cross(family, j)
-            return hermitize(corners[2 * j] - y.conj().T @ hankels.schur_row(family, j))
-
-        return Kept(len(getattr(hankels, family)), complement)
-
-    return SchurChain(
-        seq=hankels.seq,
-        hhat1=complements("H1"),
-        hhat2=complements("H2"),
-        khat1=complements("K1"),
-        khat2=complements("K2"),
-    )
+    """The four families of the moments: each its largest member and that member's leading blocks."""
+    entries, members = {}, {}
+    for family in _ENTRIES:
+        e = entries[family] = hankel_entries(family, seq.s, seq.a, seq.b)
+        if not e:
+            members[family] = ()
+            continue
+        largest = hankel_from_entries(e, (len(e) - 1) // 2)
+        largest.flags.writeable = False
+        sizes = range(seq.q, len(largest), seq.q)
+        members[family] = tuple(largest[:size, :size] for size in sizes) + (largest,)
+    return HankelSet(seq=seq, entries=entries, **members)
 
 
 @dataclasses.dataclass(frozen=True)

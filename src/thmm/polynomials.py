@@ -1,21 +1,23 @@
 """Orthogonal matrix polynomial families and their second-kind companions.
 
-Eight families are attached to one moment sequence.  Writing
-row_j(F) = (-Y_j^* F[j-1]^{-1}, I_q) for the Schur row of the Hankel
-family F (Y_j its cross column, HankelSet.schur_row), and R_j(z) for the
-shift resolvent:
+Eight families are attached to one moment sequence, two to each Hankel
+family F.  Writing row_j(F) = (-Y_j^* F[j-1]^{-1}, I_q) for the Schur row
+of F (Y_j its cross column, HankelSet.schur_row), R_j(z) for the shift
+resolvent, v_j for the unit column and u_j(F) = (head_F; -e_0; ...; -e_{j-1})
+for the second-kind column of F (HankelSet.second_kind, e the entries of F):
 
     P1[j](z) = row_j(H1)   R_j(z) v_j          monic, degree j
-    Q1[j](z) = -row_j(H1)  R_j(z) u1_j         degree j - 1
+    Q1[j](z) = -row_j(H1)  R_j(z) u_j(H1)      degree j - 1
     P2[j](z) = row_j(H2)   R_j(z) v_j          monic, degree j
-    Q2[j](z) = -row_j(H2)  R_j(z) (u2_j + z v_j s_0)
+    Q2[j](z) = -row_j(H2)  R_j(z) (u_j(H2) + z v_j s_0)
     G1[j](z) = row_j(K1)   R_j(z) v_j          monic, degree j
-    T1[j](z) = row_j(K1)   R_j(z) ut1_j
+    T1[j](z) = row_j(K1)   R_j(z) u_j(K1)
     G2[j](z) = row_j(K2)   R_j(z) v_j          monic, degree j
-    T2[j](z) = row_j(K2)   R_j(z) ut2_j
+    T2[j](z) = row_j(K2)   R_j(z) u_j(K2)
 
-The j = 0 members degenerate to P1 = P2 = G1 = G2 = I, Q1 = 0,
-Q2(z) = -(u2_0 + z s_0), T1 = s_0, T2 = -s_0.  Coefficients are
+The heads are 0, -(a+b) s_0 + s_1, s_0 and -s_0 for H1, H2, K1 and K2, so
+the j = 0 members degenerate to P1 = P2 = G1 = G2 = I, Q1 = 0,
+Q2(z) = (a+b) s_0 - s_1 - z s_0, T1 = s_0, T2 = -s_0.  Coefficients are
 extracted symbolically in z by block convolution against R_j.  Each
 member is made on its first read and kept, so a command makes only the
 members it reads.
@@ -34,7 +36,6 @@ from .moments import (
     Kept,
     MomentSequence,
     build_hankels,
-    schur_chain,
 )
 from .reporting import IdentityChecks
 
@@ -132,15 +133,14 @@ class PolynomialFamily:
     """All eight families of one moment sequence.
 
     Each member of p1 .. t2 is made on its first read and kept.  Retains
-    the source Hankel set, with its structural vectors, and the Schur
-    chain so downstream constructions reuse them without rebuilding, and
-    keeps each polynomial's value at a once it has been asked for (at_a,
+    the source Hankel set, with its factors, solves and Schur complements,
+    so downstream constructions reuse them without rebuilding, and keeps
+    each polynomial's value at a once it has been asked for (at_a,
     adjoint_at_a).
     """
 
     seq: MomentSequence
     hankels: HankelSet
-    schur: object
     p1: Kept
     p2: Kept
     q1: Kept
@@ -150,11 +150,6 @@ class PolynomialFamily:
     t1: Kept
     t2: Kept
     _at_a: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
-
-    @property
-    def vectors(self):
-        """The StructuralVectors of the Hankel set."""
-        return self.hankels.vectors
 
     def at_a(self, p):
         """eval_poly(p, a) for a polynomial p of this family, as a read-only array."""
@@ -224,7 +219,6 @@ def build_family(source):
     """
     hank = source if isinstance(source, HankelSet) else build_hankels(source)
     seq = hank.seq
-    vecs = hank.vectors
     q = seq.q
     m = seq.m
     top = {"H1": (m + 1) // 2, "H2": (m - 1) // 2, "K1": m // 2, "K2": m // 2}
@@ -239,18 +233,20 @@ def build_family(source):
 
     row = functools.cache(lambda family, j: _schur_row(hank, family, j, q))
 
-    def members(tag, family, column, shift=None, sign=1.0):
+    def members(tag, family, second=False, shift=None, sign=1.0):
+        """Family tag of F on v_j, or on F's second-kind column when second."""
         def make(j):
-            col = _split_blocks(column(j), j, q)
+            column = hank.second_kind(family, j) if second else hank.v(j)
+            col = _split_blocks(column, j, q)
             return MatrixPoly(_convolve(row(family, j), col, shift, sign), tag, j)
         return Kept(top[family] + 1, make)
 
     return PolynomialFamily(
-        seq=seq, hankels=hank, schur=schur_chain(hank),
-        p1=members("P1", "H1", vecs.v), q1=members("Q1", "H1", vecs.u1, sign=-1.0),
-        p2=members("P2", "H2", vecs.v), q2=members("Q2", "H2", vecs.u2, seq.s[0], -1.0),
-        g1=members("G1", "K1", vecs.v), t1=members("T1", "K1", vecs.ut1),
-        g2=members("G2", "K2", vecs.v), t2=members("T2", "K2", vecs.ut2),
+        seq=seq, hankels=hank,
+        p1=members("P1", "H1"), q1=members("Q1", "H1", second=True, sign=-1.0),
+        p2=members("P2", "H2"), q2=members("Q2", "H2", second=True, shift=seq.s[0], sign=-1.0),
+        g1=members("G1", "K1"), t1=members("T1", "K1", second=True),
+        g2=members("G2", "K2"), t2=members("T2", "K2", second=True),
     )
 
 
@@ -276,26 +272,25 @@ def verify_family_identities(fam, measure=None, zs=None):
     """
     seq = fam.seq
     a, b = seq.a, seq.b
-    sch = fam.schur
-    vecs = fam.vectors
     hank = fam.hankels
+    hhat1, hhat2, khat1, khat2 = map(hank.complements, ("H1", "H2", "K1", "K2"))
     checks = IdentityChecks()
     add = checks.add
 
     at_a, adjoint_at_a = fam.at_a, fam.adjoint_at_a
 
-    for j in range(min(len(fam.p1), len(fam.t2), len(sch.hhat1))):
+    for j in range(min(len(fam.p1), len(fam.t2), len(hhat1))):
         add("hhat1_product", f"j={j}",
-            sch.hhat1[j], -at_a(fam.p1[j]) @ adjoint_at_a(fam.t2[j]))
-    for j in range(min(len(sch.hhat2), len(fam.q2), max(len(fam.g1) - 1, 0))):
+            hhat1[j], -at_a(fam.p1[j]) @ adjoint_at_a(fam.t2[j]))
+    for j in range(min(len(hhat2), len(fam.q2), max(len(fam.g1) - 1, 0))):
         add("hhat2_product", f"j={j}",
-            sch.hhat2[j], -at_a(fam.q2[j]) @ adjoint_at_a(fam.g1[j + 1]))
-    for j in range(min(len(sch.khat1), len(fam.g1), len(fam.q2))):
+            hhat2[j], -at_a(fam.q2[j]) @ adjoint_at_a(fam.g1[j + 1]))
+    for j in range(min(len(khat1), len(fam.g1), len(fam.q2))):
         add("khat1_product", f"j={j}",
-            sch.khat1[j], at_a(fam.g1[j]) @ adjoint_at_a(fam.q2[j]))
-    for j in range(min(len(sch.khat2), len(fam.t2), max(len(fam.p1) - 1, 0))):
+            khat1[j], at_a(fam.g1[j]) @ adjoint_at_a(fam.q2[j]))
+    for j in range(min(len(khat2), len(fam.t2), max(len(fam.p1) - 1, 0))):
         add("khat2_product", f"j={j}",
-            sch.khat2[j], at_a(fam.t2[j]) @ adjoint_at_a(fam.p1[j + 1]))
+            khat2[j], at_a(fam.t2[j]) @ adjoint_at_a(fam.p1[j + 1]))
 
     if measure is not None:
         n = seq.m // 2
@@ -306,7 +301,7 @@ def verify_family_identities(fam, measure=None, zs=None):
                     vals[j][i] @ w @ vals[k][i].conj().T
                     for i, w in enumerate(measure.weights)
                 )
-                target = sch.hhat1[j] if j == k else np.zeros((seq.q, seq.q))
+                target = hhat1[j] if j == k else np.zeros((seq.q, seq.q))
                 add("orthogonality", f"j={j},k={k}", gram, target)
 
     if zs is None:
@@ -315,7 +310,7 @@ def verify_family_identities(fam, measure=None, zs=None):
     points = np.array(zs, dtype=complex).reshape(-1)
     labels = [f"z={z:.3g}" for z in zs]
     # R_j(conj z) over the points, built once per j for both ratio identities
-    r_points = functools.cache(lambda j: vecs.R_many(j, points.conj()))
+    r_points = functools.cache(lambda j: hank.R_many(j, points.conj()))
 
     def add_points(name, j, lhs, rhs):
         checks.add_stack(name, [f"j={j},{label}" for label in labels], lhs, rhs)

@@ -203,12 +203,11 @@ class AuxMatrixValue:
 def _aux_blocks(fam, j, z, kind):
     """The four transfer quadratic-form blocks of one auxiliary matrix."""
     seq = fam.seq
-    vecs = fam.vectors
     hank = fam.hankels
     a = seq.a
     z = complex(z)
     q = seq.q
-    v = vecs.v(j)
+    v = hank.v(j)
     eye = _eye(q)
     fam_name = {"tilde-odd": "K1", "tilde-even": "H2", "hat-even": "H2"}.get(kind)
     if fam_name is None:
@@ -216,17 +215,17 @@ def _aux_blocks(fam, j, z, kind):
     hank.member(fam_name, j)   # a missing member fails before any column is built
     extra = None
     if kind == "tilde-odd":
-        left_col = right_col = vecs.ut1(j)
+        left_col = right_col = hank.second_kind("K1", j)
     elif kind == "tilde-even":
-        left_col = right_col = vecs.u2(j)
+        left_col = right_col = hank.second_kind("H2", j)
     else:
-        left_col = vecs.u2(j) + np.conj(z) * (v @ seq.s[0])
+        left_col = hank.second_kind("H2", j) + np.conj(z) * (v @ seq.s[0])
         right_col = hank.column("H2", j)
         extra = seq.s[0]
 
-    rz = vecs.R(j, np.conj(z))
+    rz = hank.R_many(j, [np.conj(z)])[0]
     left = np.hstack([rz @ left_col, rz @ v]).conj().T
-    right = hank.solve(fam_name, j, vecs.R_at_a_times(np.hstack([v, right_col])))
+    right = hank.solve(fam_name, j, hank.R_at_a_times(np.hstack([v, right_col])))
     pair = left @ right
     p_uv, p_uu = pair[:q, :q], pair[:q, q:]
     p_vv, p_vu = pair[q:, :q], pair[q:, q:]

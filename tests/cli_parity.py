@@ -12,6 +12,10 @@ sha256 of its stdout and of each file it was asked to write (--output,
   factorize (every route and parity), extremal (both solutions, every
   parity) and scalar-report;
 - tests/data/overflow_q3.json;
+- positive definite sequences with -0.0 entries (the golden moments and a
+  measure with exact zero moments, each zero written as -0.0) under
+  analyze, factorize (every route and parity) and extremal, so that a
+  change to the sign of a zero in any intermediate shows;
 - z at a, at b, inside [a, b], at 1e200 and at 1e-300;
 - gen, recover and scalar-report on good and bad input, and parse failures.
 
@@ -84,6 +88,32 @@ def _measure_moments(points, weights, m):
             for j in range(m + 1)]
 
 
+def _negative_zeros(obj):
+    """obj with every float 0.0 in it, at any depth of lists and dicts, written as -0.0."""
+    if isinstance(obj, dict):
+        return {key: _negative_zeros(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_negative_zeros(value) for value in obj]
+    return -0.0 if isinstance(obj, (int, float)) and obj == 0 else obj
+
+
+def _signed_zero_inputs(work):
+    """(name, path) of positive definite moment files whose zeros are all -0.0."""
+    for name in ("moments_q1.json", "moments_q2.json"):
+        data = json.loads((GOLDEN / name).read_text())
+        data["moments"] = _negative_zeros(data["moments"])
+        data["a"] = _negative_zeros(data["a"])
+        yield name, _write(work / f"negzero_{name}", data)
+    # atoms symmetric about 0 with diagonal weights: every odd moment and
+    # every off-diagonal entry is an exact zero
+    points = [-0.75, -0.25, 0.25, 0.75]
+    weights = [np.diag([1.0, 0.5]), np.diag([0.25, 2.0]), np.diag([0.25, 2.0]), np.diag([1.0, 0.5])]
+    for m in (5, 6):
+        moments = [_encode(s) for s in _measure_moments(points, weights, m)]
+        data = {"q": 2, "a": -1.0, "b": 1.0, "moments": _negative_zeros(moments)}
+        yield f"symmetric_q2_m{m}", _write(work / f"negzero_symmetric_m{m}.json", data)
+
+
 def _singular_sequences():
     """(name, moments) of degenerate, rank-one and indefinite sequences on [0, 1]."""
     out = []
@@ -150,6 +180,11 @@ def corpus(workdir):
         yield from _evaluations(path, f"singular/{name}", ["2+1i", "-0.3+0.05i"])
         if np.atleast_2d(moments[0]).shape[0] == 1:
             yield f"singular/{name}/scalar-report", ["scalar-report", "--input", path]
+
+    for name, path in _signed_zero_inputs(work):
+        yield f"negzero/{name}/analyze", ["analyze", "--input", path,
+                                          "--params-out", str(work / "params.json")]
+        yield from _evaluations(path, f"negzero/{name}", ["2+1i", "-0.3+0.05i", "3", "-2"])
 
     overflow = str(HERE / "data" / "overflow_q3.json")
     yield "overflow/analyze", ["analyze", "--input", overflow]

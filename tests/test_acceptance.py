@@ -122,7 +122,7 @@ def test_criterion_4_product_identities(ensemble):
         worst = max(worst, report.max_residual_excluding(rejected))
     dsm = compute_second(lebesgue(3))
     fam = build_family(lebesgue(3))
-    desk = abs(fam.schur.khat1[0][0, 0] - 1.0 / dsm.m(0)[0, 0])
+    desk = abs(fam.hankels.complements("K1")[0][0, 0] - 1.0 / dsm.m(0)[0, 0])
     ok = worst <= 1e-9 and desk <= 1e-12 and supported == {"p2_sum_through_current"}
     _verdict(4, ok,
              f"product identities worst {worst:.3e} <= 1e-9; khat1_0 = mhat_0^-1 "

@@ -296,6 +296,32 @@ def test_extremal_at_overflowing_z_exits_3(tmp_path, capsys, z):
             assert "input error" not in err and "numerically singular" in err
 
 
+OVERFLOW_COMMANDS = [
+    *(["factorize", "--route", route, "--parity", parity]
+      for route in ("direct", "second", "first") for parity in ("auto", "even", "odd")),
+    *(["extremal", "--which", which, "--parity", parity]
+      for which in ("krein", "friedrichs") for parity in ("auto", "even", "odd")),
+]
+
+
+@pytest.mark.parametrize("z", ["1e200", "1e300+1e300i"])
+@pytest.mark.parametrize("moments", ["moments_q1.json", "moments_q2.json"])
+def test_overflowing_z_fails_without_a_warning(capsys, moments, z):
+    # the stacked evaluation overflows; the point fails by its exit code and
+    # stderr line alone, and numpy warns of nothing on the way
+    inp = str(Path(__file__).parent / "golden" / moments)
+    for command in OVERFLOW_COMMANDS:
+        argv = [*command, "--input", inp, f"--z={z}"]
+        with np.errstate(all="ignore"):
+            quiet = main(argv), capsys.readouterr()
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            strict = main(argv), capsys.readouterr()
+        assert strict == quiet, argv
+        assert strict[0] == 3 and strict[1].out == "", argv
+        assert strict[1].err.startswith("precondition failure: "), argv
+
+
 @pytest.mark.parametrize("z", ["1e200", "-1e200"])
 def test_overflowing_z_keeps_lapack_text_off_stdout(z):
     # q = 3 moments on which an SVD of the overflowed denominator made LAPACK
@@ -349,36 +375,36 @@ def test_analyze_factors_each_family_once(tmp_path, monkeypatch):
     assert factored[0] is hank.H1[3] and factored[1] is hank.H2[2]
     # no smaller member and no Schur complement reaches cholesky_pd
     others = [m for name in names for m in getattr(hank, name)[:-1]]
-    others += [m for name in ("hhat1", "hhat2", "khat1", "khat2") for m in getattr(fam.schur, name)]
+    others += [m for name in names for m in hank.complements(name)]
     assert not any(a is m for a in factored for m in others)
     # the rest are the parameters mhat_0..2 and lhat_0..2, inverted once each
     assert len(factored) == 4 + 3 + 3
 
 
-def test_analyze_shares_one_structural_vectors(monkeypatch):
-    made, seen = [], set()
-    real_init = moments.StructuralVectors.__init__
-    monkeypatch.setattr(moments.StructuralVectors, "__init__",
-                        lambda self, seq: made.append(self) or real_init(self, seq))
-    # v is read by build_family and the transfer columns, R_at_a_times by every DSM route
-    for name in ("v", "R_at_a_times"):
-        real = getattr(moments.StructuralVectors, name)
-        monkeypatch.setattr(moments.StructuralVectors, name,
-                            lambda self, arg, real=real: seen.add(id(self)) or real(self, arg))
+def test_analyze_reads_one_hankel_set(monkeypatch):
+    sets, seen = [], set()
+    real_build_hankels = cli.build_hankels
+    monkeypatch.setattr(cli, "build_hankels", lambda seq: sets.append(real_build_hankels(seq))
+                        or sets[-1])
+    # the columns, complements and shift resolvents every consumer reads
+    for name in ("v", "second_kind", "complements", "R_at_a_times"):
+        real = getattr(moments.HankelSet, name)
+        monkeypatch.setattr(moments.HankelSet, name,
+                            lambda self, *args, real=real: seen.add(id(self)) or real(self, *args))
     builds = []
-    real_many = moments.StructuralVectors.R_many
-    monkeypatch.setattr(moments.StructuralVectors, "R_many",
-                        lambda self, j, zs: builds.append(j) or real_many(self, j, zs))
+    real_many = moments.HankelSet.R_many
+    monkeypatch.setattr(moments.HankelSet, "R_many",
+                        lambda self, j, zs: seen.add(id(self)) or builds.append(j)
+                        or real_many(self, j, zs))
     families = []
     real_build = cli.build_family
     monkeypatch.setattr(cli, "build_family", lambda src: families.append(real_build(src))
                         or families[-1])
     inp = str(Path(__file__).parent / "golden" / "moments_q2.json")
     assert main(["analyze", "--input", inp, "--output", os.devnull]) == 0
-    (vecs,) = made
+    (hank,) = sets
     (fam,) = families
-    assert seen == {id(vecs)}
-    assert fam.vectors is vecs and fam.hankels.vectors is vecs
+    assert fam.hankels is hank and seen == {id(hank)}
     # m = 6: R_j(conj z) over the sample points once per j for both ratio
     # identities; R_j(a) is applied by its recurrence and never built
     assert sorted(builds) == [0, 1, 2, 3]
@@ -536,7 +562,7 @@ def test_first_route_makes_only_the_members_it_reads(monkeypatch):
     assert main(argv) == 0
     (fam,) = families
     tags = {id(getattr(fam, tag.lower())): tag for tag in polynomials.FAMILY_TAGS}
-    complements = {id(getattr(fam.schur, name)) for name in ("hhat1", "hhat2", "khat1", "khat2")}
+    complements = {id(fam.hankels.complements(name)) for name in ("H1", "H2", "K1", "K2")}
     # m = 6, even: the direct route reads T2, T1, G2, G1 at n = 3 and the
     # first-type tail Q1, P1, T1, G1 there; no Schur complement is formed
     assert {(tags[i], j) for i, j in read if i in tags} == {

@@ -256,7 +256,7 @@ def test_product_identities_values(leb3):
     assert abs(q21 - prod) < 1e-13
     assert abs(q21 - (-1.0 / 12.0)) < 1e-13
     # khat1[0] = mhat_0^{-1}
-    assert abs(fam.schur.khat1[0][0, 0] - 1.0 / dsm.m(0)[0, 0]) < 1e-13
+    assert abs(fam.hankels.complements("K1")[0][0, 0] - 1.0 / dsm.m(0)[0, 0]) < 1e-13
 
 
 def test_product_identities_ensemble(rng):

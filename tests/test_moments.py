@@ -16,11 +16,10 @@ from thmm import (
     build_hankels,
     classify,
     moments_from_discrete_measure,
-    schur_chain,
 )
 from thmm import build_family, compute_first, compute_second, moments as moments_module
 from thmm._linalg import cholesky_pd, hermitize, solve_factored, solve_pd
-from thmm.moments import StructuralVectors, shifted_moments
+from thmm.moments import hankel_entries, hankel_from_entries
 
 from conftest import lebesgue, random_measure, rel
 
@@ -31,8 +30,8 @@ def test_hankel_members_match_entry_definitions(rng):
 
     seq, _ = random_sequence(rng, q, n)
     hank = build_hankels(seq)
-    a, b = seq.a, seq.b
-    shat = shifted_moments(seq)
+    a, b, s = seq.a, seq.b, seq.s
+    shat = [-a * b * s[k] + (a + b) * s[k + 1] - s[k + 2] for k in range(seq.m - 1)]
     for j in range(len(hank.H1)):
         for l in range(j + 1):
             for k in range(j + 1):
@@ -99,18 +98,19 @@ def test_nonfinite_entries_rejected(bad):
 
 
 def test_schur_base_cases_and_k11():
-    seq = lebesgue(3)
-    sch = schur_chain(build_hankels(seq))
-    assert abs(sch.hhat1[0][0, 0] - 1.0) < 1e-15
-    assert abs(sch.khat1[0][0, 0] - 0.5) < 1e-15
-    assert abs(sch.khat2[0][0, 0] - 0.5) < 1e-15
+    hank = build_hankels(lebesgue(3))
+    assert abs(hank.complements("H1")[0][0, 0] - 1.0) < 1e-15
+    assert abs(hank.complements("K1")[0][0, 0] - 0.5) < 1e-15
+    assert abs(hank.complements("K2")[0][0, 0] - 0.5) < 1e-15
     # 1/12 - (1/6)^2 * 2 = 1/36
-    assert abs(sch.khat1[1][0, 0] - 1.0 / 36.0) < 1e-15
+    assert abs(hank.complements("K1")[1][0, 0] - 1.0 / 36.0) < 1e-15
+    # one kept sequence per family
+    assert hank.complements("K1") is hank.complements("K1")
 
 
 def test_schur_hhat2_base_is_shat0():
-    sch = schur_chain(build_hankels(lebesgue(2)))
-    assert abs(sch.hhat2[0][0, 0] - 1.0 / 6.0) < 1e-15
+    hank = build_hankels(lebesgue(2))
+    assert abs(hank.complements("H2")[0][0, 0] - 1.0 / 6.0) < 1e-15
 
 
 def test_schur_determinant_telescoping(rng):
@@ -119,14 +119,13 @@ def test_schur_determinant_telescoping(rng):
     for q, n in ((1, 3), (2, 2), (3, 2)):
         seq, _ = random_sequence(rng, q, n)
         hank = build_hankels(seq)
-        sch = schur_chain(hank)
         for j in range(len(hank.K1)):
             det_parent = np.linalg.det(hank.K1[j])
-            det_prod = np.prod([np.linalg.det(x) for x in sch.khat1[:j + 1]])
+            det_prod = np.prod([np.linalg.det(x) for x in hank.complements("K1")[:j + 1]])
             assert abs(det_parent - det_prod) <= 1e-9 * abs(det_parent)
         for j in range(len(hank.H1)):
             det_parent = np.linalg.det(hank.H1[j])
-            det_prod = np.prod([np.linalg.det(x) for x in sch.hhat1[:j + 1]])
+            det_prod = np.prod([np.linalg.det(x) for x in hank.complements("H1")[:j + 1]])
             assert abs(det_parent - det_prod) <= 1e-9 * abs(det_parent)
 
 
@@ -216,38 +215,64 @@ def test_measure_errors():
         moments_from_discrete_measure([1.5], [np.eye(1)], 2, 0.0, 1.0)
 
 
-def test_structural_vectors_shift_resolvent_identity(rng):
+def test_R_many_inverts_the_block_shift(rng):
     from conftest import random_sequence
 
     seq, _ = random_sequence(rng, 2, 2)
-    vecs = StructuralVectors(seq)
+    hank = build_hankels(seq)
     for j in range(3):
         for z in (0.3, -1.2 + 0.7j):
-            r = vecs.R(j, z)
+            r = hank.R_many(j, [z])[0]
             eye = np.eye((j + 1) * seq.q)
             t = np.eye((j + 1) * seq.q, k=-seq.q)   # the block lower shift T_j
             assert rel(r @ (eye - z * t), eye) < 1e-14
-            rv = r @ vecs.v(j)
+            rv = r @ hank.v(j)
             for k in range(j + 1):
                 blk = rv[k * seq.q:(k + 1) * seq.q]
                 assert rel(blk, (z ** k) * np.eye(seq.q)) < 1e-14
 
 
-def test_structural_vector_shapes(rng):
+def test_second_kind_column_shapes(rng):
     from conftest import random_sequence
 
     seq, _ = random_sequence(rng, 2, 2)
-    vecs = StructuralVectors(seq)
     hank = build_hankels(seq)
-    q = seq.q
+    q, s, a, b = seq.q, seq.s, seq.a, seq.b
     for j in range(1, 3):
-        assert vecs.u2(j).shape == ((j + 1) * q, q)
-        assert vecs.ut1(j).shape == ((j + 1) * q, q)
+        for family in ("H1", "H2", "K1", "K2"):
+            assert hank.second_kind(family, j).shape == ((j + 1) * q, q)
         assert hank.cross("H1", j).shape == (j * q, q)
         assert hank.cross("K1", j).shape == (j * q, q)
-    assert np.array_equal(vecs.ut2(0), -seq.s[0])
-    u21 = vecs.u2(1)
-    assert np.allclose(u21[q:], -shifted_moments(seq)[0])
+    assert np.array_equal(hank.second_kind("K2", 0), -s[0])
+    assert np.array_equal(hank.second_kind("H2", 1)[q:], -(-a * b * s[0] + (a + b) * s[1] - s[2]))
+    # past the entries, and the H2 head without s_1
+    for family in ("H1", "H2", "K1", "K2"):
+        with pytest.raises(InsufficientMoments):
+            hank.second_kind(family, len(hank.entries[family]) + 1)
+    with pytest.raises(InsufficientMoments):
+        build_hankels(MomentSequence(0.0, 1.0, (np.eye(2),))).second_kind("H2", 0)
+
+
+def test_members_are_views_of_one_matrix_per_family(rng, monkeypatch):
+    calls = []
+    real = moments_module.hankel_from_entries
+    monkeypatch.setattr(moments_module, "hankel_from_entries",
+                        lambda e, j: calls.append(j) or real(e, j))
+    for q, m in ((1, 0), (1, 6), (2, 5), (3, 4)):
+        seq = random_measure(rng, q, m // 2 + 2).moments(m)
+        calls.clear()
+        hank = build_hankels(seq)
+        # one assembly per family that has a member, of its largest member
+        assert calls == [len(getattr(hank, f)) - 1 for f in ("H1", "H2", "K1", "K2")
+                         if len(getattr(hank, f))]
+        for family in ("H1", "H2", "K1", "K2"):
+            members = getattr(hank, family)
+            entries = hankel_entries(family, seq.s, seq.a, seq.b)
+            assert len(members) == (len(entries) - 1) // 2 + 1
+            for j, member in enumerate(members):
+                assert np.shares_memory(member, members[-1])
+                assert not member.flags.writeable
+                assert _bits(member) == _bits(real(entries, j))
 
 
 def _bits(x):
@@ -263,60 +288,104 @@ def _R_at_a_times(seq, col):
     return np.concatenate(blocks, axis=0)
 
 
-@pytest.mark.parametrize("q,m", [(1, 6), (1, 7), (2, 5), (2, 6), (3, 5)])
-def test_entries_and_solves_match_the_written_out_formulas(rng, q, m):
+def _symmetric_sequence(q, m):
+    """Atoms symmetric about 0 with diagonal weights on [-1, 1]: every odd moment
+    and every off-diagonal entry is an exact zero."""
+    weights = [np.diag(np.linspace(1.0, 2.0, q)), np.diag(np.linspace(0.5, 0.25, q))]
+    return moments_from_discrete_measure(
+        [-0.75, -0.25, 0.25, 0.75], weights + weights[::-1], m, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("q,m,zeros", [
+    pytest.param(q, m, zeros, id=f"{q}-{m}" + ("-zeros" if zeros else ""))
+    for q, m, zeros in ((1, 6, False), (1, 7, False), (2, 5, False), (2, 6, False),
+                        (3, 5, False), (1, 7, True), (2, 5, True), (3, 6, True))])
+def test_entries_and_solves_match_the_written_out_formulas(rng, q, m, zeros):
     from conftest import random_measure
 
-    seq = random_measure(rng, q, m // 2 + 2, a=-0.3, b=1.7).moments(m)
+    if zeros:
+        seq = _symmetric_sequence(q, m)
+        assert not seq.s[1].any() and not seq.s[3].any()
+    else:
+        seq = random_measure(rng, q, m // 2 + 2, a=-0.3, b=1.7).moments(m)
     hank = build_hankels(seq)
-    vecs = hank.vectors
     a, b, s = seq.a, seq.b, seq.s
-    # the cross columns, corners and transfer columns as each consumer wrote them out
+    zero = np.zeros((q, q), dtype=complex)
+
+    # the stacked moments and columns as they were written out before the
+    # family entries gave them
+    def y(j, k):
+        return np.concatenate(s[j:k + 1], axis=0)
+
+    shat = [-a * b * s[k] + (a + b) * s[k + 1] - s[k + 2] for k in range(seq.m - 1)]
+
+    def yhat(j, k):
+        return np.concatenate(shat[j:k + 1], axis=0)
+
+    def v(j):
+        return np.concatenate([np.eye(q, dtype=complex)] + [zero] * j, axis=0)
+
+    def pad(j):
+        return np.concatenate([zero, y(0, j - 1)], axis=0)
+
+    head2 = -(a + b) * s[0] + s[1]
+    second_kind = {
+        "H1": lambda j: zero if j == 0 else np.concatenate([zero, -y(0, j - 1)], axis=0),
+        "H2": lambda j: head2 if j == 0 else np.concatenate([head2, -yhat(0, j - 1)], axis=0),
+        "K1": lambda j: s[0].copy() if j == 0 else y(0, j) - b * pad(j),
+        "K2": lambda j: -s[0] if j == 0 else -y(0, j) + a * pad(j),
+    }
     cross = {
-        "H1": lambda j: vecs.y(j, 2 * j - 1),
-        "H2": lambda j: vecs.yhat(j, 2 * j - 1),
-        "K1": lambda j: b * vecs.y(j, 2 * j - 1) - vecs.y(j + 1, 2 * j),
-        "K2": lambda j: -a * vecs.y(j, 2 * j - 1) + vecs.y(j + 1, 2 * j),
+        "H1": lambda j: y(j, 2 * j - 1),
+        "H2": lambda j: yhat(j, 2 * j - 1),
+        "K1": lambda j: b * y(j, 2 * j - 1) - y(j + 1, 2 * j),
+        "K2": lambda j: -a * y(j, 2 * j - 1) + y(j + 1, 2 * j),
     }
     corner = {
         "H1": lambda j: s[2 * j],
-        "H2": lambda j: shifted_moments(seq)[2 * j],
+        "H2": lambda j: shat[2 * j],
         "K1": lambda j: b * s[2 * j] - s[2 * j + 1],
         "K2": lambda j: -a * s[2 * j] + s[2 * j + 1],
     }
     column = {
-        "H1": vecs.v,
-        "H2": lambda j: vecs.u2(j) + a * (vecs.v(j) @ s[0]),
-        "K1": vecs.v,
-        "K2": vecs.ut2,
+        "H1": v,
+        "H2": lambda j: second_kind["H2"](j) + a * (v(j) @ s[0]),
+        "K1": v,
+        "K2": second_kind["K2"],
     }
     for family in ("H1", "H2", "K1", "K2"):
         members = getattr(hank, family)
+        # the second-kind columns, up to the sign of a zero, and nested bit for bit
+        last = len(hank.entries[family])
+        full = hank.second_kind(family, last)
+        for j in range(last + 1):
+            got = hank.second_kind(family, j)
+            assert np.array_equal(got, second_kind[family](j))
+            assert _bits(got) == _bits(full[:(j + 1) * q])
         # every solve goes through the leading block of the largest member's factor
         L = cholesky_pd(members[-1], block=q)
         assert len(L) == len(members[-1])
         lead = lambda j: L[:(j + 1) * q, :(j + 1) * q]
         # one forward solve per family, on the largest column; member j reads
         # its leading (j+1)q rows w_j
-        rc_last = _R_at_a_times(seq, column[family](len(members) - 1))
+        rc_last = _R_at_a_times(seq, hank.column(family, len(members) - 1))
         w = np.linalg.solve(L, rc_last)
         for j in range(len(members)):
             size = (j + 1) * q
             assert _bits(hank.entries[family][2 * j]) == _bits(corner[family](j))
             assert _bits(hank.factor(family, j)) == _bits(lead(j))
-            # the columns are nested and R(a) is block lower Toeplitz (the sign
-            # of a zero may differ: ut2_0 = -s_0 but block 0 of ut2_1 = -s_0 + a 0)
-            assert np.array_equal(_R_at_a_times(seq, column[family](j)), rc_last[:size])
-            assert _bits(hank.column(family, j)) == _bits(column[family](j))
+            # the columns are nested and R(a) is block lower Toeplitz
+            assert np.array_equal(hank.column(family, j), column[family](j))
+            assert _bits(_R_at_a_times(seq, hank.column(family, j))) == _bits(rc_last[:size])
             assert _bits(hank.transfer(family, j)) == _bits(
                 np.linalg.solve(lead(j).conj().T, w[:size]))
             assert _bits(hank.form(family, j)) == _bits(w[:size].conj().T @ w[:size])
         # the polynomial rows reach one cross column past the last complement
         for j in range(1, len(hank.entries[family]) // 2 + 1):
-            y = cross[family](j)
-            assert _bits(hank.cross(family, j)) == _bits(y)
+            y_j = cross[family](j)
+            assert _bits(hank.cross(family, j)) == _bits(y_j)
             x = hank.schur_row(family, j)
-            assert _bits(x) == _bits(solve_factored(lead(j - 1), y))
+            assert _bits(x) == _bits(solve_factored(lead(j - 1), y_j))
             assert hank.schur_row(family, j) is x and not x.flags.writeable
         with pytest.raises(InsufficientMoments):
             hank.cross(family, len(hank.entries[family]) // 2 + 1)
@@ -359,12 +428,11 @@ def test_schur_solve_goes_through_the_diagonal_block(rng, monkeypatch):
 
     seq, _ = random_sequence(rng, 2, 2)
     hank = build_hankels(seq)
-    sch = schur_chain(hank)
     calls = _count_factorizations(monkeypatch)
     q = seq.q
-    for name, family in (("hhat1", "H1"), ("hhat2", "H2"), ("khat1", "K1"), ("khat2", "K2")):
+    for family in ("H1", "H2", "K1", "K2"):
         L = hank.factor(family, len(getattr(hank, family)) - 1)
-        for j, complement in enumerate(getattr(sch, name)):
+        for j, complement in enumerate(hank.complements(family)):
             block = L[j * q:(j + 1) * q, j * q:(j + 1) * q]
             # the complement F[j] / F[j-1] is L_jj L_jj^H
             assert rel(block @ block.conj().T, complement) < 1e-12

@@ -138,7 +138,7 @@ def test_khat1_product_value(leb_family):
     fam = leb_family
     value = eval_poly(fam.G1(1), 0.0) @ adjoint_eval(fam.Q2(1), 0.0)
     assert abs(value[0, 0] - 1.0 / 36.0) < 1e-14
-    assert rel(value, fam.schur.khat1[1]) < 1e-12
+    assert rel(value, fam.hankels.complements("K1")[1]) < 1e-12
 
 
 def test_hhat1_base_product(leb_family):
@@ -170,7 +170,7 @@ def test_orthogonality_off_diagonal_zero(rng):
 
 
 def dense_R(q, j, z):
-    """R_j(z) block by block, as StructuralVectors.R built it before R_many."""
+    """R_j(z) block by block: the dense reference of HankelSet.R_many."""
     out = np.zeros(((j + 1) * q, (j + 1) * q), dtype=complex)
     z = complex(z)
     power = 1.0 + 0.0j
@@ -189,7 +189,7 @@ def norm_rel(x, y):
 
 def ratio_entries_per_point(fam, zs):
     """The two ratio identities one point at a time, with the per-point formulas."""
-    seq, vecs, hank, a, q = fam.seq, fam.vectors, fam.hankels, fam.seq.a, fam.seq.q
+    seq, hank, a, q = fam.seq, fam.hankels, fam.seq.a, fam.seq.q
 
     def transfer_solve(family, column, j):
         """F[j]^{-1} R_j(a) c_j: a back solve of the leading rows of one forward solve."""
@@ -200,15 +200,15 @@ def ratio_entries_per_point(fam, zs):
     out = []
     for j in range(min(len(fam.g2), len(fam.t2), len(hank.H1))):
         t2a_inv = np.linalg.inv(adjoint_eval(fam.t2[j], a))
-        solved = transfer_solve("H1", vecs.v, j)
+        solved = transfer_solve("H1", hank.v, j)
         for z in zs:
             lhs = adjoint_eval(fam.g2[j], z) @ t2a_inv
-            rhs = -(dense_R(q, j, np.conj(z)) @ vecs.v(j)).conj().T @ solved
+            rhs = -(dense_R(q, j, np.conj(z)) @ hank.v(j)).conj().T @ solved
             out.append(("ratio_g2_t2", f"j={j},z={z:.3g}", norm_rel(lhs, rhs)))
     for j in range(min(max(len(fam.q1) - 1, 0), max(len(fam.p1) - 1, 0), len(hank.K2))):
         p1a_inv = np.linalg.inv(adjoint_eval(fam.p1[j + 1], a))
-        ut = vecs.ut2(j)
-        solved = transfer_solve("K2", vecs.ut2, j)
+        ut = hank.second_kind("K2", j)
+        solved = transfer_solve("K2", lambda j: hank.second_kind("K2", j), j)
         for z in zs:
             lhs = adjoint_eval(fam.q1[j + 1], z) @ p1a_inv
             rhs = -(dense_R(q, j, np.conj(z)) @ ut).conj().T @ solved
@@ -234,33 +234,33 @@ def test_stacked_ratio_checks_equal_per_point_reference(rng, zs):
 @pytest.mark.parametrize("q", [1, 2])
 def test_R_many_is_the_dense_R_bit_for_bit(q):
     seq, _ = random_sequence(np.random.default_rng(5), q, 3)
-    vecs = build_family(seq).vectors
+    hank = build_hankels(seq)
     points = [0.0, -0.0, 0.5, -1.0, complex(-0.0, 1.0), complex(0.0, -0.0), -1.2 + 0.7j,
               1e200 + 1e200j, *SAMPLE_POINTS]
     for j in range(4):
         with np.errstate(invalid="ignore", over="ignore"):   # inf * 0 at 1e200
-            many = vecs.R_many(j, points)
+            many = hank.R_many(j, points)
             wants = [dense_R(seq.q, j, z) for z in points]
-            ones = [vecs.R(j, z) for z in points]
+            ones = [hank.R_many(j, [z])[0] for z in points]
         assert many.flags.c_contiguous
         for got, want, one in zip(many, wants, ones):
             for x in (got, one):
                 assert np.array_equal(x, want, equal_nan=True)
                 assert np.array_equal(np.signbit(x.real), np.signbit(want.real))
                 assert np.array_equal(np.signbit(x.imag), np.signbit(want.imag))
-        assert vecs.R_many(j, []).shape == (0, (j + 1) * seq.q, (j + 1) * seq.q)
+        assert hank.R_many(j, []).shape == (0, (j + 1) * seq.q, (j + 1) * seq.q)
 
 
 @pytest.mark.parametrize("q,a", [(1, 0.0), (2, 0.0), (2, -0.5)])
 def test_R_at_a_times_is_the_dense_R_product(q, a):
     rng = np.random.default_rng(7)
     seq, _ = random_sequence(rng, q, 3, a=a)
-    vecs = build_family(seq).vectors
+    hank = build_hankels(seq)
     for j in range(4):
         size = ((j + 1) * q, q)
         col = rng.normal(size=size) + 1j * rng.normal(size=size)
         before = col.copy()
-        got = vecs.R_at_a_times(col)
+        got = hank.R_at_a_times(col)
         assert np.array_equal(col, before)
         assert rel(got, dense_R(q, j, a) @ col) < 1e-15
         if a == 0.0:
@@ -288,7 +288,7 @@ def _eager_members(seq):
     step it stops.  Returns {(store name, j): member}.
     """
     hank = build_hankels(seq)
-    vecs, q, m = hank.vectors, seq.q, seq.m
+    q, m = seq.q, seq.m
     out = {}
     for name, family in COMPLEMENTS:
         corners = hank.entries[family]
@@ -301,20 +301,20 @@ def _eager_members(seq):
 
     def make(name, family, column, j, shift=None, sign=1.0):
         row = _schur_row(hank, family, j, q)
-        coeffs = _convolve(row, _split_blocks(column(j), j, q), shift, sign)
+        coeffs = _convolve(row, _split_blocks(column, j, q), shift, sign)
         out[name, j] = MatrixPoly(coeffs, name.upper(), j)
 
     for j in range((m + 1) // 2 + 1):
-        make("p1", "H1", vecs.v, j)
-        make("q1", "H1", vecs.u1, j, sign=-1.0)
+        make("p1", "H1", hank.v(j), j)
+        make("q1", "H1", hank.second_kind("H1", j), j, sign=-1.0)
     for j in range((m - 1) // 2 + 1):
-        make("p2", "H2", vecs.v, j)
-        make("q2", "H2", vecs.u2, j, seq.s[0], -1.0)
+        make("p2", "H2", hank.v(j), j)
+        make("q2", "H2", hank.second_kind("H2", j), j, seq.s[0], -1.0)
     for j in range(m // 2 + 1):
-        make("g1", "K1", vecs.v, j)
-        make("t1", "K1", vecs.ut1, j)
-        make("g2", "K2", vecs.v, j)
-        make("t2", "K2", vecs.ut2, j)
+        make("g1", "K1", hank.v(j), j)
+        make("t1", "K1", hank.second_kind("K1", j), j)
+        make("g2", "K2", hank.v(j), j)
+        make("t2", "K2", hank.second_kind("K2", j), j)
     return out
 
 
@@ -332,7 +332,7 @@ def test_members_made_on_read_equal_the_eager_build_in_any_order(q, m):
         fam = build_family(seq)
         stores = {name: getattr(fam, name) for name in ("p1", "p2", "q1", "q2",
                                                          "g1", "g2", "t1", "t2")}
-        stores.update((name, getattr(fam.schur, name)) for name, _ in COMPLEMENTS)
+        stores.update((name, fam.hankels.complements(family)) for name, family in COMPLEMENTS)
         assert {name: len(store) for name, store in stores.items()} == {
             name: sum(key[0] == name for key in eager) for name in stores}
         keys = list(eager)
