@@ -111,11 +111,11 @@ def scaled_cond(a):
     return float(np.linalg.cond(a * d[:, None] * d[None, :]))
 
 
-def cholesky_pd(a, pivot_rtol=PIVOT_RTOL, block=None):
+def cholesky_pd(a, block=None):
     """Lower Cholesky factor of a Hermitian matrix, or None.
 
     a[:p, :p] counts as positive definite when each of its p pivots
-    diag(L)**2 is above pivot_rtol * ||a[:p, :p]||_F, the package-wide
+    diag(L)**2 is above PIVOT_RTOL * ||a[:p, :p]||_F, the package-wide
     test; a NaN pivot or threshold fails it.  Without block this is the
     factor of a, or None.  With block it is the factor of the largest
     passing a[:p, :p], p a multiple of block, or None if none passes.
@@ -126,7 +126,7 @@ def cholesky_pd(a, pivot_rtol=PIVOT_RTOL, block=None):
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     block = block or max(n, 1)
-    thresholds = [pivot_rtol * frob(a[:p, :p]) for p in range(block, n + 1, block)]
+    thresholds = [PIVOT_RTOL * frob(a[:p, :p]) for p in range(block, n + 1, block)]
     for p in range(n, 0, -block):
         try:
             L = np.linalg.cholesky(a[:p, :p])
@@ -140,9 +140,9 @@ def cholesky_pd(a, pivot_rtol=PIVOT_RTOL, block=None):
     return None
 
 
-def solve_pd(a, rhs, family="matrix", index=0, pivot_rtol=PIVOT_RTOL):
+def solve_pd(a, rhs, family="matrix", index=0):
     """Solve a @ x = rhs for Hermitian positive definite a, via Cholesky."""
-    L = cholesky_pd(a, pivot_rtol)
+    L = cholesky_pd(a)
     if L is None:
         raise SingularPivot(family, index)
     return solve_factored(L, rhs)
@@ -208,11 +208,11 @@ class PointPrefix:
             raise self.error
 
 
-def guard_cond(mats, cond_limit, error, points=None):
+def guard_cond(mats, error, points=None):
     """Check every matrix of a (..., q, q) stack as np.linalg.cond would one by one.
 
     A matrix fails with error(cond) when its 2-norm condition number is not
-    finite or exceeds cond_limit; a matrix with a NaN or infinite entry (an
+    finite or exceeds COND_LIMIT; a matrix with a NaN or infinite entry (an
     overflowed one) fails with error(nan), without an SVD.  Without
     ``points`` the first failure in C order is raised, and the inverses of
     all the matrices are returned, shaped as mats.  With ``points`` the
@@ -222,14 +222,14 @@ def guard_cond(mats, cond_limit, error, points=None):
     The inverses (np.linalg.inv) come first, and they decide most matrices
     without an SVD: kappa_2(A) <= ||A||_F ||A^-1||_F <= q max|a_ij| q max|x_ij|
     for X = A^-1, and A passes at once when that bound, taken with the
-    computed X, is at most cond_limit / 2.  For kappa_2(A) <= 1e12 the
+    computed X, is at most COND_LIMIT / 2.  For kappa_2(A) <= 1e12 the
     computed X is off by at most about q eps kappa relative (4e-4 at q = 4),
     so half the limit leaves room.  A matrix above the limit cannot pass
     either: the LU inverse has AX = I + R with ||R|| <= c q eps rho ||A|| ||X||
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 14.3),
     rho the growth factor of partial pivoting (at most 2^(q-1), in practice
-    below 10).  ||A|| ||X|| <= cond_limit / 2 = 5e11 keeps ||R|| below 1/2,
-    so ||A^-1|| = ||X (I + R)^-1|| <= 2 ||X|| and kappa_2(A) <= cond_limit.
+    below 10).  ||A|| ||X|| <= COND_LIMIT / 2 = 5e11 keeps ||R|| below 1/2,
+    so ||A^-1|| = ||X (I + R)^-1|| <= 2 ||X|| and kappa_2(A) <= COND_LIMIT.
     A matrix whose bound is larger or not finite, and every matrix of a
     stack that np.linalg.inv refuses, gets np.linalg.cond; so every failure
     and every cond it carries come from that SVD.
@@ -252,10 +252,10 @@ def guard_cond(mats, cond_limit, error, points=None):
         with np.errstate(over="ignore"):
             cond[:stop] = (q * np.abs(flat[:stop]).max(axis=(1, 2))) * (
                 q * np.abs(inv).max(axis=(1, 2)))
-        svd = np.flatnonzero(~(cond[:stop] <= cond_limit / 2))
+        svd = np.flatnonzero(~(cond[:stop] <= COND_LIMIT / 2))
     if svd.size:
         cond[svd] = np.linalg.cond(flat[svd])
-    bad = ~np.isfinite(cond) | (cond > cond_limit)
+    bad = ~np.isfinite(cond) | (cond > COND_LIMIT)
     if points is None:
         if bad.any():
             raise error(cond[int(np.argmax(bad))])
@@ -271,7 +271,7 @@ def guard_cond(mats, cond_limit, error, points=None):
     return inv[:keep].reshape(shape)
 
 
-def right_quotient(num, den, cond_limit=COND_LIMIT, points=None):
+def right_quotient(num, den, points=None):
     """num @ inv(den) for stacks of q x q matrices, by a solve with den.
 
     Each denominator is checked by guard_cond first and a failure is
@@ -282,7 +282,7 @@ def right_quotient(num, den, cond_limit=COND_LIMIT, points=None):
     """
     num = np.asarray(num, dtype=complex)
     den = np.asarray(den, dtype=complex)
-    guard_cond(den, cond_limit, SingularDenominator, points)
+    guard_cond(den, SingularDenominator, points)
     if points is not None:
         num, den = num[:len(points)], den[:len(points)]
     return np.swapaxes(

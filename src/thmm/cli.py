@@ -45,7 +45,7 @@ from .errors import (
 )
 from ._linalg import PointPrefix, frobs
 from .extremal import extremal_cf_many, extremal_quotient_many
-from .moments import build_hankels, classify, moments_from_discrete_measure
+from .moments import build_hankels, classify
 from .polynomials import build_family, verify_family_identities
 from .resolvent import resolvent_direct_many, resolvent_factorized_many
 
@@ -115,7 +115,7 @@ def cmd_analyze(args):
     fam = build_family(hank)
     report["schur"] = {name: tuple(hank.complements(family)) for name, family in
                        (("hhat1", "H1"), ("hhat2", "H2"), ("khat1", "K1"), ("khat2", "K2"))}
-    dsm = compute_second(seq, fam)
+    dsm = compute_second(fam)
     first = compute_first(fam)
     report["dsm_second"] = {
         "mhat": dsm.mhat,
@@ -154,11 +154,20 @@ def _residuals(values, reference):
     return frobs(values - reference) / np.maximum(1.0, frobs(reference))
 
 
-def cmd_factorize(args):
+def _evaluation_input(args):
+    """(family, parity, points) of factorize or extremal; SingularPivot unless PositiveDefinite."""
     seq = tio.read_moment_file(args.input)
     parity = _parity_for(seq, args.parity)
-    fam = build_family(seq)
-    points = PointPrefix(_z_values(args))
+    hank = build_hankels(seq)
+    fam = build_family(hank)
+    cls = classify(hank)
+    if not cls.is_positive_definite:
+        raise SingularPivot(cls.witness.family, cls.witness.index)
+    return fam, parity, PointPrefix(_z_values(args))
+
+
+def cmd_factorize(args):
+    fam, parity, points = _evaluation_input(args)
     # the stacked evaluation overflows at a large z; _finite, guard_cond and
     # PointPrefix check every value it keeps, so numpy's warnings only repeat
     # the failure of that point
@@ -178,10 +187,7 @@ def cmd_factorize(args):
 
 
 def cmd_extremal(args):
-    seq = tio.read_moment_file(args.input)
-    parity = _parity_for(seq, args.parity)
-    fam = build_family(seq)
-    points = PointPrefix(_z_values(args))
+    fam, parity, points = _evaluation_input(args)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # as in cmd_factorize
         ext = extremal_quotient_many(fam, points, parity)
         cf_values = extremal_cf_many(fam, points, parity, args.which)
@@ -205,10 +211,7 @@ def cmd_recover(args):
 
 def cmd_gen(args):
     measure = tio.read_measure_file(args.input)
-    seq = moments_from_discrete_measure(
-        measure.points, measure.weights, args.count, measure.a, measure.b
-    )
-    _emit(tio.moment_file_dict(seq), args.output)
+    _emit(tio.moment_file_dict(measure.moments(args.count)), args.output)
     return 0
 
 

@@ -112,14 +112,15 @@ class DsmFirst:
     L: tuple
 
 
-def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
-    """Second-type parameters by both routes.
+def compute_second(source):
+    """Second-type parameters of a MomentSequence or a PolynomialFamily, by both routes.
 
     Raises IllConditioned when the largest K1 or H2 member read is too
     ill-conditioned for ACCURACY_RTOL, and RouteMismatch when the routes
-    disagree by more than rtol.
+    disagree by more than ROUTE_RTOL.
     """
-    fam = build_family(seq) if fam is None else fam
+    fam = ensure_family(source)
+    seq = fam.seq
     hank = fam.hankels
     m = seq.m
     s0 = seq.s[0]
@@ -166,7 +167,7 @@ def compute_second(seq, fam=None, rtol=ROUTE_RTOL):
     def check(name, qf_vals, poly_vals):
         for j, (x, y) in enumerate(zip(qf_vals, poly_vals)):
             res = rel_residual(x, y)
-            if res > rtol:
+            if res > ROUTE_RTOL:
                 raise RouteMismatch(name, f"j={j}", res)
 
     check("mhat", mhat_qf, mhat_poly)
@@ -203,7 +204,7 @@ def compute_first(source):
     return DsmFirst(q=seq.q, a=seq.a, M=tuple(M), L=tuple(L))
 
 
-def product_identities(fam, dsm, first=None):
+def product_identities(fam, dsm, first):
     """Residual report for the parameter/polynomial/Schur product identities.
 
     Two printed variants of the P2 partial-sum identity circulate; both are
@@ -218,8 +219,6 @@ def product_identities(fam, dsm, first=None):
     mh = dsm.mhat
     lh = dsm.lhat_from_zero
     s0 = dsm.s0
-    if first is None:
-        first = compute_first(fam)
 
     inv_m = [inv_pd(x, "mhat", j) for j, x in enumerate(mh)]
     inv_l = [inv_pd(x, "lhat", j) for j, x in enumerate(lh)]
@@ -467,7 +466,7 @@ def scalar_determinant_params(seq, rtol=1e-8):
         denom = det(hank.H2[j]) * (det(hank.H2[j - 1]) if j >= 1 else 1.0)
         ltilde.append(float((e2 ** 2 / denom).real))
 
-    dsm = compute_second(seq, fam)
+    dsm = compute_second(fam)
     for j, val in enumerate(mtilde):
         res = rel_residual(np.array([[val]]), dsm.mhat[j])
         if res > rtol:

@@ -22,7 +22,7 @@ import dataclasses
 
 import numpy as np
 
-from ._linalg import COND_LIMIT, PointPrefix, guard_cond, rel_residuals, right_quotient, scalars
+from ._linalg import PointPrefix, guard_cond, rel_residuals, right_quotient, scalars
 from .errors import (
     PointOnInterval,
     SingularDenominator,
@@ -47,7 +47,7 @@ def _mobius_terms(full, x, y):
     return a @ x + b @ y, c @ x + d @ y
 
 
-def mobius_apply(transform, x, y, cond_limit=COND_LIMIT):
+def mobius_apply(transform, x, y):
     """(A X + B Y)(C X + D Y)^{-1} for the 2q x 2q block transform."""
     full = transform.full if isinstance(transform, ResolventValue) else np.asarray(
         transform, dtype=complex
@@ -55,10 +55,10 @@ def mobius_apply(transform, x, y, cond_limit=COND_LIMIT):
     q = full.shape[0] // 2
     x = _as_square(x, q)
     y = _as_square(y, q)
-    return right_quotient(*_mobius_terms(full, x, y), cond_limit)
+    return right_quotient(*_mobius_terms(full, x, y))
 
 
-def mobius_chain_apply(factors, x, y, cond_limit=COND_LIMIT):
+def mobius_chain_apply(factors, x, y):
     """Apply the transform factor by factor, rightmost first.
 
     Column pairs propagate with per-step rescaling; the value is read off
@@ -76,7 +76,7 @@ def mobius_chain_apply(factors, x, y, cond_limit=COND_LIMIT):
         if scale == 0.0:
             raise SingularDenominator(np.inf)
         col_x, col_y = new_x / scale, new_y / scale
-    return right_quotient(col_x, col_y, cond_limit)
+    return right_quotient(col_x, col_y)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -97,7 +97,7 @@ class ContinuedFractionChain:
         return len(self.levels)
 
 
-def _evaluate(chain, cond_limit, pts):
+def _evaluate(chain, pts):
     """Bottom-up evaluation of a continued fraction stacked over the points of pts.
 
     Head and levels are (K, q, q) stacks; a level sum that is not
@@ -112,11 +112,11 @@ def _evaluate(chain, cond_limit, pts):
     w = 0.0
     for depth in range(chain.depth, 0, -1):
         term = chain.levels[depth - 1][:len(pts)] + w
-        w = guard_cond(term, cond_limit, lambda cond, depth=depth: SingularLevel(depth), pts)
+        w = guard_cond(term, lambda cond, depth=depth: SingularLevel(depth), pts)
     return w if chain.head is None else chain.head[:len(pts)] + w
 
 
-def evaluate_chain(chain, cond_limit=COND_LIMIT):
+def evaluate_chain(chain):
     """Bottom-up evaluation of a finite matrix continued fraction."""
     pts = PointPrefix([0.0])
     stacked = ContinuedFractionChain(
@@ -124,25 +124,23 @@ def evaluate_chain(chain, cond_limit=COND_LIMIT):
         levels=tuple(np.asarray(level)[None] for level in chain.levels),
         tags=chain.tags,
     )
-    value = _evaluate(stacked, cond_limit, pts)
+    value = _evaluate(stacked, pts)
     pts.finish()
     return value[0]
 
 
-def _chain_params(source, parity, which, params):
-    """(params, n, second_kind) for the chain of one extremal solution."""
+def _chain_params(source, parity, which):
+    """(params, n, second_kind) for the chain of one extremal solution; source may be the chain."""
     from .dsm import DsmFirst, DsmSecond, compute_first, compute_second
 
     if which not in ("krein", "friedrichs"):
         raise ValueError(f"which must be 'krein' or 'friedrichs', got {which!r}")
     second_kind = (which == "friedrichs") == (parity == "even")
 
-    if isinstance(source, (DsmSecond, DsmFirst)):
-        params = source
-        source = None
-    if params is None:
+    params = source
+    if not isinstance(source, (DsmSecond, DsmFirst)):
         fam = ensure_family(source)
-        params = compute_second(fam.seq, fam) if second_kind else compute_first(fam)
+        params = compute_second(fam) if second_kind else compute_first(fam)
         n = _order(fam.seq, parity)
     elif second_kind:
         n_l = len(params.lhat_from_zero)
@@ -191,38 +189,37 @@ def _chain(z, parity, params, n, second_kind):
     return ContinuedFractionChain(head=head, levels=tuple(levels), tags=tuple(tags))
 
 
-def extremal_chain(source, z, parity, which, params=None):
+def extremal_chain(source, z, parity, which):
     """Build the continued-fraction chain for one extremal solution.
 
     friedrichs/even and krein/odd consume the second-type parameters,
     krein/even and friedrichs/odd the first-type ones.
     """
     z = complex(z)
-    return _chain(z, parity, *_chain_params(source, parity, which, params))
+    return _chain(z, parity, *_chain_params(source, parity, which))
 
 
-def extremal_cf_many(source, zs, parity, which, params=None, cond_limit=COND_LIMIT):
+def extremal_cf_many(source, zs, parity, which):
     """Extremal solution values via the continued fraction, at K points at once.
 
     Returns the (K, q, q) stack of values at the points zs.  The parameter
-    chain (unless given as params) is built once and the fraction is
-    evaluated level by level over the whole stack.  A failure raises what
-    extremal_cf raises at the first failing point.  zs may also be a
-    PointPrefix shared with other stacked calls, which then records the
-    failure for its finish() to raise.
+    chain is built once and the fraction is evaluated level by level over
+    the whole stack.  A failure raises what extremal_cf raises at the first
+    failing point.  zs may also be a PointPrefix shared with other stacked
+    calls, which then records the failure for its finish() to raise.
     """
     pts = PointPrefix.of(zs)
     pts.shared_stage()
-    chain = _chain(pts.zs, parity, *_chain_params(source, parity, which, params))
-    value = _evaluate(chain, cond_limit, pts)
+    chain = _chain(pts.zs, parity, *_chain_params(source, parity, which))
+    value = _evaluate(chain, pts)
     if pts is not zs:
         pts.finish()
     return value
 
 
-def extremal_cf(source, z, parity, which, params=None, cond_limit=COND_LIMIT):
-    """Extremal solution value via its finite matrix continued fraction."""
-    return extremal_cf_many(source, [complex(z)], parity, which, params, cond_limit)[0]
+def extremal_cf(source, z, parity, which):
+    """Extremal solution value via the continued fraction of a DSM chain or of its moments."""
+    return extremal_cf_many(source, [complex(z)], parity, which)[0]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

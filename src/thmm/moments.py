@@ -72,7 +72,7 @@ def _square_matrix(x, q=None, what="matrix"):
 class MomentSequence:
     """Hermitian q x q moments s_0..s_m attached to an interval [a, b].
 
-    Inputs must be Hermitian within ``tol_herm`` relative to their size;
+    Inputs must be Hermitian within DEFAULT_HERMITIAN_RTOL relative to their size;
     they are stored symmetrized, so downstream code can rely on exact
     Hermiticity.  Instances are immutable and safe to share.
     """
@@ -80,7 +80,6 @@ class MomentSequence:
     a: float
     b: float
     s: tuple
-    tol_herm: float = DEFAULT_HERMITIAN_RTOL
     q: int = dataclasses.field(init=False)
 
     def __post_init__(self):
@@ -99,7 +98,7 @@ class MomentSequence:
         for j, raw in enumerate(mats):
             mat = _square_matrix(raw, q, what=f"s_{j}")
             defect = np.linalg.norm(mat - mat.conj().T)
-            if defect > self.tol_herm * (1.0 + np.linalg.norm(mat)):
+            if defect > DEFAULT_HERMITIAN_RTOL * (1.0 + np.linalg.norm(mat)):
                 raise InvalidMomentSequence(
                     f"s_{j} is not Hermitian within tolerance (defect {defect:.3e})"
                 )
@@ -498,26 +497,21 @@ class DiscreteMeasure:
         return self.weights[0].shape[0]
 
     def moments(self, count):
-        """Power moments s_j = sum_k x_k^j w_k for j = 0..count."""
-        return moments_from_discrete_measure(self.points, self.weights, count, self.a, self.b)
+        """MomentSequence s_j = sum_k x_k^j w_k, j = 0..count.
+
+        It is PositiveDefinite up to m = 2n + 1 if n+1 atoms have positive definite weight.
+        """
+        if count < 0:
+            raise InvalidMomentSequence("moment count must be >= 0")
+        s = []
+        powers = np.ones(len(self.points), dtype=float)
+        xs = np.asarray(self.points, dtype=float)
+        for _ in range(count + 1):
+            s.append(sum(p * w for p, w in zip(powers, self.weights)))
+            powers = powers * xs
+        return MomentSequence(a=self.a, b=self.b, s=tuple(s))
 
 
 def moments_from_discrete_measure(points, weights, count, a, b):
-    """MomentSequence with s_j = sum_k x_k^j w_k, j = 0..count.
-
-    With at least n+1 atoms carrying positive definite weight the result
-    classifies PositiveDefinite up to order m = 2n + 1.
-    """
-    measure = points if isinstance(points, DiscreteMeasure) else DiscreteMeasure(
-        a=float(a), b=float(b), points=tuple(points), weights=tuple(weights)
-    )
-    if count < 0:
-        raise InvalidMomentSequence("moment count must be >= 0")
-    s = []
-    powers = np.ones(len(measure.points), dtype=float)
-    xs = np.asarray(measure.points, dtype=float)
-    for _ in range(count + 1):
-        acc = sum(p * w for p, w in zip(powers, measure.weights))
-        s.append(acc)
-        powers = powers * xs
-    return MomentSequence(a=measure.a, b=measure.b, s=tuple(s))
+    """The moments s_0..s_count of the DiscreteMeasure of the atoms points and weights."""
+    return DiscreteMeasure(a=a, b=b, points=tuple(points), weights=tuple(weights)).moments(count)

@@ -35,6 +35,10 @@ from .errors import (
 )
 from .polynomials import adjoint_eval, ensure_family
 
+SHEAR_RTOL = 1e-12
+BP_FACTOR_RTOL = 1e-12
+AUX_PRODUCT_RTOL = 1e-10
+
 
 def _eye(q):
     return np.eye(q, dtype=complex)
@@ -262,12 +266,12 @@ class AuxTriple:
     hat_even: AuxMatrixValue
 
 
-def aux_matrices(source, j, z, check_rtol=1e-12):
+def aux_matrices(source, j, z):
     """All three auxiliary matrices of order index j at the point z.
 
     Also asserts that conjugating the plain even-kind matrix by the
     moment shear [[I, z s0], [0, I]] ... [[I, -a s0], [0, I]] reproduces
-    the hat-kind matrix, which ties the two even-kind definitions together.
+    the hat-kind matrix within SHEAR_RTOL, tying the two even-kind definitions.
     """
     fam = ensure_family(source)
     s0 = fam.seq.s[0]
@@ -277,7 +281,7 @@ def aux_matrices(source, j, z, check_rtol=1e-12):
     he = aux_hat_even(fam, j, z)
     sheared = _up(complex(z) * s0) @ te.value @ _up(-a * s0)
     res = rel_residual(he.value, sheared)
-    if res > check_rtol:
+    if res > SHEAR_RTOL:
         raise RouteMismatch("hat-even shear identity", f"j={j}, z={z}", res)
     return AuxTriple(tilde_even=te, tilde_odd=to, hat_even=he)
 
@@ -340,26 +344,26 @@ def bp_split(dsm, k, z):
     return _low(-dsm.t(j)) @ _up((z - a) * dsm.l(j)) @ _low(dsm.t(j))
 
 
-def bp_pair_check(fam, dsm, k, z, rtol=1e-12):
-    """Factor route vs parameter-sandwich route for d^(k)."""
+def bp_pair_check(fam, dsm, k, z):
+    """Factor route vs parameter-sandwich route for d^(k), within BP_FACTOR_RTOL."""
     fam = ensure_family(fam)
     lhs = bp_factor(fam, k, z)
     rhs = bp_split(dsm, k, z)
     res = rel_residual(lhs, rhs)
-    if res > rtol:
+    if res > BP_FACTOR_RTOL:
         raise RouteMismatch("Blaschke-Potapov factor", f"k={k}, z={z}", res)
     return lhs
 
 
-def aux_product(source, order, z, kind, dsm=None, rtol=1e-10):
+def aux_product(source, order, z, kind):
     """Auxiliary matrix as a product of Blaschke-Potapov factors.
 
     kind = "tilde-odd" with order 2j + 1 multiplies d^(1) d^(3) .. d^(2j+1);
     kind = "hat-even" with order 2j multiplies d^(0) d^(2) .. d^(2j+2).
     The telescoped parameter form (the _second_core factors of
     resolvent_factors with count j + 1 and boundary factor -rhat_j for
-    tilde-odd, that_j for hat-even) is evaluated as well, and both products
-    must match the directly assembled auxiliary matrix.
+    tilde-odd, that_j for hat-even) is evaluated as well; both products must
+    match the directly assembled auxiliary matrix within AUX_PRODUCT_RTOL.
     """
     from .dsm import compute_second
 
@@ -367,8 +371,7 @@ def aux_product(source, order, z, kind, dsm=None, rtol=1e-10):
     seq = fam.seq
     a = seq.a
     z = complex(z)
-    if dsm is None:
-        dsm = compute_second(seq, fam)
+    dsm = compute_second(fam)
 
     if kind == "tilde-odd":
         if order % 2 != 1:
@@ -389,10 +392,10 @@ def aux_product(source, order, z, kind, dsm=None, rtol=1e-10):
 
     product = functools.reduce(np.matmul, factors)
     res_bp = rel_residual(product, direct)
-    if res_bp > rtol:
+    if res_bp > AUX_PRODUCT_RTOL:
         raise RouteMismatch(f"{kind} factor product", f"order={order}, z={z}", res_bp)
     res_tel = rel_residual(functools.reduce(np.matmul, telescoped), direct)
-    if res_tel > rtol:
+    if res_tel > AUX_PRODUCT_RTOL:
         raise RouteMismatch(f"{kind} parameter product", f"order={order}, z={z}", res_tel)
     return product
 
@@ -511,7 +514,7 @@ def _falls_back(seq, parity, route):
     return route == "second" and parity == "even" and _order(seq, parity) == 0
 
 
-def resolvent_factors(source, zs, parity, route, params=None):
+def resolvent_factors(source, zs, parity, route):
     """The affine factors whose left-to-right product is the resolvent at K points.
 
     route = "second" uses the second-type parameter chains (poles of the
@@ -528,8 +531,8 @@ def resolvent_factors(source, zs, parity, route, params=None):
     InsufficientMoments at n = 0.
 
     Each factor is a (K, 2q, 2q) stack over the points zs, or one 2q x 2q
-    matrix where it does not depend on z.  The parameter chain (unless
-    given as params) and the boundary factor are built once.  Failures and
+    matrix where it does not depend on z.  The parameter chain of the
+    source and the boundary factor are built once.  Failures and
     a shared PointPrefix for zs are as in resolvent_direct_many.
     """
     from .dsm import compute_first, compute_second
@@ -545,7 +548,7 @@ def resolvent_factors(source, zs, parity, route, params=None):
         raise InsufficientMoments("second-type even chain needs n >= 1")
 
     if route == "second":
-        dsm = params if params is not None else compute_second(seq, fam)
+        dsm = compute_second(fam)
         if parity == "even":
             _poles(pts, (pts.zs == a) | (pts.zs == b), "second-type even")
             tail = _tail_second_even(fam, n)
@@ -566,7 +569,7 @@ def resolvent_factors(source, zs, parity, route, params=None):
                 _diag(b - z, 1.0, q),
             ]
     elif route == "first":
-        first = params if params is not None else compute_first(fam)
+        first = compute_first(fam)
         if parity == "even":
             tail = _tail_first_even(fam, n)
             zc = pts.zs[:, None, None]
@@ -594,7 +597,7 @@ def resolvent_factors(source, zs, parity, route, params=None):
     return factors
 
 
-def resolvent_factorized_many(source, zs, parity, route, params=None):
+def resolvent_factorized_many(source, zs, parity, route):
     """Resolvent as the printed left-to-right product of resolvent_factors, at K points.
 
     Returns the (K, 2q, 2q) stack of values at the points zs.  The even
@@ -607,20 +610,20 @@ def resolvent_factorized_many(source, zs, parity, route, params=None):
     if _falls_back(fam.seq, parity, route):
         full = resolvent_direct_many(fam, pts, "even")
     else:
-        factors = resolvent_factors(fam, pts, parity, route, params)
+        factors = resolvent_factors(fam, pts, parity, route)
         full = _finite(pts, functools.reduce(np.matmul, factors))
     if pts is not zs:
         pts.finish()
     return full
 
 
-def resolvent_factorized(source, z, parity, route, params=None):
+def resolvent_factorized(source, z, parity, route):
     """resolvent_factorized_many at the single point z, as a ResolventValue.
 
     The even second-type route with n = 0 sets fallback_direct.
     """
     fam = ensure_family(source)
     z = complex(z)
-    full = resolvent_factorized_many(fam, [z], parity, route, params)[0]
+    full = resolvent_factorized_many(fam, [z], parity, route)[0]
     fallback = _falls_back(fam.seq, parity, route)
     return ResolventValue(full=full, q=fam.seq.q, parity=parity, z=z, fallback_direct=fallback)

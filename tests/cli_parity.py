@@ -28,7 +28,9 @@ names source lines:
     PYTHONPATH=/path/to/other/src python tests/cli_parity.py --out old.txt
     python tests/cli_parity.py --compare old.txt new.txt
 
---compare prints each line that differs, or that only one file has, and
+--compare prints each line that differs, or that only one file has, then
+how many of them moved between each pair of exit codes (0->3: 166 means
+166 lines exit 0 in A and 3 in B; "-" stands for a missing line), and
 exits 1 if there is any.  pytest does not collect this file (no test_
 prefix).
 """
@@ -40,6 +42,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -290,6 +293,13 @@ def compare(path_a, path_b):
     for label in differ:
         print(f"{label}\n  {path_a}: {a.get(label)}\n  {path_b}: {b.get(label)}")
     print(f"{len(differ)} of {len(a.keys() | b.keys())} lines differ")
+
+    def code(line):
+        return "-" if line is None else line.split("\t", 1)[0]
+
+    moves = collections.Counter(f"{code(a.get(label))}->{code(b.get(label))}" for label in differ)
+    if moves:
+        print(", ".join(f"{move}: {count}" for move, count in sorted(moves.items())))
     return 1 if differ else 0
 
 

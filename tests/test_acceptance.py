@@ -29,6 +29,7 @@ from thmm import (
     stieltjes_limit_check,
     verify_family_identities,
 )
+from thmm import dsm as dsm_module
 
 from conftest import lebesgue, random_sequence, random_z_points, rel
 
@@ -50,7 +51,7 @@ def build_ensemble(seed):
         n = int(rng.integers(1, 4))
         seq, measure = random_sequence(rng, q, n, atoms=n + 2)
         fam = build_family(seq)
-        dsm = compute_second(seq, fam)
+        dsm = compute_second(fam)
         first = compute_first(fam)
         zs = random_z_points(rng, 20)
         cases.append((q, n, seq, measure, fam, dsm, first, zs))
@@ -68,8 +69,8 @@ def test_criterion_1_factorization_equivalence(ensemble):
         for parity in ("even", "odd"):
             for z in zs:
                 direct = resolvent_direct(fam, z, parity)
-                second = resolvent_factorized(fam, z, parity, "second", params=dsm)
-                first_v = resolvent_factorized(fam, z, parity, "first", params=first)
+                second = resolvent_factorized(fam, z, parity, "second")
+                first_v = resolvent_factorized(fam, z, parity, "first")
                 worst = max(worst, rel(direct.full, second.full),
                             rel(direct.full, first_v.full))
     _verdict(1, worst <= 1e-8,
@@ -83,8 +84,7 @@ def test_criterion_2_continued_fractions(ensemble):
             for z in zs[:10]:
                 ext = extremal_quotient(fam, z, parity)
                 for which, quo in (("krein", ext.sK), ("friedrichs", ext.sF)):
-                    params = dsm if (which == "friedrichs") == (parity == "even") else first
-                    cf = extremal_cf(fam, z, parity, which, params=params)
+                    cf = extremal_cf(fam, z, parity, which)
                     worst = max(worst, rel(cf, quo))
     desk = extremal_cf(lebesgue(2), -1.0, "even", "friedrichs")[0, 0]
     desk_err = abs(desk - 11.0 / 16.0)
@@ -95,10 +95,11 @@ def test_criterion_2_continued_fractions(ensemble):
 
 
 def test_criterion_3_dsm_cross_route(ensemble):
-    # compute_second itself enforces 1e-10 agreement and raises otherwise;
-    # recompute here so the criterion is exercised explicitly.
+    # compute_second itself enforces ROUTE_RTOL agreement and raises
+    # otherwise; recompute here so the criterion is exercised explicitly.
+    assert dsm_module.ROUTE_RTOL == 1e-10
     for q, n, seq, _, fam, _, _, _ in ensemble:
-        compute_second(seq, fam, rtol=1e-10)
+        compute_second(fam)
     dsm = compute_second(lebesgue(3))
     desk = max(
         abs(dsm.m(0)[0, 0] - 2.0),
@@ -168,8 +169,8 @@ def criterion_7_residuals(ensemble):
             odd_re = resolvent_from_aux(fam, z, "odd")
             odd_d = resolvent_direct(fam, z, "odd")
             worst_aux = max(worst_aux, rel(odd_re.full, odd_d.full))
-            aux_product(fam, 2 * n + 1, z, "tilde-odd", dsm=dsm, rtol=1e-10)
-            aux_product(fam, 2 * (n - 1), z, "hat-even", dsm=dsm, rtol=1e-10)
+            aux_product(fam, 2 * n + 1, z, "tilde-odd")
+            aux_product(fam, 2 * (n - 1), z, "hat-even")
             for k in range(2 * n + 2):
                 factor = bp_factor(fam, k, z)
                 split = bp_split(dsm, k, z)
@@ -189,7 +190,7 @@ def test_criterion_7_auxiliary_and_bp(ensemble):
     worst_aux, worst_pair, worst_det = criterion_7_residuals(ensemble)
     # at desk scale the absolute determinant statement is testable directly
     fam_desk = build_family(lebesgue(5))
-    dsm_desk = compute_second(fam_desk.seq, fam_desk)
+    dsm_desk = compute_second(fam_desk)
     worst_desk_det = max(
         abs(np.linalg.det(bp_factor(fam_desk, k, z)) - 1.0)
         for k in range(6)

@@ -11,8 +11,6 @@ import pytest
 
 from thmm import (
     build_family,
-    compute_first,
-    compute_second,
     extremal_cf,
     extremal_quotient,
     resolvent_factorized,
@@ -83,6 +81,39 @@ def test_analyze_degenerate_exit_3(tmp_path, capsys):
     data = json.loads(out)
     assert data["classification"] == "Degenerate"
     assert abs(data["witness"]["min_eigenvalue"]) < 1e-12
+
+
+@pytest.mark.parametrize("values, witness", [
+    ([0.5 ** j for j in range(3)], "H1[1]"),      # one atom at 0.5: Degenerate
+    ([1.0, 0.5, 1.0 / 3.0, 0.55], "K1[1]"),       # Lebesgue with s_3 raised: Indefinite
+])
+@pytest.mark.parametrize("argv", [
+    ["factorize", "--route", "direct"], ["factorize", "--route", "second"],
+    ["factorize", "--route", "first"], ["extremal", "--which", "krein"],
+    ["extremal", "--which", "friedrichs"],
+])
+def test_evaluation_refuses_input_that_is_not_positive_definite(tmp_path, capsys, values,
+                                                                witness, argv):
+    # build_family accepts both sequences; the classification witness is named
+    inp = write_json(tmp_path / "moments.json", render_json(
+        {"q": 1, "a": 0.0, "b": 1.0, "moments": [np.array([[x]], dtype=complex) for x in values]}))
+    assert main([argv[0], "--input", inp, *argv[1:], "--z=2", "--z=-1+0.5i"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"precondition failure: {witness} is not positive definite"
+                            " (pivot at or below threshold)\n")
+
+
+def test_gen_checks_each_weight_once(tmp_path, capsys, monkeypatch):
+    checked = []
+    monkeypatch.setattr(moments, "min_eigenvalue",
+                        lambda w: checked.append(w) or _linalg.min_eigenvalue(w))
+    weights = (np.eye(2), np.diag([1.0, 2.0]), np.ones((2, 2)))
+    measure = {"a": 0.0, "b": 1.0, "points": [0.2, 0.5, 0.9],
+               "weights": [w.astype(complex) for w in weights]}
+    inp = write_json(tmp_path / "measure.json", measure)
+    assert main(["gen", "--input", inp, "--count", "3", "--output", os.devnull]) == 0
+    assert len(checked) == 3
 
 
 def test_ill_conditioned_input_exits_4_with_its_digits_lost(tmp_path, capsys):
@@ -236,7 +267,6 @@ def test_multi_z_matches_per_point_calls(tmp_path, capsys, rng):
     inp = write_json(tmp_path / "moments.json", moment_file_dict(seq))
     seq = read_moment_file(inp)
     fam = build_family(seq)
-    params = {"second": compute_second(seq, fam), "first": compute_first(fam)}
     # four points on Stieltjes-inversion lines x + 0.01i, five off the interval
     zs = [complex(x, 0.01) for x in (-0.1, 0.3, 0.6, 1.05)] + random_z_points(rng, 5)
     for route in ("second", "first"):
@@ -247,7 +277,7 @@ def test_multi_z_matches_per_point_calls(tmp_path, capsys, rng):
             results = json.loads(out)["results"]
             assert [complex(*res["z"]) for res in results] == zs
             for z, res in zip(zs, results):
-                want = resolvent_factorized(fam, z, parity, route, params=params[route]).full
+                want = resolvent_factorized(fam, z, parity, route).full
                 assert rel(decode_matrix(res["U"]), want) <= 1e-12
     for which in ("krein", "friedrichs"):
         for parity in ("even", "odd"):

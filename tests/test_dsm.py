@@ -29,7 +29,7 @@ from conftest import lebesgue, random_pd_weight, random_sequence, rel
 def leb3():
     seq = lebesgue(3)
     fam = build_family(seq)
-    return seq, fam, compute_second(seq, fam)
+    return seq, fam, compute_second(fam)
 
 
 def test_second_desk_values(leb3):
@@ -207,11 +207,11 @@ def test_route_mismatch_names_the_first_failing_row(monkeypatch):
     # an early and a late row fail; the error names the early one
     seq = lebesgue(5)
     fam = build_family(seq)
-    second = compute_second(seq, fam)
-    err = _route_error(monkeypatch, lambda: compute_second(seq, fam), (1, -1))
+    second = compute_second(fam)
+    err = _route_error(monkeypatch, lambda: compute_second(fam), (1, -1))
     assert (err.what, err.where, err.residual) == ("mhat", "j=1", 1.0)
     # scalar_determinant_params checks mtilde j = 0, 1, 2 and then ltilde j = 0, 1
-    monkeypatch.setattr(dsm_module, "compute_second", lambda seq, fam: second)
+    monkeypatch.setattr(dsm_module, "compute_second", lambda fam: second)
     err = _route_error(monkeypatch, lambda: scalar_determinant_params(seq), (1, -1))
     assert (err.what, err.where) == ("mtilde", "j=1")
     err = _route_error(monkeypatch, lambda: scalar_determinant_params(seq), (3, -1))
@@ -233,7 +233,7 @@ def test_first_m0_is_s0_inverse(rng):
 
 def test_product_identities_desk(leb3):
     seq, fam, dsm = leb3
-    report = product_identities(fam, dsm)
+    report = product_identities(fam, dsm, compute_first(fam))
     # g1_alternating_product at j=1: G1[1](0) = -mhat_0^{-1} lhat_0^{-1} = -1/3
     assert report.residual_for("g1_alternating_product") < 1e-12
     assert report.residual_for("q2_alternating_product") < 1e-12
@@ -263,8 +263,8 @@ def test_product_identities_ensemble(rng):
     for q, n in ((2, 2), (3, 2)):
         seq, _ = random_sequence(rng, q, n)
         fam = build_family(seq)
-        dsm = compute_second(seq, fam)
-        report = product_identities(fam, dsm)
+        dsm = compute_second(fam)
+        report = product_identities(fam, dsm, compute_first(fam))
         gate = [e.residual for e in report.entries if e.name != "p2_sum_through_previous"]
         assert max(gate) < 1e-9
 

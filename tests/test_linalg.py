@@ -350,14 +350,14 @@ def _check_guard(mats):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if expected is None:
-            assert np.array_equal(guard_cond(mats, COND_LIMIT, SingularDenominator),
+            assert np.array_equal(guard_cond(mats, SingularDenominator),
                                   np.linalg.inv(mats), equal_nan=True)
         else:
             with pytest.raises(SingularDenominator) as err:
-                guard_cond(mats, COND_LIMIT, SingularDenominator)
+                guard_cond(mats, SingularDenominator)
             assert err.value.cond.hex() == expected[1].hex()
         pts = PointPrefix(np.arange(len(mats)))
-        inv = guard_cond(mats, COND_LIMIT, SingularDenominator, pts)
+        inv = guard_cond(mats, SingularDenominator, pts)
     cut = len(mats) if expected is None else expected[0] // (len(flat) // len(mats))
     assert len(pts) == cut and np.array_equal(inv, np.linalg.inv(mats[:cut]), equal_nan=True)
     if expected is None:

@@ -503,7 +503,7 @@ def test_classify_keeps_the_factors_of_a_prebuilt_set(monkeypatch):
     # the smaller members' factors are views of the kept one
     assert np.shares_memory(hank.factor("K1", 1), L)
     assert np.array_equal(hank.factor("K1", 1), L[:2, :2])
-    compute_second(hank.seq, build_family(hank))   # reads every member of all four families
+    compute_second(build_family(hank))   # reads every member of all four families
     assert sum(a is hank.K1[2] for a in calls) == 1
     assert len(calls) == 4 and {id(a) for a in calls} == {
         id(getattr(hank, family)[-1]) for family in ("H1", "H2", "K1", "K2")}

@@ -30,7 +30,7 @@ from conftest import lebesgue, random_sequence, random_z_points, rel
 def leb5():
     seq = lebesgue(5)
     fam = build_family(seq)
-    return seq, fam, compute_second(seq, fam), compute_first(fam)
+    return seq, fam, compute_second(fam), compute_first(fam)
 
 
 def test_value_at_left_endpoint_both_parities(leb5):
@@ -44,12 +44,12 @@ def test_value_at_left_endpoint_both_parities(leb5):
 
 
 def test_direct_vs_factorized_lebesgue(leb5):
-    _, fam, dsm, first = leb5
+    _, fam, _, _ = leb5
     for parity in ("even", "odd"):
         for z in (-1.0, 2.5, 1.3 + 0.8j):
             d = resolvent_direct(fam, z, parity)
-            s = resolvent_factorized(fam, z, parity, "second", params=dsm)
-            f = resolvent_factorized(fam, z, parity, "first", params=first)
+            s = resolvent_factorized(fam, z, parity, "second")
+            f = resolvent_factorized(fam, z, parity, "first")
             assert rel(d.full, s.full) < 1e-10
             assert rel(d.full, f.full) < 1e-10
 
@@ -67,13 +67,11 @@ def test_route_equality_ensemble(rng):
     for q, n in ((1, 2), (2, 2), (3, 1)):
         seq, _ = random_sequence(rng, q, n)
         fam = build_family(seq)
-        dsm = compute_second(seq, fam)
-        first = compute_first(fam)
         for parity in ("even", "odd"):
             for z in random_z_points(rng, 5):
                 d = resolvent_direct(fam, z, parity)
-                s = resolvent_factorized(fam, z, parity, "second", params=dsm)
-                f = resolvent_factorized(fam, z, parity, "first", params=first)
+                s = resolvent_factorized(fam, z, parity, "second")
+                f = resolvent_factorized(fam, z, parity, "first")
                 assert rel(d.full, s.full) < 1e-8
                 assert rel(d.full, f.full) < 1e-8
 
@@ -89,7 +87,7 @@ def test_aux_at_left_endpoint_is_identity(leb5):
 def test_aux_shear_identity_asserted(leb5):
     _, fam, _, _ = leb5
     for z in (2.0, -0.7 + 1.1j):
-        aux_matrices(fam, 1, z, check_rtol=1e-12)
+        aux_matrices(fam, 1, z)
 
 
 def test_first_odd_aux_is_first_bp_factor(leb5):
@@ -109,13 +107,13 @@ def test_hat_even_zero_is_two_factor_product(leb5):
 
 
 def test_aux_products_both_kinds(leb5, rng):
-    _, fam, dsm, _ = leb5
+    _, fam, _, _ = leb5
     for z in (2.0, 1j, -1.4 + 0.3j):
-        aux_product(fam, 0, z, "hat-even", dsm=dsm)
-        aux_product(fam, 2, z, "hat-even", dsm=dsm)
-        aux_product(fam, 1, z, "tilde-odd", dsm=dsm)
-        aux_product(fam, 3, z, "tilde-odd", dsm=dsm)
-        aux_product(fam, 5, z, "tilde-odd", dsm=dsm)
+        aux_product(fam, 0, z, "hat-even")
+        aux_product(fam, 2, z, "hat-even")
+        aux_product(fam, 1, z, "tilde-odd")
+        aux_product(fam, 3, z, "tilde-odd")
+        aux_product(fam, 5, z, "tilde-odd")
     seq, _ = random_sequence(rng, 2, 2)
     fam2 = build_family(seq)
     for z in random_z_points(rng, 3):
@@ -154,12 +152,12 @@ def test_bp_factor_equals_split(leb5, rng):
     _, fam, dsm, _ = leb5
     for k in range(6):
         for z in (0.3, 2.0 - 1.0j, -3.0 + 0.5j):
-            bp_pair_check(fam, dsm, k, z, rtol=1e-12)
+            bp_pair_check(fam, dsm, k, z)
     seq, _ = random_sequence(rng, 2, 2)
     fam2 = build_family(seq)
-    dsm2 = compute_second(seq, fam2)
+    dsm2 = compute_second(fam2)
     for k in range(6):
-        bp_pair_check(fam2, dsm2, k, 1.4 + 2.2j, rtol=1e-12)
+        bp_pair_check(fam2, dsm2, k, 1.4 + 2.2j)
 
 
 def test_bp_factor_unit_determinant(leb5):
@@ -209,11 +207,11 @@ def product(factors):
 
 
 def test_factor_chain_matches_direct(leb5, rng):
-    _, fam, dsm, first = leb5
+    _, fam, _, _ = leb5
     for parity in ("even", "odd"):
-        for route, params in (("second", dsm), ("first", first)):
+        for route in ("second", "first"):
             zs = [2.5, -1.3 + 0.4j]
-            values = product(resolvent_factors(fam, zs, parity, route, params=params))
+            values = product(resolvent_factors(fam, zs, parity, route))
             for k, z in enumerate(zs):
                 d = resolvent_direct(fam, z, parity)
                 assert rel(values[k], d.full) < 1e-10
@@ -228,21 +226,20 @@ def test_factor_chain_matches_direct(leb5, rng):
 def test_many_is_the_stack_of_single_points(rng):
     seq, _ = random_sequence(rng, 2, 2)
     fam = build_family(seq)
-    dsm = compute_second(seq, fam)
     zs = random_z_points(rng, 6) + [complex(x, 0.01) for x in (0.2, 0.9)]
     for parity in ("even", "odd"):
         direct = resolvent_direct_many(fam, zs, parity)
-        second = resolvent_factorized_many(fam, zs, parity, "second", params=dsm)
+        second = resolvent_factorized_many(fam, zs, parity, "second")
         first = resolvent_factorized_many(fam, zs, parity, "first")
         assert direct.shape == second.shape == first.shape == (len(zs), 4, 4)
         for k, z in enumerate(zs):
             assert np.array_equal(direct[k], resolvent_direct(fam, z, parity).full)
             assert np.array_equal(
-                second[k], resolvent_factorized(fam, z, parity, "second", params=dsm).full)
+                second[k], resolvent_factorized(fam, z, parity, "second").full)
             assert np.array_equal(first[k], resolvent_factorized(fam, z, parity, "first").full)
         # the printed product is the left-to-right product of the factor list
         assert np.array_equal(
-            second, product(resolvent_factors(fam, zs, parity, "second", params=dsm)))
+            second, product(resolvent_factors(fam, zs, parity, "second")))
         assert np.array_equal(first, product(resolvent_factors(fam, zs, parity, "first")))
 
 
