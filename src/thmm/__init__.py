@@ -27,6 +27,7 @@ from .errors import (
     SingularNormalization,
     SingularPivot,
     ThmmError,
+    WrongChainKind,
     WrongMatrixSize,
 )
 from .moments import (

@@ -308,12 +308,38 @@ def build_parser():
     return parser
 
 
+def _set_aside_z_runs(argv):
+    """(argv with each run of "--z=<lit>" tokens cut to its first token, the cut literals).
+
+    argparse spends about 10 us on each option token, so a call with many
+    points hands it each run as one token.  Only a factorize or extremal
+    command line is cut, and only before its first "--".  There every --z
+    token is one occurrence of --z, so after a parse that succeeds the k-th
+    --z token kept gave args.z[k]; the literals cut after it are tails[k].
+    """
+    kept, tails, count = [], {}, 0
+    if argv[:1] not in (["factorize"], ["extremal"]):
+        return argv, tails
+    for i, token in enumerate(argv):
+        if token == "--":
+            return kept + argv[i:], tails
+        if token.startswith("--z=") and kept[-1].startswith("--z="):
+            tails.setdefault(count - 1, []).append(token[len("--z="):])
+            continue
+        count += token == "--z" or token.startswith("--z=")
+        kept.append(token)
+    return kept, tails
+
+
 def main(argv=None):
     parser = build_parser()
+    argv, tails = _set_aside_z_runs(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
+    if tails:
+        args.z = [lit for k, head in enumerate(args.z) for lit in (head, *tails.get(k, ()))]
     # looked up per call, not bound into the cached parser, so a cmd_* function
     # rebound in this module (a tracer, a test) is the one that runs
     command = globals()["cmd_" + args.command.replace("-", "_")]

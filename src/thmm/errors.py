@@ -79,6 +79,19 @@ class SingularDenominator(ThmmError):
         self.cond = cond
 
 
+class WrongChainKind(ThmmError):
+    """A DSM chain passed to an extremal continued fraction is not the kind it reads."""
+
+    def __init__(self, which, parity, expected, given):
+        super().__init__(
+            f"the {which} solution at {parity} parity reads a {expected} chain, got a {given}"
+        )
+        self.which = which
+        self.parity = parity
+        self.expected = expected
+        self.given = given
+
+
 class PointOnInterval(ThmmError):
     """Extremal solutions are only defined off the moment interval [a, b]."""
 

@@ -27,6 +27,7 @@ from .errors import (
     PointOnInterval,
     SingularDenominator,
     SingularLevel,
+    WrongChainKind,
 )
 from .polynomials import adjoint_eval, ensure_family
 from .resolvent import ResolventValue, _order, resolvent_direct_many
@@ -138,10 +139,13 @@ def _chain_params(source, parity, which):
     second_kind = (which == "friedrichs") == (parity == "even")
 
     params = source
+    expected = DsmSecond if second_kind else DsmFirst
     if not isinstance(source, (DsmSecond, DsmFirst)):
         fam = ensure_family(source)
         params = compute_second(fam) if second_kind else compute_first(fam)
         n = _order(fam.seq, parity)
+    elif not isinstance(params, expected):
+        raise WrongChainKind(which, parity, expected.__name__, type(params).__name__)
     elif second_kind:
         n_l = len(params.lhat_from_zero)
         if parity == "even":

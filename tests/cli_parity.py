@@ -17,7 +17,8 @@ sha256 of its stdout and of each file it was asked to write (--output,
   analyze, factorize (every route and parity) and extremal, so that a
   change to the sign of a zero in any intermediate shows;
 - z at a, at b, inside [a, b], at 1e200 and at 1e-300;
-- gen, recover and scalar-report on good and bad input, and parse failures.
+- gen, recover and scalar-report on good and bad input, and parse failures,
+  runs of --z=<lit> tokens among them.
 
 Inputs are written with the json module, never by thmm, so every version
 reads the same bytes.  thmm is imported from PYTHONPATH, so one checkout of
@@ -238,6 +239,24 @@ def corpus(workdir):
         yield f"parse/z/{z}", ["factorize", "--input", good, f"--z={z}"]
     yield "parse/z/none", ["extremal", "--input", good]
     yield "parse/z/negative-after-space", ["factorize", "--input", good, "--z", "-0.2+0.1i"]
+    # runs of --z=<lit> tokens among space-form --z, other options, "--" and -h
+    zrun = {
+        "golden-mixed": ["--z", "2+1i", "--z=-0.2+0.1i", "--z", "0.5+0.01i", "--z", "3"],
+        "runs": ["--z=2+1i", "--z=-0.2+0.1i", "--z", "0.5+0.01i", "--z=3", "--z=4"],
+        "run-of-64": [f"--z={k}.5+0.25i" for k in range(2, 66)],
+        "rtol-before-a-literal": ["--rtol", "--z=1", "5"],
+        "after-dashes": ["--z=1", "--", "--z=2", "--z=3"],
+        "empty": ["--z="],
+        "empty-in-run": ["--z=2", "--z=", "--z=3"],
+        "help-in-run": ["--z=2", "-h", "--z=3"],
+        "route-in-run": ["--z=1", "--route=first", "--z=3"],
+        "nul": ["--z=1\x002"],
+        "nul-in-run": ["--z=2", "--z=1\x002", "--z=3"],
+    }
+    for name, args in zrun.items():
+        for command in ("factorize", "extremal"):
+            yield f"parse/zrun/{name}/{command}", [command, "--input", good, *args]
+    yield "parse/zrun/analyze", ["analyze", "--input", good, "--z=1", "--z=2"]
     for rtol in ("-1", "nan", "inf", "x"):
         yield f"parse/rtol/{rtol}", ["factorize", "--input", good, "--z", "2", "--rtol", rtol]
     yield "parse/missing_file", ["analyze", "--input", str(work / "absent.json")]

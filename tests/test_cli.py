@@ -529,6 +529,72 @@ def test_reused_parser_keeps_calls_apart(tmp_path, capsys):
     assert code == 0 and "--rtol" in out
 
 
+GOLDEN_Q1 = str(Path(__file__).parent / "golden" / "moments_q1.json")
+UNKNOWN = "thmm: error: unrecognized arguments: "
+BAD_LITERAL = "input error: cannot parse complex literal {} (expected A, A+Bi, or A-Bi)\n"
+
+
+# argv after "--input FILE": exit code, the points of the report (stdout
+# starts with "usage: thmm " where None) and the last line of stderr
+@pytest.mark.parametrize("command, args, code, points, err", [
+    ("factorize", ["--z", "2+1i", "--z=-0.2+0.1i", "--z", "0.5+0.01i", "--z", "3"], 0,
+     [[2, 1], [-0.2, 0.1], [0.5, 0.01], [3, 0]], ""),
+    ("extremal", ["--z=2+1i", "--z=-0.2+0.1i", "--z", "0.5+0.01i", "--z=3", "--z=4"], 0,
+     [[2, 1], [-0.2, 0.1], [0.5, 0.01], [3, 0], [4, 0]], ""),
+    ("factorize", ["--rtol", "--z=1", "5"], 2, [],
+     "thmm factorize: error: argument --rtol: expected one argument\n"),
+    ("factorize", ["--z=1", "--", "--z=2", "--z=3"], 2, [], UNKNOWN + "-- --z=2 --z=3\n"),
+    ("analyze", ["--z=1", "--z=2"], 2, [], UNKNOWN + "--z=1 --z=2\n"),
+    ("factorize", ["--z="], 2, [], BAD_LITERAL.format("''")),
+    ("factorize", ["--z=2", "--z="], 2, [], BAD_LITERAL.format("''")),
+    ("extremal", ["--z=2", "-h", "--z=3"], 0, None, ""),
+    ("extremal", ["--z=2", "--z=3", "-h"], 0, None, ""),
+    ("factorize", ["--z=1", "--route=first", "--z=3"], 0, [[1, 0], [3, 0]], ""),
+    ("factorize", ["--z=1\x002"], 2, [], BAD_LITERAL.format("'1\\x002'")),
+    ("factorize", ["--z=2", "--z=1\x002", "--z=3"], 2, [], BAD_LITERAL.format("'1\\x002'")),
+])
+def test_runs_of_z_literals_parse_as_separate_tokens(capsys, monkeypatch, command, args, code,
+                                                      points, err):
+    argv = [command, "--input", GOLDEN_Q1, *args]
+
+    def outcome():
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    got = outcome()
+    # the same command line with every --z token handed to argparse
+    monkeypatch.setattr(cli, "_set_aside_z_runs", lambda argv: (argv, {}))
+    assert got == outcome()
+    assert got[0] == code and got[2].endswith(err) and (got[2] == "") == (err == "")
+    if points is None:
+        assert got[1].startswith(f"usage: thmm {command}")
+    elif points:
+        assert [r["z"] for r in json.loads(got[1])["results"]] == points
+    else:
+        assert got[1] == ""
+
+
+def test_a_run_of_z_literals_reaches_argparse_once(capsys, monkeypatch):
+    calls = []
+    real_call = argparse._AppendAction.__call__
+
+    def call(self, parser, namespace, values, option_string=None):
+        calls.append(values)
+        real_call(self, parser, namespace, values, option_string)
+
+    monkeypatch.setattr(argparse._AppendAction, "__call__", call)
+    zs = [f"{k}.5+0.25i" for k in range(2, 66)]
+    code, out = run(capsys, ["extremal", "--input", GOLDEN_Q1, *(f"--z={z}" for z in zs)])
+    assert code == 0 and calls == [zs[0]]
+    assert [r["z"] for r in json.loads(out)["results"]] == [[k + 0.5, 0.25] for k in range(2, 66)]
+    calls.clear()
+    code, out = run(capsys, ["factorize", "--input", GOLDEN_Q1, "--z=2", "--z=3", "--z", "4",
+                             "--z=5", "--z=6", "--z=7"])
+    assert code == 0 and calls == ["2", "4", "5"]
+    assert [r["z"] for r in json.loads(out)["results"]] == [[k, 0] for k in range(2, 8)]
+
+
 @pytest.mark.parametrize("command", [["factorize", "--z=-1"], ["extremal", "--z=-1"],
                                      ["scalar-report"]])
 @pytest.mark.parametrize("rtol", ["nan", "inf", "-1e-8", "tight"])

@@ -10,6 +10,8 @@ from thmm import (
     PointOnInterval,
     SingularDenominator,
     SingularLevel,
+    ThmmError,
+    WrongChainKind,
     build_family,
     compute_first,
     compute_second,
@@ -153,6 +155,28 @@ def test_chain_accepts_prebuilt_params():
     first = compute_first(seq)
     cf2 = extremal_cf(first, -1.0, "odd", "friedrichs")
     assert abs(cf2[0, 0] - 9.0 / 13.0) < 1e-13
+
+
+@pytest.mark.parametrize("which, parity, given", [
+    ("krein", "even", "DsmSecond"), ("friedrichs", "odd", "DsmSecond"),
+    ("friedrichs", "even", "DsmFirst"), ("krein", "odd", "DsmFirst"),
+])
+@pytest.mark.parametrize("call", [
+    lambda chain, parity, which: extremal_chain(chain, -1.0, parity, which),
+    lambda chain, parity, which: extremal_cf(chain, -1.0, parity, which),
+    lambda chain, parity, which: extremal_cf_many(chain, [-1.0, 2.0], parity, which),
+], ids=["chain", "cf", "cf_many"])
+def test_chain_of_the_wrong_kind_is_named(call, which, parity, given):
+    seq = lebesgue(3)
+    chain = compute_second(seq) if given == "DsmSecond" else compute_first(seq)
+    expected = "DsmFirst" if given == "DsmSecond" else "DsmSecond"
+    with pytest.raises(WrongChainKind) as info:
+        call(chain, parity, which)
+    assert isinstance(info.value, ThmmError)
+    assert (info.value.which, info.value.parity) == (which, parity)
+    assert (info.value.expected, info.value.given) == (expected, given)
+    assert str(info.value) == (f"the {which} solution at {parity} parity reads a {expected}"
+                               f" chain, got a {given}")
 
 
 def test_singular_level():
