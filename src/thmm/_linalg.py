@@ -15,6 +15,7 @@ Both the factorization and the solves are NumPy's LAPACK calls
 LAPACK routine is bound directly.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -182,11 +183,6 @@ class PointPrefix:
         self.zs = np.asarray(zs, dtype=complex).reshape(-1)
         self.error = None
 
-    @classmethod
-    def of(cls, zs):
-        """zs itself if it is a PointPrefix, else a new one over the points zs."""
-        return zs if isinstance(zs, cls) else cls(zs)
-
     def __len__(self):
         return len(self.zs)
 
@@ -206,6 +202,26 @@ class PointPrefix:
     def finish(self):
         if self.error is not None:
             raise self.error
+
+
+def point_prefix(evaluate):
+    """Call evaluate(source, pts, ...) as f(source, zs, ...), pts the PointPrefix of zs.
+
+    zs may be a PointPrefix shared with other stacked calls: the call then
+    records its first failing point there, for the owner's finish() to raise
+    what a loop over z raises.  Otherwise the call owns a new prefix, and
+    raises what the one-point call raises at the first failing point.
+    """
+    @functools.wraps(evaluate)
+    def stacked(source, zs, *args, **kwargs):
+        pts = zs if isinstance(zs, PointPrefix) else PointPrefix(zs)
+        pts.shared_stage()
+        value = evaluate(source, pts, *args, **kwargs)
+        if pts is not zs:
+            pts.finish()
+        return value
+
+    return stacked
 
 
 def guard_cond(mats, error, points=None):

@@ -18,8 +18,10 @@ import numpy as np
 
 from . import io as tio
 from .dsm import (
+    P2_VARIANTS,
     compute_first,
     compute_second,
+    p2_supported,
     product_identities,
     recover_moments,
     scalar_determinant_params,
@@ -55,6 +57,7 @@ _INPUT_ERRORS = (
     PointOutsideInterval,
     InconsistentLengths,
     WrongMatrixSize,
+    OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,   # reading and parsing
 )
 _MATH_ERRORS = (
     SingularPivot,
@@ -137,10 +140,9 @@ def cmd_analyze(args):
     report["identity_notes"] = list(prod_report.notes)
     # one of the two checked P2 partial-sum variants is expected to fail;
     # the supported one stays in the gate, the other is reported above
-    variants = ("p2_sum_through_current", "p2_sum_through_previous")
-    rejected = max(variants, key=prod_report.residual_for)
+    rejected = set(P2_VARIANTS) - {p2_supported(prod_report)}
     report["max_identity_residual"] = max(
-        fam_report.max_residual, prod_report.max_residual_excluding(rejected)
+        fam_report.max_residual, prod_report.max_residual_excluding(*rejected)
     )
     _emit(report, args.output)
     if args.params_out:
@@ -346,9 +348,6 @@ def main(argv=None):
     try:
         return command(args)
     except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except RouteMismatch as exc:

@@ -67,6 +67,12 @@ ROUTE_RTOL = 1e-10
 # times it).
 ACCURACY_RTOL = 1e-8
 
+# recover_moments' Hermitian test of a parameter x: ||x - x^*||_F <= it * (1 + ||x||_F)
+PARAM_HERMITIAN_RTOL = 1e-10
+
+# the two printed variants of the P2 partial-sum identity, both in product_identities
+P2_VARIANTS = ("p2_sum_through_current", "p2_sum_through_previous")
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DsmSecond:
@@ -315,20 +321,24 @@ def product_identities(fam, dsm, first):
             np.linalg.solve(at_a(fam.p1[j + 1]), at_a(fam.t2[j])))
 
     report = checks.report()
-    if "p2_sum_through_current" not in report.names():
+    if P2_VARIANTS[0] not in report.names():
         return report
-    cur, prev = (report.residual_for(f"p2_sum_through_{which}")
-                 for which in ("current", "previous"))
-    supported = "p2_sum_through_current" if cur <= prev else "p2_sum_through_previous"
+    cur, prev = map(report.residual_for, P2_VARIANTS)
     return IdentityReport(report.entries, (
-        f"P2 partial-sum identity: numerics support {supported} "
+        f"P2 partial-sum identity: numerics support {p2_supported(report)} "
         f"(max residuals {cur:.3e} vs {prev:.3e})",))
+
+
+def p2_supported(report):
+    """The P2 variant a product_identities report supports: the smaller largest residual, current on a tie."""
+    cur, prev = map(report.residual_for, P2_VARIANTS)
+    return P2_VARIANTS[cur > prev]
 
 
 def _require_pd_param(x, name, index):
     """The Hermitian part of a positive definite parameter, and its Cholesky factor."""
     mat = np.asarray(x, dtype=complex)
-    if np.linalg.norm(mat - mat.conj().T) > 1e-10 * (1.0 + np.linalg.norm(mat)):
+    if np.linalg.norm(mat - mat.conj().T) > PARAM_HERMITIAN_RTOL * (1.0 + np.linalg.norm(mat)):
         raise NonPositiveParameter(name, index)
     herm = hermitize(mat)
     L = cholesky_pd(herm)

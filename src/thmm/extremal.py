@@ -22,7 +22,7 @@ import dataclasses
 
 import numpy as np
 
-from ._linalg import PointPrefix, guard_cond, rel_residuals, right_quotient, scalars
+from ._linalg import guard_cond, point_prefix, rel_residuals, right_quotient, scalars
 from .errors import (
     PointOnInterval,
     SingularDenominator,
@@ -98,15 +98,15 @@ class ContinuedFractionChain:
         return len(self.levels)
 
 
+@point_prefix
 def _evaluate(chain, pts):
-    """Bottom-up evaluation of a continued fraction stacked over the points of pts.
+    """Bottom-up evaluation of a continued fraction stacked over the points zs.
 
     Head and levels are (K, q, q) stacks; a level sum that is not
-    invertible at a point records SingularLevel for that point in pts.
-    Each level's inverse is the one guard_cond formed to check it.
+    invertible at a point fails that point with SingularLevel.  Each
+    level's inverse is the one guard_cond formed to check it.
     """
     if chain.depth == 0:
-        pts.shared_stage()
         if chain.head is None:
             raise SingularLevel(0)
         return np.array(chain.head)
@@ -119,15 +119,12 @@ def _evaluate(chain, pts):
 
 def evaluate_chain(chain):
     """Bottom-up evaluation of a finite matrix continued fraction."""
-    pts = PointPrefix([0.0])
     stacked = ContinuedFractionChain(
         head=None if chain.head is None else np.asarray(chain.head)[None],
         levels=tuple(np.asarray(level)[None] for level in chain.levels),
         tags=chain.tags,
     )
-    value = _evaluate(stacked, pts)
-    pts.finish()
-    return value[0]
+    return _evaluate(stacked, [0.0])[0]
 
 
 def _chain_params(source, parity, which):
@@ -146,16 +143,10 @@ def _chain_params(source, parity, which):
         n = _order(fam.seq, parity)
     elif not isinstance(params, expected):
         raise WrongChainKind(which, parity, expected.__name__, type(params).__name__)
-    elif second_kind:
-        n_l = len(params.lhat_from_zero)
-        if parity == "even":
-            n = min(len(params.mhat), n_l)
-        else:
-            n = min(len(params.mhat) - 1, n_l)
-    elif parity == "even":
-        n = min(len(params.M) - 1, len(params.L))
+    elif second_kind:   # mhat_n is read at odd parity, M_n always and L_n at odd parity
+        n = min(len(params.mhat) - (parity == "odd"), len(params.lhat_from_zero))
     else:
-        n = min(len(params.M), len(params.L)) - 1
+        n = min(len(params.M) - 1, len(params.L) - (parity == "odd"))
     return params, n, second_kind
 
 
@@ -203,22 +194,16 @@ def extremal_chain(source, z, parity, which):
     return _chain(z, parity, *_chain_params(source, parity, which))
 
 
-def extremal_cf_many(source, zs, parity, which):
+@point_prefix
+def extremal_cf_many(source, pts, parity, which):
     """Extremal solution values via the continued fraction, at K points at once.
 
     Returns the (K, q, q) stack of values at the points zs.  The parameter
     chain is built once and the fraction is evaluated level by level over
-    the whole stack.  A failure raises what extremal_cf raises at the first
-    failing point.  zs may also be a PointPrefix shared with other stacked
-    calls, which then records the failure for its finish() to raise.
+    the whole stack.  Failures are as point_prefix describes.
     """
-    pts = PointPrefix.of(zs)
-    pts.shared_stage()
     chain = _chain(pts.zs, parity, *_chain_params(source, parity, which))
-    value = _evaluate(chain, pts)
-    if pts is not zs:
-        pts.finish()
-    return value
+    return _evaluate(chain, pts)
 
 
 def extremal_cf(source, z, parity, which):
@@ -241,7 +226,8 @@ class ExtremalSet:
     cross_residual: float
 
 
-def extremal_quotient_many(source, zs, parity):
+@point_prefix
+def extremal_quotient_many(source, pts, parity):
     """Extremal solutions as block quotients of polynomial values, at K points at once.
 
     Even parity: sK = T2[n]^*(zbar) / ((z-a) G2[n]^*(zbar)),
@@ -251,14 +237,10 @@ def extremal_quotient_many(source, zs, parity):
     Cross-checked against the Moebius route through the resolvent at the
     constant pairs (I, 0) and (0, I); the largest deviation is reported.
 
-    Returns an ExtremalSet stacked over the points zs.  A failure raises
-    what extremal_quotient raises at the first failing point.  zs may also
-    be a PointPrefix shared with other stacked calls, which then records
-    the failure for its finish() to raise.
+    Returns an ExtremalSet stacked over the points zs.  Failures are as
+    point_prefix describes.
     """
     fam = ensure_family(source)
-    pts = PointPrefix.of(zs)
-    pts.shared_stage()
     seq = fam.seq
     a, b = seq.a, seq.b
     z = pts.zs
@@ -284,8 +266,6 @@ def extremal_quotient_many(source, zs, parity):
     moebius = right_quotient(
         *_mobius_terms(u[:, None], np.stack([eye, zero]), np.stack([zero, eye])), points=pts
     )
-    if pts is not zs:
-        pts.finish()
     sk, sf = pair[:len(pts), 0], pair[:len(pts), 1]
     cross = np.maximum(rel_residuals(sk, moebius[:, 0]), rel_residuals(sf, moebius[:, 1]))
     return ExtremalSet(sK=sk, sF=sf, parity=parity, z=pts.zs, cross_residual=cross)

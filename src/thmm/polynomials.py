@@ -88,6 +88,14 @@ def adjoint_eval(p, z):
     return acc
 
 
+def _adjoint_inverse(p, a):
+    """adjoint_eval(p, a)^{-1}; SingularNormalization where it cannot be inverted."""
+    try:
+        return np.linalg.inv(adjoint_eval(p, a))
+    except np.linalg.LinAlgError as exc:
+        raise SingularNormalization(f"{p.family}[{p.index}]^*(a) is numerically singular") from exc
+
+
 def _schur_row(hank, family, j, q):
     """Blocks of the Schur row (-x_j^*, I_q) of family; the bare (I_q,) when j = 0."""
     eye = np.eye(q, dtype=complex)
@@ -136,7 +144,7 @@ class PolynomialFamily:
     the source Hankel set, with its factors, solves and Schur complements,
     so downstream constructions reuse them without rebuilding, and keeps
     each polynomial's value at a once it has been asked for (at_a,
-    adjoint_at_a).
+    adjoint_at_a, normalizer).
     """
 
     seq: MomentSequence
@@ -158,6 +166,10 @@ class PolynomialFamily:
     def adjoint_at_a(self, p):
         """adjoint_eval(p, a) for a polynomial p of this family, as a read-only array."""
         return self._value_at_a(p, adjoint_eval)
+
+    def normalizer(self, p):
+        """The normalizer X^*(a)^{-1} for the polynomial X = p, as a read-only array."""
+        return self._value_at_a(p, _adjoint_inverse)
 
     def _value_at_a(self, p, evaluate):
         key = (evaluate.__name__, p.family, p.index)
@@ -316,19 +328,11 @@ def verify_family_identities(fam, measure=None, zs=None):
         checks.add_stack(name, [f"j={j},{label}" for label in labels], lhs, rhs)
 
     for j in range(min(len(fam.g2), len(fam.t2), len(hank.H1))):
-        try:
-            t2a_inv = np.linalg.inv(adjoint_at_a(fam.t2[j]))
-        except np.linalg.LinAlgError as exc:
-            raise SingularNormalization(f"T2[{j}] value at a is singular") from exc
-        lhs = adjoint_eval(fam.g2[j], points) @ t2a_inv
+        lhs = adjoint_eval(fam.g2[j], points) @ fam.normalizer(fam.t2[j])
         rhs = -_adjoint(r_points(j) @ hank.column("H1", j)) @ hank.transfer("H1", j)
         add_points("ratio_g2_t2", j, lhs, rhs)
     for j in range(min(max(len(fam.q1) - 1, 0), max(len(fam.p1) - 1, 0), len(hank.K2))):
-        try:
-            p1a_inv = np.linalg.inv(adjoint_at_a(fam.p1[j + 1]))
-        except np.linalg.LinAlgError as exc:
-            raise SingularNormalization(f"P1[{j + 1}] value at a is singular") from exc
-        lhs = adjoint_eval(fam.q1[j + 1], points) @ p1a_inv
+        lhs = adjoint_eval(fam.q1[j + 1], points) @ fam.normalizer(fam.p1[j + 1])
         rhs = -_adjoint(r_points(j) @ hank.column("K2", j)) @ hank.transfer("K2", j)
         add_points("ratio_q1_p1", j, lhs, rhs)
 

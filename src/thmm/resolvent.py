@@ -26,7 +26,7 @@ import functools
 
 import numpy as np
 
-from ._linalg import PointPrefix, rel_residual, scalars
+from ._linalg import point_prefix, rel_residual, scalars
 from .errors import (
     InsufficientMoments,
     PoleAtZ,
@@ -87,7 +87,6 @@ class ResolventValue:
     q: int
     parity: str
     z: complex
-    fallback_direct: bool = False
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.full)):
@@ -120,13 +119,6 @@ def _order(seq, parity):
     raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
-def _inv_normalizer(value, what):
-    try:
-        return np.linalg.inv(value)
-    except np.linalg.LinAlgError as exc:
-        raise SingularNormalization(f"{what} is numerically singular") from exc
-
-
 def _not_finite(z):
     return SingularNormalization(f"resolvent value at z={z} is not finite")
 
@@ -138,7 +130,8 @@ def _finite(pts, full):
     return full[:len(pts)]
 
 
-def resolvent_direct_many(source, zs, parity):
+@point_prefix
+def resolvent_direct_many(source, pts, parity):
     """Resolvent by block quotients of polynomial values, at K points at once.
 
     Even parity (m = 2n) uses the interval families:
@@ -153,47 +146,44 @@ def resolvent_direct_many(source, zs, parity):
         delta = P1[n+1]^*(zbar) P1[n+1]^{*-1}(a)
 
     Returns the (K, 2q, 2q) stack of values at the points zs; the
-    normalizer inverses at a are formed once.  A failure raises what
-    resolvent_direct raises at the first failing point.  zs may also be a
-    PointPrefix shared with other stacked calls, which then records the
-    failure for its finish() to raise.
+    normalizer inverses at a are the family's.  Failures are as point_prefix
+    describes.
     """
     fam = ensure_family(source)
-    pts = PointPrefix.of(zs)
-    pts.shared_stage()
     seq = fam.seq
     a, b = seq.a, seq.b
     n = _order(seq, parity)
     z = pts.zs
     zc = z[:, None, None]
     if parity == "even":
-        inv_t2a = _inv_normalizer(fam.adjoint_at_a(fam.T2(n)), f"T2[{n}]^*(a)")
-        inv_g1a = _inv_normalizer(fam.adjoint_at_a(fam.G1(n)), f"G1[{n}]^*(a)")
+        inv_t2a = fam.normalizer(fam.T2(n))
+        inv_g1a = fam.normalizer(fam.G1(n))
         alpha = adjoint_eval(fam.T2(n), z) @ inv_t2a
         beta = adjoint_eval(fam.T1(n), z) @ inv_g1a / (b - a)
         gamma = (zc - a) * adjoint_eval(fam.G2(n), z) @ inv_t2a
         scale = scalars(lambda x: (b - x) / (b - a), z)[:, None, None]
         delta = scale * adjoint_eval(fam.G1(n), z) @ inv_g1a
     else:
-        inv_q2a = _inv_normalizer(fam.adjoint_at_a(fam.Q2(n)), f"Q2[{n}]^*(a)")
-        inv_p1a = _inv_normalizer(fam.adjoint_at_a(fam.P1(n + 1)), f"P1[{n + 1}]^*(a)")
+        inv_q2a = fam.normalizer(fam.Q2(n))
+        inv_p1a = fam.normalizer(fam.P1(n + 1))
         alpha = adjoint_eval(fam.Q2(n), z) @ inv_q2a
         beta = -adjoint_eval(fam.Q1(n + 1), z) @ inv_p1a
         scale = scalars(lambda x: -(x - a) * (b - x), z)[:, None, None]
         gamma = scale * adjoint_eval(fam.P2(n), z) @ inv_q2a
         delta = adjoint_eval(fam.P1(n + 1), z) @ inv_p1a
-    full = _finite(pts, _assemble(alpha, beta, gamma, delta))
-    if pts is not zs:
-        pts.finish()
-    return full
+    return _finite(pts, _assemble(alpha, beta, gamma, delta))
+
+
+def _at_point(many, source, z, parity, *route):
+    """many at the single point z, as a ResolventValue."""
+    fam = ensure_family(source)
+    z = complex(z)
+    return ResolventValue(full=many(fam, [z], parity, *route)[0], q=fam.seq.q, parity=parity, z=z)
 
 
 def resolvent_direct(source, z, parity):
     """resolvent_direct_many at the single point z, as a ResolventValue."""
-    fam = ensure_family(source)
-    z = complex(z)
-    full = resolvent_direct_many(fam, [z], parity)[0]
-    return ResolventValue(full=full, q=fam.seq.q, parity=parity, z=z)
+    return _at_point(resolvent_direct_many, source, z, parity)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -290,7 +280,10 @@ def bp_factor(fam, k, z):
     """Blaschke-Potapov factor d^(k), affine in z, from polynomial values at a.
 
     d^(0) is the plain moment shear; even k = 2j + 2 is driven by
-    (P2[j], Q2[j], hhat2[j]); odd k = 2j + 1 by (G1[j], T1[j], khat1[j]).
+    (x, y, complement) = (P2[j], Q2[j], hhat2[j]), odd k = 2j + 1 by
+    (G1[j], T1[j], khat1[j]).  With S = complement^{-1} (x(a), y(a)) and w
+    = z - a for even k, -(z - a) for odd k, the factor is
+        [[I + w y^* S_x, (z - a) y^* S_y], [-(z - a) x^* S_x, I - w x^* S_y]].
     Every factor equals the identity at z = a and has determinant one.
     """
     fam = ensure_family(fam)
@@ -301,28 +294,19 @@ def bp_factor(fam, k, z):
     eye = _eye(q)
     if k == 0:
         return _up((z - a) * seq.s[0])
-    if k % 2 == 1:
-        j = (k - 1) // 2
-        g = fam.at_a(fam.G1(j))
-        t = fam.at_a(fam.T1(j))
-        solved = fam.hankels.schur_solve("K1", j, np.hstack([g, t]))
-        sg, st = solved[:, :q], solved[:, q:]
-        g_adj, t_adj = g.conj().T, t.conj().T
-        alpha = eye - (z - a) * t_adj @ sg
-        beta = (z - a) * t_adj @ st
-        gamma = -(z - a) * g_adj @ sg
-        delta = eye + (z - a) * g_adj @ st
+    j, even = divmod(k - 1, 2)
+    if even:
+        x, y, family, w = fam.P2(j), fam.Q2(j), "H2", z - a
     else:
-        j = (k - 2) // 2
-        p = fam.at_a(fam.P2(j))
-        qq = fam.at_a(fam.Q2(j))
-        solved = fam.hankels.schur_solve("H2", j, np.hstack([p, qq]))
-        sp, sq = solved[:, :q], solved[:, q:]
-        p_adj, q_adj = p.conj().T, qq.conj().T
-        alpha = eye + (z - a) * q_adj @ sp
-        beta = (z - a) * q_adj @ sq
-        gamma = -(z - a) * p_adj @ sp
-        delta = eye - (z - a) * p_adj @ sq
+        x, y, family, w = fam.G1(j), fam.T1(j), "K1", -(z - a)   # an exact negation
+    x, y = fam.at_a(x), fam.at_a(y)
+    solved = fam.hankels.schur_solve(family, j, np.hstack([x, y]))
+    sx, sy = solved[:, :q], solved[:, q:]
+    x_adj, y_adj = x.conj().T, y.conj().T
+    alpha = eye + w * y_adj @ sx
+    beta = (z - a) * y_adj @ sy
+    gamma = -(z - a) * x_adj @ sx
+    delta = eye - w * x_adj @ sy
     return _assemble(alpha, beta, gamma, delta)
 
 
@@ -373,22 +357,17 @@ def aux_product(source, order, z, kind):
     z = complex(z)
     dsm = compute_second(fam)
 
-    if kind == "tilde-odd":
-        if order % 2 != 1:
-            raise ValueError("tilde-odd product takes an odd order 2j + 1")
-        j = (order - 1) // 2
-        factors = [bp_factor(fam, 2 * k + 1, z) for k in range(j + 1)]
-        direct = aux_tilde_odd(fam, j, z).value
-        telescoped = _second_core(dsm, z - a, "odd", j + 1, -dsm.r(j))
-    elif kind == "hat-even":
-        if order % 2 != 0:
-            raise ValueError("hat-even product takes an even order 2j")
-        j = order // 2
-        factors = [bp_factor(fam, 2 * k, z) for k in range(j + 2)]
-        direct = aux_hat_even(fam, j, z).value
-        telescoped = _second_core(dsm, z - a, "even", j + 1, dsm.t(j))
-    else:
+    orders = {"tilde-odd": ("odd", "an odd order 2j + 1"), "hat-even": ("even", "an even order 2j")}
+    if kind not in orders:
         raise ValueError(f"kind must be 'tilde-odd' or 'hat-even', got {kind!r}")
+    parity, takes = orders[kind]
+    if order % 2 != (parity == "odd"):
+        raise ValueError(f"{kind} product takes {takes}")
+    j = order // 2
+    factors = [bp_factor(fam, k, z) for k in range(order % 2, 2 * j + 3, 2)]
+    direct = _aux_blocks(fam, j, z, kind)
+    tail = -dsm.r(j) if parity == "odd" else dsm.t(j)
+    telescoped = _second_core(dsm, z - a, parity, j + 1, tail)
 
     product = functools.reduce(np.matmul, factors)
     res_bp = rel_residual(product, direct)
@@ -448,10 +427,10 @@ def resolvent_from_aux(source, z, parity):
 
 
 def _tail_second_even(fam, n):
+    """that_{n-1} + T2[n](a)^{-1} G2[n](a) / (b - a), with that_{-1} = 0."""
     at_a = fam.at_a
-    g = np.linalg.solve(at_a(fam.Q2(n - 1)), at_a(fam.P2(n - 1)))
-    g = g + np.linalg.solve(at_a(fam.T2(n)), at_a(fam.G2(n))) / (fam.seq.b - fam.seq.a)
-    return g
+    g = np.linalg.solve(at_a(fam.Q2(n - 1)), at_a(fam.P2(n - 1))) if n else 0.0
+    return g + np.linalg.solve(at_a(fam.T2(n)), at_a(fam.G2(n))) / (fam.seq.b - fam.seq.a)
 
 
 def _tail_second_odd(fam, n):
@@ -462,21 +441,15 @@ def _tail_second_odd(fam, n):
 
 
 def _tail_first_even(fam, n):
-    adj = fam.adjoint_at_a
-    g = adj(fam.Q1(n)) @ _inv_normalizer(adj(fam.P1(n)), f"P1[{n}]^*(a)")
-    g = g + adj(fam.T1(n)) @ _inv_normalizer(
-        adj(fam.G1(n)), f"G1[{n}]^*(a)"
-    ) / (fam.seq.b - fam.seq.a)
-    return g
+    adj, inv = fam.adjoint_at_a, fam.normalizer
+    g = adj(fam.Q1(n)) @ inv(fam.P1(n))
+    return g + adj(fam.T1(n)) @ inv(fam.G1(n)) / (fam.seq.b - fam.seq.a)
 
 
 def _tail_first_odd(fam, n):
-    adj = fam.adjoint_at_a
-    t = -adj(fam.G2(n)) @ _inv_normalizer(adj(fam.T2(n)), f"T2[{n}]^*(a)")
-    t = t - (fam.seq.b - fam.seq.a) * adj(fam.P2(n)) @ _inv_normalizer(
-        adj(fam.Q2(n)), f"Q2[{n}]^*(a)"
-    )
-    return t
+    adj, inv = fam.adjoint_at_a, fam.normalizer
+    t = -adj(fam.G2(n)) @ inv(fam.T2(n))
+    return t - (fam.seq.b - fam.seq.a) * adj(fam.P2(n)) @ inv(fam.Q2(n))
 
 
 def _poles(pts, hit, route):
@@ -509,12 +482,8 @@ def _second_core(dsm, zc, parity, count, tail):
     return factors
 
 
-def _falls_back(seq, parity, route):
-    """The even second-type product needs n >= 1; at n = 0 the direct route stands in."""
-    return route == "second" and parity == "even" and _order(seq, parity) == 0
-
-
-def resolvent_factors(source, zs, parity, route):
+@point_prefix
+def resolvent_factors(source, pts, parity, route):
     """The affine factors whose left-to-right product is the resolvent at K points.
 
     route = "second" uses the second-type parameter chains (poles of the
@@ -527,25 +496,20 @@ def resolvent_factors(source, zs, parity, route):
     z = a excluded for odd):
       even:  [low(-(z-a) M_k) up(L_k)]_{k<n} low(-(z-a) M_n) up(tail),
       odd:   diag(1/(z-a), 1) [low(-M_k) up((z-a) L_k)]_{k<=n} low(tail) diag(z-a, 1).
-    The even second-type product needs n >= 1 and raises
-    InsufficientMoments at n = 0.
+    lhat_{-1} = s_0, so at n = 0 the even second-type product has four factors.
 
     Each factor is a (K, 2q, 2q) stack over the points zs, or one 2q x 2q
     matrix where it does not depend on z.  The parameter chain of the
-    source and the boundary factor are built once.  Failures and
-    a shared PointPrefix for zs are as in resolvent_direct_many.
+    source and the boundary factor are built once.  Failures are as
+    point_prefix describes.
     """
     from .dsm import compute_first, compute_second
 
     fam = ensure_family(source)
-    pts = PointPrefix.of(zs)
-    pts.shared_stage()
     seq = fam.seq
     a, b = seq.a, seq.b
     n = _order(seq, parity)
     q = seq.q
-    if _falls_back(seq, parity, route):
-        raise InsufficientMoments("second-type even chain needs n >= 1")
 
     if route == "second":
         dsm = compute_second(fam)
@@ -592,38 +556,20 @@ def resolvent_factors(source, zs, parity, route):
             factors.append(_diag(z - a, 1.0, q))
     else:
         raise ValueError(f"route must be 'second' or 'first', got {route!r}")
-    if pts is not zs:
-        pts.finish()
     return factors
 
 
-def resolvent_factorized_many(source, zs, parity, route):
+@point_prefix
+def resolvent_factorized_many(source, pts, parity, route):
     """Resolvent as the printed left-to-right product of resolvent_factors, at K points.
 
-    Returns the (K, 2q, 2q) stack of values at the points zs.  The even
-    second-type route with n = 0 falls back to resolvent_direct_many.
-    Failures and a shared PointPrefix for zs are as in resolvent_direct_many.
+    Returns the (K, 2q, 2q) stack of values at the points zs.  Failures are
+    as point_prefix describes.
     """
-    fam = ensure_family(source)
-    pts = PointPrefix.of(zs)
-    pts.shared_stage()
-    if _falls_back(fam.seq, parity, route):
-        full = resolvent_direct_many(fam, pts, "even")
-    else:
-        factors = resolvent_factors(fam, pts, parity, route)
-        full = _finite(pts, functools.reduce(np.matmul, factors))
-    if pts is not zs:
-        pts.finish()
-    return full
+    factors = resolvent_factors(source, pts, parity, route)
+    return _finite(pts, functools.reduce(np.matmul, factors))
 
 
 def resolvent_factorized(source, z, parity, route):
-    """resolvent_factorized_many at the single point z, as a ResolventValue.
-
-    The even second-type route with n = 0 sets fallback_direct.
-    """
-    fam = ensure_family(source)
-    z = complex(z)
-    full = resolvent_factorized_many(fam, [z], parity, route)[0]
-    fallback = _falls_back(fam.seq, parity, route)
-    return ResolventValue(full=full, q=fam.seq.q, parity=parity, z=z, fallback_direct=fallback)
+    """resolvent_factorized_many at the single point z, as a ResolventValue."""
+    return _at_point(resolvent_factorized_many, source, z, parity, route)

@@ -17,6 +17,9 @@ sha256 of its stdout and of each file it was asked to write (--output,
   analyze, factorize (every route and parity) and extremal, so that a
   change to the sign of a zero in any intermediate shows;
 - z at a, at b, inside [a, b], at 1e200 and at 1e-300;
+- the even parity at n = 0 (m = 0, and m = 1 with --parity even, of the
+  golden moments) under factorize with every route, at a, at b and at
+  three points off [a, b];
 - gen, recover and scalar-report on good and bad input, and parse failures,
   runs of --z=<lit> tokens among them.
 
@@ -202,6 +205,14 @@ def corpus(workdir):
         # a failing point after a good one, and two failing points
         yield from _evaluations(path, f"z/{moments}/good-then-a", ["2+1i", a])
         yield from _evaluations(path, f"z/{moments}/mid-then-b", [0.5 * (a + b), b])
+        data = json.loads((GOLDEN / moments).read_text())
+        for m, parity in ((0, "auto"), (1, "even")):
+            short = _write(work / f"n0_m{m}_{moments}", {**data, "moments": data["moments"][:m + 1]})
+            for z in (a, b, "2+1i", "-0.3+0.05i", 3):
+                for route in ("direct", "second", "first"):
+                    yield (f"n0/{moments}/m{m}/{z}/{route}",
+                           ["factorize", "--input", short, "--route", route, "--parity", parity,
+                            f"--z={z}"])
 
     for measure in ("measure_q1.json", "measure_q2.json"):
         for count in (0, 1, 2, 5, 9):

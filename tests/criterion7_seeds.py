@@ -9,9 +9,10 @@ residual per seed, then the median, the maximum and how many seeds exceed
 the bound, so that two versions can be compared in distribution.
 
 Route agreement does not certify accuracy, so the tool then prints the
-forward error of the closed-form table of test_dsm (s_j = W/(j+1), q = 1..4,
-CLOSED_FORM_DRAWS weights W per q) for n = 1..5: the median and maximum over
-the chains computed, and how many were refused.  thmm is imported from
+forward error of the Lebesgue row of test_dsm's closed-form table
+(s_j = W/(j+1), both parameter chains, q = 1..4, CLOSED_FORM_DRAWS weights W
+per q) for n = 1..5: the median and maximum over the chains computed, and how
+many were refused.  thmm is imported from
 PYTHONPATH, so one checkout of this file measures any version:
 
     PYTHONPATH=src python tests/criterion7_seeds.py

@@ -20,6 +20,7 @@ from thmm._linalg import (
     guard_cond,
     hermitize,
     inv_pd,
+    point_prefix,
     rel_residual,
     rel_residuals,
     right_quotient,
@@ -247,6 +248,33 @@ def test_point_prefix_keeps_loop_error_order():
     pts.fail(np.array([True, False]), lambda i: ValueError(f"at {i}"))
     with pytest.raises(ValueError, match="at 0"):
         pts.shared_stage()
+
+
+def test_point_prefix_owner_raises_and_sharer_records():
+    seen = []
+
+    @point_prefix
+    def stage(source, pts, bad_from):
+        """A per-point stage failing from index bad_from on."""
+        seen.append(pts)
+        pts.fail(np.arange(len(pts)) >= bad_from, lambda i: ValueError(f"{source} at {i}"))
+        return pts.zs
+
+    assert stage.__name__ == "stage" and stage.__doc__.startswith("A per-point")
+    # an owned prefix is made from the points and raises its first failure
+    assert np.array_equal(stage("a", [0.0, 1.0], 5), [0.0, 1.0])
+    with pytest.raises(ValueError, match="b at 1"):
+        stage("b", [0.0, 1.0, 2.0], bad_from=1)
+    # a shared one records it for its owner, and passes through unchanged
+    pts = PointPrefix([0.0, 1.0, 2.0])
+    assert np.array_equal(stage("c", pts, 2), [0.0, 1.0]) and seen[-1] is pts
+    assert str(pts.error) == "c at 2"
+    # once its first point has failed, the next stacked call raises at once
+    pts.fail(np.array([True]), lambda i: KeyError("first"))
+    count = len(seen)
+    with pytest.raises(KeyError):
+        stage("d", pts, 0)
+    assert len(seen) == count
 
 
 def test_right_quotient_records_first_failing_point():

@@ -5,6 +5,7 @@ import pytest
 
 from thmm import (
     InsufficientMoments,
+    MomentSequence,
     PoleAtZ,
     aux_hat_even,
     aux_matrices,
@@ -184,16 +185,28 @@ def test_factorized_pole_rejection(leb5):
     assert rel(d.full, f.full) < 1e-10
 
 
-def test_even_second_n0_falls_back_to_direct():
-    seq = lebesgue(0)
-    fam = build_family(seq)
-    d = resolvent_direct(fam, 2.0, "even")
-    f = resolvent_factorized(fam, 2.0, "even", "second")
-    assert f.fallback_direct and not d.fallback_direct
-    assert rel(d.full, f.full) == 0.0
-    # the even second-type factor list itself needs n >= 1
-    with pytest.raises(InsufficientMoments):
-        resolvent_factors(fam, [2.0], "even", "second")
+def test_even_second_n0_product_equals_direct(rng):
+    # at n = 0 the second-type product is
+    # diag(1/((b-z)(z-a)), 1) up((z-a) s_0) low(tail) diag((b-a)(z-a), (b-z)/(b-a))
+    seqs = [lebesgue(0), lebesgue(1)]
+    for q in (1, 2, 3):
+        seq, _ = random_sequence(rng, q, 1, a=-0.5, b=1.5)
+        seqs += [MomentSequence(seq.a, seq.b, seq.s[:1]), MomentSequence(seq.a, seq.b, seq.s[:2])]
+    zs = random_z_points(rng, 4, a=-0.5, b=1.5) + [2.0, -1.0 + 0.5j]
+    for seq in seqs:
+        fam = build_family(seq)
+        factors = resolvent_factors(fam, zs, "even", "second")
+        assert len(factors) == 4
+        direct = resolvent_direct_many(fam, zs, "even")
+        product = resolvent_factorized_many(fam, zs, "even", "second")
+        assert np.array_equal(product, functools.reduce(np.matmul, factors))
+        for k, z in enumerate(zs):
+            assert rel(product[k], direct[k]) < 1e-14
+            assert np.array_equal(resolvent_factorized(fam, z, "even", "second").full, product[k])
+        # the scalar prefactors have their poles at a and b
+        for z in (seq.a, seq.b):
+            with pytest.raises(PoleAtZ):
+                resolvent_factorized(fam, z, "even", "second")
 
 
 def test_odd_parity_needs_m_at_least_one():
