@@ -116,10 +116,11 @@ def cmd_analyze(args):
         _emit(report, args.output)
         return 3
     fam = build_family(hank)
-    report["schur"] = {name: tuple(hank.complements(family)) for name, family in
-                       (("hhat1", "H1"), ("hhat2", "H2"), ("khat1", "K1"), ("khat2", "K2"))}
+    # the chains first: compute_second may refuse before any complement is made
     dsm = compute_second(fam)
     first = compute_first(fam)
+    report["schur"] = {name: tuple(hank.complements(family)) for name, family in
+                       (("hhat1", "H1"), ("hhat2", "H2"), ("khat1", "K1"), ("khat2", "K2"))}
     report["dsm_second"] = {
         "mhat": dsm.mhat,
         "lhat_first_index": -1,

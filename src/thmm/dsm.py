@@ -13,7 +13,10 @@ independent routes that must agree:
   polynomial values    mhat_j = G1[j](a)^* khat1[j]^{-1} G1[j](a),
                        lhat_j = Q2[j](a)^* hhat2[j]^{-1} Q2[j](a),
                        rhat_j = G1[j](a)^{-1} T1[j](a),
-                       that_j = Q2[j](a)^{-1} P2[j](a).
+                       that_j = Q2[j](a)^{-1} P2[j](a),
+
+the last two the family's kept quotients (PolynomialFamily.quotient),
+the first two solved against the complements khat1[j] and hhat2[j].
 
 Agreement does not bound the forward error, so compute_second also
 refuses a chain whose Hankel members are too ill-conditioned for
@@ -27,6 +30,7 @@ positive definite for Hausdorff positive definite input.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -50,8 +54,10 @@ from .errors import (
     WrongMatrixSize,
 )
 from .moments import (
+    Kept,
     MomentSequence,
     build_hankels,
+    finite_interval,
     hankel_entries,
     hankel_from_entries,
 )
@@ -118,20 +124,42 @@ class DsmFirst:
     L: tuple
 
 
+def _last_indices(m):
+    """The last indices n_t = (m-1)//2 of that/mhat and n_l = (m-2)//2 of lhat; -1 for none."""
+    return (m - 1) // 2, (m - 2) // 2
+
+
+def _agree(name, xs, ys, rtol):
+    """RouteMismatch(name, j) at the first j where xs[j] and ys[j] differ by more than rtol."""
+    for j, (x, y) in enumerate(zip(xs, ys)):
+        res = rel_residual(x, y)
+        if res > rtol:
+            raise RouteMismatch(name, f"j={j}", res)
+
+
 def compute_second(source):
     """Second-type parameters of a MomentSequence or a PolynomialFamily, by both routes.
 
-    Raises IllConditioned when the largest K1 or H2 member read is too
-    ill-conditioned for ACCURACY_RTOL, and RouteMismatch when the routes
-    disagree by more than ROUTE_RTOL.
+    Raises SingularPivot when the largest K1 or H2 member read is not
+    positive definite, IllConditioned when it is too ill-conditioned for
+    ACCURACY_RTOL, both before either route runs, and RouteMismatch when
+    the routes disagree by more than ROUTE_RTOL.
     """
     fam = ensure_family(source)
     seq = fam.seq
     hank = fam.hankels
-    m = seq.m
     s0 = seq.s[0]
-    n_t = (m - 1) // 2 if m >= 1 else -1
-    n_l = (m - 2) // 2 if m >= 2 else -1
+    n_t, n_l = _last_indices(seq.m)
+
+    # a singular largest member first, as the forms of the routes would raise it
+    largest = [(family, j) for family, j in (("K1", n_t), ("H2", n_l)) if j >= 0]
+    for family, j in largest:
+        if hank.factor(family, j) is None:
+            raise SingularPivot(family, j)
+    for family, j in largest:
+        cond = scaled_cond(hank.member(family, j))
+        if np.finfo(float).eps * cond > ACCURACY_RTOL:
+            raise IllConditioned(family, j, cond, ACCURACY_RTOL)
 
     that_qf = [hermitize(hank.form("K1", j)) for j in range(n_t + 1)]
     mhat_qf = (
@@ -142,12 +170,6 @@ def compute_second(source):
     qf = [hermitize(hank.form("H2", j)) for j in range(n_l + 1)]
     lhat_qf = [qf[0]] + [qf[j] - qf[j - 1] for j in range(1, n_l + 1)] if qf else []
     rhat_qf = [np.array(s0)] + [s0 + qf[j] for j in range(n_l + 1)]
-
-    for family, j in (("K1", n_t), ("H2", n_l)):
-        if j >= 0:
-            cond = scaled_cond(hank.member(family, j))
-            if np.finfo(float).eps * cond > ACCURACY_RTOL:
-                raise IllConditioned(family, j, cond, ACCURACY_RTOL)
 
     # polynomial route, solved against the complements e_2j - Y_j^* x_j
     # themselves: through the family factor, whose diagonal blocks also give
@@ -161,25 +183,15 @@ def compute_second(source):
     for j in range(n_l + 1):
         val = at_a(fam.q2[j])
         lhat_poly.append(val.conj().T @ np.linalg.solve(hank.complements("H2")[j], val))
-    rhat_poly = [
-        np.linalg.solve(at_a(fam.g1[j]), at_a(fam.t1[j]))
-        for j in range(min(n_l + 2, len(fam.g1), len(fam.t1)))
-    ]
-    that_poly = [
-        np.linalg.solve(at_a(fam.q2[j]), at_a(fam.p2[j]))
-        for j in range(min(n_t + 1, len(fam.q2), len(fam.p2)))
-    ]
+    rhat_poly = [fam.quotient(fam.g1[j], fam.t1[j])
+                 for j in range(min(n_l + 2, len(fam.g1), len(fam.t1)))]
+    that_poly = [fam.quotient(fam.q2[j], fam.p2[j])
+                 for j in range(min(n_t + 1, len(fam.q2), len(fam.p2)))]
 
-    def check(name, qf_vals, poly_vals):
-        for j, (x, y) in enumerate(zip(qf_vals, poly_vals)):
-            res = rel_residual(x, y)
-            if res > ROUTE_RTOL:
-                raise RouteMismatch(name, f"j={j}", res)
-
-    check("mhat", mhat_qf, mhat_poly)
-    check("lhat", lhat_qf, lhat_poly)
-    check("rhat", rhat_qf, rhat_poly)
-    check("that", that_qf, that_poly)
+    _agree("mhat", mhat_qf, mhat_poly, ROUTE_RTOL)
+    _agree("lhat", lhat_qf, lhat_poly, ROUTE_RTOL)
+    _agree("rhat", rhat_qf, rhat_poly, ROUTE_RTOL)
+    _agree("that", that_qf, that_poly, ROUTE_RTOL)
 
     return DsmSecond(
         q=seq.q, a=seq.a, b=seq.b,
@@ -204,10 +216,24 @@ def compute_first(source):
     qh = [hermitize(hank.form("H1", j)) for j in range(m // 2 + 1)]
     M = [qh[0]] + [qh[j] - qh[j - 1] for j in range(1, len(qh))]
 
-    qk = [hermitize(hank.form("K2", j)) for j in range((m - 1) // 2 + 1 if m >= 1 else 0)]
+    qk = [hermitize(hank.form("K2", j)) for j in range((m - 1) // 2 + 1)]
     L = [qk[0]] + [qk[j] - qk[j - 1] for j in range(1, len(qk))] if qk else []
 
     return DsmFirst(q=seq.q, a=seq.a, M=tuple(M), L=tuple(L))
+
+
+def _ladder(inv_m, inv_l, q):
+    """W_j = prod_{k<j} mhat_k^{-1} lhat_k^{-1}, X_j = W_j mhat_j^{-1}, and the
+    Schur complements the parameters predict, khat1_j = X_j W_j^* and
+    hhat2_j = X_j lhat_j^{-1} X_j^*, from the inverses of the parameters.
+    """
+    W = [np.eye(q, dtype=complex)]
+    for k in range(min(len(inv_m), len(inv_l))):
+        W.append(W[-1] @ inv_m[k] @ inv_l[k])
+    X = [W[j] @ inv_m[j] for j in range(min(len(W), len(inv_m)))]
+    khat1 = [x @ w.conj().T for x, w in zip(X, W)]
+    hhat2 = [x @ il @ x.conj().T for x, il in zip(X, inv_l)]
+    return W, X, khat1, hhat2
 
 
 def product_identities(fam, dsm, first):
@@ -228,12 +254,10 @@ def product_identities(fam, dsm, first):
 
     inv_m = [inv_pd(x, "mhat", j) for j, x in enumerate(mh)]
     inv_l = [inv_pd(x, "lhat", j) for j, x in enumerate(lh)]
-
-    # W[j] = prod_{k<j} mhat_k^{-1} lhat_k^{-1}; X[j] = W[j] mhat_j^{-1}
-    W = [eye]
-    for k in range(min(len(inv_m), len(inv_l))):
-        W.append(W[-1] @ inv_m[k] @ inv_l[k])
-    X = [W[j] @ inv_m[j] for j in range(min(len(W), len(inv_m)))]
+    W, X, khat1_pred, hhat2_pred = _ladder(inv_m, inv_l, q)
+    # each complement inverted once, on its first read
+    inv_hhat1, inv_hhat2, inv_khat1, inv_khat2 = (
+        Kept(len(c), lambda j, c=c: np.linalg.inv(c[j])) for c in (hhat1, hhat2, khat1, khat2))
 
     checks = IdentityChecks()
     add = checks.add
@@ -267,15 +291,15 @@ def product_identities(fam, dsm, first):
             at_a(fam.t1[j]), at_a(fam.g1[j]) @ acc)
 
     # Schur complements rebuilt from the parameters
-    for j in range(min(len(khat1), len(X))):
-        add("khat1_from_params", f"j={j}", khat1[j], W[j] @ inv_m[j] @ W[j].conj().T)
-    for j in range(min(len(hhat2), len(X), len(inv_l))):
-        add("hhat2_from_params", f"j={j}", hhat2[j], X[j] @ inv_l[j] @ X[j].conj().T)
+    for j in range(min(len(khat1), len(khat1_pred))):
+        add("khat1_from_params", f"j={j}", khat1[j], khat1_pred[j])
+    for j in range(min(len(hhat2), len(hhat2_pred))):
+        add("hhat2_from_params", f"j={j}", hhat2[j], hhat2_pred[j])
 
     # and the inverse direction: parameters rebuilt from Schur complements
     ws = [eye]
     for k in range(min(len(hhat2), len(khat1))):
-        ws.append(hhat2[k] @ np.linalg.inv(khat1[k]) @ ws[k])
+        ws.append(hhat2[k] @ inv_khat1[k] @ ws[k])
     for j in range(min(len(mh), len(khat1), len(ws))):
         rebuilt = ws[j].conj().T @ hank.schur_solve("K1", j, ws[j])
         add("mhat_from_schur", f"j={j}", mh[j], rebuilt)
@@ -285,40 +309,29 @@ def product_identities(fam, dsm, first):
         add("lhat_from_schur", f"j={j}", lh[j], wj_inv @ core @ wj_inv.conj().T)
 
     # alternating Schur products for the polynomial endpoint values
-    def desc_product(pairs):
-        acc = eye
-        for left, right in pairs:
-            acc = acc @ left @ np.linalg.inv(right)
-        return acc
+    def alternating(head, left, right, j):
+        """head left[j-1] right[j-1] ... left[0] right[0], multiplied from the left."""
+        return functools.reduce(
+            np.matmul, (f for k in range(j - 1, -1, -1) for f in (left[k], right[k])), head)
 
     for j in range(1, min(len(fam.p1), len(khat2) + 1, len(hhat1) + 1)):
-        prod = desc_product([(khat2[k], hhat1[k]) for k in range(j - 1, -1, -1)])
+        prod = alternating(eye, khat2, inv_hhat1, j)
         add("p1_from_schur", f"j={j}", at_a(fam.p1[j]), (-1.0) ** j * prod)
     for j in range(1, min(len(fam.g1), len(hhat2) + 1, len(khat1) + 1)):
-        prod = desc_product([(hhat2[k], khat1[k]) for k in range(j - 1, -1, -1)])
+        prod = alternating(eye, hhat2, inv_khat1, j)
         add("g1_from_schur", f"j={j}", at_a(fam.g1[j]), (-1.0) ** j * prod)
     for j in range(min(len(fam.q2), len(khat1), len(hhat2) + 1)):
-        # Q2[j](a) = (-1)^j khat1_j hhat2_{j-1}^{-1} khat1_{j-1} ... hhat2_0^{-1} khat1_0
-        prod = khat1[j].copy()
-        for k in range(j - 1, -1, -1):
-            prod = prod @ np.linalg.inv(hhat2[k]) @ khat1[k]
+        prod = alternating(khat1[j], inv_hhat2, khat1, j)
         add("q2_from_schur", f"j={j}", at_a(fam.q2[j]), (-1.0) ** j * prod)
     for j in range(min(len(fam.t2), len(hhat1), len(khat2) + 1)):
-        prod = hhat1[j].copy()
-        for k in range(j - 1, -1, -1):
-            prod = prod @ np.linalg.inv(khat2[k]) @ hhat1[k]
+        prod = alternating(hhat1[j], inv_khat2, hhat1, j)
         add("t2_from_schur", f"j={j}", at_a(fam.t2[j]), (-1.0) ** (j + 1) * prod)
 
     # first-type parameters from polynomial endpoint values
     for j in range(min(len(first.M), len(fam.t2), len(fam.p1))):
-        t2a = at_a(fam.t2[j])
-        target = -np.linalg.inv(t2a) if j == 0 else -np.linalg.solve(
-            t2a, at_a(fam.p1[j])
-        )
-        add("m_first_from_polys", f"j={j}", first.M[j], target)
+        add("m_first_from_polys", f"j={j}", first.M[j], -fam.quotient(fam.t2[j], fam.p1[j]))
     for j in range(min(len(first.L), len(fam.p1) - 1, len(fam.t2))):
-        add("l_first_from_polys", f"j={j}", first.L[j],
-            np.linalg.solve(at_a(fam.p1[j + 1]), at_a(fam.t2[j])))
+        add("l_first_from_polys", f"j={j}", first.L[j], fam.quotient(fam.p1[j + 1], fam.t2[j]))
 
     report = checks.report()
     if P2_VARIANTS[0] not in report.names():
@@ -356,20 +369,17 @@ def recover_moments(s0, mhat, lhat, a, b):
     (from mhat_1), s_4 (from lhat_1), and so on.  The result classifies
     PositiveDefinite by construction.
     """
-    if not float(a) < float(b):
-        raise InvalidMomentSequence(f"need a < b, got a={a}, b={b}")
+    a, b = finite_interval(a, b)
     s0 = _require_pd_param(s0, "s0", 0)[0]
-    # the Cholesky factors of mhat_j and lhat_j, which also give their inverses
-    m_factors = [_require_pd_param(x, "mhat", j)[1] for j, x in enumerate(mhat)]
-    l_factors = [_require_pd_param(x, "lhat", j)[1] for j, x in enumerate(lhat)]
-    if len(l_factors) > len(m_factors):
+    # the inverses of mhat_j and lhat_j, each through its Cholesky factor
+    eye = np.eye(s0.shape[0], dtype=complex)
+    inv_m = [solve_factored(_require_pd_param(x, "mhat", j)[1], eye) for j, x in enumerate(mhat)]
+    inv_l = [solve_factored(_require_pd_param(x, "lhat", j)[1], eye) for j, x in enumerate(lhat)]
+    if len(inv_l) > len(inv_m):
         raise InconsistentLengths(
-            f"got {len(l_factors)} lhat parameters but only {len(m_factors)} mhat parameters"
+            f"got {len(inv_l)} lhat parameters but only {len(inv_m)} mhat parameters"
         )
-    a = float(a)
-    b = float(b)
-    q = s0.shape[0]
-    eye = np.eye(q, dtype=complex)
+    _, _, khat1, hhat2 = _ladder(inv_m, inv_l, len(eye))
 
     def corner(family, complement, j):
         """e_{2j} of family from its complement: complement + Y_j^* F[j-1]^{-1} Y_j."""
@@ -381,21 +391,12 @@ def recover_moments(s0, mhat, lhat, a, b):
         return complement + y.conj().T @ solve_pd(prev, y, family, j - 1)
 
     s = [s0]
-    W = eye
-    for j in range(len(m_factors)):
-        inv_mj = solve_factored(m_factors[j], eye)
-        khat = W @ inv_mj @ W.conj().T
+    for j, khat in enumerate(khat1):
         # s_{2j+1} from the corner e_{2j} = b s_{2j} - s_{2j+1} of K1[j]
         s.append(hermitize(b * s[2 * j] - corner("K1", khat, j)))
-
-        if j >= len(l_factors):
-            break
-        inv_lj = solve_factored(l_factors[j], eye)
-        x = W @ inv_mj
-        hhat = x @ inv_lj @ x.conj().T
-        # s_{2j+2} from the corner e_{2j} = -ab s_{2j} + (a+b) s_{2j+1} - s_{2j+2} of H2[j]
-        s.append(hermitize(-a * b * s[2 * j] + (a + b) * s[2 * j + 1] - corner("H2", hhat, j)))
-        W = W @ inv_mj @ inv_lj
+        if j < len(hhat2):
+            # s_{2j+2} from the corner e_{2j} = -ab s_{2j} + (a+b) s_{2j+1} - s_{2j+2} of H2[j]
+            s.append(hermitize(-a * b * s[2 * j] + (a + b) * s[2 * j + 1] - corner("H2", hhat2[j], j)))
 
     return MomentSequence(a=a, b=b, s=tuple(s))
 
@@ -445,44 +446,26 @@ def scalar_determinant_params(seq, rtol=1e-8):
         raise WrongMatrixSize(f"scalar determinant route needs q = 1, got q = {seq.q}")
     fam = build_family(seq)
     hank = fam.hankels
-    a = seq.a
-    m = seq.m
-    s3 = [complex(x[0, 0]) for x in hank.entries["K1"]]
-    sh = [complex(x[0, 0]) for x in hank.entries["H2"]]
-    n_t = (m - 1) // 2 if m >= 1 else -1
-    n_l = (m - 2) // 2 if m >= 2 else -1
+    n_t, n_l = _last_indices(seq.m)
 
     def det(mat):
         return complex(np.linalg.det(mat))
 
-    mtilde = []
-    for j in range(n_t + 1):
-        if hank.factor("K1", j) is None:   # det K1[j] may be 0: raise before dividing
-            raise SingularPivot("K1", j)
-        rows = [[s3[i + k] for k in range(j + 1)] for i in range(j)]
-        rows.append([a ** k for k in range(j + 1)])
-        d3 = det(np.array(rows, dtype=complex))
-        denom = det(hank.K1[j]) * (det(hank.K1[j - 1]) if j >= 1 else 1.0)
-        mtilde.append(float((d3 ** 2 / denom).real))
+    def ratio(family, j, last_row):
+        """det(D)^2 / (det F[j] det F[j-1]), D the j Hankel rows of F over last_row(j)."""
+        if hank.factor(family, j) is None:   # det F[j] may be 0: raise before dividing
+            raise SingularPivot(family, j)
+        e = [complex(x[0, 0]) for x in hank.entries[family]]
+        rows = [[e[i + k] for k in range(j + 1)] for i in range(j)] + [last_row(j)]
+        member = getattr(hank, family)
+        denom = det(member[j]) * (det(member[j - 1]) if j >= 1 else 1.0)
+        return float((det(np.array(rows, dtype=complex)) ** 2 / denom).real)
 
-    ltilde = []
-    for j in range(n_l + 1):
-        if hank.factor("H2", j) is None:
-            raise SingularPivot("H2", j)
-        e_row = -hank.R_at_a_times(hank.column("H2", j)).conj().T
-        rows = [[sh[i + k] for k in range(j + 1)] for i in range(j)]
-        rows.append([e_row[0, k] for k in range(j + 1)])
-        e2 = det(np.array(rows, dtype=complex))
-        denom = det(hank.H2[j]) * (det(hank.H2[j - 1]) if j >= 1 else 1.0)
-        ltilde.append(float((e2 ** 2 / denom).real))
+    mtilde = [ratio("K1", j, lambda j: [seq.a ** k for k in range(j + 1)]) for j in range(n_t + 1)]
+    ltilde = [ratio("H2", j, lambda j: list(-hank.R_at_a_times(hank.column("H2", j)).conj().T[0]))
+              for j in range(n_l + 1)]
 
     dsm = compute_second(fam)
-    for j, val in enumerate(mtilde):
-        res = rel_residual(np.array([[val]]), dsm.mhat[j])
-        if res > rtol:
-            raise RouteMismatch("mtilde", f"j={j}", res)
-    for j, val in enumerate(ltilde):
-        res = rel_residual(np.array([[val]]), dsm.lhat_from_zero[j])
-        if res > rtol:
-            raise RouteMismatch("ltilde", f"j={j}", res)
+    _agree("mtilde", [np.array([[x]]) for x in mtilde], dsm.mhat, rtol)
+    _agree("ltilde", [np.array([[x]]) for x in ltilde], dsm.lhat_from_zero, rtol)
     return tuple(mtilde), tuple(ltilde), dsm

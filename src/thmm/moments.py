@@ -68,6 +68,16 @@ def _square_matrix(x, q=None, what="matrix"):
     return m
 
 
+def finite_interval(a, b):
+    """(a, b) as floats; InvalidMomentSequence unless a < b and both are finite."""
+    a, b = float(a), float(b)
+    if not a < b:
+        raise InvalidMomentSequence(f"need a < b, got a={a}, b={b}")
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise InvalidMomentSequence(f"need a finite interval, got a={a}, b={b}")
+    return a, b
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class MomentSequence:
     """Hermitian q x q moments s_0..s_m attached to an interval [a, b].
@@ -83,12 +93,7 @@ class MomentSequence:
     q: int = dataclasses.field(init=False)
 
     def __post_init__(self):
-        a = float(self.a)
-        b = float(self.b)
-        if not a < b:
-            raise InvalidMomentSequence(f"need a < b, got a={a}, b={b}")
-        if not (np.isfinite(a) and np.isfinite(b)):
-            raise InvalidMomentSequence(f"need a finite interval, got a={a}, b={b}")
+        a, b = finite_interval(self.a, self.b)
         mats = list(self.s)
         if not mats:
             raise InvalidMomentSequence("need at least one moment (m >= 0)")
@@ -224,7 +229,7 @@ class HankelSet:
         size = (j + 1) * self.seq.q
         return L[:size, :size] if L is not None and len(L) >= size else None
 
-    def _keep(self, key, make):
+    def keep(self, key, make):
         """make(), called on the first use of key only; an array is kept read-only."""
         if key not in self._kept:
             value = make()
@@ -235,8 +240,8 @@ class HankelSet:
 
     def _factor(self, family):
         """cholesky_pd of the largest member in blocks of q, run on first use."""
-        return self._keep(("factor", family),
-                          lambda: cholesky_pd(getattr(self, family)[-1], block=self.seq.q))
+        return self.keep(("factor", family),
+                         lambda: cholesky_pd(getattr(self, family)[-1], block=self.seq.q))
 
     def solve(self, family, j, rhs):
         """F[j]^{-1} rhs through its factor; SingularPivot(family, j) if there is none."""
@@ -284,8 +289,8 @@ class HankelSet:
             y = self.cross(family, j)
             return hermitize(corners[2 * j] - y.conj().T @ self.schur_row(family, j))
 
-        return self._keep(("complements", family),
-                          lambda: Kept(len(getattr(self, family)), complement))
+        return self.keep(("complements", family),
+                         lambda: Kept(len(getattr(self, family)), complement))
 
     def v(self, j):
         """The unit column (I_q; 0; ...; 0) of j + 1 blocks."""
@@ -357,22 +362,22 @@ class HankelSet:
 
     def schur_row(self, family, j):
         """x_j = F[j-1]^{-1} Y_j for j >= 1, solved once and kept read-only."""
-        return self._keep(("schur_row", family, j),
-                          lambda: self.solve(family, j - 1, self.cross(family, j)))
+        return self.keep(("schur_row", family, j),
+                         lambda: self.solve(family, j - 1, self.cross(family, j)))
 
     def transfer(self, family, j):
         """F[j]^{-1} R_j(a) c_j = L_j^{-H} w_j, solved once and kept read-only."""
         def back_solve():
             w = self._forward(family, j)
             return np.linalg.solve(self.factor(family, j).conj().T, w)
-        return self._keep(("transfer", family, j), back_solve)
+        return self.keep(("transfer", family, j), back_solve)
 
     def form(self, family, j):
         """c_j^* R_j(a)^* F[j]^{-1} R_j(a) c_j = w_j^* w_j, kept read-only."""
         def gram():
             w = self._forward(family, j)
             return w.conj().T @ w
-        return self._keep(("form", family, j), gram)
+        return self.keep(("form", family, j), gram)
 
     def _forward(self, family, j):
         """w_j = L_j^{-1} R_j(a) c_j: the leading (j+1)q rows of one forward solve.
@@ -385,7 +390,7 @@ class HankelSet:
         if self.factor(family, j) is None:
             raise SingularPivot(family, j)
         L = self._factor(family)
-        w = self._keep(("forward", family), lambda: np.linalg.solve(
+        w = self.keep(("forward", family), lambda: np.linalg.solve(
             L, self.R_at_a_times(self.column(family, len(L) // self.seq.q - 1))))
         return w[:(j + 1) * self.seq.q]
 
@@ -464,15 +469,13 @@ class DiscreteMeasure:
         pts = tuple(float(x) for x in self.points)
         if not pts:
             raise EmptyMeasure("a discrete measure needs at least one atom")
-        wts = [
-            _square_matrix(w, what=f"weight_{i}") for i, w in enumerate(self.weights)
-        ]
-        if len(wts) != len(pts):
+        if len(self.weights) != len(pts):
             raise InvalidMomentSequence("points and weights must have equal lengths")
-        q = wts[0].shape[0]
+        q = None   # the size of weight_0, which every later weight must have
         stored = []
-        for i, w in enumerate(wts):
-            w = _square_matrix(w, q, what=f"weight_{i}")
+        for i, raw in enumerate(self.weights):
+            w = _square_matrix(raw, q, what=f"weight_{i}")
+            q = w.shape[0]
             if np.linalg.norm(w - w.conj().T) > DEFAULT_HERMITIAN_RTOL * (1.0 + np.linalg.norm(w)):
                 raise InvalidMomentSequence(f"weight_{i} is not Hermitian")
             w = hermitize(w)
@@ -480,8 +483,7 @@ class DiscreteMeasure:
                 raise InvalidMomentSequence(f"weight_{i} is not positive semidefinite")
             w.flags.writeable = False
             stored.append(w)
-        a = float(self.a)
-        b = float(self.b)
+        a, b = finite_interval(self.a, self.b)
         for x in pts:
             if not np.isfinite(x):
                 raise InvalidMomentSequence(f"atom at {x} is not finite")

@@ -143,8 +143,8 @@ class PolynomialFamily:
     Each member of p1 .. t2 is made on its first read and kept.  Retains
     the source Hankel set, with its factors, solves and Schur complements,
     so downstream constructions reuse them without rebuilding, and keeps
-    each polynomial's value at a once it has been asked for (at_a,
-    adjoint_at_a, normalizer).
+    each value at a once it has been asked for (at_a, adjoint_at_a,
+    normalizer, quotient) in the same store, HankelSet.keep.
     """
 
     seq: MomentSequence
@@ -157,7 +157,6 @@ class PolynomialFamily:
     g2: Kept
     t1: Kept
     t2: Kept
-    _at_a: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def at_a(self, p):
         """eval_poly(p, a) for a polynomial p of this family, as a read-only array."""
@@ -171,14 +170,14 @@ class PolynomialFamily:
         """The normalizer X^*(a)^{-1} for the polynomial X = p, as a read-only array."""
         return self._value_at_a(p, _adjoint_inverse)
 
+    def quotient(self, x, y):
+        """The left quotient X(a)^{-1} Y(a) for the polynomials X = x and Y = y, as a read-only array."""
+        return self.hankels.keep(("quotient", x.family, x.index, y.family, y.index),
+                                 lambda: np.linalg.solve(self.at_a(x), self.at_a(y)))
+
     def _value_at_a(self, p, evaluate):
-        key = (evaluate.__name__, p.family, p.index)
-        value = self._at_a.get(key)
-        if value is None:
-            value = evaluate(p, self.seq.a)
-            value.flags.writeable = False
-            self._at_a[key] = value
-        return value
+        return self.hankels.keep((evaluate.__name__, p.family, p.index),
+                                 lambda: evaluate(p, self.seq.a))
 
     def _get(self, store, family, j):
         if j < 0 or j >= len(store):
@@ -339,15 +338,13 @@ def verify_family_identities(fam, measure=None, zs=None):
     for j in range(min(max(len(fam.q1) - 1, 0), len(fam.q2), len(fam.g1), len(fam.t1),
                        max(len(fam.p1) - 1, 0))):
         lhs = (b - a) * at_a(fam.q1[j + 1]) - at_a(fam.q2[j])
-        corr = at_a(fam.p1[j + 1]) @ np.linalg.solve(at_a(fam.g1[j]), at_a(fam.t1[j]))
+        corr = at_a(fam.p1[j + 1]) @ fam.quotient(fam.g1[j], fam.t1[j])
         add("endpoint_q1_q2", f"j={j}", lhs + corr, np.zeros_like(lhs))
     jmax_g = min(len(fam.g1) - 1, len(fam.g2) - 1, len(fam.t2) - 1,
                  len(fam.q2), len(fam.p2))
     for j in range(1, jmax_g + 1):
         lhs = at_a(fam.g1[j]) - at_a(fam.g2[j])
-        corr = (b - a) * at_a(fam.t2[j]) @ np.linalg.solve(
-            at_a(fam.q2[j - 1]), at_a(fam.p2[j - 1])
-        )
+        corr = (b - a) * at_a(fam.t2[j]) @ fam.quotient(fam.q2[j - 1], fam.p2[j - 1])
         add("endpoint_g1_g2", f"j={j}", lhs - corr, np.zeros_like(lhs))
 
     return checks.report()

@@ -428,16 +428,13 @@ def resolvent_from_aux(source, z, parity):
 
 def _tail_second_even(fam, n):
     """that_{n-1} + T2[n](a)^{-1} G2[n](a) / (b - a), with that_{-1} = 0."""
-    at_a = fam.at_a
-    g = np.linalg.solve(at_a(fam.Q2(n - 1)), at_a(fam.P2(n - 1))) if n else 0.0
-    return g + np.linalg.solve(at_a(fam.T2(n)), at_a(fam.G2(n))) / (fam.seq.b - fam.seq.a)
+    g = fam.quotient(fam.Q2(n - 1), fam.P2(n - 1)) if n else 0.0
+    return g + fam.quotient(fam.T2(n), fam.G2(n)) / (fam.seq.b - fam.seq.a)
 
 
 def _tail_second_odd(fam, n):
-    at_a = fam.at_a
-    t = -np.linalg.solve(at_a(fam.G1(n)), at_a(fam.T1(n)))
-    t = t - (fam.seq.b - fam.seq.a) * np.linalg.solve(at_a(fam.P1(n + 1)), at_a(fam.Q1(n + 1)))
-    return t
+    t = -fam.quotient(fam.G1(n), fam.T1(n))
+    return t - (fam.seq.b - fam.seq.a) * fam.quotient(fam.P1(n + 1), fam.Q1(n + 1))
 
 
 def _tail_first_even(fam, n):

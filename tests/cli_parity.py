@@ -20,7 +20,8 @@ sha256 of its stdout and of each file it was asked to write (--output,
 - the even parity at n = 0 (m = 0, and m = 1 with --parity even, of the
   golden moments) under factorize with every route, at a, at b and at
   three points off [a, b];
-- gen, recover and scalar-report on good and bad input, and parse failures,
+- gen, recover and scalar-report on good and bad input (recover with an
+  infinite endpoint, gen on a measure with a > b), and parse failures,
   runs of --z=<lit> tokens among them.
 
 Inputs are written with the json module, never by thmm, so every version
@@ -223,6 +224,10 @@ def corpus(workdir):
     bad_params = json.loads((GOLDEN / "params_q1.json").read_text())
     bad_params["mhat"][0] = [[[-1.0, 0.0]]]
     yield "recover/negative_mhat", ["recover", "--input", _write(work / "bad_params.json", bad_params)]
+    for endpoint, value in (("a", -np.inf), ("b", np.inf)):
+        params = {**json.loads((GOLDEN / "params_q2.json").read_text()), endpoint: value}
+        yield f"recover/infinite_{endpoint}", ["recover", "--input",
+                                               _write(work / f"params_{endpoint}.json", params)]
     for moments in ("moments_q1.json", "moments_q2.json"):
         for rtol in ("1e-8", "0", "1e-20"):
             yield f"scalar-report/{moments}/{rtol}", ["scalar-report", "--input",
@@ -278,6 +283,9 @@ def corpus(workdir):
     bad_measure = {"points": [0.5, 2.0], "weights": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}
     yield "parse/gen_outside", ["gen", "--input", _write(work / "outside.json", bad_measure),
                                 "--count", "3"]
+    reversed_measure = {**json.loads((GOLDEN / "measure_q1.json").read_text()), "a": 1.0, "b": 0.0}
+    yield "parse/gen_reversed", ["gen", "--input", _write(work / "reversed.json", reversed_measure),
+                                 "--count", "3"]
 
 
 def run(cli, argv, workdir):

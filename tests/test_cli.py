@@ -15,7 +15,7 @@ from thmm import (
     extremal_quotient,
     resolvent_factorized,
 )
-from thmm import _linalg, cli, dsm, moments
+from thmm import _linalg, cli, dsm, moments, polynomials
 from thmm.cli import main
 from thmm.io import decode_matrix, moment_file_dict, read_moment_file, render_json
 
@@ -665,3 +665,39 @@ def test_first_route_makes_only_the_members_it_reads(monkeypatch):
         ("T2", 3), ("T1", 3), ("G2", 3), ("G1", 3), ("Q1", 3), ("P1", 3)}
     assert not any(i in complements for i, _ in read)
     assert len(made) == 6
+
+
+@pytest.mark.parametrize("moments", ["moments_q1.json", "moments_q2.json"])
+def test_factorize_second_solves_each_quotient_it_reads_once(moments, monkeypatch, capsys):
+    values, solved = set(), []
+    at_a, solve = polynomials.PolynomialFamily.at_a, np.linalg.solve
+
+    def spy_at_a(fam, p):
+        value = at_a(fam, p)
+        values.add(id(value))
+        return value
+
+    def spy_solve(x, y):
+        if id(x) in values and id(y) in values:
+            solved.append((id(x), id(y)))
+        return solve(x, y)
+
+    monkeypatch.setattr(polynomials.PolynomialFamily, "at_a", spy_at_a)
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    inp = str(Path(__file__).parent / "golden" / moments)
+    code, _ = run(capsys, ["factorize", "--input", inp, "--route", "second", "--z", "2+1i"])
+    assert code == 0
+    assert solved and len(set(solved)) == len(solved)
+
+
+@pytest.mark.parametrize("endpoint, value", [("a", -np.inf), ("b", np.inf)])
+def test_recover_refuses_an_infinite_endpoint_without_warnings(endpoint, value, tmp_path, capsys):
+    params = json.loads((Path(__file__).parent / "golden" / "params_q2.json").read_text())
+    params[endpoint] = value
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["recover", "--input", str(path)])
+    assert code == 2 and not caught
+    assert "need a finite interval" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,15 +8,18 @@ import sympy
 from thmm import (
     IllConditioned,
     InconsistentLengths,
+    InvalidMomentSequence,
     MomentSequence,
     NonPositiveParameter,
     RouteMismatch,
+    SingularPivot,
     WrongMatrixSize,
     build_family,
     build_hankels,
     classify,
     compute_first,
     compute_second,
+    moments_from_discrete_measure,
     product_identities,
     recover_moments,
     scalar_determinant_params,
@@ -23,6 +27,7 @@ from thmm import (
 )
 from thmm import dsm as dsm_module
 from thmm._linalg import min_eigenvalue, rel_residual, scaled_cond
+from thmm.io import read_moment_file, read_parameter_file
 from thmm.reporting import IdentityCheck, IdentityReport
 from thmm.errors import ThmmError
 
@@ -428,3 +433,35 @@ def test_scalar_determinant_wrong_size(rng):
     seq, _ = random_sequence(rng, 2, 1)
     with pytest.raises(WrongMatrixSize):
         scalar_determinant_params(seq)
+
+
+def test_product_identities_inverts_each_schur_complement_at_most_once(monkeypatch):
+    fam = build_family(read_moment_file(Path(__file__).parent / "golden" / "moments_q2.json"))
+    dsm, first = compute_second(fam), compute_first(fam)
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda x: inverted.append(np.array(x)) or inv(x))
+    product_identities(fam, dsm, first)
+    counts = {}
+    for family in ("H1", "H2", "K1", "K2"):
+        for j, c in enumerate(fam.hankels.complements(family)):
+            counts[family, j] = sum(x.shape == c.shape and (x == c).all() for x in inverted)
+    assert max(counts.values()) == 1, counts
+
+
+def test_recover_refuses_an_infinite_endpoint():
+    s0, mhat, lhat, a, b = read_parameter_file(Path(__file__).parent / "golden" / "params_q2.json")
+    for a, b in ((-np.inf, b), (a, np.inf)):
+        with pytest.raises(InvalidMomentSequence, match="need a finite interval"):
+            recover_moments(s0, mhat, lhat, a, b)
+
+
+@pytest.mark.parametrize("points, m, pivot", [
+    ([0.25, 0.5, 1.0], 5, ("K1", 2)),
+    ([0.0, 0.25, 0.5, 1.0], 6, ("H2", 2)),
+])
+def test_singular_largest_member_is_a_pivot_failure_not_ill_conditioning(points, m, pivot):
+    seq = moments_from_discrete_measure(points, [np.eye(1)] * len(points), m, 0.0, 1.0)
+    with pytest.raises(SingularPivot) as err:
+        compute_second(seq)
+    assert (err.value.family, err.value.index) == pivot

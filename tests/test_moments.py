@@ -507,3 +507,27 @@ def test_classify_keeps_the_factors_of_a_prebuilt_set(monkeypatch):
     assert sum(a is hank.K1[2] for a in calls) == 1
     assert len(calls) == 4 and {id(a) for a in calls} == {
         id(getattr(hank, family)[-1]) for family in ("H1", "H2", "K1", "K2")}
+
+
+@pytest.mark.parametrize("a, b, message", [
+    (1.0, 0.0, "need a < b"),
+    (0.5, 0.5, "need a < b"),
+    (-np.inf, 1.0, "need a finite interval"),
+    (0.0, np.inf, "need a finite interval"),
+])
+def test_discrete_measure_checks_its_interval_as_a_moment_sequence_does(a, b, message):
+    with pytest.raises(InvalidMomentSequence, match=message):
+        DiscreteMeasure(a=a, b=b, points=(0.5,), weights=(np.eye(1),))
+    with pytest.raises(InvalidMomentSequence, match=message):
+        MomentSequence(a=a, b=b, s=(np.eye(1),))
+
+
+def test_discrete_measure_reads_each_weight_once(monkeypatch):
+    calls = []
+    square = moments_module._square_matrix
+    monkeypatch.setattr(moments_module, "_square_matrix",
+                        lambda *args, **kw: calls.append(kw["what"]) or square(*args, **kw))
+    DiscreteMeasure(a=0.0, b=1.0, points=(0.25, 0.75), weights=(np.eye(2), 2.0 * np.eye(2)))
+    assert calls == ["weight_0", "weight_1"]
+    with pytest.raises(InvalidMomentSequence, match="weight_1 must be 2x2"):
+        DiscreteMeasure(a=0.0, b=1.0, points=(0.25, 0.75), weights=(np.eye(2), np.eye(3)))

@@ -391,3 +391,15 @@ def test_build_family_raises_the_pivot_of_the_eager_order():
     # every family fails somewhere, and some inputs build
     assert {pivot[0] for pivot in outcomes if pivot} == {"H1", "H2", "K1", "K2"}
     assert None in outcomes
+
+
+def test_quotient_is_kept_read_only_and_is_the_solve(rng):
+    seq, _ = random_sequence(rng, 2, 3)
+    fam = build_family(seq)
+    pairs = [(fam.g1[j], fam.t1[j]) for j in range(len(fam.g1))]
+    pairs += [(fam.q2[j], fam.p2[j]) for j in range(len(fam.q2))]
+    pairs += [(fam.t2[0], fam.p1[0]), (fam.p1[1], fam.t2[0])]
+    for x, y in pairs:
+        value = fam.quotient(x, y)
+        assert fam.quotient(x, y) is value and not value.flags.writeable
+        assert value.tobytes() == np.linalg.solve(fam.at_a(x), fam.at_a(y)).tobytes()
