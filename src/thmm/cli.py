@@ -3,14 +3,15 @@
 Subcommands: analyze, factorize, extremal, recover, gen, scalar-report.
 The CLI is a thin shell over the library; it never computes numbers
 itself.  Exit codes: 0 success, 2 input or parse error, 3 mathematical
-precondition failure, 4 cross-route residual above tolerance.
+precondition failure, 4 cross-route residual above tolerance.  A raised
+ThmmError exits with its class's exit_code and writes "<label>: <message>"
+to stderr, so a library caller can map an error exactly as the CLI does.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -26,50 +27,12 @@ from .dsm import (
     recover_moments,
     scalar_determinant_params,
 )
-from .errors import (
-    EmptyMeasure,
-    IllConditioned,
-    InconsistentLengths,
-    InsufficientMoments,
-    InvalidMomentSequence,
-    NonPositiveParameter,
-    OrderUnavailable,
-    PointOnInterval,
-    PointOutsideInterval,
-    PoleAtZ,
-    RouteMismatch,
-    SingularDenominator,
-    SingularLevel,
-    SingularNormalization,
-    SingularPivot,
-    ThmmError,
-    WrongMatrixSize,
-)
+from .errors import SingularPivot, ThmmError
 from ._linalg import PointPrefix, frobs
 from .extremal import extremal_cf_many, extremal_quotient_many
 from .moments import build_hankels, classify
 from .polynomials import build_family, verify_family_identities
 from .resolvent import resolvent_direct_many, resolvent_factorized_many
-
-_INPUT_ERRORS = (
-    InvalidMomentSequence,
-    EmptyMeasure,
-    PointOutsideInterval,
-    InconsistentLengths,
-    WrongMatrixSize,
-    OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,   # reading and parsing
-)
-_MATH_ERRORS = (
-    SingularPivot,
-    SingularNormalization,
-    PoleAtZ,
-    PointOnInterval,
-    SingularDenominator,
-    SingularLevel,
-    NonPositiveParameter,
-    InsufficientMoments,
-    OrderUnavailable,
-)
 
 
 def _emit(report, output):
@@ -348,21 +311,12 @@ def main(argv=None):
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except _INPUT_ERRORS as exc:
+    except ThmmError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (OSError, KeyError, TypeError, ValueError) as exc:   # reading and parsing
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except RouteMismatch as exc:
-        print(f"route mismatch: {exc}", file=sys.stderr)
-        return 4
-    except IllConditioned as exc:
-        print(f"ill-conditioned: {exc}", file=sys.stderr)
-        return 4
-    except _MATH_ERRORS as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return 3
-    except ThmmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 def entry():

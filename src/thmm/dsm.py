@@ -375,9 +375,9 @@ def recover_moments(s0, mhat, lhat, a, b):
     eye = np.eye(s0.shape[0], dtype=complex)
     inv_m = [solve_factored(_require_pd_param(x, "mhat", j)[1], eye) for j, x in enumerate(mhat)]
     inv_l = [solve_factored(_require_pd_param(x, "lhat", j)[1], eye) for j, x in enumerate(lhat)]
-    if len(inv_l) > len(inv_m):
+    if not len(inv_l) <= len(inv_m) <= len(inv_l) + 1:
         raise InconsistentLengths(
-            f"got {len(inv_l)} lhat parameters but only {len(inv_m)} mhat parameters"
+            f"need as many mhat as lhat parameters, or one more; got {len(inv_m)} and {len(inv_l)}"
         )
     _, _, khat1, hhat2 = _ladder(inv_m, inv_l, len(eye))
 

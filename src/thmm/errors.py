@@ -4,18 +4,35 @@ import math
 
 
 class ThmmError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    The CLI writes "<label>: <message>" to stderr and exits with exit_code.
+    """
+
+    exit_code, label = 3, "error"
 
 
-class InvalidMomentSequence(ThmmError, ValueError):
+class InputError(ThmmError):
+    """Input that is malformed, or whose parts do not fit together."""
+
+    exit_code, label = 2, "input error"
+
+
+class PreconditionFailure(ThmmError):
+    """A mathematical precondition of the computation fails on valid input."""
+
+    exit_code, label = 3, "precondition failure"
+
+
+class InvalidMomentSequence(InputError, ValueError):
     """Moment data violates a structural requirement (shape, Hermiticity, interval)."""
 
 
-class InsufficientMoments(ThmmError):
+class InsufficientMoments(PreconditionFailure):
     """A requested quantity needs moments beyond those supplied."""
 
 
-class OrderUnavailable(ThmmError):
+class OrderUnavailable(PreconditionFailure):
     def __init__(self, family, index):
         super().__init__(
             f"polynomial {family}[{index}] needs moments beyond those supplied"
@@ -24,7 +41,7 @@ class OrderUnavailable(ThmmError):
         self.index = index
 
 
-class SingularPivot(ThmmError):
+class SingularPivot(PreconditionFailure):
     """A matrix required to be positive definite failed its factorization."""
 
     def __init__(self, family, index):
@@ -35,12 +52,14 @@ class SingularPivot(ThmmError):
         self.index = index
 
 
-class SingularNormalization(ThmmError):
+class SingularNormalization(PreconditionFailure):
     """A polynomial value used as a normalizer is numerically singular."""
 
 
 class RouteMismatch(ThmmError):
     """Two independent computation routes for the same quantity disagree."""
+
+    exit_code, label = 4, "route mismatch"
 
     def __init__(self, what, where, residual):
         super().__init__(
@@ -57,6 +76,8 @@ class IllConditioned(ThmmError):
     cond is the 2-norm condition number of the member scaled to unit diagonal.
     """
 
+    exit_code, label = 4, "ill-conditioned"
+
     def __init__(self, family, index, cond, target):
         super().__init__(
             f"{family}[{index}] scaled to unit diagonal has cond ~ {cond:.1e}: about "
@@ -67,11 +88,11 @@ class IllConditioned(ThmmError):
         self.cond = cond
 
 
-class PoleAtZ(ThmmError):
+class PoleAtZ(PreconditionFailure):
     """The chosen factorized route has a scalar pole at the requested z."""
 
 
-class SingularDenominator(ThmmError):
+class SingularDenominator(PreconditionFailure):
     def __init__(self, cond):
         super().__init__(
             f"linear-fractional denominator is numerically singular (cond ~ {cond:.3e})"
@@ -92,34 +113,34 @@ class WrongChainKind(ThmmError):
         self.given = given
 
 
-class PointOnInterval(ThmmError):
+class PointOnInterval(PreconditionFailure):
     """Extremal solutions are only defined off the moment interval [a, b]."""
 
 
-class SingularLevel(ThmmError):
+class SingularLevel(PreconditionFailure):
     def __init__(self, depth):
         super().__init__(f"continued-fraction level {depth} is not invertible")
         self.depth = depth
 
 
-class NonPositiveParameter(ThmmError):
+class NonPositiveParameter(PreconditionFailure):
     def __init__(self, name, index):
         super().__init__(f"parameter {name}[{index}] must be Hermitian positive definite")
         self.name = name
         self.index = index
 
 
-class InconsistentLengths(ThmmError):
+class InconsistentLengths(InputError):
     """Parameter chains have lengths that cannot drive the moment recursion."""
 
 
-class EmptyMeasure(ThmmError):
+class EmptyMeasure(InputError):
     """A discrete measure needs at least one atom."""
 
 
-class PointOutsideInterval(ThmmError):
+class PointOutsideInterval(InputError):
     """A measure atom lies outside [a, b]."""
 
 
-class WrongMatrixSize(ThmmError):
+class WrongMatrixSize(InputError):
     """Operation restricted to scalar (q = 1) sequences."""

@@ -261,9 +261,14 @@ def build_family(source):
     )
 
 
-# the default points of the resolvent-quotient identities
-SAMPLE_POINTS = tuple(
-    complex(re, im) for re, im in np.random.default_rng(314159).uniform(-3.0, 3.0, size=(10, 2))
+# the default points of the resolvent-quotient identities, the rows (re, im) of
+# numpy.random.default_rng(314159).uniform(-3.0, 3.0, (10, 2)): import loads no numpy.random
+SAMPLE_POINTS = (
+    2.4693156716215174-1.1173871812856402j, 0.9026433866483399+1.8765331306920512j,
+    -2.3732150572003956+0.05902146842679734j, -0.27049184920425917-2.267115614734089j,
+    -0.8334317391886712+0.5786037329786842j, 1.2255730170895447+1.016482002419198j,
+    2.232421665293483+0.1259033652213386j, -2.387415735518468+0.3837122375547377j,
+    1.8827035242353665-1.3873185978043863j, -2.4876453977431825-0.9945408629990444j,
 )
 
 

@@ -21,8 +21,8 @@ sha256 of its stdout and of each file it was asked to write (--output,
   golden moments) under factorize with every route, at a, at b and at
   three points off [a, b];
 - gen, recover and scalar-report on good and bad input (recover with an
-  infinite endpoint, gen on a measure with a > b), and parse failures,
-  runs of --z=<lit> tokens among them.
+  infinite endpoint or surplus mhat, gen on a measure with a > b), and
+  parse failures, runs of --z=<lit> tokens among them.
 
 Inputs are written with the json module, never by thmm, so every version
 reads the same bytes.  thmm is imported from PYTHONPATH, so one checkout of
@@ -228,6 +228,11 @@ def corpus(workdir):
         params = {**json.loads((GOLDEN / "params_q2.json").read_text()), endpoint: value}
         yield f"recover/infinite_{endpoint}", ["recover", "--input",
                                                _write(work / f"params_{endpoint}.json", params)]
+    for kept in (0, 1):   # three mhat against too few lhat
+        params = json.loads((GOLDEN / "params_q2.json").read_text())
+        params["lhat"] = params["lhat"][:kept]
+        yield f"recover/surplus_mhat_lhat{kept}", ["recover", "--input",
+                                                   _write(work / f"params_lhat{kept}.json", params)]
     for moments in ("moments_q1.json", "moments_q2.json"):
         for rtol in ("1e-8", "0", "1e-20"):
             yield f"scalar-report/{moments}/{rtol}", ["scalar-report", "--input",

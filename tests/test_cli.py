@@ -15,7 +15,7 @@ from thmm import (
     extremal_quotient,
     resolvent_factorized,
 )
-from thmm import _linalg, cli, dsm, moments, polynomials
+from thmm import _linalg, cli, dsm, errors, moments, polynomials
 from thmm.cli import main
 from thmm.io import decode_matrix, moment_file_dict, read_moment_file, render_json
 
@@ -701,3 +701,81 @@ def test_recover_refuses_an_infinite_endpoint_without_warnings(endpoint, value, 
         code = main(["recover", "--input", str(path)])
     assert code == 2 and not caught
     assert "need a finite interval" in capsys.readouterr().err
+
+
+def test_import_loads_no_numpy_random():
+    # a fresh interpreter, since the test process has imported numpy.random already
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    script = "import sys, thmm.cli\nprint(any(m.startswith('numpy.random') for m in sys.modules))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.stdout.split() == ["False"], proc.stderr
+
+
+# the exit code and stderr label cli.main gave each error class before the
+# classes carried them
+ERROR_OUTCOMES = {
+    **dict.fromkeys(["InvalidMomentSequence", "EmptyMeasure", "PointOutsideInterval",
+                     "InconsistentLengths", "WrongMatrixSize"], (2, "input error")),
+    **dict.fromkeys(["SingularPivot", "SingularNormalization", "PoleAtZ", "PointOnInterval",
+                     "SingularDenominator", "SingularLevel", "NonPositiveParameter",
+                     "InsufficientMoments", "OrderUnavailable"], (3, "precondition failure")),
+    "RouteMismatch": (4, "route mismatch"),
+    "IllConditioned": (4, "ill-conditioned"),
+    "WrongChainKind": (3, "error"),
+    "ThmmError": (3, "error"),
+}
+ERROR_CLASSES = [cls for cls in vars(errors).values()
+                 if isinstance(cls, type) and issubclass(cls, errors.ThmmError)]
+
+
+def raise_in_a_command(monkeypatch, exc):
+    """main's exit code for a gen command line whose cmd_gen raises exc."""
+    def cmd_gen(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_gen", cmd_gen)
+    return main(["gen", "--input", "measure.json", "--count", "1"])
+
+
+def test_every_error_class_carries_an_exit_code_and_a_label():
+    assert set(ERROR_OUTCOMES) <= {cls.__name__ for cls in ERROR_CLASSES}
+    for cls in ERROR_CLASSES:
+        assert cls.exit_code in (2, 3, 4), cls
+        assert isinstance(cls.label, str) and cls.label, cls
+        if cls.__name__ in ERROR_OUTCOMES:
+            assert (cls.exit_code, cls.label) == ERROR_OUTCOMES[cls.__name__], cls
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_main_reports_each_error_class_by_its_exit_code_and_label(cls, monkeypatch, capsys):
+    # __new__ alone: str() reads args, and no constructor signature matters
+    code = raise_in_a_command(monkeypatch, cls.__new__(cls, "the message"))
+    assert (code, capsys.readouterr().err) == (cls.exit_code, f"{cls.label}: the message\n")
+
+
+def test_an_error_class_defined_elsewhere_needs_no_cli_edit(monkeypatch, capsys):
+    class Refusal(errors.PreconditionFailure):
+        pass
+
+    class Custom(errors.InputError):
+        exit_code, label = 4, "custom"
+
+    assert raise_in_a_command(monkeypatch, Refusal("refused")) == 3
+    assert raise_in_a_command(monkeypatch, Custom("odd")) == 4
+    assert capsys.readouterr().err == "precondition failure: refused\ncustom: odd\n"
+
+
+@pytest.mark.parametrize("exc", [
+    OSError(2, "No such file or directory"), KeyError("s0"), TypeError("not a list"),
+    ValueError("bad literal"), json.JSONDecodeError("Expecting value", "{", 1),
+], ids=lambda exc: type(exc).__name__)
+def test_builtin_reading_and_parsing_errors_are_input_errors(exc, monkeypatch, capsys):
+    assert raise_in_a_command(monkeypatch, exc) == 2
+    assert capsys.readouterr().err == f"input error: {exc}\n"
+
+
+def test_other_exceptions_are_not_caught(monkeypatch):
+    with pytest.raises(ZeroDivisionError):
+        raise_in_a_command(monkeypatch, ZeroDivisionError("a bug, not a failure of the input"))

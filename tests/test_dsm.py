@@ -374,6 +374,14 @@ def test_recover_errors():
         )
 
 
+@pytest.mark.parametrize("kept", [0, 1])
+def test_recover_refuses_surplus_mhat(kept):
+    # three mhat drive at most two lhat: the third mhat would be dropped unread
+    mhat = [np.array([[2.0]])] * 3
+    with pytest.raises(InconsistentLengths, match="or one more; got 3 and"):
+        recover_moments(np.array([[1.0]]), mhat, [np.array([[1.0]])] * kept, 0.0, 1.0)
+
+
 def test_limit_check_scalar_algebra():
     # j = 0: b mhat_0 = b / (b s0 - s1) converges to 1/s0 = M_0
     seq = lebesgue(1)

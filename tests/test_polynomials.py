@@ -231,6 +231,13 @@ def test_stacked_ratio_checks_equal_per_point_reference(rng, zs):
             SAMPLE_POINTS if zs is None else zs)
 
 
+def test_sample_points_are_the_seeded_draw_bit_for_bit():
+    draw = np.random.default_rng(314159).uniform(-3.0, 3.0, (10, 2))
+    written = np.array([[z.real, z.imag] for z in SAMPLE_POINTS])
+    assert all(type(z) is complex for z in SAMPLE_POINTS)
+    assert written.tobytes() == draw.tobytes()
+
+
 @pytest.mark.parametrize("q", [1, 2])
 def test_R_many_is_the_dense_R_bit_for_bit(q):
     seq, _ = random_sequence(np.random.default_rng(5), q, 3)
