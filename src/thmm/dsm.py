@@ -25,6 +25,10 @@ ACCURACY_RTOL.
 The chains telescope (rhat_{j+1} - rhat_j = lhat_j and
 that_j - that_{j-1} = mhat_j) and all members with index >= 0 are
 positive definite for Hausdorff positive definite input.
+
+rungs(chain, parity) is the one reading order of a chain: mhat_0, lhat_0,
+mhat_1, .. or M_0, L_0, M_1, .., cut by parity.  resolvent_factors,
+aux_product and the continued fractions all read it.
 """
 
 from __future__ import annotations
@@ -124,9 +128,25 @@ class DsmFirst:
     L: tuple
 
 
-def _last_indices(m):
-    """The last indices n_t = (m-1)//2 of that/mhat and n_l = (m-2)//2 of lhat; -1 for none."""
-    return (m - 1) // 2, (m - 2) // 2
+def _forms(hank, family):
+    """The Hermitian forms of the members of a family, and their increments (form_0 first)."""
+    forms = [hermitize(hank.form(family, j)) for j in range(len(getattr(hank, family)))]
+    return forms, forms[:1] + [forms[j] - forms[j - 1] for j in range(1, len(forms))]
+
+
+def rungs(chain, parity):
+    """The interleaved parameters of a DSM chain in reading order, as (tag, matrix) pairs.
+
+    mhat_0, lhat_0, mhat_1, .. for a DsmSecond and M_0, L_0, M_1, .. for a
+    DsmFirst, read as far as the chain goes and cut to end on lhat or M at
+    even parity, on mhat or L at odd parity.
+    """
+    second = isinstance(chain, DsmSecond)
+    names = ("mhat", "lhat") if second else ("M", "L")
+    pair = (chain.mhat, chain.lhat_from_zero) if second else (chain.M, chain.L)
+    count = min(2 * len(pair[0]), 2 * len(pair[1]) + 1)
+    count -= count % 2 != ((parity == "odd") == second)   # an odd count ends on mhat or M
+    return [(f"{names[i % 2]}[{i // 2}]", pair[i % 2][i // 2]) for i in range(count)]
 
 
 def _agree(name, xs, ys, rtol):
@@ -149,10 +169,10 @@ def compute_second(source):
     seq = fam.seq
     hank = fam.hankels
     s0 = seq.s[0]
-    n_t, n_l = _last_indices(seq.m)
 
     # a singular largest member first, as the forms of the routes would raise it
-    largest = [(family, j) for family, j in (("K1", n_t), ("H2", n_l)) if j >= 0]
+    largest = [(family, len(getattr(hank, family)) - 1) for family in ("K1", "H2")
+               if getattr(hank, family)]
     for family, j in largest:
         if hank.factor(family, j) is None:
             raise SingularPivot(family, j)
@@ -161,32 +181,26 @@ def compute_second(source):
         if np.finfo(float).eps * cond > ACCURACY_RTOL:
             raise IllConditioned(family, j, cond, ACCURACY_RTOL)
 
-    that_qf = [hermitize(hank.form("K1", j)) for j in range(n_t + 1)]
-    mhat_qf = (
-        [that_qf[0]] + [that_qf[j] - that_qf[j - 1] for j in range(1, n_t + 1)]
-        if that_qf else []
-    )
-
-    qf = [hermitize(hank.form("H2", j)) for j in range(n_l + 1)]
-    lhat_qf = [qf[0]] + [qf[j] - qf[j - 1] for j in range(1, n_l + 1)] if qf else []
-    rhat_qf = [np.array(s0)] + [s0 + qf[j] for j in range(n_l + 1)]
+    that_qf, mhat_qf = _forms(hank, "K1")
+    qf, lhat_qf = _forms(hank, "H2")
+    rhat_qf = [np.array(s0)] + [s0 + x for x in qf]
 
     # polynomial route, solved against the complements e_2j - Y_j^* x_j
     # themselves: through the family factor, whose diagonal blocks also give
     # the quadratic forms, the routes would agree far closer than either is right
     at_a = fam.at_a
     mhat_poly = []
-    for j in range(n_t + 1):
+    for j in range(len(that_qf)):
         val = at_a(fam.g1[j])
         mhat_poly.append(val.conj().T @ np.linalg.solve(hank.complements("K1")[j], val))
     lhat_poly = []
-    for j in range(n_l + 1):
+    for j in range(len(qf)):
         val = at_a(fam.q2[j])
         lhat_poly.append(val.conj().T @ np.linalg.solve(hank.complements("H2")[j], val))
     rhat_poly = [fam.quotient(fam.g1[j], fam.t1[j])
-                 for j in range(min(n_l + 2, len(fam.g1), len(fam.t1)))]
+                 for j in range(min(len(qf) + 1, len(fam.g1), len(fam.t1)))]
     that_poly = [fam.quotient(fam.q2[j], fam.p2[j])
-                 for j in range(min(n_t + 1, len(fam.q2), len(fam.p2)))]
+                 for j in range(min(len(that_qf), len(fam.q2), len(fam.p2)))]
 
     _agree("mhat", mhat_qf, mhat_poly, ROUTE_RTOL)
     _agree("lhat", lhat_qf, lhat_poly, ROUTE_RTOL)
@@ -211,14 +225,7 @@ def compute_first(source):
         fam = ensure_family(source)
         seq = fam.seq
         hank = fam.hankels
-    m = seq.m
-
-    qh = [hermitize(hank.form("H1", j)) for j in range(m // 2 + 1)]
-    M = [qh[0]] + [qh[j] - qh[j - 1] for j in range(1, len(qh))]
-
-    qk = [hermitize(hank.form("K2", j)) for j in range((m - 1) // 2 + 1)]
-    L = [qk[0]] + [qk[j] - qk[j - 1] for j in range(1, len(qk))] if qk else []
-
+    M, L = _forms(hank, "H1")[1], _forms(hank, "K2")[1]
     return DsmFirst(q=seq.q, a=seq.a, M=tuple(M), L=tuple(L))
 
 
@@ -446,7 +453,6 @@ def scalar_determinant_params(seq, rtol=1e-8):
         raise WrongMatrixSize(f"scalar determinant route needs q = 1, got q = {seq.q}")
     fam = build_family(seq)
     hank = fam.hankels
-    n_t, n_l = _last_indices(seq.m)
 
     def det(mat):
         return complex(np.linalg.det(mat))
@@ -461,9 +467,10 @@ def scalar_determinant_params(seq, rtol=1e-8):
         denom = det(member[j]) * (det(member[j - 1]) if j >= 1 else 1.0)
         return float((det(np.array(rows, dtype=complex)) ** 2 / denom).real)
 
-    mtilde = [ratio("K1", j, lambda j: [seq.a ** k for k in range(j + 1)]) for j in range(n_t + 1)]
+    mtilde = [ratio("K1", j, lambda j: [seq.a ** k for k in range(j + 1)])
+              for j in range(len(hank.K1))]
     ltilde = [ratio("H2", j, lambda j: list(-hank.R_at_a_times(hank.column("H2", j)).conj().T[0]))
-              for j in range(n_l + 1)]
+              for j in range(len(hank.H2))]
 
     dsm = compute_second(fam)
     _agree("mtilde", [np.array([[x]]) for x in mtilde], dsm.mhat, rtol)

@@ -13,7 +13,7 @@ and as finite matrix continued fractions driven by the parameter chains:
   friedrichs / odd    the same first-type chain extended by a final L_n
 
 where 1/X means the matrix inverse and levels are summed in the printed
-order.
+order.  The levels are the rungs of the chain (dsm.rungs), one per rung.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import dataclasses
 import numpy as np
 
 from ._linalg import guard_cond, point_prefix, rel_residuals, right_quotient, scalars
+from .dsm import DsmFirst, DsmSecond, compute_first, compute_second, rungs
 from .errors import (
     PointOnInterval,
     SingularDenominator,
@@ -128,60 +129,44 @@ def evaluate_chain(chain):
 
 
 def _chain_params(source, parity, which):
-    """(params, n, second_kind) for the chain of one extremal solution; source may be the chain."""
-    from .dsm import DsmFirst, DsmSecond, compute_first, compute_second
-
+    """The DSM chain of one extremal solution; source may be the chain itself."""
     if which not in ("krein", "friedrichs"):
         raise ValueError(f"which must be 'krein' or 'friedrichs', got {which!r}")
-    second_kind = (which == "friedrichs") == (parity == "even")
-
-    params = source
-    expected = DsmSecond if second_kind else DsmFirst
-    if not isinstance(source, (DsmSecond, DsmFirst)):
-        fam = ensure_family(source)
-        params = compute_second(fam) if second_kind else compute_first(fam)
-        n = _order(fam.seq, parity)
-    elif not isinstance(params, expected):
-        raise WrongChainKind(which, parity, expected.__name__, type(params).__name__)
-    elif second_kind:   # mhat_n is read at odd parity, M_n always and L_n at odd parity
-        n = min(len(params.mhat) - (parity == "odd"), len(params.lhat_from_zero))
-    else:
-        n = min(len(params.M) - 1, len(params.L) - (parity == "odd"))
-    return params, n, second_kind
+    expected = DsmSecond if (which == "friedrichs") == (parity == "even") else DsmFirst
+    if isinstance(source, (DsmSecond, DsmFirst)):
+        if not isinstance(source, expected):
+            raise WrongChainKind(which, parity, expected.__name__, type(source).__name__)
+        return source
+    fam = ensure_family(source)
+    chain = compute_second(fam) if expected is DsmSecond else compute_first(fam)
+    _order(fam.seq, parity)   # odd parity needs s_1
+    return chain
 
 
-def _chain(z, parity, params, n, second_kind):
-    """The chain at z: one point, or an array of K points giving (K, q, q) levels."""
+def _chain(z, parity, params):
+    """The chain at z: one point, or an array of K points giving (K, q, q) levels.
+
+    Rung mhat_k is the level -(z-a)(b-z) mhat_k and lhat_k is lhat_k / (b-z),
+    under the head s_0 / (b-z); M_k is -(z-a) M_k and L_k is L_k, with no head.
+    """
 
     def at(f):
         return f(z) if np.isscalar(z) else scalars(f, z)[:, None, None]
 
-    levels = []
-    tags = []
-    if second_kind:
-        a, b = params.a, params.b
-        head = params.s0 / at(lambda x: b - x)
-        count = n if parity == "even" else n + 1
-        for k in range(count):
-            levels.append(at(lambda x: -(x - a) * (b - x)) * params.m(k))
-            tags.append(f"mhat[{k}]")
-            if parity == "odd" and k == count - 1:
-                break
-            levels.append(params.l(k) / at(lambda x: b - x))
-            tags.append(f"lhat[{k}]")
-        return ContinuedFractionChain(head=head, levels=tuple(levels), tags=tuple(tags))
-
     a = params.a
-    head = None
-    for k in range(n + 1):
-        levels.append(at(lambda x: -(x - a)) * params.M[k])
-        tags.append(f"M[{k}]")
-        if parity == "even" and k == n:
-            break
-        level = params.L[k]
-        levels.append(np.broadcast_to(level, np.shape(z) + level.shape).astype(complex))
-        tags.append(f"L[{k}]")
-    return ContinuedFractionChain(head=head, levels=tuple(levels), tags=tuple(tags))
+    if isinstance(params, DsmSecond):
+        b = params.b
+        b_z, scale = at(lambda x: b - x), at(lambda x: -(x - a) * (b - x))
+        head = params.s0 / b_z
+        level = (lambda p: scale * p, lambda p: p / b_z)
+    else:
+        scale = at(lambda x: -(x - a))
+        head = None
+        level = (lambda p: scale * p,
+                 lambda p: np.broadcast_to(p, np.shape(z) + p.shape).astype(complex))
+    rs = rungs(params, parity)
+    levels = tuple(level[i % 2](p) for i, (_, p) in enumerate(rs))
+    return ContinuedFractionChain(head=head, levels=levels, tags=tuple(tag for tag, _ in rs))
 
 
 def extremal_chain(source, z, parity, which):
@@ -191,7 +176,7 @@ def extremal_chain(source, z, parity, which):
     krein/even and friedrichs/odd the first-type ones.
     """
     z = complex(z)
-    return _chain(z, parity, *_chain_params(source, parity, which))
+    return _chain(z, parity, _chain_params(source, parity, which))
 
 
 @point_prefix
@@ -202,7 +187,7 @@ def extremal_cf_many(source, pts, parity, which):
     chain is built once and the fraction is evaluated level by level over
     the whole stack.  Failures are as point_prefix describes.
     """
-    chain = _chain(pts.zs, parity, *_chain_params(source, parity, which))
+    chain = _chain(pts.zs, parity, _chain_params(source, parity, which))
     return _evaluate(chain, pts)
 
 

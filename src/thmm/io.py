@@ -1,10 +1,10 @@
 """JSON file formats, complex literals, and deterministic report rendering.
 
-Moment file      { "q": int, "a": real, "b": real,
+Moment file      { "q": int >= 1, "a": real, "b": real,
                    "moments": [ M_0, .., M_m ] }
 Measure file     { "points": [x_0, ..], "weights": [ W_0, .. ],
                    optional "a", "b" (default 0, 1) }
-Parameter file   { "q": int, "a": real, "b": real, "s0": M,
+Parameter file   { "q": int >= 1, "a": real, "b": real, "s0": M,
                    "mhat": [ M, .. ], "lhat": [ M, .. ] }
 
 Every matrix M is a q x q row-major array of [re, im] pairs.  Reports are
@@ -70,7 +70,10 @@ def decode_matrix(obj, q=None, what="matrix"):
 
 
 def _read_object(path, kind, keys):
-    """The JSON object of a kind of input file; an error names the kind and a missing key."""
+    """The JSON object of a kind of input file; an error names the kind and a missing key.
+
+    A "q" among keys must be a JSON integer >= 1 (not a boolean, not 1.0).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -78,12 +81,15 @@ def _read_object(path, kind, keys):
     for key in keys:
         if key not in data:
             raise InvalidMomentSequence(f"{kind} file has no {key!r}")
+    if "q" in keys and (type(data["q"]) is not int or data["q"] < 1):
+        raise InvalidMomentSequence(
+            f"{kind} file needs an integer q >= 1, got {json.dumps(data['q'])}")
     return data
 
 
 def read_moment_file(path):
     data = _read_object(path, "moment", ("q", "a", "b", "moments"))
-    q = int(data["q"])
+    q = data["q"]
     a = float(data["a"])
     b = float(data["b"])
     moments = data["moments"]
@@ -113,7 +119,7 @@ def read_measure_file(path):
 
 def read_parameter_file(path):
     data = _read_object(path, "parameter", ("q", "a", "b", "s0", "mhat", "lhat"))
-    q = int(data["q"])
+    q = data["q"]
     a = float(data["a"])
     b = float(data["b"])
     s0 = decode_matrix(data["s0"], q, what="s0")

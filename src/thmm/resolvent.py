@@ -10,8 +10,9 @@ linear fractional transformation.  It is computed here by three routes:
   first   the analogous product over the first-type parameters.
 
 resolvent_factors gives the factor list of either product; the
-factorized resolvent multiplies it out, and the telescoped form of the
-auxiliary products reuses its second-type pairs.
+factorized resolvent multiplies it out.  Both products, and the telescoped
+form of the auxiliary products, map the rung list of a chain (dsm.rungs)
+to their up/low factors in one place, _rung_factors.
 
 The auxiliary matrices tie the routes together: the odd-kind auxiliary
 matrix is the product of the odd Blaschke-Potapov factors, the even-kind
@@ -27,6 +28,7 @@ import functools
 import numpy as np
 
 from ._linalg import point_prefix, rel_residual, scalars
+from .dsm import DsmSecond, compute_first, compute_second, rungs
 from .errors import (
     InsufficientMoments,
     PoleAtZ,
@@ -207,13 +209,10 @@ def _aux_blocks(fam, j, z, kind):
     if fam_name is None:
         raise ValueError(f"unknown auxiliary kind {kind!r}")
     hank.member(fam_name, j)   # a missing member fails before any column is built
+    left_col = right_col = hank.second_kind(fam_name, j)
     extra = None
-    if kind == "tilde-odd":
-        left_col = right_col = hank.second_kind("K1", j)
-    elif kind == "tilde-even":
-        left_col = right_col = hank.second_kind("H2", j)
-    else:
-        left_col = hank.second_kind("H2", j) + np.conj(z) * (v @ seq.s[0])
+    if kind == "hat-even":
+        left_col = left_col + np.conj(z) * (v @ seq.s[0])
         right_col = hank.column("H2", j)
         extra = seq.s[0]
 
@@ -344,13 +343,12 @@ def aux_product(source, order, z, kind):
 
     kind = "tilde-odd" with order 2j + 1 multiplies d^(1) d^(3) .. d^(2j+1);
     kind = "hat-even" with order 2j multiplies d^(0) d^(2) .. d^(2j+2).
-    The telescoped parameter form (the _second_core factors of
-    resolvent_factors with count j + 1 and boundary factor -rhat_j for
-    tilde-odd, that_j for hat-even) is evaluated as well; both products must
-    match the directly assembled auxiliary matrix within AUX_PRODUCT_RTOL.
+    The telescoped parameter form (the _rung_factors of the second-type
+    chain's first 2j + 1 rungs with boundary factor -rhat_j for tilde-odd,
+    its first 2j + 2 with that_j for hat-even) is evaluated as well; both
+    products must match the directly assembled auxiliary matrix within
+    AUX_PRODUCT_RTOL.
     """
-    from .dsm import compute_second
-
     fam = ensure_family(source)
     seq = fam.seq
     a = seq.a
@@ -367,7 +365,7 @@ def aux_product(source, order, z, kind):
     factors = [bp_factor(fam, k, z) for k in range(order % 2, 2 * j + 3, 2)]
     direct = _aux_blocks(fam, j, z, kind)
     tail = -dsm.r(j) if parity == "odd" else dsm.t(j)
-    telescoped = _second_core(dsm, z - a, parity, j + 1, tail)
+    telescoped = _rung_factors(dsm, parity, z - a, tail, 2 * j + 1 + (parity == "even"))
 
     product = functools.reduce(np.matmul, factors)
     res_bp = rel_residual(product, direct)
@@ -456,26 +454,27 @@ def _poles(pts, hit, route):
     pts.shared_stage()
 
 
-def _second_core(dsm, zc, parity, count, tail):
-    """The second-type up/low pairs and their boundary factor, left to right.
+def _rung_factors(chain, parity, zc, tail, count=None):
+    """The up/low factors of the rungs of a chain, left to right, then its boundary factor.
 
-    zc is z - a, a scalar or a (K, 1, 1) column.  Even parity gives
-        [up(zc lhat_{k-1}) low(-mhat_k)]_{k<count} up(zc lhat_{count-1}) low(tail),
-    odd parity gives
-        [up(lhat_{k-1}) low(-zc mhat_k)]_{k<count} up(tail).
+    mhat and M give low(-x), lhat and L up(x), and zc = z - a, a scalar or a
+    (K, 1, 1) column, scales the kind the rung list ends on.  A second-type
+    chain leads with its lhat_{-1} = s_0.  The boundary factor, of the other
+    kind, carries tail.  count cuts the rung list.
     """
+    mats = [x for _, x in rungs(chain, parity)[:count]]
+    start = 0
+    if isinstance(chain, DsmSecond):
+        mats, start = [chain.s0] + mats, -1
+    last = start + len(mats) - 1
     factors = []
-    if parity == "even":
-        for k in range(count):
-            factors.append(_up(zc * dsm.l(k - 1)))
-            factors.append(_low(-dsm.m(k)))
-        factors.append(_up(zc * dsm.l(count - 1)))
-        factors.append(_low(tail))
-    else:
-        for k in range(count):
-            factors.append(_up(dsm.l(k - 1)))
-            factors.append(_low(-zc * dsm.m(k)))
-        factors.append(_up(tail))
+    for i, x in enumerate(mats, start):
+        scaled = (last - i) % 2 == 0
+        if i % 2:
+            factors.append(_up(zc * x if scaled else x))
+        else:
+            factors.append(_low(-zc * x if scaled else -x))
+    factors.append(_low(tail) if last % 2 else _up(tail))
     return factors
 
 
@@ -497,11 +496,10 @@ def resolvent_factors(source, pts, parity, route):
 
     Each factor is a (K, 2q, 2q) stack over the points zs, or one 2q x 2q
     matrix where it does not depend on z.  The parameter chain of the
-    source and the boundary factor are built once.  Failures are as
-    point_prefix describes.
+    source and the boundary factor are built once; _rung_factors maps the
+    chain's rungs to the up/low factors.  Failures are as point_prefix
+    describes.
     """
-    from .dsm import compute_first, compute_second
-
     fam = ensure_family(source)
     seq = fam.seq
     a, b = seq.a, seq.b
@@ -514,46 +512,28 @@ def resolvent_factors(source, pts, parity, route):
             _poles(pts, (pts.zs == a) | (pts.zs == b), "second-type even")
             tail = _tail_second_even(fam, n)
             z = pts.zs
-            factors = [
+            return [
                 _diag(scalars(lambda x: 1.0 / ((b - x) * (x - a)), z), 1.0, q),
-                *_second_core(dsm, z[:, None, None] - a, "even", n, tail),
+                *_rung_factors(dsm, parity, z[:, None, None] - a, tail),
                 _diag(scalars(lambda x: (b - a) * (x - a), z),
                       scalars(lambda x: (b - x) / (b - a), z), q),
             ]
-        else:
-            _poles(pts, pts.zs == b, "second-type odd")
-            tail = _tail_second_odd(fam, n)
-            z = pts.zs
-            factors = [
-                _diag(scalars(lambda x: 1.0 / (b - x), z), 1.0, q),
-                *_second_core(dsm, z[:, None, None] - a, "odd", n + 1, tail),
-                _diag(b - z, 1.0, q),
-            ]
-    elif route == "first":
+        _poles(pts, pts.zs == b, "second-type odd")
+        tail = _tail_second_odd(fam, n)
+        z = pts.zs
+        return [_diag(scalars(lambda x: 1.0 / (b - x), z), 1.0, q),
+                *_rung_factors(dsm, parity, z[:, None, None] - a, tail), _diag(b - z, 1.0, q)]
+    if route == "first":
         first = compute_first(fam)
         if parity == "even":
             tail = _tail_first_even(fam, n)
-            zc = pts.zs[:, None, None]
-            factors = []
-            for k in range(n):
-                factors.append(_low(-(zc - a) * first.M[k]))
-                factors.append(_up(first.L[k]))
-            factors.append(_low(-(zc - a) * first.M[n]))
-            factors.append(_up(tail))
-        else:
-            _poles(pts, pts.zs == a, "first-type odd")
-            tail = _tail_first_odd(fam, n)
-            z = pts.zs
-            zc = z[:, None, None]
-            factors = [_diag(scalars(lambda x: 1.0 / (x - a), z), 1.0, q)]
-            for k in range(n + 1):
-                factors.append(_low(-first.M[k]))
-                factors.append(_up((zc - a) * first.L[k]))
-            factors.append(_low(tail))
-            factors.append(_diag(z - a, 1.0, q))
-    else:
-        raise ValueError(f"route must be 'second' or 'first', got {route!r}")
-    return factors
+            return _rung_factors(first, parity, pts.zs[:, None, None] - a, tail)
+        _poles(pts, pts.zs == a, "first-type odd")
+        tail = _tail_first_odd(fam, n)
+        z = pts.zs
+        return [_diag(scalars(lambda x: 1.0 / (x - a), z), 1.0, q),
+                *_rung_factors(first, parity, z[:, None, None] - a, tail), _diag(z - a, 1.0, q)]
+    raise ValueError(f"route must be 'second' or 'first', got {route!r}")
 
 
 @point_prefix

@@ -20,9 +20,14 @@ sha256 of its stdout and of each file it was asked to write (--output,
 - the even parity at n = 0 (m = 0, and m = 1 with --parity even, of the
   golden moments) under factorize with every route, at a, at b and at
   three points off [a, b];
+- the golden moments cut to m = 1..6 (to m = 5 for q = 1, which has no
+  more) under factorize --route second|first and extremal --which
+  krein|friedrichs with --parity even|odd, at a, at b and at three points
+  off [a, b], so that where each parameter chain stops shows;
 - gen, recover and scalar-report on good and bad input (recover with an
   infinite endpoint or surplus mhat, gen on a measure with a > b), and
-  parse failures, runs of --z=<lit> tokens among them.
+  parse failures, runs of --z=<lit> tokens among them, and a q that is
+  not an integer (1.9, true, 2.5) in a moment and a parameter file.
 
 Inputs are written with the json module, never by thmm, so every version
 reads the same bytes.  thmm is imported from PYTHONPATH, so one checkout of
@@ -214,6 +219,17 @@ def corpus(workdir):
                     yield (f"n0/{moments}/m{m}/{z}/{route}",
                            ["factorize", "--input", short, "--route", route, "--parity", parity,
                             f"--z={z}"])
+        for m in range(1, min(7, len(data["moments"]))):
+            cut = _write(work / f"cut_m{m}_{moments}", {**data, "moments": data["moments"][:m + 1]})
+            for parity in ("even", "odd"):
+                for z in (a, b, "2+1i", "-0.3+0.05i", 3):
+                    for command, flag, choice in (("factorize", "--route", "second"),
+                                                  ("factorize", "--route", "first"),
+                                                  ("extremal", "--which", "krein"),
+                                                  ("extremal", "--which", "friedrichs")):
+                        yield (f"rungs/{moments}/m{m}/{parity}/{z}/{command}/{choice}",
+                               [command, "--input", cut, flag, choice, "--parity", parity,
+                                f"--z={z}"])
 
     for measure in ("measure_q1.json", "measure_q2.json"):
         for count in (0, 1, 2, 5, 9):
@@ -233,6 +249,10 @@ def corpus(workdir):
         params["lhat"] = params["lhat"][:kept]
         yield f"recover/surplus_mhat_lhat{kept}", ["recover", "--input",
                                                    _write(work / f"params_lhat{kept}.json", params)]
+    for q in (1.9, True, 2.5):   # q must be a JSON integer
+        for command, golden in (("analyze", "moments_q1.json"), ("recover", "params_q2.json")):
+            data = {**json.loads((GOLDEN / golden).read_text()), "q": q}
+            yield f"parse/q/{q}/{command}", [command, "--input", _write(work / f"q_{q}_{golden}", data)]
     for moments in ("moments_q1.json", "moments_q2.json"):
         for rtol in ("1e-8", "0", "1e-20"):
             yield f"scalar-report/{moments}/{rtol}", ["scalar-report", "--input",

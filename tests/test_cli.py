@@ -628,6 +628,20 @@ def test_missing_key_names_file_kind_and_key(tmp_path, capsys, command, kind, te
     assert captured.err == f"input error: {kind} file has no '{key}'\n"
 
 
+@pytest.mark.parametrize("command,golden,kind,q", [
+    ("analyze", "moments_q1.json", "moment", 1.9),
+    ("analyze", "moments_q1.json", "moment", True),
+    ("recover", "params_q2.json", "parameter", 2.5),
+])
+def test_a_q_that_is_not_an_integer_is_an_input_error(tmp_path, capsys, command, golden, kind, q):
+    data = json.loads((Path(__file__).parent / "golden" / golden).read_text())
+    inp = write_json(tmp_path / "input.json", json.dumps({**data, "q": q}))
+    assert main([command, "--input", inp]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {kind} file needs an integer q >= 1, got {json.dumps(q)}\n"
+
+
 @pytest.mark.parametrize("command,kind", [(["analyze"], "moment"), (["recover"], "parameter"),
                                           (["gen", "--count", "2"], "measure")])
 def test_input_file_must_hold_an_object(tmp_path, capsys, command, kind):

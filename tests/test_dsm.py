@@ -473,3 +473,32 @@ def test_singular_largest_member_is_a_pivot_failure_not_ill_conditioning(points,
     with pytest.raises(SingularPivot) as err:
         compute_second(seq)
     assert (err.value.family, err.value.index) == pivot
+
+
+def expected_rungs(m, parity, second):
+    """The tags of the rung list of a chain, written out from the order n that parity gives."""
+    from thmm.resolvent import _order
+
+    n = _order(MomentSequence(0.0, 1.0, tuple(np.eye(1) for _ in range(m + 1))), parity)
+    x, y = ("mhat", "lhat") if second else ("M", "L")
+    pairs = [f"{t}[{k}]" for k in range(n) for t in (x, y)]
+    if second:
+        return pairs + ([f"mhat[{n}]"] if parity == "odd" else [])
+    return pairs + [f"M[{n}]"] + ([f"L[{n}]"] if parity == "odd" else [])
+
+
+@pytest.mark.parametrize("m", range(8))
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("second", [True, False], ids=["DsmSecond", "DsmFirst"])
+def test_rungs_interleave_the_chain_up_to_the_order_of_the_parity(m, parity, second):
+    chain = (compute_second if second else compute_first)(lebesgue(m))
+    rungs = dsm_module.rungs(chain, parity)
+    tags = [tag for tag, _ in rungs]
+    if m == 0 and parity == "odd":
+        assert tags == []   # odd parity needs s_1
+    else:
+        assert tags == expected_rungs(m, parity, second)
+    for tag, mat in rungs:   # each rung is the chain's own matrix
+        name, k = tag[:-1].split("[")
+        own = {"mhat": chain.mhat, "lhat": chain.lhat_from_zero}[name] if second else getattr(chain, name)
+        assert mat is own[int(k)]

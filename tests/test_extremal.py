@@ -23,11 +23,12 @@ from thmm import (
     extremal_quotient_many,
     mobius_apply,
     mobius_chain_apply,
+    moments_from_discrete_measure,
     resolvent_direct,
     resolvent_factors,
 )
 
-from conftest import lebesgue, random_sequence, random_z_points, rel
+from conftest import lebesgue, random_measure, random_sequence, random_z_points, rel
 
 
 def test_mobius_identity_transform():
@@ -155,6 +156,20 @@ def test_chain_accepts_prebuilt_params():
     first = compute_first(seq)
     cf2 = extremal_cf(first, -1.0, "odd", "friedrichs")
     assert abs(cf2[0, 0] - 9.0 / 13.0) < 1e-13
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("which", ["krein", "friedrichs"])
+def test_a_passed_chain_reads_the_rungs_of_its_family(rng, m, parity, which):
+    measure = random_measure(rng, 2, m // 2 + 2)
+    fam = build_family(moments_from_discrete_measure(measure.points, measure.weights, m, 0.0, 1.0))
+    chain = (compute_second if (which == "friedrichs") == (parity == "even") else compute_first)(fam)
+    zs = random_z_points(rng, 6)
+    from_chain = extremal_cf_many(chain, zs, parity, which)
+    assert from_chain.tobytes() == extremal_cf_many(fam, zs, parity, which).tobytes()
+    assert extremal_chain(chain, zs[0], parity, which).tags == \
+        extremal_chain(fam, zs[0], parity, which).tags
 
 
 @pytest.mark.parametrize("which, parity, given", [

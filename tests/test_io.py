@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from thmm.io import (
     moment_file_dict,
     parse_complex,
     read_moment_file,
+    read_parameter_file,
     render_json,
 )
 
@@ -69,6 +71,25 @@ def test_moment_file_round_trip(tmp_path):
     assert back.q == 1 and back.m == 3 and back.a == 0.0 and back.b == 1.0
     for x, y in zip(back.s, seq.s):
         assert rel(x, y) == 0.0
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("read,golden,kind", [
+    (read_moment_file, "moments_q1.json", "moment"),
+    (read_parameter_file, "params_q2.json", "parameter"),
+])
+@pytest.mark.parametrize("q", [1.9, True, 2.5, 2.0, 0, -1, "1", None])
+def test_q_must_be_a_json_integer(tmp_path, read, golden, kind, q):
+    data = json.loads((GOLDEN / golden).read_text())
+    path = tmp_path / golden
+    path.write_text(json.dumps({**data, "q": q}))
+    with pytest.raises(InvalidMomentSequence) as info:
+        read(path)
+    assert str(info.value) == f"{kind} file needs an integer q >= 1, got {json.dumps(q)}"
+    path.write_text(json.dumps(data))
+    read(path)   # the file as it was reads
 
 
 def test_render_json_deterministic_and_parseable():
