@@ -96,8 +96,14 @@ def rel_residuals(x, y):
     return frobs(x - y) / np.maximum(1.0, np.maximum(frobs(x), frobs(y)))
 
 
+def adjoint(x):
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
 def hermitize(a):
-    return 0.5 * (a + a.conj().T)
+    """The Hermitian part (a + a^*) / 2 of a matrix, or of each matrix of a stack."""
+    return 0.5 * (a + adjoint(a))
 
 
 def scaled_cond(a):
@@ -150,12 +156,12 @@ def solve_pd(a, rhs, family="matrix", index=0):
 
 
 def solve_factored(L, rhs):
-    """Solve L L^H x = rhs for a lower Cholesky factor L from cholesky_pd.
+    """Solve L L^H x = rhs for a lower Cholesky factor L from cholesky_pd, or for a stack of them.
 
     Two backward stable LAPACK solves (np.linalg.solve), on L and then on
     L^H; no inverse of the factor is formed.
     """
-    return np.linalg.solve(L.conj().T, np.linalg.solve(L, rhs))
+    return np.linalg.solve(adjoint(L), np.linalg.solve(L, rhs))
 
 
 def inv_pd(a, family="matrix", index=0):

@@ -6,6 +6,9 @@ itself.  Exit codes: 0 success, 2 input or parse error, 3 mathematical
 precondition failure, 4 cross-route residual above tolerance.  A raised
 ThmmError exits with its class's exit_code and writes "<label>: <message>"
 to stderr, so a library caller can map an error exactly as the CLI does.
+factorize, extremal and scalar-report print their report whatever its
+residuals; one above --rtol then exits 4 with a stderr line in
+RouteMismatch's label that names the residual, its largest value and --rtol.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .dsm import (
     recover_moments,
     scalar_determinant_params,
 )
-from .errors import SingularPivot, ThmmError
+from .errors import RouteMismatch, SingularPivot, ThmmError
 from ._linalg import PointPrefix, frobs
 from .extremal import extremal_cf_many, extremal_quotient_many
 from .moments import build_hankels, classify
@@ -115,6 +118,15 @@ def cmd_analyze(args):
     return 0
 
 
+def _gate(key, worst, rtol):
+    """0 if the largest residual worst is within --rtol, else 4 and a stderr line naming it."""
+    if worst <= rtol:
+        return 0
+    print(f"{RouteMismatch.label}: largest {key} {worst:.3e} exceeds --rtol {rtol:g}",
+          file=sys.stderr)
+    return 4
+
+
 def _residuals(values, reference):
     """Frobenius distance of each value from its reference, over the reference norm (floor 1)."""
     return frobs(values - reference) / np.maximum(1.0, frobs(reference))
@@ -149,7 +161,7 @@ def cmd_factorize(args):
                           residual_vs_direct=residuals)
     _emit({"command": "factorize", "parity": parity, "route": args.route,
            "rtol": args.rtol, "results": results}, args.output)
-    return 0 if residuals.max() <= args.rtol else 4
+    return _gate("residual_vs_direct", residuals.max(), args.rtol)
 
 
 def cmd_extremal(args):
@@ -164,7 +176,12 @@ def cmd_extremal(args):
                           route="quotient", cross_residual=cross)
     _emit({"command": "extremal", "which": args.which, "parity": parity,
            "rtol": args.rtol, "results": results}, args.output)
-    return 0 if max(cross.tolist() + ext.cross_residual.tolist()) <= args.rtol else 4
+    # the printed continued-fraction residuals, and the quotients' check against
+    # the Moebius route through the resolvent
+    cf, moebius = cross.tolist(), ext.cross_residual.tolist()
+    worst = max(cf + moebius)
+    return _gate("cross_residual" if worst in cf else "quotient_vs_moebius_residual",
+                 worst, args.rtol)
 
 
 def cmd_recover(args):
@@ -202,7 +219,7 @@ def cmd_scalar_report(args):
         "max_residual": worst,
         "rtol": args.rtol,
     }, args.output)
-    return 0 if worst <= args.rtol else 4
+    return _gate("max_residual", worst, args.rtol)
 
 
 def _tolerance(text):

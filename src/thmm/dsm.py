@@ -39,10 +39,12 @@ import functools
 import numpy as np
 
 from ._linalg import (
+    PIVOT_RTOL,
+    adjoint,
     cholesky_pd,
     frob,
+    frobs,
     hermitize,
-    inv_pd,
     rel_residual,
     scaled_cond,
     solve_factored,
@@ -66,7 +68,7 @@ from .moments import (
     hankel_from_entries,
 )
 from .polynomials import build_family, ensure_family
-from .reporting import IdentityChecks, IdentityReport
+from .reporting import IdentityChecks
 
 ROUTE_RTOL = 1e-10
 
@@ -259,8 +261,8 @@ def product_identities(fam, dsm, first):
     lh = dsm.lhat_from_zero
     s0 = dsm.s0
 
-    inv_m = [inv_pd(x, "mhat", j) for j, x in enumerate(mh)]
-    inv_l = [inv_pd(x, "lhat", j) for j, x in enumerate(lh)]
+    inv_m, inv_l = (solve_factored(_chain_factors(chain, q, name, SingularPivot)[1], eye)
+                    for name, chain in (("mhat", mh), ("lhat", lh)))
     W, X, khat1_pred, hhat2_pred = _ladder(inv_m, inv_l, q)
     # each complement inverted once, on its first read
     inv_hhat1, inv_hhat2, inv_khat1, inv_khat2 = (
@@ -270,38 +272,32 @@ def product_identities(fam, dsm, first):
     add = checks.add
 
     for j in range(min(len(fam.q2), len(X))):
-        add("q2_alternating_product", f"j={j}",
-            at_a(fam.q2[j]), (-1.0) ** j * X[j])
+        add("q2_alternating_product", j, at_a(fam.q2[j]), (-1.0) ** j * X[j])
     for j in range(1, min(len(fam.g1), len(W))):
-        add("g1_alternating_product", f"j={j}",
-            at_a(fam.g1[j]), (-1.0) ** j * W[j])
+        add("g1_alternating_product", j, at_a(fam.g1[j]), (-1.0) ** j * W[j])
     for j in range(1, min(len(fam.t1), len(W))):
         acc = s0 + sum(lh[:j]) if j >= 1 else s0
-        add("t1_alternating_product", f"j={j}",
-            at_a(fam.t1[j]), (-1.0) ** j * W[j] @ acc)
+        add("t1_alternating_product", j, at_a(fam.t1[j]), (-1.0) ** j * W[j] @ acc)
 
     for j in range(1, min(len(fam.p2), len(fam.q2), len(mh))):
         p2a = at_a(fam.p2[j])
         q2a = at_a(fam.q2[j])
-        add("p2_sum_through_current", f"j={j}", p2a, q2a @ sum(mh[:j + 1]))
-        add("p2_sum_through_previous", f"j={j}", p2a, q2a @ sum(mh[:j]))
+        add("p2_sum_through_current", j, p2a, q2a @ sum(mh[:j + 1]))
+        add("p2_sum_through_previous", j, p2a, q2a @ sum(mh[:j]))
 
     for j in range(min(len(fam.q2), len(fam.g1), len(inv_m))):
-        add("q2_from_g1", f"j={j}",
-            at_a(fam.q2[j]), at_a(fam.g1[j]) @ inv_m[j])
+        add("q2_from_g1", j, at_a(fam.q2[j]), at_a(fam.g1[j]) @ inv_m[j])
     for j in range(1, min(len(fam.g1), len(fam.q2) + 1, len(inv_l) + 1)):
-        add("g1_from_q2", f"j={j}",
-            at_a(fam.g1[j]), -at_a(fam.q2[j - 1]) @ inv_l[j - 1])
+        add("g1_from_q2", j, at_a(fam.g1[j]), -at_a(fam.q2[j - 1]) @ inv_l[j - 1])
     for j in range(1, min(len(fam.t1), len(fam.g1))):
         acc = s0 + sum(lh[:j])
-        add("t1_from_g1", f"j={j}",
-            at_a(fam.t1[j]), at_a(fam.g1[j]) @ acc)
+        add("t1_from_g1", j, at_a(fam.t1[j]), at_a(fam.g1[j]) @ acc)
 
     # Schur complements rebuilt from the parameters
     for j in range(min(len(khat1), len(khat1_pred))):
-        add("khat1_from_params", f"j={j}", khat1[j], khat1_pred[j])
+        add("khat1_from_params", j, khat1[j], khat1_pred[j])
     for j in range(min(len(hhat2), len(hhat2_pred))):
-        add("hhat2_from_params", f"j={j}", hhat2[j], hhat2_pred[j])
+        add("hhat2_from_params", j, hhat2[j], hhat2_pred[j])
 
     # and the inverse direction: parameters rebuilt from Schur complements
     ws = [eye]
@@ -309,11 +305,11 @@ def product_identities(fam, dsm, first):
         ws.append(hhat2[k] @ inv_khat1[k] @ ws[k])
     for j in range(min(len(mh), len(khat1), len(ws))):
         rebuilt = ws[j].conj().T @ hank.schur_solve("K1", j, ws[j])
-        add("mhat_from_schur", f"j={j}", mh[j], rebuilt)
+        add("mhat_from_schur", j, mh[j], rebuilt)
     for j in range(min(len(lh), len(hhat2), len(khat1), len(ws))):
         core = khat1[j] @ hank.schur_solve("H2", j, khat1[j])
         wj_inv = np.linalg.inv(ws[j])
-        add("lhat_from_schur", f"j={j}", lh[j], wj_inv @ core @ wj_inv.conj().T)
+        add("lhat_from_schur", j, lh[j], wj_inv @ core @ wj_inv.conj().T)
 
     # alternating Schur products for the polynomial endpoint values
     def alternating(head, left, right, j):
@@ -323,28 +319,28 @@ def product_identities(fam, dsm, first):
 
     for j in range(1, min(len(fam.p1), len(khat2) + 1, len(hhat1) + 1)):
         prod = alternating(eye, khat2, inv_hhat1, j)
-        add("p1_from_schur", f"j={j}", at_a(fam.p1[j]), (-1.0) ** j * prod)
+        add("p1_from_schur", j, at_a(fam.p1[j]), (-1.0) ** j * prod)
     for j in range(1, min(len(fam.g1), len(hhat2) + 1, len(khat1) + 1)):
         prod = alternating(eye, hhat2, inv_khat1, j)
-        add("g1_from_schur", f"j={j}", at_a(fam.g1[j]), (-1.0) ** j * prod)
+        add("g1_from_schur", j, at_a(fam.g1[j]), (-1.0) ** j * prod)
     for j in range(min(len(fam.q2), len(khat1), len(hhat2) + 1)):
         prod = alternating(khat1[j], inv_hhat2, khat1, j)
-        add("q2_from_schur", f"j={j}", at_a(fam.q2[j]), (-1.0) ** j * prod)
+        add("q2_from_schur", j, at_a(fam.q2[j]), (-1.0) ** j * prod)
     for j in range(min(len(fam.t2), len(hhat1), len(khat2) + 1)):
         prod = alternating(hhat1[j], inv_khat2, hhat1, j)
-        add("t2_from_schur", f"j={j}", at_a(fam.t2[j]), (-1.0) ** (j + 1) * prod)
+        add("t2_from_schur", j, at_a(fam.t2[j]), (-1.0) ** (j + 1) * prod)
 
     # first-type parameters from polynomial endpoint values
     for j in range(min(len(first.M), len(fam.t2), len(fam.p1))):
-        add("m_first_from_polys", f"j={j}", first.M[j], -fam.quotient(fam.t2[j], fam.p1[j]))
+        add("m_first_from_polys", j, first.M[j], -fam.quotient(fam.t2[j], fam.p1[j]))
     for j in range(min(len(first.L), len(fam.p1) - 1, len(fam.t2))):
-        add("l_first_from_polys", f"j={j}", first.L[j], fam.quotient(fam.p1[j + 1], fam.t2[j]))
+        add("l_first_from_polys", j, first.L[j], fam.quotient(fam.p1[j + 1], fam.t2[j]))
 
     report = checks.report()
     if P2_VARIANTS[0] not in report.names():
         return report
     cur, prev = map(report.residual_for, P2_VARIANTS)
-    return IdentityReport(report.entries, (
+    return report.with_notes((
         f"P2 partial-sum identity: numerics support {p2_supported(report)} "
         f"(max residuals {cur:.3e} vs {prev:.3e})",))
 
@@ -355,16 +351,39 @@ def p2_supported(report):
     return P2_VARIANTS[cur > prev]
 
 
-def _require_pd_param(x, name, index):
-    """The Hermitian part of a positive definite parameter, and its Cholesky factor."""
-    mat = np.asarray(x, dtype=complex)
-    if np.linalg.norm(mat - mat.conj().T) > PARAM_HERMITIAN_RTOL * (1.0 + np.linalg.norm(mat)):
-        raise NonPositiveParameter(name, index)
-    herm = hermitize(mat)
-    L = cholesky_pd(herm)
-    if L is None:
-        raise NonPositiveParameter(name, index)
-    return herm, L
+def _chain_factors(chain, q, name, error, hermitian_rtol=None):
+    """The q x q parameters of a chain as one stack, and the stack of their Cholesky factors.
+
+    Each parameter must pass cholesky_pd's test of positive definiteness;
+    with hermitian_rtol it must first be Hermitian within it,
+    ||x - x^*||_F <= hermitian_rtol (1 + ||x||_F), and the stack returned is
+    symmetrized.  error(name, j) names the first parameter that fails.  The
+    chain is tested and factored as one stack (frobs, one np.linalg.cholesky);
+    only a chain that this refuses is factored again matrix by matrix by
+    cholesky_pd, to find that j.
+    """
+    if not len(chain):
+        empty = np.empty((0, q, q), dtype=complex)
+        return empty, empty
+    stack = np.array(chain, dtype=complex)
+    skew = np.zeros(len(stack), dtype=bool)
+    if hermitian_rtol is not None:
+        skew = frobs(stack - adjoint(stack)) > hermitian_rtol * (1.0 + frobs(stack))
+        stack = hermitize(stack)
+    try:
+        factors = np.linalg.cholesky(stack)
+        smallest = (factors.diagonal(axis1=-2, axis2=-1).real ** 2).min(axis=-1)
+        refused = not (smallest > PIVOT_RTOL * frobs(stack)).all()
+    except np.linalg.LinAlgError:   # some parameter is not positive definite
+        refused = True
+    if refused or skew.any():
+        factors = []
+        for j, x in enumerate(stack):
+            factors.append(None if skew[j] else cholesky_pd(x))
+            if factors[-1] is None:
+                raise error(name, j)
+        factors = np.stack(factors)
+    return stack, factors
 
 
 def recover_moments(s0, mhat, lhat, a, b):
@@ -374,19 +393,25 @@ def recover_moments(s0, mhat, lhat, a, b):
     plus the Schur complement predicted by the parameters, so moments
     unwind in the order s_1 (from mhat_0), s_2 (from lhat_0), s_3
     (from mhat_1), s_4 (from lhat_1), and so on.  The result classifies
-    PositiveDefinite by construction.
+    PositiveDefinite by construction.  Each chain is tested, factored and
+    inverted as one stack; a parameter that is not Hermitian within
+    PARAM_HERMITIAN_RTOL or not positive definite raises
+    NonPositiveParameter, s_0 first, then the mhat and then the lhat chain.
     """
     a, b = finite_interval(a, b)
-    s0 = _require_pd_param(s0, "s0", 0)[0]
+    s0 = _chain_factors([s0], None, "s0", NonPositiveParameter, PARAM_HERMITIAN_RTOL)[0][0]
     # the inverses of mhat_j and lhat_j, each through its Cholesky factor
-    eye = np.eye(s0.shape[0], dtype=complex)
-    inv_m = [solve_factored(_require_pd_param(x, "mhat", j)[1], eye) for j, x in enumerate(mhat)]
-    inv_l = [solve_factored(_require_pd_param(x, "lhat", j)[1], eye) for j, x in enumerate(lhat)]
+    q = len(s0)
+    eye = np.eye(q, dtype=complex)
+    inv_m, inv_l = (
+        solve_factored(_chain_factors(chain, q, name, NonPositiveParameter,
+                                      PARAM_HERMITIAN_RTOL)[1], eye)
+        for name, chain in (("mhat", mhat), ("lhat", lhat)))
     if not len(inv_l) <= len(inv_m) <= len(inv_l) + 1:
         raise InconsistentLengths(
             f"need as many mhat as lhat parameters, or one more; got {len(inv_m)} and {len(inv_l)}"
         )
-    _, _, khat1, hhat2 = _ladder(inv_m, inv_l, len(eye))
+    _, _, khat1, hhat2 = _ladder(inv_m, inv_l, q)
 
     def corner(family, complement, j):
         """e_{2j} of family from its complement: complement + Y_j^* F[j-1]^{-1} Y_j."""

@@ -31,7 +31,7 @@ from .errors import (
     WrongChainKind,
 )
 from .polynomials import adjoint_eval, ensure_family
-from .resolvent import ResolventValue, _order, resolvent_direct_many
+from .resolvent import ResolventValue, _check_parity, _order, resolvent_direct_many
 
 
 def _as_square(x, q=None):
@@ -129,9 +129,13 @@ def evaluate_chain(chain):
 
 
 def _chain_params(source, parity, which):
-    """The DSM chain of one extremal solution; source may be the chain itself."""
+    """The DSM chain of one extremal solution; source may be the chain itself.
+
+    which and parity are checked first, whatever the source.
+    """
     if which not in ("krein", "friedrichs"):
         raise ValueError(f"which must be 'krein' or 'friedrichs', got {which!r}")
+    _check_parity(parity)
     expected = DsmSecond if (which == "friedrichs") == (parity == "even") else DsmFirst
     if isinstance(source, (DsmSecond, DsmFirst)):
         if not isinstance(source, expected):

@@ -7,7 +7,12 @@ Measure file     { "points": [x_0, ..], "weights": [ W_0, .. ],
 Parameter file   { "q": int >= 1, "a": real, "b": real, "s0": M,
                    "mhat": [ M, .. ], "lhat": [ M, .. ] }
 
-Every matrix M is a q x q row-major array of [re, im] pairs.  Reports are
+Every matrix M is a q x q row-major array of [re, im] pairs, and a, b and
+every point a JSON number (a boolean or a string is refused).  A file's
+list of moments, mhat or lhat is decoded by one np.asarray into one
+(K, q, q) stack (decode_matrices); only a list that is not K finite q x q
+matrices is decoded matrix by matrix, for the error to name the first bad
+one.  Reports are
 rendered with stable key order and floats fixed at 17 significant digits,
 so identical inputs produce identical bytes.  ``render_json`` takes a 2-D
 complex ``np.ndarray`` wherever a matrix goes and writes it in that
@@ -69,6 +74,30 @@ def decode_matrix(obj, q=None, what="matrix"):
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
+def decode_matrices(objs, q, what):
+    """decode_matrix of each item of a list, as one (K, q, q) stack.
+
+    The list is decoded by one np.asarray.  Only a list that this does not
+    give as K finite q x q matrices is decoded item by item, so that the
+    error names the first bad item, what[j], as that loop meets it.
+    """
+    try:
+        arr = np.asarray(objs, dtype=float)
+    except (TypeError, ValueError, OverflowError):   # ragged, or not numbers
+        arr = None
+    if arr is None or arr.shape[1:] != (q, q, 2) or not np.isfinite(arr).all():
+        mats = [decode_matrix(x, q, what=f"{what}[{j}]") for j, x in enumerate(objs)]
+        return np.array(mats, dtype=complex).reshape(-1, q, q)
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _real(value, name, kind):
+    """value as a float; InvalidMomentSequence naming it unless it is a JSON number (no bool)."""
+    if type(value) not in (int, float):
+        raise InvalidMomentSequence(f"{kind} file needs a real {name}, got {json.dumps(value)}")
+    return float(value)
+
+
 def _read_object(path, kind, keys):
     """The JSON object of a kind of input file; an error names the kind and a missing key.
 
@@ -90,13 +119,11 @@ def _read_object(path, kind, keys):
 def read_moment_file(path):
     data = _read_object(path, "moment", ("q", "a", "b", "moments"))
     q = data["q"]
-    a = float(data["a"])
-    b = float(data["b"])
+    a, b = (_real(data[key], key, "moment") for key in ("a", "b"))
     moments = data["moments"]
     if not isinstance(moments, list) or not moments:
         raise InvalidMomentSequence("moment file needs a nonempty 'moments' array")
-    mats = [decode_matrix(mj, q, what=f"moments[{j}]") for j, mj in enumerate(moments)]
-    return MomentSequence(a=a, b=b, s=tuple(mats))
+    return MomentSequence(a=a, b=b, s=decode_matrices(moments, q, "moments"))
 
 
 def moment_file_dict(seq):
@@ -110,9 +137,8 @@ def moment_file_dict(seq):
 
 def read_measure_file(path):
     data = _read_object(path, "measure", ("points", "weights"))
-    a = float(data.get("a", 0.0))
-    b = float(data.get("b", 1.0))
-    points = [float(x) for x in data["points"]]
+    a, b = (_real(data.get(key, end), key, "measure") for key, end in (("a", 0.0), ("b", 1.0)))
+    points = [_real(x, f"points[{i}]", "measure") for i, x in enumerate(data["points"])]
     weights = [decode_matrix(w, what=f"weights[{i}]") for i, w in enumerate(data["weights"])]
     return DiscreteMeasure(a=a, b=b, points=tuple(points), weights=tuple(weights))
 
@@ -120,11 +146,9 @@ def read_measure_file(path):
 def read_parameter_file(path):
     data = _read_object(path, "parameter", ("q", "a", "b", "s0", "mhat", "lhat"))
     q = data["q"]
-    a = float(data["a"])
-    b = float(data["b"])
+    a, b = (_real(data[key], key, "parameter") for key in ("a", "b"))
     s0 = decode_matrix(data["s0"], q, what="s0")
-    mhat = [decode_matrix(x, q, what=f"mhat[{j}]") for j, x in enumerate(data["mhat"])]
-    lhat = [decode_matrix(x, q, what=f"lhat[{j}]") for j, x in enumerate(data["lhat"])]
+    mhat, lhat = (decode_matrices(data[key], q, key) for key in ("mhat", "lhat"))
     return s0, mhat, lhat, a, b
 
 

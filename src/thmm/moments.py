@@ -2,7 +2,9 @@
 
 A finite sequence of Hermitian q x q matrices s_0..s_m on an interval
 [a, b] generates four block Hankel families
-{e_{l+k}}_{l,k=0..j} from four entry sequences e:
+{e_{l+k}}_{l,k=0..j} from four entry sequences e.  A MomentSequence checks
+and symmetrizes its moments as one read-only (m+1, q, q) stack, and its s
+holds views of that stack.  The families are:
 
     H1[j]:  e_k = s_k,                    available for 2j     <= m,
     H2[j]:  e_k = shat_k,                 available for 2j + 2 <= m,
@@ -36,8 +38,10 @@ import numpy as np
 
 from ._linalg import (
     PIVOT_RTOL,
+    adjoint,
     cholesky_pd,
     frob,
+    frobs,
     hermitize,
     min_eigenvalue,
     solve_factored,
@@ -68,6 +72,24 @@ def _square_matrix(x, q=None, what="matrix"):
     return m
 
 
+def _skew(stack):
+    """Whether each matrix of a stack is less Hermitian than DEFAULT_HERMITIAN_RTOL allows."""
+    return frobs(stack - adjoint(stack)) > DEFAULT_HERMITIAN_RTOL * (1.0 + frobs(stack))
+
+
+def _each_moment(s):
+    """The moments s as one stack, each checked on its own as MomentSequence describes."""
+    q = _square_matrix(s[0], what="s_0").shape[0]
+    mats = []
+    for j, x in enumerate(s):
+        mat = _square_matrix(x, q, what=f"s_{j}")
+        if _skew(mat[None])[0]:
+            raise InvalidMomentSequence(f"s_{j} is not Hermitian within tolerance "
+                                        f"(defect {frob(mat - adjoint(mat)):.3e})")
+        mats.append(mat)
+    return np.array(mats)
+
+
 def finite_interval(a, b):
     """(a, b) as floats; InvalidMomentSequence unless a < b and both are finite."""
     a, b = float(a), float(b)
@@ -82,9 +104,15 @@ def finite_interval(a, b):
 class MomentSequence:
     """Hermitian q x q moments s_0..s_m attached to an interval [a, b].
 
-    Inputs must be Hermitian within DEFAULT_HERMITIAN_RTOL relative to their size;
-    they are stored symmetrized, so downstream code can rely on exact
-    Hermiticity.  Instances are immutable and safe to share.
+    Inputs must be Hermitian within DEFAULT_HERMITIAN_RTOL relative to their
+    size, ||s_j - s_j^*||_F <= DEFAULT_HERMITIAN_RTOL (1 + ||s_j||_F); they are
+    stored symmetrized, so downstream code can rely on exact Hermiticity.
+    The moments are checked and symmetrized as one read-only (m+1, q, q)
+    stack, and s holds its matrices, views of it.  Only moments that fail
+    are checked again one by one, so that the error names the first failing
+    moment and test as that loop meets them: the shape of s_j, then its
+    finiteness, then its Hermiticity, then s_{j+1}.  Instances are
+    immutable and safe to share.
     """
 
     a: float
@@ -94,26 +122,21 @@ class MomentSequence:
 
     def __post_init__(self):
         a, b = finite_interval(self.a, self.b)
-        mats = list(self.s)
-        if not mats:
+        if not len(self.s):
             raise InvalidMomentSequence("need at least one moment (m >= 0)")
-        first = _square_matrix(mats[0], what="s_0")
-        q = first.shape[0]
-        stored = []
-        for j, raw in enumerate(mats):
-            mat = _square_matrix(raw, q, what=f"s_{j}")
-            defect = np.linalg.norm(mat - mat.conj().T)
-            if defect > DEFAULT_HERMITIAN_RTOL * (1.0 + np.linalg.norm(mat)):
-                raise InvalidMomentSequence(
-                    f"s_{j} is not Hermitian within tolerance (defect {defect:.3e})"
-                )
-            sym = hermitize(mat)
-            sym.flags.writeable = False
-            stored.append(sym)
+        try:
+            stack = np.array(self.s, dtype=complex)
+        except (TypeError, ValueError):   # moments of different shapes
+            stack = None
+        if not (stack is not None and stack.ndim == 3 and stack.shape[1] == stack.shape[2]
+                and np.isfinite(stack).all() and not _skew(stack).any()):
+            stack = _each_moment(self.s)
+        stack = hermitize(stack)
+        stack.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "s", tuple(stored))
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "s", tuple(stack))
+        object.__setattr__(self, "q", stack.shape[1])
 
     @property
     def m(self):

@@ -30,6 +30,7 @@ import functools
 
 import numpy as np
 
+from ._linalg import adjoint
 from .errors import OrderUnavailable, SingularNormalization, SingularPivot
 from .moments import (
     HankelSet,
@@ -117,20 +118,25 @@ def _convolve(row, col, shift=None, sign=1.0):
     R_j(z) carries z^{l-k} I at block (l, k), so the z^p coefficient is
     sum_k row[k+p] col[k]; an optional rank-one-in-z shift through the
     first block column adds row[p] shift at power p + 1.
+
+    Each sum starts at +0.0 (the first product plus 0.0), and a sum that
+    starts at +0.0 never holds -0.0, so adding it to a zero coefficient, or
+    multiplying it by 1.0 while it is finite, would change no bit: neither
+    is done.
     """
     j = len(row) - 1
-    q = row[0].shape[0]
-    deg = j + (1 if shift is not None else 0)
-    coeffs = [np.zeros((q, q), dtype=complex) for _ in range(deg + 1)]
+    coeffs = []
     for p in range(j + 1):
-        acc = np.zeros((q, q), dtype=complex)
-        for k in range(j - p + 1):
+        acc = row[p] @ col[0] + 0.0
+        for k in range(1, j - p + 1):
             acc = acc + row[k + p] @ col[k]
-        coeffs[p] += acc
+        coeffs.append(acc)
     if shift is not None:
-        for p in range(j + 1):
+        for p in range(j):
             coeffs[p + 1] += row[p] @ shift
-    coeffs = [sign * c for c in coeffs]
+        coeffs.append(row[j] @ shift + 0.0)
+    if sign != 1.0:
+        coeffs = [sign * c for c in coeffs]
     while len(coeffs) > 1 and not coeffs[-1].any():
         coeffs.pop()
     return tuple(coeffs)
@@ -272,11 +278,6 @@ SAMPLE_POINTS = (
 )
 
 
-def _adjoint(x):
-    """Conjugate transpose of each matrix of a stack."""
-    return np.swapaxes(x.conj(), -1, -2)
-
-
 def verify_family_identities(fam, measure=None, zs=None):
     """Residual report for the polynomial-level identities.
 
@@ -296,17 +297,13 @@ def verify_family_identities(fam, measure=None, zs=None):
     at_a, adjoint_at_a = fam.at_a, fam.adjoint_at_a
 
     for j in range(min(len(fam.p1), len(fam.t2), len(hhat1))):
-        add("hhat1_product", f"j={j}",
-            hhat1[j], -at_a(fam.p1[j]) @ adjoint_at_a(fam.t2[j]))
+        add("hhat1_product", j, hhat1[j], -at_a(fam.p1[j]) @ adjoint_at_a(fam.t2[j]))
     for j in range(min(len(hhat2), len(fam.q2), max(len(fam.g1) - 1, 0))):
-        add("hhat2_product", f"j={j}",
-            hhat2[j], -at_a(fam.q2[j]) @ adjoint_at_a(fam.g1[j + 1]))
+        add("hhat2_product", j, hhat2[j], -at_a(fam.q2[j]) @ adjoint_at_a(fam.g1[j + 1]))
     for j in range(min(len(khat1), len(fam.g1), len(fam.q2))):
-        add("khat1_product", f"j={j}",
-            khat1[j], at_a(fam.g1[j]) @ adjoint_at_a(fam.q2[j]))
+        add("khat1_product", j, khat1[j], at_a(fam.g1[j]) @ adjoint_at_a(fam.q2[j]))
     for j in range(min(len(khat2), len(fam.t2), max(len(fam.p1) - 1, 0))):
-        add("khat2_product", f"j={j}",
-            khat2[j], at_a(fam.t2[j]) @ adjoint_at_a(fam.p1[j + 1]))
+        add("khat2_product", j, khat2[j], at_a(fam.t2[j]) @ adjoint_at_a(fam.p1[j + 1]))
 
     if measure is not None:
         n = seq.m // 2
@@ -318,38 +315,38 @@ def verify_family_identities(fam, measure=None, zs=None):
                     for i, w in enumerate(measure.weights)
                 )
                 target = hhat1[j] if j == k else np.zeros((seq.q, seq.q))
-                add("orthogonality", f"j={j},k={k}", gram, target)
+                checks.add_stack("orthogonality", lambda j=j, k=k: [f"j={j},k={k}"],
+                                 gram[None], target[None])
 
     if zs is None:
         zs = SAMPLE_POINTS
     # the ratio identities run over all the points at once, one entry per point
     points = np.array(zs, dtype=complex).reshape(-1)
-    labels = [f"z={z:.3g}" for z in zs]
     # R_j(conj z) over the points, built once per j for both ratio identities
     r_points = functools.cache(lambda j: hank.R_many(j, points.conj()))
 
     def add_points(name, j, lhs, rhs):
-        checks.add_stack(name, [f"j={j},{label}" for label in labels], lhs, rhs)
+        checks.add_stack(name, lambda: [f"j={j},z={z:.3g}" for z in zs], lhs, rhs)
 
     for j in range(min(len(fam.g2), len(fam.t2), len(hank.H1))):
         lhs = adjoint_eval(fam.g2[j], points) @ fam.normalizer(fam.t2[j])
-        rhs = -_adjoint(r_points(j) @ hank.column("H1", j)) @ hank.transfer("H1", j)
+        rhs = -adjoint(r_points(j) @ hank.column("H1", j)) @ hank.transfer("H1", j)
         add_points("ratio_g2_t2", j, lhs, rhs)
     for j in range(min(max(len(fam.q1) - 1, 0), max(len(fam.p1) - 1, 0), len(hank.K2))):
         lhs = adjoint_eval(fam.q1[j + 1], points) @ fam.normalizer(fam.p1[j + 1])
-        rhs = -_adjoint(r_points(j) @ hank.column("K2", j)) @ hank.transfer("K2", j)
+        rhs = -adjoint(r_points(j) @ hank.column("K2", j)) @ hank.transfer("K2", j)
         add_points("ratio_q1_p1", j, lhs, rhs)
 
     for j in range(min(max(len(fam.q1) - 1, 0), len(fam.q2), len(fam.g1), len(fam.t1),
                        max(len(fam.p1) - 1, 0))):
         lhs = (b - a) * at_a(fam.q1[j + 1]) - at_a(fam.q2[j])
         corr = at_a(fam.p1[j + 1]) @ fam.quotient(fam.g1[j], fam.t1[j])
-        add("endpoint_q1_q2", f"j={j}", lhs + corr, np.zeros_like(lhs))
+        add("endpoint_q1_q2", j, lhs + corr, np.zeros_like(lhs))
     jmax_g = min(len(fam.g1) - 1, len(fam.g2) - 1, len(fam.t2) - 1,
                  len(fam.q2), len(fam.p2))
     for j in range(1, jmax_g + 1):
         lhs = at_a(fam.g1[j]) - at_a(fam.g2[j])
         corr = (b - a) * at_a(fam.t2[j]) @ fam.quotient(fam.q2[j - 1], fam.p2[j - 1])
-        add("endpoint_g1_g2", f"j={j}", lhs - corr, np.zeros_like(lhs))
+        add("endpoint_g1_g2", j, lhs - corr, np.zeros_like(lhs))
 
     return checks.report()

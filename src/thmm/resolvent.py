@@ -111,14 +111,18 @@ class ResolventValue:
         return self.full[self.q:, self.q:]
 
 
+def _check_parity(parity):
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+
+
 def _order(seq, parity):
+    _check_parity(parity)
     if parity == "even":
         return seq.m // 2
-    if parity == "odd":
-        if seq.m < 1:
-            raise InsufficientMoments("odd parity needs at least s_0, s_1")
-        return (seq.m - 1) // 2
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    if seq.m < 1:
+        raise InsufficientMoments("odd parity needs at least s_0, s_1")
+    return (seq.m - 1) // 2
 
 
 def _not_finite(z):

@@ -27,7 +27,12 @@ sha256 of its stdout and of each file it was asked to write (--output,
 - gen, recover and scalar-report on good and bad input (recover with an
   infinite endpoint or surplus mhat, gen on a measure with a > b), and
   parse failures, runs of --z=<lit> tokens among them, and a q that is
-  not an integer (1.9, true, 2.5) in a moment and a parameter file.
+  not an integer (1.9, true, 2.5) in a moment and a parameter file;
+- a, b and a measure point given as false, true and "0.5" under analyze,
+  recover and gen, a non-Hermitian moment after two good ones, and a
+  parameter file with a non-Hermitian mhat_1 and an indefinite lhat_0;
+- factorize, extremal and scalar-report with --rtol 0, where a residual
+  above it exits 4.
 
 Inputs are written with the json module, never by thmm, so every version
 reads the same bytes.  thmm is imported from PYTHONPATH, so one checkout of
@@ -253,6 +258,31 @@ def corpus(workdir):
         for command, golden in (("analyze", "moments_q1.json"), ("recover", "params_q2.json")):
             data = {**json.loads((GOLDEN / golden).read_text()), "q": q}
             yield f"parse/q/{q}/{command}", [command, "--input", _write(work / f"q_{q}_{golden}", data)]
+    for value in (False, True, "0.5"):   # a real must be a JSON number
+        for command, golden, keys in (("analyze", "moments_q1.json", ("a", "b")),
+                                      ("recover", "params_q2.json", ("a", "b")),
+                                      ("gen", "measure_q1.json", ("a", "b", "points"))):
+            for key in keys:
+                data = json.loads((GOLDEN / golden).read_text())
+                if key == "points":
+                    data["points"][0] = value
+                else:
+                    data[key] = value
+                path = _write(work / f"real_{key}_{value}_{golden}", data)
+                count = ["--count", "3"] if command == "gen" else []
+                yield f"parse/real/{key}/{value}/{command}", [command, "--input", path, *count]
+    skewed = json.loads((GOLDEN / "params_q2.json").read_text())
+    skewed["mhat"][1][0][1] = [5.0, 0.0]
+    skewed["lhat"][0] = [[[-1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    yield "recover/skew_mhat1_indefinite_lhat0", ["recover", "--input",
+                                                  _write(work / "skewed_params.json", skewed)]
+    q2 = str(GOLDEN / "moments_q2.json")
+    for command in ("factorize", "extremal"):
+        yield f"gate/{command}/moments_q2.json", [command, "--input", q2, "--z", "2+1i",
+                                                  "--rtol", "0"]
+    data = json.loads((GOLDEN / "moments_q1.json").read_text())
+    short = _write(work / "gate_m1_moments_q1.json", {**data, "moments": data["moments"][:2]})
+    yield "gate/scalar-report/moments_q1.json/m1", ["scalar-report", "--input", short, "--rtol", "0"]
     for moments in ("moments_q1.json", "moments_q2.json"):
         for rtol in ("1e-8", "0", "1e-20"):
             yield f"scalar-report/{moments}/{rtol}", ["scalar-report", "--input",
@@ -268,6 +298,10 @@ def corpus(workdir):
         "wrong_q": json.dumps({"q": 2, "a": 0.0, "b": 1.0, "moments": [[[[1.0, 0.0]]]]}),
         "not_hermitian": json.dumps({"q": 2, "a": 0.0, "b": 1.0, "moments": [
             [[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}),
+        "not_hermitian_s2": json.dumps({"q": 2, "a": 0.0, "b": 1.0, "moments": [
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+            [[[0.25, 0.0], [0.125, 0.0]], [[0.0, 0.0], [0.25, 0.0]]]]}),
         "b_below_a": json.dumps({"q": 1, "a": 1.0, "b": 0.0, "moments": [[[[1.0, 0.0]]]]}),
     }
     for name, text in broken.items():

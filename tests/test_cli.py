@@ -390,6 +390,10 @@ def test_analyze_factors_each_family_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "cholesky_pd",
                             lambda a, *rest, **kw: factored.append(a)
                             or real_cholesky(a, *rest, **kw))
+    stacks = []
+    real_np_cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda a: (a.ndim == 3 and stacks.append(a)) or real_np_cholesky(a))
     families = []
     real_build = cli.build_family
     monkeypatch.setattr(cli, "build_family", lambda src: families.append(real_build(src))
@@ -407,8 +411,10 @@ def test_analyze_factors_each_family_once(tmp_path, monkeypatch):
     others = [m for name in names for m in getattr(hank, name)[:-1]]
     others += [m for name in names for m in hank.complements(name)]
     assert not any(a is m for a in factored for m in others)
-    # the rest are the parameters mhat_0..2 and lhat_0..2, inverted once each
-    assert len(factored) == 4 + 3 + 3
+    # the parameters mhat_0..2 and lhat_0..2 reach no cholesky_pd: each chain
+    # is factored once, as one stack
+    assert len(factored) == 4
+    assert [s.shape for s in stacks] == [(3, 2, 2), (3, 2, 2)]
 
 
 def test_analyze_reads_one_hankel_set(monkeypatch):
@@ -793,3 +799,71 @@ def test_builtin_reading_and_parsing_errors_are_input_errors(exc, monkeypatch, c
 def test_other_exceptions_are_not_caught(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         raise_in_a_command(monkeypatch, ZeroDivisionError("a bug, not a failure of the input"))
+
+
+@pytest.mark.parametrize("moments, argv, key", [
+    ("moments_q1.json", ["factorize"], "residual_vs_direct"),
+    ("moments_q2.json", ["factorize"], "residual_vs_direct"),
+    ("moments_q2.json", ["extremal", "--which", "krein"], "cross_residual"),
+    ("moments_q2.json", ["extremal"], "cross_residual"),
+    ("moments_q1.json", ["extremal", "--which", "krein"], "quotient_vs_moebius_residual"),
+    ("moments_q1.json", ["extremal"], "quotient_vs_moebius_residual"),
+])
+def test_a_residual_above_rtol_exits_4_naming_it(moments, argv, key, capsys):
+    argv = [*argv, "--input", str(Path(__file__).parent / "golden" / moments), "--z", "2+1i"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    code = main([*argv, "--rtol", "0"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    # the report is the one the default tolerance prints, but for its rtol
+    assert out == report.replace('"rtol": 1e-08', '"rtol": 0')
+    (printed,) = [r.get("residual_vs_direct", r.get("cross_residual"))
+                  for r in json.loads(out)["results"]]
+    assert err.startswith(f"route mismatch: largest {key} ")
+    assert err.endswith(" exceeds --rtol 0\n") and err.count("\n") == 1
+    value = float(err.split()[4])
+    if key == "quotient_vs_moebius_residual":   # larger than the printed residual
+        assert value > float(f"{printed:.3e}")
+    else:
+        assert value == float(f"{printed:.3e}")
+
+
+def test_scalar_report_above_rtol_exits_4_naming_it(monkeypatch, capsys):
+    inp = str(Path(__file__).parent / "golden" / "moments_q1.json")
+    real = cli.scalar_determinant_params
+
+    def shifted(seq, rtol):
+        mtilde, ltilde, chain = real(seq, rtol=1e-8)
+        return (mtilde[0] * (1 + 1e-6),) + mtilde[1:], ltilde, chain
+
+    monkeypatch.setattr(cli, "scalar_determinant_params", shifted)
+    code = main(["scalar-report", "--input", inp])
+    out, err = capsys.readouterr()
+    worst = json.loads(out)["max_residual"]
+    assert code == 4 and worst > 1e-8
+    assert err == f"route mismatch: largest max_residual {worst:.3e} exceeds --rtol 1e-08\n"
+
+
+def test_analyze_and_recover_linalg_counts(tmp_path, monkeypatch, capsys):
+    """The np.linalg calls of analyze --params-out then recover on moments_q2.json.
+
+    The DSM parameter chains are factored and inverted as stacks and the
+    moments are checked as one stack; a change that splits a stack again
+    changes these counts.
+    """
+    counts = dict.fromkeys(("norm", "cholesky", "solve", "inv"), 0)
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def spy(*args, real=real, name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    inp = str(Path(__file__).parent / "golden" / "moments_q2.json")
+    params = str(tmp_path / "params.json")
+    assert main(["analyze", "--input", inp, "--params-out", params]) == 0
+    assert main(["recover", "--input", params]) == 0
+    capsys.readouterr()
+    assert counts == {"norm": 0, "cholesky": 15, "solve": 81, "inv": 21}

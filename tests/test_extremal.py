@@ -194,6 +194,22 @@ def test_chain_of_the_wrong_kind_is_named(call, which, parity, given):
                                f" chain, got a {given}")
 
 
+@pytest.mark.parametrize("given", ["DsmSecond", "DsmFirst", "family"])
+@pytest.mark.parametrize("call", [
+    lambda source, parity, which: extremal_chain(source, 2 + 1j, parity, which),
+    lambda source, parity, which: extremal_cf(source, 2 + 1j, parity, which),
+    lambda source, parity, which: extremal_cf_many(source, [2 + 1j, -1.0], parity, which),
+], ids=["chain", "cf", "cf_many"])
+@pytest.mark.parametrize("which", ["krein", "friedrichs"])
+def test_a_bad_parity_is_refused_whatever_the_source(call, given, which):
+    seq = lebesgue(3)
+    source = {"DsmSecond": compute_second, "DsmFirst": compute_first,
+              "family": build_family}[given](seq)
+    with pytest.raises(ValueError) as info:
+        call(source, "foo", which)
+    assert str(info.value) == "parity must be 'even' or 'odd', got 'foo'"
+
+
 def test_singular_level():
     chain = ContinuedFractionChain(
         head=None, levels=(np.zeros((1, 1), dtype=complex),), tags=("mhat[0]",)

@@ -12,6 +12,7 @@ from thmm.io import (
     decode_matrix,
     moment_file_dict,
     parse_complex,
+    read_measure_file,
     read_moment_file,
     read_parameter_file,
     render_json,
@@ -90,6 +91,38 @@ def test_q_must_be_a_json_integer(tmp_path, read, golden, kind, q):
     assert str(info.value) == f"{kind} file needs an integer q >= 1, got {json.dumps(q)}"
     path.write_text(json.dumps(data))
     read(path)   # the file as it was reads
+
+
+@pytest.mark.parametrize("read,golden,kind,key", [
+    (read_moment_file, "moments_q1.json", "moment", "a"),
+    (read_moment_file, "moments_q1.json", "moment", "b"),
+    (read_parameter_file, "params_q2.json", "parameter", "a"),
+    (read_parameter_file, "params_q2.json", "parameter", "b"),
+    (read_measure_file, "measure_q1.json", "measure", "a"),
+    (read_measure_file, "measure_q1.json", "measure", "b"),
+    (read_measure_file, "measure_q1.json", "measure", "points[0]"),
+    (read_measure_file, "measure_q1.json", "measure", "points[1]"),
+])
+@pytest.mark.parametrize("value", [False, True, "0.5", None, [0.5]])
+def test_a_real_must_be_a_json_number(tmp_path, read, golden, kind, key, value):
+    data = json.loads((GOLDEN / golden).read_text())
+    if key.startswith("points"):
+        data["points"][int(key[-2])] = value
+    else:
+        data[key] = value
+    path = tmp_path / golden
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidMomentSequence) as info:
+        read(path)
+    assert str(info.value) == f"{kind} file needs a real {key}, got {json.dumps(value)}"
+
+
+def test_a_real_may_be_a_json_integer(tmp_path):
+    data = json.loads((GOLDEN / "moments_q1.json").read_text())
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps({**data, "a": 0, "b": 1}))
+    seq = read_moment_file(path)
+    assert (seq.a, seq.b) == (0.0, 1.0) and type(seq.a) is float
 
 
 def test_render_json_deterministic_and_parseable():
