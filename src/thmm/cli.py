@@ -41,8 +41,7 @@ from .resolvent import resolvent_direct_many, resolvent_factorized_many
 def _emit(report, output):
     text = tio.render_json(report)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        tio.write_text(output, text)
     else:
         sys.stdout.write(text)
 
@@ -113,8 +112,7 @@ def cmd_analyze(args):
     )
     _emit(report, args.output)
     if args.params_out:
-        with open(args.params_out, "w", encoding="utf-8") as fh:
-            fh.write(tio.render_json(tio.parameter_file_dict(seq, dsm)))
+        tio.write_text(args.params_out, tio.render_json(tio.parameter_file_dict(seq, dsm)))
     return 0
 
 

@@ -55,6 +55,7 @@ from .errors import (
     InconsistentLengths,
     InvalidMomentSequence,
     NonPositiveParameter,
+    PreconditionFailure,
     RouteMismatch,
     SingularPivot,
     WrongMatrixSize,
@@ -483,14 +484,22 @@ def scalar_determinant_params(seq, rtol=1e-8):
         return complex(np.linalg.det(mat))
 
     def ratio(family, j, last_row):
-        """det(D)^2 / (det F[j] det F[j-1]), D the j Hankel rows of F over last_row(j)."""
+        """det(D)^2 / (det F[j] det F[j-1]), D the j Hankel rows of F over last_row(j).
+
+        PreconditionFailure naming F and j where det(D)^2 overflows or the
+        denominator underflows to 0.
+        """
         if hank.factor(family, j) is None:   # det F[j] may be 0: raise before dividing
             raise SingularPivot(family, j)
         e = [complex(x[0, 0]) for x in hank.entries[family]]
         rows = [[e[i + k] for k in range(j + 1)] for i in range(j)] + [last_row(j)]
         member = getattr(hank, family)
         denom = det(member[j]) * (det(member[j - 1]) if j >= 1 else 1.0)
-        return float((det(np.array(rows, dtype=complex)) ** 2 / denom).real)
+        try:
+            return float((det(np.array(rows, dtype=complex)) ** 2 / denom).real)
+        except (OverflowError, ZeroDivisionError):
+            raise PreconditionFailure(
+                f"determinant formula of {family} at j={j} leaves the float range") from None
 
     mtilde = [ratio("K1", j, lambda j: [seq.a ** k for k in range(j + 1)])
               for j in range(len(hank.K1))]

@@ -17,10 +17,13 @@ for the second-kind column of F (HankelSet.second_kind, e the entries of F):
 
 The heads are 0, -(a+b) s_0 + s_1, s_0 and -s_0 for H1, H2, K1 and K2, so
 the j = 0 members degenerate to P1 = P2 = G1 = G2 = I, Q1 = 0,
-Q2(z) = (a+b) s_0 - s_1 - z s_0, T1 = s_0, T2 = -s_0.  Coefficients are
-extracted symbolically in z by block convolution against R_j.  Each
-member is made on its first read and kept, so a command makes only the
-members it reads.
+Q2(z) = (a+b) s_0 - s_1 - z s_0, T1 = s_0, T2 = -s_0.  Since R_j(z) v_j
+is the column of powers (I; z I; ...; z^j I), the z^p coefficient of a
+monic member is block p of its Schur row, (-x_j^*, I_q), plus 0.0, which
+turns a -0.0 entry into +0.0 as the sum row[p] I + 0.0 does.  Only
+the second-kind families Q1, Q2, T1 and T2 are extracted by block
+convolution against R_j.  Each member is made on its first read and kept,
+so a command makes only the members it reads.
 """
 
 from __future__ import annotations
@@ -113,11 +116,13 @@ def _split_blocks(col, j, q):
 
 
 def _convolve(row, col, shift=None, sign=1.0):
-    """Coefficients of row . R_j(z) . (col + z shift_column).
+    """Coefficients of row . R_j(z) . (col + z shift_column), for the second-kind families.
 
     R_j(z) carries z^{l-k} I at block (l, k), so the z^p coefficient is
     sum_k row[k+p] col[k]; an optional rank-one-in-z shift through the
-    first block column adds row[p] shift at power p + 1.
+    first block column adds row[p] shift at power p + 1.  On the unit column
+    v_j this is row[p] + 0.0 for finite rows, which is how build_family
+    makes the monic members without calling it.
 
     Each sum starts at +0.0 (the first product plus 0.0), and a sum that
     starts at +0.0 never holds -0.0, so adding it to a zero coefficient, or
@@ -250,20 +255,28 @@ def build_family(source):
 
     row = functools.cache(lambda family, j: _schur_row(hank, family, j, q))
 
-    def members(tag, family, second=False, shift=None, sign=1.0):
-        """Family tag of F on v_j, or on F's second-kind column when second."""
+    def monic(tag, family):
+        """Family tag of F: member j has the blocks of row_j(F) as its coefficients.
+
+        row_j(F) R_j(z) v_j has z^p coefficient row[p] @ I + 0.0, a C-ordered
+        array; adding 0.0 in C order turns a -0.0 into +0.0 as that sum did.
+        """
+        return Kept(top[family] + 1, lambda j: MatrixPoly(
+            tuple(np.add(block, 0.0, order="C") for block in row(family, j)), tag, j))
+
+    def second_kind(tag, family, shift=None, sign=1.0):
+        """Family tag of F on F's second-kind column."""
         def make(j):
-            column = hank.second_kind(family, j) if second else hank.v(j)
-            col = _split_blocks(column, j, q)
+            col = _split_blocks(hank.second_kind(family, j), j, q)
             return MatrixPoly(_convolve(row(family, j), col, shift, sign), tag, j)
         return Kept(top[family] + 1, make)
 
     return PolynomialFamily(
         seq=seq, hankels=hank,
-        p1=members("P1", "H1"), q1=members("Q1", "H1", second=True, sign=-1.0),
-        p2=members("P2", "H2"), q2=members("Q2", "H2", second=True, shift=seq.s[0], sign=-1.0),
-        g1=members("G1", "K1"), t1=members("T1", "K1", second=True),
-        g2=members("G2", "K2"), t2=members("T2", "K2", second=True),
+        p1=monic("P1", "H1"), q1=second_kind("Q1", "H1", sign=-1.0),
+        p2=monic("P2", "H2"), q2=second_kind("Q2", "H2", shift=seq.s[0], sign=-1.0),
+        g1=monic("G1", "K1"), t1=second_kind("T1", "K1"),
+        g2=monic("G2", "K2"), t2=second_kind("T2", "K2"),
     )
 
 

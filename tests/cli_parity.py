@@ -32,7 +32,9 @@ sha256 of its stdout and of each file it was asked to write (--output,
   recover and gen, a non-Hermitian moment after two good ones, and a
   parameter file with a non-Hermitian mhat_1 and an indefinite lhat_0;
 - factorize, extremal and scalar-report with --rtol 0, where a residual
-  above it exits 4.
+  above it exits 4;
+- scalar-report on the golden q = 1 moments times 1e150, whose
+  determinant formula overflows.
 
 Inputs are written with the json module, never by thmm, so every version
 reads the same bytes.  thmm is imported from PYTHONPATH, so one checkout of
@@ -287,6 +289,10 @@ def corpus(workdir):
         for rtol in ("1e-8", "0", "1e-20"):
             yield f"scalar-report/{moments}/{rtol}", ["scalar-report", "--input",
                                                       str(GOLDEN / moments), "--rtol", rtol]
+    # every moment times 1e150: the determinant formula leaves the float range
+    scaled = {**data, "moments": (np.array(data["moments"]) * 1e150).tolist()}
+    yield "scalar-report/moments_q1.json/scaled-1e150", [
+        "scalar-report", "--input", _write(work / "scaled_moments_q1.json", scaled)]
 
     good = str(GOLDEN / "moments_q1.json")
     broken = {

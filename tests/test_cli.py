@@ -684,7 +684,8 @@ def test_first_route_makes_only_the_members_it_reads(monkeypatch):
     assert {(tags[i], j) for i, j in read if i in tags} == {
         ("T2", 3), ("T1", 3), ("G2", 3), ("G1", 3), ("Q1", 3), ("P1", 3)}
     assert not any(i in complements for i, _ in read)
-    assert len(made) == 6
+    # the monic members P1, G1, G2 are their Schur rows: only T2, T1, Q1 convolve
+    assert len(made) == 3
 
 
 @pytest.mark.parametrize("moments", ["moments_q1.json", "moments_q2.json"])
@@ -867,3 +868,95 @@ def test_analyze_and_recover_linalg_counts(tmp_path, monkeypatch, capsys):
     assert main(["recover", "--input", params]) == 0
     capsys.readouterr()
     assert counts == {"norm": 0, "cholesky": 15, "solve": 81, "inv": 21}
+
+
+def test_analyze_and_recover_convolve_count(tmp_path, monkeypatch, capsys):
+    """analyze --params-out then recover on moments_q2.json convolves 14 members.
+
+    They are the second-kind members Q1, Q2, T1 and T2 that analyze reads;
+    the monic members P1, P2, G1 and G2 are their Schur rows and recover
+    builds no polynomial.
+    """
+    made = []
+    real_convolve = polynomials._convolve
+    monkeypatch.setattr(polynomials, "_convolve",
+                        lambda *args: made.append(args) or real_convolve(*args))
+    inp = str(Path(__file__).parent / "golden" / "moments_q2.json")
+    params = str(tmp_path / "params.json")
+    assert main(["analyze", "--input", inp, "--params-out", params]) == 0
+    assert len(made) == 14
+    assert main(["recover", "--input", params]) == 0
+    capsys.readouterr()
+    assert len(made) == 14
+
+
+def test_scalar_report_out_of_float_range_is_a_precondition_failure(tmp_path, capsys):
+    # scaled by 1e150, det(D)^2 of the K1 formula at j = 2 overflows; the
+    # matrix routes of analyze still answer
+    data = json.loads((Path(__file__).parent / "golden" / "moments_q1.json").read_text())
+    data["moments"] = (np.array(data["moments"]) * 1e150).tolist()
+    inp = write_json(tmp_path / "scaled.json", json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # np.linalg.det overflows first
+        code = main(["scalar-report", "--input", inp])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("precondition failure: determinant formula of K1 at j=2"
+                            " leaves the float range\n")
+    assert main(["analyze", "--input", inp, "--output", os.devnull]) == 0
+
+
+# --- files a command writes ---------------------------------------------------
+
+def test_output_files_over_longer_files_hold_exactly_the_new_bytes(tmp_path, capsys):
+    inp = str(Path(__file__).parent / "golden" / "moments_q2.json")
+    fresh = tmp_path / "fresh.json"
+    code, stdout = run(capsys, ["analyze", "--input", inp, "--params-out", str(fresh)])
+    assert code == 0
+    report, params = tmp_path / "report.json", tmp_path / "params.json"
+    for path in (report, params):
+        path.write_bytes(b"x" * (4 * len(stdout)))
+    code, out = run(capsys, ["analyze", "--input", inp, "--output", str(report),
+                             "--params-out", str(params)])
+    assert (code, out) == (0, "")
+    assert report.read_text() == stdout
+    assert params.read_bytes() == fresh.read_bytes()
+    # a shorter report over the longer one, through --output of another command
+    code, stdout = run(capsys, ["recover", "--input", str(params)])
+    assert code == 0
+    assert main(["recover", "--input", str(params), "--output", str(report)]) == 0
+    assert report.read_text() == stdout
+
+
+def test_a_new_output_file_gets_the_mode_open_w_gives(tmp_path, capsys):
+    inp = str(Path(__file__).parent / "golden" / "moments_q1.json")
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "reference.json", "w", encoding="utf-8"):
+            pass
+        assert main(["analyze", "--input", inp, "--output", str(tmp_path / "report.json"),
+                     "--params-out", str(tmp_path / "params.json")]) == 0
+    finally:
+        os.umask(old)
+    mode = os.stat(tmp_path / "reference.json").st_mode
+    assert os.stat(tmp_path / "report.json").st_mode == mode
+    assert os.stat(tmp_path / "params.json").st_mode == mode
+
+
+def test_output_to_dev_null_exits_0(capsys):
+    inp = str(Path(__file__).parent / "golden" / "moments_q1.json")
+    assert main(["analyze", "--input", inp, "--output", os.devnull,
+                 "--params-out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("flag", ["--output", "--params-out"])
+def test_output_in_a_missing_directory_is_the_input_error_open_w_gives(tmp_path, capsys, flag):
+    target = str(tmp_path / "absent" / "out.json")
+    with pytest.raises(OSError) as opened:
+        open(target, "w", encoding="utf-8")
+    inp = str(Path(__file__).parent / "golden" / "moments_q1.json")
+    assert main(["analyze", "--input", inp, flag, target]) == 2
+    assert capsys.readouterr().err == f"input error: {opened.value}\n"
+    assert not os.path.exists(target)

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from thmm.io import (
     read_moment_file,
     read_parameter_file,
     render_json,
+    write_text,
 )
 
 from conftest import lebesgue, rel
@@ -375,3 +377,15 @@ def test_records_render_as_their_list_of_dicts(k, q, seed, text, transposed, bad
               "route %d {x}": "100%", "residual": float(r[i])} for i in range(k)]
     assert _outcome(render_json, {"results": records, "k": k}) == _outcome(
         _reference, {"results": dicts, "k": k})
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_write_text_writes_to_a_pipe_as_open_w_does():
+    # a pipe is not a regular file: it is written, not truncated
+    read_end, write_end = os.pipe()
+    try:
+        write_text(f"/dev/fd/{write_end}", "abc\n")
+        assert os.read(read_end, 16) == b"abc\n"
+    finally:
+        os.close(read_end)
+        os.close(write_end)

@@ -3,7 +3,8 @@
 Each reference below is the loop the stacked code replaced: decoding and
 checking a file's matrices one at a time, factoring and inverting each DSM
 parameter on its own, taking each name's largest residual from the entries,
-and the polynomial convolution with zero accumulators.  On the goldens,
+the polynomial convolution with zero accumulators, and the convolution
+of each monic member with its unit column.  On the goldens,
 tests/data/overflow_q3.json and the -0.0 sequences of tests/cli_parity.py the
 stacked values equal the references bit for bit (.tobytes()), and on bad
 input the stacked checks raise the class and text the loops raised.
@@ -355,6 +356,9 @@ def test_lean_convolve_equals_the_zero_accumulator_loop(inputs, name):
             shift_mat = fam.seq.s[0] if shift else None
             lean = polynomials._convolve(row, col, shift_mat, sign)
             assert raw(lean) == raw(reference_convolve(row, col, shift_mat, sign))
-            assert raw(getattr(fam, tag.lower())[j].coeffs) == raw(lean)
+            # a monic member is its Schur row plus 0.0, in C order, not a convolution
+            member = getattr(fam, tag.lower())[j]
+            assert raw(member.coeffs) == raw(lean)
+            assert all(c.flags.c_contiguous for c in member.coeffs)
             compared += 1
     assert compared
