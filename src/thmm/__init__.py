@@ -38,7 +38,6 @@ from .moments import (
     Witness,
     build_hankels,
     classify,
-    moments_from_discrete_measure,
 )
 from .polynomials import (
     MatrixPoly,
@@ -57,38 +56,17 @@ from .dsm import (
     product_identities,
     recover_moments,
     scalar_determinant_params,
-    stieltjes_limit_check,
 )
 from .resolvent import (
-    AuxMatrixValue,
-    AuxTriple,
-    ResolventValue,
-    aux_hat_even,
-    aux_matrices,
-    aux_product,
-    aux_tilde_even,
-    aux_tilde_odd,
-    bp_factor,
-    bp_pair_check,
-    bp_split,
-    resolvent_direct,
     resolvent_direct_many,
-    resolvent_factorized,
     resolvent_factorized_many,
     resolvent_factors,
-    resolvent_from_aux,
 )
 from .extremal import (
     ContinuedFractionChain,
     ExtremalSet,
-    evaluate_chain,
-    extremal_cf,
     extremal_cf_many,
-    extremal_chain,
-    extremal_quotient,
     extremal_quotient_many,
-    mobius_apply,
-    mobius_chain_apply,
 )
 from .reporting import IdentityCheck, IdentityReport
 

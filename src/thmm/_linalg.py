@@ -31,8 +31,10 @@ def frob(a):
 
     The entries are taken in memory order and the sum is re.re + im.im.
     When that sum overflows while every entry is finite, the norm is
-    _scaled_frob's instead (numpy's overflow warning of the sum still
-    shows: suppressing it would cost each call more than the sum).
+    _scaled_frob's instead.  numpy's overflow warning of the sum still
+    shows: suppressing it would cost each call more than the sum, so a
+    caller that meets huge entries (cholesky_pd's pivot thresholds)
+    suppresses it around its own calls.
     """
     flat = np.asarray(a, dtype=complex).ravel(order="K")
     re, im = flat.real, flat.imag
@@ -79,7 +81,7 @@ def scalars(f, z):
 
     NumPy's complex multiply and divide round differently from Python's
     (fused multiply-add, scaling by a reciprocal).  Scalar factors made
-    this way equal those of the one-point formulas to the last bit.
+    this way equal those of a loop over z in Python to the last bit.
     """
     return np.array([f(x) for x in z.tolist()], dtype=complex)
 
@@ -133,7 +135,8 @@ def cholesky_pd(a, block=None):
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     block = block or max(n, 1)
-    thresholds = [PIVOT_RTOL * frob(a[:p, :p]) for p in range(block, n + 1, block)]
+    with np.errstate(over="ignore"):   # frob rescales a sum that overflows
+        thresholds = [PIVOT_RTOL * frob(a[:p, :p]) for p in range(block, n + 1, block)]
     for p in range(n, 0, -block):
         try:
             L = np.linalg.cholesky(a[:p, :p])
@@ -162,10 +165,6 @@ def solve_factored(L, rhs):
     L^H; no inverse of the factor is formed.
     """
     return np.linalg.solve(adjoint(L), np.linalg.solve(L, rhs))
-
-
-def inv_pd(a, family="matrix", index=0):
-    return solve_pd(a, np.eye(a.shape[0], dtype=complex), family, index)
 
 
 def min_eigenvalue(a):
@@ -216,7 +215,7 @@ def point_prefix(evaluate):
     zs may be a PointPrefix shared with other stacked calls: the call then
     records its first failing point there, for the owner's finish() to raise
     what a loop over z raises.  Otherwise the call owns a new prefix, and
-    raises what the one-point call raises at the first failing point.
+    raises the error of the first failing point itself.
     """
     @functools.wraps(evaluate)
     def stacked(source, zs, *args, **kwargs):

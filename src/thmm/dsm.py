@@ -27,8 +27,8 @@ that_j - that_{j-1} = mhat_j) and all members with index >= 0 are
 positive definite for Hausdorff positive definite input.
 
 rungs(chain, parity) is the one reading order of a chain: mhat_0, lhat_0,
-mhat_1, .. or M_0, L_0, M_1, .., cut by parity.  resolvent_factors,
-aux_product and the continued fractions all read it.
+mhat_1, .. or M_0, L_0, M_1, .., cut by parity.  resolvent_factors and
+the continued fractions both read it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from ._linalg import (
     PIVOT_RTOL,
     adjoint,
     cholesky_pd,
-    frob,
     frobs,
     hermitize,
     rel_residual,
@@ -53,7 +52,6 @@ from ._linalg import (
 from .errors import (
     IllConditioned,
     InconsistentLengths,
-    InvalidMomentSequence,
     NonPositiveParameter,
     PreconditionFailure,
     RouteMismatch,
@@ -98,19 +96,6 @@ class DsmSecond:
     that: tuple
     mhat: tuple
     lhat: tuple
-
-    def r(self, j):
-        return self.rhat[j]
-
-    def t(self, j):
-        return self.that[j]
-
-    def m(self, j):
-        return self.mhat[j]
-
-    def l(self, j):
-        """lhat_j for j >= -1."""
-        return self.lhat[j + 1]
 
     @property
     def lhat_from_zero(self):
@@ -434,36 +419,6 @@ def recover_moments(s0, mhat, lhat, a, b):
     return MomentSequence(a=a, b=b, s=tuple(s))
 
 
-@dataclasses.dataclass(frozen=True)
-class LimitCheckRow:
-    b: float
-    index: int
-    m_error: float
-    l_error: float | None
-
-
-def stieltjes_limit_check(seq, b_values):
-    """Error table for the half-line limit of the second-type parameters.
-
-    With a = 0 and the moments held fixed, b * mhat_j(0, b) approaches
-    M_j(0) and lhat_j(0, b) / b approaches L_j(0) at rate 1/b as b grows.
-    """
-    if seq.a != 0.0:
-        raise InvalidMomentSequence("limit check requires a = 0")
-    first = compute_first(seq)
-    rows = []
-    for b in b_values:
-        seq_b = MomentSequence(a=0.0, b=float(b), s=seq.s)
-        dsm = compute_second(seq_b)
-        for j in range(len(dsm.mhat)):
-            m_err = frob(float(b) * dsm.mhat[j] - first.M[j])
-            l_err = None
-            if j < len(dsm.lhat_from_zero) and j < len(first.L):
-                l_err = frob(dsm.lhat_from_zero[j] / float(b) - first.L[j])
-            rows.append(LimitCheckRow(b=float(b), index=j, m_error=m_err, l_error=l_err))
-    return tuple(rows)
-
-
 def scalar_determinant_params(seq, rtol=1e-8):
     """Determinant formulas for the scalar (q = 1) second-type parameters.
 
@@ -481,7 +436,9 @@ def scalar_determinant_params(seq, rtol=1e-8):
     hank = fam.hankels
 
     def det(mat):
-        return complex(np.linalg.det(mat))
+        # an overflow shows as the PreconditionFailure of ratio, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return complex(np.linalg.det(mat))
 
     def ratio(family, j, last_row):
         """det(D)^2 / (det F[j] det F[j-1]), D the j Hankel rows of F over last_row(j).

@@ -24,21 +24,9 @@ import numpy as np
 
 from ._linalg import guard_cond, point_prefix, rel_residuals, right_quotient, scalars
 from .dsm import DsmFirst, DsmSecond, compute_first, compute_second, rungs
-from .errors import (
-    PointOnInterval,
-    SingularDenominator,
-    SingularLevel,
-    WrongChainKind,
-)
+from .errors import PointOnInterval, SingularLevel, WrongChainKind
 from .polynomials import adjoint_eval, ensure_family
-from .resolvent import ResolventValue, _check_parity, _order, resolvent_direct_many
-
-
-def _as_square(x, q=None):
-    m = np.asarray(x, dtype=complex)
-    if q is not None and m.shape != (q, q):
-        raise ValueError(f"expected a {q}x{q} matrix, got shape {m.shape}")
-    return m
+from .resolvent import _check_parity, _order, resolvent_direct_many
 
 
 def _mobius_terms(full, x, y):
@@ -47,38 +35,6 @@ def _mobius_terms(full, x, y):
     a, b = full[..., :q, :q], full[..., :q, q:]
     c, d = full[..., q:, :q], full[..., q:, q:]
     return a @ x + b @ y, c @ x + d @ y
-
-
-def mobius_apply(transform, x, y):
-    """(A X + B Y)(C X + D Y)^{-1} for the 2q x 2q block transform."""
-    full = transform.full if isinstance(transform, ResolventValue) else np.asarray(
-        transform, dtype=complex
-    )
-    q = full.shape[0] // 2
-    x = _as_square(x, q)
-    y = _as_square(y, q)
-    return right_quotient(*_mobius_terms(full, x, y))
-
-
-def mobius_chain_apply(factors, x, y):
-    """Apply the transform factor by factor, rightmost first.
-
-    Column pairs propagate with per-step rescaling; the value is read off
-    by one final right quotient.  Matches applying the full product at
-    once whenever the final denominator is invertible.
-    """
-    q = np.asarray(x).shape[0]
-    col_x = _as_square(x, q)
-    col_y = _as_square(y, q)
-    for f in reversed(list(factors)):
-        f = np.asarray(f, dtype=complex)
-        new_x = f[:q, :q] @ col_x + f[:q, q:] @ col_y
-        new_y = f[q:, :q] @ col_x + f[q:, q:] @ col_y
-        scale = max(np.linalg.norm(new_x), np.linalg.norm(new_y))
-        if scale == 0.0:
-            raise SingularDenominator(np.inf)
-        col_x, col_y = new_x / scale, new_y / scale
-    return right_quotient(col_x, col_y)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -118,16 +74,6 @@ def _evaluate(chain, pts):
     return w if chain.head is None else chain.head[:len(pts)] + w
 
 
-def evaluate_chain(chain):
-    """Bottom-up evaluation of a finite matrix continued fraction."""
-    stacked = ContinuedFractionChain(
-        head=None if chain.head is None else np.asarray(chain.head)[None],
-        levels=tuple(np.asarray(level)[None] for level in chain.levels),
-        tags=chain.tags,
-    )
-    return _evaluate(stacked, [0.0])[0]
-
-
 def _chain_params(source, parity, which):
     """The DSM chain of one extremal solution; source may be the chain itself.
 
@@ -148,14 +94,14 @@ def _chain_params(source, parity, which):
 
 
 def _chain(z, parity, params):
-    """The chain at z: one point, or an array of K points giving (K, q, q) levels.
+    """The chain at the array of K points z, with (K, q, q) levels.
 
     Rung mhat_k is the level -(z-a)(b-z) mhat_k and lhat_k is lhat_k / (b-z),
     under the head s_0 / (b-z); M_k is -(z-a) M_k and L_k is L_k, with no head.
     """
 
     def at(f):
-        return f(z) if np.isscalar(z) else scalars(f, z)[:, None, None]
+        return scalars(f, z)[:, None, None]
 
     a = params.a
     if isinstance(params, DsmSecond):
@@ -167,20 +113,10 @@ def _chain(z, parity, params):
         scale = at(lambda x: -(x - a))
         head = None
         level = (lambda p: scale * p,
-                 lambda p: np.broadcast_to(p, np.shape(z) + p.shape).astype(complex))
+                 lambda p: np.broadcast_to(p, z.shape + p.shape).astype(complex))
     rs = rungs(params, parity)
     levels = tuple(level[i % 2](p) for i, (_, p) in enumerate(rs))
     return ContinuedFractionChain(head=head, levels=levels, tags=tuple(tag for tag, _ in rs))
-
-
-def extremal_chain(source, z, parity, which):
-    """Build the continued-fraction chain for one extremal solution.
-
-    friedrichs/even and krein/odd consume the second-type parameters,
-    krein/even and friedrichs/odd the first-type ones.
-    """
-    z = complex(z)
-    return _chain(z, parity, _chain_params(source, parity, which))
 
 
 @point_prefix
@@ -195,24 +131,18 @@ def extremal_cf_many(source, pts, parity, which):
     return _evaluate(chain, pts)
 
 
-def extremal_cf(source, z, parity, which):
-    """Extremal solution value via the continued fraction of a DSM chain or of its moments."""
-    return extremal_cf_many(source, [complex(z)], parity, which)[0]
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class ExtremalSet:
-    """Krein and Friedrichs extremal values at one point.
+    """Krein and Friedrichs extremal values at K points.
 
-    From extremal_quotient_many every field but parity is stacked over the
-    K points: sK and sF are (K, q, q), z and cross_residual have length K.
+    sK and sF are (K, q, q) stacks; z and cross_residual have length K.
     """
 
     sK: np.ndarray
     sF: np.ndarray
     parity: str
-    z: complex
-    cross_residual: float
+    z: np.ndarray
+    cross_residual: np.ndarray
 
 
 @point_prefix
@@ -259,10 +189,3 @@ def extremal_quotient_many(source, pts, parity):
     cross = np.maximum(rel_residuals(sk, moebius[:, 0]), rel_residuals(sf, moebius[:, 1]))
     return ExtremalSet(sK=sk, sF=sf, parity=parity, z=pts.zs, cross_residual=cross)
 
-
-def extremal_quotient(source, z, parity):
-    """extremal_quotient_many at the single point z."""
-    z = complex(z)
-    ext = extremal_quotient_many(source, [z], parity)
-    return ExtremalSet(sK=ext.sK[0], sF=ext.sF[0], parity=parity, z=z,
-                       cross_residual=float(ext.cross_residual[0]))

@@ -361,7 +361,7 @@ class HankelSet:
 
         R_j(z) = (I - z T_j)^{-1} is block lower Toeplitz with z^{l-k} I at
         block (l, k).  The powers of each z are Python complex products, so
-        every block equals the one-point value to the last bit.
+        every block equals that of a loop over z to the last bit.
         """
         q = self.seq.q
         rows = []
@@ -536,7 +536,3 @@ class DiscreteMeasure:
             powers = powers * xs
         return MomentSequence(a=self.a, b=self.b, s=tuple(s))
 
-
-def moments_from_discrete_measure(points, weights, count, a, b):
-    """The moments s_0..s_count of the DiscreteMeasure of the atoms points and weights."""
-    return DiscreteMeasure(a=a, b=b, points=tuple(points), weights=tuple(weights)).moments(count)

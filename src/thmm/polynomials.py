@@ -43,8 +43,6 @@ from .moments import (
 )
 from .reporting import IdentityChecks
 
-FAMILY_TAGS = ("P1", "P2", "Q1", "Q2", "G1", "G2", "T1", "T2")
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class MatrixPoly:
@@ -57,10 +55,6 @@ class MatrixPoly:
     @property
     def q(self):
         return self.coeffs[0].shape[0]
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
 
     def __call__(self, z):
         return eval_poly(self, z)

@@ -3,7 +3,10 @@
 Two versions of thmm that agree on every line of this tool behave the same
 on its corpus.  Each line names one command and gives its exit code, the
 sha256 of its stdout and of each file it was asked to write (--output,
---params-out; "-" when none was written) and its stderr.  The corpus:
+--params-out) and its stderr.  Each such file holds a fixed stale filler,
+longer than any report, before its line runs: "-" means the file still
+holds exactly that filler (it is then removed), and a report that does not
+replace all of it shows in the digest.  The corpus:
 
 - the golden reports of tests/test_golden.py;
 - every op of the benchmark pools of seeds 13 and 29 (analyze, evaluate,
@@ -82,6 +85,9 @@ GOLDEN = HERE / "golden"
 POOLS = {"analyze": 8, "evaluate": 8, "ceiling": 16}   # the rounds of perfbench/run.py
 SEEDS = (13, 29)
 OUTPUT_FLAGS = ("--output", "--params-out")
+# what each output file holds before its line runs: longer than any report, so
+# a report that leaves a tail of it, or none of it rewritten, shows
+STALE = b"stale filler that no report writes\n" * 2048
 
 
 def _digest(data):
@@ -353,12 +359,25 @@ def corpus(workdir):
                                  "--count", "3"]
 
 
+def _written(path):
+    """The digest of what a line wrote to path over STALE, or "-" if it wrote nothing.
+
+    A file that still holds STALE is removed, so the next line finds no file there.
+    """
+    data = Path(path).read_bytes()
+    if data == STALE:
+        os.remove(path)
+        return "-"
+    if len(data) > len(STALE):
+        raise SystemExit(f"{path}: {len(data)} bytes written, STALE must be longer")
+    return _digest(data)
+
+
 def run(cli, argv, workdir):
     """One line: exit code, digests of stdout and of each output file, stderr."""
     outputs = [argv[i + 1] for i, arg in enumerate(argv[:-1]) if arg in OUTPUT_FLAGS]
     for path in outputs:
-        if os.path.exists(path):
-            os.remove(path)
+        Path(path).write_bytes(STALE)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -366,9 +385,7 @@ def run(cli, argv, workdir):
         except Exception:
             traceback.print_exc()
             code = "uncaught"
-    files = []
-    for path in outputs:
-        files.append(_digest(Path(path).read_bytes()) if os.path.exists(path) else "-")
+    files = [_written(path) for path in outputs]
     stderr = err.getvalue().replace(workdir, "<work>").replace(str(HERE), "<tests>")
     return "\t".join([str(code), _digest(out.getvalue().encode()), ",".join(files) or "-",
                       json.dumps(stderr)])

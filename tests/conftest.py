@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from thmm import DiscreteMeasure, MomentSequence, moments_from_discrete_measure
+from thmm import DiscreteMeasure, MomentSequence, compute_first, compute_second
 
 
 def lebesgue(m, a=0.0, b=1.0):
@@ -13,6 +13,19 @@ def rel(x, y):
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     return float(np.linalg.norm(x - y) / max(1.0, np.linalg.norm(x), np.linalg.norm(y)))
+
+
+def limit_errors(seq, b):
+    """Errors of b mhat_j(0, b) against M_j(0) and of lhat_j(0, b) / b against L_j(0).
+
+    seq has a = 0; its moments are read on [0, b].  As b grows with the
+    moments held fixed, both lists of Frobenius errors fall at rate 1/b:
+    the half-line limit of the second-type parameters.
+    """
+    dsm = compute_second(MomentSequence(0.0, b, seq.s))
+    first = compute_first(seq)
+    return ([np.linalg.norm(b * m - big_m) for m, big_m in zip(dsm.mhat, first.M)],
+            [np.linalg.norm(lhat / b - big_l) for lhat, big_l in zip(dsm.lhat_from_zero, first.L)])
 
 
 def random_pd_weight(rng, q, floor=0.1):
@@ -36,7 +49,7 @@ def random_measure(rng, q, atoms, a=0.0, b=1.0):
 def random_sequence(rng, q, n, a=0.0, b=1.0, atoms=None):
     """PositiveDefinite sequence with m = 2n + 1 from a random measure."""
     measure = random_measure(rng, q, atoms if atoms is not None else n + 2, a, b)
-    seq = moments_from_discrete_measure(measure.points, measure.weights, 2 * n + 1, a, b)
+    seq = measure.moments(2 * n + 1)
     return seq, measure
 
 

@@ -1,6 +1,9 @@
-"""The public signatures of the package."""
+"""The public names and signatures of the package."""
 
+import ast
+import collections
 import inspect
+from pathlib import Path
 
 import thmm
 from thmm import _linalg
@@ -36,3 +39,80 @@ def test_no_public_function_takes_a_tolerance_or_a_chain_it_can_derive():
                     param.name in DERIVED and param.default is not inspect.Parameter.empty):
                 found.add((name, param.name))
     assert found == EXCEPTIONS
+
+
+# every name thmm exports; a name added or removed is an edit here
+EXPORTS = {
+    # errors
+    "EmptyMeasure", "IllConditioned", "InconsistentLengths", "InsufficientMoments",
+    "InvalidMomentSequence", "NonPositiveParameter", "OrderUnavailable", "PointOnInterval",
+    "PointOutsideInterval", "PoleAtZ", "RouteMismatch", "SingularDenominator", "SingularLevel",
+    "SingularNormalization", "SingularPivot", "ThmmError", "WrongChainKind", "WrongMatrixSize",
+    # moments
+    "Classification", "DiscreteMeasure", "HankelSet", "MomentSequence", "Witness",
+    "build_hankels", "classify",
+    # polynomials
+    "MatrixPoly", "PolynomialFamily", "adjoint_eval", "build_family", "ensure_family",
+    "eval_poly", "verify_family_identities",
+    # dsm
+    "DsmFirst", "DsmSecond", "compute_first", "compute_second", "product_identities",
+    "recover_moments", "scalar_determinant_params",
+    # resolvent
+    "resolvent_direct_many", "resolvent_factorized_many", "resolvent_factors",
+    # extremal
+    "ContinuedFractionChain", "ExtremalSet", "extremal_cf_many", "extremal_quotient_many",
+    # reporting
+    "IdentityCheck", "IdentityReport",
+}
+
+
+def test_the_exported_names_are_exactly_these():
+    exported = {name for name, obj in vars(thmm).items()
+                if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert exported == EXPORTS
+
+
+def _definitions():
+    """{name: [(qualified name, node)]} of each top-level function, class, method and constant."""
+    defs = collections.defaultdict(list)
+    for path in sorted(Path(thmm.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        defs[target.id].append((f"{path.stem}.{target.id}", node))
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name].append((f"{path.stem}.{node.name}", node))
+                for member in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(member, ast.FunctionDef):
+                        defs[member.name].append((f"{path.stem}.{node.name}.{member.name}", member))
+    return defs
+
+
+def _names_used(node):
+    """Every name and attribute named in node; a class body without its non-dunder methods."""
+    skip = {id(m) for m in node.body if isinstance(m, ast.FunctionDef)
+            and not m.name.startswith("__")} if isinstance(node, ast.ClassDef) else set()
+    used, todo = set(), [node]
+    while todo:
+        for child in ast.iter_child_nodes(todo.pop()):
+            if id(child) not in skip:
+                used.add(getattr(child, "id", None) or getattr(child, "attr", None))
+                todo.append(child)
+    return used
+
+
+def test_every_definition_is_reached_from_a_command():
+    # a name-level call walk from cli.main and the cmd_* functions: a
+    # definition is reached when a reached body names it, however qualified
+    defs = _definitions()
+    nodes = {qual: node for entries in defs.values() for qual, node in entries}
+    reached = set()
+    todo = [qual for qual in nodes if qual == "cli.main" or qual.startswith("cli.cmd_")]
+    while todo:
+        qual = todo.pop()
+        if qual not in reached:
+            reached.add(qual)
+            todo += [other for name in _names_used(nodes[qual]) for other, _ in defs.get(name, ())]
+    unreached = {qual for qual in nodes if not qual.rsplit(".", 1)[1].startswith("__")} - reached
+    assert unreached == set()

@@ -11,9 +11,9 @@ import pytest
 
 from thmm import (
     build_family,
-    extremal_cf,
-    extremal_quotient,
-    resolvent_factorized,
+    extremal_cf_many,
+    extremal_quotient_many,
+    resolvent_factorized_many,
 )
 from thmm import _linalg, cli, dsm, errors, moments, polynomials
 from thmm.cli import main
@@ -277,7 +277,7 @@ def test_multi_z_matches_per_point_calls(tmp_path, capsys, rng):
             results = json.loads(out)["results"]
             assert [complex(*res["z"]) for res in results] == zs
             for z, res in zip(zs, results):
-                want = resolvent_factorized(fam, z, parity, route).full
+                want = resolvent_factorized_many(fam, [z], parity, route)[0]
                 assert rel(decode_matrix(res["U"]), want) <= 1e-12
     for which in ("krein", "friedrichs"):
         for parity in ("even", "odd"):
@@ -287,10 +287,10 @@ def test_multi_z_matches_per_point_calls(tmp_path, capsys, rng):
             results = json.loads(out)["results"]
             assert [complex(*res["z"]) for res in results] == zs
             for z, res in zip(zs, results):
-                ext = extremal_quotient(fam, z, parity)
-                want = ext.sK if which == "krein" else ext.sF
+                ext = extremal_quotient_many(fam, [z], parity)
+                want = (ext.sK if which == "krein" else ext.sF)[0]
                 assert rel(decode_matrix(res["value"]), want) <= 1e-12
-                assert rel(extremal_cf(fam, z, parity, which), want) <= 1e-8
+                assert rel(extremal_cf_many(fam, [z], parity, which)[0], want) <= 1e-8
 
 
 def test_first_failing_z_decides_the_error(tmp_path, capsys):
@@ -677,7 +677,7 @@ def test_first_route_makes_only_the_members_it_reads(monkeypatch):
             "--output", os.devnull]
     assert main(argv) == 0
     (fam,) = families
-    tags = {id(getattr(fam, tag.lower())): tag for tag in polynomials.FAMILY_TAGS}
+    tags = {id(getattr(fam, tag.lower())): tag for tag in ("P1", "P2", "Q1", "Q2", "G1", "G2", "T1", "T2")}
     complements = {id(fam.hankels.complements(name)) for name in ("H1", "H2", "K1", "K2")}
     # m = 6, even: the direct route reads T2, T1, G2, G1 at n = 3 and the
     # first-type tail Q1, P1, T1, G1 there; no Schur complement is formed
@@ -896,15 +896,30 @@ def test_scalar_report_out_of_float_range_is_a_precondition_failure(tmp_path, ca
     data = json.loads((Path(__file__).parent / "golden" / "moments_q1.json").read_text())
     data["moments"] = (np.array(data["moments"]) * 1e150).tolist()
     inp = write_json(tmp_path / "scaled.json", json.dumps(data))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # np.linalg.det overflows first
-        code = main(["scalar-report", "--input", inp])
+    code = main(["scalar-report", "--input", inp])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err == ("precondition failure: determinant formula of K1 at j=2"
                             " leaves the float range\n")
     assert main(["analyze", "--input", inp, "--output", os.devnull]) == 0
+
+
+@pytest.mark.parametrize("scale, j", [(1e120, 2), (1e150, 2), (1e200, 1), (1e307, 1)])
+def test_scalar_report_out_of_float_range_warns_of_nothing(tmp_path, capsys, scale, j):
+    # np.linalg.det overflows, and from 1e200 on so does the Frobenius sum
+    # of the pivot thresholds; stderr holds the labelled line alone
+    data = json.loads((Path(__file__).parent / "golden" / "moments_q1.json").read_text())
+    data["moments"] = (np.array(data["moments"]) * scale).tolist()
+    inp = write_json(tmp_path / "scaled.json", json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["scalar-report", "--input", inp])
+    captured = capsys.readouterr()
+    assert code == 3 and not caught
+    assert captured.out == ""
+    assert captured.err == (f"precondition failure: determinant formula of K1 at j={j}"
+                            " leaves the float range\n")
 
 
 # --- files a command writes ---------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from thmm import (
+    DiscreteMeasure,
     IllConditioned,
     InconsistentLengths,
     InvalidMomentSequence,
@@ -19,11 +20,9 @@ from thmm import (
     classify,
     compute_first,
     compute_second,
-    moments_from_discrete_measure,
     product_identities,
     recover_moments,
     scalar_determinant_params,
-    stieltjes_limit_check,
 )
 from thmm import dsm as dsm_module
 from thmm._linalg import min_eigenvalue, rel_residual, scaled_cond
@@ -31,7 +30,7 @@ from thmm.io import read_moment_file, read_parameter_file
 from thmm.reporting import IdentityCheck, IdentityReport
 from thmm.errors import ThmmError
 
-from conftest import lebesgue, random_pd_weight, random_sequence, rel
+from conftest import lebesgue, limit_errors, random_pd_weight, random_sequence, rel
 
 
 @pytest.fixture(scope="module")
@@ -43,20 +42,20 @@ def leb3():
 
 def test_second_desk_values(leb3):
     _, _, dsm = leb3
-    assert abs(dsm.m(0)[0, 0] - 2.0) < 1e-12
-    assert abs(dsm.m(1)[0, 0] - 4.0) < 1e-12
-    assert abs(dsm.l(0)[0, 0] - 1.5) < 1e-12
-    assert abs(dsm.r(1)[0, 0] - 2.5) < 1e-12
-    assert abs(dsm.l(-1)[0, 0] - 1.0) < 1e-15
+    assert abs(dsm.mhat[0][0, 0] - 2.0) < 1e-12
+    assert abs(dsm.mhat[1][0, 0] - 4.0) < 1e-12
+    assert abs(dsm.lhat_from_zero[0][0, 0] - 1.5) < 1e-12
+    assert abs(dsm.rhat[1][0, 0] - 2.5) < 1e-12
+    assert abs(dsm.s0[0, 0] - 1.0) < 1e-15
     # that_1 is the top-left entry of K1[1]^{-1}
-    assert abs(dsm.t(1)[0, 0] - 6.0) < 1e-11
+    assert abs(dsm.that[1][0, 0] - 6.0) < 1e-11
 
 
 def test_mhat0_is_inverse_of_k10(rng):
     seq, _ = random_sequence(rng, 2, 2)
     dsm = compute_second(seq)
     k10 = seq.b * seq.s[0] - seq.s[1]
-    assert rel(dsm.m(0), np.linalg.inv(k10)) < 1e-12
+    assert rel(dsm.mhat[0], np.linalg.inv(k10)) < 1e-12
 
 
 def test_telescoping_exact(rng):
@@ -64,9 +63,9 @@ def test_telescoping_exact(rng):
         seq, _ = random_sequence(rng, q, n)
         dsm = compute_second(seq)
         for j in range(1, len(dsm.mhat)):
-            assert rel(dsm.m(j), dsm.t(j) - dsm.t(j - 1)) < 1e-12
+            assert rel(dsm.mhat[j], dsm.that[j] - dsm.that[j - 1]) < 1e-12
         for j in range(len(dsm.lhat_from_zero)):
-            assert rel(dsm.l(j), dsm.r(j + 1) - dsm.r(j)) < 1e-12
+            assert rel(dsm.lhat_from_zero[j], dsm.rhat[j + 1] - dsm.rhat[j]) < 1e-12
 
 
 def test_positivity(rng):
@@ -105,9 +104,9 @@ def test_exact_rational_oracle_q1():
     seq = lebesgue(m)
     dsm = compute_second(seq)
     for j, exact in enumerate(mhat):
-        assert abs(dsm.m(j)[0, 0] - float(exact)) < 1e-10
+        assert abs(dsm.mhat[j][0, 0] - float(exact)) < 1e-10
     for j, exact in enumerate(lhat):
-        assert abs(dsm.l(j)[0, 0] - float(exact)) < 1e-10
+        assert abs(dsm.lhat_from_zero[j][0, 0] - float(exact)) < 1e-10
 
 
 CLOSED_FORM_DRAWS = 6   # weights W per q
@@ -310,11 +309,11 @@ def test_product_identities_values(leb3):
     g11 = eval_poly(fam.G1(1), 0.0)[0, 0]
     assert abs(g11 - (-1.0 / 3.0)) < 1e-13
     q21 = eval_poly(fam.Q2(1), 0.0)[0, 0]
-    prod = -1.0 / (dsm.m(0)[0, 0] * dsm.l(0)[0, 0] * dsm.m(1)[0, 0])
+    prod = -1.0 / (dsm.mhat[0][0, 0] * dsm.lhat_from_zero[0][0, 0] * dsm.mhat[1][0, 0])
     assert abs(q21 - prod) < 1e-13
     assert abs(q21 - (-1.0 / 12.0)) < 1e-13
     # khat1[0] = mhat_0^{-1}
-    assert abs(fam.hankels.complements("K1")[0][0, 0] - 1.0 / dsm.m(0)[0, 0]) < 1e-13
+    assert abs(fam.hankels.complements("K1")[0][0, 0] - 1.0 / dsm.mhat[0][0, 0]) < 1e-13
 
 
 def test_p2_variant_is_decided_by_the_report():
@@ -385,29 +384,19 @@ def test_recover_refuses_surplus_mhat(kept):
 def test_limit_check_scalar_algebra():
     # j = 0: b mhat_0 = b / (b s0 - s1) converges to 1/s0 = M_0
     seq = lebesgue(1)
-    rows = stieltjes_limit_check(seq, [1e3, 1e4])
-    errs = {r.b: r.m_error for r in rows if r.index == 0}
+    errs = {b: limit_errors(seq, b)[0][0] for b in (1e3, 1e4)}
     assert 8.0 <= errs[1e3] / errs[1e4] <= 12.0
 
 
 def test_limit_check_ratio_and_q2(rng):
     seq, _ = random_sequence(rng, 2, 2)
-    rows = stieltjes_limit_check(seq, [1e3, 1e4])
+    (m3, _), (m4, l4) = limit_errors(seq, 1e3), limit_errors(seq, 1e4)
     first = compute_first(seq)
     for j in range(2):
-        m3 = next(r.m_error for r in rows if r.b == 1e3 and r.index == j)
-        m4 = next(r.m_error for r in rows if r.b == 1e4 and r.index == j)
-        assert 8.0 <= m3 / m4 <= 12.0
-        assert m4 / np.linalg.norm(first.M[j]) <= 1e-2
-        l4 = next(r.l_error for r in rows if r.b == 1e4 and r.index == j)
-        if l4 is not None:
-            assert l4 / np.linalg.norm(first.L[j]) <= 1e-2
-
-
-def test_limit_check_requires_a_zero():
-    seq = lebesgue(3, a=0.1, b=1.0)
-    with pytest.raises(Exception):
-        stieltjes_limit_check(seq, [1e3])
+        assert 8.0 <= m3[j] / m4[j] <= 12.0
+        assert m4[j] / np.linalg.norm(first.M[j]) <= 1e-2
+        if j < len(l4):
+            assert l4[j] / np.linalg.norm(first.L[j]) <= 1e-2
 
 
 def test_scalar_determinant_desk():
@@ -432,9 +421,9 @@ def test_scalar_determinant_matches_matrix_route(rng):
     mt, lt, _ = scalar_determinant_params(seq)
     dsm = compute_second(seq)
     for j, v in enumerate(mt):
-        assert abs(v - dsm.m(j)[0, 0].real) <= 1e-8 * max(1.0, abs(v))
+        assert abs(v - dsm.mhat[j][0, 0].real) <= 1e-8 * max(1.0, abs(v))
     for j, v in enumerate(lt):
-        assert abs(v - dsm.l(j)[0, 0].real) <= 1e-8 * max(1.0, abs(v))
+        assert abs(v - dsm.lhat_from_zero[j][0, 0].real) <= 1e-8 * max(1.0, abs(v))
 
 
 def test_scalar_determinant_wrong_size(rng):
@@ -469,7 +458,7 @@ def test_recover_refuses_an_infinite_endpoint():
     ([0.0, 0.25, 0.5, 1.0], 6, ("H2", 2)),
 ])
 def test_singular_largest_member_is_a_pivot_failure_not_ill_conditioning(points, m, pivot):
-    seq = moments_from_discrete_measure(points, [np.eye(1)] * len(points), m, 0.0, 1.0)
+    seq = DiscreteMeasure(0.0, 1.0, points, [np.eye(1)] * len(points)).moments(m)
     with pytest.raises(SingularPivot) as err:
         compute_second(seq)
     assert (err.value.family, err.value.index) == pivot

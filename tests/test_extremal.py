@@ -1,117 +1,83 @@
-import functools
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from thmm import (
-    ContinuedFractionChain,
+    DsmFirst,
     PointOnInterval,
-    SingularDenominator,
     SingularLevel,
     ThmmError,
     WrongChainKind,
     build_family,
     compute_first,
     compute_second,
-    evaluate_chain,
-    extremal_cf,
     extremal_cf_many,
-    extremal_chain,
-    extremal_quotient,
     extremal_quotient_many,
-    mobius_apply,
-    mobius_chain_apply,
-    moments_from_discrete_measure,
-    resolvent_direct,
-    resolvent_factors,
+    resolvent_direct_many,
 )
+from thmm import extremal
 
 from conftest import lebesgue, random_measure, random_sequence, random_z_points, rel
 
 
-def test_mobius_identity_transform():
-    u = np.eye(4, dtype=complex)
-    x = np.array([[2.0, 0.0], [1.0, 1.0]])
-    y = np.array([[1.0, 0.5], [0.0, 2.0]])
-    assert rel(mobius_apply(u, x, y), x @ np.linalg.inv(y)) < 1e-14
+def chain_at(source, z, parity, which):
+    """The continued-fraction chain of one extremal solution at the single point z."""
+    return extremal._chain(np.array([complex(z)]), parity,
+                           extremal._chain_params(source, parity, which))
 
 
-def test_mobius_block_swap_inverts():
-    q = 2
-    u = np.block([[np.zeros((q, q)), np.eye(q)], [np.eye(q), np.zeros((q, q))]])
-    s = np.array([[2.0, 1.0], [0.0, 1.0]], dtype=complex)
-    got = mobius_apply(u, s, np.eye(q))
-    assert rel(got, np.linalg.inv(s)) < 1e-14
+def cf_at(source, z, parity, which):
+    """The continued-fraction value of one extremal solution at the single point z."""
+    return extremal_cf_many(source, [z], parity, which)[0]
 
 
-def test_mobius_singular_denominator():
-    q = 1
-    u = np.block([[np.zeros((q, q)), np.eye(q)], [np.eye(q), np.zeros((q, q))]])
-    with pytest.raises(SingularDenominator):
-        mobius_apply(u, np.zeros((q, q)), np.zeros((q, q)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_mobius_composition_property(seed):
-    rng = np.random.default_rng(seed)
-    q = int(rng.integers(1, 3))
-    f1 = rng.normal(size=(2 * q, 2 * q)) + 1j * rng.normal(size=(2 * q, 2 * q))
-    f2 = rng.normal(size=(2 * q, 2 * q)) + 1j * rng.normal(size=(2 * q, 2 * q))
-    x, y = np.eye(q, dtype=complex), np.eye(q, dtype=complex)
-    # the 1e-8 comparison needs well-conditioned final denominators C X + D Y,
-    # of the product and of the factor-by-factor column
-    xy = np.vstack([x, y])
-    if not all(np.linalg.cond(col[q:]) <= 1e8 for col in ((f1 @ f2) @ xy, f1 @ (f2 @ xy))):
-        return
-    once = mobius_apply(f1 @ f2, x, y)
-    stepped = mobius_chain_apply([f1, f2], x, y)
-    assert rel(once, stepped) < 1e-8
+def mobius(u, x, y):
+    """(A X + B Y)(C X + D Y)^{-1} for the 2q x 2q block matrix u = [[A, B], [C, D]]."""
+    q = len(x)
+    return (u[:q, :q] @ x + u[:q, q:] @ y) @ np.linalg.inv(u[q:, :q] @ x + u[q:, q:] @ y)
 
 
 def test_krein_even_base_case():
     # n = 0: sK(z) = -s_0 / (z - a), the transform of a mass at a
     seq = lebesgue(0)
-    for z in (-1.0, 2.0, 1.5 + 1.0j):
-        ext = extremal_quotient(seq, z, "even")
-        assert rel(ext.sK, np.array([[-1.0 / (z - 0.0)]])) < 1e-14
-        cf = extremal_cf(seq, z, "even", "krein")
-        assert rel(cf, ext.sK) < 1e-14
+    zs = [-1.0, 2.0, 1.5 + 1.0j]
+    ext = extremal_quotient_many(seq, zs, "even")
+    cf = extremal_cf_many(seq, zs, "even", "krein")
+    for k, z in enumerate(zs):
+        assert rel(ext.sK[k], np.array([[-1.0 / (z - 0.0)]])) < 1e-14
+        assert rel(cf[k], ext.sK[k]) < 1e-14
 
 
 def test_friedrichs_even_desk_value():
     # Lebesgue, n = 1, z = -1: (−1 − 5/6) / (2 (−1 − 1/3)) = 11/16
     seq = lebesgue(2)
-    ext = extremal_quotient(seq, -1.0, "even")
-    assert abs(ext.sF[0, 0] - 11.0 / 16.0) < 1e-13
-    cf = extremal_cf(seq, -1.0, "even", "friedrichs")
-    assert abs(cf[0, 0] - 11.0 / 16.0) < 1e-13
+    ext = extremal_quotient_many(seq, [-1.0], "even")
+    assert abs(ext.sF[0, 0, 0] - 11.0 / 16.0) < 1e-13
+    assert abs(cf_at(seq, -1.0, "even", "friedrichs")[0, 0] - 11.0 / 16.0) < 1e-13
 
 
 def test_krein_even_desk_value():
     seq = lebesgue(2)
-    ext = extremal_quotient(seq, -1.0, "even")
-    assert abs(ext.sK[0, 0] - 0.7) < 1e-13
-    assert abs(extremal_cf(seq, -1.0, "even", "krein")[0, 0] - 0.7) < 1e-13
+    ext = extremal_quotient_many(seq, [-1.0], "even")
+    assert abs(ext.sK[0, 0, 0] - 0.7) < 1e-13
+    assert abs(cf_at(seq, -1.0, "even", "krein")[0, 0] - 0.7) < 1e-13
 
 
 def test_odd_desk_values():
     seq = lebesgue(3)
-    ext = extremal_quotient(seq, -1.0, "odd")
-    assert abs(ext.sK[0, 0] - 25.0 / 36.0) < 1e-13
-    assert abs(ext.sF[0, 0] - 9.0 / 13.0) < 1e-13
-    assert abs(extremal_cf(seq, -1.0, "odd", "krein")[0, 0] - 25.0 / 36.0) < 1e-13
-    assert abs(extremal_cf(seq, -1.0, "odd", "friedrichs")[0, 0] - 9.0 / 13.0) < 1e-13
+    ext = extremal_quotient_many(seq, [-1.0], "odd")
+    assert abs(ext.sK[0, 0, 0] - 25.0 / 36.0) < 1e-13
+    assert abs(ext.sF[0, 0, 0] - 9.0 / 13.0) < 1e-13
+    assert abs(cf_at(seq, -1.0, "odd", "krein")[0, 0] - 25.0 / 36.0) < 1e-13
+    assert abs(cf_at(seq, -1.0, "odd", "friedrichs")[0, 0] - 9.0 / 13.0) < 1e-13
 
 
 def test_friedrichs_odd_minimal():
     # m = 1 Lebesgue data: sF(z) = 1 / (1/2 - z)
     seq = lebesgue(1)
-    for z in (-2.0, 3.0):
-        ext = extremal_quotient(seq, z, "odd")
-        assert abs(ext.sF[0, 0] - 1.0 / (0.5 - z)) < 1e-13
+    zs = [-2.0, 3.0]
+    ext = extremal_quotient_many(seq, zs, "odd")
+    for k, z in enumerate(zs):
+        assert abs(ext.sF[k, 0, 0] - 1.0 / (0.5 - z)) < 1e-13
 
 
 def test_cf_equals_quotient_random(rng):
@@ -119,42 +85,40 @@ def test_cf_equals_quotient_random(rng):
         seq, _ = random_sequence(rng, q, n)
         fam = build_family(seq)
         for parity in ("even", "odd"):
-            for z in random_z_points(rng, 5):
-                ext = extremal_quotient(fam, z, parity)
-                assert ext.cross_residual < 1e-10
-                for which, quo in (("krein", ext.sK), ("friedrichs", ext.sF)):
-                    cf = extremal_cf(fam, z, parity, which)
-                    assert rel(cf, quo) < 1e-8
+            zs = random_z_points(rng, 5)
+            ext = extremal_quotient_many(fam, zs, parity)
+            assert ext.cross_residual.max() < 1e-10
+            for which, quo in (("krein", ext.sK), ("friedrichs", ext.sF)):
+                cf = extremal_cf_many(fam, zs, parity, which)
+                for k in range(len(zs)):
+                    assert rel(cf[k], quo[k]) < 1e-8
 
 
 def test_cf_q2_point(rng):
     seq, _ = random_sequence(rng, 2, 2)
     fam = build_family(seq)
     z = 2.0 + 1.0j
-    ext = extremal_quotient(fam, z, "odd")
-    cf = extremal_cf(fam, z, "odd", "friedrichs")
-    assert rel(cf, ext.sF) < 1e-9
+    ext = extremal_quotient_many(fam, [z], "odd")
+    assert rel(cf_at(fam, z, "odd", "friedrichs"), ext.sF[0]) < 1e-9
 
 
 def test_chain_depth_and_tags():
     seq = lebesgue(3)
-    chain = extremal_chain(seq, -1.0, "odd", "krein")
+    chain = chain_at(seq, -1.0, "odd", "krein")
     assert chain.depth == 3
     assert chain.tags == ("mhat[0]", "lhat[0]", "mhat[1]")
-    chain_f = extremal_chain(seq, -1.0, "odd", "friedrichs")
+    chain_f = chain_at(seq, -1.0, "odd", "friedrichs")
     assert chain_f.depth == 4
     assert chain_f.tags == ("M[0]", "L[0]", "M[1]", "L[1]")
-    chain_e = extremal_chain(lebesgue(2), -1.0, "even", "friedrichs")
+    chain_e = chain_at(lebesgue(2), -1.0, "even", "friedrichs")
     assert chain_e.depth == 2 and chain_e.head is not None
 
 
 def test_chain_accepts_prebuilt_params():
     seq = lebesgue(3)
-    dsm = compute_second(seq)
-    cf = extremal_cf(dsm, -1.0, "odd", "krein")
+    cf = cf_at(compute_second(seq), -1.0, "odd", "krein")
     assert abs(cf[0, 0] - 25.0 / 36.0) < 1e-13
-    first = compute_first(seq)
-    cf2 = extremal_cf(first, -1.0, "odd", "friedrichs")
+    cf2 = cf_at(compute_first(seq), -1.0, "odd", "friedrichs")
     assert abs(cf2[0, 0] - 9.0 / 13.0) < 1e-13
 
 
@@ -163,13 +127,12 @@ def test_chain_accepts_prebuilt_params():
 @pytest.mark.parametrize("which", ["krein", "friedrichs"])
 def test_a_passed_chain_reads_the_rungs_of_its_family(rng, m, parity, which):
     measure = random_measure(rng, 2, m // 2 + 2)
-    fam = build_family(moments_from_discrete_measure(measure.points, measure.weights, m, 0.0, 1.0))
+    fam = build_family(measure.moments(m))
     chain = (compute_second if (which == "friedrichs") == (parity == "even") else compute_first)(fam)
     zs = random_z_points(rng, 6)
     from_chain = extremal_cf_many(chain, zs, parity, which)
     assert from_chain.tobytes() == extremal_cf_many(fam, zs, parity, which).tobytes()
-    assert extremal_chain(chain, zs[0], parity, which).tags == \
-        extremal_chain(fam, zs[0], parity, which).tags
+    assert chain_at(chain, zs[0], parity, which).tags == chain_at(fam, zs[0], parity, which).tags
 
 
 @pytest.mark.parametrize("which, parity, given", [
@@ -177,8 +140,8 @@ def test_a_passed_chain_reads_the_rungs_of_its_family(rng, m, parity, which):
     ("friedrichs", "even", "DsmFirst"), ("krein", "odd", "DsmFirst"),
 ])
 @pytest.mark.parametrize("call", [
-    lambda chain, parity, which: extremal_chain(chain, -1.0, parity, which),
-    lambda chain, parity, which: extremal_cf(chain, -1.0, parity, which),
+    lambda chain, parity, which: chain_at(chain, -1.0, parity, which),
+    lambda chain, parity, which: cf_at(chain, -1.0, parity, which),
     lambda chain, parity, which: extremal_cf_many(chain, [-1.0, 2.0], parity, which),
 ], ids=["chain", "cf", "cf_many"])
 def test_chain_of_the_wrong_kind_is_named(call, which, parity, given):
@@ -196,8 +159,8 @@ def test_chain_of_the_wrong_kind_is_named(call, which, parity, given):
 
 @pytest.mark.parametrize("given", ["DsmSecond", "DsmFirst", "family"])
 @pytest.mark.parametrize("call", [
-    lambda source, parity, which: extremal_chain(source, 2 + 1j, parity, which),
-    lambda source, parity, which: extremal_cf(source, 2 + 1j, parity, which),
+    lambda source, parity, which: chain_at(source, 2 + 1j, parity, which),
+    lambda source, parity, which: cf_at(source, 2 + 1j, parity, which),
     lambda source, parity, which: extremal_cf_many(source, [2 + 1j, -1.0], parity, which),
 ], ids=["chain", "cf", "cf_many"])
 @pytest.mark.parametrize("which", ["krein", "friedrichs"])
@@ -211,41 +174,39 @@ def test_a_bad_parity_is_refused_whatever_the_source(call, given, which):
 
 
 def test_singular_level():
-    chain = ContinuedFractionChain(
-        head=None, levels=(np.zeros((1, 1), dtype=complex),), tags=("mhat[0]",)
-    )
+    # a zero M_0 makes the one level -(z - a) M_0 of the Krein fraction zero
+    chain = DsmFirst(q=1, a=0.0, M=(np.zeros((1, 1), dtype=complex),), L=())
     with pytest.raises(SingularLevel):
-        evaluate_chain(chain)
+        extremal_cf_many(chain, [2.0], "even", "krein")
 
 
 def test_point_on_interval_rejected():
     seq = lebesgue(3)
     with pytest.raises(PointOnInterval):
-        extremal_quotient(seq, 0.25, "odd")
+        extremal_quotient_many(seq, [0.25], "odd")
     # points just off the interval are accepted
-    extremal_quotient(seq, 0.25 + 0.5j, "odd")
+    extremal_quotient_many(seq, [0.25 + 0.5j], "odd")
 
 
 def test_hermitian_for_real_z_off_interval(rng):
     seq, _ = random_sequence(rng, 2, 2)
     fam = build_family(seq)
     for parity in ("even", "odd"):
-        for z in (-2.0, 3.5):
-            ext = extremal_quotient(fam, z, parity)
-            for v in (ext.sK, ext.sF):
-                assert np.linalg.norm(v - v.conj().T) < 1e-9 * (1 + np.linalg.norm(v))
+        ext = extremal_quotient_many(fam, [-2.0, 3.5], parity)
+        for v in (*ext.sK, *ext.sF):
+            assert np.linalg.norm(v - v.conj().T) < 1e-9 * (1 + np.linalg.norm(v))
 
 
 def test_solution_transform_constant_pairs(rng):
     seq, _ = random_sequence(rng, 2, 1)
     fam = build_family(seq)
     z = -1.5
-    u = resolvent_direct(fam, z, "odd")
-    ext = extremal_quotient(fam, z, "odd")
+    (u,) = resolvent_direct_many(fam, [z], "odd")
+    ext = extremal_quotient_many(fam, [z], "odd")
     eye, zero = np.eye(2), np.zeros((2, 2))
-    assert rel(mobius_apply(u, eye, zero), ext.sK) < 1e-10
-    assert rel(mobius_apply(u, zero, eye), ext.sF) < 1e-10
-    mixed = mobius_apply(u, eye, eye)
+    assert rel(mobius(u, eye, zero), ext.sK[0]) < 1e-10
+    assert rel(mobius(u, zero, eye), ext.sF[0]) < 1e-10
+    mixed = mobius(u, eye, eye)
     assert np.linalg.norm(mixed - mixed.conj().T) < 1e-9 * (1 + np.linalg.norm(mixed))
 
 
@@ -254,27 +215,12 @@ def test_right_quotient_convention(rng):
     seq, _ = random_sequence(rng, 2, 2)
     fam = build_family(seq)
     for parity in ("even", "odd"):
-        for z in random_z_points(rng, 4):
-            u = resolvent_direct(fam, z, parity)
-            blockwise = u.beta @ np.linalg.inv(u.delta)
-            ext = extremal_quotient(fam, z, parity)
-            assert rel(blockwise, ext.sF) < 1e-10
-
-
-def test_mobius_chain_equals_once_on_factor_chain(rng):
-    seq, _ = random_sequence(rng, 2, 1)
-    fam = build_family(seq)
-    eye, zero = np.eye(2), np.zeros((2, 2))
-    for parity, route in (("even", "second"), ("odd", "second"),
-                          ("even", "first"), ("odd", "first")):
-        zs = random_z_points(rng, 3)
-        chain = resolvent_factors(fam, zs, parity, route)
+        zs = random_z_points(rng, 4)
+        u = resolvent_direct_many(fam, zs, parity)
+        ext = extremal_quotient_many(fam, zs, parity)
         for k in range(len(zs)):
-            # z-independent factors are single matrices, the others stacks over zs
-            factors = [f if f.ndim == 2 else f[k] for f in chain]
-            stepped = mobius_chain_apply(factors, zero, eye)
-            once = mobius_apply(functools.reduce(np.matmul, factors), zero, eye)
-            assert rel(stepped, once) < 1e-9
+            blockwise = u[k, :2, 2:] @ np.linalg.inv(u[k, 2:, 2:])
+            assert rel(blockwise, ext.sF[k]) < 1e-10
 
 
 def test_many_is_the_stack_of_single_points(rng):
@@ -284,14 +230,15 @@ def test_many_is_the_stack_of_single_points(rng):
     for parity in ("even", "odd"):
         ext = extremal_quotient_many(fam, zs, parity)
         assert ext.sK.shape == ext.sF.shape == (len(zs), 2, 2)
+        # each point of the stack is the stack of that point alone
         for which in ("krein", "friedrichs"):
             cf = extremal_cf_many(fam, zs, parity, which)
             for k, z in enumerate(zs):
-                assert np.array_equal(cf[k], extremal_cf(fam, z, parity, which))
+                assert np.array_equal(cf[k], cf_at(fam, z, parity, which))
         for k, z in enumerate(zs):
-            one = extremal_quotient(fam, z, parity)
-            assert np.array_equal(ext.sK[k], one.sK) and np.array_equal(ext.sF[k], one.sF)
-            assert ext.cross_residual[k] == one.cross_residual < 1e-10
+            one = extremal_quotient_many(fam, [z], parity)
+            assert np.array_equal(ext.sK[k], one.sK[0]) and np.array_equal(ext.sF[k], one.sF[0])
+            assert ext.cross_residual[k] == one.cross_residual[0] < 1e-10
     with pytest.raises(PointOnInterval, match=r"\(0.5\+0j\)"):
         extremal_quotient_many(fam, [2.0, 0.5, 0.75], "odd")
 
@@ -351,13 +298,13 @@ def test_extremal_values_are_gauss_type_quadratures(m):
     # independent oracle shows how many digits they keep (worst 2.2e-9, m = 12)
     seq = lebesgue(m)
     parity = "odd" if m % 2 else "even"
-    for z in QUADRATURE_ZS:
-        ext = extremal_quotient(seq, z, parity)
-        for which, jac in _quadrature_rules(m).items():
+    ext = extremal_quotient_many(seq, QUADRATURE_ZS, parity)
+    for which, jac in _quadrature_rules(m).items():
+        quotients = ext.sK if which == "krein" else ext.sF
+        cfs = extremal_cf_many(seq, QUADRATURE_ZS, parity, which)
+        for k, z in enumerate(QUADRATURE_ZS):
             exact = _stieltjes(jac, z)
-            quotient = (ext.sK if which == "krein" else ext.sF)[0, 0]
-            cf = extremal_cf(seq, z, parity, which)[0, 0]
-            for value in (quotient, cf):
+            for value in (quotients[k, 0, 0], cfs[k, 0, 0]):
                 assert abs(value - exact) <= 1e-8 * abs(exact), (which, z, value, exact)
 
 

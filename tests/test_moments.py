@@ -15,7 +15,6 @@ from thmm import (
     MomentSequence,
     build_hankels,
     classify,
-    moments_from_discrete_measure,
 )
 from thmm import build_family, compute_first, compute_second, moments as moments_module
 from thmm._linalg import cholesky_pd, hermitize, solve_factored, solve_pd
@@ -173,23 +172,19 @@ def test_classify_indefinite_witness():
 
 
 def test_discrete_measure_moments_two_atoms():
-    seq = moments_from_discrete_measure(
-        [0.0, 1.0], [np.array([[0.5]]), np.array([[0.5]])], 2, 0.0, 1.0
-    )
+    seq = DiscreteMeasure(0.0, 1.0, [0.0, 1.0], [np.array([[0.5]])] * 2).moments(2)
     assert [x[0, 0].real for x in seq.s] == [1.0, 0.5, 0.5]
 
 
 def test_discrete_measure_single_atom():
     w = np.array([[2.0, 1j], [-1j, 3.0]])
-    seq = moments_from_discrete_measure([0.5], [w], 3, 0.0, 1.0)
+    seq = DiscreteMeasure(0.0, 1.0, [0.5], [w]).moments(3)
     for j in range(4):
         assert rel(seq.s[j], 0.5 ** j * w) < 1e-15
 
 
 def test_discrete_measure_identity_atoms_positive_definite():
-    seq = moments_from_discrete_measure(
-        [0.25, 0.75], [np.eye(2), np.eye(2)], 3, 0.0, 1.0
-    )
+    seq = DiscreteMeasure(0.0, 1.0, [0.25, 0.75], [np.eye(2), np.eye(2)]).moments(3)
     assert classify(seq).kind == "PositiveDefinite"
 
 
@@ -197,7 +192,7 @@ def test_measure_rank_deficiency_vs_atom_count(rng):
     q = 2
     for atoms in (1, 2, 3):
         meas = random_measure(rng, q, atoms)
-        seq = moments_from_discrete_measure(meas.points, meas.weights, 6, 0.0, 1.0)
+        seq = meas.moments(6)
         hank = build_hankels(seq)
         for j in range(len(hank.H1)):
             if atoms >= j + 1:
@@ -210,9 +205,9 @@ def test_measure_rank_deficiency_vs_atom_count(rng):
 
 def test_measure_errors():
     with pytest.raises(EmptyMeasure):
-        moments_from_discrete_measure([], [], 2, 0.0, 1.0)
+        DiscreteMeasure(0.0, 1.0, [], [])
     with pytest.raises(PointOutsideInterval):
-        moments_from_discrete_measure([1.5], [np.eye(1)], 2, 0.0, 1.0)
+        DiscreteMeasure(0.0, 1.0, [1.5], [np.eye(1)])
 
 
 def test_R_many_inverts_the_block_shift(rng):
@@ -292,8 +287,8 @@ def _symmetric_sequence(q, m):
     """Atoms symmetric about 0 with diagonal weights on [-1, 1]: every odd moment
     and every off-diagonal entry is an exact zero."""
     weights = [np.diag(np.linspace(1.0, 2.0, q)), np.diag(np.linspace(0.5, 0.25, q))]
-    return moments_from_discrete_measure(
-        [-0.75, -0.25, 0.25, 0.75], weights + weights[::-1], m, -1.0, 1.0)
+    measure = DiscreteMeasure(-1.0, 1.0, [-0.75, -0.25, 0.25, 0.75], weights + weights[::-1])
+    return measure.moments(m)
 
 
 @pytest.mark.parametrize("q,m,zeros", [
@@ -457,7 +452,7 @@ DEGENERATE = {
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
 def test_degenerate_member_raises_at_the_same_point(name):
     (points, weights, m), family_pivot, first_pivot = DEGENERATE[name]
-    seq = moments_from_discrete_measure(points, weights, m, 0.0, 1.0)
+    seq = DiscreteMeasure(0.0, 1.0, points, weights).moments(m)
     hank = build_hankels(seq)
     assert classify(hank).kind == "Degenerate"
     # the classification's kept factors (a None among them) do not move the failure
