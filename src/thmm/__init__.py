@@ -17,7 +17,6 @@ from .errors import (
     InsufficientMoments,
     InvalidMomentSequence,
     NonPositiveParameter,
-    OrderUnavailable,
     PointOnInterval,
     PointOutsideInterval,
     PoleAtZ,
@@ -27,7 +26,6 @@ from .errors import (
     SingularNormalization,
     SingularPivot,
     ThmmError,
-    WrongChainKind,
     WrongMatrixSize,
 )
 from .moments import (
@@ -44,7 +42,6 @@ from .polynomials import (
     PolynomialFamily,
     adjoint_eval,
     build_family,
-    ensure_family,
     eval_poly,
     verify_family_identities,
 )
@@ -68,6 +65,6 @@ from .extremal import (
     extremal_cf_many,
     extremal_quotient_many,
 )
-from .reporting import IdentityCheck, IdentityReport
+from .reporting import IdentityReport
 
 __version__ = "0.1.0"

@@ -150,8 +150,11 @@ def cholesky_pd(a, block=None):
     return None
 
 
-def solve_pd(a, rhs, family="matrix", index=0):
-    """Solve a @ x = rhs for Hermitian positive definite a, via Cholesky."""
+def solve_pd(a, rhs, family, index):
+    """Solve a @ x = rhs for Hermitian positive definite a, via Cholesky.
+
+    SingularPivot(family, index) names a when it is not positive definite.
+    """
     L = cholesky_pd(a)
     if L is None:
         raise SingularPivot(family, index)
@@ -229,16 +232,15 @@ def point_prefix(evaluate):
     return stacked
 
 
-def guard_cond(mats, error, points=None):
-    """Check every matrix of a (..., q, q) stack as np.linalg.cond would one by one.
+def guard_cond(mats, error, points):
+    """Check every matrix of a (K, ..., q, q) stack as np.linalg.cond would one by one.
 
-    A matrix fails with error(cond) when its 2-norm condition number is not
-    finite or exceeds COND_LIMIT; a matrix with a NaN or infinite entry (an
-    overflowed one) fails with error(nan), without an SVD.  Without
-    ``points`` the first failure in C order is raised, and the inverses of
-    all the matrices are returned, shaped as mats.  With ``points`` the
-    leading axis runs over points.zs, the first failing point is recorded
-    there, and the inverses of the points that remain are returned.
+    The leading axis runs over points.zs.  A matrix fails with error(cond)
+    when its 2-norm condition number is not finite or exceeds COND_LIMIT;
+    a matrix with a NaN or infinite entry (an overflowed one) fails with
+    error(nan), without an SVD.  The first failing point is recorded in
+    points (none when no point is left), and the inverses of the points
+    that remain are returned.
 
     The inverses (np.linalg.inv) come first, and they decide most matrices
     without an SVD: kappa_2(A) <= ||A||_F ||A^-1||_F <= q max|a_ij| q max|x_ij|
@@ -277,35 +279,28 @@ def guard_cond(mats, error, points=None):
     if svd.size:
         cond[svd] = np.linalg.cond(flat[svd])
     bad = ~np.isfinite(cond) | (cond > COND_LIMIT)
-    if points is None:
-        if bad.any():
-            raise error(cond[int(np.argmax(bad))])
-        shape = mats.shape
-    else:
-        rows = bad.reshape(len(points), -1)
-        points.fail(rows.any(axis=1),
-                    lambda i: error(cond[i * rows.shape[1] + int(np.argmax(rows[i]))]))
-        shape = (len(points),) + mats.shape[1:]
+    rows = bad.reshape(len(points), math.prod(mats.shape[1:-2]))
+    points.fail(rows.any(axis=1),
+                lambda i: error(cond[i * rows.shape[1] + int(np.argmax(rows[i]))]))
+    shape = (len(points),) + mats.shape[1:]
     keep = math.prod(shape[:-2])
     if inv is None:
         inv = np.linalg.inv(flat[:keep])
     return inv[:keep].reshape(shape)
 
 
-def right_quotient(num, den, points=None):
-    """num @ inv(den) for stacks of q x q matrices, by a solve with den.
+def right_quotient(num, den, points):
+    """num @ inv(den) for (K, ..., q, q) stacks of matrices, by a solve with den.
 
-    Each denominator is checked by guard_cond first and a failure is
-    SingularDenominator; the inverses guard_cond forms go unused, since a
-    product with them would round differently.  With ``points`` the
-    leading axis runs over points.zs, and the quotients of the points that
-    remain are returned.
+    The leading axis runs over points.zs.  Each denominator is checked by
+    guard_cond first and a failure is SingularDenominator; the inverses
+    guard_cond forms go unused, since a product with them would round
+    differently.  The quotients of the points that remain are returned.
     """
     num = np.asarray(num, dtype=complex)
     den = np.asarray(den, dtype=complex)
     guard_cond(den, SingularDenominator, points)
-    if points is not None:
-        num, den = num[:len(points)], den[:len(points)]
+    num, den = num[:len(points)], den[:len(points)]
     return np.swapaxes(
         np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2)), -1, -2
     )

@@ -99,10 +99,7 @@ def cmd_analyze(args):
     }
     fam_report = verify_family_identities(fam)
     prod_report = product_identities(fam, dsm, first)
-    report["identity_residuals"] = {
-        **fam_report.by_name(),
-        **prod_report.by_name(),
-    }
+    report["identity_residuals"] = {**fam_report.maxima, **prod_report.maxima}
     report["identity_notes"] = list(prod_report.notes)
     # one of the two checked P2 partial-sum variants is expected to fail;
     # the supported one stays in the gate, the other is reported above
@@ -185,7 +182,7 @@ def cmd_extremal(args):
 def cmd_recover(args):
     s0, mhat, lhat, a, b = tio.read_parameter_file(args.input)
     seq = recover_moments(s0, mhat, lhat, a, b)
-    cls = classify(seq)
+    cls = classify(build_hankels(seq))
     _emit(tio.moment_file_dict(seq), args.output)
     return 0 if cls.is_positive_definite else 3
 
@@ -198,7 +195,7 @@ def cmd_gen(args):
 
 def cmd_scalar_report(args):
     seq = tio.read_moment_file(args.input)
-    mtilde, ltilde, dsm = scalar_determinant_params(seq, rtol=args.rtol)
+    mtilde, ltilde, dsm = scalar_determinant_params(seq)
     m_res = [
         abs(mt - float(dsm.mhat[j][0, 0].real)) / max(1.0, abs(mt))
         for j, mt in enumerate(mtilde)

@@ -66,7 +66,7 @@ from .moments import (
     hankel_entries,
     hankel_from_entries,
 )
-from .polynomials import build_family, ensure_family
+from .polynomials import build_family
 from .reporting import IdentityChecks
 
 ROUTE_RTOL = 1e-10
@@ -123,37 +123,35 @@ def _forms(hank, family):
 
 
 def rungs(chain, parity):
-    """The interleaved parameters of a DSM chain in reading order, as (tag, matrix) pairs.
+    """The interleaved parameters of a DSM chain in reading order.
 
     mhat_0, lhat_0, mhat_1, .. for a DsmSecond and M_0, L_0, M_1, .. for a
     DsmFirst, read as far as the chain goes and cut to end on lhat or M at
     even parity, on mhat or L at odd parity.
     """
     second = isinstance(chain, DsmSecond)
-    names = ("mhat", "lhat") if second else ("M", "L")
     pair = (chain.mhat, chain.lhat_from_zero) if second else (chain.M, chain.L)
     count = min(2 * len(pair[0]), 2 * len(pair[1]) + 1)
     count -= count % 2 != ((parity == "odd") == second)   # an odd count ends on mhat or M
-    return [(f"{names[i % 2]}[{i // 2}]", pair[i % 2][i // 2]) for i in range(count)]
+    return [pair[i % 2][i // 2] for i in range(count)]
 
 
-def _agree(name, xs, ys, rtol):
-    """RouteMismatch(name, j) at the first j where xs[j] and ys[j] differ by more than rtol."""
+def _agree(name, xs, ys):
+    """RouteMismatch(name, j) at the first j where xs[j] and ys[j] differ beyond ROUTE_RTOL."""
     for j, (x, y) in enumerate(zip(xs, ys)):
         res = rel_residual(x, y)
-        if res > rtol:
+        if res > ROUTE_RTOL:
             raise RouteMismatch(name, f"j={j}", res)
 
 
-def compute_second(source):
-    """Second-type parameters of a MomentSequence or a PolynomialFamily, by both routes.
+def compute_second(fam):
+    """Second-type parameters of a PolynomialFamily, by both routes.
 
     Raises SingularPivot when the largest K1 or H2 member read is not
     positive definite, IllConditioned when it is too ill-conditioned for
     ACCURACY_RTOL, both before either route runs, and RouteMismatch when
     the routes disagree by more than ROUTE_RTOL.
     """
-    fam = ensure_family(source)
     seq = fam.seq
     hank = fam.hankels
     s0 = seq.s[0]
@@ -190,10 +188,11 @@ def compute_second(source):
     that_poly = [fam.quotient(fam.q2[j], fam.p2[j])
                  for j in range(min(len(that_qf), len(fam.q2), len(fam.p2)))]
 
-    _agree("mhat", mhat_qf, mhat_poly, ROUTE_RTOL)
-    _agree("lhat", lhat_qf, lhat_poly, ROUTE_RTOL)
-    _agree("rhat", rhat_qf, rhat_poly, ROUTE_RTOL)
-    _agree("that", that_qf, that_poly, ROUTE_RTOL)
+    with np.errstate(over="ignore"):   # frob rescales a sum that overflows
+        _agree("mhat", mhat_qf, mhat_poly)
+        _agree("lhat", lhat_qf, lhat_poly)
+        _agree("rhat", rhat_qf, rhat_poly)
+        _agree("that", that_qf, that_poly)
 
     return DsmSecond(
         q=seq.q, a=seq.a, b=seq.b,
@@ -204,17 +203,11 @@ def compute_second(source):
     )
 
 
-def compute_first(source):
-    """First-type parameters M_j (H1 forms) and L_j (K2 forms)."""
-    if isinstance(source, MomentSequence):
-        seq = source
-        hank = build_hankels(seq)
-    else:
-        fam = ensure_family(source)
-        seq = fam.seq
-        hank = fam.hankels
+def compute_first(fam):
+    """First-type parameters M_j (H1 forms) and L_j (K2 forms) of a PolynomialFamily."""
+    hank = fam.hankels
     M, L = _forms(hank, "H1")[1], _forms(hank, "K2")[1]
-    return DsmFirst(q=seq.q, a=seq.a, M=tuple(M), L=tuple(L))
+    return DsmFirst(q=fam.seq.q, a=fam.seq.a, M=tuple(M), L=tuple(L))
 
 
 def _ladder(inv_m, inv_l, q):
@@ -237,7 +230,6 @@ def product_identities(fam, dsm, first):
     Two printed variants of the P2 partial-sum identity circulate; both are
     checked and the notes record which one the numerics support.
     """
-    fam = ensure_family(fam)
     q = fam.seq.q
     hank = fam.hankels
     hhat1, hhat2, khat1, khat2 = map(hank.complements, ("H1", "H2", "K1", "K2"))
@@ -323,17 +315,17 @@ def product_identities(fam, dsm, first):
         add("l_first_from_polys", j, first.L[j], fam.quotient(fam.p1[j + 1], fam.t2[j]))
 
     report = checks.report()
-    if P2_VARIANTS[0] not in report.names():
+    if P2_VARIANTS[0] not in report.maxima:
         return report
-    cur, prev = map(report.residual_for, P2_VARIANTS)
-    return report.with_notes((
+    cur, prev = (report.maxima[name] for name in P2_VARIANTS)
+    return dataclasses.replace(report, notes=(
         f"P2 partial-sum identity: numerics support {p2_supported(report)} "
         f"(max residuals {cur:.3e} vs {prev:.3e})",))
 
 
 def p2_supported(report):
     """The P2 variant a product_identities report supports: the smaller largest residual, current on a tie."""
-    cur, prev = map(report.residual_for, P2_VARIANTS)
+    cur, prev = (report.maxima.get(name, 0.0) for name in P2_VARIANTS)
     return P2_VARIANTS[cur > prev]
 
 
@@ -419,20 +411,20 @@ def recover_moments(s0, mhat, lhat, a, b):
     return MomentSequence(a=a, b=b, s=tuple(s))
 
 
-def scalar_determinant_params(seq, rtol=1e-8):
+def scalar_determinant_params(seq):
     """Determinant formulas for the scalar (q = 1) second-type parameters.
 
     mtilde_j = det(D3_j)^2 / (det K1[j] det K1[j-1]) where D3_j carries j
     Hankel rows of b s_k - s_{k+1} over the monomial row (1, a, .., a^j);
     ltilde_j = det(E2_j)^2 / (det H2[j] det H2[j-1]) with Hankel rows of
     shat over the row -(u2^* + a v^* s_0) R^*(a).  Index -1 determinants
-    are 1, which reproduces the closed base cases.  Values are validated
-    against the matrix-route parameters, which are returned with them:
-    (mtilde, ltilde, dsm), dsm the DsmSecond of the sequence.
+    are 1, which reproduces the closed base cases.  The matrix-route
+    parameters, which a caller checks them against, are returned with
+    them: (mtilde, ltilde, dsm), dsm the DsmSecond of the sequence.
     """
     if seq.q != 1:
         raise WrongMatrixSize(f"scalar determinant route needs q = 1, got q = {seq.q}")
-    fam = build_family(seq)
+    fam = build_family(build_hankels(seq))
     hank = fam.hankels
 
     def det(mat):
@@ -463,7 +455,4 @@ def scalar_determinant_params(seq, rtol=1e-8):
     ltilde = [ratio("H2", j, lambda j: list(-hank.R_at_a_times(hank.column("H2", j)).conj().T[0]))
               for j in range(len(hank.H2))]
 
-    dsm = compute_second(fam)
-    _agree("mtilde", [np.array([[x]]) for x in mtilde], dsm.mhat, rtol)
-    _agree("ltilde", [np.array([[x]]) for x in ltilde], dsm.lhat_from_zero, rtol)
-    return tuple(mtilde), tuple(ltilde), dsm
+    return tuple(mtilde), tuple(ltilde), compute_second(fam)

@@ -32,15 +32,6 @@ class InsufficientMoments(PreconditionFailure):
     """A requested quantity needs moments beyond those supplied."""
 
 
-class OrderUnavailable(PreconditionFailure):
-    def __init__(self, family, index):
-        super().__init__(
-            f"polynomial {family}[{index}] needs moments beyond those supplied"
-        )
-        self.family = family
-        self.index = index
-
-
 class SingularPivot(PreconditionFailure):
     """A matrix required to be positive definite failed its factorization."""
 
@@ -98,19 +89,6 @@ class SingularDenominator(PreconditionFailure):
             f"linear-fractional denominator is numerically singular (cond ~ {cond:.3e})"
         )
         self.cond = cond
-
-
-class WrongChainKind(ThmmError):
-    """A DSM chain passed to an extremal continued fraction is not the kind it reads."""
-
-    def __init__(self, which, parity, expected, given):
-        super().__init__(
-            f"the {which} solution at {parity} parity reads a {expected} chain, got a {given}"
-        )
-        self.which = which
-        self.parity = parity
-        self.expected = expected
-        self.given = given
 
 
 class PointOnInterval(PreconditionFailure):

@@ -23,9 +23,9 @@ import dataclasses
 import numpy as np
 
 from ._linalg import guard_cond, point_prefix, rel_residuals, right_quotient, scalars
-from .dsm import DsmFirst, DsmSecond, compute_first, compute_second, rungs
-from .errors import PointOnInterval, SingularLevel, WrongChainKind
-from .polynomials import adjoint_eval, ensure_family
+from .dsm import DsmSecond, compute_first, compute_second, rungs
+from .errors import PointOnInterval, SingularLevel
+from .polynomials import adjoint_eval
 from .resolvent import _check_parity, _order, resolvent_direct_many
 
 
@@ -41,14 +41,12 @@ def _mobius_terms(full, x, y):
 class ContinuedFractionChain:
     """head + inv(levels[0] + inv(levels[1] + .. + inv(levels[-1]) ..)).
 
-    Tags name the parameter each level consumes.  Depth equals the number
-    of parameters; evaluation requires every intermediate sum to be
-    invertible.
+    Depth equals the number of parameters; evaluation requires every
+    intermediate sum to be invertible.
     """
 
     head: np.ndarray | None
     levels: tuple
-    tags: tuple
 
     @property
     def depth(self):
@@ -74,21 +72,13 @@ def _evaluate(chain, pts):
     return w if chain.head is None else chain.head[:len(pts)] + w
 
 
-def _chain_params(source, parity, which):
-    """The DSM chain of one extremal solution; source may be the chain itself.
-
-    which and parity are checked first, whatever the source.
-    """
+def _chain_params(fam, parity, which):
+    """The DSM chain of one extremal solution, which and parity checked first."""
     if which not in ("krein", "friedrichs"):
         raise ValueError(f"which must be 'krein' or 'friedrichs', got {which!r}")
     _check_parity(parity)
-    expected = DsmSecond if (which == "friedrichs") == (parity == "even") else DsmFirst
-    if isinstance(source, (DsmSecond, DsmFirst)):
-        if not isinstance(source, expected):
-            raise WrongChainKind(which, parity, expected.__name__, type(source).__name__)
-        return source
-    fam = ensure_family(source)
-    chain = compute_second(fam) if expected is DsmSecond else compute_first(fam)
+    second = (which == "friedrichs") == (parity == "even")
+    chain = compute_second(fam) if second else compute_first(fam)
     _order(fam.seq, parity)   # odd parity needs s_1
     return chain
 
@@ -114,20 +104,19 @@ def _chain(z, parity, params):
         head = None
         level = (lambda p: scale * p,
                  lambda p: np.broadcast_to(p, z.shape + p.shape).astype(complex))
-    rs = rungs(params, parity)
-    levels = tuple(level[i % 2](p) for i, (_, p) in enumerate(rs))
-    return ContinuedFractionChain(head=head, levels=levels, tags=tuple(tag for tag, _ in rs))
+    levels = tuple(level[i % 2](p) for i, p in enumerate(rungs(params, parity)))
+    return ContinuedFractionChain(head=head, levels=levels)
 
 
 @point_prefix
-def extremal_cf_many(source, pts, parity, which):
+def extremal_cf_many(fam, pts, parity, which):
     """Extremal solution values via the continued fraction, at K points at once.
 
     Returns the (K, q, q) stack of values at the points zs.  The parameter
     chain is built once and the fraction is evaluated level by level over
     the whole stack.  Failures are as point_prefix describes.
     """
-    chain = _chain(pts.zs, parity, _chain_params(source, parity, which))
+    chain = _chain(pts.zs, parity, _chain_params(fam, parity, which))
     return _evaluate(chain, pts)
 
 
@@ -135,18 +124,16 @@ def extremal_cf_many(source, pts, parity, which):
 class ExtremalSet:
     """Krein and Friedrichs extremal values at K points.
 
-    sK and sF are (K, q, q) stacks; z and cross_residual have length K.
+    sK and sF are (K, q, q) stacks; cross_residual has length K.
     """
 
     sK: np.ndarray
     sF: np.ndarray
-    parity: str
-    z: np.ndarray
     cross_residual: np.ndarray
 
 
 @point_prefix
-def extremal_quotient_many(source, pts, parity):
+def extremal_quotient_many(fam, pts, parity):
     """Extremal solutions as block quotients of polynomial values, at K points at once.
 
     Even parity: sK = T2[n]^*(zbar) / ((z-a) G2[n]^*(zbar)),
@@ -159,7 +146,6 @@ def extremal_quotient_many(source, pts, parity):
     Returns an ExtremalSet stacked over the points zs.  Failures are as
     point_prefix describes.
     """
-    fam = ensure_family(source)
     seq = fam.seq
     a, b = seq.a, seq.b
     z = pts.zs
@@ -171,21 +157,20 @@ def extremal_quotient_many(source, pts, parity):
     zc = z[:, None, None]
     # sK and sF side by side, so that at each point sK's denominator is checked first
     if parity == "even":
-        num = [adjoint_eval(fam.T2(n), z), adjoint_eval(fam.T1(n), z)]
-        den = [(zc - a) * adjoint_eval(fam.G2(n), z), (b - zc) * adjoint_eval(fam.G1(n), z)]
-        pair = right_quotient(np.stack(num, axis=1), np.stack(den, axis=1), points=pts)
+        num = [adjoint_eval(fam.t2[n], z), adjoint_eval(fam.t1[n], z)]
+        den = [(zc - a) * adjoint_eval(fam.g2[n], z), (b - zc) * adjoint_eval(fam.g1[n], z)]
+        pair = right_quotient(np.stack(num, axis=1), np.stack(den, axis=1), pts)
     else:
-        num = [adjoint_eval(fam.Q2(n), z), adjoint_eval(fam.Q1(n + 1), z)]
+        num = [adjoint_eval(fam.q2[n], z), adjoint_eval(fam.q1[n + 1], z)]
         scale = scalars(lambda x: (x - a) * (b - x), z)[:, None, None]
-        den = [scale * adjoint_eval(fam.P2(n), z), adjoint_eval(fam.P1(n + 1), z)]
-        pair = -right_quotient(np.stack(num, axis=1), np.stack(den, axis=1), points=pts)
+        den = [scale * adjoint_eval(fam.p2[n], z), adjoint_eval(fam.p1[n + 1], z)]
+        pair = -right_quotient(np.stack(num, axis=1), np.stack(den, axis=1), pts)
     u = resolvent_direct_many(fam, pts, parity)
     eye = np.eye(seq.q, dtype=complex)
     zero = np.zeros((seq.q, seq.q), dtype=complex)
     moebius = right_quotient(
-        *_mobius_terms(u[:, None], np.stack([eye, zero]), np.stack([zero, eye])), points=pts
-    )
+        *_mobius_terms(u[:, None], np.stack([eye, zero]), np.stack([zero, eye])), pts)
     sk, sf = pair[:len(pts), 0], pair[:len(pts), 1]
     cross = np.maximum(rel_residuals(sk, moebius[:, 0]), rel_residuals(sf, moebius[:, 1]))
-    return ExtremalSet(sK=sk, sF=sf, parity=parity, z=pts.zs, cross_residual=cross)
+    return ExtremalSet(sK=sk, sF=sf, cross_residual=cross)
 

@@ -175,8 +175,8 @@ def hankel_from_entries(entries, j):
 class Kept(collections.abc.Sequence):
     """The items make(0), ..., make(count - 1), each made on its first read and kept.
 
-    Indexing, slicing, len and iteration work as on the tuple of all the
-    items, which is never built.
+    Indexing, len and iteration work as on the tuple of all the items,
+    which is never built.
     """
 
     def __init__(self, count, make):
@@ -187,11 +187,9 @@ class Kept(collections.abc.Sequence):
         return len(self._items)
 
     def __getitem__(self, j):
-        if isinstance(j, slice):
-            return tuple(self[i] for i in range(len(self))[j])
-        item = self._items[j]   # IndexError past the end
+        j = range(len(self._items))[j]   # IndexError past the end; a negative j counts from it
+        item = self._items[j]
         if item is None:
-            j = range(len(self._items))[j]   # a negative j counts from the end
             item = self._items[j] = self._make(j)
         return item
 
@@ -450,16 +448,15 @@ class Classification:
         return self.kind == "PositiveDefinite"
 
 
-def classify(source):
-    """Hausdorff positive definiteness of a MomentSequence or of a prebuilt HankelSet.
+def classify(hank):
+    """Hausdorff positive definiteness of the moments of a HankelSet.
 
     Decided by attempted Cholesky factorization of the defining Hankel
-    pair, the largest members of their families; a HankelSet keeps those
+    pair, the largest members of their families; the set keeps those
     factors.  On failure the offending matrix and its smallest eigenvalue
     are reported; an eigenvalue below the negative pivot threshold means
     Indefinite, otherwise Degenerate.
     """
-    hank = source if isinstance(source, HankelSet) else build_hankels(source)
     m = hank.seq.m
     if m % 2 == 0:
         n = m // 2
@@ -516,10 +513,6 @@ class DiscreteMeasure:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", tuple(stored))
-
-    @property
-    def q(self):
-        return self.weights[0].shape[0]
 
     def moments(self, count):
         """MomentSequence s_j = sum_k x_k^j w_k, j = 0..count.

@@ -23,7 +23,7 @@ import numpy as np
 from ._linalg import point_prefix, scalars
 from .dsm import DsmSecond, compute_first, compute_second, rungs
 from .errors import InsufficientMoments, PoleAtZ, SingularNormalization
-from .polynomials import adjoint_eval, ensure_family
+from .polynomials import adjoint_eval
 
 
 def _eye(q):
@@ -84,7 +84,7 @@ def _finite(pts, full):
 
 
 @point_prefix
-def resolvent_direct_many(source, pts, parity):
+def resolvent_direct_many(fam, pts, parity):
     """Resolvent by block quotients of polynomial values, at K points at once.
 
     Even parity (m = 2n) uses the interval families:
@@ -102,52 +102,51 @@ def resolvent_direct_many(source, pts, parity):
     normalizer inverses at a are the family's.  Failures are as point_prefix
     describes.
     """
-    fam = ensure_family(source)
     seq = fam.seq
     a, b = seq.a, seq.b
     n = _order(seq, parity)
     z = pts.zs
     zc = z[:, None, None]
     if parity == "even":
-        inv_t2a = fam.normalizer(fam.T2(n))
-        inv_g1a = fam.normalizer(fam.G1(n))
-        alpha = adjoint_eval(fam.T2(n), z) @ inv_t2a
-        beta = adjoint_eval(fam.T1(n), z) @ inv_g1a / (b - a)
-        gamma = (zc - a) * adjoint_eval(fam.G2(n), z) @ inv_t2a
+        inv_t2a = fam.normalizer(fam.t2[n])
+        inv_g1a = fam.normalizer(fam.g1[n])
+        alpha = adjoint_eval(fam.t2[n], z) @ inv_t2a
+        beta = adjoint_eval(fam.t1[n], z) @ inv_g1a / (b - a)
+        gamma = (zc - a) * adjoint_eval(fam.g2[n], z) @ inv_t2a
         scale = scalars(lambda x: (b - x) / (b - a), z)[:, None, None]
-        delta = scale * adjoint_eval(fam.G1(n), z) @ inv_g1a
+        delta = scale * adjoint_eval(fam.g1[n], z) @ inv_g1a
     else:
-        inv_q2a = fam.normalizer(fam.Q2(n))
-        inv_p1a = fam.normalizer(fam.P1(n + 1))
-        alpha = adjoint_eval(fam.Q2(n), z) @ inv_q2a
-        beta = -adjoint_eval(fam.Q1(n + 1), z) @ inv_p1a
+        inv_q2a = fam.normalizer(fam.q2[n])
+        inv_p1a = fam.normalizer(fam.p1[n + 1])
+        alpha = adjoint_eval(fam.q2[n], z) @ inv_q2a
+        beta = -adjoint_eval(fam.q1[n + 1], z) @ inv_p1a
         scale = scalars(lambda x: -(x - a) * (b - x), z)[:, None, None]
-        gamma = scale * adjoint_eval(fam.P2(n), z) @ inv_q2a
-        delta = adjoint_eval(fam.P1(n + 1), z) @ inv_p1a
+        gamma = scale * adjoint_eval(fam.p2[n], z) @ inv_q2a
+        delta = adjoint_eval(fam.p1[n + 1], z) @ inv_p1a
     return _finite(pts, np.block([[alpha, beta], [gamma, delta]]))
 
 
 def _tail_second_even(fam, n):
     """that_{n-1} + T2[n](a)^{-1} G2[n](a) / (b - a), with that_{-1} = 0."""
-    g = fam.quotient(fam.Q2(n - 1), fam.P2(n - 1)) if n else 0.0
-    return g + fam.quotient(fam.T2(n), fam.G2(n)) / (fam.seq.b - fam.seq.a)
+    g = fam.quotient(fam.q2[n - 1], fam.p2[n - 1]) if n else 0.0
+    return g + fam.quotient(fam.t2[n], fam.g2[n]) / (fam.seq.b - fam.seq.a)
 
 
 def _tail_second_odd(fam, n):
-    t = -fam.quotient(fam.G1(n), fam.T1(n))
-    return t - (fam.seq.b - fam.seq.a) * fam.quotient(fam.P1(n + 1), fam.Q1(n + 1))
+    t = -fam.quotient(fam.g1[n], fam.t1[n])
+    return t - (fam.seq.b - fam.seq.a) * fam.quotient(fam.p1[n + 1], fam.q1[n + 1])
 
 
 def _tail_first_even(fam, n):
     adj, inv = fam.adjoint_at_a, fam.normalizer
-    g = adj(fam.Q1(n)) @ inv(fam.P1(n))
-    return g + adj(fam.T1(n)) @ inv(fam.G1(n)) / (fam.seq.b - fam.seq.a)
+    g = adj(fam.q1[n]) @ inv(fam.p1[n])
+    return g + adj(fam.t1[n]) @ inv(fam.g1[n]) / (fam.seq.b - fam.seq.a)
 
 
 def _tail_first_odd(fam, n):
     adj, inv = fam.adjoint_at_a, fam.normalizer
-    t = -adj(fam.G2(n)) @ inv(fam.T2(n))
-    return t - (fam.seq.b - fam.seq.a) * adj(fam.P2(n)) @ inv(fam.Q2(n))
+    t = -adj(fam.g2[n]) @ inv(fam.t2[n])
+    return t - (fam.seq.b - fam.seq.a) * adj(fam.p2[n]) @ inv(fam.q2[n])
 
 
 def _poles(pts, hit, route):
@@ -165,7 +164,7 @@ def _rung_factors(chain, parity, zc, tail):
     chain leads with its lhat_{-1} = s_0.  The boundary factor, of the other
     kind, carries tail.
     """
-    mats = [x for _, x in rungs(chain, parity)]
+    mats = rungs(chain, parity)
     start = 0
     if isinstance(chain, DsmSecond):
         mats, start = [chain.s0] + mats, -1
@@ -182,7 +181,7 @@ def _rung_factors(chain, parity, zc, tail):
 
 
 @point_prefix
-def resolvent_factors(source, pts, parity, route):
+def resolvent_factors(fam, pts, parity, route):
     """The affine factors whose left-to-right product is the resolvent at K points.
 
     route = "second" uses the second-type parameter chains (poles of the
@@ -199,11 +198,10 @@ def resolvent_factors(source, pts, parity, route):
 
     Each factor is a (K, 2q, 2q) stack over the points zs, or one 2q x 2q
     matrix where it does not depend on z.  The parameter chain of the
-    source and the boundary factor are built once; _rung_factors maps the
+    family and the boundary factor are built once; _rung_factors maps the
     chain's rungs to the up/low factors.  Failures are as point_prefix
     describes.
     """
-    fam = ensure_family(source)
     seq = fam.seq
     a, b = seq.a, seq.b
     n = _order(seq, parity)
@@ -240,12 +238,12 @@ def resolvent_factors(source, pts, parity, route):
 
 
 @point_prefix
-def resolvent_factorized_many(source, pts, parity, route):
+def resolvent_factorized_many(fam, pts, parity, route):
     """Resolvent as the printed left-to-right product of resolvent_factors, at K points.
 
     Returns the (K, 2q, 2q) stack of values at the points zs.  Failures are
     as point_prefix describes.
     """
-    factors = resolvent_factors(source, pts, parity, route)
+    factors = resolvent_factors(fam, pts, parity, route)
     return _finite(pts, functools.reduce(np.matmul, factors))
 

@@ -37,7 +37,10 @@ replace all of it shows in the digest.  The corpus:
 - factorize, extremal and scalar-report with --rtol 0, where a residual
   above it exits 4;
 - scalar-report on the golden q = 1 moments times 1e150, whose
-  determinant formula overflows.
+  determinant formula overflows;
+- analyze on the golden q = 1 moments times 1e200, whose route check
+  sums overflow, and times 1e307, whose identity residuals leave the
+  float range, and extremal on the latter, whose resolvent does.
 
 Inputs are written with the json module, never by thmm, so every version
 reads the same bytes.  thmm is imported from PYTHONPATH, so one checkout of
@@ -299,6 +302,12 @@ def corpus(workdir):
     scaled = {**data, "moments": (np.array(data["moments"]) * 1e150).tolist()}
     yield "scalar-report/moments_q1.json/scaled-1e150", [
         "scalar-report", "--input", _write(work / "scaled_moments_q1.json", scaled)]
+    for factor in ("1e200", "1e307"):
+        scaled = {**data, "moments": (np.array(data["moments"]) * float(factor)).tolist()}
+        path = _write(work / f"scaled_{factor}_moments_q1.json", scaled)
+        yield f"analyze/moments_q1.json/scaled-{factor}", [
+            "analyze", "--input", path, "--params-out", str(work / f"scaled_{factor}_params.json")]
+    yield "extremal/moments_q1.json/scaled-1e307", ["extremal", "--input", path, "--z=2+1i"]
 
     good = str(GOLDEN / "moments_q1.json")
     broken = {

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from thmm import DiscreteMeasure, MomentSequence, compute_first, compute_second
+from thmm import (DiscreteMeasure, MomentSequence, build_family, build_hankels, compute_first,
+                  compute_second, eval_poly)
+
+
+def family_of(seq):
+    """The PolynomialFamily of a MomentSequence, built as every command builds it."""
+    return build_family(build_hankels(seq))
 
 
 def lebesgue(m, a=0.0, b=1.0):
@@ -15,6 +21,23 @@ def rel(x, y):
     return float(np.linalg.norm(x - y) / max(1.0, np.linalg.norm(x), np.linalg.norm(y)))
 
 
+def orthogonality_residual(fam, measure):
+    """Largest rel of sum_i P1[j](x_i) w_i P1[k](x_i)^* against delta_jk hhat1[j], j, k <= m // 2.
+
+    The sums run over the atoms x_i and weights w_i of a measure that
+    reproduces the moments of fam.
+    """
+    n = fam.seq.m // 2
+    hhat1 = fam.hankels.complements("H1")
+    vals = [[eval_poly(fam.p1[j], x) for x in measure.points] for j in range(n + 1)]
+    worst = 0.0
+    for j in range(n + 1):
+        for k in range(n + 1):
+            gram = sum(vals[j][i] @ w @ vals[k][i].conj().T for i, w in enumerate(measure.weights))
+            worst = max(worst, rel(gram, hhat1[j] if j == k else np.zeros_like(gram)))
+    return worst
+
+
 def limit_errors(seq, b):
     """Errors of b mhat_j(0, b) against M_j(0) and of lhat_j(0, b) / b against L_j(0).
 
@@ -22,8 +45,8 @@ def limit_errors(seq, b):
     moments held fixed, both lists of Frobenius errors fall at rate 1/b:
     the half-line limit of the second-type parameters.
     """
-    dsm = compute_second(MomentSequence(0.0, b, seq.s))
-    first = compute_first(seq)
+    dsm = compute_second(family_of(MomentSequence(0.0, b, seq.s)))
+    first = compute_first(family_of(seq))
     return ([np.linalg.norm(b * m - big_m) for m, big_m in zip(dsm.mhat, first.M)],
             [np.linalg.norm(lhat / b - big_l) for lhat, big_l in zip(dsm.lhat_from_zero, first.L)])
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from thmm import (
-    build_family,
     extremal_cf_many,
     extremal_quotient_many,
     resolvent_factorized_many,
@@ -19,7 +18,7 @@ from thmm import _linalg, cli, dsm, errors, moments, polynomials
 from thmm.cli import main
 from thmm.io import decode_matrix, moment_file_dict, read_moment_file, render_json
 
-from conftest import lebesgue, random_sequence, random_z_points, rel
+from conftest import family_of, lebesgue, random_sequence, random_z_points, rel
 
 
 def write_json(path, obj):
@@ -265,8 +264,7 @@ def z_arg(z):
 def test_multi_z_matches_per_point_calls(tmp_path, capsys, rng):
     seq, _ = random_sequence(rng, 2, 2)
     inp = write_json(tmp_path / "moments.json", moment_file_dict(seq))
-    seq = read_moment_file(inp)
-    fam = build_family(seq)
+    fam = family_of(read_moment_file(inp))
     # four points on Stieltjes-inversion lines x + 0.01i, five off the interval
     zs = [complex(x, 0.01) for x in (-0.1, 0.3, 0.6, 1.05)] + random_z_points(rng, 5)
     for route in ("second", "first"):
@@ -742,10 +740,9 @@ ERROR_OUTCOMES = {
                      "InconsistentLengths", "WrongMatrixSize"], (2, "input error")),
     **dict.fromkeys(["SingularPivot", "SingularNormalization", "PoleAtZ", "PointOnInterval",
                      "SingularDenominator", "SingularLevel", "NonPositiveParameter",
-                     "InsufficientMoments", "OrderUnavailable"], (3, "precondition failure")),
+                     "InsufficientMoments"], (3, "precondition failure")),
     "RouteMismatch": (4, "route mismatch"),
     "IllConditioned": (4, "ill-conditioned"),
-    "WrongChainKind": (3, "error"),
     "ThmmError": (3, "error"),
 }
 ERROR_CLASSES = [cls for cls in vars(errors).values()
@@ -834,8 +831,8 @@ def test_scalar_report_above_rtol_exits_4_naming_it(monkeypatch, capsys):
     inp = str(Path(__file__).parent / "golden" / "moments_q1.json")
     real = cli.scalar_determinant_params
 
-    def shifted(seq, rtol):
-        mtilde, ltilde, chain = real(seq, rtol=1e-8)
+    def shifted(seq):
+        mtilde, ltilde, chain = real(seq)
         return (mtilde[0] * (1 + 1e-6),) + mtilde[1:], ltilde, chain
 
     monkeypatch.setattr(cli, "scalar_determinant_params", shifted)
@@ -844,6 +841,21 @@ def test_scalar_report_above_rtol_exits_4_naming_it(monkeypatch, capsys):
     worst = json.loads(out)["max_residual"]
     assert code == 4 and worst > 1e-8
     assert err == f"route mismatch: largest max_residual {worst:.3e} exceeds --rtol 1e-08\n"
+
+
+@pytest.mark.parametrize("moments, rtol", [(None, "0"), (None, "1e-20"), (2, "0")],
+                         ids=["rtol0", "rtol1e-20", "m1-rtol0"])
+def test_scalar_report_above_rtol_still_prints_its_report(tmp_path, capsys, moments, rtol):
+    # the command's gate is the only one: the report is written, then exit 4 names it
+    data = json.loads((Path(__file__).parent / "golden" / "moments_q1.json").read_text())
+    inp = write_json(tmp_path / "moments.json", json.dumps({**data, "moments": data["moments"][:moments]}))
+    code = main(["scalar-report", "--input", inp, "--rtol", rtol])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 4 and report["max_residual"] > float(rtol)
+    assert len(report["mtilde"]) == len(report["mhat"]) == (1 if moments else 3)
+    assert err == (f"route mismatch: largest max_residual {report['max_residual']:.3e}"
+                   f" exceeds --rtol {rtol}\n")
 
 
 def test_analyze_and_recover_linalg_counts(tmp_path, monkeypatch, capsys):
@@ -920,6 +932,60 @@ def test_scalar_report_out_of_float_range_warns_of_nothing(tmp_path, capsys, sca
     assert captured.out == ""
     assert captured.err == (f"precondition failure: determinant formula of K1 at j={j}"
                             " leaves the float range\n")
+
+
+def scaled_golden(tmp_path, scale, name="moments_q1.json"):
+    data = json.loads((Path(__file__).parent / "golden" / name).read_text())
+    data["moments"] = (np.array(data["moments"]) * scale).tolist()
+    return write_json(tmp_path / "scaled.json", json.dumps(data))
+
+
+def test_analyze_refuses_identity_residuals_out_of_float_range(tmp_path, capsys):
+    # times 1e307 the ratio identity q1/p1 at j = 2 overflows to NaN at each sample point
+    inp = scaled_golden(tmp_path, 1e307)
+    params = tmp_path / "params.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["analyze", "--input", inp, "--params-out", str(params)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and not params.exists()
+    assert captured.err.splitlines()[-1] == (
+        "precondition failure: identity ratio_q1_p1 at j=2 leaves the float range")
+
+
+@pytest.mark.parametrize("name", ["moments_q1.json", "moments_q2.json"])
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+@pytest.mark.parametrize("command", [["analyze"], ["factorize", "--z=2+1i"],
+                                     ["extremal", "--z=2+1i", "--z=-1"]],
+                         ids=["analyze", "factorize", "extremal"])
+def test_commands_near_the_float_range_write_no_warning(tmp_path, capsys, command, scale, name):
+    # analyze's route check sums Frobenius norms that overflow here, and frob rescales them
+    inp = scaled_golden(tmp_path, scale, name)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command[0], "--input", inp] + command[1:])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    report = json.loads(captured.out)
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
+    if command[0] == "analyze":
+        assert report["classification"] == "PositiveDefinite"
+
+
+@pytest.mark.parametrize("options", [
+    [], ["--z=-1"], *(["--parity", parity, "--which", which]
+                      for parity in ("even", "odd", "auto") for which in ("krein", "friedrichs")),
+], ids=lambda options: "-".join(o.strip("-=") for o in options) or "default")
+def test_extremal_whose_resolvent_leaves_the_float_range_is_a_precondition_failure(
+        tmp_path, capsys, options):
+    # every point fails the resolvent check before the Moebius quotient checks
+    # its denominators: that quotient then has no point left, and records nothing
+    inp = scaled_golden(tmp_path, 1e307)
+    assert main(["extremal", "--input", inp, "--z=2+1i"] + options) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("precondition failure: resolvent value at z=(2+1j) is not finite\n")
 
 
 # --- files a command writes ---------------------------------------------------

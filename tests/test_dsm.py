@@ -27,16 +27,16 @@ from thmm import (
 from thmm import dsm as dsm_module
 from thmm._linalg import min_eigenvalue, rel_residual, scaled_cond
 from thmm.io import read_moment_file, read_parameter_file
-from thmm.reporting import IdentityCheck, IdentityReport
+from thmm.reporting import IdentityReport
 from thmm.errors import ThmmError
 
-from conftest import lebesgue, limit_errors, random_pd_weight, random_sequence, rel
+from conftest import family_of, lebesgue, limit_errors, random_pd_weight, random_sequence, rel
 
 
 @pytest.fixture(scope="module")
 def leb3():
     seq = lebesgue(3)
-    fam = build_family(seq)
+    fam = family_of(seq)
     return seq, fam, compute_second(fam)
 
 
@@ -53,7 +53,7 @@ def test_second_desk_values(leb3):
 
 def test_mhat0_is_inverse_of_k10(rng):
     seq, _ = random_sequence(rng, 2, 2)
-    dsm = compute_second(seq)
+    dsm = compute_second(family_of(seq))
     k10 = seq.b * seq.s[0] - seq.s[1]
     assert rel(dsm.mhat[0], np.linalg.inv(k10)) < 1e-12
 
@@ -61,7 +61,7 @@ def test_mhat0_is_inverse_of_k10(rng):
 def test_telescoping_exact(rng):
     for q, n in ((1, 3), (2, 2), (3, 2)):
         seq, _ = random_sequence(rng, q, n)
-        dsm = compute_second(seq)
+        dsm = compute_second(family_of(seq))
         for j in range(1, len(dsm.mhat)):
             assert rel(dsm.mhat[j], dsm.that[j] - dsm.that[j - 1]) < 1e-12
         for j in range(len(dsm.lhat_from_zero)):
@@ -71,8 +71,8 @@ def test_telescoping_exact(rng):
 def test_positivity(rng):
     for q, n in ((2, 2), (3, 2)):
         seq, _ = random_sequence(rng, q, n)
-        dsm = compute_second(seq)
-        first = compute_first(seq)
+        fam = family_of(seq)
+        dsm, first = compute_second(fam), compute_first(fam)
         for x in list(dsm.mhat) + list(dsm.lhat) + list(first.M) + list(first.L):
             assert min_eigenvalue(x) > 0.0
 
@@ -102,7 +102,7 @@ def test_exact_rational_oracle_q1():
     assert lhat == [sympy.Rational(3, 2), sympy.Rational(5, 6)]
 
     seq = lebesgue(m)
-    dsm = compute_second(seq)
+    dsm = compute_second(family_of(seq))
     for j, exact in enumerate(mhat):
         assert abs(dsm.mhat[j][0, 0] - float(exact)) < 1e-10
     for j, exact in enumerate(lhat):
@@ -157,9 +157,11 @@ def closed_form_error(w, n, law="lebesgue"):
     """
     seq = closed_form_sequence(w, n, law)
     try:
-        if not classify(seq).is_positive_definite:
+        hank = build_hankels(seq)
+        if not classify(hank).is_positive_definite:
             return None
-        dsm = compute_second(seq)
+        fam = build_family(hank)
+        dsm = compute_second(fam)
     except ThmmError:
         return None
     _, _, mhat, lhat = BETA_LAWS[law]
@@ -168,7 +170,7 @@ def closed_form_error(w, n, law="lebesgue"):
     exact += [(x, lhat(j) * w) for j, x in enumerate(dsm.lhat_from_zero)]
     assert len(exact) == 2 * n + 1
     if law == "lebesgue":
-        first = compute_first(seq)
+        first = compute_first(fam)
         exact += [(x, (2 * j + 1) * w_inv) for j, x in enumerate(first.M)]
         exact += [(x, 2.0 / (j + 1) * w) for j, x in enumerate(first.L)]
     return max(np.linalg.norm(x - y) / np.linalg.norm(y) for x, y in exact)
@@ -215,7 +217,7 @@ def test_ill_conditioned_member_is_refused_before_the_routes_run(monkeypatch):
     seq = MomentSequence(0.0, 1.0, tuple(np.array([[1.0 / (j + 1)]]) for j in range(14)))
     monkeypatch.setattr(dsm_module, "rel_residual", lambda x, y: 0.0)
     with pytest.raises(IllConditioned) as err:
-        compute_second(seq)
+        compute_second(family_of(seq))
     assert (err.value.family, err.value.index) == ("K1", 6)
     assert str(err.value).startswith("K1[6] scaled to unit diagonal has cond ~ 4.8e+07: "
                                      "about 8 digits lost, accuracy 1e-08 unattainable")
@@ -226,9 +228,9 @@ def test_badly_scaled_interval_keeps_its_digits(b):
     # Lebesgue on [0, b], m = 5: cond(K1[2]) is 3.2e9 at b = 300 and 4e11 at
     # b = 1000, but scaled to unit diagonal it is 151, and mhat_j = (2j+2)/b^2
     seq = MomentSequence(0.0, b, tuple(np.array([[b ** (j + 1) / (j + 1)]]) for j in range(6)))
-    hank = build_family(seq).hankels
-    assert np.finfo(float).eps * np.linalg.cond(hank.K1[2]) > dsm_module.ACCURACY_RTOL
-    second = compute_second(seq)
+    fam = family_of(seq)
+    assert np.finfo(float).eps * np.linalg.cond(fam.hankels.K1[2]) > dsm_module.ACCURACY_RTOL
+    second = compute_second(fam)
     for j, x in enumerate(second.mhat):
         assert abs(x[0, 0] / ((2 * j + 2) / b ** 2) - 1.0) < 1e-12
 
@@ -236,7 +238,7 @@ def test_badly_scaled_interval_keeps_its_digits(b):
 def test_route_agreement_ensemble(rng):
     for q, n in ((1, 3), (2, 3), (3, 2)):
         seq, _ = random_sequence(rng, q, n)
-        compute_second(seq)  # raises RouteMismatch above 1e-10
+        compute_second(family_of(seq))  # raises RouteMismatch above 1e-10
 
 
 def _route_error(monkeypatch, run, failing):
@@ -262,21 +264,13 @@ def _route_error(monkeypatch, run, failing):
 
 def test_route_mismatch_names_the_first_failing_row(monkeypatch):
     # an early and a late row fail; the error names the early one
-    seq = lebesgue(5)
-    fam = build_family(seq)
-    second = compute_second(fam)
+    fam = family_of(lebesgue(5))
     err = _route_error(monkeypatch, lambda: compute_second(fam), (1, -1))
     assert (err.what, err.where, err.residual) == ("mhat", "j=1", 1.0)
-    # scalar_determinant_params checks mtilde j = 0, 1, 2 and then ltilde j = 0, 1
-    monkeypatch.setattr(dsm_module, "compute_second", lambda fam: second)
-    err = _route_error(monkeypatch, lambda: scalar_determinant_params(seq), (1, -1))
-    assert (err.what, err.where) == ("mtilde", "j=1")
-    err = _route_error(monkeypatch, lambda: scalar_determinant_params(seq), (3, -1))
-    assert (err.what, err.where) == ("ltilde", "j=0")
 
 
 def test_first_desk_values():
-    first = compute_first(lebesgue(3))
+    first = compute_first(family_of(lebesgue(3)))
     assert abs(first.M[0][0, 0] - 1.0) < 1e-14
     assert abs(first.M[1][0, 0] - 3.0) < 1e-12
     assert abs(first.L[0][0, 0] - 2.0) < 1e-12
@@ -284,7 +278,7 @@ def test_first_desk_values():
 
 def test_first_m0_is_s0_inverse(rng):
     seq, _ = random_sequence(rng, 3, 1)
-    first = compute_first(seq)
+    first = compute_first(family_of(seq))
     assert rel(first.M[0], np.linalg.inv(seq.s[0])) < 1e-12
 
 
@@ -292,13 +286,13 @@ def test_product_identities_desk(leb3):
     seq, fam, dsm = leb3
     report = product_identities(fam, dsm, compute_first(fam))
     # g1_alternating_product at j=1: G1[1](0) = -mhat_0^{-1} lhat_0^{-1} = -1/3
-    assert report.residual_for("g1_alternating_product") < 1e-12
-    assert report.residual_for("q2_alternating_product") < 1e-12
-    assert report.residual_for("khat1_from_params") < 1e-12
-    assert report.residual_for("hhat2_from_params") < 1e-12
-    assert report.residual_for("mhat_from_schur") < 1e-12
-    assert report.residual_for("lhat_from_schur") < 1e-12
-    assert report.residual_for("p2_sum_through_current") < 1e-12
+    assert report.maxima["g1_alternating_product"] < 1e-12
+    assert report.maxima["q2_alternating_product"] < 1e-12
+    assert report.maxima["khat1_from_params"] < 1e-12
+    assert report.maxima["hhat2_from_params"] < 1e-12
+    assert report.maxima["mhat_from_schur"] < 1e-12
+    assert report.maxima["lhat_from_schur"] < 1e-12
+    assert report.maxima["p2_sum_through_current"] < 1e-12
     assert any("p2_sum_through_current" in note for note in report.notes)
 
 
@@ -306,9 +300,9 @@ def test_product_identities_values(leb3):
     seq, fam, dsm = leb3
     from thmm import eval_poly
 
-    g11 = eval_poly(fam.G1(1), 0.0)[0, 0]
+    g11 = eval_poly(fam.g1[1], 0.0)[0, 0]
     assert abs(g11 - (-1.0 / 3.0)) < 1e-13
-    q21 = eval_poly(fam.Q2(1), 0.0)[0, 0]
+    q21 = eval_poly(fam.q2[1], 0.0)[0, 0]
     prod = -1.0 / (dsm.mhat[0][0, 0] * dsm.lhat_from_zero[0][0, 0] * dsm.mhat[1][0, 0])
     assert abs(q21 - prod) < 1e-13
     assert abs(q21 - (-1.0 / 12.0)) < 1e-13
@@ -321,19 +315,17 @@ def test_p2_variant_is_decided_by_the_report():
     # product_identities' note and analyze's gate both read this decision
     for cur, prev, supported in ((1e-16, 0.5, "current"), (0.5, 1e-16, "previous"),
                                  (0.25, 0.25, "current")):
-        report = IdentityReport((IdentityCheck("p2_sum_through_current", "j=1", cur),
-                                 IdentityCheck("p2_sum_through_previous", "j=1", prev)))
+        report = IdentityReport({"p2_sum_through_current": cur, "p2_sum_through_previous": prev})
         assert dsm_module.p2_supported(report) == f"p2_sum_through_{supported}"
 
 
 def test_product_identities_ensemble(rng):
     for q, n in ((2, 2), (3, 2)):
         seq, _ = random_sequence(rng, q, n)
-        fam = build_family(seq)
+        fam = family_of(seq)
         dsm = compute_second(fam)
         report = product_identities(fam, dsm, compute_first(fam))
-        gate = [e.residual for e in report.entries if e.name != "p2_sum_through_previous"]
-        assert max(gate) < 1e-9
+        assert report.max_residual_excluding("p2_sum_through_previous") < 1e-9
 
 
 def test_recover_minimal():
@@ -353,12 +345,12 @@ def test_recover_lebesgue_round_trip(leb3):
 
 def test_recover_round_trip_q2(rng):
     seq, _ = random_sequence(rng, 2, 2)
-    dsm = compute_second(seq)
+    dsm = compute_second(family_of(seq))
     rec = recover_moments(seq.s[0], list(dsm.mhat), list(dsm.lhat_from_zero), seq.a, seq.b)
     assert rec.m == 5
     for x, y in zip(rec.s, seq.s):
         assert rel(x, y) < 1e-9
-    assert classify(rec).kind == "PositiveDefinite"
+    assert classify(build_hankels(rec)).kind == "PositiveDefinite"
 
 
 def test_recover_errors():
@@ -391,7 +383,7 @@ def test_limit_check_scalar_algebra():
 def test_limit_check_ratio_and_q2(rng):
     seq, _ = random_sequence(rng, 2, 2)
     (m3, _), (m4, l4) = limit_errors(seq, 1e3), limit_errors(seq, 1e4)
-    first = compute_first(seq)
+    first = compute_first(family_of(seq))
     for j in range(2):
         assert 8.0 <= m3[j] / m4[j] <= 12.0
         assert m4[j] / np.linalg.norm(first.M[j]) <= 1e-2
@@ -419,7 +411,7 @@ def test_scalar_determinant_d3_value():
 def test_scalar_determinant_matches_matrix_route(rng):
     seq, _ = random_sequence(rng, 1, 3)
     mt, lt, _ = scalar_determinant_params(seq)
-    dsm = compute_second(seq)
+    dsm = compute_second(family_of(seq))
     for j, v in enumerate(mt):
         assert abs(v - dsm.mhat[j][0, 0].real) <= 1e-8 * max(1.0, abs(v))
     for j, v in enumerate(lt):
@@ -433,7 +425,7 @@ def test_scalar_determinant_wrong_size(rng):
 
 
 def test_product_identities_inverts_each_schur_complement_at_most_once(monkeypatch):
-    fam = build_family(read_moment_file(Path(__file__).parent / "golden" / "moments_q2.json"))
+    fam = family_of(read_moment_file(Path(__file__).parent / "golden" / "moments_q2.json"))
     dsm, first = compute_second(fam), compute_first(fam)
     inverted = []
     inv = np.linalg.inv
@@ -460,12 +452,12 @@ def test_recover_refuses_an_infinite_endpoint():
 def test_singular_largest_member_is_a_pivot_failure_not_ill_conditioning(points, m, pivot):
     seq = DiscreteMeasure(0.0, 1.0, points, [np.eye(1)] * len(points)).moments(m)
     with pytest.raises(SingularPivot) as err:
-        compute_second(seq)
+        compute_second(family_of(seq))
     assert (err.value.family, err.value.index) == pivot
 
 
 def expected_rungs(m, parity, second):
-    """The tags of the rung list of a chain, written out from the order n that parity gives."""
+    """The names of the rungs of a chain, written out from the order n that parity gives."""
     from thmm.resolvent import _order
 
     n = _order(MomentSequence(0.0, 1.0, tuple(np.eye(1) for _ in range(m + 1))), parity)
@@ -480,14 +472,12 @@ def expected_rungs(m, parity, second):
 @pytest.mark.parametrize("parity", ["even", "odd"])
 @pytest.mark.parametrize("second", [True, False], ids=["DsmSecond", "DsmFirst"])
 def test_rungs_interleave_the_chain_up_to_the_order_of_the_parity(m, parity, second):
-    chain = (compute_second if second else compute_first)(lebesgue(m))
+    chain = (compute_second if second else compute_first)(family_of(lebesgue(m)))
+    own = ({"mhat": chain.mhat, "lhat": chain.lhat_from_zero} if second
+           else {"M": chain.M, "L": chain.L})
+    # odd parity needs s_1
+    names = [] if m == 0 and parity == "odd" else expected_rungs(m, parity, second)
+    want = [own[name][int(k)] for name, k in (tag[:-1].split("[") for tag in names)]
     rungs = dsm_module.rungs(chain, parity)
-    tags = [tag for tag, _ in rungs]
-    if m == 0 and parity == "odd":
-        assert tags == []   # odd parity needs s_1
-    else:
-        assert tags == expected_rungs(m, parity, second)
-    for tag, mat in rungs:   # each rung is the chain's own matrix
-        name, k = tag[:-1].split("[")
-        own = {"mhat": chain.mhat, "lhat": chain.lhat_from_zero}[name] if second else getattr(chain, name)
-        assert mat is own[int(k)]
+    # each rung is the chain's own matrix, in reading order
+    assert len(rungs) == len(want) and all(got is mat for got, mat in zip(rungs, want))

@@ -5,9 +5,6 @@ from thmm import (
     DsmFirst,
     PointOnInterval,
     SingularLevel,
-    ThmmError,
-    WrongChainKind,
-    build_family,
     compute_first,
     compute_second,
     extremal_cf_many,
@@ -16,18 +13,24 @@ from thmm import (
 )
 from thmm import extremal
 
-from conftest import lebesgue, random_measure, random_sequence, random_z_points, rel
+from conftest import family_of, lebesgue, random_measure, random_sequence, random_z_points, rel
 
 
-def chain_at(source, z, parity, which):
+def chain_at(fam, z, parity, which):
     """The continued-fraction chain of one extremal solution at the single point z."""
     return extremal._chain(np.array([complex(z)]), parity,
-                           extremal._chain_params(source, parity, which))
+                           extremal._chain_params(fam, parity, which))
 
 
-def cf_at(source, z, parity, which):
+def cf_at(fam, z, parity, which):
     """The continued-fraction value of one extremal solution at the single point z."""
-    return extremal_cf_many(source, [z], parity, which)[0]
+    return extremal_cf_many(fam, [z], parity, which)[0]
+
+
+def cf_of_chain(chain, zs, parity):
+    """The continued fraction a DSM chain drives, at the points zs, evaluated as extremal_cf_many does."""
+    zs = np.array(zs, dtype=complex)
+    return extremal._evaluate(extremal._chain(zs, parity, chain), zs)
 
 
 def mobius(u, x, y):
@@ -38,10 +41,10 @@ def mobius(u, x, y):
 
 def test_krein_even_base_case():
     # n = 0: sK(z) = -s_0 / (z - a), the transform of a mass at a
-    seq = lebesgue(0)
+    fam = family_of(lebesgue(0))
     zs = [-1.0, 2.0, 1.5 + 1.0j]
-    ext = extremal_quotient_many(seq, zs, "even")
-    cf = extremal_cf_many(seq, zs, "even", "krein")
+    ext = extremal_quotient_many(fam, zs, "even")
+    cf = extremal_cf_many(fam, zs, "even", "krein")
     for k, z in enumerate(zs):
         assert rel(ext.sK[k], np.array([[-1.0 / (z - 0.0)]])) < 1e-14
         assert rel(cf[k], ext.sK[k]) < 1e-14
@@ -49,33 +52,32 @@ def test_krein_even_base_case():
 
 def test_friedrichs_even_desk_value():
     # Lebesgue, n = 1, z = -1: (−1 − 5/6) / (2 (−1 − 1/3)) = 11/16
-    seq = lebesgue(2)
-    ext = extremal_quotient_many(seq, [-1.0], "even")
+    fam = family_of(lebesgue(2))
+    ext = extremal_quotient_many(fam, [-1.0], "even")
     assert abs(ext.sF[0, 0, 0] - 11.0 / 16.0) < 1e-13
-    assert abs(cf_at(seq, -1.0, "even", "friedrichs")[0, 0] - 11.0 / 16.0) < 1e-13
+    assert abs(cf_at(fam, -1.0, "even", "friedrichs")[0, 0] - 11.0 / 16.0) < 1e-13
 
 
 def test_krein_even_desk_value():
-    seq = lebesgue(2)
-    ext = extremal_quotient_many(seq, [-1.0], "even")
+    fam = family_of(lebesgue(2))
+    ext = extremal_quotient_many(fam, [-1.0], "even")
     assert abs(ext.sK[0, 0, 0] - 0.7) < 1e-13
-    assert abs(cf_at(seq, -1.0, "even", "krein")[0, 0] - 0.7) < 1e-13
+    assert abs(cf_at(fam, -1.0, "even", "krein")[0, 0] - 0.7) < 1e-13
 
 
 def test_odd_desk_values():
-    seq = lebesgue(3)
-    ext = extremal_quotient_many(seq, [-1.0], "odd")
+    fam = family_of(lebesgue(3))
+    ext = extremal_quotient_many(fam, [-1.0], "odd")
     assert abs(ext.sK[0, 0, 0] - 25.0 / 36.0) < 1e-13
     assert abs(ext.sF[0, 0, 0] - 9.0 / 13.0) < 1e-13
-    assert abs(cf_at(seq, -1.0, "odd", "krein")[0, 0] - 25.0 / 36.0) < 1e-13
-    assert abs(cf_at(seq, -1.0, "odd", "friedrichs")[0, 0] - 9.0 / 13.0) < 1e-13
+    assert abs(cf_at(fam, -1.0, "odd", "krein")[0, 0] - 25.0 / 36.0) < 1e-13
+    assert abs(cf_at(fam, -1.0, "odd", "friedrichs")[0, 0] - 9.0 / 13.0) < 1e-13
 
 
 def test_friedrichs_odd_minimal():
     # m = 1 Lebesgue data: sF(z) = 1 / (1/2 - z)
-    seq = lebesgue(1)
     zs = [-2.0, 3.0]
-    ext = extremal_quotient_many(seq, zs, "odd")
+    ext = extremal_quotient_many(family_of(lebesgue(1)), zs, "odd")
     for k, z in enumerate(zs):
         assert abs(ext.sF[k, 0, 0] - 1.0 / (0.5 - z)) < 1e-13
 
@@ -83,7 +85,7 @@ def test_friedrichs_odd_minimal():
 def test_cf_equals_quotient_random(rng):
     for q, n in ((1, 3), (2, 2), (3, 2)):
         seq, _ = random_sequence(rng, q, n)
-        fam = build_family(seq)
+        fam = family_of(seq)
         for parity in ("even", "odd"):
             zs = random_z_points(rng, 5)
             ext = extremal_quotient_many(fam, zs, parity)
@@ -96,29 +98,33 @@ def test_cf_equals_quotient_random(rng):
 
 def test_cf_q2_point(rng):
     seq, _ = random_sequence(rng, 2, 2)
-    fam = build_family(seq)
+    fam = family_of(seq)
     z = 2.0 + 1.0j
     ext = extremal_quotient_many(fam, [z], "odd")
     assert rel(cf_at(fam, z, "odd", "friedrichs"), ext.sF[0]) < 1e-9
 
 
-def test_chain_depth_and_tags():
-    seq = lebesgue(3)
-    chain = chain_at(seq, -1.0, "odd", "krein")
+def test_chain_depth_and_levels():
+    fam = family_of(lebesgue(3))
+    dsm, first = compute_second(fam), compute_first(fam)
+    # at z = -1 on [0, 1]: -(z-a)(b-z) = 2, b - z = 2 and -(z-a) = 1
+    chain = chain_at(fam, -1.0, "odd", "krein")
     assert chain.depth == 3
-    assert chain.tags == ("mhat[0]", "lhat[0]", "mhat[1]")
-    chain_f = chain_at(seq, -1.0, "odd", "friedrichs")
+    want = (2 * dsm.mhat[0], dsm.lhat_from_zero[0] / 2, 2 * dsm.mhat[1])
+    assert all(np.array_equal(level[0], x) for level, x in zip(chain.levels, want))
+    chain_f = chain_at(fam, -1.0, "odd", "friedrichs")
     assert chain_f.depth == 4
-    assert chain_f.tags == ("M[0]", "L[0]", "M[1]", "L[1]")
-    chain_e = chain_at(lebesgue(2), -1.0, "even", "friedrichs")
+    want = (first.M[0], first.L[0], first.M[1], first.L[1])
+    assert all(np.array_equal(level[0], x) for level, x in zip(chain_f.levels, want))
+    chain_e = chain_at(family_of(lebesgue(2)), -1.0, "even", "friedrichs")
     assert chain_e.depth == 2 and chain_e.head is not None
 
 
 def test_chain_accepts_prebuilt_params():
-    seq = lebesgue(3)
-    cf = cf_at(compute_second(seq), -1.0, "odd", "krein")
+    fam = family_of(lebesgue(3))
+    cf = cf_of_chain(compute_second(fam), [-1.0], "odd")[0]
     assert abs(cf[0, 0] - 25.0 / 36.0) < 1e-13
-    cf2 = cf_at(compute_first(seq), -1.0, "odd", "friedrichs")
+    cf2 = cf_of_chain(compute_first(fam), [-1.0], "odd")[0]
     assert abs(cf2[0, 0] - 9.0 / 13.0) < 1e-13
 
 
@@ -127,49 +133,23 @@ def test_chain_accepts_prebuilt_params():
 @pytest.mark.parametrize("which", ["krein", "friedrichs"])
 def test_a_passed_chain_reads_the_rungs_of_its_family(rng, m, parity, which):
     measure = random_measure(rng, 2, m // 2 + 2)
-    fam = build_family(measure.moments(m))
+    fam = family_of(measure.moments(m))
     chain = (compute_second if (which == "friedrichs") == (parity == "even") else compute_first)(fam)
     zs = random_z_points(rng, 6)
-    from_chain = extremal_cf_many(chain, zs, parity, which)
+    from_chain = cf_of_chain(chain, zs, parity)
     assert from_chain.tobytes() == extremal_cf_many(fam, zs, parity, which).tobytes()
-    assert chain_at(chain, zs[0], parity, which).tags == chain_at(fam, zs[0], parity, which).tags
 
 
-@pytest.mark.parametrize("which, parity, given", [
-    ("krein", "even", "DsmSecond"), ("friedrichs", "odd", "DsmSecond"),
-    ("friedrichs", "even", "DsmFirst"), ("krein", "odd", "DsmFirst"),
-])
+@pytest.mark.parametrize("given", ["family"])   # the one source the fractions take
 @pytest.mark.parametrize("call", [
-    lambda chain, parity, which: chain_at(chain, -1.0, parity, which),
-    lambda chain, parity, which: cf_at(chain, -1.0, parity, which),
-    lambda chain, parity, which: extremal_cf_many(chain, [-1.0, 2.0], parity, which),
-], ids=["chain", "cf", "cf_many"])
-def test_chain_of_the_wrong_kind_is_named(call, which, parity, given):
-    seq = lebesgue(3)
-    chain = compute_second(seq) if given == "DsmSecond" else compute_first(seq)
-    expected = "DsmFirst" if given == "DsmSecond" else "DsmSecond"
-    with pytest.raises(WrongChainKind) as info:
-        call(chain, parity, which)
-    assert isinstance(info.value, ThmmError)
-    assert (info.value.which, info.value.parity) == (which, parity)
-    assert (info.value.expected, info.value.given) == (expected, given)
-    assert str(info.value) == (f"the {which} solution at {parity} parity reads a {expected}"
-                               f" chain, got a {given}")
-
-
-@pytest.mark.parametrize("given", ["DsmSecond", "DsmFirst", "family"])
-@pytest.mark.parametrize("call", [
-    lambda source, parity, which: chain_at(source, 2 + 1j, parity, which),
-    lambda source, parity, which: cf_at(source, 2 + 1j, parity, which),
-    lambda source, parity, which: extremal_cf_many(source, [2 + 1j, -1.0], parity, which),
+    lambda fam, parity, which: chain_at(fam, 2 + 1j, parity, which),
+    lambda fam, parity, which: cf_at(fam, 2 + 1j, parity, which),
+    lambda fam, parity, which: extremal_cf_many(fam, [2 + 1j, -1.0], parity, which),
 ], ids=["chain", "cf", "cf_many"])
 @pytest.mark.parametrize("which", ["krein", "friedrichs"])
 def test_a_bad_parity_is_refused_whatever_the_source(call, given, which):
-    seq = lebesgue(3)
-    source = {"DsmSecond": compute_second, "DsmFirst": compute_first,
-              "family": build_family}[given](seq)
     with pytest.raises(ValueError) as info:
-        call(source, "foo", which)
+        call(family_of(lebesgue(3)), "foo", which)
     assert str(info.value) == "parity must be 'even' or 'odd', got 'foo'"
 
 
@@ -177,20 +157,20 @@ def test_singular_level():
     # a zero M_0 makes the one level -(z - a) M_0 of the Krein fraction zero
     chain = DsmFirst(q=1, a=0.0, M=(np.zeros((1, 1), dtype=complex),), L=())
     with pytest.raises(SingularLevel):
-        extremal_cf_many(chain, [2.0], "even", "krein")
+        cf_of_chain(chain, [2.0], "even")
 
 
 def test_point_on_interval_rejected():
-    seq = lebesgue(3)
+    fam = family_of(lebesgue(3))
     with pytest.raises(PointOnInterval):
-        extremal_quotient_many(seq, [0.25], "odd")
+        extremal_quotient_many(fam, [0.25], "odd")
     # points just off the interval are accepted
-    extremal_quotient_many(seq, [0.25 + 0.5j], "odd")
+    extremal_quotient_many(fam, [0.25 + 0.5j], "odd")
 
 
 def test_hermitian_for_real_z_off_interval(rng):
     seq, _ = random_sequence(rng, 2, 2)
-    fam = build_family(seq)
+    fam = family_of(seq)
     for parity in ("even", "odd"):
         ext = extremal_quotient_many(fam, [-2.0, 3.5], parity)
         for v in (*ext.sK, *ext.sF):
@@ -199,7 +179,7 @@ def test_hermitian_for_real_z_off_interval(rng):
 
 def test_solution_transform_constant_pairs(rng):
     seq, _ = random_sequence(rng, 2, 1)
-    fam = build_family(seq)
+    fam = family_of(seq)
     z = -1.5
     (u,) = resolvent_direct_many(fam, [z], "odd")
     ext = extremal_quotient_many(fam, [z], "odd")
@@ -213,7 +193,7 @@ def test_solution_transform_constant_pairs(rng):
 def test_right_quotient_convention(rng):
     # beta delta^{-1} computed blockwise equals the Friedrichs quotient
     seq, _ = random_sequence(rng, 2, 2)
-    fam = build_family(seq)
+    fam = family_of(seq)
     for parity in ("even", "odd"):
         zs = random_z_points(rng, 4)
         u = resolvent_direct_many(fam, zs, parity)
@@ -225,7 +205,7 @@ def test_right_quotient_convention(rng):
 
 def test_many_is_the_stack_of_single_points(rng):
     seq, _ = random_sequence(rng, 2, 2)
-    fam = build_family(seq)
+    fam = family_of(seq)
     zs = random_z_points(rng, 5) + [complex(x, 0.01) for x in (-0.1, 0.5, 1.1)]
     for parity in ("even", "odd"):
         ext = extremal_quotient_many(fam, zs, parity)
@@ -296,12 +276,12 @@ QUADRATURE_ZS = (2.0 + 1.0j, -0.5 + 0.25j, 0.5 + 0.1j, -3.0, 1.5)
 def test_extremal_values_are_gauss_type_quadratures(m):
     # both routes read the same chains and polynomials, so only an
     # independent oracle shows how many digits they keep (worst 2.2e-9, m = 12)
-    seq = lebesgue(m)
+    fam = family_of(lebesgue(m))
     parity = "odd" if m % 2 else "even"
-    ext = extremal_quotient_many(seq, QUADRATURE_ZS, parity)
+    ext = extremal_quotient_many(fam, QUADRATURE_ZS, parity)
     for which, jac in _quadrature_rules(m).items():
         quotients = ext.sK if which == "krein" else ext.sF
-        cfs = extremal_cf_many(seq, QUADRATURE_ZS, parity, which)
+        cfs = extremal_cf_many(fam, QUADRATURE_ZS, parity, which)
         for k, z in enumerate(QUADRATURE_ZS):
             exact = _stieltjes(jac, z)
             for value in (quotients[k, 0, 0], cfs[k, 0, 0]):

@@ -167,9 +167,9 @@ def test_cholesky_in_blocks_is_the_leading_factor(rng):
 def test_solve_pd_and_inverse():
     a = np.array([[4.0, 1.0j], [-1.0j, 3.0]])
     rhs = np.array([[1.0], [2.0]], dtype=complex)
-    x = solve_pd(a, rhs)
+    x = solve_pd(a, rhs, "matrix", 0)
     assert rel_residual(a @ x, rhs) < 1e-13
-    assert rel_residual(a @ solve_pd(a, np.eye(2, dtype=complex)), np.eye(2)) < 1e-13
+    assert rel_residual(a @ solve_pd(a, np.eye(2, dtype=complex), "matrix", 0), np.eye(2)) < 1e-13
 
 
 def test_solve_pd_raises_named_pivot():
@@ -210,26 +210,34 @@ def test_solve_factored_is_exact_for_a_diagonal_factor(rng):
     assert np.array_equal(solve_factored(L, b[:, 0]), b[:, 0] / d ** 2)
 
 
+def divide(num, den):
+    """right_quotient of stacks over points, raising the first failure as a loop over them would."""
+    pts = PointPrefix(np.zeros(len(den)))
+    out = right_quotient(num, den, pts)
+    pts.finish()
+    return out
+
+
 def test_right_divide():
     rng = np.random.default_rng(5)
     num = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     den = rng.normal(size=(2, 2)) + np.eye(2) * 3
-    assert rel_residual(right_quotient(num, den), num @ np.linalg.inv(den)) < 1e-13
+    assert rel_residual(divide(num[None], den[None])[0], num @ np.linalg.inv(den)) < 1e-13
     # a stack of K = 5 pairs divides pair by pair
     nums = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
     dens = rng.normal(size=(5, 3, 3)) + np.eye(3) * 4
-    got = right_quotient(nums, dens)
+    got = divide(nums, dens)
     assert got.shape == (5, 3, 3)
     for k in range(5):
         assert rel_residual(got[k], nums[k] @ np.linalg.inv(dens[k])) < 1e-13
     # the guard sits exactly at COND_LIMIT: just below passes, just past raises
     eye = np.eye(2)
-    right_quotient(eye, np.diag([1.0, 1.0 / (0.99 * COND_LIMIT)]))
+    divide(eye[None], np.diag([1.0, 1.0 / (0.99 * COND_LIMIT)])[None])
     with pytest.raises(SingularDenominator) as err:
-        right_quotient(eye, np.diag([1.0, 1.0 / (1.01 * COND_LIMIT)]))
+        divide(eye[None], np.diag([1.0, 1.0 / (1.01 * COND_LIMIT)])[None])
     assert err.value.cond == pytest.approx(1.01 * COND_LIMIT)
     with pytest.raises(SingularDenominator):
-        right_quotient(np.stack([eye, eye]), np.stack([eye, np.diag([1.0, 1.0 / (1.01 * COND_LIMIT)])]))
+        divide(np.stack([eye, eye]), np.stack([eye, np.diag([1.0, 1.0 / (1.01 * COND_LIMIT)])]))
 
 
 def test_point_prefix_keeps_loop_error_order():
@@ -301,7 +309,7 @@ def test_right_quotient_svd_failure_is_singular_denominator():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cond(den)
     with pytest.raises(SingularDenominator) as err:
-        right_quotient(eye, den)
+        divide(eye[None], den[None])
     assert np.isnan(err.value.cond)
     pts = PointPrefix([0.0, 1.0, 2.0])
     out = right_quotient(np.stack([eye] * 3), np.stack([eye, den, eye]), points=pts)
@@ -322,7 +330,7 @@ def test_non_finite_matrices_get_no_svd(monkeypatch):
     for bad in (np.full((2, 2), np.inf), np.array([[1.0, 0.0], [0.0, -np.inf]]),
                 np.array([[np.nan, 0.0], [0.0, 1.0]])):
         with pytest.raises(SingularDenominator) as err:
-            right_quotient(eye, bad)
+            divide(eye[None], bad[None])
         assert np.isnan(err.value.cond)
         pts = PointPrefix([0.0, 1.0, 2.0])
         right_quotient(np.stack([eye] * 3), np.stack([eye, bad, eye]), points=pts)
@@ -371,18 +379,11 @@ def _first_failure(flat, cond_limit):
 
 
 def _check_guard(mats):
-    """guard_cond on mats, without and with points, against _first_failure."""
+    """guard_cond on mats, over one point per leading entry, against _first_failure."""
     flat = mats.reshape(-1, *mats.shape[-2:])
     expected = _first_failure(flat, COND_LIMIT)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if expected is None:
-            assert np.array_equal(guard_cond(mats, SingularDenominator),
-                                  np.linalg.inv(mats), equal_nan=True)
-        else:
-            with pytest.raises(SingularDenominator) as err:
-                guard_cond(mats, SingularDenominator)
-            assert err.value.cond.hex() == expected[1].hex()
         pts = PointPrefix(np.arange(len(mats)))
         inv = guard_cond(mats, SingularDenominator, pts)
     cut = len(mats) if expected is None else expected[0] // (len(flat) // len(mats))
@@ -407,6 +408,13 @@ def test_guard_cond_decides_as_np_linalg_cond(rng, q):
         picks = np.where(rng.random((5, 2)) < 0.9, rng.choice(good, (5, 2)),
                          rng.integers(len(cases), size=(5, 2)))
         _check_guard(np.array([[cases[i] for i in row] for row in picks]))
+
+
+def test_guard_cond_on_an_empty_prefix_records_nothing():
+    # every point failed an earlier stage: the stack has no matrix left to check
+    pts = PointPrefix([])
+    inv = guard_cond(np.empty((0, 2, 3, 3), dtype=complex), SingularDenominator, pts)
+    assert inv.shape == (0, 2, 3, 3) and pts.error is None
 
 
 def test_guard_cond_takes_no_svd_on_golden_extremal_at_64_points(monkeypatch, tmp_path):
@@ -496,4 +504,4 @@ def test_solve_factored_is_solve_pd(rng):
         g = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
         a = g @ g.conj().T + np.eye(q)
         rhs = rng.normal(size=(q, 3)) + 1j * rng.normal(size=(q, 3))
-        assert np.array_equal(solve_factored(cholesky_pd(a), rhs), solve_pd(a, rhs))
+        assert np.array_equal(solve_factored(cholesky_pd(a), rhs), solve_pd(a, rhs, "matrix", 0))

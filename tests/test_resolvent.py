@@ -7,18 +7,17 @@ from thmm import (
     InsufficientMoments,
     MomentSequence,
     PoleAtZ,
-    build_family,
     resolvent_direct_many,
     resolvent_factorized_many,
     resolvent_factors,
 )
 
-from conftest import lebesgue, random_sequence, random_z_points, rel
+from conftest import family_of, lebesgue, random_sequence, random_z_points, rel
 
 
 @pytest.fixture(scope="module")
 def leb5():
-    return build_family(lebesgue(5))
+    return family_of(lebesgue(5))
 
 
 def test_value_at_left_endpoint_both_parities(leb5):
@@ -45,7 +44,7 @@ def test_direct_vs_factorized_lebesgue(leb5):
 
 def test_route_vs_route_q2(rng):
     seq, _ = random_sequence(rng, 2, 2)
-    fam = build_family(seq)
+    fam = family_of(seq)
     z = 3.0 + 1.0j
     (s,) = resolvent_factorized_many(fam, [z], "odd", "second")
     (f,) = resolvent_factorized_many(fam, [z], "odd", "first")
@@ -55,7 +54,7 @@ def test_route_vs_route_q2(rng):
 def test_route_equality_ensemble(rng):
     for q, n in ((1, 2), (2, 2), (3, 1)):
         seq, _ = random_sequence(rng, q, n)
-        fam = build_family(seq)
+        fam = family_of(seq)
         for parity in ("even", "odd"):
             zs = random_z_points(rng, 5)
             d = resolvent_direct_many(fam, zs, parity)
@@ -91,7 +90,7 @@ def test_even_second_n0_product_equals_direct(rng):
         seqs += [MomentSequence(seq.a, seq.b, seq.s[:1]), MomentSequence(seq.a, seq.b, seq.s[:2])]
     zs = random_z_points(rng, 4, a=-0.5, b=1.5) + [2.0, -1.0 + 0.5j]
     for seq in seqs:
-        fam = build_family(seq)
+        fam = family_of(seq)
         factors = resolvent_factors(fam, zs, "even", "second")
         assert len(factors) == 4
         direct = resolvent_direct_many(fam, zs, "even")
@@ -108,7 +107,7 @@ def test_even_second_n0_product_equals_direct(rng):
 
 
 def test_odd_parity_needs_m_at_least_one():
-    fam = build_family(lebesgue(0))
+    fam = family_of(lebesgue(0))
     with pytest.raises(InsufficientMoments):
         resolvent_direct_many(fam, [2.0], "odd")
 
@@ -127,7 +126,7 @@ def test_factor_chain_matches_direct(leb5, rng):
             for k in range(len(zs)):
                 assert rel(values[k], direct[k]) < 1e-10
     seq, _ = random_sequence(rng, 2, 1)
-    fam2 = build_family(seq)
+    fam2 = family_of(seq)
     zs = random_z_points(rng, 3)
     values = product(resolvent_factors(fam2, zs, "odd", "first"))
     direct = resolvent_direct_many(fam2, zs, "odd")
@@ -137,7 +136,7 @@ def test_factor_chain_matches_direct(leb5, rng):
 
 def test_many_is_the_stack_of_single_points(rng):
     seq, _ = random_sequence(rng, 2, 2)
-    fam = build_family(seq)
+    fam = family_of(seq)
     zs = random_z_points(rng, 6) + [complex(x, 0.01) for x in (0.2, 0.9)]
     for parity in ("even", "odd"):
         direct = resolvent_direct_many(fam, zs, parity)

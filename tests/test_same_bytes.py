@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thmm import dsm, polynomials
+from thmm import dsm, polynomials, reporting
 from thmm._linalg import (
     cholesky_pd,
     hermitize,
+    rel_residual,
     solve_factored,
     solve_pd,
 )
@@ -35,15 +36,16 @@ from thmm.errors import (
     InconsistentLengths,
     InvalidMomentSequence,
     NonPositiveParameter,
+    PreconditionFailure,
     SingularPivot,
     ThmmError,
 )
 from thmm.io import decode_matrix, read_moment_file, read_parameter_file
 from thmm.moments import DEFAULT_HERMITIAN_RTOL, MomentSequence, _square_matrix
-from thmm.polynomials import build_family, verify_family_identities
-from thmm.reporting import IdentityReport
+from thmm.polynomials import verify_family_identities
 
 from cli_parity import _signed_zero_inputs
+from conftest import family_of
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -136,13 +138,27 @@ def reference_convolve(row, col, shift=None, sign=1.0):
     return tuple(coeffs)
 
 
-def reference_maxima(entries):
-    """Each name's largest residual as the entry-by-entry report took it."""
+def reference_checks(monkeypatch, run):
+    """run() and the (name, residual) of each check of its report, pair by pair with rel_residual."""
+    checks = []
+    real = reporting.IdentityChecks.report
+
+    def report(self):
+        pairs = zip(np.concatenate(self.lhs), np.concatenate(self.rhs)) if self.names else ()
+        checks.append([(name, rel_residual(x, y)) for name, (x, y) in zip(self.names, pairs)])
+        return real(self)
+
+    monkeypatch.setattr(reporting.IdentityChecks, "report", report)
+    return run(), checks[-1]
+
+
+def reference_maxima(checks):
+    """Each name's largest residual as the check-by-check report took it."""
     names = []
-    for e in entries:
-        if e.name not in names:
-            names.append(e.name)
-    return {name: max(e.residual for e in entries if e.name == name) for name in names}
+    for name, _ in checks:
+        if name not in names:
+            names.append(name)
+    return {name: max(res for other, res in checks if other == name) for name in names}
 
 
 def error_of(call, *args):
@@ -232,7 +248,7 @@ def test_a_moment_whose_norm_overflows_is_tested_with_the_scaled_norm():
 
 @pytest.mark.parametrize("name", NAMES)
 def test_stacked_chain_inverses_equal_each_inverse(inputs, name):
-    fam = build_family(read_moment_file(inputs[name]))
+    fam = family_of(read_moment_file(inputs[name]))
     try:
         chain = compute_second(fam)
     except ThmmError:
@@ -285,7 +301,7 @@ def test_parameter_checks_raise_as_the_loop_did(bad):
 
 @pytest.mark.parametrize("name, index", [("mhat", 0), ("mhat", 1), ("lhat", 0), ("lhat", 1)])
 def test_product_identities_name_the_first_singular_parameter(name, index):
-    fam = build_family(read_moment_file(GOLDEN / "moments_q2.json"))
+    fam = family_of(read_moment_file(GOLDEN / "moments_q2.json"))
     chain, first = compute_second(fam), compute_first(fam)
     params = list(chain.mhat if name == "mhat" else chain.lhat_from_zero)
     for j in (index, len(params) - 1):   # the first failing one is named
@@ -300,40 +316,36 @@ def test_product_identities_name_the_first_singular_parameter(name, index):
 # --- the reports -----------------------------------------------------------
 
 @pytest.mark.parametrize("name", NAMES)
-def test_columnar_reports_keep_each_names_largest_residual(inputs, name):
-    fam = build_family(read_moment_file(inputs[name]))
-    reports = [verify_family_identities(fam)]
+def test_columnar_reports_keep_each_names_largest_residual(inputs, name, monkeypatch):
+    fam = family_of(read_moment_file(inputs[name]))
+    runs = [lambda: verify_family_identities(fam)]
     try:
         chain = compute_second(fam)
     except ThmmError:
         chain = None
     if chain is not None:
-        reports.append(product_identities(fam, chain, compute_first(fam)))
-    for report in reports:
-        entries = report.entries
-        expected = reference_maxima(entries)
-        assert list(report.by_name()) == list(expected)
-        assert raw(list(report.by_name().values())) == raw(list(expected.values()))
-        assert report.max_residual == max(e.residual for e in entries)
+        runs.append(lambda: product_identities(fam, chain, compute_first(fam)))
+    for run in runs:
+        report, checks = reference_checks(monkeypatch, run)
+        expected = reference_maxima(checks)
+        assert list(report.maxima) == list(expected)
+        assert raw(list(report.maxima.values())) == raw(list(expected.values()))
+        assert report.max_residual == max(res for _, res in checks)
         for names in ((), ("p2_sum_through_previous",), ("p2_sum_through_current",)):
             assert report.max_residual_excluding(*names) == max(
-                (e.residual for e in entries if e.name not in names), default=0.0)
-        rebuilt = IdentityReport(entries, report.notes)
-        assert rebuilt.by_name() == report.by_name() and rebuilt.notes == report.notes
-        assert all(e.where.startswith("j=") for e in entries)
+                (res for other, res in checks if other not in names), default=0.0)
 
 
-def test_report_maxima_count_nan_as_max_does():
-    checks = [("a", "j=0", 1.0), ("b", "j=0", float("nan")), ("b", "j=1", 5.0),
-              ("a", "j=1", float("nan")), ("c", "j=0", 0.5)]
-    from thmm.reporting import IdentityCheck
-
-    report = IdentityReport(IdentityCheck(*c) for c in checks)
-    assert report.residual_for("a") == 1.0
-    assert np.isnan(report.residual_for("b"))
-    assert report.max_residual == 5.0
-    assert report.max_residual_excluding("b") == 1.0
-    assert report.names() == ("a", "b", "c") and report.residual_for("d") == 0.0
+@pytest.mark.parametrize("lhs, rhs", [(np.nan, 1.0), (1e308, -1e308)], ids=["nan", "inf"])
+def test_a_residual_out_of_float_range_is_refused_naming_its_check(lhs, rhs):
+    checks = reporting.IdentityChecks()
+    eye = np.eye(2)
+    checks.add("a", 0, eye, eye)
+    checks.add_stack("b", 3, np.stack([eye, eye, lhs * eye]), np.stack([eye, eye, rhs * eye]))
+    checks.add("c", 1, np.nan * eye, eye)
+    with np.errstate(all="ignore"), pytest.raises(PreconditionFailure) as err:
+        checks.report()
+    assert str(err.value) == "identity b at j=3 leaves the float range"
 
 
 # --- the polynomial coefficients -------------------------------------------
@@ -346,7 +358,7 @@ MEMBERS = (("P1", "H1", False, None, 1.0), ("Q1", "H1", True, None, -1.0),
 
 @pytest.mark.parametrize("name", NAMES)
 def test_lean_convolve_equals_the_zero_accumulator_loop(inputs, name):
-    fam = build_family(read_moment_file(inputs[name]))
+    fam = family_of(read_moment_file(inputs[name]))
     hank = fam.hankels
     q = fam.seq.q
     compared = 0
