@@ -10,20 +10,63 @@ the largest member of a block Hankel family, it decides every member at
 once: the factor of each member is a leading block of the one factor, and
 its diagonal blocks factor the Schur complements.  HankelSet keeps one
 such factor per family; solve_pd factors its matrix and drops the factor.
-Both the factorization and the solves are NumPy's LAPACK calls
-(np.linalg.cholesky, np.linalg.solve on the factor and its adjoint); no
-LAPACK routine is bound directly.
+
+solve, inv and cholesky are the package's one way to NumPy's LAPACK
+kernels.  Each is np.linalg.solve, inv or cholesky to the bit: one call of
+the same gufunc of numpy.linalg._umath_linalg, with the same signature,
+under the same errstate, only without np.linalg's per-call conversions
+and checks, which cost two to three times the kernel at q <= 4.  Their
+operands are float64 or complex128 arrays.  cond, eigvalsh, det and norm,
+which are rare or off the hot path, stay np.linalg's.
 """
 
 import functools
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import SingularDenominator, SingularPivot
 
 PIVOT_RTOL = 1e-12
 COND_LIMIT = 1e12
+
+
+def _singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _not_positive_definite(err, flag):
+    raise LinAlgError("Matrix is not positive definite")
+
+
+def _lapack(on_failure):
+    """The errstate np.linalg calls its gufuncs in: a failed kernel calls on_failure."""
+    return np.errstate(call=on_failure, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+def solve(a, b):
+    """np.linalg.solve(a, b): a @ x = b for one matrix a or a stack, b 1-D or not."""
+    with _lapack(_singular):
+        return _solve(a, b)
+
+
+def _solve(a, b):
+    kernel = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    return kernel(a, b, signature="DD->D" if "c" in (a.dtype.kind, b.dtype.kind) else "dd->d")
+
+
+def inv(a):
+    """np.linalg.inv(a), of one matrix or of each matrix of a stack."""
+    with _lapack(_singular):
+        return _umath_linalg.inv(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+
+
+def cholesky(a):
+    """np.linalg.cholesky(a), the lower factor of one matrix or of each matrix of a stack."""
+    with _lapack(_not_positive_definite):
+        return _umath_linalg.cholesky_lo(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
 
 
 def frob(a):
@@ -128,9 +171,9 @@ def cholesky_pd(a, block=None):
     test; a NaN pivot or threshold fails it.  Without block this is the
     factor of a, or None.  With block it is the factor of the largest
     passing a[:p, :p], p a multiple of block, or None if none passes.
-    The factor is one LAPACK Cholesky (np.linalg.cholesky); where LAPACK
-    refuses a, which only happens when a is not positive definite, the
-    next smaller leading block is tried.
+    The factor is one LAPACK Cholesky (cholesky); where LAPACK refuses a,
+    which only happens when a is not positive definite, the next smaller
+    leading block is tried.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
@@ -139,8 +182,8 @@ def cholesky_pd(a, block=None):
         thresholds = [PIVOT_RTOL * frob(a[:p, :p]) for p in range(block, n + 1, block)]
     for p in range(n, 0, -block):
         try:
-            L = np.linalg.cholesky(a[:p, :p])
-        except np.linalg.LinAlgError:
+            L = cholesky(a[:p, :p])
+        except LinAlgError:
             continue
         # a block's threshold tests all pivots before it too; NaN propagates
         smallest = np.minimum.accumulate(L.diagonal().real ** 2)[block - 1::block]
@@ -164,10 +207,11 @@ def solve_pd(a, rhs, family, index):
 def solve_factored(L, rhs):
     """Solve L L^H x = rhs for a lower Cholesky factor L from cholesky_pd, or for a stack of them.
 
-    Two backward stable LAPACK solves (np.linalg.solve), on L and then on
-    L^H; no inverse of the factor is formed.
+    Two backward stable LAPACK solves, solve's kernel on L and then on
+    L^H, under one errstate; no inverse of the factor is formed.
     """
-    return np.linalg.solve(adjoint(L), np.linalg.solve(L, rhs))
+    with _lapack(_singular):
+        return _solve(adjoint(L), _solve(L, rhs))
 
 
 def min_eigenvalue(a):
@@ -242,7 +286,7 @@ def guard_cond(mats, error, points):
     points (none when no point is left), and the inverses of the points
     that remain are returned.
 
-    The inverses (np.linalg.inv) come first, and they decide most matrices
+    The inverses (inv) come first, and they decide most matrices
     without an SVD: kappa_2(A) <= ||A||_F ||A^-1||_F <= q max|a_ij| q max|x_ij|
     for X = A^-1, and A passes at once when that bound, taken with the
     computed X, is at most COND_LIMIT / 2.  For kappa_2(A) <= 1e12 the
@@ -254,7 +298,7 @@ def guard_cond(mats, error, points):
     below 10).  ||A|| ||X|| <= COND_LIMIT / 2 = 5e11 keeps ||R|| below 1/2,
     so ||A^-1|| = ||X (I + R)^-1|| <= 2 ||X|| and kappa_2(A) <= COND_LIMIT.
     A matrix whose bound is larger or not finite, and every matrix of a
-    stack that np.linalg.inv refuses, gets np.linalg.cond; so every failure
+    stack that inv refuses, gets np.linalg.cond; so every failure
     and every cond it carries come from that SVD.
     """
     flat = mats.reshape(-1, *mats.shape[-2:])
@@ -267,14 +311,14 @@ def guard_cond(mats, error, points):
     stop = len(flat) if finite.all() else int(np.argmin(finite))
     cond = np.full(len(flat), np.nan)
     try:
-        inv = np.linalg.inv(flat[:stop])
-    except np.linalg.LinAlgError:   # an exactly singular matrix
-        inv = None
+        inverses = inv(flat[:stop])
+    except LinAlgError:   # an exactly singular matrix
+        inverses = None
         svd = np.arange(stop)
     else:
         with np.errstate(over="ignore"):
             cond[:stop] = (q * np.abs(flat[:stop]).max(axis=(1, 2))) * (
-                q * np.abs(inv).max(axis=(1, 2)))
+                q * np.abs(inverses).max(axis=(1, 2)))
         svd = np.flatnonzero(~(cond[:stop] <= COND_LIMIT / 2))
     if svd.size:
         cond[svd] = np.linalg.cond(flat[svd])
@@ -284,9 +328,9 @@ def guard_cond(mats, error, points):
                 lambda i: error(cond[i * rows.shape[1] + int(np.argmax(rows[i]))]))
     shape = (len(points),) + mats.shape[1:]
     keep = math.prod(shape[:-2])
-    if inv is None:
-        inv = np.linalg.inv(flat[:keep])
-    return inv[:keep].reshape(shape)
+    if inverses is None:
+        inverses = inv(flat[:keep])
+    return inverses[:keep].reshape(shape)
 
 
 def right_quotient(num, den, points):
@@ -301,6 +345,4 @@ def right_quotient(num, den, points):
     den = np.asarray(den, dtype=complex)
     guard_cond(den, SingularDenominator, points)
     num, den = num[:len(points)], den[:len(points)]
-    return np.swapaxes(
-        np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2)), -1, -2
-    )
+    return np.swapaxes(solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2)), -1, -2)

@@ -41,11 +41,14 @@ import numpy as np
 from ._linalg import (
     PIVOT_RTOL,
     adjoint,
+    cholesky,
     cholesky_pd,
     frobs,
     hermitize,
+    inv,
     rel_residual,
     scaled_cond,
+    solve,
     solve_factored,
     solve_pd,
 )
@@ -178,11 +181,11 @@ def compute_second(fam):
     mhat_poly = []
     for j in range(len(that_qf)):
         val = at_a(fam.g1[j])
-        mhat_poly.append(val.conj().T @ np.linalg.solve(hank.complements("K1")[j], val))
+        mhat_poly.append(val.conj().T @ solve(hank.complements("K1")[j], val))
     lhat_poly = []
     for j in range(len(qf)):
         val = at_a(fam.q2[j])
-        lhat_poly.append(val.conj().T @ np.linalg.solve(hank.complements("H2")[j], val))
+        lhat_poly.append(val.conj().T @ solve(hank.complements("H2")[j], val))
     rhat_poly = [fam.quotient(fam.g1[j], fam.t1[j])
                  for j in range(min(len(qf) + 1, len(fam.g1), len(fam.t1)))]
     that_poly = [fam.quotient(fam.q2[j], fam.p2[j])
@@ -244,7 +247,7 @@ def product_identities(fam, dsm, first):
     W, X, khat1_pred, hhat2_pred = _ladder(inv_m, inv_l, q)
     # each complement inverted once, on its first read
     inv_hhat1, inv_hhat2, inv_khat1, inv_khat2 = (
-        Kept(len(c), lambda j, c=c: np.linalg.inv(c[j])) for c in (hhat1, hhat2, khat1, khat2))
+        Kept(len(c), lambda j, c=c: inv(c[j])) for c in (hhat1, hhat2, khat1, khat2))
 
     checks = IdentityChecks()
     add = checks.add
@@ -286,7 +289,7 @@ def product_identities(fam, dsm, first):
         add("mhat_from_schur", j, mh[j], rebuilt)
     for j in range(min(len(lh), len(hhat2), len(khat1), len(ws))):
         core = khat1[j] @ hank.schur_solve("H2", j, khat1[j])
-        wj_inv = np.linalg.inv(ws[j])
+        wj_inv = inv(ws[j])
         add("lhat_from_schur", j, lh[j], wj_inv @ core @ wj_inv.conj().T)
 
     # alternating Schur products for the polynomial endpoint values
@@ -336,7 +339,7 @@ def _chain_factors(chain, q, name, error, hermitian_rtol=None):
     with hermitian_rtol it must first be Hermitian within it,
     ||x - x^*||_F <= hermitian_rtol (1 + ||x||_F), and the stack returned is
     symmetrized.  error(name, j) names the first parameter that fails.  The
-    chain is tested and factored as one stack (frobs, one np.linalg.cholesky);
+    chain is tested and factored as one stack (frobs, one cholesky);
     only a chain that this refuses is factored again matrix by matrix by
     cholesky_pd, to find that j.
     """
@@ -349,7 +352,7 @@ def _chain_factors(chain, q, name, error, hermitian_rtol=None):
         skew = frobs(stack - adjoint(stack)) > hermitian_rtol * (1.0 + frobs(stack))
         stack = hermitize(stack)
     try:
-        factors = np.linalg.cholesky(stack)
+        factors = cholesky(stack)
         smallest = (factors.diagonal(axis1=-2, axis2=-1).real ** 2).min(axis=-1)
         refused = not (smallest > PIVOT_RTOL * frobs(stack)).all()
     except np.linalg.LinAlgError:   # some parameter is not positive definite

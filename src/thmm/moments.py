@@ -44,6 +44,7 @@ from ._linalg import (
     frobs,
     hermitize,
     min_eigenvalue,
+    solve,
     solve_factored,
 )
 from .errors import (
@@ -390,7 +391,7 @@ class HankelSet:
         """F[j]^{-1} R_j(a) c_j = L_j^{-H} w_j, solved once and kept read-only."""
         def back_solve():
             w = self._forward(family, j)
-            return np.linalg.solve(self.factor(family, j).conj().T, w)
+            return solve(self.factor(family, j).conj().T, w)
         return self.keep(("transfer", family, j), back_solve)
 
     def form(self, family, j):
@@ -411,7 +412,7 @@ class HankelSet:
         if self.factor(family, j) is None:
             raise SingularPivot(family, j)
         L = self._factor(family)
-        w = self.keep(("forward", family), lambda: np.linalg.solve(
+        w = self.keep(("forward", family), lambda: solve(
             L, self.R_at_a_times(self.column(family, len(L) // self.seq.q - 1))))
         return w[:(j + 1) * self.seq.q]
 

@@ -67,7 +67,8 @@ class IdentityChecks:
         """
         if not self.names:
             return IdentityReport({})
-        residuals = rel_residuals(np.concatenate(self.lhs), np.concatenate(self.rhs))
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite residual is refused
+            residuals = rel_residuals(np.concatenate(self.lhs), np.concatenate(self.rhs))
         bad = ~np.isfinite(residuals)
         if bad.any():
             i = int(np.argmax(bad))

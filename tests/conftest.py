@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from thmm import (DiscreteMeasure, MomentSequence, build_family, build_hankels, compute_first,
                   compute_second, eval_poly)
@@ -8,6 +9,27 @@ from thmm import (DiscreteMeasure, MomentSequence, build_family, build_hankels, 
 def family_of(seq):
     """The PolynomialFamily of a MomentSequence, built as every command builds it."""
     return build_family(build_hankels(seq))
+
+
+def spy_lapack(monkeypatch):
+    """Record each call of NumPy's solve, inverse and Cholesky kernels, by whatever route.
+
+    Returns a list that gets one (name, operands) per kernel call: name is
+    "solve" (the gufuncs solve and solve1), "inv" or "cholesky"
+    (cholesky_lo).  _linalg's entry points and np.linalg both call these
+    gufuncs, so a solve_factored counts its two solves.
+    """
+    calls = []
+    for kernel, name in (("solve", "solve"), ("solve1", "solve"), ("inv", "inv"),
+                         ("cholesky_lo", "cholesky")):
+        real = getattr(_umath_linalg, kernel)
+
+        def spy(*operands, real=real, name=name, **kwargs):
+            calls.append((name, operands))
+            return real(*operands, **kwargs)
+
+        monkeypatch.setattr(_umath_linalg, kernel, spy)
+    return calls
 
 
 def lebesgue(m, a=0.0, b=1.0):

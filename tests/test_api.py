@@ -135,3 +135,23 @@ def test_every_definition_is_reached_from_a_command():
             todo += [other for name in _names_used(nodes[qual]) for other, _ in defs.get(name, ())]
     unreached = {qual for qual in nodes if not qual.rsplit(".", 1)[1].startswith("__")} - reached
     assert unreached == set()
+
+
+def test_only_linalg_reaches_the_solve_inverse_and_cholesky_kernels():
+    # _linalg.solve, inv and cholesky are the one dispatch point to these
+    # LAPACK kernels: no other module names np.linalg's or the gufuncs
+    kernels = {"solve", "inv", "cholesky"}
+    found = set()
+    for path in sorted(Path(thmm.__file__).parent.glob("*.py")):
+        if path.name == "_linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            owner = getattr(node, "value", None)
+            if isinstance(node, ast.Attribute) and node.attr in kernels and (
+                    getattr(owner, "attr", None) or getattr(owner, "id", None)) == "linalg":
+                found.add((path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"):
+                found.add((path.name, node.lineno))
+            elif "_umath_linalg" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                found.add((path.name, node.lineno))
+    assert found == set()

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from thmm import _linalg, cli, dsm, errors, moments, polynomials
 from thmm.cli import main
 from thmm.io import decode_matrix, moment_file_dict, read_moment_file, render_json
 
-from conftest import family_of, lebesgue, random_sequence, random_z_points, rel
+from conftest import family_of, lebesgue, random_sequence, random_z_points, rel, spy_lapack
 
 
 def write_json(path, obj):
@@ -388,10 +389,7 @@ def test_analyze_factors_each_family_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "cholesky_pd",
                             lambda a, *rest, **kw: factored.append(a)
                             or real_cholesky(a, *rest, **kw))
-    stacks = []
-    real_np_cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky",
-                        lambda a: (a.ndim == 3 and stacks.append(a)) or real_np_cholesky(a))
+    kernel_calls = spy_lapack(monkeypatch)
     families = []
     real_build = cli.build_family
     monkeypatch.setattr(cli, "build_family", lambda src: families.append(real_build(src))
@@ -412,6 +410,7 @@ def test_analyze_factors_each_family_once(tmp_path, monkeypatch):
     # the parameters mhat_0..2 and lhat_0..2 reach no cholesky_pd: each chain
     # is factored once, as one stack
     assert len(factored) == 4
+    stacks = [ops[0] for name, ops in kernel_calls if name == "cholesky" and ops[0].ndim == 3]
     assert [s.shape for s in stacks] == [(3, 2, 2), (3, 2, 2)]
 
 
@@ -688,24 +687,21 @@ def test_first_route_makes_only_the_members_it_reads(monkeypatch):
 
 @pytest.mark.parametrize("moments", ["moments_q1.json", "moments_q2.json"])
 def test_factorize_second_solves_each_quotient_it_reads_once(moments, monkeypatch, capsys):
-    values, solved = set(), []
-    at_a, solve = polynomials.PolynomialFamily.at_a, np.linalg.solve
+    values = set()
+    at_a = polynomials.PolynomialFamily.at_a
 
     def spy_at_a(fam, p):
         value = at_a(fam, p)
         values.add(id(value))
         return value
 
-    def spy_solve(x, y):
-        if id(x) in values and id(y) in values:
-            solved.append((id(x), id(y)))
-        return solve(x, y)
-
     monkeypatch.setattr(polynomials.PolynomialFamily, "at_a", spy_at_a)
-    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    kernel_calls = spy_lapack(monkeypatch)
     inp = str(Path(__file__).parent / "golden" / moments)
     code, _ = run(capsys, ["factorize", "--input", inp, "--route", "second", "--z", "2+1i"])
     assert code == 0
+    solved = [(id(ops[0]), id(ops[1])) for name, ops in kernel_calls
+              if name == "solve" and id(ops[0]) in values and id(ops[1]) in values]
     assert solved and len(set(solved)) == len(solved)
 
 
@@ -859,27 +855,25 @@ def test_scalar_report_above_rtol_still_prints_its_report(tmp_path, capsys, mome
 
 
 def test_analyze_and_recover_linalg_counts(tmp_path, monkeypatch, capsys):
-    """The np.linalg calls of analyze --params-out then recover on moments_q2.json.
+    """The LAPACK solves, inverses and factorizations and the np.linalg.norm calls
+    of analyze --params-out then recover on moments_q2.json.
 
     The DSM parameter chains are factored and inverted as stacks and the
     moments are checked as one stack; a change that splits a stack again
     changes these counts.
     """
-    counts = dict.fromkeys(("norm", "cholesky", "solve", "inv"), 0)
-    for name in counts:
-        real = getattr(np.linalg, name)
-
-        def spy(*args, real=real, name=name, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, spy)
+    norms = []
+    real_norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *args, **kw: norms.append(args)
+                        or real_norm(*args, **kw))
+    kernel_calls = spy_lapack(monkeypatch)
     inp = str(Path(__file__).parent / "golden" / "moments_q2.json")
     params = str(tmp_path / "params.json")
     assert main(["analyze", "--input", inp, "--params-out", params]) == 0
     assert main(["recover", "--input", params]) == 0
     capsys.readouterr()
-    assert counts == {"norm": 0, "cholesky": 15, "solve": 81, "inv": 21}
+    counts = collections.Counter(name for name, _ in kernel_calls)
+    assert (len(norms), counts) == (0, {"cholesky": 15, "solve": 81, "inv": 21})
 
 
 def test_analyze_and_recover_convolve_count(tmp_path, monkeypatch, capsys):
@@ -944,13 +938,13 @@ def test_analyze_refuses_identity_residuals_out_of_float_range(tmp_path, capsys)
     # times 1e307 the ratio identity q1/p1 at j = 2 overflows to NaN at each sample point
     inp = scaled_golden(tmp_path, 1e307)
     params = tmp_path / "params.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["analyze", "--input", inp, "--params-out", str(params)])
     captured = capsys.readouterr()
-    assert code == 3 and captured.out == "" and not params.exists()
-    assert captured.err.splitlines()[-1] == (
-        "precondition failure: identity ratio_q1_p1 at j=2 leaves the float range")
+    assert code == 3 and captured.out == "" and not params.exists() and not caught
+    assert captured.err == (
+        "precondition failure: identity ratio_q1_p1 at j=2 leaves the float range\n")
 
 
 @pytest.mark.parametrize("name", ["moments_q1.json", "moments_q2.json"])

@@ -30,7 +30,8 @@ from thmm.io import read_moment_file, read_parameter_file
 from thmm.reporting import IdentityReport
 from thmm.errors import ThmmError
 
-from conftest import family_of, lebesgue, limit_errors, random_pd_weight, random_sequence, rel
+from conftest import (family_of, lebesgue, limit_errors, random_pd_weight, random_sequence, rel,
+                      spy_lapack)
 
 
 @pytest.fixture(scope="module")
@@ -427,10 +428,9 @@ def test_scalar_determinant_wrong_size(rng):
 def test_product_identities_inverts_each_schur_complement_at_most_once(monkeypatch):
     fam = family_of(read_moment_file(Path(__file__).parent / "golden" / "moments_q2.json"))
     dsm, first = compute_second(fam), compute_first(fam)
-    inverted = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda x: inverted.append(np.array(x)) or inv(x))
+    kernel_calls = spy_lapack(monkeypatch)
     product_identities(fam, dsm, first)
+    inverted = [ops[0] for name, ops in kernel_calls if name == "inv"]
     counts = {}
     for family in ("H1", "H2", "K1", "K2"):
         for j, c in enumerate(fam.hankels.complements(family)):

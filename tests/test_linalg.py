@@ -14,16 +14,20 @@ from thmm._linalg import (
     COND_LIMIT,
     PIVOT_RTOL,
     PointPrefix,
+    adjoint,
+    cholesky,
     cholesky_pd,
     frob,
     frobs,
     guard_cond,
     hermitize,
+    inv,
     point_prefix,
     rel_residual,
     rel_residuals,
     right_quotient,
     scaled_cond,
+    solve,
     solve_factored,
     solve_pd,
 )
@@ -162,6 +166,56 @@ def test_cholesky_in_blocks_is_the_leading_factor(rng):
         b[-q:, :] = b[-2 * q:-q, :]
         b[:, -q:] = b[:, -2 * q:-q]
         assert len(cholesky_pd(b, block=q)) == q * (k - 1)
+
+
+def outcome(f, *operands):
+    """f(*operands) as (dtype, shape, bytes), or the LinAlgError it raises; no warning escapes."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            x = f(*operands)
+        except np.linalg.LinAlgError as exc:
+            result = ("LinAlgError", str(exc))
+        else:
+            result = (x.dtype, x.shape, x.tobytes())
+    assert not caught, [str(w.message) for w in caught]
+    return result
+
+
+def matrices(rng, q, stack):
+    """Operands for the LAPACK entry points: name -> a (*stack, q, q) array.
+
+    Complex and real (a strided view) positive definite matrices, the
+    adjoint view of their Cholesky factors that solve_factored passes,
+    copies with a NaN or an infinite entry in the last matrix, an exactly
+    singular one and a negative definite one.
+    """
+    shape = (*stack, q, q)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    pd = g @ adjoint(g) + q * np.eye(q)
+    mats = {"complex": pd, "real": pd.real, "adjoint": adjoint(np.linalg.cholesky(pd)),
+            "singular": pd.copy(), "negative": -pd}
+    mats["singular"][..., :, 0] = 0.0
+    for name, value in (("nan", np.nan), ("inf", np.inf)):
+        mats[name] = pd.copy()
+        mats[name].reshape(-1, q, q)[-1, q - 1, 0] = value
+    return mats
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("stack", [(), (1,), (7,), (64,)], ids=["one", "K1", "K7", "K64"])
+def test_lapack_entry_points_are_np_linalg_to_the_bit(rng, q, stack):
+    for name, a in matrices(rng, q, stack).items():
+        assert outcome(inv, a) == outcome(np.linalg.inv, a), name
+        assert outcome(cholesky, a) == outcome(np.linalg.cholesky, a), name
+        for shape in ((q,), (q, 1), (q, 3), (*stack, q, 2)):
+            b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for rhs in (b, b.real):
+                assert outcome(solve, a, rhs) == outcome(np.linalg.solve, a, rhs), (name, shape)
+    a = matrices(rng, q, stack)
+    assert outcome(solve, a["singular"], np.ones(q)) == ("LinAlgError", "Singular matrix")
+    assert outcome(inv, a["singular"]) == ("LinAlgError", "Singular matrix")
+    assert outcome(cholesky, a["negative"]) == ("LinAlgError", "Matrix is not positive definite")
 
 
 def test_solve_pd_and_inverse():
