@@ -11,13 +11,15 @@ once: the factor of each member is a leading block of the one factor, and
 its diagonal blocks factor the Schur complements.  HankelSet keeps one
 such factor per family; solve_pd factors its matrix and drops the factor.
 
-solve, inv and cholesky are the package's one way to NumPy's LAPACK
-kernels.  Each is np.linalg.solve, inv or cholesky to the bit: one call of
-the same gufunc of numpy.linalg._umath_linalg, with the same signature,
-under the same errstate, only without np.linalg's per-call conversions
-and checks, which cost two to three times the kernel at q <= 4.  Their
-operands are float64 or complex128 arrays.  cond, eigvalsh, det and norm,
-which are rare or off the hot path, stay np.linalg's.
+solve, inv, cholesky and cond are the package's one way to NumPy's LAPACK
+kernels.  Each is np.linalg.solve, inv, cholesky or cond (p=None) to the
+bit: one call of the same gufunc of numpy.linalg._umath_linalg, with the
+same signature, under the same errstate, only without np.linalg's per-call
+conversions and checks, which cost two to three times the kernel at q <= 4.
+Each errstate is made once, when the module is imported, and bound to its
+function by numpy's decorator form, so a call enters it without building
+it.  Their operands are float64 or complex128 arrays.  eigvalsh, det and
+norm, which are rare or off the hot path, stay np.linalg's.
 """
 
 import functools
@@ -32,41 +34,46 @@ PIVOT_RTOL = 1e-12
 COND_LIMIT = 1e12
 
 
-def _singular(err, flag):
-    raise LinAlgError("Singular matrix")
+def _lapack(message):
+    """The errstate np.linalg calls its gufuncs in: a failed kernel raises LinAlgError(message)."""
+    def failed(err, flag):
+        raise LinAlgError(message)
+    return np.errstate(call=failed, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
-def _not_positive_definite(err, flag):
-    raise LinAlgError("Matrix is not positive definite")
-
-
-def _lapack(on_failure):
-    """The errstate np.linalg calls its gufuncs in: a failed kernel calls on_failure."""
-    return np.errstate(call=on_failure, invalid="call", over="ignore", divide="ignore",
-                       under="ignore")
-
-
+@_lapack("Singular matrix")
 def solve(a, b):
     """np.linalg.solve(a, b): a @ x = b for one matrix a or a stack, b 1-D or not."""
-    with _lapack(_singular):
-        return _solve(a, b)
-
-
-def _solve(a, b):
     kernel = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
     return kernel(a, b, signature="DD->D" if "c" in (a.dtype.kind, b.dtype.kind) else "dd->d")
 
 
+@_lapack("Singular matrix")
 def inv(a):
     """np.linalg.inv(a), of one matrix or of each matrix of a stack."""
-    with _lapack(_singular):
-        return _umath_linalg.inv(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+    return _umath_linalg.inv(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
 
 
+@_lapack("Matrix is not positive definite")
 def cholesky(a):
     """np.linalg.cholesky(a), the lower factor of one matrix or of each matrix of a stack."""
-    with _lapack(_not_positive_definite):
-        return _umath_linalg.cholesky_lo(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+    return _umath_linalg.cholesky_lo(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+
+
+@_lapack("SVD did not converge")
+def _singular_values(a):
+    """np.linalg.svd(a, compute_uv=False), largest first."""
+    return _umath_linalg.svd(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
+@np.errstate(all="ignore")
+def cond(a):
+    """np.linalg.cond(a) of one matrix or a stack; inf, not NaN, where a has no NaN entry."""
+    s = _singular_values(a)
+    r = s[..., 0] / s[..., -1]
+    if np.isnan(r).any():   # 0 / 0: an exactly singular a, unless a has a NaN entry
+        r = np.where(np.isnan(r) & ~np.isnan(a).any(axis=(-2, -1)), np.inf, r)[()]
+    return r
 
 
 def frob(a):
@@ -87,6 +94,7 @@ def frob(a):
     return norm
 
 
+@np.errstate(over="ignore")
 def frobs(x):
     """frob of each matrix of a (K, m, n) stack, summed as np.linalg.norm sums one.
 
@@ -98,11 +106,9 @@ def frobs(x):
     if x.strides[-1] > x.strides[-2]:
         x = np.swapaxes(x, -1, -2)
     flat = x.reshape(len(x), x.shape[-2] * x.shape[-1])
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
-    redo = ~np.isfinite(norms)
-    if redo.any():
-        redo &= np.isfinite(flat).all(axis=1)
+    norms = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    if not math.isfinite(np.add.reduce(norms)):   # a norm is inf or nan, or their sum overflows
+        redo = ~np.isfinite(norms) & np.isfinite(flat).all(axis=1)
         norms[redo] = [_scaled_frob(row) for row in flat[redo]]
     return norms
 
@@ -141,6 +147,11 @@ def rel_residuals(x, y):
     return frobs(x - y) / np.maximum(1.0, np.maximum(frobs(x), frobs(y)))
 
 
+def skew_norms(stack):
+    """||x - x^*||_F and ||x||_F of each matrix x of a (K, m, m) stack, from one frobs call."""
+    return frobs(np.concatenate([stack - adjoint(stack), stack])).reshape(2, len(stack))
+
+
 def adjoint(x):
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return x.conj().swapaxes(-1, -2)
@@ -159,10 +170,11 @@ def scaled_cond(a):
     factor n of the best scaling (van der Sluis), so a badly scaled but
     otherwise well-conditioned a loses no digits.
     """
-    d = 1.0 / np.sqrt(np.real(np.diag(a)))
-    return float(np.linalg.cond(a * d[:, None] * d[None, :]))
+    d = 1.0 / np.sqrt(a.diagonal().real)
+    return float(cond(a * d[:, None] * d[None, :]))
 
 
+@np.errstate(over="ignore")   # frob rescales a sum that overflows
 def cholesky_pd(a, block=None):
     """Lower Cholesky factor of a Hermitian matrix, or None.
 
@@ -178,8 +190,7 @@ def cholesky_pd(a, block=None):
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     block = block or max(n, 1)
-    with np.errstate(over="ignore"):   # frob rescales a sum that overflows
-        thresholds = [PIVOT_RTOL * frob(a[:p, :p]) for p in range(block, n + 1, block)]
+    thresholds = [PIVOT_RTOL * frob(a[:p, :p]) for p in range(block, n + 1, block)]
     for p in range(n, 0, -block):
         try:
             L = cholesky(a[:p, :p])
@@ -204,14 +215,14 @@ def solve_pd(a, rhs, family, index):
     return solve_factored(L, rhs)
 
 
+@_lapack("Singular matrix")
 def solve_factored(L, rhs):
     """Solve L L^H x = rhs for a lower Cholesky factor L from cholesky_pd, or for a stack of them.
 
     Two backward stable LAPACK solves, solve's kernel on L and then on
-    L^H, under one errstate; no inverse of the factor is formed.
+    L^H, under solve's errstate, entered once; no inverse of the factor is formed.
     """
-    with _lapack(_singular):
-        return _solve(adjoint(L), _solve(L, rhs))
+    return solve.__wrapped__(adjoint(L), solve.__wrapped__(L, rhs))
 
 
 def min_eigenvalue(a):
@@ -298,8 +309,8 @@ def guard_cond(mats, error, points):
     below 10).  ||A|| ||X|| <= COND_LIMIT / 2 = 5e11 keeps ||R|| below 1/2,
     so ||A^-1|| = ||X (I + R)^-1|| <= 2 ||X|| and kappa_2(A) <= COND_LIMIT.
     A matrix whose bound is larger or not finite, and every matrix of a
-    stack that inv refuses, gets np.linalg.cond; so every failure
-    and every cond it carries come from that SVD.
+    stack that inv refuses, gets cond; so every failure and every cond it
+    carries come from that SVD.
     """
     flat = mats.reshape(-1, *mats.shape[-2:])
     q = flat.shape[-1]
@@ -309,7 +320,7 @@ def guard_cond(mats, error, points):
     # fails, which makes the later ones irrelevant.
     finite = np.isfinite(flat).all(axis=(1, 2))
     stop = len(flat) if finite.all() else int(np.argmin(finite))
-    cond = np.full(len(flat), np.nan)
+    kappa = np.full(len(flat), np.nan)
     try:
         inverses = inv(flat[:stop])
     except LinAlgError:   # an exactly singular matrix
@@ -317,15 +328,15 @@ def guard_cond(mats, error, points):
         svd = np.arange(stop)
     else:
         with np.errstate(over="ignore"):
-            cond[:stop] = (q * np.abs(flat[:stop]).max(axis=(1, 2))) * (
+            kappa[:stop] = (q * np.abs(flat[:stop]).max(axis=(1, 2))) * (
                 q * np.abs(inverses).max(axis=(1, 2)))
-        svd = np.flatnonzero(~(cond[:stop] <= COND_LIMIT / 2))
+        svd = np.flatnonzero(~(kappa[:stop] <= COND_LIMIT / 2))
     if svd.size:
-        cond[svd] = np.linalg.cond(flat[svd])
-    bad = ~np.isfinite(cond) | (cond > COND_LIMIT)
+        kappa[svd] = cond(flat[svd])
+    bad = ~np.isfinite(kappa) | (kappa > COND_LIMIT)
     rows = bad.reshape(len(points), math.prod(mats.shape[1:-2]))
     points.fail(rows.any(axis=1),
-                lambda i: error(cond[i * rows.shape[1] + int(np.argmax(rows[i]))]))
+                lambda i: error(kappa[i * rows.shape[1] + int(np.argmax(rows[i]))]))
     shape = (len(points),) + mats.shape[1:]
     keep = math.prod(shape[:-2])
     if inverses is None:

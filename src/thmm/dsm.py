@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from ._linalg import (
     inv,
     rel_residual,
     scaled_cond,
+    skew_norms,
     solve,
     solve_factored,
     solve_pd,
@@ -120,9 +122,11 @@ class DsmFirst:
 
 
 def _forms(hank, family):
-    """The Hermitian forms of the members of a family, and their increments (form_0 first)."""
-    forms = [hermitize(hank.form(family, j)) for j in range(len(getattr(hank, family)))]
-    return forms, forms[:1] + [forms[j] - forms[j - 1] for j in range(1, len(forms))]
+    """The Hermitian forms of the members of a family, and their increments (form_0 first), as stacks."""
+    count, q = len(getattr(hank, family)), hank.seq.q
+    forms = hermitize(np.array([hank.form(family, j) for j in range(count)],
+                               dtype=complex).reshape(count, q, q))
+    return forms, np.concatenate([forms[:1], forms[1:] - forms[:-1]])
 
 
 def rungs(chain, parity):
@@ -172,20 +176,20 @@ def compute_second(fam):
 
     that_qf, mhat_qf = _forms(hank, "K1")
     qf, lhat_qf = _forms(hank, "H2")
-    rhat_qf = [np.array(s0)] + [s0 + x for x in qf]
+    rhat_qf = np.concatenate([s0[None], s0 + qf])
 
     # polynomial route, solved against the complements e_2j - Y_j^* x_j
     # themselves: through the family factor, whose diagonal blocks also give
     # the quadratic forms, the routes would agree far closer than either is right
-    at_a = fam.at_a
-    mhat_poly = []
-    for j in range(len(that_qf)):
-        val = at_a(fam.g1[j])
-        mhat_poly.append(val.conj().T @ solve(hank.complements("K1")[j], val))
-    lhat_poly = []
-    for j in range(len(qf)):
-        val = at_a(fam.q2[j])
-        lhat_poly.append(val.conj().T @ solve(hank.complements("H2")[j], val))
+    def solved(family, polys, count):
+        """val_j^* C_j^{-1} val_j for j < count, val_j = polys[j](a) and C_j complement j, stacked."""
+        vals = np.array([fam.at_a(polys[j]) for j in range(count)], dtype=complex)
+        mats = np.array([hank.complements(family)[j] for j in range(count)], dtype=complex)
+        shape = (count, seq.q, seq.q)
+        return adjoint(vals.reshape(shape)) @ solve(mats.reshape(shape), vals.reshape(shape))
+
+    mhat_poly = solved("K1", fam.g1, len(that_qf))
+    lhat_poly = solved("H2", fam.q2, len(qf))
     rhat_poly = [fam.quotient(fam.g1[j], fam.t1[j])
                  for j in range(min(len(qf) + 1, len(fam.g1), len(fam.t1)))]
     that_poly = [fam.quotient(fam.q2[j], fam.p2[j])
@@ -199,7 +203,7 @@ def compute_second(fam):
 
     return DsmSecond(
         q=seq.q, a=seq.a, b=seq.b,
-        rhat=tuple(hermitize(x) for x in rhat_qf),
+        rhat=tuple(hermitize(rhat_qf)),
         that=tuple(that_qf),
         mhat=tuple(mhat_qf),
         lhat=(np.array(s0),) + tuple(lhat_qf),
@@ -216,14 +220,15 @@ def compute_first(fam):
 def _ladder(inv_m, inv_l, q):
     """W_j = prod_{k<j} mhat_k^{-1} lhat_k^{-1}, X_j = W_j mhat_j^{-1}, and the
     Schur complements the parameters predict, khat1_j = X_j W_j^* and
-    hhat2_j = X_j lhat_j^{-1} X_j^*, from the inverses of the parameters.
+    hhat2_j = X_j lhat_j^{-1} X_j^*, as stacks, from the stacks of the inverses of the parameters.
     """
     W = [np.eye(q, dtype=complex)]
     for k in range(min(len(inv_m), len(inv_l))):
         W.append(W[-1] @ inv_m[k] @ inv_l[k])
-    X = [W[j] @ inv_m[j] for j in range(min(len(W), len(inv_m)))]
-    khat1 = [x @ w.conj().T for x, w in zip(X, W)]
-    hhat2 = [x @ il @ x.conj().T for x, il in zip(X, inv_l)]
+    W = np.array(W)
+    X = W[:len(inv_m)] @ inv_m[:len(W)]
+    khat1 = X @ adjoint(W[:len(X)])
+    hhat2 = X[:len(inv_l)] @ inv_l[:len(X)] @ adjoint(X[:len(inv_l)])
     return W, X, khat1, hhat2
 
 
@@ -241,6 +246,8 @@ def product_identities(fam, dsm, first):
     mh = dsm.mhat
     lh = dsm.lhat_from_zero
     s0 = dsm.s0
+    # sum(mh[:j]) and sum(lh[:j]) at each j, added in the order sum() adds them
+    mh_sums, lh_sums = (list(itertools.accumulate(chain, initial=0)) for chain in (mh, lh))
 
     inv_m, inv_l = (solve_factored(_chain_factors(chain, q, name, SingularPivot)[1], eye)
                     for name, chain in (("mhat", mh), ("lhat", lh)))
@@ -257,22 +264,20 @@ def product_identities(fam, dsm, first):
     for j in range(1, min(len(fam.g1), len(W))):
         add("g1_alternating_product", j, at_a(fam.g1[j]), (-1.0) ** j * W[j])
     for j in range(1, min(len(fam.t1), len(W))):
-        acc = s0 + sum(lh[:j]) if j >= 1 else s0
-        add("t1_alternating_product", j, at_a(fam.t1[j]), (-1.0) ** j * W[j] @ acc)
+        add("t1_alternating_product", j, at_a(fam.t1[j]), (-1.0) ** j * W[j] @ (s0 + lh_sums[j]))
 
     for j in range(1, min(len(fam.p2), len(fam.q2), len(mh))):
         p2a = at_a(fam.p2[j])
         q2a = at_a(fam.q2[j])
-        add("p2_sum_through_current", j, p2a, q2a @ sum(mh[:j + 1]))
-        add("p2_sum_through_previous", j, p2a, q2a @ sum(mh[:j]))
+        add("p2_sum_through_current", j, p2a, q2a @ mh_sums[j + 1])
+        add("p2_sum_through_previous", j, p2a, q2a @ mh_sums[j])
 
     for j in range(min(len(fam.q2), len(fam.g1), len(inv_m))):
         add("q2_from_g1", j, at_a(fam.q2[j]), at_a(fam.g1[j]) @ inv_m[j])
     for j in range(1, min(len(fam.g1), len(fam.q2) + 1, len(inv_l) + 1)):
         add("g1_from_q2", j, at_a(fam.g1[j]), -at_a(fam.q2[j - 1]) @ inv_l[j - 1])
     for j in range(1, min(len(fam.t1), len(fam.g1))):
-        acc = s0 + sum(lh[:j])
-        add("t1_from_g1", j, at_a(fam.t1[j]), at_a(fam.g1[j]) @ acc)
+        add("t1_from_g1", j, at_a(fam.t1[j]), at_a(fam.g1[j]) @ (s0 + lh_sums[j]))
 
     # Schur complements rebuilt from the parameters
     for j in range(min(len(khat1), len(khat1_pred))):
@@ -349,7 +354,8 @@ def _chain_factors(chain, q, name, error, hermitian_rtol=None):
     stack = np.array(chain, dtype=complex)
     skew = np.zeros(len(stack), dtype=bool)
     if hermitian_rtol is not None:
-        skew = frobs(stack - adjoint(stack)) > hermitian_rtol * (1.0 + frobs(stack))
+        skew, size = skew_norms(stack)
+        skew = skew > hermitian_rtol * (1.0 + size)
         stack = hermitize(stack)
     try:
         factors = cholesky(stack)

@@ -223,6 +223,12 @@ def _template(obj, indent, floats):
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
             return "[" + ", ".join([_number(v, floats) for v in obj]) + "]"
         pad = "  " * indent
+        # complex matrices of one shape go out as one stack, in one row template
+        kinds = {(v.dtype.kind, v.ndim, v.shape) if type(v) is np.ndarray else None for v in obj}
+        if kinds == {("c", 2, getattr(obj[0], "shape", None))}:
+            floats.extend(np.array(obj, dtype=complex).view(float).ravel().tolist())
+            row = pad + "  " + _matrix_template(*obj[0].shape, indent + 1)
+            return "[\n" + ",\n".join([row] * len(obj)) + "\n" + pad + "]"
         items = [pad + "  " + _template(val, indent + 1, floats) for val in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "c":

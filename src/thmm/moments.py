@@ -41,9 +41,9 @@ from ._linalg import (
     adjoint,
     cholesky_pd,
     frob,
-    frobs,
     hermitize,
     min_eigenvalue,
+    skew_norms,
     solve,
     solve_factored,
 )
@@ -52,6 +52,7 @@ from .errors import (
     InsufficientMoments,
     InvalidMomentSequence,
     PointOutsideInterval,
+    PreconditionFailure,
     SingularPivot,
 )
 
@@ -75,7 +76,8 @@ def _square_matrix(x, q=None, what="matrix"):
 
 def _skew(stack):
     """Whether each matrix of a stack is less Hermitian than DEFAULT_HERMITIAN_RTOL allows."""
-    return frobs(stack - adjoint(stack)) > DEFAULT_HERMITIAN_RTOL * (1.0 + frobs(stack))
+    skew, size = skew_norms(stack)
+    return skew > DEFAULT_HERMITIAN_RTOL * (1.0 + size)
 
 
 def _each_moment(s):
@@ -121,6 +123,7 @@ class MomentSequence:
     s: tuple
     q: int = dataclasses.field(init=False)
 
+    @np.errstate(over="ignore", invalid="ignore")   # classify or render_json refuses an overflow
     def __post_init__(self):
         a, b = finite_interval(self.a, self.b)
         if not len(self.s):
@@ -145,32 +148,30 @@ class MomentSequence:
         return len(self.s) - 1
 
 
-# Entry k of each Hankel family from the moments s on [a, b], how many
-# moments past s_k it reads, and the head block of the family's second-kind
+# The entries e_0, e_1, ... of each Hankel family as one stack, from the stack s
+# of the moments on [a, b], and the head block of the family's second-kind
 # column: the one definition of each family.
 _ENTRIES = {
-    "H1": (0, lambda s, a, b, k: s[k], lambda s, a, b: np.zeros_like(s[0])),
-    "H2": (2, lambda s, a, b, k: -a * b * s[k] + (a + b) * s[k + 1] - s[k + 2],
+    "H1": (lambda s, a, b: s, lambda s, a, b: np.zeros_like(s[0])),
+    "H2": (lambda s, a, b: -a * b * s[:-2] + (a + b) * s[1:-1] - s[2:],
            lambda s, a, b: -(a + b) * s[0] + s[1]),
-    "K1": (1, lambda s, a, b, k: b * s[k] - s[k + 1], lambda s, a, b: s[0]),
-    "K2": (1, lambda s, a, b, k: -a * s[k] + s[k + 1], lambda s, a, b: -s[0]),
+    "K1": (lambda s, a, b: b * s[:-1] - s[1:], lambda s, a, b: s[0]),
+    "K2": (lambda s, a, b: -a * s[:-1] + s[1:], lambda s, a, b: -s[0]),
 }
 
 
 def hankel_entries(family, s, a, b):
-    """The entries e_0, e_1, ... of a Hankel family that the moments s on [a, b] give."""
-    reach, entry, _ = _ENTRIES[family]
-    return tuple(entry(s, a, b, k) for k in range(len(s) - reach))
+    """The entries e_0, e_1, ... of a Hankel family that the moments s on [a, b] give, stacked."""
+    return _ENTRIES[family][0](np.asarray(s), a, b)
 
 
 def hankel_from_entries(entries, j):
     """Block Hankel {e_{l+k}}_{l,k=0..j} assembled from a flat entry list."""
-    q = entries[0].shape[0]
-    out = np.empty(((j + 1) * q, (j + 1) * q), dtype=complex)
-    for l in range(j + 1):
-        for k in range(j + 1):
-            out[l * q:(l + 1) * q, k * q:(k + 1) * q] = entries[l + k]
-    return out
+    e = np.asarray(entries[:2 * j + 1], dtype=complex)
+    q = e.shape[-1]
+    index = np.arange(j + 1)
+    blocks = e[index[:, None] + index]   # block (l, k) is e_{l+k}
+    return blocks.transpose(0, 2, 1, 3).reshape((j + 1) * q, (j + 1) * q)
 
 
 class Kept(collections.abc.Sequence):
@@ -188,9 +189,9 @@ class Kept(collections.abc.Sequence):
         return len(self._items)
 
     def __getitem__(self, j):
-        j = range(len(self._items))[j]   # IndexError past the end; a negative j counts from it
-        item = self._items[j]
+        item = self._items[j]   # IndexError past the end; a negative j counts from it
         if item is None:
+            j %= len(self._items)
             item = self._items[j] = self._make(j)
         return item
 
@@ -333,7 +334,7 @@ class HankelSet:
             raise InsufficientMoments(
                 f"second-kind column {j} of {family} needs moments beyond the supplied m={seq.m}"
             )
-        head = _ENTRIES[family][2](seq.s, seq.a, seq.b)
+        head = _ENTRIES[family][1](seq.s, seq.a, seq.b)
         return np.concatenate([head] + [-e for e in entries[:j]], axis=0)
 
     def column(self, family, j):
@@ -417,12 +418,16 @@ class HankelSet:
         return w[:(j + 1) * self.seq.q]
 
 
+@np.errstate(over="ignore", invalid="ignore")   # classify refuses an entry that overflows
 def build_hankels(seq):
     """The four families of the moments: each its largest member and that member's leading blocks."""
     entries, members = {}, {}
+    s = np.array(seq.s)
+    s.flags.writeable = False   # the H1 entries are its matrices
     for family in _ENTRIES:
-        e = entries[family] = hankel_entries(family, seq.s, seq.a, seq.b)
-        if not e:
+        e = hankel_entries(family, s, seq.a, seq.b)
+        entries[family] = tuple(e)
+        if not len(e):
             members[family] = ()
             continue
         largest = hankel_from_entries(e, (len(e) - 1) // 2)
@@ -456,7 +461,8 @@ def classify(hank):
     pair, the largest members of their families; the set keeps those
     factors.  On failure the offending matrix and its smallest eigenvalue
     are reported; an eigenvalue below the negative pivot threshold means
-    Indefinite, otherwise Degenerate.
+    Indefinite, otherwise Degenerate.  A failing matrix that overflowed
+    from finite moments has no eigenvalues: PreconditionFailure names it.
     """
     m = hank.seq.m
     if m % 2 == 0:
@@ -470,6 +476,9 @@ def classify(hank):
     for family, j in checks:
         if hank.factor(family, j) is None:
             mat = hank.member(family, j)
+            if not np.isfinite(mat).all():
+                raise PreconditionFailure(
+                    f"{family}[{j}] leaves the float range: classify cannot decide it")
             lam = min_eigenvalue(mat)
             scale = PIVOT_RTOL * (1.0 + frob(mat))
             kind = "Indefinite" if lam < -scale else "Degenerate"

@@ -190,11 +190,12 @@ def build_family(hank):
     # Raise the SingularPivot of the first singular F[j - 1] in one fixed
     # order, whatever is read later: the Schur chain's steps family by
     # family, then the polynomials' up to the top index of each family.
+    # Factors nest, so no F[j - 1] is singular unless F[j_max - 1] is.
     for last in ({family: len(getattr(hank, family)) - 1 for family in top}, top):
         for family, j_max in last.items():
-            for j in range(1, j_max + 1):
-                if hank.factor(family, j - 1) is None:
-                    raise SingularPivot(family, j - 1)
+            if j_max >= 1 and hank.factor(family, j_max - 1) is None:
+                raise SingularPivot(family, next(j for j in range(j_max)
+                                                 if hank.factor(family, j) is None))
 
     row = functools.cache(lambda family, j: _schur_row(hank, family, j, q))
 
@@ -262,16 +263,22 @@ def verify_family_identities(fam):
 
     # the ratio identities run over all the points at once, one check per point
     points = np.array(SAMPLE_POINTS)
-    # R_j(conj z) over the points, built once per j for both ratio identities
-    r_points = functools.cache(lambda j: hank.R_many(j, points.conj()))
+    g2_count = min(len(fam.g2), len(fam.t2), len(hank.H1))
+    q1_count = min(max(len(fam.q1) - 1, 0), max(len(fam.p1) - 1, 0), len(hank.K2))
+    # R_j(conj z) over the points: the leading block of the largest, built
+    # once, in the C order R_many builds (a matmul's rounding can depend on it)
+    r_top = hank.R_many(max(g2_count, q1_count) - 1, points.conj())
+
+    def r_points(j):
+        return np.ascontiguousarray(r_top[:, :(j + 1) * seq.q, :(j + 1) * seq.q])
 
     # a product that leaves the float range gives a residual the report refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(min(len(fam.g2), len(fam.t2), len(hank.H1))):
+        for j in range(g2_count):
             lhs = adjoint_eval(fam.g2[j], points) @ fam.normalizer(fam.t2[j])
             rhs = -adjoint(r_points(j) @ hank.column("H1", j)) @ hank.transfer("H1", j)
             checks.add_stack("ratio_g2_t2", j, lhs, rhs)
-        for j in range(min(max(len(fam.q1) - 1, 0), max(len(fam.p1) - 1, 0), len(hank.K2))):
+        for j in range(q1_count):
             lhs = adjoint_eval(fam.q1[j + 1], points) @ fam.normalizer(fam.p1[j + 1])
             rhs = -adjoint(r_points(j) @ hank.column("K2", j)) @ hank.transfer("K2", j)
             checks.add_stack("ratio_q1_p1", j, lhs, rhs)

@@ -50,7 +50,10 @@ class IdentityChecks:
 
     def add(self, name, j, lhs, rhs):
         """One check of the matrix lhs against rhs at index j."""
-        self.add_stack(name, j, lhs[None], rhs[None])
+        self.names.append(name)
+        self.js.append(j)
+        self.lhs.append(lhs[None])
+        self.rhs.append(rhs[None])
 
     def add_stack(self, name, j, lhs, rhs):
         """One check at index j per matrix of two (K, m, n) stacks."""

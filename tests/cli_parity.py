@@ -40,7 +40,9 @@ replace all of it shows in the digest.  The corpus:
   determinant formula overflows;
 - analyze on the golden q = 1 moments times 1e200, whose route check
   sums overflow, and times 1e307, whose identity residuals leave the
-  float range, and extremal on the latter, whose resolvent does.
+  float range, and extremal on the latter, whose resolvent does;
+- analyze on the golden q = 1 moments times 1e308 and the golden q = 2
+  moments times 1e307, whose symmetrized moments overflow.
 
 Inputs are written with the json module, never by thmm, so every version
 reads the same bytes.  thmm is imported from PYTHONPATH, so one checkout of
@@ -308,6 +310,12 @@ def corpus(workdir):
         yield f"analyze/moments_q1.json/scaled-{factor}", [
             "analyze", "--input", path, "--params-out", str(work / f"scaled_{factor}_params.json")]
     yield "extremal/moments_q1.json/scaled-1e307", ["extremal", "--input", path, "--z=2+1i"]
+    # finite moments whose symmetrized copies overflow
+    for name, factor in (("moments_q1.json", "1e308"), ("moments_q2.json", "1e307")):
+        golden = json.loads((GOLDEN / name).read_text())
+        scaled = {**golden, "moments": (np.array(golden["moments"]) * float(factor)).tolist()}
+        yield f"analyze/{name}/scaled-{factor}", [
+            "analyze", "--input", _write(work / f"scaled_{factor}_{name}", scaled)]
 
     good = str(GOLDEN / "moments_q1.json")
     broken = {

@@ -12,16 +12,17 @@ def family_of(seq):
 
 
 def spy_lapack(monkeypatch):
-    """Record each call of NumPy's solve, inverse and Cholesky kernels, by whatever route.
+    """Record each call of NumPy's solve, inverse, Cholesky and SVD kernels, by whatever route.
 
     Returns a list that gets one (name, operands) per kernel call: name is
-    "solve" (the gufuncs solve and solve1), "inv" or "cholesky"
-    (cholesky_lo).  _linalg's entry points and np.linalg both call these
-    gufuncs, so a solve_factored counts its two solves.
+    "solve" (the gufuncs solve and solve1), "inv", "cholesky"
+    (cholesky_lo) or "svd" (the singular values alone, as cond takes
+    them).  _linalg's entry points and np.linalg both call these gufuncs,
+    so a solve_factored counts its two solves.
     """
     calls = []
     for kernel, name in (("solve", "solve"), ("solve1", "solve"), ("inv", "inv"),
-                         ("cholesky_lo", "cholesky")):
+                         ("cholesky_lo", "cholesky"), ("svd", "svd")):
         real = getattr(_umath_linalg, kernel)
 
         def spy(*operands, real=real, name=name, **kwargs):

@@ -122,12 +122,14 @@ def _names_used(node):
 
 
 def test_every_definition_is_reached_from_a_command():
-    # a name-level call walk from cli.main and the cmd_* functions: a
-    # definition is reached when a reached body names it, however qualified
+    # a name-level call walk from cli.main, the console script's cli.entry
+    # and the cmd_* functions: a definition is reached when a reached body
+    # names it, however qualified
     defs = _definitions()
     nodes = {qual: node for entries in defs.values() for qual, node in entries}
     reached = set()
-    todo = [qual for qual in nodes if qual == "cli.main" or qual.startswith("cli.cmd_")]
+    todo = [qual for qual in nodes
+            if qual in ("cli.main", "cli.entry") or qual.startswith("cli.cmd_")]
     while todo:
         qual = todo.pop()
         if qual not in reached:
@@ -138,9 +140,9 @@ def test_every_definition_is_reached_from_a_command():
 
 
 def test_only_linalg_reaches_the_solve_inverse_and_cholesky_kernels():
-    # _linalg.solve, inv and cholesky are the one dispatch point to these
-    # LAPACK kernels: no other module names np.linalg's or the gufuncs
-    kernels = {"solve", "inv", "cholesky"}
+    # _linalg.solve, inv, cholesky and cond are the one dispatch point to
+    # these LAPACK kernels: no other module names np.linalg's or the gufuncs
+    kernels = {"solve", "inv", "cholesky", "cond", "svd"}
     found = set()
     for path in sorted(Path(thmm.__file__).parent.glob("*.py")):
         if path.name == "_linalg.py":

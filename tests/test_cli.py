@@ -438,9 +438,10 @@ def test_analyze_reads_one_hankel_set(monkeypatch):
     (hank,) = sets
     (fam,) = families
     assert fam.hankels is hank and seen == {id(hank)}
-    # m = 6: R_j(conj z) over the sample points once per j for both ratio
-    # identities; R_j(a) is applied by its recurrence and never built
-    assert sorted(builds) == [0, 1, 2, 3]
+    # m = 6: R_j(conj z) over the sample points built once, at the largest j,
+    # whose leading blocks both ratio identities read for every j; R_j(a) is
+    # applied by its recurrence and never built
+    assert builds == [3]
 
 
 @pytest.mark.parametrize("argv", [
@@ -855,8 +856,8 @@ def test_scalar_report_above_rtol_still_prints_its_report(tmp_path, capsys, mome
 
 
 def test_analyze_and_recover_linalg_counts(tmp_path, monkeypatch, capsys):
-    """The LAPACK solves, inverses and factorizations and the np.linalg.norm calls
-    of analyze --params-out then recover on moments_q2.json.
+    """The LAPACK solves, inverses, factorizations and SVDs and the np.linalg.norm
+    calls of analyze --params-out then recover on moments_q2.json.
 
     The DSM parameter chains are factored and inverted as stacks and the
     moments are checked as one stack; a change that splits a stack again
@@ -873,7 +874,7 @@ def test_analyze_and_recover_linalg_counts(tmp_path, monkeypatch, capsys):
     assert main(["recover", "--input", params]) == 0
     capsys.readouterr()
     counts = collections.Counter(name for name, _ in kernel_calls)
-    assert (len(norms), counts) == (0, {"cholesky": 15, "solve": 81, "inv": 21})
+    assert (len(norms), counts) == (0, {"cholesky": 15, "solve": 77, "inv": 21, "svd": 2})
 
 
 def test_analyze_and_recover_convolve_count(tmp_path, monkeypatch, capsys):
@@ -945,6 +946,23 @@ def test_analyze_refuses_identity_residuals_out_of_float_range(tmp_path, capsys)
     assert code == 3 and captured.out == "" and not params.exists() and not caught
     assert captured.err == (
         "precondition failure: identity ratio_q1_p1 at j=2 leaves the float range\n")
+
+
+@pytest.mark.parametrize("name, scale, member", [("moments_q1.json", 1e308, "K1[2]"),
+                                                  ("moments_q2.json", 1e307, "H1[3]")])
+def test_analyze_refuses_moments_whose_symmetrization_overflows(tmp_path, capsys, name, scale,
+                                                                member):
+    # the moments are finite, but their symmetrized copies, and so the
+    # Hankel member classify decides last, hold inf or NaN entries
+    inp = scaled_golden(tmp_path, scale, name)
+    params = tmp_path / "params.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["analyze", "--input", inp, "--params-out", str(params)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and not params.exists() and not caught
+    assert captured.err == (f"precondition failure: {member} leaves the float range:"
+                            " classify cannot decide it\n")
 
 
 @pytest.mark.parametrize("name", ["moments_q1.json", "moments_q2.json"])

@@ -320,6 +320,37 @@ def test_p2_variant_is_decided_by_the_report():
         assert dsm_module.p2_supported(report) == f"p2_sum_through_{supported}"
 
 
+@pytest.mark.parametrize("moment, mhat", [
+    (lambda k: sympy.Rational(1, k + 1), lambda j: sympy.Integer(2 * j + 2)),
+    (lambda k: sympy.Rational(2, (k + 1) * (k + 2)), lambda j: sympy.Rational(2 * j + 3, 2)),
+], ids=["lebesgue", "beta(1,2)"])
+def test_p2_partial_sum_through_current_holds_exactly(moment, mhat):
+    # q = 1 on [a, b] = [0, 1], in rational arithmetic.  At z = a = 0 the
+    # shift resolvent R_j(a) is I, so P2[j](a) is the first entry of the
+    # Schur row (-x_j, 1) of H2, x_j = H2[j-1]^{-1} (e_j; ..; e_{2j-1}), and
+    # Q2[j](a) = -row . (head; -e_0; ..; -e_{j-1}), e_k = shat_k = s_{k+1} - s_{k+2}
+    # and head = -(a+b) s_0 + s_1
+    top = 6
+    s = [moment(k) for k in range(2 * top + 3)]
+    e = [s[k + 1] - s[k + 2] for k in range(2 * top + 1)]
+    mh = [mhat(j) for j in range(top + 1)]
+    # the closed forms are the increments of that_j = K1[j]^{-1}[0, 0]
+    that = [sympy.Matrix(j + 1, j + 1, lambda l, k: s[l + k] - s[l + k + 1]).inv()[0, 0]
+            for j in range(top + 1)]
+    assert [that[0]] + [that[j] - that[j - 1] for j in range(1, top + 1)] == mh
+    fam = family_of(MomentSequence(0.0, 1.0, tuple(np.array([[float(x)]]) for x in s[:8])))
+    for j in range(top + 1):
+        x = sympy.Matrix(j, j, lambda l, k: e[l + k]).LUsolve(sympy.Matrix(e[j:2 * j]))
+        row = [-v for v in x] + [1]
+        p2 = row[0]
+        q2 = -sum(r * u for r, u in zip(row, [-s[0] + s[1]] + [-v for v in e[:j]]))
+        assert p2 == q2 * sum(mh[:j + 1])          # p2_sum_through_current
+        assert p2 != q2 * sum(mh[:j])              # p2_sum_through_previous fails
+        if j < len(fam.p2):   # the same values as the package's P2[j](a) and Q2[j](a)
+            assert abs(fam.at_a(fam.p2[j])[0, 0] - float(p2)) < 1e-12
+            assert abs(fam.at_a(fam.q2[j])[0, 0] - float(q2)) < 1e-12
+
+
 def test_product_identities_ensemble(rng):
     for q, n in ((2, 2), (3, 2)):
         seq, _ = random_sequence(rng, q, n)

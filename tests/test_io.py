@@ -379,6 +379,65 @@ def test_records_render_as_their_list_of_dicts(k, q, seed, text, transposed, bad
         _reference, {"results": dicts, "k": k})
 
 
+@st.composite
+def _matrix_runs(draw):
+    """A list or tuple of matrices as reports hold them: mostly of one shape, as one run.
+
+    Each item is a complex matrix of the run's shape, C-ordered, Fortran-ordered
+    or the adjoint view of one; in a mixed run an item may also be a
+    matrix of another shape, a number or, where every float is finite, a
+    real 2-D array (render_json refuses its type before any float, the
+    recursive renderer at its place in the text).
+    """
+    finite = draw(st.integers(0, 4)) > 0
+    floats = _FLOATS if finite else st.one_of(_FLOATS, _NONFINITE)
+    shape = draw(st.sampled_from([(1, 1), (2, 2), (3, 3), (0, 2), (2, 0), (2, 3)]))
+    kinds = ["plain", "fortran", "adjoint"]
+    if draw(st.booleans()):
+        kinds += ["other shape", "number"] + ["real"] * finite
+    items = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(kinds))
+        rows, cols = (shape[1], shape[0]) if kind == "adjoint" else shape
+        if kind == "other shape":
+            rows, cols = draw(st.sampled_from([(1, 1), (2, 2), (3, 2)]))
+        parts = draw(st.lists(floats, min_size=2 * rows * cols, max_size=2 * rows * cols))
+        mat = np.array(parts, dtype=float).view(complex).reshape(rows, cols)
+        if kind == "number":
+            items.append(draw(st.one_of(floats, st.integers())))
+        elif kind == "real":
+            items.append(mat.real.copy())
+        elif kind == "fortran":
+            items.append(np.asfortranarray(mat))
+        elif kind == "adjoint":
+            items.append(mat.conj().T)
+        else:
+            items.append(mat)
+    return draw(st.sampled_from([list, tuple]))(items)
+
+
+def _outcome_or_type_error(render, obj):
+    """_outcome, with a TypeError's message as the outcome too."""
+    try:
+        return _outcome(render, obj)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_runs())
+@example([])
+@example(())
+@example([np.zeros((0, 3), dtype=complex)] * 2)
+@example((np.eye(2, dtype=complex), np.eye(2)))
+@example([np.eye(2, dtype=complex), 1.5])
+def test_a_run_of_matrices_renders_as_matrix_by_matrix(run):
+    # a run of complex matrices of one shape goes out as one stack; any
+    # other sequence is walked item by item, as the recursive renderer does
+    for obj in (run, {"q": 2, "run": run, "after": [run]}):
+        assert _outcome_or_type_error(render_json, obj) == _outcome_or_type_error(_reference, obj)
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_write_text_writes_to_a_pipe_as_open_w_does():
     # a pipe is not a regular file: it is written, not truncated

@@ -17,6 +17,7 @@ from thmm._linalg import (
     adjoint,
     cholesky,
     cholesky_pd,
+    cond,
     frob,
     frobs,
     guard_cond,
@@ -33,7 +34,7 @@ from thmm._linalg import (
 )
 from thmm.cli import main
 
-from conftest import random_z_points
+from conftest import random_z_points, spy_lapack
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -169,7 +170,7 @@ def test_cholesky_in_blocks_is_the_leading_factor(rng):
 
 
 def outcome(f, *operands):
-    """f(*operands) as (dtype, shape, bytes), or the LinAlgError it raises; no warning escapes."""
+    """f(*operands) as (type, dtype, shape, bytes), or the LinAlgError it raises; no warning escapes."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -177,7 +178,7 @@ def outcome(f, *operands):
         except np.linalg.LinAlgError as exc:
             result = ("LinAlgError", str(exc))
         else:
-            result = (x.dtype, x.shape, x.tobytes())
+            result = (type(x), x.dtype, x.shape, x.tobytes())
     assert not caught, [str(w.message) for w in caught]
     return result
 
@@ -188,13 +189,13 @@ def matrices(rng, q, stack):
     Complex and real (a strided view) positive definite matrices, the
     adjoint view of their Cholesky factors that solve_factored passes,
     copies with a NaN or an infinite entry in the last matrix, an exactly
-    singular one and a negative definite one.
+    singular one, a zero one and a negative definite one.
     """
     shape = (*stack, q, q)
     g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     pd = g @ adjoint(g) + q * np.eye(q)
     mats = {"complex": pd, "real": pd.real, "adjoint": adjoint(np.linalg.cholesky(pd)),
-            "singular": pd.copy(), "negative": -pd}
+            "singular": pd.copy(), "zero": np.zeros_like(pd), "negative": -pd}
     mats["singular"][..., :, 0] = 0.0
     for name, value in (("nan", np.nan), ("inf", np.inf)):
         mats[name] = pd.copy()
@@ -208,6 +209,7 @@ def test_lapack_entry_points_are_np_linalg_to_the_bit(rng, q, stack):
     for name, a in matrices(rng, q, stack).items():
         assert outcome(inv, a) == outcome(np.linalg.inv, a), name
         assert outcome(cholesky, a) == outcome(np.linalg.cholesky, a), name
+        assert outcome(cond, a) == outcome(np.linalg.cond, a), name
         for shape in ((q,), (q, 1), (q, 3), (*stack, q, 2)):
             b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             for rhs in (b, b.real):
@@ -216,6 +218,34 @@ def test_lapack_entry_points_are_np_linalg_to_the_bit(rng, q, stack):
     assert outcome(solve, a["singular"], np.ones(q)) == ("LinAlgError", "Singular matrix")
     assert outcome(inv, a["singular"]) == ("LinAlgError", "Singular matrix")
     assert outcome(cholesky, a["negative"]) == ("LinAlgError", "Matrix is not positive definite")
+    # an exactly singular or zero matrix has cond inf; a NaN entry fails the SVD
+    for name in ("singular", "zero"):
+        assert np.isinf(cond(a[name])).all()
+    assert outcome(cond, a["nan"]) == ("LinAlgError", "SVD did not converge")
+
+
+def test_lapack_entry_points_enter_an_errstate_made_once(rng):
+    # each errstate is made at import and bound to its function; a call
+    # enters it without constructing one
+    g = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    a = g @ adjoint(g) + np.eye(2)
+    L = cholesky(a)
+    built = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is np.errstate.__init__.__code__:
+            built.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        solve(a, a[:, :, :1])
+        inv(a)
+        cholesky(a)
+        solve_factored(L, a)
+        cond(a)
+    finally:
+        sys.setprofile(None)
+    assert built == []
 
 
 def test_solve_pd_and_inverse():
@@ -374,10 +404,7 @@ def test_right_quotient_svd_failure_is_singular_denominator():
 
 
 def test_non_finite_matrices_get_no_svd(monkeypatch):
-    seen = []
-    real_cond = np.linalg.cond
-    monkeypatch.setattr(_linalg.np.linalg, "cond",
-                        lambda x: seen.append(np.isfinite(x).all()) or real_cond(x))
+    kernel_calls = spy_lapack(monkeypatch)
     eye = np.eye(2)
     # a finite matrix with cond 2e12 ahead of the bad one still gets its SVD
     ill = np.diag([1.0, 1.0 / (2 * COND_LIMIT)])
@@ -392,6 +419,7 @@ def test_non_finite_matrices_get_no_svd(monkeypatch):
         pts = PointPrefix([0.0, 1.0, 2.0])
         right_quotient(np.stack([eye] * 3), np.stack([ill, bad, eye]), points=pts)
         assert len(pts) == 0 and pts.error.cond == pytest.approx(2 * COND_LIMIT)
+    seen = [np.isfinite(ops[0]).all() for name, ops in kernel_calls if name == "svd"]
     assert seen and all(seen)
 
 
@@ -473,14 +501,14 @@ def test_guard_cond_on_an_empty_prefix_records_nothing():
 
 def test_guard_cond_takes_no_svd_on_golden_extremal_at_64_points(monkeypatch, tmp_path):
     svd = []
-    real_cond = np.linalg.cond
+    real_cond = _linalg.cond
 
-    def spy(x, p=None):
+    def spy(x):
         if sys._getframe(1).f_code.co_name == "guard_cond":
             svd.append(len(x))
-        return real_cond(x, p)
+        return real_cond(x)
 
-    monkeypatch.setattr(_linalg.np.linalg, "cond", spy)
+    monkeypatch.setattr(_linalg, "cond", spy)
     rng = np.random.default_rng(64)
     # half on Stieltjes-inversion lines near [a, b] = [-0.5, 1.5], half away from it
     zs = [complex(x, eps) for x, eps in zip(rng.uniform(-0.7, 1.7, 32),
