@@ -86,10 +86,6 @@ ACCURACY_RTOL = 1e-8
 # recover_moments' Hermitian test of a parameter x: ||x - x^*||_F <= it * (1 + ||x||_F)
 PARAM_HERMITIAN_RTOL = 1e-10
 
-# the two printed variants of the P2 partial-sum identity, both in product_identities
-P2_VARIANTS = ("p2_sum_through_current", "p2_sum_through_previous")
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class DsmSecond:
     """Second-type parameter chains; ``lhat`` starts at index -1 (= s_0)."""
@@ -233,11 +229,7 @@ def _ladder(inv_m, inv_l, q):
 
 
 def product_identities(fam, dsm, first):
-    """Residual report for the parameter/polynomial/Schur product identities.
-
-    Two printed variants of the P2 partial-sum identity circulate; both are
-    checked and the notes record which one the numerics support.
-    """
+    """Residual report for the parameter/polynomial/Schur product identities."""
     q = fam.seq.q
     hank = fam.hankels
     hhat1, hhat2, khat1, khat2 = map(hank.complements, ("H1", "H2", "K1", "K2"))
@@ -267,10 +259,7 @@ def product_identities(fam, dsm, first):
         add("t1_alternating_product", j, at_a(fam.t1[j]), (-1.0) ** j * W[j] @ (s0 + lh_sums[j]))
 
     for j in range(1, min(len(fam.p2), len(fam.q2), len(mh))):
-        p2a = at_a(fam.p2[j])
-        q2a = at_a(fam.q2[j])
-        add("p2_sum_through_current", j, p2a, q2a @ mh_sums[j + 1])
-        add("p2_sum_through_previous", j, p2a, q2a @ mh_sums[j])
+        add("p2_sum_through_current", j, at_a(fam.p2[j]), at_a(fam.q2[j]) @ mh_sums[j + 1])
 
     for j in range(min(len(fam.q2), len(fam.g1), len(inv_m))):
         add("q2_from_g1", j, at_a(fam.q2[j]), at_a(fam.g1[j]) @ inv_m[j])
@@ -322,19 +311,7 @@ def product_identities(fam, dsm, first):
     for j in range(min(len(first.L), len(fam.p1) - 1, len(fam.t2))):
         add("l_first_from_polys", j, first.L[j], fam.quotient(fam.p1[j + 1], fam.t2[j]))
 
-    report = checks.report()
-    if P2_VARIANTS[0] not in report.maxima:
-        return report
-    cur, prev = (report.maxima[name] for name in P2_VARIANTS)
-    return dataclasses.replace(report, notes=(
-        f"P2 partial-sum identity: numerics support {p2_supported(report)} "
-        f"(max residuals {cur:.3e} vs {prev:.3e})",))
-
-
-def p2_supported(report):
-    """The P2 variant a product_identities report supports: the smaller largest residual, current on a tie."""
-    cur, prev = (report.maxima.get(name, 0.0) for name in P2_VARIANTS)
-    return P2_VARIANTS[cur > prev]
+    return checks.report()
 
 
 def _chain_factors(chain, q, name, error, hermitian_rtol=None):

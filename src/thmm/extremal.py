@@ -1,10 +1,11 @@
-"""Linear fractional transforms, extremal solutions, matrix continued fractions.
+"""Extremal solutions as block quotients and as matrix continued fractions.
 
-A 2q x 2q matrix acts on q x q matrices through the right-quotient Moebius
-transform (A X + B Y)(C X + D Y)^{-1}.  The constant pairs (I, 0) and
-(0, I) applied to the resolvent give the Krein and Friedrichs extremal
-solutions; the same values arise as block quotients of polynomial values
-and as finite matrix continued fractions driven by the parameter chains:
+The Krein and Friedrichs extremal solutions are the right-quotient Moebius
+transform (A X + B Y)(C X + D Y)^{-1}, by the q x q blocks [[A, B], [C, D]]
+of the resolvent, at the constant pairs (X, Y) = (I, 0) and (0, I).
+extremal_quotient_many evaluates them as block quotients of polynomial
+values, and extremal_cf_many as finite matrix continued fractions driven by
+the parameter chains:
 
   friedrichs / even   s0/(b-z) + 1/(-(z-a)(b-z) mhat_0 + 1/(lhat_0/(b-z) + ..
                       .. + 1/(lhat_{n-1}/(b-z))))
@@ -22,19 +23,11 @@ import dataclasses
 
 import numpy as np
 
-from ._linalg import guard_cond, point_prefix, rel_residuals, right_quotient, scalars
+from ._linalg import guard_cond, point_prefix, right_quotient, scalars
 from .dsm import DsmSecond, compute_first, compute_second, rungs
 from .errors import PointOnInterval, SingularLevel
 from .polynomials import adjoint_eval
-from .resolvent import _check_parity, _order, resolvent_direct_many
-
-
-def _mobius_terms(full, x, y):
-    """A X + B Y and C X + D Y for a (stack of) 2q x 2q block transform(s)."""
-    q = full.shape[-1] // 2
-    a, b = full[..., :q, :q], full[..., :q, q:]
-    c, d = full[..., q:, :q], full[..., q:, q:]
-    return a @ x + b @ y, c @ x + d @ y
+from .resolvent import _check_parity, _order
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -124,12 +117,11 @@ def extremal_cf_many(fam, pts, parity, which):
 class ExtremalSet:
     """Krein and Friedrichs extremal values at K points.
 
-    sK and sF are (K, q, q) stacks; cross_residual has length K.
+    sK and sF are (K, q, q) stacks.
     """
 
     sK: np.ndarray
     sF: np.ndarray
-    cross_residual: np.ndarray
 
 
 @point_prefix
@@ -140,8 +132,6 @@ def extremal_quotient_many(fam, pts, parity):
                  sF = T1[n]^*(zbar) / ((b-z) G1[n]^*(zbar)).
     Odd parity:  sK = -Q2[n]^*(zbar) / ((z-a)(b-z) P2[n]^*(zbar)),
                  sF = -Q1[n+1]^*(zbar) / P1[n+1]^*(zbar).
-    Cross-checked against the Moebius route through the resolvent at the
-    constant pairs (I, 0) and (0, I); the largest deviation is reported.
 
     Returns an ExtremalSet stacked over the points zs.  Failures are as
     point_prefix describes.
@@ -165,12 +155,5 @@ def extremal_quotient_many(fam, pts, parity):
         scale = scalars(lambda x: (x - a) * (b - x), z)[:, None, None]
         den = [scale * adjoint_eval(fam.p2[n], z), adjoint_eval(fam.p1[n + 1], z)]
         pair = -right_quotient(np.stack(num, axis=1), np.stack(den, axis=1), pts)
-    u = resolvent_direct_many(fam, pts, parity)
-    eye = np.eye(seq.q, dtype=complex)
-    zero = np.zeros((seq.q, seq.q), dtype=complex)
-    moebius = right_quotient(
-        *_mobius_terms(u[:, None], np.stack([eye, zero]), np.stack([zero, eye])), pts)
-    sk, sf = pair[:len(pts), 0], pair[:len(pts), 1]
-    cross = np.maximum(rel_residuals(sk, moebius[:, 0]), rel_residuals(sf, moebius[:, 1]))
-    return ExtremalSet(sK=sk, sF=sf, cross_residual=cross)
+    return ExtremalSet(sK=pair[:, 0], sF=pair[:, 1])
 

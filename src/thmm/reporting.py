@@ -17,21 +17,17 @@ from .errors import PreconditionFailure
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class IdentityReport:
-    """The largest relative residual of each named identity, plus free-form notes.
+    """The largest relative residual of each named identity.
 
     maxima maps each name to its largest residual, in the order the names
     were first checked.
     """
 
     maxima: dict
-    notes: tuple = ()
 
     @property
     def max_residual(self):
         return max(self.maxima.values(), default=0.0)
-
-    def max_residual_excluding(self, *names):
-        return max((res for name, res in self.maxima.items() if name not in names), default=0.0)
 
 
 class IdentityChecks:

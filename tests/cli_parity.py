@@ -40,7 +40,8 @@ replace all of it shows in the digest.  The corpus:
   determinant formula overflows;
 - analyze on the golden q = 1 moments times 1e200, whose route check
   sums overflow, and times 1e307, whose identity residuals leave the
-  float range, and extremal on the latter, whose resolvent does;
+  float range, and extremal on the latter, whose resolvent does, though
+  its quotients do not;
 - analyze on the golden q = 1 moments times 1e308 and the golden q = 2
   moments times 1e307, whose symmetrized moments overflow.
 

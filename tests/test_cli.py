@@ -801,8 +801,8 @@ def test_other_exceptions_are_not_caught(monkeypatch):
     ("moments_q2.json", ["factorize"], "residual_vs_direct"),
     ("moments_q2.json", ["extremal", "--which", "krein"], "cross_residual"),
     ("moments_q2.json", ["extremal"], "cross_residual"),
-    ("moments_q1.json", ["extremal", "--which", "krein"], "quotient_vs_moebius_residual"),
-    ("moments_q1.json", ["extremal"], "quotient_vs_moebius_residual"),
+    ("moments_q1.json", ["extremal", "--which", "krein"], "cross_residual"),
+    ("moments_q1.json", ["extremal"], "cross_residual"),
 ])
 def test_a_residual_above_rtol_exits_4_naming_it(moments, argv, key, capsys):
     argv = [*argv, "--input", str(Path(__file__).parent / "golden" / moments), "--z", "2+1i"]
@@ -817,11 +817,7 @@ def test_a_residual_above_rtol_exits_4_naming_it(moments, argv, key, capsys):
                   for r in json.loads(out)["results"]]
     assert err.startswith(f"route mismatch: largest {key} ")
     assert err.endswith(" exceeds --rtol 0\n") and err.count("\n") == 1
-    value = float(err.split()[4])
-    if key == "quotient_vs_moebius_residual":   # larger than the printed residual
-        assert value > float(f"{printed:.3e}")
-    else:
-        assert value == float(f"{printed:.3e}")
+    assert float(err.split()[4]) == float(f"{printed:.3e}")
 
 
 def test_scalar_report_above_rtol_exits_4_naming_it(monkeypatch, capsys):
@@ -989,15 +985,23 @@ def test_commands_near_the_float_range_write_no_warning(tmp_path, capsys, comman
     [], ["--z=-1"], *(["--parity", parity, "--which", which]
                       for parity in ("even", "odd", "auto") for which in ("krein", "friedrichs")),
 ], ids=lambda options: "-".join(o.strip("-=") for o in options) or "default")
-def test_extremal_whose_resolvent_leaves_the_float_range_is_a_precondition_failure(
-        tmp_path, capsys, options):
-    # every point fails the resolvent check before the Moebius quotient checks
-    # its denominators: that quotient then has no point left, and records nothing
-    inp = scaled_golden(tmp_path, 1e307)
-    assert main(["extremal", "--input", inp, "--z=2+1i"] + options) == 3
+def test_extremal_near_the_float_range_is_the_scaled_value(tmp_path, capsys, options):
+    # times 1e307 the resolvent overflows at z = 2+1i, but the extremal values
+    # are block quotients and continued fractions, which scale with the moments
+    argv = ["extremal", "--z=2+1i"] + options
+    assert main(argv + ["--input", str(Path(__file__).parent / "golden" / "moments_q1.json")]) == 0
+    unscaled = json.loads(capsys.readouterr().out)["results"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--input", scaled_golden(tmp_path, 1e307)])
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("precondition failure: resolvent value at z=(2+1j) is not finite\n")
+    assert code == 0 and captured.err == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    results = json.loads(captured.out)["results"]
+    assert len(results) == len(unscaled)
+    for got, one in zip(results, unscaled):
+        value, expected = decode_matrix(got["value"]), 1e307 * decode_matrix(one["value"])
+        assert np.abs(value - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 # --- files a command writes ---------------------------------------------------

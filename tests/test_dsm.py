@@ -27,7 +27,6 @@ from thmm import (
 from thmm import dsm as dsm_module
 from thmm._linalg import min_eigenvalue, rel_residual, scaled_cond
 from thmm.io import read_moment_file, read_parameter_file
-from thmm.reporting import IdentityReport
 from thmm.errors import ThmmError
 
 from conftest import (family_of, lebesgue, limit_errors, random_pd_weight, random_sequence, rel,
@@ -294,7 +293,6 @@ def test_product_identities_desk(leb3):
     assert report.maxima["mhat_from_schur"] < 1e-12
     assert report.maxima["lhat_from_schur"] < 1e-12
     assert report.maxima["p2_sum_through_current"] < 1e-12
-    assert any("p2_sum_through_current" in note for note in report.notes)
 
 
 def test_product_identities_values(leb3):
@@ -309,15 +307,6 @@ def test_product_identities_values(leb3):
     assert abs(q21 - (-1.0 / 12.0)) < 1e-13
     # khat1[0] = mhat_0^{-1}
     assert abs(fam.hankels.complements("K1")[0][0, 0] - 1.0 / dsm.mhat[0][0, 0]) < 1e-13
-
-
-def test_p2_variant_is_decided_by_the_report():
-    # the smaller largest residual is supported, through_current on a tie;
-    # product_identities' note and analyze's gate both read this decision
-    for cur, prev, supported in ((1e-16, 0.5, "current"), (0.5, 1e-16, "previous"),
-                                 (0.25, 0.25, "current")):
-        report = IdentityReport({"p2_sum_through_current": cur, "p2_sum_through_previous": prev})
-        assert dsm_module.p2_supported(report) == f"p2_sum_through_{supported}"
 
 
 @pytest.mark.parametrize("moment, mhat", [
@@ -357,7 +346,7 @@ def test_product_identities_ensemble(rng):
         fam = family_of(seq)
         dsm = compute_second(fam)
         report = product_identities(fam, dsm, compute_first(fam))
-        assert report.max_residual_excluding("p2_sum_through_previous") < 1e-9
+        assert report.max_residual < 1e-9
 
 
 def test_recover_minimal():

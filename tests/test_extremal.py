@@ -89,7 +89,6 @@ def test_cf_equals_quotient_random(rng):
         for parity in ("even", "odd"):
             zs = random_z_points(rng, 5)
             ext = extremal_quotient_many(fam, zs, parity)
-            assert ext.cross_residual.max() < 1e-10
             for which, quo in (("krein", ext.sK), ("friedrichs", ext.sF)):
                 cf = extremal_cf_many(fam, zs, parity, which)
                 for k in range(len(zs)):
@@ -218,7 +217,6 @@ def test_many_is_the_stack_of_single_points(rng):
         for k, z in enumerate(zs):
             one = extremal_quotient_many(fam, [z], parity)
             assert np.array_equal(ext.sK[k], one.sK[0]) and np.array_equal(ext.sF[k], one.sF[0])
-            assert ext.cross_residual[k] == one.cross_residual[0] < 1e-10
     with pytest.raises(PointOnInterval, match=r"\(0.5\+0j\)"):
         extremal_quotient_many(fam, [2.0, 0.5, 0.75], "odd")
 

@@ -6,6 +6,7 @@ command below on those inputs.  A change in any rendered digit, key or
 line fails here.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,13 @@ def test_golden_report(name, tmp_path):
     assert main(argv) == 0
     for expected in outputs.values():
         assert (tmp_path / expected).read_bytes() == (GOLDEN / expected).read_bytes(), expected
+
+
+@pytest.mark.parametrize("name, value", [("analyze_q1.json", "5.440092820663267e-15"),
+                                         ("analyze_q2.json", "1.9344468226395842e-13")])
+def test_max_identity_residual_is_the_largest_printed_one(name, value):
+    # the gate leaves out no printed identity residual, and keeps its bytes
+    text = (GOLDEN / name).read_text()
+    assert f'\n  "max_identity_residual": {value}\n' in text
+    report = json.loads(text)
+    assert report["max_identity_residual"] == max(report["identity_residuals"].values())

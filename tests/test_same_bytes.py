@@ -331,9 +331,6 @@ def test_columnar_reports_keep_each_names_largest_residual(inputs, name, monkeyp
         assert list(report.maxima) == list(expected)
         assert raw(list(report.maxima.values())) == raw(list(expected.values()))
         assert report.max_residual == max(res for _, res in checks)
-        for names in ((), ("p2_sum_through_previous",), ("p2_sum_through_current",)):
-            assert report.max_residual_excluding(*names) == max(
-                (res for other, res in checks if other not in names), default=0.0)
 
 
 @pytest.mark.parametrize("lhs, rhs", [(np.nan, 1.0), (1e308, -1e308)], ids=["nan", "inf"])
