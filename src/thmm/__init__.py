@@ -59,12 +59,6 @@ from .resolvent import (
     resolvent_factorized_many,
     resolvent_factors,
 )
-from .extremal import (
-    ContinuedFractionChain,
-    ExtremalSet,
-    extremal_cf_many,
-    extremal_quotient_many,
-)
-from .reporting import IdentityReport
+from .extremal import extremal_cf_many, extremal_quotient_many
 
 __version__ = "0.1.0"

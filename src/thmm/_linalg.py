@@ -18,8 +18,9 @@ same signature, under the same errstate, only without np.linalg's per-call
 conversions and checks, which cost two to three times the kernel at q <= 4.
 Each errstate is made once, when the module is imported, and bound to its
 function by numpy's decorator form, so a call enters it without building
-it.  Their operands are float64 or complex128 arrays.  eigvalsh, det and
-norm, which are rare or off the hot path, stay np.linalg's.
+it.  Their operands are float64 or complex128 arrays.  eigvalsh and det,
+which are rare or off the hot path, stay np.linalg's; frob and frobs sum
+the Frobenius norm as np.linalg.norm does.
 """
 
 import functools
@@ -288,14 +289,14 @@ def point_prefix(evaluate):
 
 
 def guard_cond(mats, error, points):
-    """Check every matrix of a (K, ..., q, q) stack as np.linalg.cond would one by one.
+    """Check every matrix of a (K, q, q) stack as np.linalg.cond would one by one.
 
-    The leading axis runs over points.zs.  A matrix fails with error(cond)
-    when its 2-norm condition number is not finite or exceeds COND_LIMIT;
-    a matrix with a NaN or infinite entry (an overflowed one) fails with
-    error(nan), without an SVD.  The first failing point is recorded in
-    points (none when no point is left), and the inverses of the points
-    that remain are returned.
+    Matrix k belongs to the point points.zs[k].  A matrix fails with
+    error(cond) when its 2-norm condition number is not finite or exceeds
+    COND_LIMIT; a matrix with a NaN or infinite entry (an overflowed one)
+    fails with error(nan), without an SVD.  The first failing point is
+    recorded in points (none when no point is left), and the inverses of
+    the points that remain are returned.
 
     The inverses (inv) come first, and they decide most matrices
     without an SVD: kappa_2(A) <= ||A||_F ||A^-1||_F <= q max|a_ij| q max|x_ij|
@@ -312,43 +313,37 @@ def guard_cond(mats, error, points):
     stack that inv refuses, gets cond; so every failure and every cond it
     carries come from that SVD.
     """
-    flat = mats.reshape(-1, *mats.shape[-2:])
-    q = flat.shape[-1]
+    q = mats.shape[-1]
     # A stacked SVD fails as a whole on one non-finite matrix, and LAPACK
     # prints to stdout about one, so only the matrices before the first
     # such one are inverted or get a condition number; that one always
     # fails, which makes the later ones irrelevant.
-    finite = np.isfinite(flat).all(axis=(1, 2))
-    stop = len(flat) if finite.all() else int(np.argmin(finite))
-    kappa = np.full(len(flat), np.nan)
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    stop = len(mats) if finite.all() else int(np.argmin(finite))
+    kappa = np.full(len(mats), np.nan)
     try:
-        inverses = inv(flat[:stop])
+        inverses = inv(mats[:stop])
     except LinAlgError:   # an exactly singular matrix
         inverses = None
         svd = np.arange(stop)
     else:
         with np.errstate(over="ignore"):
-            kappa[:stop] = (q * np.abs(flat[:stop]).max(axis=(1, 2))) * (
+            kappa[:stop] = (q * np.abs(mats[:stop]).max(axis=(1, 2))) * (
                 q * np.abs(inverses).max(axis=(1, 2)))
         svd = np.flatnonzero(~(kappa[:stop] <= COND_LIMIT / 2))
     if svd.size:
-        kappa[svd] = cond(flat[svd])
-    bad = ~np.isfinite(kappa) | (kappa > COND_LIMIT)
-    rows = bad.reshape(len(points), math.prod(mats.shape[1:-2]))
-    points.fail(rows.any(axis=1),
-                lambda i: error(kappa[i * rows.shape[1] + int(np.argmax(rows[i]))]))
-    shape = (len(points),) + mats.shape[1:]
-    keep = math.prod(shape[:-2])
+        kappa[svd] = cond(mats[svd])
+    points.fail(~np.isfinite(kappa) | (kappa > COND_LIMIT), lambda i: error(kappa[i]))
     if inverses is None:
-        inverses = inv(flat[:keep])
-    return inverses[:keep].reshape(shape)
+        inverses = inv(mats[:len(points)])
+    return inverses[:len(points)]
 
 
 def right_quotient(num, den, points):
-    """num @ inv(den) for (K, ..., q, q) stacks of matrices, by a solve with den.
+    """num @ inv(den) for (K, q, q) stacks of matrices, by a solve with den.
 
-    The leading axis runs over points.zs.  Each denominator is checked by
-    guard_cond first and a failure is SingularDenominator; the inverses
+    Matrix k belongs to the point points.zs[k].  Each denominator is checked
+    by guard_cond first and a failure is SingularDenominator; the inverses
     guard_cond forms go unused, since a product with them would round
     differently.  The quotients of the points that remain are returned.
     """

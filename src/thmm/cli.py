@@ -95,10 +95,9 @@ def cmd_analyze(args):
         "M": first.M,
         "L": first.L,
     }
-    fam_report = verify_family_identities(fam)
-    prod_report = product_identities(fam, dsm, first)
-    report["identity_residuals"] = {**fam_report.maxima, **prod_report.maxima}
-    report["max_identity_residual"] = max(fam_report.max_residual, prod_report.max_residual)
+    residuals = {**verify_family_identities(fam), **product_identities(fam, dsm, first)}
+    report["identity_residuals"] = residuals
+    report["max_identity_residual"] = max(residuals.values(), default=0.0)
     _emit(report, args.output)
     if args.params_out:
         tio.write_text(args.params_out, tio.render_json(tio.parameter_file_dict(seq, dsm)))
@@ -154,10 +153,9 @@ def cmd_factorize(args):
 def cmd_extremal(args):
     fam, parity, points = _evaluation_input(args)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # as in cmd_factorize
-        ext = extremal_quotient_many(fam, points, parity)
+        quotient_values = extremal_quotient_many(fam, points, parity, args.which)
         cf_values = extremal_cf_many(fam, points, parity, args.which)
     points.finish()
-    quotient_values = ext.sK if args.which == "krein" else ext.sF
     cross = _residuals(cf_values, quotient_values)
     results = tio.Records(z=points.zs, which=args.which, parity=parity, value=quotient_values,
                           route="quotient", cross_residual=cross)

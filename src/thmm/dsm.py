@@ -90,9 +90,6 @@ PARAM_HERMITIAN_RTOL = 1e-10
 class DsmSecond:
     """Second-type parameter chains; ``lhat`` starts at index -1 (= s_0)."""
 
-    q: int
-    a: float
-    b: float
     rhat: tuple
     that: tuple
     mhat: tuple
@@ -111,8 +108,6 @@ class DsmSecond:
 class DsmFirst:
     """First-type parameter chains M_j, L_j (left endpoint only)."""
 
-    q: int
-    a: float
     M: tuple
     L: tuple
 
@@ -198,7 +193,6 @@ def compute_second(fam):
         _agree("that", that_qf, that_poly)
 
     return DsmSecond(
-        q=seq.q, a=seq.a, b=seq.b,
         rhat=tuple(hermitize(rhat_qf)),
         that=tuple(that_qf),
         mhat=tuple(mhat_qf),
@@ -210,7 +204,7 @@ def compute_first(fam):
     """First-type parameters M_j (H1 forms) and L_j (K2 forms) of a PolynomialFamily."""
     hank = fam.hankels
     M, L = _forms(hank, "H1")[1], _forms(hank, "K2")[1]
-    return DsmFirst(q=fam.seq.q, a=fam.seq.a, M=tuple(M), L=tuple(L))
+    return DsmFirst(M=tuple(M), L=tuple(L))
 
 
 def _ladder(inv_m, inv_l, q):
@@ -229,7 +223,7 @@ def _ladder(inv_m, inv_l, q):
 
 
 def product_identities(fam, dsm, first):
-    """Residual report for the parameter/polynomial/Schur product identities."""
+    """{name: largest relative residual} of the parameter/polynomial/Schur product identities."""
     q = fam.seq.q
     hank = fam.hankels
     hhat1, hhat2, khat1, khat2 = map(hank.complements, ("H1", "H2", "K1", "K2"))

@@ -114,8 +114,10 @@ class MomentSequence:
     stack, and s holds its matrices, views of it.  Only moments that fail
     are checked again one by one, so that the error names the first failing
     moment and test as that loop meets them: the shape of s_j, then its
-    finiteness, then its Hermiticity, then s_{j+1}.  Instances are
-    immutable and safe to share.
+    finiteness, then its Hermiticity, then s_{j+1}.  Finite moments whose
+    symmetrized copies overflow raise PreconditionFailure naming the first
+    such s_j: a sequence out of the float range certifies nothing.
+    Instances are immutable and safe to share.
     """
 
     a: float
@@ -123,7 +125,7 @@ class MomentSequence:
     s: tuple
     q: int = dataclasses.field(init=False)
 
-    @np.errstate(over="ignore", invalid="ignore")   # classify or render_json refuses an overflow
+    @np.errstate(over="ignore", invalid="ignore")   # an overflow of hermitize is refused below
     def __post_init__(self):
         a, b = finite_interval(self.a, self.b)
         if not len(self.s):
@@ -136,6 +138,10 @@ class MomentSequence:
                 and np.isfinite(stack).all() and not _skew(stack).any()):
             stack = _each_moment(self.s)
         stack = hermitize(stack)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            raise PreconditionFailure(
+                f"s_{int(np.argmin(finite))} leaves the float range when symmetrized")
         stack.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -506,7 +512,7 @@ class DiscreteMeasure:
         for i, raw in enumerate(self.weights):
             w = _square_matrix(raw, q, what=f"weight_{i}")
             q = w.shape[0]
-            if np.linalg.norm(w - w.conj().T) > DEFAULT_HERMITIAN_RTOL * (1.0 + np.linalg.norm(w)):
+            if _skew(w[None])[0]:
                 raise InvalidMomentSequence(f"weight_{i} is not Hermitian")
             w = hermitize(w)
             if min_eigenvalue(w) < -PIVOT_RTOL * (1.0 + frob(w)):

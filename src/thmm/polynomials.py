@@ -236,7 +236,7 @@ SAMPLE_POINTS = (
 
 
 def verify_family_identities(fam):
-    """Residual report for the polynomial-level identities.
+    """{name: largest relative residual} of the polynomial-level identities.
 
     Covers the four Schur-complement product identities at z = a, the
     two resolvent-quotient identities at SAMPLE_POINTS, and the two

@@ -1,33 +1,16 @@
 """Residual reports produced by the identity-verification operations.
 
 IdentityChecks gathers the checks of one operation as (lhs, rhs) stacks
-and takes every residual in one stacked call; its IdentityReport keeps
+and takes every residual in one stacked call; its report is the dict of
 the largest residual of each name.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from ._linalg import rel_residuals
 from .errors import PreconditionFailure
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class IdentityReport:
-    """The largest relative residual of each named identity.
-
-    maxima maps each name to its largest residual, in the order the names
-    were first checked.
-    """
-
-    maxima: dict
-
-    @property
-    def max_residual(self):
-        return max(self.maxima.values(), default=0.0)
 
 
 class IdentityChecks:
@@ -59,13 +42,13 @@ class IdentityChecks:
         self.rhs.append(rhs)
 
     def report(self):
-        """The IdentityReport of the checks.
+        """{name: largest relative residual} of the checks, names in the order first checked.
 
         PreconditionFailure naming the first check whose residual is not
         finite: its matrices left the float range, so it certifies nothing.
         """
         if not self.names:
-            return IdentityReport({})
+            return {}
         with np.errstate(over="ignore", invalid="ignore"):   # a non-finite residual is refused
             residuals = rel_residuals(np.concatenate(self.lhs), np.concatenate(self.rhs))
         bad = ~np.isfinite(residuals)
@@ -77,4 +60,4 @@ class IdentityChecks:
         for name, res in zip(self.names, residuals.tolist()):
             if name not in maxima or res > maxima[name]:
                 maxima[name] = res
-        return IdentityReport(maxima)
+        return maxima

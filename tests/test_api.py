@@ -61,9 +61,7 @@ EXPORTS = {
     # resolvent
     "resolvent_direct_many", "resolvent_factorized_many", "resolvent_factors",
     # extremal
-    "ContinuedFractionChain", "ExtremalSet", "extremal_cf_many", "extremal_quotient_many",
-    # reporting
-    "IdentityReport",
+    "extremal_cf_many", "extremal_quotient_many",
 }
 
 

@@ -286,8 +286,7 @@ def test_multi_z_matches_per_point_calls(tmp_path, capsys, rng):
             results = json.loads(out)["results"]
             assert [complex(*res["z"]) for res in results] == zs
             for z, res in zip(zs, results):
-                ext = extremal_quotient_many(fam, [z], parity)
-                want = (ext.sK if which == "krein" else ext.sF)[0]
+                want = extremal_quotient_many(fam, [z], parity, which)[0]
                 assert rel(decode_matrix(res["value"]), want) <= 1e-12
                 assert rel(extremal_cf_many(fam, [z], parity, which)[0], want) <= 1e-8
 
@@ -944,21 +943,26 @@ def test_analyze_refuses_identity_residuals_out_of_float_range(tmp_path, capsys)
         "precondition failure: identity ratio_q1_p1 at j=2 leaves the float range\n")
 
 
-@pytest.mark.parametrize("name, scale, member", [("moments_q1.json", 1e308, "K1[2]"),
-                                                  ("moments_q2.json", 1e307, "H1[3]")])
-def test_analyze_refuses_moments_whose_symmetrization_overflows(tmp_path, capsys, name, scale,
-                                                                member):
-    # the moments are finite, but their symmetrized copies, and so the
-    # Hankel member classify decides last, hold inf or NaN entries
+@pytest.mark.parametrize("name, scale, moment", [("moments_q1.json", 1e308, "s_0"),
+                                                  ("moments_q2.json", 1e307, "s_5")])
+@pytest.mark.parametrize("command", [["analyze", "--params-out"],
+                                     ["factorize", "--z=2+1i", "--output"],
+                                     ["extremal", "--z=2+1i", "--output"],
+                                     ["scalar-report", "--output"]],
+                         ids=["analyze", "factorize", "extremal", "scalar-report"])
+def test_commands_refuse_moments_whose_symmetrization_overflows(tmp_path, capsys, command, name,
+                                                                scale, moment):
+    # the moments are finite, but their symmetrized copies hold inf entries:
+    # the moment file is refused as it is read, whatever the command
     inp = scaled_golden(tmp_path, scale, name)
-    params = tmp_path / "params.json"
+    written = tmp_path / "written.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["analyze", "--input", inp, "--params-out", str(params)])
+        code = main([command[0], "--input", inp, *command[1:], str(written)])
     captured = capsys.readouterr()
-    assert code == 3 and captured.out == "" and not params.exists() and not caught
-    assert captured.err == (f"precondition failure: {member} leaves the float range:"
-                            " classify cannot decide it\n")
+    assert code == 3 and captured.out == "" and not written.exists() and not caught
+    assert captured.err == (f"precondition failure: {moment} leaves the float range"
+                            " when symmetrized\n")
 
 
 @pytest.mark.parametrize("name", ["moments_q1.json", "moments_q2.json"])

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,14 +14,13 @@ from thmm import (
     resolvent_direct_many,
 )
 from thmm import extremal
+from thmm._linalg import PointPrefix
+from thmm.cli import main
+from thmm.dsm import rungs
 
 from conftest import family_of, lebesgue, random_measure, random_sequence, random_z_points, rel
 
-
-def chain_at(fam, z, parity, which):
-    """The continued-fraction chain of one extremal solution at the single point z."""
-    return extremal._chain(np.array([complex(z)]), parity,
-                           extremal._chain_params(fam, parity, which))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def cf_at(fam, z, parity, which):
@@ -27,10 +28,12 @@ def cf_at(fam, z, parity, which):
     return extremal_cf_many(fam, [z], parity, which)[0]
 
 
-def cf_of_chain(chain, zs, parity):
-    """The continued fraction a DSM chain drives, at the points zs, evaluated as extremal_cf_many does."""
-    zs = np.array(zs, dtype=complex)
-    return extremal._evaluate(extremal._chain(zs, parity, chain), zs)
+def cf_of_chain(chain, zs, parity, a=0.0, b=1.0):
+    """The continued fraction a DSM chain drives on [a, b] at the points zs, as extremal_cf_many has it."""
+    pts = PointPrefix(zs)
+    value = extremal._fraction(chain, pts, parity, a, b)
+    pts.finish()
+    return value
 
 
 def mobius(u, x, y):
@@ -43,33 +46,33 @@ def test_krein_even_base_case():
     # n = 0: sK(z) = -s_0 / (z - a), the transform of a mass at a
     fam = family_of(lebesgue(0))
     zs = [-1.0, 2.0, 1.5 + 1.0j]
-    ext = extremal_quotient_many(fam, zs, "even")
+    quo = extremal_quotient_many(fam, zs, "even", "krein")
     cf = extremal_cf_many(fam, zs, "even", "krein")
     for k, z in enumerate(zs):
-        assert rel(ext.sK[k], np.array([[-1.0 / (z - 0.0)]])) < 1e-14
-        assert rel(cf[k], ext.sK[k]) < 1e-14
+        assert rel(quo[k], np.array([[-1.0 / (z - 0.0)]])) < 1e-14
+        assert rel(cf[k], quo[k]) < 1e-14
 
 
 def test_friedrichs_even_desk_value():
     # Lebesgue, n = 1, z = -1: (−1 − 5/6) / (2 (−1 − 1/3)) = 11/16
     fam = family_of(lebesgue(2))
-    ext = extremal_quotient_many(fam, [-1.0], "even")
-    assert abs(ext.sF[0, 0, 0] - 11.0 / 16.0) < 1e-13
+    quo = extremal_quotient_many(fam, [-1.0], "even", "friedrichs")
+    assert abs(quo[0, 0, 0] - 11.0 / 16.0) < 1e-13
     assert abs(cf_at(fam, -1.0, "even", "friedrichs")[0, 0] - 11.0 / 16.0) < 1e-13
 
 
 def test_krein_even_desk_value():
     fam = family_of(lebesgue(2))
-    ext = extremal_quotient_many(fam, [-1.0], "even")
-    assert abs(ext.sK[0, 0, 0] - 0.7) < 1e-13
+    quo = extremal_quotient_many(fam, [-1.0], "even", "krein")
+    assert abs(quo[0, 0, 0] - 0.7) < 1e-13
     assert abs(cf_at(fam, -1.0, "even", "krein")[0, 0] - 0.7) < 1e-13
 
 
 def test_odd_desk_values():
     fam = family_of(lebesgue(3))
-    ext = extremal_quotient_many(fam, [-1.0], "odd")
-    assert abs(ext.sK[0, 0, 0] - 25.0 / 36.0) < 1e-13
-    assert abs(ext.sF[0, 0, 0] - 9.0 / 13.0) < 1e-13
+    assert abs(extremal_quotient_many(fam, [-1.0], "odd", "krein")[0, 0, 0] - 25.0 / 36.0) < 1e-13
+    assert abs(extremal_quotient_many(fam, [-1.0], "odd", "friedrichs")[0, 0, 0]
+               - 9.0 / 13.0) < 1e-13
     assert abs(cf_at(fam, -1.0, "odd", "krein")[0, 0] - 25.0 / 36.0) < 1e-13
     assert abs(cf_at(fam, -1.0, "odd", "friedrichs")[0, 0] - 9.0 / 13.0) < 1e-13
 
@@ -77,9 +80,9 @@ def test_odd_desk_values():
 def test_friedrichs_odd_minimal():
     # m = 1 Lebesgue data: sF(z) = 1 / (1/2 - z)
     zs = [-2.0, 3.0]
-    ext = extremal_quotient_many(family_of(lebesgue(1)), zs, "odd")
+    quo = extremal_quotient_many(family_of(lebesgue(1)), zs, "odd", "friedrichs")
     for k, z in enumerate(zs):
-        assert abs(ext.sF[k, 0, 0] - 1.0 / (0.5 - z)) < 1e-13
+        assert abs(quo[k, 0, 0] - 1.0 / (0.5 - z)) < 1e-13
 
 
 def test_cf_equals_quotient_random(rng):
@@ -88,8 +91,8 @@ def test_cf_equals_quotient_random(rng):
         fam = family_of(seq)
         for parity in ("even", "odd"):
             zs = random_z_points(rng, 5)
-            ext = extremal_quotient_many(fam, zs, parity)
-            for which, quo in (("krein", ext.sK), ("friedrichs", ext.sF)):
+            for which in ("krein", "friedrichs"):
+                quo = extremal_quotient_many(fam, zs, parity, which)
                 cf = extremal_cf_many(fam, zs, parity, which)
                 for k in range(len(zs)):
                     assert rel(cf[k], quo[k]) < 1e-8
@@ -99,24 +102,35 @@ def test_cf_q2_point(rng):
     seq, _ = random_sequence(rng, 2, 2)
     fam = family_of(seq)
     z = 2.0 + 1.0j
-    ext = extremal_quotient_many(fam, [z], "odd")
-    assert rel(cf_at(fam, z, "odd", "friedrichs"), ext.sF[0]) < 1e-9
+    quo = extremal_quotient_many(fam, [z], "odd", "friedrichs")
+    assert rel(cf_at(fam, z, "odd", "friedrichs"), quo[0]) < 1e-9
 
 
 def test_chain_depth_and_levels():
     fam = family_of(lebesgue(3))
     dsm, first = compute_second(fam), compute_first(fam)
-    # at z = -1 on [0, 1]: -(z-a)(b-z) = 2, b - z = 2 and -(z-a) = 1
-    chain = chain_at(fam, -1.0, "odd", "krein")
-    assert chain.depth == 3
-    want = (2 * dsm.mhat[0], dsm.lhat_from_zero[0] / 2, 2 * dsm.mhat[1])
-    assert all(np.array_equal(level[0], x) for level, x in zip(chain.levels, want))
-    chain_f = chain_at(fam, -1.0, "odd", "friedrichs")
-    assert chain_f.depth == 4
+    # the odd Krein fraction reads mhat_0, lhat_0, mhat_1, the odd Friedrichs one M_0, L_0, M_1, L_1
+    krein = rungs(dsm, "odd")
+    want = (dsm.mhat[0], dsm.lhat_from_zero[0], dsm.mhat[1])
+    assert len(krein) == 3 and all(np.array_equal(x, y) for x, y in zip(krein, want))
+    friedrichs = rungs(first, "odd")
     want = (first.M[0], first.L[0], first.M[1], first.L[1])
-    assert all(np.array_equal(level[0], x) for level, x in zip(chain_f.levels, want))
-    chain_e = chain_at(family_of(lebesgue(2)), -1.0, "even", "friedrichs")
-    assert chain_e.depth == 2 and chain_e.head is not None
+    assert len(friedrichs) == 4 and all(np.array_equal(x, y) for x, y in zip(friedrichs, want))
+    # at z = -1 on [0, 1]: -(z-a)(b-z) = 2, b - z = 2 and -(z-a) = 1 scale the
+    # levels, and the second-type fraction has the head s_0 / (b - z)
+    s0 = complex(dsm.s0[0, 0])
+    m0, l0, m1 = (complex(x[0, 0]) for x in krein)
+    want = s0 / 2 + 1 / (2 * m0 + 1 / (l0 / 2 + 1 / (2 * m1)))
+    assert abs(cf_of_chain(dsm, [-1.0], "odd")[0, 0, 0] - want) < 1e-13
+    big_m0, big_l0, big_m1, big_l1 = (complex(x[0, 0]) for x in friedrichs)
+    want = 1 / (big_m0 + 1 / (big_l0 + 1 / (big_m1 + 1 / big_l1)))
+    assert abs(cf_of_chain(first, [-1.0], "odd")[0, 0, 0] - want) < 1e-13
+    # the even Friedrichs fraction reads mhat_0, lhat_0 under the same head
+    even = compute_second(family_of(lebesgue(2)))
+    assert len(rungs(even, "even")) == 2
+    m0, l0 = (complex(x[0, 0]) for x in rungs(even, "even"))
+    want = complex(even.s0[0, 0]) / 2 + 1 / (2 * m0 + 1 / (l0 / 2))
+    assert abs(cf_of_chain(even, [-1.0], "even")[0, 0, 0] - want) < 1e-13
 
 
 def test_chain_accepts_prebuilt_params():
@@ -135,16 +149,16 @@ def test_a_passed_chain_reads_the_rungs_of_its_family(rng, m, parity, which):
     fam = family_of(measure.moments(m))
     chain = (compute_second if (which == "friedrichs") == (parity == "even") else compute_first)(fam)
     zs = random_z_points(rng, 6)
-    from_chain = cf_of_chain(chain, zs, parity)
+    from_chain = cf_of_chain(chain, zs, parity, fam.seq.a, fam.seq.b)
     assert from_chain.tobytes() == extremal_cf_many(fam, zs, parity, which).tobytes()
 
 
 @pytest.mark.parametrize("given", ["family"])   # the one source the fractions take
 @pytest.mark.parametrize("call", [
-    lambda fam, parity, which: chain_at(fam, 2 + 1j, parity, which),
     lambda fam, parity, which: cf_at(fam, 2 + 1j, parity, which),
     lambda fam, parity, which: extremal_cf_many(fam, [2 + 1j, -1.0], parity, which),
-], ids=["chain", "cf", "cf_many"])
+    lambda fam, parity, which: extremal_quotient_many(fam, [2 + 1j, -1.0], parity, which),
+], ids=["cf", "cf_many", "quotient"])
 @pytest.mark.parametrize("which", ["krein", "friedrichs"])
 def test_a_bad_parity_is_refused_whatever_the_source(call, given, which):
     with pytest.raises(ValueError) as info:
@@ -154,7 +168,7 @@ def test_a_bad_parity_is_refused_whatever_the_source(call, given, which):
 
 def test_singular_level():
     # a zero M_0 makes the one level -(z - a) M_0 of the Krein fraction zero
-    chain = DsmFirst(q=1, a=0.0, M=(np.zeros((1, 1), dtype=complex),), L=())
+    chain = DsmFirst(M=(np.zeros((1, 1), dtype=complex),), L=())
     with pytest.raises(SingularLevel):
         cf_of_chain(chain, [2.0], "even")
 
@@ -162,18 +176,18 @@ def test_singular_level():
 def test_point_on_interval_rejected():
     fam = family_of(lebesgue(3))
     with pytest.raises(PointOnInterval):
-        extremal_quotient_many(fam, [0.25], "odd")
+        extremal_quotient_many(fam, [0.25], "odd", "krein")
     # points just off the interval are accepted
-    extremal_quotient_many(fam, [0.25 + 0.5j], "odd")
+    extremal_quotient_many(fam, [0.25 + 0.5j], "odd", "krein")
 
 
 def test_hermitian_for_real_z_off_interval(rng):
     seq, _ = random_sequence(rng, 2, 2)
     fam = family_of(seq)
     for parity in ("even", "odd"):
-        ext = extremal_quotient_many(fam, [-2.0, 3.5], parity)
-        for v in (*ext.sK, *ext.sF):
-            assert np.linalg.norm(v - v.conj().T) < 1e-9 * (1 + np.linalg.norm(v))
+        for which in ("krein", "friedrichs"):
+            for v in extremal_quotient_many(fam, [-2.0, 3.5], parity, which):
+                assert np.linalg.norm(v - v.conj().T) < 1e-9 * (1 + np.linalg.norm(v))
 
 
 def test_solution_transform_constant_pairs(rng):
@@ -181,10 +195,10 @@ def test_solution_transform_constant_pairs(rng):
     fam = family_of(seq)
     z = -1.5
     (u,) = resolvent_direct_many(fam, [z], "odd")
-    ext = extremal_quotient_many(fam, [z], "odd")
     eye, zero = np.eye(2), np.zeros((2, 2))
-    assert rel(mobius(u, eye, zero), ext.sK[0]) < 1e-10
-    assert rel(mobius(u, zero, eye), ext.sF[0]) < 1e-10
+    assert rel(mobius(u, eye, zero), extremal_quotient_many(fam, [z], "odd", "krein")[0]) < 1e-10
+    assert rel(mobius(u, zero, eye),
+               extremal_quotient_many(fam, [z], "odd", "friedrichs")[0]) < 1e-10
     mixed = mobius(u, eye, eye)
     assert np.linalg.norm(mixed - mixed.conj().T) < 1e-9 * (1 + np.linalg.norm(mixed))
 
@@ -196,10 +210,10 @@ def test_right_quotient_convention(rng):
     for parity in ("even", "odd"):
         zs = random_z_points(rng, 4)
         u = resolvent_direct_many(fam, zs, parity)
-        ext = extremal_quotient_many(fam, zs, parity)
+        quo = extremal_quotient_many(fam, zs, parity, "friedrichs")
         for k in range(len(zs)):
             blockwise = u[k, :2, 2:] @ np.linalg.inv(u[k, 2:, 2:])
-            assert rel(blockwise, ext.sF[k]) < 1e-10
+            assert rel(blockwise, quo[k]) < 1e-10
 
 
 def test_many_is_the_stack_of_single_points(rng):
@@ -207,18 +221,34 @@ def test_many_is_the_stack_of_single_points(rng):
     fam = family_of(seq)
     zs = random_z_points(rng, 5) + [complex(x, 0.01) for x in (-0.1, 0.5, 1.1)]
     for parity in ("even", "odd"):
-        ext = extremal_quotient_many(fam, zs, parity)
-        assert ext.sK.shape == ext.sF.shape == (len(zs), 2, 2)
         # each point of the stack is the stack of that point alone
         for which in ("krein", "friedrichs"):
+            quo = extremal_quotient_many(fam, zs, parity, which)
+            assert quo.shape == (len(zs), 2, 2)
             cf = extremal_cf_many(fam, zs, parity, which)
             for k, z in enumerate(zs):
                 assert np.array_equal(cf[k], cf_at(fam, z, parity, which))
-        for k, z in enumerate(zs):
-            one = extremal_quotient_many(fam, [z], parity)
-            assert np.array_equal(ext.sK[k], one.sK[0]) and np.array_equal(ext.sF[k], one.sF[0])
+                assert np.array_equal(quo[k], extremal_quotient_many(fam, [z], parity, which)[0])
     with pytest.raises(PointOnInterval, match=r"\(0.5\+0j\)"):
-        extremal_quotient_many(fam, [2.0, 0.5, 0.75], "odd")
+        extremal_quotient_many(fam, [2.0, 0.5, 0.75], "odd", "krein")
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("which", ["krein", "friedrichs"])
+def test_extremal_evaluates_only_the_printed_solution(monkeypatch, tmp_path, which, parity):
+    # one numerator and one denominator: the other solution is never evaluated
+    calls = []
+    real = extremal.adjoint_eval
+
+    def spy(p, z):
+        calls.append(p)
+        return real(p, z)
+
+    monkeypatch.setattr(extremal, "adjoint_eval", spy)
+    argv = ["extremal", "--input", str(GOLDEN / "moments_q2.json"), "--which", which,
+            "--parity", parity, "--z=2+1i", "--z=-1", "--output", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    assert len(calls) == 2
 
 
 # Quadrature oracle.  The extremal solutions of Lebesgue moments on [0, 1]
@@ -276,9 +306,8 @@ def test_extremal_values_are_gauss_type_quadratures(m):
     # independent oracle shows how many digits they keep (worst 2.2e-9, m = 12)
     fam = family_of(lebesgue(m))
     parity = "odd" if m % 2 else "even"
-    ext = extremal_quotient_many(fam, QUADRATURE_ZS, parity)
     for which, jac in _quadrature_rules(m).items():
-        quotients = ext.sK if which == "krein" else ext.sF
+        quotients = extremal_quotient_many(fam, QUADRATURE_ZS, parity, which)
         cfs = extremal_cf_many(fam, QUADRATURE_ZS, parity, which)
         for k, z in enumerate(QUADRATURE_ZS):
             exact = _stieltjes(jac, z)

@@ -371,11 +371,11 @@ def test_point_prefix_owner_raises_and_sharer_records():
 def test_right_quotient_records_first_failing_point():
     eye = np.eye(2)
     bad = np.diag([1.0, 0.0])
-    # per point: sK's denominator, then sF's; the first bad point is 1
-    den = np.stack([np.stack([eye, eye]), np.stack([eye, bad]), np.stack([bad, eye])])
+    # one denominator per point; the first bad point is 1
+    den = np.stack([eye, bad, bad])
     pts = PointPrefix([0.0, 1.0, 2.0])
     out = right_quotient(np.ones_like(den), den, points=pts)
-    assert out.shape == (1, 2, 2, 2) and len(pts) == 1
+    assert out.shape == (1, 2, 2) and len(pts) == 1
     with pytest.raises(SingularDenominator):
         pts.finish()
     # a non-finite denominator fails, as a singular one does
@@ -461,14 +461,13 @@ def _first_failure(flat, cond_limit):
 
 
 def _check_guard(mats):
-    """guard_cond on mats, over one point per leading entry, against _first_failure."""
-    flat = mats.reshape(-1, *mats.shape[-2:])
-    expected = _first_failure(flat, COND_LIMIT)
+    """guard_cond on mats, over one point per matrix, against _first_failure."""
+    expected = _first_failure(mats, COND_LIMIT)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pts = PointPrefix(np.arange(len(mats)))
         inv = guard_cond(mats, SingularDenominator, pts)
-    cut = len(mats) if expected is None else expected[0] // (len(flat) // len(mats))
+    cut = len(mats) if expected is None else expected[0]
     assert len(pts) == cut and np.array_equal(inv, np.linalg.inv(mats[:cut]), equal_nan=True)
     if expected is None:
         assert pts.error is None
@@ -483,20 +482,20 @@ def test_guard_cond_decides_as_np_linalg_cond(rng, q):
     eye = np.eye(q, dtype=complex)
     for mat in cases:
         _check_guard(mat[None])
-        _check_guard(np.stack([np.stack([eye, eye]), np.stack([eye, mat]), np.stack([mat, eye])]))
-    # stacks of 5 points with 2 matrices each, mostly well-conditioned ones
+        _check_guard(np.stack([eye, eye, eye, mat, mat, eye]))
+    # stacks of 10 points, mostly well-conditioned ones
     good = [i for i, mat in enumerate(cases) if _first_failure(mat[None], COND_LIMIT) is None]
     for _ in range(60):
-        picks = np.where(rng.random((5, 2)) < 0.9, rng.choice(good, (5, 2)),
-                         rng.integers(len(cases), size=(5, 2)))
-        _check_guard(np.array([[cases[i] for i in row] for row in picks]))
+        picks = np.where(rng.random(10) < 0.9, rng.choice(good, 10),
+                         rng.integers(len(cases), size=10))
+        _check_guard(np.array([cases[i] for i in picks]))
 
 
 def test_guard_cond_on_an_empty_prefix_records_nothing():
     # every point failed an earlier stage: the stack has no matrix left to check
     pts = PointPrefix([])
-    inv = guard_cond(np.empty((0, 2, 3, 3), dtype=complex), SingularDenominator, pts)
-    assert inv.shape == (0, 2, 3, 3) and pts.error is None
+    inv = guard_cond(np.empty((0, 3, 3), dtype=complex), SingularDenominator, pts)
+    assert inv.shape == (0, 3, 3) and pts.error is None
 
 
 def test_guard_cond_takes_no_svd_on_golden_extremal_at_64_points(monkeypatch, tmp_path):

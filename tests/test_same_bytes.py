@@ -328,9 +328,9 @@ def test_columnar_reports_keep_each_names_largest_residual(inputs, name, monkeyp
     for run in runs:
         report, checks = reference_checks(monkeypatch, run)
         expected = reference_maxima(checks)
-        assert list(report.maxima) == list(expected)
-        assert raw(list(report.maxima.values())) == raw(list(expected.values()))
-        assert report.max_residual == max(res for _, res in checks)
+        assert list(report) == list(expected)
+        assert raw(list(report.values())) == raw(list(expected.values()))
+        assert max(report.values()) == max(res for _, res in checks)
 
 
 @pytest.mark.parametrize("lhs, rhs", [(np.nan, 1.0), (1e308, -1e308)], ids=["nan", "inf"])
