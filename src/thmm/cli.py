@@ -44,12 +44,6 @@ def _emit(report, output):
         sys.stdout.write(text)
 
 
-def _parity_for(seq, flag):
-    if flag in ("even", "odd"):
-        return flag
-    return "even" if seq.m % 2 == 0 else "odd"
-
-
 def _z_values(args):
     if not args.z:
         raise ValueError("at least one --z value is required")
@@ -119,47 +113,45 @@ def _residuals(values, reference):
 
 
 def _evaluation_input(args):
-    """(family, parity, points) of factorize or extremal; SingularPivot unless PositiveDefinite."""
-    seq = tio.read_moment_file(args.input)
-    parity = _parity_for(seq, args.parity)
-    hank = build_hankels(seq)
+    """(family, points) of factorize or extremal; SingularPivot unless PositiveDefinite."""
+    hank = build_hankels(tio.read_moment_file(args.input))
     fam = build_family(hank)
     cls = classify(hank)
     if not cls.is_positive_definite:
         raise SingularPivot(cls.witness.family, cls.witness.index)
-    return fam, parity, PointPrefix(_z_values(args))
+    return fam, PointPrefix(_z_values(args))
 
 
 def cmd_factorize(args):
-    fam, parity, points = _evaluation_input(args)
+    fam, points = _evaluation_input(args)
     # the stacked evaluation overflows at a large z; _finite, guard_cond and
     # PointPrefix check every value it keeps, so numpy's warnings only repeat
     # the failure of that point
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        direct = resolvent_direct_many(fam, points, parity)
+        direct = resolvent_direct_many(fam, points)
         if args.route == "direct":
             values = direct
         else:
-            values = resolvent_factorized_many(fam, points, parity, args.route)
+            values = resolvent_factorized_many(fam, points, args.route)
     points.finish()
     residuals = _residuals(values, direct)
-    results = tio.Records(z=points.zs, parity=parity, route=args.route, U=values,
+    results = tio.Records(z=points.zs, parity=fam.seq.parity, route=args.route, U=values,
                           residual_vs_direct=residuals)
-    _emit({"command": "factorize", "parity": parity, "route": args.route,
+    _emit({"command": "factorize", "parity": fam.seq.parity, "route": args.route,
            "rtol": args.rtol, "results": results}, args.output)
     return _gate("residual_vs_direct", residuals.max(), args.rtol)
 
 
 def cmd_extremal(args):
-    fam, parity, points = _evaluation_input(args)
+    fam, points = _evaluation_input(args)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # as in cmd_factorize
-        quotient_values = extremal_quotient_many(fam, points, parity, args.which)
-        cf_values = extremal_cf_many(fam, points, parity, args.which)
+        quotient_values = extremal_quotient_many(fam, points, args.which)
+        cf_values = extremal_cf_many(fam, points, args.which)
     points.finish()
     cross = _residuals(cf_values, quotient_values)
-    results = tio.Records(z=points.zs, which=args.which, parity=parity, value=quotient_values,
-                          route="quotient", cross_residual=cross)
-    _emit({"command": "extremal", "which": args.which, "parity": parity,
+    results = tio.Records(z=points.zs, which=args.which, parity=fam.seq.parity,
+                          value=quotient_values, route="quotient", cross_residual=cross)
+    _emit({"command": "extremal", "which": args.which, "parity": fam.seq.parity,
            "rtol": args.rtol, "results": results}, args.output)
     return _gate("cross_residual", cross.max(), args.rtol)
 
@@ -247,14 +239,12 @@ def build_parser():
     common(p)
     rtol(p)
     p.add_argument("--z", action="append", default=[], help=z_help)
-    p.add_argument("--parity", choices=("even", "odd", "auto"), default="auto")
     p.add_argument("--route", choices=("direct", "second", "first"), default="second")
 
     p = sub.add_parser("extremal", help="extremal solutions by quotient and continued fraction")
     common(p)
     rtol(p)
     p.add_argument("--z", action="append", default=[], help=z_help)
-    p.add_argument("--parity", choices=("even", "odd", "auto"), default="auto")
     p.add_argument("--which", choices=("krein", "friedrichs"), default="friedrichs")
 
     p = sub.add_parser("recover", help="rebuild moments from a parameter file")

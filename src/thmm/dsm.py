@@ -18,17 +18,15 @@ independent routes that must agree:
 the last two the family's kept quotients (PolynomialFamily.quotient),
 the first two solved against the complements khat1[j] and hhat2[j].
 
-Agreement does not bound the forward error, so compute_second also
-refuses a chain whose Hankel members are too ill-conditioned for
-ACCURACY_RTOL.
-
 The chains telescope (rhat_{j+1} - rhat_j = lhat_j and
 that_j - that_{j-1} = mhat_j) and all members with index >= 0 are
-positive definite for Hausdorff positive definite input.
+positive definite for Hausdorff positive definite input.  A parameter
+that leaves the float range is refused where it is made.
 
-rungs(chain, parity) is the one reading order of a chain: mhat_0, lhat_0,
-mhat_1, .. or M_0, L_0, M_1, .., cut by parity.  resolvent_factors and
-the continued fractions both read it.
+rungs(chain) is the one reading order of a chain: mhat_0, lhat_0, mhat_1,
+.. or M_0, L_0, M_1, .., as far as it goes, which m decides: to lhat or M
+at even m, to mhat or L at odd m.  resolvent_factors and the continued
+fractions both read it.
 """
 
 from __future__ import annotations
@@ -70,6 +68,7 @@ from .moments import (
     finite_interval,
     hankel_entries,
     hankel_from_entries,
+    in_float_range,
 )
 from .polynomials import build_family
 from .reporting import IdentityChecks
@@ -112,25 +111,31 @@ class DsmFirst:
     L: tuple
 
 
-def _forms(hank, family):
-    """The Hermitian forms of the members of a family, and their increments (form_0 first), as stacks."""
+@np.errstate(over="ignore", invalid="ignore")   # a chain that overflows is refused by name
+def _forms(hank, family, name):
+    """The Hermitian forms of a family's members, and their increments name_j (form_0 first).
+
+    Both are stacks.  A form that is not finite makes its increment so.
+    """
     count, q = len(getattr(hank, family)), hank.seq.q
     forms = hermitize(np.array([hank.form(family, j) for j in range(count)],
                                dtype=complex).reshape(count, q, q))
-    return forms, np.concatenate([forms[:1], forms[1:] - forms[:-1]])
+    return forms, in_float_range(np.concatenate([forms[:1], forms[1:] - forms[:-1]]),
+                                  f"parameter {name} at j={{}} leaves the float range")
 
 
-def rungs(chain, parity):
-    """The interleaved parameters of a DSM chain in reading order.
+@np.errstate(over="ignore", invalid="ignore")   # as in _forms
+def _rhat(s0, qf):
+    """rhat_0 = s0 and rhat_j = s0 + QF_{j-1} as a stack, and its Hermitian part, in range."""
+    rhat = np.concatenate([s0[None], s0 + qf])
+    return rhat, in_float_range(hermitize(rhat), "parameter rhat at j={} leaves the float range")
 
-    mhat_0, lhat_0, mhat_1, .. for a DsmSecond and M_0, L_0, M_1, .. for a
-    DsmFirst, read as far as the chain goes and cut to end on lhat or M at
-    even parity, on mhat or L at odd parity.
-    """
+
+def rungs(chain):
+    """A chain's parameters in reading order, mhat_0, lhat_0, mhat_1, .. or M_0, L_0, M_1, .."""
     second = isinstance(chain, DsmSecond)
     pair = (chain.mhat, chain.lhat_from_zero) if second else (chain.M, chain.L)
     count = min(2 * len(pair[0]), 2 * len(pair[1]) + 1)
-    count -= count % 2 != ((parity == "odd") == second)   # an odd count ends on mhat or M
     return [pair[i % 2][i // 2] for i in range(count)]
 
 
@@ -147,8 +152,9 @@ def compute_second(fam):
 
     Raises SingularPivot when the largest K1 or H2 member read is not
     positive definite, IllConditioned when it is too ill-conditioned for
-    ACCURACY_RTOL, both before either route runs, and RouteMismatch when
-    the routes disagree by more than ROUTE_RTOL.
+    ACCURACY_RTOL, both before either route runs, PreconditionFailure when
+    a parameter of the forms route leaves the float range, and
+    RouteMismatch when the routes disagree by more than ROUTE_RTOL.
     """
     seq = fam.seq
     hank = fam.hankels
@@ -165,9 +171,9 @@ def compute_second(fam):
         if np.finfo(float).eps * cond > ACCURACY_RTOL:
             raise IllConditioned(family, j, cond, ACCURACY_RTOL)
 
-    that_qf, mhat_qf = _forms(hank, "K1")
-    qf, lhat_qf = _forms(hank, "H2")
-    rhat_qf = np.concatenate([s0[None], s0 + qf])
+    that_qf, mhat_qf = _forms(hank, "K1", "mhat")
+    qf, lhat_qf = _forms(hank, "H2", "lhat")
+    rhat_qf, rhat = _rhat(s0, qf)
 
     # polynomial route, solved against the complements e_2j - Y_j^* x_j
     # themselves: through the family factor, whose diagonal blocks also give
@@ -193,7 +199,7 @@ def compute_second(fam):
         _agree("that", that_qf, that_poly)
 
     return DsmSecond(
-        rhat=tuple(hermitize(rhat_qf)),
+        rhat=tuple(rhat),
         that=tuple(that_qf),
         mhat=tuple(mhat_qf),
         lhat=(np.array(s0),) + tuple(lhat_qf),
@@ -203,7 +209,7 @@ def compute_second(fam):
 def compute_first(fam):
     """First-type parameters M_j (H1 forms) and L_j (K2 forms) of a PolynomialFamily."""
     hank = fam.hankels
-    M, L = _forms(hank, "H1")[1], _forms(hank, "K2")[1]
+    M, L = _forms(hank, "H1", "M")[1], _forms(hank, "K2", "L")[1]
     return DsmFirst(M=tuple(M), L=tuple(L))
 
 

@@ -14,9 +14,10 @@ fraction driven by a parameter chain:
   friedrichs / odd    the same first-type chain extended by a final L_n
 
 where 1/X means the matrix inverse and levels are summed in the printed
-order.  The levels are the rungs of the chain (dsm.rungs), one per rung.
-Both functions take the solution (which) and the parity, and return the
-(K, q, q) stack of its values at the K points.
+order.  The levels are the rungs of the chain (dsm.rungs), one per rung,
+and m decides the parity: even for m = 2n, odd for m = 2n + 1.  Both
+functions take the solution (which) and return the (K, q, q) stack of its
+values at the K points.
 """
 
 from __future__ import annotations
@@ -27,21 +28,16 @@ from ._linalg import guard_cond, point_prefix, right_quotient, scalars
 from .dsm import DsmSecond, compute_first, compute_second, rungs
 from .errors import PointOnInterval, SingularLevel
 from .polynomials import adjoint_eval
-from .resolvent import _check_parity, _order
 
 
-def _reads_second(which, parity):
-    """Whether solution which reads the second-type chain: friedrichs at even, krein at odd.
-
-    ValueError on a which or a parity that names no solution, which first.
-    """
+def _reads_second(fam, which):
+    """Whether solution which reads the second-type chain: friedrichs at even m, krein at odd."""
     if which not in ("krein", "friedrichs"):
         raise ValueError(f"which must be 'krein' or 'friedrichs', got {which!r}")
-    _check_parity(parity)
-    return (which == "friedrichs") == (parity == "even")
+    return (which == "friedrichs") == (fam.seq.parity == "even")
 
 
-def _fraction(chain, pts, parity, a, b):
+def _fraction(chain, pts, a, b):
     """The continued fraction a DSM chain drives on [a, b], at the points pts.zs.
 
     Rung mhat_k is the level -(z-a)(b-z) mhat_k and lhat_k is lhat_k / (b-z),
@@ -65,10 +61,8 @@ def _fraction(chain, pts, parity, a, b):
         head = None
         level = (lambda p: scale * p,
                  lambda p: np.broadcast_to(p, z.shape + p.shape).astype(complex))
-    levels = [level[i % 2](p) for i, p in enumerate(rungs(chain, parity))]
-    if not levels:
-        if head is None:
-            raise SingularLevel(0)
+    levels = [level[i % 2](p) for i, p in enumerate(rungs(chain))]
+    if not levels:   # a second-type chain of m = 0; a first-type one has M_0
         return np.array(head)
     w = 0.0
     for depth in range(len(levels), 0, -1):
@@ -78,20 +72,19 @@ def _fraction(chain, pts, parity, a, b):
 
 
 @point_prefix
-def extremal_cf_many(fam, pts, parity, which):
+def extremal_cf_many(fam, pts, which):
     """Extremal solution values via the continued fraction, at K points at once.
 
     Returns the (K, q, q) stack of values at the points zs.  The parameter
     chain is built once and the fraction is evaluated level by level over
     the whole stack.  Failures are as point_prefix describes.
     """
-    chain = (compute_second if _reads_second(which, parity) else compute_first)(fam)
-    _order(fam.seq, parity)   # odd parity needs s_1
-    return _fraction(chain, pts, parity, fam.seq.a, fam.seq.b)
+    chain = (compute_second if _reads_second(fam, which) else compute_first)(fam)
+    return _fraction(chain, pts, fam.seq.a, fam.seq.b)
 
 
 @point_prefix
-def extremal_quotient_many(fam, pts, parity, which):
+def extremal_quotient_many(fam, pts, which):
     """Extremal solution values as block quotients of polynomial values, at K points at once.
 
     Even parity: sK = T2[n]^*(zbar) / ((z-a) G2[n]^*(zbar)),
@@ -108,14 +101,14 @@ def extremal_quotient_many(fam, pts, parity, which):
     pts.fail((z.imag == 0.0) & (a <= z.real) & (z.real <= b),
              lambda i: PointOnInterval(f"z = {complex(z[i])} lies on [{a}, {b}]"))
     pts.shared_stage()
-    second = _reads_second(which, parity)   # friedrichs at even, krein at odd
-    n = _order(seq, parity)
+    second = _reads_second(fam, which)   # friedrichs at even, krein at odd
+    n = seq.m // 2
     z = pts.zs
     zc = z[:, None, None]
-    if parity == "even" and second:
+    if seq.parity == "even" and second:
         return right_quotient(adjoint_eval(fam.t1[n], z),
                               (b - zc) * adjoint_eval(fam.g1[n], z), pts)
-    if parity == "even":
+    if seq.parity == "even":
         return right_quotient(adjoint_eval(fam.t2[n], z),
                               (zc - a) * adjoint_eval(fam.g2[n], z), pts)
     if second:

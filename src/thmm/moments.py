@@ -103,6 +103,14 @@ def finite_interval(a, b):
     return a, b
 
 
+def in_float_range(stack, message):
+    """stack, or PreconditionFailure(message.format(j)), j its first matrix that is not finite."""
+    if not np.isfinite(stack).all():
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        raise PreconditionFailure(message.format(int(np.argmin(finite))))
+    return stack
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class MomentSequence:
     """Hermitian q x q moments s_0..s_m attached to an interval [a, b].
@@ -137,11 +145,7 @@ class MomentSequence:
         if not (stack is not None and stack.ndim == 3 and stack.shape[1] == stack.shape[2]
                 and np.isfinite(stack).all() and not _skew(stack).any()):
             stack = _each_moment(self.s)
-        stack = hermitize(stack)
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            raise PreconditionFailure(
-                f"s_{int(np.argmin(finite))} leaves the float range when symmetrized")
+        stack = in_float_range(hermitize(stack), "s_{} leaves the float range when symmetrized")
         stack.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -152,6 +156,11 @@ class MomentSequence:
     def m(self):
         """Highest moment index."""
         return len(self.s) - 1
+
+    @property
+    def parity(self):
+        """"even" for m = 2n, "odd" for m = 2n + 1: the case the resolvent reads (n = m // 2)."""
+        return "odd" if self.m % 2 else "even"
 
 
 # The entries e_0, e_1, ... of each Hankel family as one stack, from the stack s

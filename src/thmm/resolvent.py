@@ -1,8 +1,9 @@
 """Resolvent matrices and their multiplicative factorizations.
 
-The 2q x 2q resolvent U of order m = 2n or m = 2n + 1 parameterizes the
-solution set of the truncated Hausdorff matrix moment problem through a
-linear fractional transformation.  It is computed here by three routes:
+The 2q x 2q resolvent U of order m = 2n (even parity) or m = 2n + 1 (odd)
+parameterizes the solution set of the truncated Hausdorff matrix moment
+problem through a linear fractional transformation; the moments s_0..s_m
+decide the case.  It is computed here by three routes:
 
   direct  block quotients of polynomial values (normalized at z = a),
   second  a left-to-right product of affine triangular factors built
@@ -22,7 +23,7 @@ import numpy as np
 
 from ._linalg import point_prefix, scalars
 from .dsm import DsmSecond, compute_first, compute_second, rungs
-from .errors import InsufficientMoments, PoleAtZ, SingularNormalization
+from .errors import PoleAtZ, SingularNormalization
 from .polynomials import adjoint_eval
 
 
@@ -61,20 +62,6 @@ def _diag(c_top, c_bottom, q):
     return out
 
 
-def _check_parity(parity):
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-
-
-def _order(seq, parity):
-    _check_parity(parity)
-    if parity == "even":
-        return seq.m // 2
-    if seq.m < 1:
-        raise InsufficientMoments("odd parity needs at least s_0, s_1")
-    return (seq.m - 1) // 2
-
-
 def _finite(pts, full):
     """The values of the points of pts, recording the first one that is not finite."""
     z = pts.zs
@@ -84,7 +71,7 @@ def _finite(pts, full):
 
 
 @point_prefix
-def resolvent_direct_many(fam, pts, parity):
+def resolvent_direct_many(fam, pts):
     """Resolvent by block quotients of polynomial values, at K points at once.
 
     Even parity (m = 2n) uses the interval families:
@@ -104,10 +91,10 @@ def resolvent_direct_many(fam, pts, parity):
     """
     seq = fam.seq
     a, b = seq.a, seq.b
-    n = _order(seq, parity)
+    n = seq.m // 2
     z = pts.zs
     zc = z[:, None, None]
-    if parity == "even":
+    if seq.parity == "even":
         inv_t2a = fam.normalizer(fam.t2[n])
         inv_g1a = fam.normalizer(fam.g1[n])
         alpha = adjoint_eval(fam.t2[n], z) @ inv_t2a
@@ -156,7 +143,7 @@ def _poles(pts, hit, route):
     pts.shared_stage()
 
 
-def _rung_factors(chain, parity, zc, tail):
+def _rung_factors(chain, zc, tail):
     """The up/low factors of the rungs of a chain, left to right, then its boundary factor.
 
     mhat and M give low(-x), lhat and L up(x), and zc = z - a, a (K, 1, 1)
@@ -164,7 +151,7 @@ def _rung_factors(chain, parity, zc, tail):
     chain leads with its lhat_{-1} = s_0.  The boundary factor, of the other
     kind, carries tail.
     """
-    mats = rungs(chain, parity)
+    mats = rungs(chain)
     start = 0
     if isinstance(chain, DsmSecond):
         mats, start = [chain.s0] + mats, -1
@@ -181,7 +168,7 @@ def _rung_factors(chain, parity, zc, tail):
 
 
 @point_prefix
-def resolvent_factors(fam, pts, parity, route):
+def resolvent_factors(fam, pts, route):
     """The affine factors whose left-to-right product is the resolvent at K points.
 
     route = "second" uses the second-type parameter chains (poles of the
@@ -197,53 +184,48 @@ def resolvent_factors(fam, pts, parity, route):
     lhat_{-1} = s_0, so at n = 0 the even second-type product has four factors.
 
     Each factor is a (K, 2q, 2q) stack over the points zs, or one 2q x 2q
-    matrix where it does not depend on z.  The parameter chain of the
-    family and the boundary factor are built once; _rung_factors maps the
-    chain's rungs to the up/low factors.  Failures are as point_prefix
+    matrix where it does not depend on z.  Failures are as point_prefix
     describes.
     """
     seq = fam.seq
     a, b = seq.a, seq.b
-    n = _order(seq, parity)
+    n = seq.m // 2
     q = seq.q
 
     if route == "second":
         dsm = compute_second(fam)
-        if parity == "even":
+        if seq.parity == "even":
             _poles(pts, (pts.zs == a) | (pts.zs == b), "second-type even")
             tail = _tail_second_even(fam, n)
             z = pts.zs
-            return [
-                _diag(scalars(lambda x: 1.0 / ((b - x) * (x - a)), z), 1.0, q),
-                *_rung_factors(dsm, parity, z[:, None, None] - a, tail),
-                _diag(scalars(lambda x: (b - a) * (x - a), z),
-                      scalars(lambda x: (b - x) / (b - a), z), q),
-            ]
+            return [_diag(scalars(lambda x: 1.0 / ((b - x) * (x - a)), z), 1.0, q),
+                    *_rung_factors(dsm, z[:, None, None] - a, tail),
+                    _diag(scalars(lambda x: (b - a) * (x - a), z),
+                          scalars(lambda x: (b - x) / (b - a), z), q)]
         _poles(pts, pts.zs == b, "second-type odd")
         tail = _tail_second_odd(fam, n)
         z = pts.zs
         return [_diag(scalars(lambda x: 1.0 / (b - x), z), 1.0, q),
-                *_rung_factors(dsm, parity, z[:, None, None] - a, tail), _diag(b - z, 1.0, q)]
+                *_rung_factors(dsm, z[:, None, None] - a, tail), _diag(b - z, 1.0, q)]
     if route == "first":
         first = compute_first(fam)
-        if parity == "even":
-            tail = _tail_first_even(fam, n)
-            return _rung_factors(first, parity, pts.zs[:, None, None] - a, tail)
+        if seq.parity == "even":
+            return _rung_factors(first, pts.zs[:, None, None] - a, _tail_first_even(fam, n))
         _poles(pts, pts.zs == a, "first-type odd")
         tail = _tail_first_odd(fam, n)
         z = pts.zs
         return [_diag(scalars(lambda x: 1.0 / (x - a), z), 1.0, q),
-                *_rung_factors(first, parity, z[:, None, None] - a, tail), _diag(z - a, 1.0, q)]
+                *_rung_factors(first, z[:, None, None] - a, tail), _diag(z - a, 1.0, q)]
     raise ValueError(f"route must be 'second' or 'first', got {route!r}")
 
 
 @point_prefix
-def resolvent_factorized_many(fam, pts, parity, route):
+def resolvent_factorized_many(fam, pts, route):
     """Resolvent as the printed left-to-right product of resolvent_factors, at K points.
 
     Returns the (K, 2q, 2q) stack of values at the points zs.  Failures are
     as point_prefix describes.
     """
-    factors = resolvent_factors(fam, pts, parity, route)
+    factors = resolvent_factors(fam, pts, route)
     return _finite(pts, functools.reduce(np.matmul, factors))
 

@@ -12,21 +12,19 @@ replace all of it shows in the digest.  The corpus:
 - every op of the benchmark pools of seeds 13 and 29 (analyze, evaluate,
   ceiling), built with perfbench/workloads.py;
 - degenerate, indefinite and rank-one moment sequences under analyze,
-  factorize (every route and parity), extremal (both solutions, every
-  parity) and scalar-report;
+  factorize (every route), extremal (both solutions) and scalar-report;
 - tests/data/overflow_q3.json;
 - positive definite sequences with -0.0 entries (the golden moments and a
   measure with exact zero moments, each zero written as -0.0) under
-  analyze, factorize (every route and parity) and extremal, so that a
-  change to the sign of a zero in any intermediate shows;
+  analyze, factorize (every route) and extremal, so that a change to the
+  sign of a zero in any intermediate shows;
 - z at a, at b, inside [a, b], at 1e200 and at 1e-300;
-- the even parity at n = 0 (m = 0, and m = 1 with --parity even, of the
-  golden moments) under factorize with every route, at a, at b and at
-  three points off [a, b];
+- n = 0 (the golden moments cut to m = 0) under factorize with every
+  route, at a, at b and at three points off [a, b];
 - the golden moments cut to m = 1..6 (to m = 5 for q = 1, which has no
   more) under factorize --route second|first and extremal --which
-  krein|friedrichs with --parity even|odd, at a, at b and at three points
-  off [a, b], so that where each parameter chain stops shows;
+  krein|friedrichs, at a, at b and at three points off [a, b], so that
+  where each parameter chain stops at either parity shows;
 - gen, recover and scalar-report on good and bad input (recover with an
   infinite endpoint or surplus mhat, gen on a measure with a > b), and
   parse failures, runs of --z=<lit> tokens among them, and a q that is
@@ -43,7 +41,14 @@ replace all of it shows in the digest.  The corpus:
   float range, and extremal on the latter, whose resolvent does, though
   its quotients do not;
 - analyze on the golden q = 1 moments times 1e308 and the golden q = 2
-  moments times 1e307, whose symmetrized moments overflow.
+  moments times 1e307, whose symmetrized moments overflow;
+- analyze and extremal (both solutions) on the golden q = 1 moments times
+  3e307, whose parameter chains leave the float range.
+
+m decides the parity, so the factorize and extremal cases of the
+degenerate, overflow, -0.0 and z items run on each input as given (labels
+ending /auto) and without its last moment (labels ending /cut), at both
+parities.
 
 Inputs are written with the json module, never by thmm, so every version
 reads the same bytes.  thmm is imported from PYTHONPATH, so one checkout of
@@ -172,16 +177,22 @@ def _singular_sequences():
     return out
 
 
-def _evaluations(path, label, zs):
-    """(label, argv) of every factorize route and parity and extremal solution and parity."""
+def _evaluations(work, path, label, zs):
+    """(label, argv) of every factorize route and extremal solution, on path and on it cut.
+
+    The cut file, written into work, is the moment file path without its
+    last moment, so it has the other parity.
+    """
     z_args = [f"--z={z}" for z in zs]
-    for parity in ("auto", "even", "odd"):
+    data = json.loads(Path(path).read_text())
+    cut = _write(Path(work) / f"cut_{Path(path).name}", {**data, "moments": data["moments"][:-1]})
+    for source, version in ((path, "auto"), (cut, "cut")):
         for route in ("direct", "second", "first"):
-            yield (f"{label}/factorize/{route}/{parity}",
-                   ["factorize", "--input", path, "--route", route, "--parity", parity, *z_args])
+            yield (f"{label}/factorize/{route}/{version}",
+                   ["factorize", "--input", source, "--route", route, *z_args])
         for which in ("krein", "friedrichs"):
-            yield (f"{label}/extremal/{which}/{parity}",
-                   ["extremal", "--input", path, "--which", which, "--parity", parity, *z_args])
+            yield (f"{label}/extremal/{which}/{version}",
+                   ["extremal", "--input", source, "--which", which, *z_args])
 
 
 def corpus(workdir):
@@ -209,46 +220,43 @@ def corpus(workdir):
         path = _moment_file(work / f"{name}.json", moments)
         yield f"singular/{name}/analyze", ["analyze", "--input", path,
                                            "--params-out", str(work / "params.json")]
-        yield from _evaluations(path, f"singular/{name}", ["2+1i", "-0.3+0.05i"])
+        yield from _evaluations(work, path, f"singular/{name}", ["2+1i", "-0.3+0.05i"])
         if np.atleast_2d(moments[0]).shape[0] == 1:
             yield f"singular/{name}/scalar-report", ["scalar-report", "--input", path]
 
     for name, path in _signed_zero_inputs(work):
         yield f"negzero/{name}/analyze", ["analyze", "--input", path,
                                           "--params-out", str(work / "params.json")]
-        yield from _evaluations(path, f"negzero/{name}", ["2+1i", "-0.3+0.05i", "3", "-2"])
+        yield from _evaluations(work, path, f"negzero/{name}", ["2+1i", "-0.3+0.05i", "3", "-2"])
 
     overflow = str(HERE / "data" / "overflow_q3.json")
     yield "overflow/analyze", ["analyze", "--input", overflow]
-    yield from _evaluations(overflow, "overflow", ["1e200"])
-    yield from _evaluations(overflow, "overflow-neg", ["-1e200", "2+1i"])
+    yield from _evaluations(work, overflow, "overflow", ["1e200"])
+    yield from _evaluations(work, overflow, "overflow-neg", ["-1e200", "2+1i"])
 
     for moments, (a, b) in (("moments_q1.json", (0.0, 1.0)), ("moments_q2.json", (-0.5, 1.5))):
         path = str(GOLDEN / moments)
         for z in (a, b, 0.5 * (a + b), 1e200, -1e200, 1e-300, "1e-300+1e-300i", "1e200+1e200i"):
-            yield from _evaluations(path, f"z/{moments}/{z}", [z])
+            yield from _evaluations(work, path, f"z/{moments}/{z}", [z])
         # a failing point after a good one, and two failing points
-        yield from _evaluations(path, f"z/{moments}/good-then-a", ["2+1i", a])
-        yield from _evaluations(path, f"z/{moments}/mid-then-b", [0.5 * (a + b), b])
+        yield from _evaluations(work, path, f"z/{moments}/good-then-a", ["2+1i", a])
+        yield from _evaluations(work, path, f"z/{moments}/mid-then-b", [0.5 * (a + b), b])
         data = json.loads((GOLDEN / moments).read_text())
-        for m, parity in ((0, "auto"), (1, "even")):
-            short = _write(work / f"n0_m{m}_{moments}", {**data, "moments": data["moments"][:m + 1]})
-            for z in (a, b, "2+1i", "-0.3+0.05i", 3):
-                for route in ("direct", "second", "first"):
-                    yield (f"n0/{moments}/m{m}/{z}/{route}",
-                           ["factorize", "--input", short, "--route", route, "--parity", parity,
-                            f"--z={z}"])
+        short = _write(work / f"n0_m0_{moments}", {**data, "moments": data["moments"][:1]})
+        for z in (a, b, "2+1i", "-0.3+0.05i", 3):
+            for route in ("direct", "second", "first"):
+                yield (f"n0/{moments}/m0/{z}/{route}",
+                       ["factorize", "--input", short, "--route", route, f"--z={z}"])
         for m in range(1, min(7, len(data["moments"]))):
             cut = _write(work / f"cut_m{m}_{moments}", {**data, "moments": data["moments"][:m + 1]})
-            for parity in ("even", "odd"):
-                for z in (a, b, "2+1i", "-0.3+0.05i", 3):
-                    for command, flag, choice in (("factorize", "--route", "second"),
-                                                  ("factorize", "--route", "first"),
-                                                  ("extremal", "--which", "krein"),
-                                                  ("extremal", "--which", "friedrichs")):
-                        yield (f"rungs/{moments}/m{m}/{parity}/{z}/{command}/{choice}",
-                               [command, "--input", cut, flag, choice, "--parity", parity,
-                                f"--z={z}"])
+            parity = "odd" if m % 2 else "even"
+            for z in (a, b, "2+1i", "-0.3+0.05i", 3):
+                for command, flag, choice in (("factorize", "--route", "second"),
+                                              ("factorize", "--route", "first"),
+                                              ("extremal", "--which", "krein"),
+                                              ("extremal", "--which", "friedrichs")):
+                    yield (f"rungs/{moments}/m{m}/{parity}/{z}/{command}/{choice}",
+                           [command, "--input", cut, flag, choice, f"--z={z}"])
 
     for measure in ("measure_q1.json", "measure_q2.json"):
         for count in (0, 1, 2, 5, 9):
@@ -311,6 +319,12 @@ def corpus(workdir):
         yield f"analyze/moments_q1.json/scaled-{factor}", [
             "analyze", "--input", path, "--params-out", str(work / f"scaled_{factor}_params.json")]
     yield "extremal/moments_q1.json/scaled-1e307", ["extremal", "--input", path, "--z=2+1i"]
+    scaled = {**data, "moments": (np.array(data["moments"]) * 3e307).tolist()}
+    path = _write(work / "scaled_3e307_moments_q1.json", scaled)
+    yield "analyze/moments_q1.json/scaled-3e307", ["analyze", "--input", path]
+    for which in ("krein", "friedrichs"):
+        yield f"extremal/moments_q1.json/scaled-3e307/{which}", [
+            "extremal", "--input", path, "--which", which, "--z=-1"]
     # finite moments whose symmetrized copies overflow
     for name, factor in (("moments_q1.json", "1e308"), ("moments_q2.json", "1e307")):
         golden = json.loads((GOLDEN / name).read_text())

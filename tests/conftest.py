@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
@@ -9,6 +12,21 @@ from thmm import (DiscreteMeasure, MomentSequence, build_family, build_hankels, 
 def family_of(seq):
     """The PolynomialFamily of a MomentSequence, built as every command builds it."""
     return build_family(build_hankels(seq))
+
+
+def at_parity(seq, parity):
+    """seq read at parity: itself where m has that parity, else seq without its last moment."""
+    return MomentSequence(seq.a, seq.b, seq.s[:seq.m + (seq.parity == parity)])
+
+
+def moment_file_at_parity(path, parity, out_dir):
+    """The moment file path read at parity ("auto": as it is), cut as at_parity cuts, in out_dir."""
+    data = json.loads(Path(path).read_text())
+    if parity == "auto" or (len(data["moments"]) % 2 == 0) == (parity == "odd"):
+        return str(path)
+    cut = Path(out_dir) / f"{parity}_{Path(path).name}"
+    cut.write_text(json.dumps({**data, "moments": data["moments"][:-1]}))
+    return str(cut)
 
 
 def spy_lapack(monkeypatch):

@@ -24,8 +24,8 @@ from thmm import (
 )
 from thmm import dsm as dsm_module
 
-from conftest import (family_of, lebesgue, limit_errors, orthogonality_residual, random_sequence,
-                      random_z_points, rel)
+from conftest import (at_parity, family_of, lebesgue, limit_errors, orthogonality_residual,
+                      random_sequence, random_z_points, rel)
 
 
 def _verdict(number, ok, detail):
@@ -56,9 +56,10 @@ def test_criterion_1_factorization_equivalence(ensemble):
     worst = 0.0
     for q, n, seq, _, fam, dsm, first, zs in ensemble:
         for parity in ("even", "odd"):
-            direct = resolvent_direct_many(fam, zs, parity)
-            second = resolvent_factorized_many(fam, zs, parity, "second")
-            first_v = resolvent_factorized_many(fam, zs, parity, "first")
+            fam_p = family_of(at_parity(seq, parity))
+            direct = resolvent_direct_many(fam_p, zs)
+            second = resolvent_factorized_many(fam_p, zs, "second")
+            first_v = resolvent_factorized_many(fam_p, zs, "first")
             for k in range(len(zs)):
                 worst = max(worst, rel(direct[k], second[k]), rel(direct[k], first_v[k]))
     _verdict(1, worst <= 1e-8,
@@ -69,11 +70,12 @@ def test_criterion_2_continued_fractions(ensemble):
     worst = 0.0
     for q, n, seq, _, fam, dsm, first, zs in ensemble:
         for parity in ("even", "odd"):
+            fam_p = family_of(at_parity(seq, parity))
             for which in ("krein", "friedrichs"):
-                quo = extremal_quotient_many(fam, zs[:10], parity, which)
-                cf = extremal_cf_many(fam, zs[:10], parity, which)
+                quo = extremal_quotient_many(fam_p, zs[:10], which)
+                cf = extremal_cf_many(fam_p, zs[:10], which)
                 worst = max(worst, *(rel(cf[k], quo[k]) for k in range(len(cf))))
-    desk = extremal_cf_many(family_of(lebesgue(2)), [-1.0], "even", "friedrichs")[0, 0, 0]
+    desk = extremal_cf_many(family_of(lebesgue(2)), [-1.0], "friedrichs")[0, 0, 0]
     desk_err = abs(desk - 11.0 / 16.0)
     ok = worst <= 1e-8 and desk_err <= 1e-12
     _verdict(2, ok,

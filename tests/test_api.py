@@ -8,6 +8,7 @@ from pathlib import Path
 
 import thmm
 from thmm import _linalg
+from thmm.cli import main
 
 # tolerances and limits are module constants, and a parameter chain is
 # computed from the family it belongs to
@@ -155,3 +156,21 @@ def test_only_linalg_reaches_the_solve_inverse_and_cholesky_kernels():
             elif "_umath_linalg" in (getattr(node, "id", None), getattr(node, "attr", None)):
                 found.add((path.name, node.lineno))
     assert found == set()
+
+
+def test_m_decides_the_parity_so_nothing_takes_one(capsys):
+    # m = 2n reads the even case and m = 2n + 1 the odd one; the other case
+    # of the same data is the sequence without its last moment
+    found = set()
+    for path in sorted(Path(thmm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                if "parity" in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+                    found.add((path.name, node.lineno))
+    assert found == set()
+    moments = str(Path(__file__).parent / "golden" / "moments_q1.json")
+    for command in ("factorize", "extremal"):
+        for parity in ("even", "odd", "auto"):
+            assert main([command, "--input", moments, "--z=2+1i", "--parity", parity]) == 2
+            assert f"unrecognized arguments: --parity {parity}" in capsys.readouterr().err

@@ -19,7 +19,8 @@ from thmm import _linalg, cli, dsm, errors, moments, polynomials
 from thmm.cli import main
 from thmm.io import decode_matrix, moment_file_dict, read_moment_file, render_json
 
-from conftest import family_of, lebesgue, random_sequence, random_z_points, rel, spy_lapack
+from conftest import (family_of, lebesgue, moment_file_at_parity, random_sequence, random_z_points,
+                      rel, spy_lapack)
 
 
 def write_json(path, obj):
@@ -130,16 +131,14 @@ def test_ill_conditioned_input_exits_4_with_its_digits_lost(tmp_path, capsys):
 def test_factorize_residual_and_exit_codes(tmp_path, capsys):
     inp = lebesgue_file(tmp_path, 3)
     code, out = run(capsys, [
-        "factorize", "--input", inp, "--z", "-1", "--parity", "odd",
-        "--route", "second",
+        "factorize", "--input", inp, "--z", "-1", "--route", "second",
     ])
     assert code == 0
     data = json.loads(out)
     assert data["results"][0]["residual_vs_direct"] <= 1e-10
     # an absurdly small tolerance turns the same run into a route mismatch
     code, _ = run(capsys, [
-        "factorize", "--input", inp, "--z", "-1", "--parity", "odd",
-        "--route", "second", "--rtol", "1e-30",
+        "factorize", "--input", inp, "--z", "-1", "--route", "second", "--rtol", "1e-30",
     ])
     assert code == 4
 
@@ -265,30 +264,32 @@ def z_arg(z):
 def test_multi_z_matches_per_point_calls(tmp_path, capsys, rng):
     seq, _ = random_sequence(rng, 2, 2)
     inp = write_json(tmp_path / "moments.json", moment_file_dict(seq))
-    fam = family_of(read_moment_file(inp))
+    # the sequence as written (m = 5) and without s_5
+    inputs = {parity: moment_file_at_parity(inp, parity, tmp_path) for parity in ("even", "odd")}
+    fams = {parity: family_of(read_moment_file(path)) for parity, path in inputs.items()}
     # four points on Stieltjes-inversion lines x + 0.01i, five off the interval
     zs = [complex(x, 0.01) for x in (-0.1, 0.3, 0.6, 1.05)] + random_z_points(rng, 5)
     for route in ("second", "first"):
         for parity in ("even", "odd"):
-            code, out = run(capsys, ["factorize", "--input", inp, "--route", route,
-                                     "--parity", parity] + [z_arg(z) for z in zs])
+            code, out = run(capsys, ["factorize", "--input", inputs[parity], "--route", route]
+                            + [z_arg(z) for z in zs])
             assert code == 0
             results = json.loads(out)["results"]
             assert [complex(*res["z"]) for res in results] == zs
             for z, res in zip(zs, results):
-                want = resolvent_factorized_many(fam, [z], parity, route)[0]
+                want = resolvent_factorized_many(fams[parity], [z], route)[0]
                 assert rel(decode_matrix(res["U"]), want) <= 1e-12
     for which in ("krein", "friedrichs"):
         for parity in ("even", "odd"):
-            code, out = run(capsys, ["extremal", "--input", inp, "--which", which,
-                                     "--parity", parity] + [z_arg(z) for z in zs])
+            code, out = run(capsys, ["extremal", "--input", inputs[parity], "--which", which]
+                            + [z_arg(z) for z in zs])
             assert code == 0
             results = json.loads(out)["results"]
             assert [complex(*res["z"]) for res in results] == zs
             for z, res in zip(zs, results):
-                want = extremal_quotient_many(fam, [z], parity, which)[0]
+                want = extremal_quotient_many(fams[parity], [z], which)[0]
                 assert rel(decode_matrix(res["value"]), want) <= 1e-12
-                assert rel(extremal_cf_many(fam, [z], parity, which)[0], want) <= 1e-8
+                assert rel(extremal_cf_many(fams[parity], [z], which)[0], want) <= 1e-8
 
 
 def test_first_failing_z_decides_the_error(tmp_path, capsys):
@@ -302,7 +303,7 @@ def test_first_failing_z_decides_the_error(tmp_path, capsys):
     # z = b is a pole of the odd second-type product; 1e200 overflows the
     # direct route, which runs first, but only at a later point
     with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["factorize", "--input", inp, "--route", "second", "--parity", "odd",
+        code = main(["factorize", "--input", inp, "--route", "second",
                      "--z=2", "--z=1", "--z=1e200", "--z=-1"])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
@@ -324,21 +325,23 @@ def test_extremal_at_overflowing_z_exits_3(tmp_path, capsys, z):
             assert "input error" not in err and "numerically singular" in err
 
 
+# (parity the input is read at: "auto" as written, else cut to it, command)
 OVERFLOW_COMMANDS = [
-    *(["factorize", "--route", route, "--parity", parity]
+    *((parity, ["factorize", "--route", route])
       for route in ("direct", "second", "first") for parity in ("auto", "even", "odd")),
-    *(["extremal", "--which", which, "--parity", parity]
+    *((parity, ["extremal", "--which", which])
       for which in ("krein", "friedrichs") for parity in ("auto", "even", "odd")),
 ]
 
 
 @pytest.mark.parametrize("z", ["1e200", "1e300+1e300i"])
 @pytest.mark.parametrize("moments", ["moments_q1.json", "moments_q2.json"])
-def test_overflowing_z_fails_without_a_warning(capsys, moments, z):
+def test_overflowing_z_fails_without_a_warning(tmp_path, capsys, moments, z):
     # the stacked evaluation overflows; the point fails by its exit code and
     # stderr line alone, and numpy warns of nothing on the way
-    inp = str(Path(__file__).parent / "golden" / moments)
-    for command in OVERFLOW_COMMANDS:
+    golden = Path(__file__).parent / "golden" / moments
+    for parity, command in OVERFLOW_COMMANDS:
+        inp = moment_file_at_parity(golden, parity, tmp_path)
         argv = [*command, "--input", inp, f"--z={z}"]
         with np.errstate(all="ignore"):
             quiet = main(argv), capsys.readouterr()
@@ -446,7 +449,7 @@ def test_analyze_reads_one_hankel_set(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["analyze"],
     ["factorize", "--route", "second", "--z=-1", "--z=0.3+0.2i"],
-    ["factorize", "--route", "first", "--parity", "even", "--z=-1", "--z=0.3+0.2i"],
+    ["factorize", "--route", "first", "--z=-1", "--z=0.3+0.2i"],
     ["extremal", "--which", "krein", "--z=-1", "--z=0.3+0.2i"],
 ])
 def test_no_hankel_member_is_solved_twice(monkeypatch, argv):
@@ -943,6 +946,25 @@ def test_analyze_refuses_identity_residuals_out_of_float_range(tmp_path, capsys)
         "precondition failure: identity ratio_q1_p1 at j=2 leaves the float range\n")
 
 
+@pytest.mark.parametrize("command, chain", [
+    (["analyze", "--params-out"], "rhat at j=2"),
+    (["extremal", "--which", "krein", "--z=-1", "--output"], "rhat at j=2"),
+    (["extremal", "--which", "friedrichs", "--z=-1", "--output"], "L at j=1"),
+], ids=["analyze", "extremal-krein", "extremal-friedrichs"])
+def test_a_chain_that_leaves_the_float_range_is_refused_where_it_is_made(tmp_path, capsys,
+                                                                         command, chain):
+    # times 3e307 the symmetrized rhat_2 and the K2 form behind L_1 overflow,
+    # though every moment and its symmetrized copy is finite
+    inp = scaled_golden(tmp_path, 3e307)
+    written = tmp_path / "written.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command[0], "--input", inp, *command[1:], str(written)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and not written.exists() and not caught
+    assert captured.err == f"precondition failure: parameter {chain} leaves the float range\n"
+
+
 @pytest.mark.parametrize("name, scale, moment", [("moments_q1.json", 1e308, "s_0"),
                                                   ("moments_q2.json", 1e307, "s_5")])
 @pytest.mark.parametrize("command", [["analyze", "--params-out"],
@@ -985,19 +1007,26 @@ def test_commands_near_the_float_range_write_no_warning(tmp_path, capsys, comman
         assert report["classification"] == "PositiveDefinite"
 
 
-@pytest.mark.parametrize("options", [
-    [], ["--z=-1"], *(["--parity", parity, "--which", which]
-                      for parity in ("even", "odd", "auto") for which in ("krein", "friedrichs")),
-], ids=lambda options: "-".join(o.strip("-=") for o in options) or "default")
-def test_extremal_near_the_float_range_is_the_scaled_value(tmp_path, capsys, options):
+# (parity the golden q = 1 moments (m = 5) are read at: "even" cuts s_5, options)
+FLOAT_RANGE_CASES = {
+    "default": ("auto", []), "z=-1": ("auto", ["--z=-1"]),
+    **{f"parity-{parity}-which-{which}": (parity, ["--which", which])
+       for parity in ("even", "odd", "auto") for which in ("krein", "friedrichs")},
+}
+
+
+@pytest.mark.parametrize("parity, options", FLOAT_RANGE_CASES.values(), ids=FLOAT_RANGE_CASES.keys())
+def test_extremal_near_the_float_range_is_the_scaled_value(tmp_path, capsys, parity, options):
     # times 1e307 the resolvent overflows at z = 2+1i, but the extremal values
     # are block quotients and continued fractions, which scale with the moments
     argv = ["extremal", "--z=2+1i"] + options
-    assert main(argv + ["--input", str(Path(__file__).parent / "golden" / "moments_q1.json")]) == 0
+    golden = Path(__file__).parent / "golden" / "moments_q1.json"
+    assert main(argv + ["--input", moment_file_at_parity(golden, parity, tmp_path)]) == 0
     unscaled = json.loads(capsys.readouterr().out)["results"]
+    scaled = moment_file_at_parity(scaled_golden(tmp_path, 1e307), parity, tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(argv + ["--input", scaled_golden(tmp_path, 1e307)])
+        code = main(argv + ["--input", scaled])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

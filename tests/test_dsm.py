@@ -29,8 +29,8 @@ from thmm._linalg import min_eigenvalue, rel_residual, scaled_cond
 from thmm.io import read_moment_file, read_parameter_file
 from thmm.errors import ThmmError
 
-from conftest import (family_of, lebesgue, limit_errors, random_pd_weight, random_sequence, rel,
-                      spy_lapack)
+from conftest import (at_parity, family_of, lebesgue, limit_errors, random_pd_weight,
+                      random_sequence, rel, spy_lapack)
 
 
 @pytest.fixture(scope="module")
@@ -476,28 +476,29 @@ def test_singular_largest_member_is_a_pivot_failure_not_ill_conditioning(points,
     assert (err.value.family, err.value.index) == pivot
 
 
-def expected_rungs(m, parity, second):
-    """The names of the rungs of a chain, written out from the order n that parity gives."""
-    from thmm.resolvent import _order
-
-    n = _order(MomentSequence(0.0, 1.0, tuple(np.eye(1) for _ in range(m + 1))), parity)
+def expected_rungs(seq, second):
+    """The names of the rungs of a chain, written out from the order n = m // 2 and the parity of seq."""
+    n = seq.m // 2
     x, y = ("mhat", "lhat") if second else ("M", "L")
     pairs = [f"{t}[{k}]" for k in range(n) for t in (x, y)]
     if second:
-        return pairs + ([f"mhat[{n}]"] if parity == "odd" else [])
-    return pairs + [f"M[{n}]"] + ([f"L[{n}]"] if parity == "odd" else [])
+        return pairs + ([f"mhat[{n}]"] if seq.parity == "odd" else [])
+    return pairs + [f"M[{n}]"] + ([f"L[{n}]"] if seq.parity == "odd" else [])
 
 
-@pytest.mark.parametrize("m", range(8))
-@pytest.mark.parametrize("parity", ["even", "odd"])
+# the Lebesgue moments s_0..s_m read at each parity; m = 0 is even, and no cut is odd
+RUNG_CASES = [(parity, m) for m in range(8) for parity in ("even", "odd") if m or parity == "even"]
+
+
+@pytest.mark.parametrize("parity, m", RUNG_CASES, ids=[f"{p}-{m}" for p, m in RUNG_CASES])
 @pytest.mark.parametrize("second", [True, False], ids=["DsmSecond", "DsmFirst"])
 def test_rungs_interleave_the_chain_up_to_the_order_of_the_parity(m, parity, second):
-    chain = (compute_second if second else compute_first)(family_of(lebesgue(m)))
+    seq = at_parity(lebesgue(m), parity)
+    chain = (compute_second if second else compute_first)(family_of(seq))
     own = ({"mhat": chain.mhat, "lhat": chain.lhat_from_zero} if second
            else {"M": chain.M, "L": chain.L})
-    # odd parity needs s_1
-    names = [] if m == 0 and parity == "odd" else expected_rungs(m, parity, second)
+    names = expected_rungs(seq, second)
     want = [own[name][int(k)] for name, k in (tag[:-1].split("[") for tag in names)]
-    rungs = dsm_module.rungs(chain, parity)
+    rungs = dsm_module.rungs(chain)
     # each rung is the chain's own matrix, in reading order
     assert len(rungs) == len(want) and all(got is mat for got, mat in zip(rungs, want))

@@ -18,20 +18,21 @@ from thmm._linalg import PointPrefix
 from thmm.cli import main
 from thmm.dsm import rungs
 
-from conftest import family_of, lebesgue, random_measure, random_sequence, random_z_points, rel
+from conftest import (at_parity, family_of, lebesgue, moment_file_at_parity, random_measure,
+                      random_sequence, random_z_points, rel)
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def cf_at(fam, z, parity, which):
+def cf_at(fam, z, which):
     """The continued-fraction value of one extremal solution at the single point z."""
-    return extremal_cf_many(fam, [z], parity, which)[0]
+    return extremal_cf_many(fam, [z], which)[0]
 
 
-def cf_of_chain(chain, zs, parity, a=0.0, b=1.0):
+def cf_of_chain(chain, zs, a=0.0, b=1.0):
     """The continued fraction a DSM chain drives on [a, b] at the points zs, as extremal_cf_many has it."""
     pts = PointPrefix(zs)
-    value = extremal._fraction(chain, pts, parity, a, b)
+    value = extremal._fraction(chain, pts, a, b)
     pts.finish()
     return value
 
@@ -46,8 +47,8 @@ def test_krein_even_base_case():
     # n = 0: sK(z) = -s_0 / (z - a), the transform of a mass at a
     fam = family_of(lebesgue(0))
     zs = [-1.0, 2.0, 1.5 + 1.0j]
-    quo = extremal_quotient_many(fam, zs, "even", "krein")
-    cf = extremal_cf_many(fam, zs, "even", "krein")
+    quo = extremal_quotient_many(fam, zs, "krein")
+    cf = extremal_cf_many(fam, zs, "krein")
     for k, z in enumerate(zs):
         assert rel(quo[k], np.array([[-1.0 / (z - 0.0)]])) < 1e-14
         assert rel(cf[k], quo[k]) < 1e-14
@@ -56,31 +57,31 @@ def test_krein_even_base_case():
 def test_friedrichs_even_desk_value():
     # Lebesgue, n = 1, z = -1: (−1 − 5/6) / (2 (−1 − 1/3)) = 11/16
     fam = family_of(lebesgue(2))
-    quo = extremal_quotient_many(fam, [-1.0], "even", "friedrichs")
+    quo = extremal_quotient_many(fam, [-1.0], "friedrichs")
     assert abs(quo[0, 0, 0] - 11.0 / 16.0) < 1e-13
-    assert abs(cf_at(fam, -1.0, "even", "friedrichs")[0, 0] - 11.0 / 16.0) < 1e-13
+    assert abs(cf_at(fam, -1.0, "friedrichs")[0, 0] - 11.0 / 16.0) < 1e-13
 
 
 def test_krein_even_desk_value():
     fam = family_of(lebesgue(2))
-    quo = extremal_quotient_many(fam, [-1.0], "even", "krein")
+    quo = extremal_quotient_many(fam, [-1.0], "krein")
     assert abs(quo[0, 0, 0] - 0.7) < 1e-13
-    assert abs(cf_at(fam, -1.0, "even", "krein")[0, 0] - 0.7) < 1e-13
+    assert abs(cf_at(fam, -1.0, "krein")[0, 0] - 0.7) < 1e-13
 
 
 def test_odd_desk_values():
     fam = family_of(lebesgue(3))
-    assert abs(extremal_quotient_many(fam, [-1.0], "odd", "krein")[0, 0, 0] - 25.0 / 36.0) < 1e-13
-    assert abs(extremal_quotient_many(fam, [-1.0], "odd", "friedrichs")[0, 0, 0]
+    assert abs(extremal_quotient_many(fam, [-1.0], "krein")[0, 0, 0] - 25.0 / 36.0) < 1e-13
+    assert abs(extremal_quotient_many(fam, [-1.0], "friedrichs")[0, 0, 0]
                - 9.0 / 13.0) < 1e-13
-    assert abs(cf_at(fam, -1.0, "odd", "krein")[0, 0] - 25.0 / 36.0) < 1e-13
-    assert abs(cf_at(fam, -1.0, "odd", "friedrichs")[0, 0] - 9.0 / 13.0) < 1e-13
+    assert abs(cf_at(fam, -1.0, "krein")[0, 0] - 25.0 / 36.0) < 1e-13
+    assert abs(cf_at(fam, -1.0, "friedrichs")[0, 0] - 9.0 / 13.0) < 1e-13
 
 
 def test_friedrichs_odd_minimal():
     # m = 1 Lebesgue data: sF(z) = 1 / (1/2 - z)
     zs = [-2.0, 3.0]
-    quo = extremal_quotient_many(family_of(lebesgue(1)), zs, "odd", "friedrichs")
+    quo = extremal_quotient_many(family_of(lebesgue(1)), zs, "friedrichs")
     for k, z in enumerate(zs):
         assert abs(quo[k, 0, 0] - 1.0 / (0.5 - z)) < 1e-13
 
@@ -88,12 +89,12 @@ def test_friedrichs_odd_minimal():
 def test_cf_equals_quotient_random(rng):
     for q, n in ((1, 3), (2, 2), (3, 2)):
         seq, _ = random_sequence(rng, q, n)
-        fam = family_of(seq)
         for parity in ("even", "odd"):
+            fam = family_of(at_parity(seq, parity))
             zs = random_z_points(rng, 5)
             for which in ("krein", "friedrichs"):
-                quo = extremal_quotient_many(fam, zs, parity, which)
-                cf = extremal_cf_many(fam, zs, parity, which)
+                quo = extremal_quotient_many(fam, zs, which)
+                cf = extremal_cf_many(fam, zs, which)
                 for k in range(len(zs)):
                     assert rel(cf[k], quo[k]) < 1e-8
 
@@ -102,18 +103,18 @@ def test_cf_q2_point(rng):
     seq, _ = random_sequence(rng, 2, 2)
     fam = family_of(seq)
     z = 2.0 + 1.0j
-    quo = extremal_quotient_many(fam, [z], "odd", "friedrichs")
-    assert rel(cf_at(fam, z, "odd", "friedrichs"), quo[0]) < 1e-9
+    quo = extremal_quotient_many(fam, [z], "friedrichs")
+    assert rel(cf_at(fam, z, "friedrichs"), quo[0]) < 1e-9
 
 
 def test_chain_depth_and_levels():
     fam = family_of(lebesgue(3))
     dsm, first = compute_second(fam), compute_first(fam)
     # the odd Krein fraction reads mhat_0, lhat_0, mhat_1, the odd Friedrichs one M_0, L_0, M_1, L_1
-    krein = rungs(dsm, "odd")
+    krein = rungs(dsm)
     want = (dsm.mhat[0], dsm.lhat_from_zero[0], dsm.mhat[1])
     assert len(krein) == 3 and all(np.array_equal(x, y) for x, y in zip(krein, want))
-    friedrichs = rungs(first, "odd")
+    friedrichs = rungs(first)
     want = (first.M[0], first.L[0], first.M[1], first.L[1])
     assert len(friedrichs) == 4 and all(np.array_equal(x, y) for x, y in zip(friedrichs, want))
     # at z = -1 on [0, 1]: -(z-a)(b-z) = 2, b - z = 2 and -(z-a) = 1 scale the
@@ -121,23 +122,23 @@ def test_chain_depth_and_levels():
     s0 = complex(dsm.s0[0, 0])
     m0, l0, m1 = (complex(x[0, 0]) for x in krein)
     want = s0 / 2 + 1 / (2 * m0 + 1 / (l0 / 2 + 1 / (2 * m1)))
-    assert abs(cf_of_chain(dsm, [-1.0], "odd")[0, 0, 0] - want) < 1e-13
+    assert abs(cf_of_chain(dsm, [-1.0])[0, 0, 0] - want) < 1e-13
     big_m0, big_l0, big_m1, big_l1 = (complex(x[0, 0]) for x in friedrichs)
     want = 1 / (big_m0 + 1 / (big_l0 + 1 / (big_m1 + 1 / big_l1)))
-    assert abs(cf_of_chain(first, [-1.0], "odd")[0, 0, 0] - want) < 1e-13
+    assert abs(cf_of_chain(first, [-1.0])[0, 0, 0] - want) < 1e-13
     # the even Friedrichs fraction reads mhat_0, lhat_0 under the same head
     even = compute_second(family_of(lebesgue(2)))
-    assert len(rungs(even, "even")) == 2
-    m0, l0 = (complex(x[0, 0]) for x in rungs(even, "even"))
+    assert len(rungs(even)) == 2
+    m0, l0 = (complex(x[0, 0]) for x in rungs(even))
     want = complex(even.s0[0, 0]) / 2 + 1 / (2 * m0 + 1 / (l0 / 2))
-    assert abs(cf_of_chain(even, [-1.0], "even")[0, 0, 0] - want) < 1e-13
+    assert abs(cf_of_chain(even, [-1.0])[0, 0, 0] - want) < 1e-13
 
 
 def test_chain_accepts_prebuilt_params():
     fam = family_of(lebesgue(3))
-    cf = cf_of_chain(compute_second(fam), [-1.0], "odd")[0]
+    cf = cf_of_chain(compute_second(fam), [-1.0])[0]
     assert abs(cf[0, 0] - 25.0 / 36.0) < 1e-13
-    cf2 = cf_of_chain(compute_first(fam), [-1.0], "odd")[0]
+    cf2 = cf_of_chain(compute_first(fam), [-1.0])[0]
     assert abs(cf2[0, 0] - 9.0 / 13.0) < 1e-13
 
 
@@ -146,47 +147,47 @@ def test_chain_accepts_prebuilt_params():
 @pytest.mark.parametrize("which", ["krein", "friedrichs"])
 def test_a_passed_chain_reads_the_rungs_of_its_family(rng, m, parity, which):
     measure = random_measure(rng, 2, m // 2 + 2)
-    fam = family_of(measure.moments(m))
+    fam = family_of(at_parity(measure.moments(m), parity))
     chain = (compute_second if (which == "friedrichs") == (parity == "even") else compute_first)(fam)
     zs = random_z_points(rng, 6)
-    from_chain = cf_of_chain(chain, zs, parity, fam.seq.a, fam.seq.b)
-    assert from_chain.tobytes() == extremal_cf_many(fam, zs, parity, which).tobytes()
+    from_chain = cf_of_chain(chain, zs, fam.seq.a, fam.seq.b)
+    assert from_chain.tobytes() == extremal_cf_many(fam, zs, which).tobytes()
 
 
 @pytest.mark.parametrize("given", ["family"])   # the one source the fractions take
 @pytest.mark.parametrize("call", [
-    lambda fam, parity, which: cf_at(fam, 2 + 1j, parity, which),
-    lambda fam, parity, which: extremal_cf_many(fam, [2 + 1j, -1.0], parity, which),
-    lambda fam, parity, which: extremal_quotient_many(fam, [2 + 1j, -1.0], parity, which),
+    lambda fam, parity, which: extremal_cf_many(fam, [2 + 1j], which, parity=parity)[0],
+    lambda fam, parity, which: extremal_cf_many(fam, [2 + 1j, -1.0], which, parity=parity),
+    lambda fam, parity, which: extremal_quotient_many(fam, [2 + 1j, -1.0], which, parity=parity),
 ], ids=["cf", "cf_many", "quotient"])
 @pytest.mark.parametrize("which", ["krein", "friedrichs"])
 def test_a_bad_parity_is_refused_whatever_the_source(call, given, which):
-    with pytest.raises(ValueError) as info:
-        call(family_of(lebesgue(3)), "foo", which)
-    assert str(info.value) == "parity must be 'even' or 'odd', got 'foo'"
+    # m decides the parity: every parity passed is a bad one, even the one m gives
+    with pytest.raises(TypeError, match="unexpected keyword argument 'parity'"):
+        call(family_of(lebesgue(3)), "odd", which)
 
 
 def test_singular_level():
     # a zero M_0 makes the one level -(z - a) M_0 of the Krein fraction zero
     chain = DsmFirst(M=(np.zeros((1, 1), dtype=complex),), L=())
     with pytest.raises(SingularLevel):
-        cf_of_chain(chain, [2.0], "even")
+        cf_of_chain(chain, [2.0])
 
 
 def test_point_on_interval_rejected():
     fam = family_of(lebesgue(3))
     with pytest.raises(PointOnInterval):
-        extremal_quotient_many(fam, [0.25], "odd", "krein")
+        extremal_quotient_many(fam, [0.25], "krein")
     # points just off the interval are accepted
-    extremal_quotient_many(fam, [0.25 + 0.5j], "odd", "krein")
+    extremal_quotient_many(fam, [0.25 + 0.5j], "krein")
 
 
 def test_hermitian_for_real_z_off_interval(rng):
     seq, _ = random_sequence(rng, 2, 2)
-    fam = family_of(seq)
     for parity in ("even", "odd"):
+        fam = family_of(at_parity(seq, parity))
         for which in ("krein", "friedrichs"):
-            for v in extremal_quotient_many(fam, [-2.0, 3.5], parity, which):
+            for v in extremal_quotient_many(fam, [-2.0, 3.5], which):
                 assert np.linalg.norm(v - v.conj().T) < 1e-9 * (1 + np.linalg.norm(v))
 
 
@@ -194,11 +195,11 @@ def test_solution_transform_constant_pairs(rng):
     seq, _ = random_sequence(rng, 2, 1)
     fam = family_of(seq)
     z = -1.5
-    (u,) = resolvent_direct_many(fam, [z], "odd")
+    (u,) = resolvent_direct_many(fam, [z])
     eye, zero = np.eye(2), np.zeros((2, 2))
-    assert rel(mobius(u, eye, zero), extremal_quotient_many(fam, [z], "odd", "krein")[0]) < 1e-10
+    assert rel(mobius(u, eye, zero), extremal_quotient_many(fam, [z], "krein")[0]) < 1e-10
     assert rel(mobius(u, zero, eye),
-               extremal_quotient_many(fam, [z], "odd", "friedrichs")[0]) < 1e-10
+               extremal_quotient_many(fam, [z], "friedrichs")[0]) < 1e-10
     mixed = mobius(u, eye, eye)
     assert np.linalg.norm(mixed - mixed.conj().T) < 1e-9 * (1 + np.linalg.norm(mixed))
 
@@ -206,11 +207,11 @@ def test_solution_transform_constant_pairs(rng):
 def test_right_quotient_convention(rng):
     # beta delta^{-1} computed blockwise equals the Friedrichs quotient
     seq, _ = random_sequence(rng, 2, 2)
-    fam = family_of(seq)
     for parity in ("even", "odd"):
+        fam = family_of(at_parity(seq, parity))
         zs = random_z_points(rng, 4)
-        u = resolvent_direct_many(fam, zs, parity)
-        quo = extremal_quotient_many(fam, zs, parity, "friedrichs")
+        u = resolvent_direct_many(fam, zs)
+        quo = extremal_quotient_many(fam, zs, "friedrichs")
         for k in range(len(zs)):
             blockwise = u[k, :2, 2:] @ np.linalg.inv(u[k, 2:, 2:])
             assert rel(blockwise, quo[k]) < 1e-10
@@ -218,19 +219,19 @@ def test_right_quotient_convention(rng):
 
 def test_many_is_the_stack_of_single_points(rng):
     seq, _ = random_sequence(rng, 2, 2)
-    fam = family_of(seq)
     zs = random_z_points(rng, 5) + [complex(x, 0.01) for x in (-0.1, 0.5, 1.1)]
     for parity in ("even", "odd"):
+        fam = family_of(at_parity(seq, parity))
         # each point of the stack is the stack of that point alone
         for which in ("krein", "friedrichs"):
-            quo = extremal_quotient_many(fam, zs, parity, which)
+            quo = extremal_quotient_many(fam, zs, which)
             assert quo.shape == (len(zs), 2, 2)
-            cf = extremal_cf_many(fam, zs, parity, which)
+            cf = extremal_cf_many(fam, zs, which)
             for k, z in enumerate(zs):
-                assert np.array_equal(cf[k], cf_at(fam, z, parity, which))
-                assert np.array_equal(quo[k], extremal_quotient_many(fam, [z], parity, which)[0])
+                assert np.array_equal(cf[k], cf_at(fam, z, which))
+                assert np.array_equal(quo[k], extremal_quotient_many(fam, [z], which)[0])
     with pytest.raises(PointOnInterval, match=r"\(0.5\+0j\)"):
-        extremal_quotient_many(fam, [2.0, 0.5, 0.75], "odd", "krein")
+        extremal_quotient_many(family_of(seq), [2.0, 0.5, 0.75], "krein")
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -245,8 +246,9 @@ def test_extremal_evaluates_only_the_printed_solution(monkeypatch, tmp_path, whi
         return real(p, z)
 
     monkeypatch.setattr(extremal, "adjoint_eval", spy)
-    argv = ["extremal", "--input", str(GOLDEN / "moments_q2.json"), "--which", which,
-            "--parity", parity, "--z=2+1i", "--z=-1", "--output", str(tmp_path / "out.json")]
+    inp = moment_file_at_parity(GOLDEN / "moments_q2.json", parity, tmp_path)
+    argv = ["extremal", "--input", inp, "--which", which, "--z=2+1i", "--z=-1",
+            "--output", str(tmp_path / "out.json")]
     assert main(argv) == 0
     assert len(calls) == 2
 
@@ -305,10 +307,9 @@ def test_extremal_values_are_gauss_type_quadratures(m):
     # both routes read the same chains and polynomials, so only an
     # independent oracle shows how many digits they keep (worst 2.2e-9, m = 12)
     fam = family_of(lebesgue(m))
-    parity = "odd" if m % 2 else "even"
     for which, jac in _quadrature_rules(m).items():
-        quotients = extremal_quotient_many(fam, QUADRATURE_ZS, parity, which)
-        cfs = extremal_cf_many(fam, QUADRATURE_ZS, parity, which)
+        quotients = extremal_quotient_many(fam, QUADRATURE_ZS, which)
+        cfs = extremal_cf_many(fam, QUADRATURE_ZS, which)
         for k, z in enumerate(QUADRATURE_ZS):
             exact = _stieltjes(jac, z)
             for value in (quotients[k, 0, 0], cfs[k, 0, 0]):

@@ -34,7 +34,7 @@ from thmm._linalg import (
 )
 from thmm.cli import main
 
-from conftest import random_z_points, spy_lapack
+from conftest import moment_file_at_parity, random_z_points, spy_lapack
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -515,8 +515,9 @@ def test_guard_cond_takes_no_svd_on_golden_extremal_at_64_points(monkeypatch, tm
     zs += random_z_points(rng, 32, -0.5, 1.5)
     for which in ("krein", "friedrichs"):
         for parity in ("even", "odd"):
-            argv = ["extremal", "--input", str(GOLDEN / "moments_q2.json"), "--which", which,
-                    "--parity", parity, "--output", str(tmp_path / "out.json")]
+            inp = moment_file_at_parity(GOLDEN / "moments_q2.json", parity, tmp_path)
+            argv = ["extremal", "--input", inp, "--which", which,
+                    "--output", str(tmp_path / "out.json")]
             assert main(argv + [f"--z={z.real!r}{z.imag:+}i" for z in zs]) == 0
     assert svd == []
 
