@@ -1,15 +1,18 @@
 """Dense helpers for small complex Hermitian systems.
 
 Positive definiteness is always decided by an attempted Cholesky
-factorization with a relative pivot threshold, never by eigenvalue
-iterations, so the decision is deterministic.  Eigenvalues are computed
-only to report witnesses for failed classifications.
+factorization and one pivot rule (pivots_pass): LAPACK factors a and each
+pivot has L_ii^2 > PIVOT_RTOL a_ii.  That ratio is the pivot of a scaled to
+unit diagonal, so a diagonal scaling of a does not move the decision.
+Eigenvalues only label a refused member (classify: Indefinite or Degenerate)
+and test a weight for semidefiniteness (DiscreteMeasure), which no pivot can.
 
-cholesky_pd is the one Cholesky factorization.  Run in blocks of q on
-the largest member of a block Hankel family, it decides every member at
-once: the factor of each member is a leading block of the one factor, and
-its diagonal blocks factor the Schur complements.  HankelSet keeps one
-such factor per family; solve_pd factors its matrix and drops the factor.
+cholesky_pd factors one matrix, cholesky_pd_stack a parameter chain in
+one call.  Run in blocks of q on the largest member of a block Hankel
+family, cholesky_pd decides every member at once: the factor of each member
+is a leading block of the one factor, and its diagonal blocks factor the
+Schur complements.  HankelSet keeps one such factor per family; solve_pd
+factors its matrix and drops the factor.
 
 solve, inv, cholesky and cond are the package's one way to NumPy's LAPACK
 kernels.  Each is np.linalg.solve, inv, cholesky or cond (p=None) to the
@@ -84,8 +87,7 @@ def frob(a):
     When that sum overflows while every entry is finite, the norm is
     _scaled_frob's instead.  numpy's overflow warning of the sum still
     shows: suppressing it would cost each call more than the sum, so a
-    caller that meets huge entries (cholesky_pd's pivot thresholds)
-    suppresses it around its own calls.
+    caller that meets huge entries suppresses it around its own calls.
     """
     flat = np.asarray(a, dtype=complex).ravel(order="K")
     re, im = flat.real, flat.imag
@@ -175,34 +177,42 @@ def scaled_cond(a):
     return float(cond(a * d[:, None] * d[None, :]))
 
 
-@np.errstate(over="ignore")   # frob rescales a sum that overflows
+def pivots_pass(a, L):
+    """L_ii^2 > PIVOT_RTOL a_ii for each pivot of L, the Cholesky factor of a (or of a stack); NaN fails."""
+    return L.diagonal(axis1=-2, axis2=-1).real ** 2 > PIVOT_RTOL * a.diagonal(axis1=-2, axis2=-1).real
+
+
 def cholesky_pd(a, block=None):
     """Lower Cholesky factor of a Hermitian matrix, or None.
 
-    a[:p, :p] counts as positive definite when each of its p pivots
-    diag(L)**2 is above PIVOT_RTOL * ||a[:p, :p]||_F, the package-wide
-    test; a NaN pivot or threshold fails it.  Without block this is the
-    factor of a, or None.  With block it is the factor of the largest
-    passing a[:p, :p], p a multiple of block, or None if none passes.
-    The factor is one LAPACK Cholesky (cholesky); where LAPACK refuses a,
-    which only happens when a is not positive definite, the next smaller
-    leading block is tried.
+    a[:p, :p] counts as positive definite when LAPACK factors it and each
+    of its p pivots passes pivots_pass, diag(L)**2 > PIVOT_RTOL *
+    diag(a[:p, :p]).  Without block this is the factor of a, or None.  With
+    block it is the factor of the largest passing a[:p, :p], p a multiple
+    of block, or None if none passes: p is the first failing pivot rounded
+    down to a multiple of block.  The factor is one LAPACK Cholesky
+    (cholesky); where LAPACK refuses a, which only happens when a is not
+    positive definite, the next smaller leading block is tried.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     block = block or max(n, 1)
-    thresholds = [PIVOT_RTOL * frob(a[:p, :p]) for p in range(block, n + 1, block)]
     for p in range(n, 0, -block):
         try:
             L = cholesky(a[:p, :p])
         except LinAlgError:
             continue
-        # a block's threshold tests all pivots before it too; NaN propagates
-        smallest = np.minimum.accumulate(L.diagonal().real ** 2)[block - 1::block]
-        passed = smallest > thresholds[:len(smallest)]
-        p = block * (len(passed) if passed.all() else int(np.argmin(passed)))
+        passed = pivots_pass(a[:p, :p], L)
+        p = p if passed.all() else int(np.argmin(passed)) // block * block
         return L[:p, :p] if p else None
     return None
+
+
+@np.errstate(all="ignore")   # a matrix LAPACK refuses gets a NaN factor, which fails the rule
+def cholesky_pd_stack(stack):
+    """cholesky of each matrix of a (K, q, q) stack, in one call, and whether each passes pivots_pass."""
+    L = cholesky.__wrapped__(stack)
+    return L, pivots_pass(stack, L).all(axis=-1)
 
 
 def solve_pd(a, rhs, family, index):

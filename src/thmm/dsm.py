@@ -38,11 +38,8 @@ import itertools
 import numpy as np
 
 from ._linalg import (
-    PIVOT_RTOL,
     adjoint,
-    cholesky,
-    cholesky_pd,
-    frobs,
+    cholesky_pd_stack,
     hermitize,
     inv,
     rel_residual,
@@ -317,13 +314,11 @@ def product_identities(fam, dsm, first):
 def _chain_factors(chain, q, name, error, hermitian_rtol=None):
     """The q x q parameters of a chain as one stack, and the stack of their Cholesky factors.
 
-    Each parameter must pass cholesky_pd's test of positive definiteness;
-    with hermitian_rtol it must first be Hermitian within it,
-    ||x - x^*||_F <= hermitian_rtol (1 + ||x||_F), and the stack returned is
-    symmetrized.  error(name, j) names the first parameter that fails.  The
-    chain is tested and factored as one stack (frobs, one cholesky);
-    only a chain that this refuses is factored again matrix by matrix by
-    cholesky_pd, to find that j.
+    Each parameter must pass the pivot rule of positive definiteness
+    (cholesky_pd_stack, one call for the chain); with hermitian_rtol it must
+    first be Hermitian within it, ||x - x^*||_F <= hermitian_rtol (1 + ||x||_F),
+    and the stack returned is symmetrized.  error(name, j) names the first
+    parameter that fails.
     """
     if not len(chain):
         empty = np.empty((0, q, q), dtype=complex)
@@ -334,19 +329,10 @@ def _chain_factors(chain, q, name, error, hermitian_rtol=None):
         skew, size = skew_norms(stack)
         skew = skew > hermitian_rtol * (1.0 + size)
         stack = hermitize(stack)
-    try:
-        factors = cholesky(stack)
-        smallest = (factors.diagonal(axis1=-2, axis2=-1).real ** 2).min(axis=-1)
-        refused = not (smallest > PIVOT_RTOL * frobs(stack)).all()
-    except np.linalg.LinAlgError:   # some parameter is not positive definite
-        refused = True
-    if refused or skew.any():
-        factors = []
-        for j, x in enumerate(stack):
-            factors.append(None if skew[j] else cholesky_pd(x))
-            if factors[-1] is None:
-                raise error(name, j)
-        factors = np.stack(factors)
+    factors, passed = cholesky_pd_stack(stack)
+    failed = skew | ~passed
+    if failed.any():
+        raise error(name, int(np.argmax(failed)))
     return stack, factors
 
 

@@ -14,6 +14,10 @@ replace all of it shows in the digest.  The corpus:
 - degenerate, indefinite and rank-one moment sequences under analyze,
   factorize (every route), extremal (both solutions) and scalar-report;
 - tests/data/overflow_q3.json;
+- Lebesgue moments times diag(1, 2^-2k), k = 14 and 20, at m = 3, 5 and
+  7, positive definite at every k, under analyze, factorize (every route)
+  and extremal (both solutions), so that a pivot test that a diagonal
+  scaling moves shows;
 - positive definite sequences with -0.0 entries (the golden moments and a
   measure with exact zero moments, each zero written as -0.0) under
   analyze, factorize (every route) and extremal, so that a change to the
@@ -228,6 +232,13 @@ def corpus(workdir):
         yield f"negzero/{name}/analyze", ["analyze", "--input", path,
                                           "--params-out", str(work / "params.json")]
         yield from _evaluations(work, path, f"negzero/{name}", ["2+1i", "-0.3+0.05i", "3", "-2"])
+
+    for k in (14, 20):
+        for m in (3, 5, 7):
+            moments = [np.diag([1.0, 2.0 ** (-2 * k)]) / (j + 1) for j in range(m + 1)]
+            path = _moment_file(work / f"diag_scaled_k{k}_m{m}.json", moments)
+            yield f"diag-scaled/k{k}/m{m}/analyze", ["analyze", "--input", path]
+            yield from _evaluations(work, path, f"diag-scaled/k{k}/m{m}", ["2+1i", "-0.3+0.05i"])
 
     overflow = str(HERE / "data" / "overflow_q3.json")
     yield "overflow/analyze", ["analyze", "--input", overflow]

@@ -387,7 +387,7 @@ def test_analyze_loads_no_scipy(tmp_path):
 def test_analyze_factors_each_family_once(tmp_path, monkeypatch):
     factored = []
     real_cholesky = _linalg.cholesky_pd
-    for module in (_linalg, moments, dsm):
+    for module in (_linalg, moments):
         monkeypatch.setattr(module, "cholesky_pd",
                             lambda a, *rest, **kw: factored.append(a)
                             or real_cholesky(a, *rest, **kw))
@@ -410,7 +410,7 @@ def test_analyze_factors_each_family_once(tmp_path, monkeypatch):
     others += [m for name in names for m in hank.complements(name)]
     assert not any(a is m for a in factored for m in others)
     # the parameters mhat_0..2 and lhat_0..2 reach no cholesky_pd: each chain
-    # is factored once, as one stack
+    # is factored once, as one stack (cholesky_pd_stack)
     assert len(factored) == 4
     stacks = [ops[0] for name, ops in kernel_calls if name == "cholesky" and ops[0].ndim == 3]
     assert [s.shape for s in stacks] == [(3, 2, 2), (3, 2, 2)]

@@ -62,37 +62,22 @@ def test_cholesky_rejects_indefinite_and_singular():
     assert cholesky_pd(np.array([[1.0, np.nan], [np.nan, 1.0]])) is None
 
 
-def test_cholesky_in_blocks_tests_each_leading_block_against_its_own_norm():
-    # pivots 1, 5e-12 and 100: a[:2, :2] passes, but 5e-12 is not above
-    # 1e-12 * ||a||_F, so a itself fails although each pivot clears the
-    # threshold of the first leading block that holds it
-    a = np.diag([1.0, 5e-12, 100.0]).astype(complex)
-    assert cholesky_pd(a) is None and cholesky_pd(a[:2, :2]) is not None
-    L = cholesky_pd(a, block=1)
-    assert np.array_equal(L, cholesky_pd(a[:2, :2]))
-    assert cholesky_pd(np.diag([0.0, 1.0]), block=1) is None
-
-
 @np.errstate(invalid="ignore")   # inf - inf past an infinite entry
 def _column_loop_size(a, block=None, pivot_rtol=1e-12):
-    """Size of the factor of the column-by-column Cholesky loop cholesky_pd once ran.
+    """Size of the factor of a column-by-column Cholesky loop, the reference for cholesky_pd.
 
-    Each pivot d_k = a_kk - |L[k, :k]|^2 must exceed the threshold of its
-    block, and so must every pivot before it; the loop stops at the first
-    that does not and keeps the passing blocks before it.
+    Each pivot d_k = a_kk - |L[k, :k]|^2 must exceed pivot_rtol * a_kk; the
+    loop stops at the first that does not and keeps the passing blocks
+    before it.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     block = block or max(n, 1)
-    thresholds = [pivot_rtol * np.linalg.norm(a[:p, :p]) for p in range(block, n + 1, block)]
     L = np.zeros_like(a)
-    smallest = np.inf
     for k in range(n):
         d = a[k, k].real - np.vdot(L[k, :k], L[k, :k]).real
-        threshold = thresholds[k // block]
-        if not (d > threshold and smallest > threshold):
+        if not d > pivot_rtol * a[k, k].real:
             return k - k % block
-        smallest = min(smallest, d)
         L[k, k] = np.sqrt(d)
         if k + 1 < n:
             L[k + 1:, k] = (a[k + 1:, k] - L[k + 1:, :k] @ L[k, :k].conj()) / L[k, k]
@@ -112,16 +97,14 @@ def _with_pivot(rng, n, k, pivot):
     return a
 
 
-@pytest.mark.parametrize("q,blocks", [(1, 4), (2, 3), (3, 2)])
-def test_cholesky_decision_is_the_column_loops(rng, q, blocks):
-    n = q * blocks
+def _pivot_cases(rng, n):
+    """Hermitian n x n matrices that stop a Cholesky factorization at each pivot, or at none."""
     cases = []
     for k in range(n):
-        # a pivot just below and just above the threshold of its own block
-        p = (k // q + 1) * q
-        lead = _with_pivot(np.random.default_rng(k), n, k, 0.0)[:p, :p]
+        # a pivot just below and just above the threshold of its own diagonal entry
+        base = _with_pivot(np.random.default_rng(k), n, k, 0.0)[k, k].real
         for factor in (0.99, 1.01):
-            pivot = factor * PIVOT_RTOL * np.linalg.norm(lead)
+            pivot = factor * PIVOT_RTOL * base
             cases.append(_with_pivot(np.random.default_rng(k), n, k, pivot))
     # a zero or negative pivot in the last block only, which LAPACK refuses
     for pivot in (0.0, -1.0, -1e-3):
@@ -132,14 +115,38 @@ def test_cholesky_decision_is_the_column_loops(rng, q, blocks):
             a = _with_pivot(rng, n, 0, 1.0)
             a[i, j] = a[j, i] = bad
             cases.append(a)
+    return cases
+
+
+@pytest.mark.parametrize("q,blocks", [(1, 4), (2, 3), (3, 2)])
+def test_cholesky_decision_is_the_column_loops(rng, q, blocks):
+    n = q * blocks
     sizes = set()
-    for a in cases:
+    for a in _pivot_cases(rng, n):
         for block in (None, q):
             L = cholesky_pd(a, block=block)
             size = 0 if L is None else len(L)
             assert size == _column_loop_size(a, block), (block, np.diag(a))
             sizes.add(size)
     assert sizes == set(range(0, n + 1, q))   # every outcome is reached
+
+
+@pytest.mark.parametrize("q,blocks", [(1, 4), (2, 3), (3, 2)])
+def test_cholesky_pd_of_d_a_d_is_d_times_the_factor_of_a(rng, q, blocks):
+    # a power-of-two diagonal scaling is exact in binary floating point, and
+    # each pivot over its own diagonal entry does not move under it
+    n = q * blocks
+    sizes = set()
+    for a in [a for a in _pivot_cases(rng, n) if np.isfinite(a).all()]:
+        d = 2.0 ** rng.choice([-30.0, -14.0, 0.0, 14.0, 30.0], size=n)
+        for block in (None, q):
+            L = cholesky_pd(a, block=block)
+            scaled = cholesky_pd(d[:, None] * a * d[None, :], block=block)
+            assert (scaled is None) == (L is None)
+            if L is not None:
+                assert np.array_equal(scaled, d[:len(L), None] * L)
+                sizes.add(len(L))
+    assert sizes == set(range(q, n + 1, q))
 
 
 def test_scaled_cond_ignores_a_diagonal_scaling(rng):

@@ -462,27 +462,21 @@ def test_degenerate_member_raises_at_the_same_point(name):
         assert (err.value.family, err.value.index) == family_pivot
 
 
-# (b, m): (classification witness, SingularPivot of build_family) for the
-# Lebesgue measure on [0, b].  Each member's pivots are tested against that
-# member's norm; tested only against the norm of their own block's member,
-# all three would pass as PositiveDefinite.
-SCALED_LEBESGUE = {
-    (100.0, 9): (("K1", 4), ("H1", 4)),
-    (300.0, 7): (("K1", 3), ("H1", 3)),
-    (300.0, 9): (("K1", 4), ("H1", 3)),
-}
-
-
-@pytest.mark.parametrize("b,m", sorted(SCALED_LEBESGUE))
-def test_scaled_lebesgue_fails_at_the_same_member(b, m):
-    witness, pivot = SCALED_LEBESGUE[(b, m)]
+@pytest.mark.parametrize("m", [7, 9])
+@pytest.mark.parametrize("b", [100.0, 300.0])
+def test_scaled_lebesgue_is_positive_definite_with_the_scaled_chains(b, m):
+    # Lebesgue on [0, b]: mhat_j = (2j+2) / b^2 and lhat_j = b (2j+3) / ((j+1)(j+2));
+    # each pivot is tested against its own diagonal entry, so the entries'
+    # spread of b^m does not refuse it
     seq = MomentSequence(0.0, b, tuple(np.array([[b ** (j + 1) / (j + 1)]]) for j in range(m + 1)))
-    cls = classify(build_hankels(seq))
-    assert cls.kind == "Degenerate"
-    assert (cls.witness.family, cls.witness.index) == witness
-    with pytest.raises(SingularPivot) as err:
-        family_of(seq)
-    assert (err.value.family, err.value.index) == pivot
+    hank = build_hankels(seq)
+    assert classify(hank).kind == "PositiveDefinite"
+    dsm = compute_second(build_family(hank))
+    assert len(dsm.mhat) == (m + 1) // 2 and len(dsm.lhat_from_zero) == (m - 1) // 2
+    for chain, exact in ((dsm.mhat, lambda j: (2 * j + 2) / b ** 2),
+                         (dsm.lhat_from_zero, lambda j: b * (2 * j + 3) / ((j + 1) * (j + 2)))):
+        for j, x in enumerate(chain):
+            assert abs(x[0, 0] - exact(j)) < 1e-10 * exact(j)
 
 
 def test_classify_keeps_the_factors_of_a_prebuilt_set(monkeypatch):
