@@ -11,8 +11,8 @@ cholesky_pd factors one matrix, cholesky_pd_stack a parameter chain in
 one call.  Run in blocks of q on the largest member of a block Hankel
 family, cholesky_pd decides every member at once: the factor of each member
 is a leading block of the one factor, and its diagonal blocks factor the
-Schur complements.  HankelSet keeps one such factor per family; solve_pd
-factors its matrix and drops the factor.
+Schur complements.  HankelSet keeps one such factor per family, and
+solve_factored solves against a factor.
 
 solve, inv, cholesky and cond are the package's one way to NumPy's LAPACK
 kernels.  Each is np.linalg.solve, inv, cholesky or cond (p=None) to the
@@ -22,8 +22,9 @@ conversions and checks, which cost two to three times the kernel at q <= 4.
 Each errstate is made once, when the module is imported, and bound to its
 function by numpy's decorator form, so a call enters it without building
 it.  Their operands are float64 or complex128 arrays.  eigvalsh and det,
-which are rare or off the hot path, stay np.linalg's; frob and frobs sum
-the Frobenius norm as np.linalg.norm does.
+which are rare or off the hot path, stay np.linalg's.  frobs is the one
+Frobenius norm, of each matrix of a stack, summed as np.linalg.norm sums
+one, and rel_residuals the one relative residual.
 """
 
 import functools
@@ -32,7 +33,7 @@ import math
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import SingularDenominator, SingularPivot
+from .errors import PreconditionFailure, SingularDenominator
 
 PIVOT_RTOL = 1e-12
 COND_LIMIT = 1e12
@@ -80,30 +81,13 @@ def cond(a):
     return r
 
 
-def frob(a):
-    """np.linalg.norm(a), summed as it sums a complex array, without its dispatch.
-
-    The entries are taken in memory order and the sum is re.re + im.im.
-    When that sum overflows while every entry is finite, the norm is
-    _scaled_frob's instead.  numpy's overflow warning of the sum still
-    shows: suppressing it would cost each call more than the sum, so a
-    caller that meets huge entries suppresses it around its own calls.
-    """
-    flat = np.asarray(a, dtype=complex).ravel(order="K")
-    re, im = flat.real, flat.imag
-    norm = math.sqrt(re.dot(re) + im.dot(im))
-    if norm == math.inf and np.isfinite(flat).all():
-        return _scaled_frob(flat)
-    return norm
-
-
 @np.errstate(over="ignore")
 def frobs(x):
-    """frob of each matrix of a (K, m, n) stack, summed as np.linalg.norm sums one.
+    """Frobenius norm of each matrix of a (K, m, n) stack, summed as np.linalg.norm sums one.
 
-    That sum runs over the entries in memory order, so a stack of
-    column-major matrices is summed column by column.  A matrix whose sum
-    overflows while its entries are finite gets _scaled_frob's norm.
+    That sum runs over the entries in memory order, re.re + im.im, so a
+    stack of column-major matrices is summed column by column.  A matrix
+    whose sum overflows while its entries are finite gets _scaled_frob's norm.
     """
     x = np.asarray(x, dtype=complex)
     if x.strides[-1] > x.strides[-2]:
@@ -138,15 +122,8 @@ def scalars(f, z):
     return np.array([f(x) for x in z.tolist()], dtype=complex)
 
 
-def rel_residual(x, y):
-    """Frobenius distance between x and y scaled by the larger norm (floor 1)."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    return frob(x - y) / max(1.0, frob(x), frob(y))
-
-
 def rel_residuals(x, y):
-    """rel_residual of each pair of matrices of two (K, m, n) stacks."""
+    """||x - y||_F / max(1, ||x||_F, ||y||_F) of each pair of matrices of two (K, m, n) stacks."""
     return frobs(x - y) / np.maximum(1.0, np.maximum(frobs(x), frobs(y)))
 
 
@@ -161,8 +138,12 @@ def adjoint(x):
 
 
 def hermitize(a):
-    """The Hermitian part (a + a^*) / 2 of a matrix, or of each matrix of a stack."""
-    return 0.5 * (a + adjoint(a))
+    """The Hermitian part (a + a^*) / 2 of a matrix, or of each matrix of a stack.
+
+    a is halved first, so the part of a finite a is finite.
+    """
+    h = 0.5 * a
+    return h + adjoint(h)
 
 
 def scaled_cond(a):
@@ -215,17 +196,6 @@ def cholesky_pd_stack(stack):
     return L, pivots_pass(stack, L).all(axis=-1)
 
 
-def solve_pd(a, rhs, family, index):
-    """Solve a @ x = rhs for Hermitian positive definite a, via Cholesky.
-
-    SingularPivot(family, index) names a when it is not positive definite.
-    """
-    L = cholesky_pd(a)
-    if L is None:
-        raise SingularPivot(family, index)
-    return solve_factored(L, rhs)
-
-
 @_lapack("Singular matrix")
 def solve_factored(L, rhs):
     """Solve L L^H x = rhs for a lower Cholesky factor L from cholesky_pd, or for a stack of them.
@@ -276,6 +246,14 @@ class PointPrefix:
     def finish(self):
         if self.error is not None:
             raise self.error
+
+
+def finite_values(pts, values, what):
+    """The (K, r, c) values at the points of pts; PreconditionFailure names the first not finite."""
+    z = pts.zs
+    pts.fail(~np.isfinite(values).all(axis=(1, 2)), lambda i: PreconditionFailure(
+        f"{what} value at z={complex(z[i])} is not finite"))
+    return values[:len(pts)]
 
 
 def point_prefix(evaluate):

@@ -124,7 +124,7 @@ def _evaluation_input(args):
 
 def cmd_factorize(args):
     fam, points = _evaluation_input(args)
-    # the stacked evaluation overflows at a large z; _finite, guard_cond and
+    # the stacked evaluation overflows at a large z; finite_values, guard_cond and
     # PointPrefix check every value it keeps, so numpy's warnings only repeat
     # the failure of that point
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -39,15 +39,14 @@ import numpy as np
 
 from ._linalg import (
     adjoint,
+    cholesky_pd,
     cholesky_pd_stack,
     hermitize,
     inv,
-    rel_residual,
     scaled_cond,
     skew_norms,
     solve,
     solve_factored,
-    solve_pd,
 )
 from .errors import (
     IllConditioned,
@@ -65,7 +64,6 @@ from .moments import (
     finite_interval,
     hankel_entries,
     hankel_from_entries,
-    in_float_range,
 )
 from .polynomials import build_family
 from .reporting import IdentityChecks
@@ -108,6 +106,14 @@ class DsmFirst:
     L: tuple
 
 
+def in_float_range(stack, message):
+    """stack, or PreconditionFailure(message.format(j)), j its first matrix that is not finite."""
+    if not np.isfinite(stack).all():
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        raise PreconditionFailure(message.format(int(np.argmin(finite))))
+    return stack
+
+
 @np.errstate(over="ignore", invalid="ignore")   # a chain that overflows is refused by name
 def _forms(hank, family, name):
     """The Hermitian forms of a family's members, and their increments name_j (form_0 first).
@@ -136,14 +142,6 @@ def rungs(chain):
     return [pair[i % 2][i // 2] for i in range(count)]
 
 
-def _agree(name, xs, ys):
-    """RouteMismatch(name, j) at the first j where xs[j] and ys[j] differ beyond ROUTE_RTOL."""
-    for j, (x, y) in enumerate(zip(xs, ys)):
-        res = rel_residual(x, y)
-        if res > ROUTE_RTOL:
-            raise RouteMismatch(name, f"j={j}", res)
-
-
 def compute_second(fam):
     """Second-type parameters of a PolynomialFamily, by both routes.
 
@@ -151,7 +149,8 @@ def compute_second(fam):
     positive definite, IllConditioned when it is too ill-conditioned for
     ACCURACY_RTOL, both before either route runs, PreconditionFailure when
     a parameter of the forms route leaves the float range, and
-    RouteMismatch when the routes disagree by more than ROUTE_RTOL.
+    RouteMismatch naming the first residual above ROUTE_RTOL (mhat, lhat,
+    rhat, that, then j), all taken in one IdentityChecks call.
     """
     seq = fam.seq
     hank = fam.hankels
@@ -189,11 +188,16 @@ def compute_second(fam):
     that_poly = [fam.quotient(fam.q2[j], fam.p2[j])
                  for j in range(min(len(that_qf), len(fam.q2), len(fam.p2)))]
 
-    with np.errstate(over="ignore"):   # frob rescales a sum that overflows
-        _agree("mhat", mhat_qf, mhat_poly)
-        _agree("lhat", lhat_qf, lhat_poly)
-        _agree("rhat", rhat_qf, rhat_poly)
-        _agree("that", that_qf, that_poly)
+    checks = IdentityChecks()
+    for name, xs, ys in (("mhat", mhat_qf, mhat_poly), ("lhat", lhat_qf, lhat_poly),
+                         ("rhat", rhat_qf, rhat_poly), ("that", that_qf, that_poly)):
+        count = min(len(xs), len(ys))
+        checks.add_stack(name, range(count), xs[:count],
+                         np.asarray(ys[:count], dtype=complex).reshape(count, seq.q, seq.q))
+    mismatch = checks.first_above(ROUTE_RTOL)
+    if mismatch:
+        name, j, res = mismatch
+        raise RouteMismatch(name, f"j={j}", res)
 
     return DsmSecond(
         rhat=tuple(rhat),
@@ -369,8 +373,10 @@ def recover_moments(s0, mhat, lhat, a, b):
             return complement
         entries = hankel_entries(family, s, a, b)
         y = np.concatenate(entries[j:2 * j], axis=0)
-        prev = hankel_from_entries(entries, j - 1)
-        return complement + y.conj().T @ solve_pd(prev, y, family, j - 1)
+        L = cholesky_pd(hankel_from_entries(entries, j - 1))
+        if L is None:
+            raise SingularPivot(family, j - 1)
+        return complement + y.conj().T @ solve_factored(L, y)
 
     s = [s0]
     for j, khat in enumerate(khat1):

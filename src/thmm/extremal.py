@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import guard_cond, point_prefix, right_quotient, scalars
+from ._linalg import finite_values, guard_cond, point_prefix, right_quotient, scalars
 from .dsm import DsmSecond, compute_first, compute_second, rungs
 from .errors import PointOnInterval, SingularLevel
 from .polynomials import adjoint_eval
@@ -77,10 +77,12 @@ def extremal_cf_many(fam, pts, which):
 
     Returns the (K, q, q) stack of values at the points zs.  The parameter
     chain is built once and the fraction is evaluated level by level over
-    the whole stack.  Failures are as point_prefix describes.
+    the whole stack.  Failures are as point_prefix describes; a value that
+    is not finite fails its point.
     """
     chain = (compute_second if _reads_second(fam, which) else compute_first)(fam)
-    return _fraction(chain, pts, fam.seq.a, fam.seq.b)
+    return finite_values(pts, _fraction(chain, pts, fam.seq.a, fam.seq.b),
+                         f"{which} continued-fraction")
 
 
 @point_prefix
@@ -93,7 +95,8 @@ def extremal_quotient_many(fam, pts, which):
                  sF = -Q1[n+1]^*(zbar) / P1[n+1]^*(zbar).
 
     Returns the (K, q, q) stack of the values of solution which at the
-    points zs.  Failures are as point_prefix describes.
+    points zs.  Failures are as point_prefix describes; a value that is
+    not finite fails its point.
     """
     seq = fam.seq
     a, b = seq.a, seq.b
@@ -106,13 +109,16 @@ def extremal_quotient_many(fam, pts, which):
     z = pts.zs
     zc = z[:, None, None]
     if seq.parity == "even" and second:
-        return right_quotient(adjoint_eval(fam.t1[n], z),
-                              (b - zc) * adjoint_eval(fam.g1[n], z), pts)
-    if seq.parity == "even":
-        return right_quotient(adjoint_eval(fam.t2[n], z),
-                              (zc - a) * adjoint_eval(fam.g2[n], z), pts)
-    if second:
+        values = right_quotient(adjoint_eval(fam.t1[n], z),
+                                (b - zc) * adjoint_eval(fam.g1[n], z), pts)
+    elif seq.parity == "even":
+        values = right_quotient(adjoint_eval(fam.t2[n], z),
+                                (zc - a) * adjoint_eval(fam.g2[n], z), pts)
+    elif second:
         scale = scalars(lambda x: (x - a) * (b - x), z)[:, None, None]
-        return -right_quotient(adjoint_eval(fam.q2[n], z),
-                               scale * adjoint_eval(fam.p2[n], z), pts)
-    return -right_quotient(adjoint_eval(fam.q1[n + 1], z), adjoint_eval(fam.p1[n + 1], z), pts)
+        values = -right_quotient(adjoint_eval(fam.q2[n], z),
+                                 scale * adjoint_eval(fam.p2[n], z), pts)
+    else:
+        values = -right_quotient(adjoint_eval(fam.q1[n + 1], z),
+                                 adjoint_eval(fam.p1[n + 1], z), pts)
+    return finite_values(pts, values, f"{which} quotient")

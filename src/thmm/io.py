@@ -7,12 +7,13 @@ Measure file     { "points": [x_0, ..], "weights": [ W_0, .. ],
 Parameter file   { "q": int >= 1, "a": real, "b": real, "s0": M,
                    "mhat": [ M, .. ], "lhat": [ M, .. ] }
 
-Every matrix M is a q x q row-major array of [re, im] pairs, and a, b and
-every point a JSON number (a boolean or a string is refused).  A file's
-list of moments, mhat or lhat is decoded by one np.asarray into one
-(K, q, q) stack (decode_matrices); only a list that is not K finite q x q
-matrices is decoded matrix by matrix, for the error to name the first bad
-one.  Reports are
+Every matrix M is a q x q row-major array of [re, im] pairs, and a, b,
+every point and every re and im a JSON number (a boolean or a string is
+refused).  A file's list of moments, mhat or lhat is decoded by one
+np.asarray into one (K, q, q) stack, and its entries are typed by one
+check over the list (decode_matrices); only a list that is not K finite
+q x q matrices of numbers is decoded matrix by matrix, for the error to
+name the first bad one.  Reports are
 rendered with stable key order and floats fixed at 17 significant digits,
 so identical inputs produce identical bytes.  ``render_json`` takes a 2-D
 complex ``np.ndarray`` wherever a matrix goes and writes it in that
@@ -33,6 +34,7 @@ place.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -61,6 +63,13 @@ def parse_complex(text):
     return complex(re_part, im_part)
 
 
+def _numbers_only(obj, depth):
+    """Whether every item of a list nested depth deep is a JSON number (int or float, no bool)."""
+    for _ in range(depth - 1):
+        obj = itertools.chain.from_iterable(obj)
+    return set(map(type, obj)) <= {int, float}
+
+
 def decode_matrix(obj, q=None, what="matrix"):
     arr = np.asarray(obj, dtype=float)
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
@@ -69,6 +78,11 @@ def decode_matrix(obj, q=None, what="matrix"):
         )
     if q is not None and arr.shape[0] != q:
         raise InvalidMomentSequence(f"{what} must be {q} x {q}, got {arr.shape[0]}")
+    if not _numbers_only(obj, 3):
+        i, j = next((i, j) for i, row in enumerate(obj) for j, pair in enumerate(row)
+                    if not _numbers_only(pair, 1))
+        raise InvalidMomentSequence(
+            f"{what}[{i}][{j}] is not a pair of JSON numbers: {json.dumps(obj[i][j])}")
     finite = np.isfinite(arr).all(axis=2)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
@@ -81,15 +95,17 @@ def decode_matrix(obj, q=None, what="matrix"):
 def decode_matrices(objs, q, what):
     """decode_matrix of each item of a list, as one (K, q, q) stack.
 
-    The list is decoded by one np.asarray.  Only a list that this does not
-    give as K finite q x q matrices is decoded item by item, so that the
-    error names the first bad item, what[j], as that loop meets it.
+    The list is decoded by one np.asarray, and _numbers_only types its
+    entries.  Only a list that this does not give as K finite q x q matrices
+    of numbers is decoded item by item, so that the error names the first
+    bad item, what[j], as that loop meets it.
     """
     try:
         arr = np.asarray(objs, dtype=float)
     except (TypeError, ValueError, OverflowError):   # ragged, or not numbers
         arr = None
-    if arr is None or arr.shape[1:] != (q, q, 2) or not np.isfinite(arr).all():
+    if (arr is None or arr.shape[1:] != (q, q, 2) or not np.isfinite(arr).all()
+            or not _numbers_only(objs, 4)):
         mats = [decode_matrix(x, q, what=f"{what}[{j}]") for j, x in enumerate(objs)]
         return np.array(mats, dtype=complex).reshape(-1, q, q)
     return arr[..., 0] + 1j * arr[..., 1]

@@ -40,7 +40,7 @@ from ._linalg import (
     PIVOT_RTOL,
     adjoint,
     cholesky_pd,
-    frob,
+    frobs,
     hermitize,
     min_eigenvalue,
     skew_norms,
@@ -88,7 +88,7 @@ def _each_moment(s):
         mat = _square_matrix(x, q, what=f"s_{j}")
         if _skew(mat[None])[0]:
             raise InvalidMomentSequence(f"s_{j} is not Hermitian within tolerance "
-                                        f"(defect {frob(mat - adjoint(mat)):.3e})")
+                                        f"(defect {frobs([mat - adjoint(mat)])[0]:.3e})")
         mats.append(mat)
     return np.array(mats)
 
@@ -103,14 +103,6 @@ def finite_interval(a, b):
     return a, b
 
 
-def in_float_range(stack, message):
-    """stack, or PreconditionFailure(message.format(j)), j its first matrix that is not finite."""
-    if not np.isfinite(stack).all():
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        raise PreconditionFailure(message.format(int(np.argmin(finite))))
-    return stack
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class MomentSequence:
     """Hermitian q x q moments s_0..s_m attached to an interval [a, b].
@@ -122,10 +114,8 @@ class MomentSequence:
     stack, and s holds its matrices, views of it.  Only moments that fail
     are checked again one by one, so that the error names the first failing
     moment and test as that loop meets them: the shape of s_j, then its
-    finiteness, then its Hermiticity, then s_{j+1}.  Finite moments whose
-    symmetrized copies overflow raise PreconditionFailure naming the first
-    such s_j: a sequence out of the float range certifies nothing.
-    Instances are immutable and safe to share.
+    finiteness, then its Hermiticity, then s_{j+1}.  Instances are
+    immutable and safe to share.
     """
 
     a: float
@@ -133,7 +123,7 @@ class MomentSequence:
     s: tuple
     q: int = dataclasses.field(init=False)
 
-    @np.errstate(over="ignore", invalid="ignore")   # an overflow of hermitize is refused below
+    @np.errstate(over="ignore", invalid="ignore")   # a skew part that overflows fails _skew
     def __post_init__(self):
         a, b = finite_interval(self.a, self.b)
         if not len(self.s):
@@ -145,7 +135,7 @@ class MomentSequence:
         if not (stack is not None and stack.ndim == 3 and stack.shape[1] == stack.shape[2]
                 and np.isfinite(stack).all() and not _skew(stack).any()):
             stack = _each_moment(self.s)
-        stack = in_float_range(hermitize(stack), "s_{} leaves the float range when symmetrized")
+        stack = hermitize(stack)
         stack.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -495,7 +485,7 @@ def classify(hank):
                 raise PreconditionFailure(
                     f"{family}[{j}] leaves the float range: classify cannot decide it")
             lam = min_eigenvalue(mat)
-            scale = PIVOT_RTOL * (1.0 + frob(mat))
+            scale = PIVOT_RTOL * (1.0 + frobs(mat[None])[0])
             kind = "Indefinite" if lam < -scale else "Degenerate"
             return Classification(kind, Witness(family, j, lam))
     return Classification("PositiveDefinite")
@@ -524,7 +514,7 @@ class DiscreteMeasure:
             if _skew(w[None])[0]:
                 raise InvalidMomentSequence(f"weight_{i} is not Hermitian")
             w = hermitize(w)
-            if min_eigenvalue(w) < -PIVOT_RTOL * (1.0 + frob(w)):
+            if min_eigenvalue(w) < -PIVOT_RTOL * (1.0 + frobs(w[None])[0]):
                 raise InvalidMomentSequence(f"weight_{i} is not positive semidefinite")
             w.flags.writeable = False
             stored.append(w)

@@ -277,11 +277,11 @@ def verify_family_identities(fam):
         for j in range(g2_count):
             lhs = adjoint_eval(fam.g2[j], points) @ fam.normalizer(fam.t2[j])
             rhs = -adjoint(r_points(j) @ hank.column("H1", j)) @ hank.transfer("H1", j)
-            checks.add_stack("ratio_g2_t2", j, lhs, rhs)
+            checks.add_stack("ratio_g2_t2", [j] * len(lhs), lhs, rhs)
         for j in range(q1_count):
             lhs = adjoint_eval(fam.q1[j + 1], points) @ fam.normalizer(fam.p1[j + 1])
             rhs = -adjoint(r_points(j) @ hank.column("K2", j)) @ hank.transfer("K2", j)
-            checks.add_stack("ratio_q1_p1", j, lhs, rhs)
+            checks.add_stack("ratio_q1_p1", [j] * len(lhs), lhs, rhs)
 
     for j in range(min(max(len(fam.q1) - 1, 0), len(fam.q2), len(fam.g1), len(fam.t1),
                        max(len(fam.p1) - 1, 0))):

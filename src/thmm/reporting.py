@@ -1,8 +1,9 @@
-"""Residual reports produced by the identity-verification operations.
+"""Residual checks of matrix pairs, every residual taken in one stacked call.
 
-IdentityChecks gathers the checks of one operation as (lhs, rhs) stacks
-and takes every residual in one stacked call; its report is the dict of
-the largest residual of each name.
+IdentityChecks gathers the checks of one operation as (lhs, rhs) stacks.
+The identity-verification operations read its report, the dict of the
+largest residual of each name; dsm.compute_second's route checks read
+first_above, the first check above ROUTE_RTOL.
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ from .errors import PreconditionFailure
 
 
 class IdentityChecks:
-    """Identity checks gathered as (lhs, rhs) pairs, all residuals taken in one call.
-
-    report() computes every relative residual with one stacked
-    rel_residuals.  That equals rel_residual pair by pair on C-ordered
-    matrices, the order np.linalg.norm sums them in.
-    """
+    """Checks gathered as (lhs, rhs) pairs, all residuals taken in one rel_residuals call."""
 
     def __init__(self):
         self.names = []
@@ -34,12 +30,18 @@ class IdentityChecks:
         self.lhs.append(lhs[None])
         self.rhs.append(rhs[None])
 
-    def add_stack(self, name, j, lhs, rhs):
-        """One check at index j per matrix of two (K, m, n) stacks."""
+    def add_stack(self, name, js, lhs, rhs):
+        """One check per matrix of two (K, m, n) stacks, matrix k at index js[k]."""
         self.names.extend([name] * len(lhs))
-        self.js.extend([j] * len(lhs))
+        self.js.extend(js)
         self.lhs.append(lhs)
         self.rhs.append(rhs)
+
+    def _residuals(self):
+        if not self.names:
+            return np.zeros(0)
+        with np.errstate(over="ignore", invalid="ignore"):   # the callers judge a non-finite one
+            return rel_residuals(np.concatenate(self.lhs), np.concatenate(self.rhs))
 
     def report(self):
         """{name: largest relative residual} of the checks, names in the order first checked.
@@ -47,10 +49,7 @@ class IdentityChecks:
         PreconditionFailure naming the first check whose residual is not
         finite: its matrices left the float range, so it certifies nothing.
         """
-        if not self.names:
-            return {}
-        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite residual is refused
-            residuals = rel_residuals(np.concatenate(self.lhs), np.concatenate(self.rhs))
+        residuals = self._residuals()
         bad = ~np.isfinite(residuals)
         if bad.any():
             i = int(np.argmax(bad))
@@ -61,3 +60,12 @@ class IdentityChecks:
             if name not in maxima or res > maxima[name]:
                 maxima[name] = res
         return maxima
+
+    def first_above(self, rtol):
+        """(name, j, residual) of the first check added above rtol, or None; a NaN is not above it."""
+        residuals = self._residuals()
+        above = np.flatnonzero(residuals > rtol)
+        if above.size:
+            i = above[0]
+            return self.names[i], self.js[i], float(residuals[i])
+        return None

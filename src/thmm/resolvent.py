@@ -21,9 +21,9 @@ import functools
 
 import numpy as np
 
-from ._linalg import point_prefix, scalars
+from ._linalg import finite_values, point_prefix, scalars
 from .dsm import DsmSecond, compute_first, compute_second, rungs
-from .errors import PoleAtZ, SingularNormalization
+from .errors import PoleAtZ
 from .polynomials import adjoint_eval
 
 
@@ -60,14 +60,6 @@ def _diag(c_top, c_bottom, q):
     out[..., :q, :q] = c_top * _eye(q)
     out[..., q:, q:] = c_bottom * _eye(q)
     return out
-
-
-def _finite(pts, full):
-    """The values of the points of pts, recording the first one that is not finite."""
-    z = pts.zs
-    pts.fail(~np.isfinite(full).all(axis=(1, 2)), lambda i: SingularNormalization(
-        f"resolvent value at z={complex(z[i])} is not finite"))
-    return full[:len(pts)]
 
 
 @point_prefix
@@ -110,7 +102,7 @@ def resolvent_direct_many(fam, pts):
         scale = scalars(lambda x: -(x - a) * (b - x), z)[:, None, None]
         gamma = scale * adjoint_eval(fam.p2[n], z) @ inv_q2a
         delta = adjoint_eval(fam.p1[n + 1], z) @ inv_p1a
-    return _finite(pts, np.block([[alpha, beta], [gamma, delta]]))
+    return finite_values(pts, np.block([[alpha, beta], [gamma, delta]]), "resolvent")
 
 
 def _tail_second_even(fam, n):
@@ -227,5 +219,5 @@ def resolvent_factorized_many(fam, pts, route):
     as point_prefix describes.
     """
     factors = resolvent_factors(fam, pts, route)
-    return _finite(pts, functools.reduce(np.matmul, factors))
+    return finite_values(pts, functools.reduce(np.matmul, factors), "resolvent")
 

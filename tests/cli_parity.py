@@ -36,6 +36,9 @@ replace all of it shows in the digest.  The corpus:
 - a, b and a measure point given as false, true and "0.5" under analyze,
   recover and gen, a non-Hermitian moment after two good ones, and a
   parameter file with a non-Hermitian mhat_1 and an indefinite lhat_0;
+- a matrix entry given as true and "0.5": in a moment file (s_0) under
+  analyze, in a parameter file (s0, mhat_0) under recover and in a measure
+  file (weight_0) under gen;
 - factorize, extremal and scalar-report with --rtol 0, where a residual
   above it exits 4;
 - scalar-report on the golden q = 1 moments times 1e150, whose
@@ -45,9 +48,12 @@ replace all of it shows in the digest.  The corpus:
   float range, and extremal on the latter, whose resolvent does, though
   its quotients do not;
 - analyze on the golden q = 1 moments times 1e308 and the golden q = 2
-  moments times 1e307, whose symmetrized moments overflow;
+  moments times 1e307, whose parameter chains leave the float range;
 - analyze and extremal (both solutions) on the golden q = 1 moments times
-  3e307, whose parameter chains leave the float range.
+  3e307, whose identity residuals leave the float range, though the
+  chains and the extremal values do not;
+- the golden q = 2 moments times 5e306 under factorize (every route) and
+  extremal (both solutions), whose Krein quotient value at 2+1i is NaN.
 
 m decides the parity, so the factorize and extremal cases of the
 degenerate, overflow, -0.0 and z items run on each input as given (labels
@@ -304,6 +310,16 @@ def corpus(workdir):
                 path = _write(work / f"real_{key}_{value}_{golden}", data)
                 count = ["--count", "3"] if command == "gen" else []
                 yield f"parse/real/{key}/{value}/{command}", [command, "--input", path, *count]
+    for value in (True, "0.5"):   # a matrix entry must be a JSON number
+        for command, golden, key in (("analyze", "moments_q1.json", "moments"),
+                                     ("recover", "params_q1.json", "s0"),
+                                     ("recover", "params_q1.json", "mhat"),
+                                     ("gen", "measure_q1.json", "weights")):
+            data = json.loads((GOLDEN / golden).read_text())
+            (data[key] if key == "s0" else data[key][0])[0][0][0] = value
+            path = _write(work / f"entry_{key}_{value}_{golden}", data)
+            count = ["--count", "3"] if command == "gen" else []
+            yield f"parse/entry/{key}/{value}/{command}", [command, "--input", path, *count]
     skewed = json.loads((GOLDEN / "params_q2.json").read_text())
     skewed["mhat"][1][0][1] = [5.0, 0.0]
     skewed["lhat"][0] = [[[-1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -336,12 +352,22 @@ def corpus(workdir):
     for which in ("krein", "friedrichs"):
         yield f"extremal/moments_q1.json/scaled-3e307/{which}", [
             "extremal", "--input", path, "--which", which, "--z=-1"]
-    # finite moments whose symmetrized copies overflow
+    # finite moments whose parameter chains leave the float range
     for name, factor in (("moments_q1.json", "1e308"), ("moments_q2.json", "1e307")):
         golden = json.loads((GOLDEN / name).read_text())
         scaled = {**golden, "moments": (np.array(golden["moments"]) * float(factor)).tolist()}
         yield f"analyze/{name}/scaled-{factor}", [
             "analyze", "--input", _write(work / f"scaled_{factor}_{name}", scaled)]
+    # finite moments whose Krein quotient value is NaN, though its continued fraction is finite
+    golden = json.loads((GOLDEN / "moments_q2.json").read_text())
+    scaled = {**golden, "moments": (np.array(golden["moments"]) * 5e306).tolist()}
+    path = _write(work / "scaled_5e306_moments_q2.json", scaled)
+    for route in ("direct", "second", "first"):
+        yield f"factorize/moments_q2.json/scaled-5e306/{route}", [
+            "factorize", "--input", path, "--route", route, "--z=2+1i"]
+    for which in ("krein", "friedrichs"):
+        yield f"extremal/moments_q2.json/scaled-5e306/{which}", [
+            "extremal", "--input", path, "--which", which, "--z=2+1i"]
 
     good = str(GOLDEN / "moments_q1.json")
     broken = {

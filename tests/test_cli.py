@@ -946,23 +946,53 @@ def test_analyze_refuses_identity_residuals_out_of_float_range(tmp_path, capsys)
         "precondition failure: identity ratio_q1_p1 at j=2 leaves the float range\n")
 
 
-@pytest.mark.parametrize("command, chain", [
-    (["analyze", "--params-out"], "rhat at j=2"),
-    (["extremal", "--which", "krein", "--z=-1", "--output"], "rhat at j=2"),
-    (["extremal", "--which", "friedrichs", "--z=-1", "--output"], "L at j=1"),
+@pytest.mark.parametrize("command, refusal", [
+    (["analyze", "--params-out"], "identity ratio_q1_p1 at j=1 leaves the float range"),
+    (["extremal", "--which", "krein", "--z=-1", "--output"], None),
+    (["extremal", "--which", "friedrichs", "--z=-1", "--output"], None),
 ], ids=["analyze", "extremal-krein", "extremal-friedrichs"])
 def test_a_chain_that_leaves_the_float_range_is_refused_where_it_is_made(tmp_path, capsys,
-                                                                         command, chain):
-    # times 3e307 the symmetrized rhat_2 and the K2 form behind L_1 overflow,
-    # though every moment and its symmetrized copy is finite
+                                                                         command, refusal):
+    # times 3e307 every parameter chain, symmetrized, is finite: the extremal
+    # values are 3e307 times the unscaled ones, and analyze is refused by an
+    # identity residual that leaves the float range
     inp = scaled_golden(tmp_path, 3e307)
     written = tmp_path / "written.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main([command[0], "--input", inp, *command[1:], str(written)])
     captured = capsys.readouterr()
-    assert code == 3 and captured.out == "" and not written.exists() and not caught
-    assert captured.err == f"precondition failure: parameter {chain} leaves the float range\n"
+    assert captured.out == "" and not caught
+    if refusal is not None:
+        assert code == 3 and not written.exists()
+        assert captured.err == f"precondition failure: {refusal}\n"
+        return
+    assert code == 0 and captured.err == ""
+    golden = str(Path(__file__).parent / "golden" / "moments_q1.json")
+    assert main([command[0], "--input", golden, *command[1:-1]]) == 0
+    unscaled = json.loads(capsys.readouterr().out)["results"]
+    results = json.loads(written.read_text())["results"]
+    assert len(results) == len(unscaled) == 1
+    value, expected = decode_matrix(results[0]["value"]), 3e307 * decode_matrix(unscaled[0]["value"])
+    assert np.abs(value - expected).max() <= 2.2e-16 * np.abs(expected).max()
+
+
+# the stderr line of each command on moments whose sum a + a^* overflows: their
+# Hermitian part is finite, so each command reads them and refuses them later
+SCALED_REFUSALS = {
+    ("analyze", "moments_q1.json"): (
+        "precondition failure: parameter lhat at j=0 leaves the float range"),
+    ("analyze", "moments_q2.json"): (
+        "precondition failure: parameter lhat at j=1 leaves the float range"),
+    **dict.fromkeys([("factorize", "moments_q1.json"), ("factorize", "moments_q2.json")],
+                    "precondition failure: resolvent value at z=(2+1j) is not finite"),
+    **dict.fromkeys([("extremal", "moments_q1.json"), ("extremal", "moments_q2.json")],
+                    "precondition failure: friedrichs quotient value at z=(2+1j) is not finite"),
+    ("scalar-report", "moments_q1.json"): (
+        "precondition failure: determinant formula of K1 at j=1 leaves the float range"),
+    ("scalar-report", "moments_q2.json"): (
+        "input error: scalar determinant route needs q = 1, got q = 2"),
+}
 
 
 @pytest.mark.parametrize("name, scale, moment", [("moments_q1.json", 1e308, "s_0"),
@@ -974,17 +1004,23 @@ def test_a_chain_that_leaves_the_float_range_is_refused_where_it_is_made(tmp_pat
                          ids=["analyze", "factorize", "extremal", "scalar-report"])
 def test_commands_refuse_moments_whose_symmetrization_overflows(tmp_path, capsys, command, name,
                                                                 scale, moment):
-    # the moments are finite, but their symmetrized copies hold inf entries:
-    # the moment file is refused as it is read, whatever the command
+    # the moments are finite, and so is their Hermitian part: each command
+    # reads them and refuses them where its own computation leaves the float
+    # range, or (scalar-report at q = 2) where it always refuses them
     inp = scaled_golden(tmp_path, scale, name)
+    j = int(moment[2:])
+    read = read_moment_file(inp).s[j]
+    assert np.array_equal(read, scale * decode_matrix(
+        json.loads((Path(__file__).parent / "golden" / name).read_text())["moments"][j]))
     written = tmp_path / "written.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main([command[0], "--input", inp, *command[1:], str(written)])
     captured = capsys.readouterr()
-    assert code == 3 and captured.out == "" and not written.exists() and not caught
-    assert captured.err == (f"precondition failure: {moment} leaves the float range"
-                            " when symmetrized\n")
+    expected = SCALED_REFUSALS[command[0], name]
+    assert code == (2 if expected.startswith("input error") else 3)
+    assert captured.out == "" and not written.exists() and not caught
+    assert captured.err == expected + "\n"
 
 
 @pytest.mark.parametrize("name", ["moments_q1.json", "moments_q2.json"])
@@ -993,7 +1029,7 @@ def test_commands_refuse_moments_whose_symmetrization_overflows(tmp_path, capsys
                                      ["extremal", "--z=2+1i", "--z=-1"]],
                          ids=["analyze", "factorize", "extremal"])
 def test_commands_near_the_float_range_write_no_warning(tmp_path, capsys, command, scale, name):
-    # analyze's route check sums Frobenius norms that overflow here, and frob rescales them
+    # analyze's route check sums Frobenius norms that overflow here, and frobs rescales them
     inp = scaled_golden(tmp_path, scale, name)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -1035,6 +1071,26 @@ def test_extremal_near_the_float_range_is_the_scaled_value(tmp_path, capsys, par
     for got, one in zip(results, unscaled):
         value, expected = decode_matrix(got["value"]), 1e307 * decode_matrix(one["value"])
         assert np.abs(value - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("scale, cut, z, route", [
+    (5e306, 0, ["--z=-1", "--z=2+1i"], "quotient value at z=(2+1j)"),
+    (1e306, 1, ["--z=1+0.001i"], "continued-fraction value at z=(1+0.001j)"),
+], ids=["quotient", "continued-fraction"])
+def test_extremal_refuses_the_first_value_that_is_not_finite(tmp_path, capsys, scale, cut, z,
+                                                             route):
+    # from the golden q = 2 moments times scale, less the last cut of them, one
+    # route's Krein value is NaN at the last point, though the moments are finite
+    data = json.loads((Path(__file__).parent / "golden" / "moments_q2.json").read_text())
+    data["moments"] = (np.array(data["moments"]) * scale).tolist()[:len(data["moments"]) - cut]
+    inp = write_json(tmp_path / "scaled.json", json.dumps(data))
+    written = tmp_path / "written.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["extremal", "--which", "krein", *z, "--input", inp, "--output", str(written)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and not written.exists() and not caught
+    assert captured.err == f"precondition failure: krein {route} is not finite\n"
 
 
 # --- files a command writes ---------------------------------------------------

@@ -25,7 +25,8 @@ from thmm import (
     scalar_determinant_params,
 )
 from thmm import dsm as dsm_module
-from thmm._linalg import min_eigenvalue, rel_residual, scaled_cond
+from thmm import reporting
+from thmm._linalg import min_eigenvalue, rel_residuals, scaled_cond
 from thmm.io import read_moment_file, read_parameter_file
 from thmm.errors import ThmmError
 
@@ -215,7 +216,7 @@ def test_ill_conditioned_member_is_refused_before_the_routes_run(monkeypatch):
     # q = 1, n = 6: eps * scaled cond(K1[6]) is 1.07e-8, and the chain is up to
     # 6e-8 off whether or not the routes agree
     seq = MomentSequence(0.0, 1.0, tuple(np.array([[1.0 / (j + 1)]]) for j in range(14)))
-    monkeypatch.setattr(dsm_module, "rel_residual", lambda x, y: 0.0)
+    monkeypatch.setattr(reporting, "rel_residuals", lambda x, y: np.zeros(len(x)))
     with pytest.raises(IllConditioned) as err:
         compute_second(family_of(seq))
     assert (err.value.family, err.value.index) == ("K1", 6)
@@ -242,21 +243,16 @@ def test_route_agreement_ensemble(rng):
 
 
 def _route_error(monkeypatch, run, failing):
-    """The RouteMismatch of run() when dsm's route residual calls numbered in failing read 1.0.
+    """The RouteMismatch of run() when the rows failing of its one route-residual call read 1.0.
 
-    A negative number counts from the last call of a passing run.
+    A negative row counts from the last one.
     """
-    calls = []
+    def residuals(x, y):
+        out = rel_residuals(x, y)
+        out[list(failing)] = 1.0
+        return out
 
-    def residual(x, y):
-        calls.append(None)
-        return 1.0 if len(calls) - 1 in bad else rel_residual(x, y)
-
-    bad = set()
-    monkeypatch.setattr(dsm_module, "rel_residual", residual)
-    run()
-    bad = {k % len(calls) for k in failing}
-    calls.clear()
+    monkeypatch.setattr(reporting, "rel_residuals", residuals)
     with pytest.raises(RouteMismatch) as err:
         run()
     return err.value
@@ -267,6 +263,17 @@ def test_route_mismatch_names_the_first_failing_row(monkeypatch):
     fam = family_of(lebesgue(5))
     err = _route_error(monkeypatch, lambda: compute_second(fam), (1, -1))
     assert (err.what, err.where, err.residual) == ("mhat", "j=1", 1.0)
+
+
+def test_route_check_is_one_stacked_residual_call(monkeypatch):
+    # the four route checks of a chain share one rel_residuals call
+    fam = family_of(lebesgue(5))
+    calls = []
+    monkeypatch.setattr(reporting, "rel_residuals",
+                        lambda x, y: calls.append(len(x)) or rel_residuals(x, y))
+    second = compute_second(fam)
+    rows = len(second.mhat) + len(second.lhat_from_zero) + len(second.rhat) + len(second.that)
+    assert calls == [rows]
 
 
 def test_first_desk_values():
@@ -372,6 +379,15 @@ def test_recover_round_trip_q2(rng):
     for x, y in zip(rec.s, seq.s):
         assert rel(x, y) < 1e-9
     assert classify(build_hankels(rec)).kind == "PositiveDefinite"
+
+
+def test_recover_names_the_member_its_corner_cannot_factor():
+    # hhat2_0 = 1e-24 is below the rounding of s_1 = 1 - 1e-12, so the rebuilt
+    # H2[0] = s_1 - s_2 is 0, though every parameter passes its own test
+    one = np.array([[1.0]])
+    with pytest.raises(SingularPivot) as err:
+        recover_moments(one, [1e12 * one, one], [one, one], 0.0, 1.0)
+    assert (err.value.family, err.value.index) == ("H2", 0)
 
 
 def test_recover_errors():

@@ -119,6 +119,26 @@ def test_a_real_must_be_a_json_number(tmp_path, read, golden, kind, key, value):
     assert str(info.value) == f"{kind} file needs a real {key}, got {json.dumps(value)}"
 
 
+@pytest.mark.parametrize("read, golden, key, what", [
+    (read_moment_file, "moments_q2.json", "moments", "moments[1]"),
+    (read_parameter_file, "params_q2.json", "s0", "s0"),
+    (read_parameter_file, "params_q2.json", "mhat", "mhat[1]"),
+    (read_measure_file, "measure_q2.json", "weights", "weights[1]"),
+], ids=["moment", "parameter-s0", "parameter-mhat", "measure"])
+@pytest.mark.parametrize("value", [True, False, "0.5", "1.0"])
+def test_a_matrix_entry_must_be_a_json_number(tmp_path, read, golden, key, what, value):
+    # np.asarray(dtype=float) reads a boolean or a numeric string as a number
+    data = json.loads((GOLDEN / golden).read_text())
+    mat = data[key] if key == "s0" else data[key][1]
+    mat[1][0][1] = value
+    path = tmp_path / golden
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidMomentSequence) as info:
+        read(path)
+    assert str(info.value) == (f"{what}[1][0] is not a pair of JSON numbers: "
+                               f"{json.dumps(mat[1][0])}")
+
+
 def test_a_real_may_be_a_json_integer(tmp_path):
     data = json.loads((GOLDEN / "moments_q1.json").read_text())
     path = tmp_path / "moments.json"

@@ -17,7 +17,7 @@ from thmm import (
     classify,
 )
 from thmm import build_family, compute_second, moments as moments_module
-from thmm._linalg import cholesky_pd, hermitize, solve_factored, solve_pd
+from thmm._linalg import cholesky_pd, hermitize, solve_factored
 from thmm.moments import hankel_entries, hankel_from_entries
 
 from conftest import family_of, lebesgue, random_measure, rel
@@ -394,7 +394,7 @@ def _count_factorizations(monkeypatch):
     return calls
 
 
-def test_hankel_solve_is_solve_pd_through_one_factor(rng, monkeypatch):
+def test_hankel_solve_reads_one_factor_per_family(rng, monkeypatch):
     from conftest import random_sequence
 
     seq, _ = random_sequence(rng, 2, 2)
@@ -409,9 +409,9 @@ def test_hankel_solve_is_solve_pd_through_one_factor(rng, monkeypatch):
             for _ in range(2):
                 got = hank.solve(family, j, rhs)
                 assert np.array_equal(got, solve_factored(L[:size[0], :size[0]], rhs))
-            # the largest member is factored as solve_pd factors it
+            # the largest member is solved as its own Cholesky factor solves it
             if j == len(members) - 1:
-                assert np.array_equal(got, solve_pd(member, rhs, family, j))
+                assert np.array_equal(got, solve_factored(cholesky_pd(member), rhs))
         # once per family, on its largest member only
         assert [a is members[-1] for a in calls] == [True]
         calls.clear()

@@ -18,13 +18,7 @@ import numpy as np
 import pytest
 
 from thmm import dsm, polynomials, reporting
-from thmm._linalg import (
-    cholesky_pd,
-    hermitize,
-    rel_residual,
-    solve_factored,
-    solve_pd,
-)
+from thmm._linalg import cholesky_pd, hermitize, rel_residuals, solve_factored
 from thmm.dsm import (
     PARAM_HERMITIAN_RTOL,
     compute_first,
@@ -95,7 +89,10 @@ def reference_read_moments(path):
 
 def reference_inverse(a, family="matrix", index=0):
     """The inverse of one positive definite parameter, by its own Cholesky solve."""
-    return solve_pd(a, np.eye(a.shape[0], dtype=complex), family, index)
+    L = cholesky_pd(a)
+    if L is None:
+        raise SingularPivot(family, index)
+    return solve_factored(L, np.eye(a.shape[0], dtype=complex))
 
 
 def reference_recover_inverses(s0, mhat, lhat):
@@ -139,13 +136,14 @@ def reference_convolve(row, col, shift=None, sign=1.0):
 
 
 def reference_checks(monkeypatch, run):
-    """run() and the (name, residual) of each check of its report, pair by pair with rel_residual."""
+    """run() and the (name, residual) of each check of its report, pair by pair."""
     checks = []
     real = reporting.IdentityChecks.report
 
     def report(self):
         pairs = zip(np.concatenate(self.lhs), np.concatenate(self.rhs)) if self.names else ()
-        checks.append([(name, rel_residual(x, y)) for name, (x, y) in zip(self.names, pairs)])
+        checks.append([(name, float(rel_residuals(x[None], y[None])[0]))
+                       for name, (x, y) in zip(self.names, pairs)])
         return real(self)
 
     monkeypatch.setattr(reporting.IdentityChecks, "report", report)
@@ -338,11 +336,25 @@ def test_a_residual_out_of_float_range_is_refused_naming_its_check(lhs, rhs):
     checks = reporting.IdentityChecks()
     eye = np.eye(2)
     checks.add("a", 0, eye, eye)
-    checks.add_stack("b", 3, np.stack([eye, eye, lhs * eye]), np.stack([eye, eye, rhs * eye]))
+    checks.add_stack("b", [1, 2, 3], np.stack([eye, eye, lhs * eye]),
+                     np.stack([eye, eye, rhs * eye]))
     checks.add("c", 1, np.nan * eye, eye)
     with np.errstate(all="ignore"), pytest.raises(PreconditionFailure) as err:
         checks.report()
     assert str(err.value) == "identity b at j=3 leaves the float range"
+
+
+def test_first_above_is_the_first_check_added_and_never_a_nan():
+    checks = reporting.IdentityChecks()
+    eye = np.eye(2)
+    checks.add_stack("a", [0, 1], np.stack([eye, np.nan * eye]), np.stack([eye, eye]))
+    checks.add_stack("b", [0, 1, 2], np.stack([eye, 3 * eye, 5 * eye]), np.stack([eye] * 3))
+    name, j, res = checks.first_above(0.5)
+    assert (name, j, res) == ("b", 1, pytest.approx(2 / 3, rel=1e-15))
+    name, j, res = checks.first_above(0.7)
+    assert (name, j, res) == ("b", 2, pytest.approx(4 / 5, rel=1e-15))
+    assert checks.first_above(0.9) is None
+    assert reporting.IdentityChecks().first_above(0.0) is None
 
 
 # --- the polynomial coefficients -------------------------------------------
