@@ -25,6 +25,10 @@ it.  Their operands are float64 or complex128 arrays.  eigvalsh and det,
 which are rare or off the hot path, stay np.linalg's.  frobs is the one
 Frobenius norm, of each matrix of a stack, summed as np.linalg.norm sums
 one, and rel_residuals the one relative residual.
+
+A stacked evaluation at many z refuses the first point a check fails
+(refuse_first), and in_loop_order makes its error the one a loop over z
+raises first.
 """
 
 import functools
@@ -33,7 +37,7 @@ import math
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import PreconditionFailure, SingularDenominator
+from .errors import PreconditionFailure, SingularDenominator, ThmmError
 
 PIVOT_RTOL = 1e-12
 COND_LIMIT = 1e12
@@ -211,80 +215,57 @@ def min_eigenvalue(a):
     return float(np.linalg.eigvalsh(hermitize(np.asarray(a, dtype=complex)))[0])
 
 
-class PointPrefix:
-    """The points a loop over z finishes before it raises, for stacked evaluation.
+def refuse_first(bad, error):
+    """Raise error(i), its point set to i, for the first i with bad[i]; nothing if none is bad."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        exc = error(i := int(hits[0]))
+        exc.point = i
+        raise exc
+
+
+def in_loop_order(evaluate):
+    """evaluate(source, zs, ...) at the points zs, raising what a loop over zs raises first.
 
     A loop ``for z in zs: stage_1(z); ..; stage_s(z)`` raises at the first z
-    that fails a stage, with the first stage that z fails.  Stacked code
-    keeps that error by running each stage on ``zs``, the points before the
-    first failure recorded so far: ``fail`` records a stage's first failure
-    among them and drops that point and every later one.  A z-independent
-    stage runs only if the first point reaches it, so ``shared_stage``
-    precedes it.  ``finish`` raises the recorded error, if any.
-    """
-
-    def __init__(self, zs):
-        self.zs = np.asarray(zs, dtype=complex).reshape(-1)
-        self.error = None
-
-    def __len__(self):
-        return len(self.zs)
-
-    def fail(self, bad, error):
-        """Record error(i) for the first i with bad[i] and keep only zs[:i]."""
-        hits = np.flatnonzero(np.asarray(bad)[:len(self.zs)])
-        if hits.size:
-            i = int(hits[0])
-            self.error = error(i)
-            self.zs = self.zs[:i]
-
-    def shared_stage(self):
-        """Raise the recorded error if the first point has failed already."""
-        if self.error is not None and not len(self.zs):
-            raise self.error
-
-    def finish(self):
-        if self.error is not None:
-            raise self.error
-
-
-def finite_values(pts, values, what):
-    """The (K, r, c) values at the points of pts; PreconditionFailure names the first not finite."""
-    z = pts.zs
-    pts.fail(~np.isfinite(values).all(axis=(1, 2)), lambda i: PreconditionFailure(
-        f"{what} value at z={complex(z[i])} is not finite"))
-    return values[:len(pts)]
-
-
-def point_prefix(evaluate):
-    """Call evaluate(source, pts, ...) as f(source, zs, ...), pts the PointPrefix of zs.
-
-    zs may be a PointPrefix shared with other stacked calls: the call then
-    records its first failing point there, for the owner's finish() to raise
-    what a loop over z raises.  Otherwise the call owns a new prefix, and
-    raises the error of the first failing point itself.
+    that fails a stage, with the first stage that z fails.  A stacked
+    evaluation runs each stage on every point and raises at the first point
+    it refuses (refuse_first), so an error at point i > 0 is the loop's
+    unless a point before i fails a later stage.  Those points passed every
+    stage up to the failing one, so evaluate is run again on zs[:i]: if that
+    passes, the error stands, and if not, it fails at a later stage and its
+    error is decided the same way.  A failing call thus reruns evaluate at
+    most once per stage.  A z-independent stage raises with point None,
+    which stands: the first point has reached it.
     """
     @functools.wraps(evaluate)
     def stacked(source, zs, *args, **kwargs):
-        pts = zs if isinstance(zs, PointPrefix) else PointPrefix(zs)
-        pts.shared_stage()
-        value = evaluate(source, pts, *args, **kwargs)
-        if pts is not zs:
-            pts.finish()
-        return value
+        zs = np.asarray(zs, dtype=complex).reshape(-1)
+        try:
+            return evaluate(source, zs, *args, **kwargs)
+        except ThmmError as error:
+            if error.point:
+                stacked(source, zs[:error.point], *args, **kwargs)
+            raise
 
     return stacked
 
 
-def guard_cond(mats, error, points):
+def finite_values(zs, values, what):
+    """The (K, r, c) values at the points zs; PreconditionFailure names the first not finite."""
+    refuse_first(~np.isfinite(values).all(axis=(1, 2)), lambda i: PreconditionFailure(
+        f"{what} value at z={complex(zs[i])} is not finite"))
+    return values
+
+
+def guard_cond(mats, error):
     """Check every matrix of a (K, q, q) stack as np.linalg.cond would one by one.
 
-    Matrix k belongs to the point points.zs[k].  A matrix fails with
-    error(cond) when its 2-norm condition number is not finite or exceeds
-    COND_LIMIT; a matrix with a NaN or infinite entry (an overflowed one)
-    fails with error(nan), without an SVD.  The first failing point is
-    recorded in points (none when no point is left), and the inverses of
-    the points that remain are returned.
+    Matrix k belongs to point k.  A matrix fails with error(cond) when its
+    2-norm condition number is not finite or exceeds COND_LIMIT; a matrix
+    with a NaN or infinite entry (an overflowed one) fails with error(nan),
+    without an SVD.  The first failing matrix is refused (refuse_first);
+    if none fails, the inverses of all of them are returned.
 
     The inverses (inv) come first, and they decide most matrices
     without an SVD: kappa_2(A) <= ||A||_F ||A^-1||_F <= q max|a_ij| q max|x_ij|
@@ -311,7 +292,7 @@ def guard_cond(mats, error, points):
     kappa = np.full(len(mats), np.nan)
     try:
         inverses = inv(mats[:stop])
-    except LinAlgError:   # an exactly singular matrix
+    except LinAlgError:   # an exactly singular matrix, which its cond fails
         inverses = None
         svd = np.arange(stop)
     else:
@@ -321,22 +302,18 @@ def guard_cond(mats, error, points):
         svd = np.flatnonzero(~(kappa[:stop] <= COND_LIMIT / 2))
     if svd.size:
         kappa[svd] = cond(mats[svd])
-    points.fail(~np.isfinite(kappa) | (kappa > COND_LIMIT), lambda i: error(kappa[i]))
-    if inverses is None:
-        inverses = inv(mats[:len(points)])
-    return inverses[:len(points)]
+    refuse_first(~np.isfinite(kappa) | (kappa > COND_LIMIT), lambda i: error(kappa[i]))
+    return inverses
 
 
-def right_quotient(num, den, points):
+def right_quotient(num, den):
     """num @ inv(den) for (K, q, q) stacks of matrices, by a solve with den.
 
-    Matrix k belongs to the point points.zs[k].  Each denominator is checked
-    by guard_cond first and a failure is SingularDenominator; the inverses
-    guard_cond forms go unused, since a product with them would round
-    differently.  The quotients of the points that remain are returned.
+    Matrix k belongs to point k.  Each denominator is checked by guard_cond
+    first and a failure is SingularDenominator; the inverses guard_cond
+    forms go unused, since a product with them would round differently.
     """
     num = np.asarray(num, dtype=complex)
     den = np.asarray(den, dtype=complex)
-    guard_cond(den, SingularDenominator, points)
-    num, den = num[:len(points)], den[:len(points)]
+    guard_cond(den, SingularDenominator)
     return np.swapaxes(solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2)), -1, -2)

@@ -1,8 +1,11 @@
 """Command-line surface.
 
 Subcommands: analyze, factorize, extremal, recover, gen, scalar-report.
-The CLI is a thin shell over the library; it never computes numbers
-itself.  Exit codes: 0 success, 2 input or parse error, 3 mathematical
+The CLI is a thin shell over the library.  The numbers it computes itself
+are the residuals it reports beside the library's values: factorize's and
+extremal's relative distances between two routes (_residuals), and
+scalar-report's between the determinant formulas and compute_second's
+chain.  Exit codes: 0 success, 2 input or parse error, 3 mathematical
 precondition failure, 4 cross-route residual above tolerance.  A raised
 ThmmError exits with its class's exit_code and writes "<label>: <message>"
 to stderr, so a library caller can map an error exactly as the CLI does.
@@ -28,8 +31,8 @@ from .dsm import (
     recover_moments,
     scalar_determinant_params,
 )
-from .errors import RouteMismatch, SingularPivot, ThmmError
-from ._linalg import PointPrefix, frobs
+from .errors import RouteMismatch, SingularPivot, ThmmError, WrongMatrixSize
+from ._linalg import frobs, in_loop_order
 from .extremal import extremal_cf_many, extremal_quotient_many
 from .moments import build_hankels, classify
 from .polynomials import build_family, verify_family_identities
@@ -71,7 +74,7 @@ def cmd_analyze(args):
     report.update(_classification_dict(cls))
     if not cls.is_positive_definite:
         _emit(report, args.output)
-        return 3
+        return _report_error(_refusal(cls))
     fam = build_family(hank)
     # the chains first: compute_second may refuse before any complement is made
     dsm = compute_second(fam)
@@ -112,30 +115,49 @@ def _residuals(values, reference):
     return frobs(values - reference) / np.maximum(1.0, frobs(reference))
 
 
+def _refusal(cls):
+    """The SingularPivot naming the witness of a classification that is not PositiveDefinite."""
+    return SingularPivot(cls.witness.family, cls.witness.index)
+
+
+def _report_error(exc):
+    """Write "<label>: <message>" of a ThmmError to stderr; its exit code."""
+    print(f"{exc.label}: {exc}", file=sys.stderr)
+    return exc.exit_code
+
+
 def _evaluation_input(args):
     """(family, points) of factorize or extremal; SingularPivot unless PositiveDefinite."""
     hank = build_hankels(tio.read_moment_file(args.input))
     fam = build_family(hank)
     cls = classify(hank)
     if not cls.is_positive_definite:
-        raise SingularPivot(cls.witness.family, cls.witness.index)
-    return fam, PointPrefix(_z_values(args))
+        raise _refusal(cls)
+    return fam, np.array(_z_values(args), dtype=complex)
+
+
+@in_loop_order
+def _resolvents(fam, zs, route):
+    """The direct resolvent at zs and that of route."""
+    direct = resolvent_direct_many(fam, zs)
+    return direct, direct if route == "direct" else resolvent_factorized_many(fam, zs, route)
+
+
+@in_loop_order
+def _extremal_values(fam, zs, which):
+    """Solution which at zs by its quotient and by its continued fraction."""
+    return extremal_quotient_many(fam, zs, which), extremal_cf_many(fam, zs, which)
 
 
 def cmd_factorize(args):
-    fam, points = _evaluation_input(args)
-    # the stacked evaluation overflows at a large z; finite_values, guard_cond and
-    # PointPrefix check every value it keeps, so numpy's warnings only repeat
-    # the failure of that point
+    fam, zs = _evaluation_input(args)
+    # the stacked evaluation overflows at a large z; finite_values and guard_cond
+    # check every value it returns, so numpy's warnings only repeat the failure
+    # of that point
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        direct = resolvent_direct_many(fam, points)
-        if args.route == "direct":
-            values = direct
-        else:
-            values = resolvent_factorized_many(fam, points, args.route)
-    points.finish()
+        direct, values = _resolvents(fam, zs, args.route)
     residuals = _residuals(values, direct)
-    results = tio.Records(z=points.zs, parity=fam.seq.parity, route=args.route, U=values,
+    results = tio.Records(z=zs, parity=fam.seq.parity, route=args.route, U=values,
                           residual_vs_direct=residuals)
     _emit({"command": "factorize", "parity": fam.seq.parity, "route": args.route,
            "rtol": args.rtol, "results": results}, args.output)
@@ -143,13 +165,11 @@ def cmd_factorize(args):
 
 
 def cmd_extremal(args):
-    fam, points = _evaluation_input(args)
+    fam, zs = _evaluation_input(args)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # as in cmd_factorize
-        quotient_values = extremal_quotient_many(fam, points, args.which)
-        cf_values = extremal_cf_many(fam, points, args.which)
-    points.finish()
+        quotient_values, cf_values = _extremal_values(fam, zs, args.which)
     cross = _residuals(cf_values, quotient_values)
-    results = tio.Records(z=points.zs, which=args.which, parity=fam.seq.parity,
+    results = tio.Records(z=zs, which=args.which, parity=fam.seq.parity,
                           value=quotient_values, route="quotient", cross_residual=cross)
     _emit({"command": "extremal", "which": args.which, "parity": fam.seq.parity,
            "rtol": args.rtol, "results": results}, args.output)
@@ -161,7 +181,7 @@ def cmd_recover(args):
     seq = recover_moments(s0, mhat, lhat, a, b)
     cls = classify(build_hankels(seq))
     _emit(tio.moment_file_dict(seq), args.output)
-    return 0 if cls.is_positive_definite else 3
+    return 0 if cls.is_positive_definite else _report_error(_refusal(cls))
 
 
 def cmd_gen(args):
@@ -172,7 +192,11 @@ def cmd_gen(args):
 
 def cmd_scalar_report(args):
     seq = tio.read_moment_file(args.input)
-    mtilde, ltilde, dsm = scalar_determinant_params(seq)
+    if seq.q != 1:   # before build_family, which refuses a singular member first
+        raise WrongMatrixSize(seq.q)
+    fam = build_family(build_hankels(seq))
+    mtilde, ltilde = scalar_determinant_params(fam)
+    dsm = compute_second(fam)
     m_res = [
         abs(mt - float(dsm.mhat[j][0, 0].real)) / max(1.0, abs(mt))
         for j, mt in enumerate(mtilde)
@@ -299,8 +323,7 @@ def main(argv=None):
     try:
         return command(args)
     except ThmmError as exc:
-        print(f"{exc.label}: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return _report_error(exc)
     except (OSError, KeyError, TypeError, ValueError) as exc:   # reading and parsing
         print(f"input error: {exc}", file=sys.stderr)
         return 2

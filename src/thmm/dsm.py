@@ -60,12 +60,10 @@ from .errors import (
 from .moments import (
     Kept,
     MomentSequence,
-    build_hankels,
     finite_interval,
     hankel_entries,
     hankel_from_entries,
 )
-from .polynomials import build_family
 from .reporting import IdentityChecks
 
 ROUTE_RTOL = 1e-10
@@ -389,21 +387,19 @@ def recover_moments(s0, mhat, lhat, a, b):
     return MomentSequence(a=a, b=b, s=tuple(s))
 
 
-def scalar_determinant_params(seq):
-    """Determinant formulas for the scalar (q = 1) second-type parameters.
+def scalar_determinant_params(fam):
+    """Determinant formulas for the scalar (q = 1) second-type parameters of a family.
 
     mtilde_j = det(D3_j)^2 / (det K1[j] det K1[j-1]) where D3_j carries j
     Hankel rows of b s_k - s_{k+1} over the monomial row (1, a, .., a^j);
     ltilde_j = det(E2_j)^2 / (det H2[j] det H2[j-1]) with Hankel rows of
     shat over the row -(u2^* + a v^* s_0) R^*(a).  Index -1 determinants
-    are 1, which reproduces the closed base cases.  The matrix-route
-    parameters, which a caller checks them against, are returned with
-    them: (mtilde, ltilde, dsm), dsm the DsmSecond of the sequence.
+    are 1, which reproduces the closed base cases.  Returns (mtilde, ltilde),
+    which a caller checks against compute_second(fam).
     """
+    seq, hank = fam.seq, fam.hankels
     if seq.q != 1:
-        raise WrongMatrixSize(f"scalar determinant route needs q = 1, got q = {seq.q}")
-    fam = build_family(build_hankels(seq))
-    hank = fam.hankels
+        raise WrongMatrixSize(seq.q)
 
     def det(mat):
         # an overflow shows as the PreconditionFailure of ratio, not as a warning
@@ -433,4 +429,4 @@ def scalar_determinant_params(seq):
     ltilde = [ratio("H2", j, lambda j: list(-hank.R_at_a_times(hank.column("H2", j)).conj().T[0]))
               for j in range(len(hank.H2))]
 
-    return tuple(mtilde), tuple(ltilde), compute_second(fam)
+    return tuple(mtilde), tuple(ltilde)

@@ -7,9 +7,11 @@ class ThmmError(Exception):
     """Base class for all errors raised by this package.
 
     The CLI writes "<label>: <message>" to stderr and exits with exit_code.
+    point is the index of the point a stacked evaluation refused, None for
+    a refusal that does not depend on z.
     """
 
-    exit_code, label = 3, "error"
+    exit_code, label, point = 3, "error", None
 
 
 class InputError(ThmmError):
@@ -122,3 +124,6 @@ class PointOutsideInterval(InputError):
 
 class WrongMatrixSize(InputError):
     """Operation restricted to scalar (q = 1) sequences."""
+
+    def __init__(self, q):
+        super().__init__(f"scalar determinant route needs q = 1, got q = {q}")

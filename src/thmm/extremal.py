@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import finite_values, guard_cond, point_prefix, right_quotient, scalars
+from ._linalg import finite_values, guard_cond, in_loop_order, refuse_first, right_quotient, scalars
 from .dsm import DsmSecond, compute_first, compute_second, rungs
 from .errors import PointOnInterval, SingularLevel
 from .polynomials import adjoint_eval
@@ -37,18 +37,15 @@ def _reads_second(fam, which):
     return (which == "friedrichs") == (fam.seq.parity == "even")
 
 
-def _fraction(chain, pts, a, b):
-    """The continued fraction a DSM chain drives on [a, b], at the points pts.zs.
+def _fraction(chain, z, a, b):
+    """The continued fraction a DSM chain drives on [a, b], at the points z.
 
     Rung mhat_k is the level -(z-a)(b-z) mhat_k and lhat_k is lhat_k / (b-z),
     under the head s_0 / (b-z); M_k is -(z-a) M_k and L_k is L_k, with no head.
     The levels are (K, q, q) stacks, evaluated bottom-up; a level sum that
-    is not invertible at a point fails that point in pts with
-    SingularLevel(depth).  Each level's inverse is the one guard_cond formed
-    to check it.
+    is not invertible at a point refuses that point with SingularLevel(depth).
+    Each level's inverse is the one guard_cond formed to check it.
     """
-    z = pts.zs
-
     def at(f):
         return scalars(f, z)[:, None, None]
 
@@ -66,27 +63,26 @@ def _fraction(chain, pts, a, b):
         return np.array(head)
     w = 0.0
     for depth in range(len(levels), 0, -1):
-        term = levels[depth - 1][:len(pts)] + w
-        w = guard_cond(term, lambda cond, depth=depth: SingularLevel(depth), pts)
-    return w if head is None else head[:len(pts)] + w
+        w = guard_cond(levels[depth - 1] + w, lambda cond, depth=depth: SingularLevel(depth))
+    return w if head is None else head + w
 
 
-@point_prefix
-def extremal_cf_many(fam, pts, which):
+@in_loop_order
+def extremal_cf_many(fam, z, which):
     """Extremal solution values via the continued fraction, at K points at once.
 
-    Returns the (K, q, q) stack of values at the points zs.  The parameter
+    Returns the (K, q, q) stack of values at the points z.  The parameter
     chain is built once and the fraction is evaluated level by level over
-    the whole stack.  Failures are as point_prefix describes; a value that
-    is not finite fails its point.
+    the whole stack.  A failure is the one in_loop_order describes; a value
+    that is not finite fails its point.
     """
     chain = (compute_second if _reads_second(fam, which) else compute_first)(fam)
-    return finite_values(pts, _fraction(chain, pts, fam.seq.a, fam.seq.b),
+    return finite_values(z, _fraction(chain, z, fam.seq.a, fam.seq.b),
                          f"{which} continued-fraction")
 
 
-@point_prefix
-def extremal_quotient_many(fam, pts, which):
+@in_loop_order
+def extremal_quotient_many(fam, z, which):
     """Extremal solution values as block quotients of polynomial values, at K points at once.
 
     Even parity: sK = T2[n]^*(zbar) / ((z-a) G2[n]^*(zbar)),
@@ -95,30 +91,27 @@ def extremal_quotient_many(fam, pts, which):
                  sF = -Q1[n+1]^*(zbar) / P1[n+1]^*(zbar).
 
     Returns the (K, q, q) stack of the values of solution which at the
-    points zs.  Failures are as point_prefix describes; a value that is
-    not finite fails its point.
+    points z.  A failure is the one in_loop_order describes; a value that
+    is not finite fails its point.
     """
     seq = fam.seq
     a, b = seq.a, seq.b
-    z = pts.zs
-    pts.fail((z.imag == 0.0) & (a <= z.real) & (z.real <= b),
-             lambda i: PointOnInterval(f"z = {complex(z[i])} lies on [{a}, {b}]"))
-    pts.shared_stage()
+    refuse_first((z.imag == 0.0) & (a <= z.real) & (z.real <= b),
+                 lambda i: PointOnInterval(f"z = {complex(z[i])} lies on [{a}, {b}]"))
     second = _reads_second(fam, which)   # friedrichs at even, krein at odd
     n = seq.m // 2
-    z = pts.zs
     zc = z[:, None, None]
     if seq.parity == "even" and second:
         values = right_quotient(adjoint_eval(fam.t1[n], z),
-                                (b - zc) * adjoint_eval(fam.g1[n], z), pts)
+                                (b - zc) * adjoint_eval(fam.g1[n], z))
     elif seq.parity == "even":
         values = right_quotient(adjoint_eval(fam.t2[n], z),
-                                (zc - a) * adjoint_eval(fam.g2[n], z), pts)
+                                (zc - a) * adjoint_eval(fam.g2[n], z))
     elif second:
         scale = scalars(lambda x: (x - a) * (b - x), z)[:, None, None]
         values = -right_quotient(adjoint_eval(fam.q2[n], z),
-                                 scale * adjoint_eval(fam.p2[n], z), pts)
+                                 scale * adjoint_eval(fam.p2[n], z))
     else:
         values = -right_quotient(adjoint_eval(fam.q1[n + 1], z),
-                                 adjoint_eval(fam.p1[n + 1], z), pts)
-    return finite_values(pts, values, f"{which} quotient")
+                                 adjoint_eval(fam.p1[n + 1], z))
+    return finite_values(z, values, f"{which} quotient")

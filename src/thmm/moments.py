@@ -469,14 +469,10 @@ def classify(hank):
     Indefinite, otherwise Degenerate.  A failing matrix that overflowed
     from finite moments has no eigenvalues: PreconditionFailure names it.
     """
-    m = hank.seq.m
-    if m % 2 == 0:
-        n = m // 2
-        checks = [("H1", n)]
-        if n >= 1:
-            checks.append(("H2", n - 1))
+    n = hank.seq.m // 2
+    if hank.seq.parity == "even":
+        checks = [("H1", n)] + ([("H2", n - 1)] if n >= 1 else [])
     else:
-        n = (m - 1) // 2
         checks = [("K1", n), ("K2", n)]
     for family, j in checks:
         if hank.factor(family, j) is None:

@@ -21,7 +21,7 @@ import functools
 
 import numpy as np
 
-from ._linalg import finite_values, point_prefix, scalars
+from ._linalg import finite_values, in_loop_order, refuse_first, scalars
 from .dsm import DsmSecond, compute_first, compute_second, rungs
 from .errors import PoleAtZ
 from .polynomials import adjoint_eval
@@ -62,8 +62,8 @@ def _diag(c_top, c_bottom, q):
     return out
 
 
-@point_prefix
-def resolvent_direct_many(fam, pts):
+@in_loop_order
+def resolvent_direct_many(fam, z):
     """Resolvent by block quotients of polynomial values, at K points at once.
 
     Even parity (m = 2n) uses the interval families:
@@ -77,14 +77,13 @@ def resolvent_direct_many(fam, pts):
         gamma = -(z - a)(b - z) P2[n]^*(zbar) Q2[n]^{*-1}(a)
         delta = P1[n+1]^*(zbar) P1[n+1]^{*-1}(a)
 
-    Returns the (K, 2q, 2q) stack of values at the points zs; the
-    normalizer inverses at a are the family's.  Failures are as point_prefix
-    describes.
+    Returns the (K, 2q, 2q) stack of values at the points z; the
+    normalizer inverses at a are the family's.  A failure is the one
+    in_loop_order describes.
     """
     seq = fam.seq
     a, b = seq.a, seq.b
     n = seq.m // 2
-    z = pts.zs
     zc = z[:, None, None]
     if seq.parity == "even":
         inv_t2a = fam.normalizer(fam.t2[n])
@@ -102,7 +101,7 @@ def resolvent_direct_many(fam, pts):
         scale = scalars(lambda x: -(x - a) * (b - x), z)[:, None, None]
         gamma = scale * adjoint_eval(fam.p2[n], z) @ inv_q2a
         delta = adjoint_eval(fam.p1[n + 1], z) @ inv_p1a
-    return finite_values(pts, np.block([[alpha, beta], [gamma, delta]]), "resolvent")
+    return finite_values(z, np.block([[alpha, beta], [gamma, delta]]), "resolvent")
 
 
 def _tail_second_even(fam, n):
@@ -128,11 +127,9 @@ def _tail_first_odd(fam, n):
     return t - (fam.seq.b - fam.seq.a) * adj(fam.p2[n]) @ inv(fam.q2[n])
 
 
-def _poles(pts, hit, route):
-    """Record the first point of pts where a factorized route has a pole."""
-    z = pts.zs
-    pts.fail(hit, lambda i: PoleAtZ(f"{route} route has a pole at z = {complex(z[i])}"))
-    pts.shared_stage()
+def _poles(z, hit, route):
+    """Refuse the first point of z where a factorized route has a pole."""
+    refuse_first(hit, lambda i: PoleAtZ(f"{route} route has a pole at z = {complex(z[i])}"))
 
 
 def _rung_factors(chain, zc, tail):
@@ -159,8 +156,8 @@ def _rung_factors(chain, zc, tail):
     return factors
 
 
-@point_prefix
-def resolvent_factors(fam, pts, route):
+@in_loop_order
+def resolvent_factors(fam, z, route):
     """The affine factors whose left-to-right product is the resolvent at K points.
 
     route = "second" uses the second-type parameter chains (poles of the
@@ -175,9 +172,9 @@ def resolvent_factors(fam, pts, route):
       odd:   diag(1/(z-a), 1) [low(-M_k) up((z-a) L_k)]_{k<=n} low(tail) diag(z-a, 1).
     lhat_{-1} = s_0, so at n = 0 the even second-type product has four factors.
 
-    Each factor is a (K, 2q, 2q) stack over the points zs, or one 2q x 2q
-    matrix where it does not depend on z.  Failures are as point_prefix
-    describes.
+    Each factor is a (K, 2q, 2q) stack over the points z, or one 2q x 2q
+    matrix where it does not depend on z.  A failure is the one
+    in_loop_order describes.
     """
     seq = fam.seq
     a, b = seq.a, seq.b
@@ -187,37 +184,34 @@ def resolvent_factors(fam, pts, route):
     if route == "second":
         dsm = compute_second(fam)
         if seq.parity == "even":
-            _poles(pts, (pts.zs == a) | (pts.zs == b), "second-type even")
+            _poles(z, (z == a) | (z == b), "second-type even")
             tail = _tail_second_even(fam, n)
-            z = pts.zs
             return [_diag(scalars(lambda x: 1.0 / ((b - x) * (x - a)), z), 1.0, q),
                     *_rung_factors(dsm, z[:, None, None] - a, tail),
                     _diag(scalars(lambda x: (b - a) * (x - a), z),
                           scalars(lambda x: (b - x) / (b - a), z), q)]
-        _poles(pts, pts.zs == b, "second-type odd")
+        _poles(z, z == b, "second-type odd")
         tail = _tail_second_odd(fam, n)
-        z = pts.zs
         return [_diag(scalars(lambda x: 1.0 / (b - x), z), 1.0, q),
                 *_rung_factors(dsm, z[:, None, None] - a, tail), _diag(b - z, 1.0, q)]
     if route == "first":
         first = compute_first(fam)
         if seq.parity == "even":
-            return _rung_factors(first, pts.zs[:, None, None] - a, _tail_first_even(fam, n))
-        _poles(pts, pts.zs == a, "first-type odd")
+            return _rung_factors(first, z[:, None, None] - a, _tail_first_even(fam, n))
+        _poles(z, z == a, "first-type odd")
         tail = _tail_first_odd(fam, n)
-        z = pts.zs
         return [_diag(scalars(lambda x: 1.0 / (x - a), z), 1.0, q),
                 *_rung_factors(first, z[:, None, None] - a, tail), _diag(z - a, 1.0, q)]
     raise ValueError(f"route must be 'second' or 'first', got {route!r}")
 
 
-@point_prefix
-def resolvent_factorized_many(fam, pts, route):
+@in_loop_order
+def resolvent_factorized_many(fam, z, route):
     """Resolvent as the printed left-to-right product of resolvent_factors, at K points.
 
-    Returns the (K, 2q, 2q) stack of values at the points zs.  Failures are
-    as point_prefix describes.
+    Returns the (K, 2q, 2q) stack of values at the points z.  A failure is
+    the one in_loop_order describes.
     """
-    factors = resolvent_factors(fam, pts, route)
-    return finite_values(pts, functools.reduce(np.matmul, factors), "resolvent")
+    return finite_values(z, functools.reduce(np.matmul, resolvent_factors(fam, z, route)),
+                         "resolvent")
 

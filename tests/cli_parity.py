@@ -30,7 +30,8 @@ replace all of it shows in the digest.  The corpus:
   krein|friedrichs, at a, at b and at three points off [a, b], so that
   where each parameter chain stops at either parity shows;
 - gen, recover and scalar-report on good and bad input (recover with an
-  infinite endpoint or surplus mhat, gen on a measure with a > b), and
+  infinite endpoint or surplus mhat, or on positive definite parameters
+  whose moments are Degenerate or Indefinite, gen on a measure with a > b), and
   parse failures, runs of --z=<lit> tokens among them, and a q that is
   not an integer (1.9, true, 2.5) in a moment and a parameter file;
 - a, b and a measure point given as false, true and "0.5" under analyze,
@@ -54,6 +55,12 @@ replace all of it shows in the digest.  The corpus:
   chains and the extremal values do not;
 - the golden q = 2 moments times 5e306 under factorize (every route) and
   extremal (both solutions), whose Krein quotient value at 2+1i is NaN.
+- Lebesgue moments on [0, 1] at several points, where the error of a
+  loop over z is not the one of the first failing stage: factorize
+  --route second at m = 5 on 2, 1, 1e200 and -1 (a pole at 1 before an
+  overflow at 1e200), extremal --which krein at m = 13, 15 and 17 on 2
+  and 0.5 (2 ill-conditioned before 0.5 on [0, 1]), and extremal at m = 5
+  on 2, -1+0.5i, 0.25, 0.75 and 3.
 
 m decides the parity, so the factorize and extremal cases of the
 degenerate, overflow, -0.0 and z items run on each input as given (labels
@@ -246,6 +253,20 @@ def corpus(workdir):
             yield f"diag-scaled/k{k}/m{m}/analyze", ["analyze", "--input", path]
             yield from _evaluations(work, path, f"diag-scaled/k{k}/m{m}", ["2+1i", "-0.3+0.05i"])
 
+    def lebesgue(m):
+        return _moment_file(work / f"lebesgue_m{m}.json",
+                            [np.array([[1.0 / (j + 1)]]) for j in range(m + 1)])
+
+    yield "loop-order/factorize/second/m5", [
+        "factorize", "--input", lebesgue(5), "--route", "second",
+        "--z=2", "--z=1", "--z=1e200", "--z=-1"]
+    for m in (13, 15, 17):
+        yield f"loop-order/extremal/krein/m{m}", [
+            "extremal", "--input", lebesgue(m), "--which", "krein", "--z=2", "--z=0.5"]
+    yield "loop-order/extremal/friedrichs/m5", [
+        "extremal", "--input", lebesgue(5), "--z=2", "--z=-1+0.5i", "--z=0.25", "--z=0.75",
+        "--z=3"]
+
     overflow = str(HERE / "data" / "overflow_q3.json")
     yield "overflow/analyze", ["analyze", "--input", overflow]
     yield from _evaluations(work, overflow, "overflow", ["1e200"])
@@ -284,6 +305,12 @@ def corpus(workdir):
     bad_params = json.loads((GOLDEN / "params_q1.json").read_text())
     bad_params["mhat"][0] = [[[-1.0, 0.0]]]
     yield "recover/negative_mhat", ["recover", "--input", _write(work / "bad_params.json", bad_params)]
+    # positive definite parameters whose rebuilt moments are not: Degenerate, Indefinite
+    for name, mhat, lhat in (("degenerate", [1.0], []), ("indefinite", [1.0], [1.0])):
+        params = {"q": 1, "a": 0.0, "b": 1.0, "s0": _encode(np.eye(1)),
+                  "mhat": [_encode(x) for x in mhat], "lhat": [_encode(x) for x in lhat]}
+        yield f"recover/{name}_moments", ["recover", "--input",
+                                          _write(work / f"params_{name}.json", params)]
     for endpoint, value in (("a", -np.inf), ("b", np.inf)):
         params = {**json.loads((GOLDEN / "params_q2.json").read_text()), endpoint: value}
         yield f"recover/infinite_{endpoint}", ["recover", "--input",

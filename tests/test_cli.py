@@ -84,6 +84,25 @@ def test_analyze_degenerate_exit_3(tmp_path, capsys):
     assert abs(data["witness"]["min_eigenvalue"]) < 1e-12
 
 
+ONE = np.eye(1, dtype=complex)
+
+
+@pytest.mark.parametrize("command, data, refusal", [
+    # one atom at 0.5, m = 5: Degenerate
+    ("analyze", {"q": 1, "a": 0.0, "b": 1.0,
+                 "moments": [np.array([[0.5 ** j]], dtype=complex) for j in range(6)]}, "K1[2]"),
+    # positive definite parameters whose moments are Degenerate, then Indefinite
+    ("recover", {"q": 1, "a": 0.0, "b": 1.0, "s0": ONE, "mhat": [ONE], "lhat": []}, "K2[0]"),
+    ("recover", {"q": 1, "a": 0.0, "b": 1.0, "s0": ONE, "mhat": [ONE], "lhat": [ONE]}, "H1[1]"),
+], ids=["analyze-degenerate", "recover-degenerate", "recover-indefinite"])
+def test_a_refused_classification_names_its_witness_on_stderr(tmp_path, capsys, command, data,
+                                                              refusal):
+    # the report still goes to stdout, and one stderr line names the witness
+    code = main([command, "--input", write_json(tmp_path / "in.json", data)])
+    out, err = capsys.readouterr()
+    assert code == 3 and json.loads(out)["q"] == 1
+    assert err == (f"precondition failure: {refusal} is not positive definite"
+                   " (pivot at or below threshold)\n")
 @pytest.mark.parametrize("values, witness", [
     ([0.5 ** j for j in range(3)], "H1[1]"),      # one atom at 0.5: Degenerate
     ([1.0, 0.5, 1.0 / 3.0, 0.55], "K1[1]"),       # Lebesgue with s_3 raised: Indefinite
@@ -483,7 +502,7 @@ def test_scalar_report_builds_one_family_and_chain(monkeypatch):
 
     built, chains = [], []
     real_build = polynomials.build_family
-    for module in (polynomials, dsm, cli):
+    for module in (polynomials, cli):
         monkeypatch.setattr(module, "build_family",
                             lambda src: built.append(src) or real_build(src))
     real_second = dsm.compute_second
@@ -826,9 +845,9 @@ def test_scalar_report_above_rtol_exits_4_naming_it(monkeypatch, capsys):
     inp = str(Path(__file__).parent / "golden" / "moments_q1.json")
     real = cli.scalar_determinant_params
 
-    def shifted(seq):
-        mtilde, ltilde, chain = real(seq)
-        return (mtilde[0] * (1 + 1e-6),) + mtilde[1:], ltilde, chain
+    def shifted(fam):
+        mtilde, ltilde = real(fam)
+        return (mtilde[0] * (1 + 1e-6),) + mtilde[1:], ltilde
 
     monkeypatch.setattr(cli, "scalar_determinant_params", shifted)
     code = main(["scalar-report", "--input", inp])
@@ -951,8 +970,7 @@ def test_analyze_refuses_identity_residuals_out_of_float_range(tmp_path, capsys)
     (["extremal", "--which", "krein", "--z=-1", "--output"], None),
     (["extremal", "--which", "friedrichs", "--z=-1", "--output"], None),
 ], ids=["analyze", "extremal-krein", "extremal-friedrichs"])
-def test_a_chain_that_leaves_the_float_range_is_refused_where_it_is_made(tmp_path, capsys,
-                                                                         command, refusal):
+def test_moments_times_3e307_keep_their_chains_finite(tmp_path, capsys, command, refusal):
     # times 3e307 every parameter chain, symmetrized, is finite: the extremal
     # values are 3e307 times the unscaled ones, and analyze is refused by an
     # identity residual that leaves the float range

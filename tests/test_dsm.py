@@ -429,7 +429,7 @@ def test_limit_check_ratio_and_q2(rng):
 
 
 def test_scalar_determinant_desk():
-    mt, lt, _ = scalar_determinant_params(lebesgue(3))
+    mt, lt = scalar_determinant_params(family_of(lebesgue(3)))
     assert abs(mt[0] - 2.0) < 1e-12
     assert abs(mt[1] - 4.0) < 1e-10
     assert abs(lt[0] - 1.5) < 1e-12
@@ -447,8 +447,9 @@ def test_scalar_determinant_d3_value():
 
 def test_scalar_determinant_matches_matrix_route(rng):
     seq, _ = random_sequence(rng, 1, 3)
-    mt, lt, _ = scalar_determinant_params(seq)
-    dsm = compute_second(family_of(seq))
+    fam = family_of(seq)
+    mt, lt = scalar_determinant_params(fam)
+    dsm = compute_second(fam)
     for j, v in enumerate(mt):
         assert abs(v - dsm.mhat[j][0, 0].real) <= 1e-8 * max(1.0, abs(v))
     for j, v in enumerate(lt):
@@ -458,7 +459,7 @@ def test_scalar_determinant_matches_matrix_route(rng):
 def test_scalar_determinant_wrong_size(rng):
     seq, _ = random_sequence(rng, 2, 1)
     with pytest.raises(WrongMatrixSize):
-        scalar_determinant_params(seq)
+        scalar_determinant_params(family_of(seq))
 
 
 def test_product_identities_inverts_each_schur_complement_at_most_once(monkeypatch):

@@ -14,7 +14,6 @@ from thmm import (
     resolvent_direct_many,
 )
 from thmm import extremal
-from thmm._linalg import PointPrefix
 from thmm.cli import main
 from thmm.dsm import rungs
 
@@ -31,10 +30,7 @@ def cf_at(fam, z, which):
 
 def cf_of_chain(chain, zs, a=0.0, b=1.0):
     """The continued fraction a DSM chain drives on [a, b] at the points zs, as extremal_cf_many has it."""
-    pts = PointPrefix(zs)
-    value = extremal._fraction(chain, pts, a, b)
-    pts.finish()
-    return value
+    return extremal._fraction(chain, np.asarray(zs, dtype=complex), a, b)
 
 
 def mobius(u, x, y):

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from thmm import SingularDenominator
 from thmm import _linalg
+from thmm.errors import PreconditionFailure
 from thmm._linalg import (
     COND_LIMIT,
     PIVOT_RTOL,
-    PointPrefix,
     adjoint,
     cholesky,
     cholesky_pd,
@@ -21,8 +21,9 @@ from thmm._linalg import (
     frobs,
     guard_cond,
     hermitize,
+    in_loop_order,
     inv,
-    point_prefix,
+    refuse_first,
     rel_residuals,
     right_quotient,
     scaled_cond,
@@ -279,78 +280,103 @@ def test_solve_factored_is_exact_for_a_diagonal_factor(rng):
     assert np.array_equal(solve_factored(L, b[:, 0]), b[:, 0] / d ** 2)
 
 
-def divide(num, den):
-    """right_quotient of stacks over points, raising the first failure as a loop over them would."""
-    pts = PointPrefix(np.zeros(len(den)))
-    out = right_quotient(num, den, pts)
-    pts.finish()
-    return out
-
-
 def test_right_divide():
     rng = np.random.default_rng(5)
     num = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     den = rng.normal(size=(2, 2)) + np.eye(2) * 3
-    assert rel(divide(num[None], den[None])[0], num @ np.linalg.inv(den)) < 1e-13
+    assert rel(right_quotient(num[None], den[None])[0], num @ np.linalg.inv(den)) < 1e-13
     # a stack of K = 5 pairs divides pair by pair
     nums = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
     dens = rng.normal(size=(5, 3, 3)) + np.eye(3) * 4
-    got = divide(nums, dens)
+    got = right_quotient(nums, dens)
     assert got.shape == (5, 3, 3)
     for k in range(5):
         assert rel(got[k], nums[k] @ np.linalg.inv(dens[k])) < 1e-13
     # the guard sits exactly at COND_LIMIT: just below passes, just past raises
     eye = np.eye(2)
-    divide(eye[None], np.diag([1.0, 1.0 / (0.99 * COND_LIMIT)])[None])
+    right_quotient(eye[None], np.diag([1.0, 1.0 / (0.99 * COND_LIMIT)])[None])
     with pytest.raises(SingularDenominator) as err:
-        divide(eye[None], np.diag([1.0, 1.0 / (1.01 * COND_LIMIT)])[None])
+        right_quotient(eye[None], np.diag([1.0, 1.0 / (1.01 * COND_LIMIT)])[None])
     assert err.value.cond == pytest.approx(1.01 * COND_LIMIT)
     with pytest.raises(SingularDenominator):
-        divide(np.stack([eye, eye]), np.stack([eye, np.diag([1.0, 1.0 / (1.01 * COND_LIMIT)])]))
+        right_quotient(np.stack([eye, eye]),
+                       np.stack([eye, np.diag([1.0, 1.0 / (1.01 * COND_LIMIT)])]))
 
 
-def test_point_prefix_keeps_loop_error_order():
-    # a per-point stage failing at index 2 is recorded, and a later stage
-    # failing at index 1 (within the remaining prefix) takes precedence
-    pts = PointPrefix([0.0, 1.0, 2.0, 3.0])
-    pts.fail(np.array([False, False, True, True]), lambda i: ValueError(f"stage 1 at {i}"))
-    assert len(pts) == 2
-    pts.shared_stage()  # the first point is still alive
-    pts.fail(np.array([False, True]), lambda i: KeyError(f"stage 2 at {i}"))
-    with pytest.raises(KeyError, match="stage 2 at 1"):
-        pts.finish()
-    # once the first point has failed, a z-independent stage is never reached
-    pts = PointPrefix([0.0, 1.0])
-    pts.fail(np.array([True, False]), lambda i: ValueError(f"at {i}"))
-    with pytest.raises(ValueError, match="at 0"):
-        pts.shared_stage()
+def _staged(stages):
+    """A stacked evaluation over the points 0, 1, .. that runs stages in order, and its calls.
+
+    Stage s (from 1) is the set of points it refuses, with "stage s at k",
+    or None for a z-independent stage, which refuses with "stage s".  calls
+    gets the number of points of each call.
+    """
+    calls = []
+
+    @in_loop_order
+    def evaluate(source, zs):
+        """Run the stages at zs."""
+        calls.append(len(zs))
+        for s, bad in enumerate(stages, 1):
+            if bad is None:
+                raise PreconditionFailure(f"stage {s}")
+            refuse_first(np.isin(zs.real, sorted(bad)),
+                         lambda i, s=s: PreconditionFailure(f"stage {s} at {i}"))
+        return zs
+
+    return evaluate, calls
 
 
-def test_point_prefix_owner_raises_and_sharer_records():
-    seen = []
+def _loop_error(stages, count):
+    """The message of the error a loop over the points 0..count-1 raises first, or None."""
+    for k in range(count):
+        for s, bad in enumerate(stages, 1):
+            if bad is None:
+                return f"stage {s}"
+            if k in bad:
+                return f"stage {s} at {k}"
+    return None
 
-    @point_prefix
-    def stage(source, pts, bad_from):
-        """A per-point stage failing from index bad_from on."""
-        seen.append(pts)
-        pts.fail(np.arange(len(pts)) >= bad_from, lambda i: ValueError(f"{source} at {i}"))
-        return pts.zs
 
-    assert stage.__name__ == "stage" and stage.__doc__.startswith("A per-point")
-    # an owned prefix is made from the points and raises its first failure
-    assert np.array_equal(stage("a", [0.0, 1.0], 5), [0.0, 1.0])
-    with pytest.raises(ValueError, match="b at 1"):
-        stage("b", [0.0, 1.0, 2.0], bad_from=1)
-    # a shared one records it for its owner, and passes through unchanged
-    pts = PointPrefix([0.0, 1.0, 2.0])
-    assert np.array_equal(stage("c", pts, 2), [0.0, 1.0]) and seen[-1] is pts
-    assert str(pts.error) == "c at 2"
-    # once its first point has failed, the next stacked call raises at once
-    pts.fail(np.array([True]), lambda i: KeyError("first"))
-    count = len(seen)
-    with pytest.raises(KeyError):
-        stage("d", pts, 0)
-    assert len(seen) == count
+def test_in_loop_order_keeps_loop_error_order():
+    # stage 1 refuses point 2, and stage 2 point 1, which a loop reaches first
+    evaluate, calls = _staged([{2, 3}, {1}])
+    with pytest.raises(PreconditionFailure, match="^stage 2 at 1$") as err:
+        evaluate(None, [0.0, 1.0, 2.0, 3.0])
+    assert err.value.point == 1 and calls == [4, 2, 1]
+    assert evaluate.__name__ == "evaluate" and evaluate.__doc__ == "Run the stages at zs."
+    # random stages over 1 to 6 points, against a loop over them: one call
+    # when nothing fails, at most one more per stage when something does
+    rng = np.random.default_rng(33)
+    for _ in range(300):
+        count = int(rng.integers(1, 7))
+        stages = [None if rng.random() < 0.15 else set(np.flatnonzero(rng.random(count) < 0.2))
+                  for _ in range(int(rng.integers(1, 5)))]
+        evaluate, calls = _staged(stages)
+        expected = _loop_error(stages, count)
+        try:
+            assert np.array_equal(evaluate(None, np.arange(count)), np.arange(count))
+        except PreconditionFailure as error:
+            assert str(error) == expected and len(calls) <= 1 + len(stages)
+        else:
+            assert expected is None and calls == [count]
+
+
+def test_in_loop_order_reaches_a_z_independent_stage_only_past_the_first_point():
+    # the first point fails stage 1: the z-independent stage 2 is never reached
+    evaluate, calls = _staged([{0, 1}, None])
+    with pytest.raises(PreconditionFailure, match="^stage 1 at 0$") as err:
+        evaluate(None, [0.0, 1.0, 2.0])
+    assert err.value.point == 0 and calls == [3]
+    # the first point passes stage 1 and reaches it, and its error has no point
+    evaluate, calls = _staged([{1}, None])
+    with pytest.raises(PreconditionFailure, match="^stage 2$") as err:
+        evaluate(None, [0.0, 1.0, 2.0])
+    assert err.value.point is None and calls == [3, 1]
+    # a refusal that does not depend on z stands at once
+    evaluate, calls = _staged([None, {0}])
+    with pytest.raises(PreconditionFailure, match="^stage 1$"):
+        evaluate(None, [0.0, 1.0])
+    assert calls == [2]
 
 
 def test_right_quotient_records_first_failing_point():
@@ -358,16 +384,14 @@ def test_right_quotient_records_first_failing_point():
     bad = np.diag([1.0, 0.0])
     # one denominator per point; the first bad point is 1
     den = np.stack([eye, bad, bad])
-    pts = PointPrefix([0.0, 1.0, 2.0])
-    out = right_quotient(np.ones_like(den), den, points=pts)
-    assert out.shape == (1, 2, 2) and len(pts) == 1
-    with pytest.raises(SingularDenominator):
-        pts.finish()
+    with pytest.raises(SingularDenominator) as err:
+        right_quotient(np.ones_like(den), den)
+    assert err.value.point == 1
     # a non-finite denominator fails, as a singular one does
     inf_den = np.stack([eye, np.full((2, 2), np.inf)])
-    pts = PointPrefix([0.0, 1.0])
-    right_quotient(np.stack([eye, eye]), inf_den, points=pts)
-    assert len(pts) == 1 and pts.error is not None
+    with pytest.raises(SingularDenominator) as err:
+        right_quotient(np.stack([eye, eye]), inf_den)
+    assert err.value.point == 1
 
 
 def test_right_quotient_svd_failure_is_singular_denominator():
@@ -378,14 +402,11 @@ def test_right_quotient_svd_failure_is_singular_denominator():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cond(den)
     with pytest.raises(SingularDenominator) as err:
-        divide(eye[None], den[None])
+        right_quotient(eye[None], den[None])
     assert np.isnan(err.value.cond)
-    pts = PointPrefix([0.0, 1.0, 2.0])
-    out = right_quotient(np.stack([eye] * 3), np.stack([eye, den, eye]), points=pts)
-    assert out.shape == (1, 2, 2) and len(pts) == 1
     with pytest.raises(SingularDenominator) as err:
-        pts.finish()
-    assert np.isnan(err.value.cond)
+        right_quotient(np.stack([eye] * 3), np.stack([eye, den, eye]))
+    assert err.value.point == 1 and np.isnan(err.value.cond)
 
 
 def test_non_finite_matrices_get_no_svd(monkeypatch):
@@ -396,14 +417,14 @@ def test_non_finite_matrices_get_no_svd(monkeypatch):
     for bad in (np.full((2, 2), np.inf), np.array([[1.0, 0.0], [0.0, -np.inf]]),
                 np.array([[np.nan, 0.0], [0.0, 1.0]])):
         with pytest.raises(SingularDenominator) as err:
-            divide(eye[None], bad[None])
+            right_quotient(eye[None], bad[None])
         assert np.isnan(err.value.cond)
-        pts = PointPrefix([0.0, 1.0, 2.0])
-        right_quotient(np.stack([eye] * 3), np.stack([eye, bad, eye]), points=pts)
-        assert len(pts) == 1 and np.isnan(pts.error.cond)
-        pts = PointPrefix([0.0, 1.0, 2.0])
-        right_quotient(np.stack([eye] * 3), np.stack([ill, bad, eye]), points=pts)
-        assert len(pts) == 0 and pts.error.cond == pytest.approx(2 * COND_LIMIT)
+        with pytest.raises(SingularDenominator) as err:
+            right_quotient(np.stack([eye] * 3), np.stack([eye, bad, eye]))
+        assert err.value.point == 1 and np.isnan(err.value.cond)
+        with pytest.raises(SingularDenominator) as err:
+            right_quotient(np.stack([eye] * 3), np.stack([ill, bad, eye]))
+        assert err.value.point == 0 and err.value.cond == pytest.approx(2 * COND_LIMIT)
     seen = [np.isfinite(ops[0]).all() for name, ops in kernel_calls if name == "svd"]
     assert seen and all(seen)
 
@@ -450,15 +471,17 @@ def _check_guard(mats):
     expected = _first_failure(mats, COND_LIMIT)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pts = PointPrefix(np.arange(len(mats)))
-        inv = guard_cond(mats, SingularDenominator, pts)
-    cut = len(mats) if expected is None else expected[0]
-    assert len(pts) == cut and np.array_equal(inv, np.linalg.inv(mats[:cut]), equal_nan=True)
+        try:
+            inv = guard_cond(mats, SingularDenominator)
+        except SingularDenominator as error:
+            refused = error
+        else:
+            refused = None
     if expected is None:
-        assert pts.error is None
+        assert refused is None and np.array_equal(inv, np.linalg.inv(mats), equal_nan=True)
     else:
-        assert type(pts.error) is SingularDenominator
-        assert pts.error.cond.hex() == expected[1].hex()
+        assert type(refused) is SingularDenominator and refused.point == expected[0]
+        assert refused.cond.hex() == expected[1].hex()
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -477,10 +500,9 @@ def test_guard_cond_decides_as_np_linalg_cond(rng, q):
 
 
 def test_guard_cond_on_an_empty_prefix_records_nothing():
-    # every point failed an earlier stage: the stack has no matrix left to check
-    pts = PointPrefix([])
-    inv = guard_cond(np.empty((0, 3, 3), dtype=complex), SingularDenominator, pts)
-    assert inv.shape == (0, 3, 3) and pts.error is None
+    # an evaluation at no point: the stack has no matrix to check or refuse
+    inv = guard_cond(np.empty((0, 3, 3), dtype=complex), SingularDenominator)
+    assert inv.shape == (0, 3, 3)
 
 
 def test_guard_cond_takes_no_svd_on_golden_extremal_at_64_points(monkeypatch, tmp_path):
@@ -541,7 +563,7 @@ def test_norms_of_huge_and_tiny_matrices_match_a_scaled_reference(rng, scale):
         assert [x.hex() for x in frobs(mat[None]).tolist()] == ["nan" if np.isnan(bad) else "inf"]
 
 
-def test_rel_residual_sums_as_np_linalg_norm(rng):
+def test_rel_residuals_sum_as_np_linalg_norm(rng):
     def reference(x, y):
         x = np.asarray(x, dtype=complex)
         y = np.asarray(y, dtype=complex)
